@@ -1,9 +1,10 @@
 """Deterministic chunked reductions.
 
-Chunk boundaries depend only on the chunk length, partial results are always
-combined in ascending chunk order with compensated summation, and worker
-threads only change who computes a chunk, never the combine order.  Single-
-and multi-threaded runs therefore agree to the last bit.
+Chunk boundaries depend only on the chunk length, and worker threads only
+change who computes a chunk, never the order results come back in.  Integer
+partial results (the histogram pass) are order-free sums; float reductions
+use kahan_sum in the given order.  Single- and multi-threaded runs therefore
+agree to the last bit.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ def chunk_spans(lo: int, hi: int, chunk: int = 1 << 20) -> list[tuple[int, int]]
     return [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
 
 
-def map_ordered(fn, spans, threads: int = 1) -> list:
-    """fn over spans, results in span order regardless of thread count."""
+def map_ordered(fn, spans, threads: int = 1):
+    """fn over spans, yielded one at a time in span order for any thread count."""
     if threads <= 1 or len(spans) <= 1:
-        return [fn(a, b) for a, b in spans]
+        for a, b in spans:
+            yield fn(a, b)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda ab: fn(*ab), spans))
+        yield from pool.map(lambda ab: fn(*ab), spans)
 
 
 def kahan_sum(values) -> complex | float:

@@ -21,18 +21,9 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from .experiment import THREADS_ENV, parse_config, run_experiment
+from .experiment import parse_config, resolve_threads, run_experiment
 from .sieve import SieveConfig, build_omega_table, cache_path, load_table, save_table
 from .verify import verify_suite
-
-
-def _threads(cli_value: int) -> int:
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        n = int(env)
-        if n >= 1:
-            return n
-    return cli_value
 
 
 def _parse_z(text: str) -> complex:
@@ -49,7 +40,7 @@ def _cmd_sieve(args) -> int:
         x_max=args.x,
         w=args.w,
         segment_length=args.segment_length,
-        threads=_threads(args.threads),
+        threads=resolve_threads(args.threads),
     )
     if args.cache:
         path = cache_path(args.cache, args.x, args.w)

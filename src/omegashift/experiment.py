@@ -3,7 +3,8 @@
 A run is described by a flat key = value text file, executed over a grid of
 (x, k) pairs, and written as a CSV plus a JSON mirror.  Reruns of the same
 config produce byte-identical files except for the runtime_ms column, which
-is deliberately last in the schema.
+is deliberately last in the schema.  runtime_ms is the time to derive a row
+from the level histogram; sieve, cache and histogram-pass time are excluded.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .stats import (
     PredictionReport,
     classical_baseline,
     gaussian_moment,
-    joint_histogram,
     ks_distance,
     large_factor_ratio,
+    level_histogram,
     loglog,
     logloglog,
     make_report,
@@ -189,16 +190,32 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _get_table(config: ExperimentConfig, x: int, w: int) -> OmegaTable:
+def resolve_threads(default: int) -> int:
+    """OMEGASHIFT_THREADS when set, else default; a set value that is not a
+    positive integer raises ValueError."""
+    text = os.environ.get(THREADS_ENV, "").strip()
+    if not text:
+        return default
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV}={text!r}: expected a positive integer")
+    return threads
+
+
+def _get_table(config: ExperimentConfig, x: int, w: int, threads: int) -> OmegaTable:
+    sieve = SieveConfig(x_max=x, w=w, threads=threads)
     if config.cache_dir:
         os.makedirs(config.cache_dir, exist_ok=True)
         path = cache_path(config.cache_dir, x, w)
         if os.path.exists(path):
             return load_table(path, x_max=x, w=w)
-        table = build_omega_table(SieveConfig(x_max=x, w=w, threads=config.threads))
+        table = build_omega_table(sieve)
         save_table(table, path)
         return table
-    return build_omega_table(SieveConfig(x_max=x, w=w, threads=config.threads))
+    return build_omega_table(sieve)
 
 
 def _timed(fn, *args, **kwargs):
@@ -216,16 +233,17 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the grid and write reports; row order is deterministic."""
-    threads = int(os.environ.get(THREADS_ENV, config.threads) or config.threads)
+    threads = resolve_threads(config.threads)
     rows: list[PredictionReport] = []
     P = config.truncation_prime
     for x in config.x_list:
         w = resolve_w(config.w_rule, x)
-        table = _get_table(config, x, w)
+        table = _get_table(config, x, w, threads)
+        levels = level_histogram(table, x, threads=threads)
         l2x, l3x = loglog(x), logloglog(x)
         gauss_err = l3x / math.sqrt(2.0 * l2x)
         for k in config.k_list:
-            hist = joint_histogram(table, k, x, threads=threads)
+            hist = levels[k]
             mass, ms = _timed(weighted_mass, table, k, x, hist=hist)
             theo_mass = weighted_mass_theoretical(k, x, P)
             rows.append(
@@ -280,7 +298,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 )
         if config.baseline:
             for y in config.y_grid:
-                rows.append(classical_baseline(table, x, y))
+                rows.append(classical_baseline(table, x, y, hist=levels))
     os.makedirs(config.output_dir, exist_ok=True)
     tag = config_hash(config)
     csv_path = os.path.join(config.output_dir, f"report_{tag}.csv")

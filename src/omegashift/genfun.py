@@ -14,7 +14,10 @@ g(q)/phi(dq), and the weighted generating function
 
     F_k(z) = sum over n in the k-level set of 2^omega(n-1) * z^omega(n-1, w),
 
-a polynomial in z whose coefficients are the small-factor masses.
+a polynomial in z whose coefficients are the small-factor masses.  Those
+coefficients are exact integers read from the joint histogram of the level
+set, so evaluation, coefficient extraction and the characteristic profile
+are small functions of one histogram pass.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import chunk_spans, kahan_sum, map_ordered
-from .sieve import OmegaTable, SieveConfig, _check_range, build_omega_table
+from .sieve import OmegaTable, SieveConfig, build_omega_table
+from .stats import OMEGA_CAP, joint_histogram, weighted_mass_at
 
 R_CONFIG = 4.0
 FACTOR_LIMIT = 1 << 50
@@ -230,52 +233,33 @@ class GenFunValue:
     terms: int
 
 
-def _level_pairs(table: OmegaTable, k: int, x: int, threads: int = 1):
-    """(omega(n-1), omega(n-1, w)) arrays over the k-level set, n ascending."""
-    _check_range(table, x)
-    if k < 0:
-        raise ValueError("k < 0")
-
-    def one(lo, hi):
-        mask = table.omega[lo:hi] == k
-        return (
-            table.omega[lo - 1 : hi - 1][mask],
-            table.omega_small[lo - 1 : hi - 1][mask],
-        )
-
-    parts = map_ordered(one, chunk_spans(2, x + 1), threads)
-    om1 = np.concatenate([a for a, _ in parts]) if parts else np.empty(0, np.uint8)
-    osm1 = np.concatenate([b for _, b in parts]) if parts else np.empty(0, np.uint8)
-    return om1, osm1
+def _level_coefficients(table: OmegaTable, k: int, x: int, threads: int = 1):
+    """(c_0..c_deg, level-set size) with c_u = sum_v J[v, u] 2^v exact integers
+    and deg the largest omega(n-1, w) attained (0 for an empty level set)."""
+    hist = joint_histogram(table, k, x, threads)
+    coeffs = [weighted_mass_at(table, k, x, u, hist=hist) for u in range(OMEGA_CAP)]
+    degree = max((u for u, c in enumerate(coeffs) if c), default=0)
+    return coeffs[: degree + 1], int(hist.sum())
 
 
-def _genfun_from_pairs(om1, osm1, z: complex, threads: int = 1):
-    zpow = _powers(complex(z), (int(osm1.max()) if om1.size else 0) + 1)
-
-    def one(lo, hi):
-        weights = np.ldexp(1.0, om1[lo:hi].astype(np.int32))
-        return complex(np.sum(weights * zpow[osm1[lo:hi]]))
-
-    spans = chunk_spans(0, om1.size)
-    return kahan_sum(map_ordered(one, spans, threads)) if spans else 0.0 + 0.0j
+def _polynomial(coeffs, z: complex) -> complex:
+    return complex(sum(c * z**u for u, c in enumerate(coeffs)))
 
 
 def eval_genfun(
     table: OmegaTable, k: int, x: int, z: complex | float, threads: int = 1
 ) -> GenFunValue:
-    """F_k(z) = sum_{omega(n)=k, 2<=n<=x} 2^omega(n-1) z^omega(n-1, w), exactly.
+    """F_k(z) = sum_{omega(n)=k, 2<=n<=x} 2^omega(n-1) z^omega(n-1, w).
 
-    Terms are accumulated with compensated summation over fixed chunks in
-    ascending order, so every thread count returns the identical value.
+    Evaluates sum_u c_u z^u over the exact integer coefficients, so every
+    thread count returns the identical value.
     """
     if abs(z) > R_CONFIG + 1e-9:
         raise ValueError(f"|z|={abs(z):.3f} exceeds {R_CONFIG}")
-    om1, osm1 = _level_pairs(table, k, x, threads)
-    value = complex(_genfun_from_pairs(om1, osm1, complex(z), threads))
-    weight_total = int(np.sum(np.int64(1) << om1.astype(np.int64))) if om1.size else 0
+    coeffs, terms = _level_coefficients(table, k, x, threads)
     return GenFunValue(
-        k=k, x=x, w=table.w, z=complex(z), value=value,
-        weight_total=weight_total, terms=int(om1.size),
+        k=k, x=x, w=table.w, z=complex(z), value=_polynomial(coeffs, complex(z)),
+        weight_total=sum(coeffs), terms=terms,
     )
 
 
@@ -294,29 +278,13 @@ class CoefficientVector:
 def extract_coefficients(
     table: OmegaTable, k: int, x: int, threads: int = 1
 ) -> CoefficientVector:
-    """Coefficients of F_k via an inverse DFT on the unit circle.
-
-    Uses degree+1 roots of unity, where the degree is the largest
-    omega(n-1, w) attained on the level set (at most 9 at desk scale, and
-    always below 32).
-    """
-    om1, osm1 = _level_pairs(table, k, x, threads)
-    if om1.size == 0:
-        return CoefficientVector(k, x, table.w, np.zeros(1), 0)
-    degree = int(osm1.max())
-    m = degree + 1
-    roots = [cmath.exp(2j * cmath.pi * j / m) for j in range(m)]
-    values = [_genfun_from_pairs(om1, osm1, zj, threads) for zj in roots]
-    coeffs = np.empty(m, dtype=np.float64)
-    for l in range(m):
-        acc = kahan_sum(
-            values[j] * cmath.exp(-2j * cmath.pi * j * l / m) for j in range(m)
-        )
-        coeffs[l] = acc.real / m
-    weight_total = int(np.sum(np.int64(1) << om1.astype(np.int64)))
-    tiny = 1e-6 * max(weight_total, 1)
-    coeffs[(coeffs < 0) & (coeffs > -tiny)] = 0.0
-    return CoefficientVector(k, x, table.w, coeffs, weight_total)
+    """Coefficients c_0..c_deg of F_k as exact int64 slice masses, where deg
+    is the largest omega(n-1, w) attained on the level set (at most 9 at desk
+    scale, and always below 32); [0] for an empty level set."""
+    coeffs, _ = _level_coefficients(table, k, x, threads)
+    return CoefficientVector(
+        k, x, table.w, np.array(coeffs, dtype=np.int64), sum(coeffs)
+    )
 
 
 @dataclass(frozen=True)
@@ -339,15 +307,15 @@ def characteristic_profile(
     T = 2.0 * math.log(math.log(table.w)) if table.w > 2 else 0.0
     if T <= 0.0:
         raise ValueError(f"w={table.w} too small: 2*loglog(w) must be positive")
-    om1, osm1 = _level_pairs(table, k, x, threads)
-    total = float(np.sum(np.ldexp(1.0, om1.astype(np.int32)))) if om1.size else 0.0
+    coeffs, _ = _level_coefficients(table, k, x, threads)
+    total = float(sum(coeffs))
     if total == 0.0:
         raise ValueError(f"empty level set k={k}, x={x}")
     sqrt_t = math.sqrt(T)
     out = []
     for t in t_grid:
         t = float(t)
-        val = _genfun_from_pairs(om1, osm1, cmath.exp(1j * t / sqrt_t), threads)
+        val = _polynomial(coeffs, cmath.exp(1j * t / sqrt_t))
         psi = cmath.exp(-1j * t * sqrt_t) * val / total
         out.append(ProfilePoint(t=t, psi=psi, gaussian_gap=abs(psi - math.exp(-0.5 * t * t))))
     return out

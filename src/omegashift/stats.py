@@ -1,13 +1,15 @@
 """Weighted level-set statistics and their analytic predictions.
 
-Every statistic of the k-level set is a functional of the joint histogram
+Every statistic is a functional of the level histogram
 
-    J[v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
+    H[k, v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
 
-a small table of exact integers (v, u < 32 for any x below 2^40).  Computing
-J once per (table, k, x) and deriving weighted masses, thresholded masses,
-moments and distribution distances from it keeps all integer statistics exact
-and bit-reproducible for every chunking and thread count.
+a small table of exact integers (k, v, u < 32 for any x below 2^40) built by
+one pass over the table.  The k-level statistics read its plane
+J = H[k] (the joint histogram); the classical baseline reads its k marginal.
+Building H once per (table, x) and deriving weighted masses, thresholded
+masses, moments and distribution distances from it keeps all integer
+statistics exact and bit-reproducible for every chunking and thread count.
 """
 
 from __future__ import annotations
@@ -110,37 +112,40 @@ def make_report(
     )
 
 
-def joint_histogram(table: OmegaTable, k: int, x: int, threads: int = 1) -> np.ndarray:
-    """J[v, u] over the k-level set; exact int64 counts."""
+def level_histogram(table: OmegaTable, x: int, threads: int = 1) -> np.ndarray:
+    """H[k, v, u] over 2 <= n <= x; exact int64 counts, shape (32, 32, 32).
+
+    One pass over fixed chunks: each chunk packs (k, v, u) into one uint16
+    index per n and adds its bincount, so working memory stays O(chunk).
+    omega <= 11 below the 2^40 table ceiling, so every index is in range.
+    """
     _check_range(table, x)
-    if k < 0:
-        raise ValueError("k < 0")
 
     def one(lo, hi):
-        mask = table.omega[lo:hi] == k
-        om1 = table.omega[lo - 1 : hi - 1][mask].astype(np.int64)
-        osm1 = table.omega_small[lo - 1 : hi - 1][mask].astype(np.int64)
-        return np.bincount(om1 * OMEGA_CAP + osm1, minlength=OMEGA_CAP * OMEGA_CAP)
+        idx = table.omega[lo:hi].astype(np.uint16)
+        idx *= OMEGA_CAP
+        idx += table.omega[lo - 1 : hi - 1]
+        idx *= OMEGA_CAP
+        idx += table.omega_small[lo - 1 : hi - 1]
+        return np.bincount(idx, minlength=OMEGA_CAP**3)
 
-    parts = map_ordered(one, chunk_spans(2, x + 1), threads)
-    flat = np.zeros(OMEGA_CAP * OMEGA_CAP, dtype=np.int64)
-    for p in parts:
-        flat += p
-    return flat.reshape(OMEGA_CAP, OMEGA_CAP)
+    flat = np.zeros(OMEGA_CAP**3, dtype=np.int64)
+    for part in map_ordered(one, chunk_spans(2, x + 1), threads):
+        flat += part
+    return flat.reshape(OMEGA_CAP, OMEGA_CAP, OMEGA_CAP)
+
+
+def joint_histogram(table: OmegaTable, k: int, x: int, threads: int = 1) -> np.ndarray:
+    """J[v, u] over the k-level set, the plane H[k]; exact int64 counts."""
+    if k < 0:
+        raise ValueError("k < 0")
+    hist = level_histogram(table, x, threads)
+    return hist[k] if k < OMEGA_CAP else np.zeros_like(hist[0])
 
 
 def omega_histogram(table: OmegaTable, x: int, threads: int = 1) -> np.ndarray:
     """Counts of omega(n) over 2 <= n <= x (the classical, unshifted counter)."""
-    _check_range(table, x)
-
-    def one(lo, hi):
-        return np.bincount(table.omega[lo:hi].astype(np.int64), minlength=OMEGA_CAP)
-
-    parts = map_ordered(one, chunk_spans(2, x + 1), threads)
-    out = np.zeros(OMEGA_CAP, dtype=np.int64)
-    for p in parts:
-        out += p
-    return out
+    return level_histogram(table, x, threads).sum(axis=(1, 2))
 
 
 def _hist(table, k, x, hist):
@@ -155,13 +160,8 @@ def weighted_mass(table: OmegaTable, k: int, x: int, hist=None) -> int:
 
 def total_weighted_mass(table: OmegaTable, x: int, threads: int = 1) -> int:
     """sum of 2^omega(n-1) over all 2 <= n <= x (no level restriction)."""
-    _check_range(table, x)
-
-    def one(lo, hi):
-        om1 = table.omega[lo - 1 : hi - 1].astype(np.int64)
-        return int(np.sum(np.int64(1) << om1))
-
-    return sum(map_ordered(one, chunk_spans(2, x + 1), threads))
+    counts = level_histogram(table, x, threads).sum(axis=(0, 2))
+    return sum(int(c) << v for v, c in enumerate(counts) if c)
 
 
 def weighted_mass_theoretical(k: int, x: int, P: int = DEFAULT_TRUNCATION) -> float:
@@ -338,13 +338,18 @@ def unweighted_baseline(
     )
 
 
-def classical_baseline(table: OmegaTable, x: int, y: float) -> PredictionReport:
-    """All-n count of omega(n) <= loglog x + y sqrt(loglog x) vs (x-1) Phi(y)."""
+def classical_baseline(
+    table: OmegaTable, x: int, y: float, hist=None
+) -> PredictionReport:
+    """All-n count of omega(n) <= loglog x + y sqrt(loglog x) vs (x-1) Phi(y).
+
+    hist, when given, is the level histogram H of (table, x).
+    """
     t0 = time.perf_counter()
     spec = unweighted_spec(x)
-    hist = omega_histogram(table, x)
+    counts = omega_histogram(table, x) if hist is None else hist.sum(axis=(1, 2))
     thr = spec.center + y * spec.scale
-    emp = sum(int(c) for v, c in enumerate(hist) if v <= thr)
+    emp = sum(int(c) for v, c in enumerate(counts) if v <= thr)
     theo = (x - 1) * normal_cdf(y)
     ms = (time.perf_counter() - t0) * 1e3
     return make_report(

@@ -232,16 +232,20 @@ def _check_normal_cdf():
 
 def _check_coefficients_vs_direct():
     x = 10_000
-    worst = 0.0
     for w in (10, resolve_w("auto", x)):
         table = build_omega_table(SieveConfig(x_max=x, w=w))
+        direct = {}
+        for n in range(2, x + 1):
+            k = _trial_omega(n, w)[0]
+            v, u = _trial_omega(n - 1, w)
+            slices = direct.setdefault(k, {})
+            slices[u] = slices.get(u, 0) + (1 << v)
         for k in (1, 2, 3):
-            vec = genfun.extract_coefficients(table, k, x)
-            hist = joint_histogram(table, k, x)
-            for ell, coeff in enumerate(vec.coefficients):
-                direct = weighted_mass_at(table, k, x, ell, hist=hist)
-                worst = max(worst, abs(coeff - direct) / max(direct, 1.0))
-    return worst < 1e-6, f"max componentwise deviation {worst:.2e}"
+            coeffs = genfun.extract_coefficients(table, k, x).coefficients
+            want = [direct[k].get(u, 0) for u in range(max(direct[k]) + 1)]
+            if coeffs.tolist() != want:
+                return False, f"w={w} k={k}: {coeffs.tolist()} != {want}"
+    return True, f"F_k coefficients equal trial-division slice masses (x={x}, k<=3)"
 
 
 def _check_genfun_examples():

@@ -1,18 +1,22 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Nothing here imports the package under test.  The arithmetic oracles use
-plain trial division and Python integers; the Euler-product oracle uses
-mpmath with a prime-zeta tail so its error is far below the tolerances it
-is used to check.  Frozen constants in the test files were produced by
+plain trial division and Python integers; the generating-function oracle
+gathers a table's level set element by element and inverts F_k from its
+values at the roots of unity by a discrete Fourier transform; the
+Euler-product oracle uses mpmath with a prime-zeta tail so its error is far
+below the tolerances it is used to check.  Frozen constants in the test files were produced by
 running this module directly (python3 tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -88,6 +92,24 @@ def joint_counts(triples, k: int) -> dict[tuple[int, int], int]:
         if kk == k:
             out[(v, u)] = out.get((v, u), 0) + 1
     return out
+
+
+def dft_coefficients(table, k: int, x: int) -> list[float]:
+    """Coefficients of F_k(z) = sum 2^omega(n-1) z^omega(n-1, w) over the
+    k-level set of table, by an inverse DFT of F_k at the m-th roots of unity,
+    m = 1 + the largest omega(n-1, w) on the level set; [0.0] when empty."""
+    members = np.flatnonzero(table.omega[2 : x + 1] == k) + 1  # the n - 1
+    if members.size == 0:
+        return [0.0]
+    weights = np.ldexp(1.0, table.omega[members].astype(np.int32))
+    small = table.omega_small[members].astype(np.int64)
+    m = int(small.max()) + 1
+    roots = [cmath.exp(2j * cmath.pi * j / m) for j in range(m)]
+    values = [complex(np.sum(weights * np.power(z, small))) for z in roots]
+    return [
+        sum(values[j] * cmath.exp(-2j * cmath.pi * j * l / m) for j in range(m)).real / m
+        for l in range(m)
+    ]
 
 
 # ------------------------------------------------------------ Euler products

@@ -167,6 +167,15 @@ def test_threads_env_override(tmp_path, monkeypatch):
     assert strip(r1.csv_path) == strip(r2.csv_path)
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_threads_env_rejects_bad_values(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv(THREADS_ENV, value)
+    with pytest.raises(ValueError, match=THREADS_ENV):
+        run_experiment(_tiny_config(tmp_path))
+    assert main(["sieve", "--x", "2000", "--w", "11"]) == 2
+    assert THREADS_ENV in capsys.readouterr().err
+
+
 def test_mass_skip_on_empty_level(tmp_path):
     res = run_experiment(_tiny_config(tmp_path, k_list=(6,), baseline=False))
     stats = [r.statistic for r in res.rows]

@@ -1,14 +1,18 @@
 """Statistics engine against the independent trial-division oracle."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from omegashift.constants import normal_cdf
 from omegashift.sieve import SieveConfig, build_omega_table
 from omegashift.stats import (
+    OMEGA_CAP,
     PredictionReport,
     ThresholdSpec,
     classical_baseline,
@@ -18,6 +22,7 @@ from omegashift.stats import (
     ks_distance,
     ks_weighted_histogram,
     large_factor_ratio,
+    level_histogram,
     loglog,
     logloglog,
     omega_histogram,
@@ -70,8 +75,43 @@ def test_threshold_specs():
         gaussian_spec(10)
 
 
+def _nonzero_cells(hist) -> dict:
+    return {tuple(map(int, idx)): int(hist[tuple(idx)]) for idx in np.argwhere(hist)}
+
+
+def test_level_histogram_matches_oracle(table, triples):
+    hist = level_histogram(table, X)
+    assert hist.shape == (OMEGA_CAP, OMEGA_CAP, OMEGA_CAP)
+    for k in range(OMEGA_CAP):
+        assert _nonzero_cells(hist[k]) == oracles.joint_counts(triples, k), k
+    assert int(hist.sum()) == X - 1
+    omega_counts = Counter(k for k, _, _ in triples)
+    assert hist.sum(axis=(1, 2)).tolist() == [omega_counts[k] for k in range(OMEGA_CAP)]
+    assert np.array_equal(level_histogram(table, X, threads=3), hist)
+
+
+@st.composite
+def _sieve_inputs(draw):
+    x = draw(st.integers(2, 3000))
+    w = draw(st.integers(2, x))
+    return x, w, draw(st.integers(1024, 4096)), draw(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_sieve_inputs())
+def test_table_and_level_histogram_match_trial_division(inputs):
+    x, w, segment, threads = inputs
+    table = build_omega_table(
+        SieveConfig(x_max=x, w=w, segment_length=segment, threads=threads)
+    )
+    for n in range(2, x + 1):
+        assert (table.omega[n], table.omega_small[n]) == oracles.omega_pair(n, w), n
+    hist = level_histogram(table, x, threads=threads)
+    assert _nonzero_cells(hist) == Counter(oracles.level_triples(x, w))
+
+
 def test_joint_histogram_matches_oracle(table, triples):
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 40):
         hist = joint_histogram(table, k, X)
         want = oracles.joint_counts(triples, k)
         for v in range(hist.shape[0]):
@@ -80,7 +120,7 @@ def test_joint_histogram_matches_oracle(table, triples):
 
 
 def test_weighted_mass_matches_oracle(table, triples):
-    for k in range(1, 7):
+    for k in (*range(1, 7), 40):
         assert weighted_mass(table, k, X) == oracles.weighted_mass(triples, k)
 
 
