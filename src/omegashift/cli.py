@@ -22,7 +22,14 @@ from .constants import (
     tilted_level_constant,
 )
 from .experiment import parse_config, resolve_threads, run_experiment
-from .sieve import SieveConfig, build_omega_table, cache_path, load_table, save_table
+from .sieve import (
+    DEFAULT_SEGMENT,
+    SieveConfig,
+    build_omega_table,
+    cache_path,
+    load_table,
+    save_table,
+)
 from .verify import verify_suite
 
 
@@ -107,7 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True, help="table upper bound")
     p.add_argument("--w", type=int, required=True, help="small-prime cutoff")
     p.add_argument("--cache", default="", help="cache directory (load or save)")
-    p.add_argument("--segment-length", type=int, default=1 << 22)
+    p.add_argument(
+        "--segment-length",
+        type=int,
+        default=DEFAULT_SEGMENT,
+        help="numbers per sieve segment (>= 1024); trades memory for call "
+        "overhead and does not change the table (default %(default)s)",
+    )
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_sieve)
 

@@ -7,10 +7,20 @@ Builds, for every n in [2, x_max], the pair
 
 as byte tables.  Everything downstream (level sets, weighted statistics,
 generating-function evaluations) reads these two arrays.
+
+Each segment sieves the base primes p <= sqrt(x_max).  What they leave of n
+is its cofactor c, which is 1 or a single prime above sqrt(x_max) (two such
+primes would multiply past x_max).  The sieve never divides: when
+w*w <= x_max, c can never count toward omega_small, so only "c > 1" matters,
+and a byte of scaled logarithms decides it exactly (the logarithmic-sieve
+trick of the quadratic sieve; the argument is in _fill_segment).  Only when
+w*w > x_max, where "c <= w" needs the cofactor's value, does a segment keep
+an int64 cofactor array and divide it by every prime power.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +32,35 @@ from .primes import primes_up_to
 
 X_MAX_CEILING = 1 << 40
 DEFAULT_SEGMENT = 1 << 22
+LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
+LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
+
+
+def _max_omega(limit: int) -> int:
+    """Largest omega(n) over n <= limit: how many leading primes multiply to <= limit."""
+    count, product = 0, 1
+    for p in primes_up_to(100).tolist():
+        if product * p > limit:
+            break
+        count, product = count + 1, product * p
+    return count
+
+
+def _log_gap(x_max: int) -> float:
+    """Lower edge of the c = 1 band minus upper edge of the c > 1 band (see _fill_segment)."""
+    return LOG_SCALE / 2 * math.log(x_max) - math.log2(x_max) - LOG_SCALE * math.log(2)
+
+
+MAX_OMEGA = _max_omega(X_MAX_CEILING)  # 11: 2*3*...*31 <= 2^40 < 2*3*...*37
+
+# Fixed-width guards for the segment's uint16 words: the low byte counts
+# distinct primes and the high byte accumulates scaled logs; neither may carry.
+if MAX_OMEGA >= 256:
+    raise RuntimeError(f"omega can reach {MAX_OMEGA}: the count byte would carry")
+if LOG_SCALE * math.log(X_MAX_CEILING) >= 256:
+    raise RuntimeError("scaled log of X_MAX_CEILING does not fit the accumulator byte")
+if _log_gap(LOG_ROUTE_MIN_X) <= 1:
+    raise RuntimeError("log test does not separate its bands at LOG_ROUTE_MIN_X")
 
 MAGIC = b"OMGT"
 CACHE_VERSION = 1
@@ -79,33 +118,85 @@ class OmegaTable:
         )
 
 
-def _fill_segment(omega, omega_small, base, lo, hi, w):
+def _sieve_primes(cell, primes, lo, hi):
+    """Add 1 + (L(p) << 8) at the multiples of each p and L(p) << 8 at those of each p^j < hi."""
+    for p in primes.tolist():
+        step = int(LOG_SCALE * math.log(p)) << 8
+        cell[(-lo) % p :: p] += step + 1
+        q = p * p
+        while q < hi:
+            cell[(-lo) % q :: q] += step
+            q *= p
+
+
+def _octave_bounds(lo, hi, x_max):
+    """(start, stop, T << 8) for each octave [a, 2a) meeting [lo, hi), offsets from lo.
+
+    A word is below T << 8 iff its high byte is below T, whatever its low
+    byte; T < 0 is raised to 0, which no word is below either.
+    """
+    a = 1 << (lo.bit_length() - 1)
+    while a < hi:
+        upper = LOG_SCALE * math.log(2 * a) - LOG_SCALE / 2 * math.log(x_max)  # B
+        lower = LOG_SCALE * math.log(a) - math.log2(x_max)  # A
+        yield max(a, lo) - lo, min(2 * a, hi) - lo, max(round((lower + upper) / 2), 0) << 8
+        a *= 2
+
+
+def _fill_segment(omega, omega_small, base, lo, hi, w, x_max):
     """Count prime divisors for n in [lo, hi) into the shared output arrays.
 
-    For each base prime p <= sqrt(x_max), multiples get one count and the
-    residual cofactor loses every power of p.  Whatever remains above 1 is
-    the unique prime factor larger than sqrt(x_max): it always counts toward
-    omega, and toward omega_small iff it is <= w.
+    One uint16 word per n.  Each base prime p <= sqrt(x_max) adds 1 to the
+    low byte at its multiples, and L(p) = floor(8 ln p) to the high byte at
+    the multiples of every power p^j < hi.  base ascends, so after the
+    primes p <= w the low byte is omega_small without the cofactor; it is
+    copied out, and the primes w < p are then added on top to give omega
+    without the cofactor.  Neither byte carries: the low byte is at most
+    MAX_OMEGA = 11, and the high byte at most 8 ln n <= 8 ln 2^40 < 222.
+
+    Write n = s * c with s the part made of base primes.  The cofactor c is
+    1 or one prime above sqrt(x_max); it always counts toward omega when
+    c > 1, and toward omega_small iff c <= w.
+
+    Log route (w*w <= x_max and x_max >= 13).  Then c > sqrt(x_max) >= w, so
+    only "c > 1" matters.  The high byte holds acc = sum over p^e || s of
+    e*L(p), and 8 ln p - 1 < L(p) <= 8 ln p gives
+    8 ln s - Omega(s) < acc <= 8 ln s.  For n in the octave [a, 2a):
+      c = 1:  s = n >= a and Omega(n) <= log2 x_max, so
+              acc > 8 ln a - log2 x_max = A;
+      c > 1:  s = n / c < 2a / sqrt(x_max), so
+              acc < 8 ln(2a) - 4 ln x_max = B.
+    A - B = 4 ln x_max - log2 x_max - 8 ln 2 exceeds 1 for every
+    x_max >= 13, so the integer T nearest (A + B) / 2 has B < T < A, and
+    c > 1 exactly when acc < T.  The margin (A - B - 1) / 2 >= 0.007 dwarfs
+    the float rounding in L(p) and T.
+
+    Exact route (w*w > x_max, or x_max < 13).  "c <= w" needs the value of
+    c, so an int64 array starts at n and is divided by p at every p^j < hi.
     """
     om = omega[lo:hi]
     osm = omega_small[lo:hi]
+    cell = np.zeros(hi - lo, dtype=np.uint16)
+    small = int(np.searchsorted(base, w, side="right"))
+    _sieve_primes(cell, base[:small], lo, hi)
+    np.copyto(osm, cell, casting="unsafe")  # the uint8 cast keeps the low byte
+    _sieve_primes(cell, base[small:], lo, hi)
+    np.copyto(om, cell, casting="unsafe")
+    if w * w <= x_max and x_max >= LOG_ROUTE_MIN_X:
+        for start, stop, bound in _octave_bounds(lo, hi, x_max):
+            part = cell[start:stop]
+            np.less(part, bound, out=part)  # in place: 1 iff the cofactor is > 1
+        om += cell
+        return
     rem = np.arange(lo, hi, dtype=np.int64)
-    for p in base:
-        p = int(p)
-        start = (-lo) % p
-        om[start::p] += 1
-        if p <= w:
-            osm[start::p] += 1
+    for p in base.tolist():
         q = p
         while q < hi:
             rem[(-lo) % q :: q] //= p
             q *= p
     big = rem > 1
     om[big] += 1
-    if w >= hi - 1:
-        osm[big] += 1
-    else:
-        osm[big & (rem <= w)] += 1
+    osm[big & (rem <= w)] += 1
 
 
 def build_omega_table(config: SieveConfig) -> OmegaTable:
@@ -125,11 +216,11 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     ]
     if config.threads == 1 or len(spans) == 1:
         for lo, hi in spans:
-            _fill_segment(omega, omega_small, base, lo, hi, w)
+            _fill_segment(omega, omega_small, base, lo, hi, w, x_max)
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             jobs = [
-                pool.submit(_fill_segment, omega, omega_small, base, lo, hi, w)
+                pool.submit(_fill_segment, omega, omega_small, base, lo, hi, w, x_max)
                 for lo, hi in spans
             ]
             for j in jobs:
@@ -173,8 +264,8 @@ def save_table(table: OmegaTable, path: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, CACHE_VERSION, table.x_max, table.w))
-        fh.write(table.omega.tobytes())
-        fh.write(table.omega_small.tobytes())
+        fh.write(memoryview(table.omega))  # the buffer itself; tobytes() would copy it
+        fh.write(memoryview(table.omega_small))
     os.replace(tmp, path)
 
 

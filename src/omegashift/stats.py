@@ -28,10 +28,14 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from .sieve import OmegaTable, _check_range
+from .sieve import MAX_OMEGA, OmegaTable, _check_range
 
 OMEGA_CAP = 32
 MAX_MOMENT = 12
+
+# Every omega(n) and omega(n, w) of a table is a valid H index.
+if MAX_OMEGA >= OMEGA_CAP:
+    raise RuntimeError(f"omega can reach {MAX_OMEGA}, outside H's {OMEGA_CAP} bins")
 
 
 def loglog(x: float) -> float:
@@ -117,7 +121,8 @@ def level_histogram(table: OmegaTable, x: int, threads: int = 1) -> np.ndarray:
 
     One pass over fixed chunks: each chunk packs (k, v, u) into one uint16
     index per n and adds its bincount, so working memory stays O(chunk).
-    omega <= 11 below the 2^40 table ceiling, so every index is in range.
+    omega <= sieve.MAX_OMEGA = 11 below the 2^40 table ceiling, which is less
+    than OMEGA_CAP (checked at import), so every index is in range.
     """
     _check_range(table, x)
 

@@ -23,7 +23,7 @@ from omegashift.genfun import (
     extract_coefficients,
     phi_prime_power,
 )
-from omegashift.sieve import SieveConfig, build_omega_table
+from omegashift.sieve import DEFAULT_SEGMENT, SieveConfig, build_omega_table
 from omegashift.stats import (
     gaussian_spec,
     joint_histogram,
@@ -268,6 +268,25 @@ def test_criterion_8b_profile_pearson(record_property, big):
         "term exceeds 1 at ell=5,6)",
     )
     assert corr > 0.9
+
+
+def test_table_1e8_matches_trial_division_at_sampled_n(big):
+    """The 1e8 table against trial division, independent of the sieve's code:
+    the top 1000 n, n near each 2^j and each segment edge, and a fixed sample."""
+    x = 10**8
+    table = big["tables"][x]
+    edges = [1 << j for j in range(1, x.bit_length())]
+    edges += range(2 + DEFAULT_SEGMENT, x + 1, DEFAULT_SEGMENT)
+    ns = {e + d for e in edges for d in range(-2, 3)}
+    ns |= set(range(x - 999, x + 1))
+    ns |= set(np.random.default_rng(20_240_101).integers(2, x + 1, size=3000).tolist())
+    ns = sorted(n for n in ns if 2 <= n <= x)
+    assert len(ns) > 4000
+    bad = [
+        n for n in ns
+        if (table.omega[n], table.omega_small[n]) != oracles.omega_pair(n, table.w)
+    ]
+    assert bad == []
 
 
 def test_criterion_9_performance_and_determinism(record_property, big):

@@ -1,13 +1,24 @@
 """Sieve correctness, determinism, and cache round-trips."""
 
+import itertools
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from omegashift.sieve import (
+    LOG_ROUTE_MIN_X,
+    LOG_SCALE,
+    MAX_OMEGA,
+    X_MAX_CEILING,
     CacheMismatchError,
     OmegaTable,
     SieveConfig,
+    _log_gap,
     build_omega_table,
     cache_path,
     count_omega_level,
@@ -15,6 +26,7 @@ from omegashift.sieve import (
     load_table,
     save_table,
 )
+from omegashift.stats import OMEGA_CAP
 
 
 def small_table(x=1000, w=10, **kw):
@@ -61,10 +73,86 @@ def test_large_leftover_prime_counts_once():
 
 
 def test_deterministic_across_segments_and_threads():
-    ref = small_table(60_000, 300, segment_length=1 << 15)
-    for seg in (1024, 4096, 1 << 22):
-        for th in (1, 2, 5):
-            assert small_table(60_000, 300, segment_length=seg, threads=th) == ref
+    for w in (300, 200):  # sqrt(60000) = 244.9: the exact and the log route
+        ref = small_table(60_000, w, segment_length=1 << 15)
+        for seg in (1024, 4096, 1 << 22):
+            for th in (1, 2, 5):
+                assert small_table(60_000, w, segment_length=seg, threads=th) == ref
+
+
+@lru_cache(maxsize=None)
+def _prime_divisors(n):
+    return tuple(p for p, _ in oracles.factorize(n))
+
+
+def _trial_division_tables(x, w):
+    """(omega, omega_small) for n <= x from oracles.factorize, entries 0, 1 zero."""
+    omega = np.zeros(x + 1, dtype=np.uint8)
+    omega_small = np.zeros(x + 1, dtype=np.uint8)
+    for n in range(2, x + 1):
+        primes = _prime_divisors(n)
+        omega[n] = len(primes)
+        omega_small[n] = sum(1 for p in primes if p <= w)
+    return omega, omega_small
+
+
+SEGMENTS_AND_THREADS = [(seg, th) for seg in (1024, 4096, 1 << 22) for th in (1, 3)]
+
+
+def _assert_matches_trial_division(x, w, segment_length, threads):
+    t = small_table(x, w, segment_length=segment_length, threads=threads)
+    omega, omega_small = _trial_division_tables(x, w)
+    bad = np.flatnonzero((t.omega != omega) | (t.omega_small != omega_small))
+    assert bad.size == 0, (x, w, segment_length, threads, bad[:5].tolist())
+
+
+@st.composite
+def _routed_inputs(draw):
+    """w drawn from one cofactor route: w*w <= x (log) or w*w > x (exact)."""
+    if draw(st.sampled_from(("log", "exact"))) == "log":
+        x = draw(st.integers(4, 5000))
+        w = draw(st.integers(2, math.isqrt(x)))
+    else:
+        x = draw(st.integers(2, 5000))
+        w = draw(st.integers(math.isqrt(x) + 1, x))
+    return x, w, *draw(st.sampled_from(SEGMENTS_AND_THREADS))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_routed_inputs())
+def test_both_cofactor_routes_match_trial_division(inputs):
+    _assert_matches_trial_division(*inputs)
+
+
+# x = p^2 - 1, p^2, p^2 + 1 for p = 11, 251; 2^16 and 2^16 + 1; the smallest
+# x of the log route and the largest below it.
+BOUNDARY_X = (12, 13, 120, 121, 122, 63_000, 63_001, 63_002, 1 << 16, (1 << 16) + 1)
+
+
+@pytest.mark.parametrize("x", BOUNDARY_X)
+def test_cofactor_routes_at_boundaries(x):
+    r = math.isqrt(x)
+    p = next(q for q in itertools.count(r + 1) if _prime_divisors(q) == (q,))
+    for w in (r, r + 1):  # the last w of the log route and the first of the exact
+        for seg, th in SEGMENTS_AND_THREADS:
+            _assert_matches_trial_division(x, w, seg, th)
+        if 2 * p <= x:  # s = 2 and the cofactor is the first prime above sqrt(x)
+            t = small_table(x, w)
+            assert (t.omega[2 * p], t.omega_small[2 * p]) == (2, 1 + (p <= w))
+
+
+def test_max_omega_is_derived_from_the_ceiling():
+    primorial_11 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert primorial_11 <= X_MAX_CEILING < primorial_11 * 37
+    assert MAX_OMEGA == 11
+    assert MAX_OMEGA < OMEGA_CAP  # every omega is an index of the level histogram
+    assert MAX_OMEGA < 256  # the sieve's count byte never carries into its log byte
+
+
+def test_log_accumulator_fits_a_byte():
+    assert LOG_SCALE * math.log(X_MAX_CEILING) < 256
+    # the log test separates by more than one unit from x = 13 on, not at 12
+    assert _log_gap(LOG_ROUTE_MIN_X) > 1 >= _log_gap(LOG_ROUTE_MIN_X - 1)
 
 
 def test_config_validation():
