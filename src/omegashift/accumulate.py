@@ -1,10 +1,9 @@
 """Deterministic chunked reductions.
 
 Chunk boundaries depend only on the chunk length, and worker threads only
-change who computes a chunk, never the order results come back in.  Integer
-partial results (the histogram pass) are order-free sums; float reductions
-use kahan_sum in the given order.  Single- and multi-threaded runs therefore
-agree to the last bit.
+change who computes a chunk, never the order results come back in.  The
+partial results (the histogram pass) are integer counts, whose sums do not
+depend on order, so single- and multi-threaded runs agree to the last bit.
 """
 
 from __future__ import annotations
@@ -28,14 +27,3 @@ def map_ordered(fn, spans, threads: int = 1):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         yield from pool.map(lambda ab: fn(*ab), spans)
 
-
-def kahan_sum(values) -> complex | float:
-    """Compensated sum in the given order (works for float and complex)."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total

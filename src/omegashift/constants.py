@@ -2,17 +2,40 @@
 
 Every product evaluated here has per-prime factors of the shape
 
-    (1 + a/(p - 1 + s)) * (1 - 1/p)**a
+    F_p = (1 + a/(p - 1 + s)) * (1 - 1/p)**a
 
 for a coefficient a (possibly complex) and a shift s >= 0, so a single
-log-evaluation core serves all of them.  The 1/p terms cancel between the two
-factors, the log-factor is O(1/p^2), and truncation at P carries a rigorous
-tail bound: an explicit constant c(a, s) times the exact remainder
-sum_{p > P} p^(-2), the latter obtained from the prime zeta value at 2 minus
-the partial sum accumulated during the same pass.
+log-evaluation core serves all of them.
 
-Derivation of c(a, s), valid for p >= 1000, |a| <= 10, 0 <= s <= 5: with
-u = a/(p-1+s),
+Head and series.  With b = 1 - s the factor is
+F_p = (1 - (b-a)/p) / (1 - b/p) * (1 - 1/p)**a, so
+
+    log F_p = sum_{j>=2} c_j / p^j,    c_j = (b^j - (b-a)^j - a) / j,
+
+the j = 1 term being exactly zero.  The primes p <= Q = MIN_TRUNCATION (the
+head) are summed term by term as exact log1p values; a factor that vanishes
+(1 + a/(p-1+s) == 0, possible only for p <= 11) marks the product exactly
+zero.  The primes Q < p <= P (the series) contribute
+sum_{j=2..J} c_j * S_j(P), where S_j(P) = sum_{Q<p<=P} p^(-j) comes from one
+streamed pass over the primes up to P, memoized per P.  A call therefore
+costs pi(Q) = 168 log terms and J products, whatever P is.
+
+Series remainder, J = SERIES_TERMS.  For j > J, |c_j| <= (|b|^j + |b-a|^j +
+|a|)/(J+1).  For t < Q and p > Q, sum_{j>J} (t/p)^j <= t^(J+1) p^-(J+1) /
+(1 - t/Q), and sum_{p>Q} p^-(J+1) <= integral_Q^inf x^-(J+1) dx = Q^-J / J.
+Hence the dropped terms add up to at most
+
+    E_J(a, s) = (T(|b|) + T(|b-a|) + |a| T(1)) / (J (J+1) Q^J),
+    T(t) = t^(J+1) / (1 - t/Q).
+
+Inside the validated range (|a| <= 10, 0 <= s <= 5: |b| <= 4, |b-a| <= 14)
+E_12 <= 5.2e-24.
+
+Truncation tail.  Dropping p > P costs an explicit constant c(a, s) times
+the exact remainder sum_{p > P} p^(-2), the latter obtained from the prime
+zeta value at 2 minus the partial sum over every p <= P taken in the same
+pass.  Derivation of c(a, s), valid for p >= 1000, |a| <= 10, 0 <= s <= 5:
+with u = a/(p-1+s),
 
     log F_p = a*(1-s)/(p*(p-1+s)) - u^2/2 - a/(2 p^2) + R,
 
@@ -21,18 +44,20 @@ remainders of log(1+u) and a*log(1-1/p).  Using p-1+s >= 0.999 p and
 1/p <= 1e-3 gives
 
     |log F_p| <= (1.01*|a|*|1-s| + 0.51*|a|^2 + 0.51*|a| + 0.001*|a|^3) / p^2.
+
+The reported tail_bound is this truncation tail plus E_J(a, s).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, gamma as _gamma
 
-from .accumulate import kahan_sum
-from .primes import cached_primes, iter_prime_blocks
+from .primes import factorize, iter_prime_blocks, primes_up_to
 
 EULER_GAMMA = 0.577215664901532860606512090082
 PRIME_ZETA_2 = 0.452247420041065498506543364832
@@ -40,6 +65,7 @@ PRIME_ZETA_2 = 0.452247420041065498506543364832
 R_CEILING = 4.0
 DEFAULT_TRUNCATION = 10_000_000
 MIN_TRUNCATION = 1000
+SERIES_TERMS = 12
 _BLOCK = 1 << 20
 
 
@@ -91,12 +117,46 @@ def _tail_constant(a: complex, s: float) -> float:
     return 1.01 * m * abs(1.0 - s) + 0.51 * m * m + 0.51 * m + 0.001 * m**3
 
 
+def _series_remainder(a: complex | float, s: float) -> float:
+    """E_J(a, s): bound on the series terms j > SERIES_TERMS over p > Q (module docstring)."""
+    Q, J = MIN_TRUNCATION, SERIES_TERMS
+    b = 1.0 - s
+    weighted = ((1.0, abs(b)), (1.0, abs(b - a)), (abs(a), 1.0))
+    total = sum(w * t ** (J + 1) / (1.0 - t / Q) for w, t in weighted)
+    return total / (J * (J + 1) * float(Q) ** J)
+
+
+@lru_cache(maxsize=1)
+def _head_primes() -> np.ndarray:
+    return primes_up_to(MIN_TRUNCATION).astype(np.float64)
+
+
+@lru_cache(maxsize=16)
+def _prime_sums(P: int) -> tuple[int, float, tuple[float, ...]]:
+    """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) from one streamed pass over the primes <= P."""
+    count = 0
+    inv_sq_parts: list[float] = []
+    power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]
+    for ps in iter_prime_blocks(P, _BLOCK):
+        count += len(ps)
+        inv = 1.0 / ps.astype(np.float64)
+        term = inv * inv
+        inv_sq_parts.append(float(term.sum()))
+        beyond = ps > MIN_TRUNCATION
+        inv, term = inv[beyond], term[beyond]
+        for parts in power_parts:
+            parts.append(float(term.sum()))
+            term *= inv
+    return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
+
+
 def _log_core(a: complex | float, s: float, P: int):
     """(log product, tail_bound, primes_used, exact_zero) for the shared factor shape.
 
-    Blocks are fixed-size and combined ascending, so the value is reproducible.
-    A factor that vanishes exactly (1 + a/(p-1+s) == 0) marks the whole
-    product as exactly zero.
+    Exact log terms over the head primes p <= MIN_TRUNCATION plus the power
+    series over MIN_TRUNCATION < p <= P (module docstring).  A factor that
+    vanishes exactly (1 + a/(p-1+s) == 0) marks the whole product as exactly
+    zero and is left out of the log sum.
     """
     if P < MIN_TRUNCATION:
         raise ValueError(f"truncation P={P} < {MIN_TRUNCATION}")
@@ -107,34 +167,25 @@ def _log_core(a: complex | float, s: float, P: int):
         raise ValueError(f"shift s={s} outside [0, {R_CEILING + 1}]")
     is_complex = isinstance(a, complex) and a.imag != 0.0
     a_val = complex(a) if is_complex else float(np.real(a))
-    log_parts: list = []
-    inv_sq_parts: list[float] = []
-    count = 0
-    exact_zero = False
-    if P <= 32_000_000:
-        blocks = (
-            cached_primes(P)[i : i + _BLOCK]
-            for i in range(0, len(cached_primes(P)), _BLOCK)
-        )
+    count, inv_sq, power_sums = _prime_sums(P)
+    pf = _head_primes()
+    u = a_val / (pf - 1.0 + s)
+    keep = 1.0 + u != 0
+    exact_zero = not keep.all()
+    if exact_zero:
+        pf, u = pf[keep], u[keep]
+    terms = (np.log1p(u) + a_val * np.log1p(-1.0 / pf)).tolist()
+    b = 1.0 - s
+    terms += [
+        (b**j - (b - a_val) ** j - a_val) / j * S_j
+        for j, S_j in enumerate(power_sums, start=2)
+    ]
+    if is_complex:
+        log_value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     else:
-        blocks = iter_prime_blocks(P, _BLOCK)
-    for ps in blocks:
-        pf = ps.astype(np.float64)
-        u = a_val / (pf - 1.0 + s)
-        factor = 1.0 + u
-        if np.any(factor == 0):
-            exact_zero = True
-            keep = factor != 0
-            pf, u, factor = pf[keep], u[keep], factor[keep]
-        log_parts.append(complex(np.sum(np.log1p(u) + a_val * np.log1p(-1.0 / pf))))
-        inv_sq_parts.append(float(np.sum(1.0 / (pf * pf))))
-        count += len(ps)
-    log_value = kahan_sum(log_parts)
-    partial_inv_sq = kahan_sum(inv_sq_parts)
-    remainder = max(PRIME_ZETA_2 - partial_inv_sq, 0.0) + 1e-12
-    tail = _tail_constant(a_val, s) * remainder
-    if not is_complex:
-        log_value = log_value.real if isinstance(log_value, complex) else log_value
+        log_value = math.fsum(terms)
+    remainder = max(PRIME_ZETA_2 - inv_sq, 0.0) + 1e-12
+    tail = _tail_constant(a_val, s) * remainder + _series_remainder(a_val, s)
     return log_value, tail, count, exact_zero
 
 
@@ -217,7 +268,7 @@ def coprimality_density(
     if ell < 1:
         raise ValueError("ell < 1")
     _check_z(y)
-    pdiv = _prime_divisors(ell)
+    pdiv = [p for p, _ in factorize(ell)]
     for p in pdiv:
         if abs(y - (1 - p)) < 1e-6:
             raise PoleError(f"y={y} within 1e-6 of pole at {1 - p} (p={p} | ell)")
@@ -249,18 +300,3 @@ def coprimality_density_dd(
     d_h = second(step)
     d_half = second(step / 2.0)
     return (4.0 * d_half - d_h) / 3.0
-
-
-def _prime_divisors(ell: int) -> list[int]:
-    out = []
-    m = ell
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out

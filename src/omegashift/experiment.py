@@ -50,20 +50,6 @@ CSV_HEADER = "statistic,x,k,w,param,empirical,theoretical,rel_dev,error_scale,ru
 
 THREADS_ENV = "OMEGASHIFT_THREADS"
 
-_DEFAULTS = {
-    "w_rule": "auto",
-    "y_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
-    "ell_max": -1,
-    "moments": [],
-    "truncation_prime": 10_000_000,
-    "output_dir": "reports",
-    "cache_dir": "",
-    "threads": 1,
-    "baseline": False,
-    "large_factor_c": -1.0,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     x_list: tuple[int, ...]
@@ -174,13 +160,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for req in ("x_list", "k_list"):
         if req not in values:
             raise ValueError(f"missing required key {req!r}")
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-    merged["x_list"] = tuple(values["x_list"])
-    merged["k_list"] = tuple(values["k_list"])
-    merged["y_grid"] = tuple(merged["y_grid"])
-    merged["moments"] = tuple(merged["moments"])
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**values)
 
 
 def config_hash(config: ExperimentConfig) -> str:

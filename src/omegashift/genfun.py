@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .primes import factorize
 from .sieve import OmegaTable, SieveConfig, build_omega_table
 from .stats import OMEGA_CAP, joint_histogram, weighted_mass_at
 
 R_CONFIG = 4.0
-FACTOR_LIMIT = 1 << 50
 
 
 @dataclass(frozen=True)
@@ -78,30 +78,11 @@ def kernel_value(p: int, alpha: int, kernel: WeightKernel) -> complex:
     return complex(0.0) if alpha == 1 else complex(-1.0)
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    if not 1 <= n <= FACTOR_LIMIT:
-        raise ValueError(f"n={n} outside factorization range [1, 2^50]")
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def convolution_check(n: int, kernel: WeightKernel) -> tuple[complex, complex]:
     """(sum_{q | n} g(q) tau(n/q), 2^omega(n) z^omega(n, w)) for one n."""
     if n < 1:
         raise ValueError("n < 1")
-    fact = _factorize(n)
+    fact = factorize(n)
     lhs = 0.0 + 0.0j
     exps = [0] * len(fact)
     while True:
@@ -213,7 +194,7 @@ def phi_weighted_kernel(ell: int, kernel: WeightKernel) -> complex:
     if ell < 1:
         raise ValueError("ell < 1")
     value = 1.0 + 0.0j
-    for p, e in _factorize(ell):
+    for p, e in factorize(ell):
         value *= phi_prime_power(p, e, kernel)
         if value == 0:
             break

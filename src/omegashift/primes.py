@@ -1,11 +1,11 @@
-"""Prime generation shared by the factor-count sieve and the Euler products."""
+"""Prime generation and trial division shared by the sieve, the Euler
+products, the generating-function layer and the verify battery."""
 
 from __future__ import annotations
 
 import numpy as np
 
-_CACHE_LIMIT = 32_000_000  # full arrays above this are streamed, not cached
-_cache: dict[int, np.ndarray] = {}
+FACTOR_LIMIT = 1 << 50
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -18,17 +18,6 @@ def primes_up_to(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
-
-
-def cached_primes(limit: int) -> np.ndarray:
-    """primes_up_to with a one-slot cache, for repeated product evaluations."""
-    if limit > _CACHE_LIMIT:
-        raise ValueError(f"refusing to cache prime table above {_CACHE_LIMIT}")
-    hit = _cache.get(limit)
-    if hit is None:
-        _cache.clear()
-        hit = _cache[limit] = primes_up_to(limit)
-    return hit
 
 
 def iter_prime_blocks(limit: int, block_len: int = 1 << 22):
@@ -52,3 +41,23 @@ def iter_prime_blocks(limit: int, block_len: int = 1 << 22):
             if start < hi:
                 mask[start - lo :: p] = False
         yield (np.nonzero(mask)[0] + lo).astype(np.int64)
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with n = prod p^e, p ascending, by trial division; [] for n = 1."""
+    if not 1 <= n <= FACTOR_LIMIT:
+        raise ValueError(f"n={n} outside factorization range [1, 2^50]")
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out

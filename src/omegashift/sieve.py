@@ -283,8 +283,8 @@ def load_table(path: str, x_max: int | None = None, w: int | None = None) -> Ome
         if w is not None and file_w != w:
             raise CacheMismatchError(f"{path}: has w={file_w}, wanted {w}")
         n = file_x + 1
-        omega = np.frombuffer(fh.read(n), dtype=np.uint8)
-        omega_small = np.frombuffer(fh.read(n), dtype=np.uint8)
+        omega = np.fromfile(fh, dtype=np.uint8, count=n)
+        omega_small = np.fromfile(fh, dtype=np.uint8, count=n)
     if omega.size != n or omega_small.size != n:
         raise CacheMismatchError(f"{path}: truncated payload")
-    return OmegaTable(x_max=file_x, w=file_w, omega=omega.copy(), omega_small=omega_small.copy())
+    return OmegaTable(x_max=file_x, w=file_w, omega=omega, omega_small=omega_small)

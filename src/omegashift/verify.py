@@ -24,6 +24,7 @@ from .constants import (
     tilted_level_constant,
 )
 from .experiment import resolve_w
+from .primes import factorize
 from .sieve import SieveConfig, build_omega_table, count_omega_level, iter_omega_level
 from .stats import (
     gaussian_spec,
@@ -65,21 +66,8 @@ class VerifySummary:
 
 
 def _trial_omega(n: int, w: int) -> tuple[int, int]:
-    om = osm = 0
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            om += 1
-            if p <= w:
-                osm += 1
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        om += 1
-        if m <= w:
-            osm += 1
-    return om, osm
+    fact = factorize(n)
+    return len(fact), sum(1 for p, _ in fact if p <= w)
 
 
 def _check_sieve_known_values():

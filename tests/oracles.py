@@ -5,8 +5,10 @@ plain trial division and Python integers; the generating-function oracle
 gathers a table's level set element by element and inverts F_k from its
 values at the roots of unity by a discrete Fourier transform; the
 Euler-product oracle uses mpmath with a prime-zeta tail so its error is far
-below the tolerances it is used to check.  Frozen constants in the test files were produced by
-running this module directly (python3 tests/oracles.py).
+below the tolerances it is used to check, and the truncated-product oracle
+sums the exact logs of every factor up to the truncation prime.  Frozen
+constants in the test files were produced by running this module directly
+(python3 tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -145,6 +147,25 @@ def euler_product_mp(a, s, P0: int = 10_000, terms: int = 16, dps: int = 60):
             partial = mp.fsum(mp.mpf(p) ** (-j) for p in primes)
             tail += coeffs[j] * (mp.primezeta(j) - partial)
         return head + tail
+
+
+def truncated_log_product_mp(a, s, P: int, dps: int = 30):
+    """(sum of log (1+a/(p-1+s))(1-1/p)^a over every prime p <= P, exact_zero)
+
+    as an mpmath number, straight from the definition with no series.  A
+    factor that vanishes is left out of the sum and sets exact_zero."""
+    with mp.workdps(dps):
+        a = mp.mpmathify(a)
+        s = mp.mpmathify(s)
+        logs = []
+        exact_zero = False
+        for p in _small_primes(P):
+            factor = 1 + a / (p - 1 + s)
+            if factor == 0:
+                exact_zero = True
+                continue
+            logs.append(mp.log(factor) + a * mp.log(1 - mp.mpf(1) / p))
+        return mp.fsum(logs), exact_zero
 
 
 def level_density_mp(r, **kw):

@@ -14,6 +14,7 @@ import pytest
 import oracles
 from omegashift.constants import (
     EULER_GAMMA,
+    MIN_TRUNCATION,
     PRIME_ZETA_2,
     EulerProductResult,
     LevelRatio,
@@ -27,6 +28,7 @@ from omegashift.constants import (
     tilt_profile,
     tilted_level_constant,
 )
+from omegashift.constants import _log_core, _series_remainder
 
 P_TEST = 1_000_000
 
@@ -118,8 +120,11 @@ def test_exact_identities():
     assert abs(got.value - math.exp(-EULER_GAMMA)) < 1e-12
     for r in (0.0, 0.25, 1.0, 2.0):
         assert abs(tilt_profile(r, 1.0, P_TEST).value - 1.0) < 1e-12
-    # the p=2 factor of the profile vanishes at r=0, z=0
-    assert tilt_profile(0.0, 0.0, P_TEST).value == 0.0
+    # the p=2 factor of the profile vanishes at r=0, z=0; its prime still
+    # counts toward the truncation tail
+    zero = tilt_profile(0.0, 0.0, P_TEST)
+    assert zero.value == 0.0
+    assert zero.tail_bound < 1e-6
 
 
 def test_tilted_equals_density_times_product():
@@ -155,6 +160,42 @@ def test_coprimality_pole_rejected():
         coprimality_density(6, -2.0, P_TEST)
     # fine when the offending prime does not divide ell
     assert coprimality_density(3, -1.0 + 1e-3, P_TEST).value != 0
+
+
+# (a, s): |a| = 10 at both ends of the shift range, tilt_profile's and
+# tilt_product's a at z = 0.8+0.3i, and a point whose p = 2 factor vanishes.
+# Real a = -10 has a negative factor at every s in range; -10 + 1e-6i takes
+# the complex branch there instead.
+TRUNCATED_POINTS = [
+    (10.0, 0.0),
+    (10.0, 5.0),
+    (-10.0 + 1e-6j, 0.0),
+    (-10.0 + 1e-6j, 5.0),
+    (2 * Z_COMPLEX - 2, 1.5),
+    (2 * Z_COMPLEX - 1, 0.5),
+    (-2.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("a,s", TRUNCATED_POINTS)
+def test_log_core_matches_truncated_product(a, s):
+    # the exact log sum over every p <= P, independent of the head/series split
+    for P in (MIN_TRUNCATION, 1009, 10**4, 10**5):
+        want, want_zero = oracles.truncated_log_product_mp(a, s, P)
+        log_value, _, count, exact_zero = _log_core(a, s, P)
+        assert abs(complex(log_value) - complex(want)) <= 1e-13
+        assert exact_zero == want_zero
+        assert count == len(oracles._small_primes(P))
+        assert isinstance(log_value, complex) == isinstance(a, complex)
+
+
+def test_series_remainder_at_the_ceiling():
+    worst = max(
+        _series_remainder(a, s)
+        for a in (10.0, -10.0, 10j, -10j, 10 * complex(math.cos(0.5), math.sin(0.5)))
+        for s in (0.0, 2.5, 5.0)
+    )
+    assert 0.0 < worst <= 1e-18
 
 
 def test_tail_bound_shrinks_with_truncation():

@@ -46,6 +46,11 @@ def test_parse_config_happy_path():
     assert cfg.large_factor_c == 4.0
 
 
+def test_parse_config_defaults_are_the_dataclass_defaults():
+    cfg = parse_config("x_list = 10000 100000\nk_list = 2 3")
+    assert cfg == ExperimentConfig(x_list=(10000, 100000), k_list=(2, 3))
+
+
 def test_parse_config_rejects_unknown_and_malformed():
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("x_list = 100\nk_list = 1\nbogus = 3")

@@ -243,10 +243,11 @@ def test_cache_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(CacheMismatchError):
         load_table(str(bad))
-    short = tmp_path / "short.bin"
-    short.write_bytes(open(path, "rb").read()[: 24 + 1000])
-    with pytest.raises(CacheMismatchError):
-        load_table(str(short))
+    for cut in (24 + 1000, len(raw) - 1):  # inside the first and the second array
+        short = tmp_path / "short.bin"
+        short.write_bytes(open(path, "rb").read()[:cut])
+        with pytest.raises(CacheMismatchError):
+            load_table(str(short))
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     with pytest.raises(CacheMismatchError):
@@ -258,6 +259,8 @@ def test_loaded_table_is_writable_copy(tmp_path):
     path = cache_path(str(tmp_path), 2000, 11)
     save_table(t, path)
     loaded = load_table(path)
+    assert loaded == t
+    loaded.omega_small[5] = 99
     loaded.omega[5] = 99  # must not raise: the loader hands back a mutable copy
     assert loaded.omega[5] == 99
     assert t.omega[5] != 99
