@@ -4,8 +4,9 @@ The package measures how the number of distinct prime factors of n-1
 distributes when n ranges over integers with a fixed number of distinct
 prime factors, each n weighted by 2^(distinct prime factors of n-1).
 It provides an exact segmented sieve, high-precision Euler-product
-constants with rigorous truncation bounds, a generating-function layer,
-statistics against the Gaussian limit, and an experiment runner.
+constants with rigorous truncation bounds, a level histogram built in one
+pass over the sieve table, statistics and a generating-function layer that
+read a plane of that histogram, and an experiment runner.
 """
 
 __version__ = "0.1.0"
@@ -60,13 +61,11 @@ from .stats import (
     ThresholdSpec,
     gaussian_moment,
     gaussian_spec,
-    joint_histogram,
     ks_distance,
     large_factor_ratio,
     level_histogram,
     loglog,
     small_factor_prediction,
-    total_weighted_mass,
     weighted_mass,
     weighted_mass_at,
     weighted_mass_below,
@@ -105,7 +104,6 @@ __all__ = [
     "gaussian_moment",
     "gaussian_spec",
     "iter_omega_level",
-    "joint_histogram",
     "kernel_value",
     "ks_distance",
     "large_factor_ratio",
@@ -125,7 +123,6 @@ __all__ = [
     "tilt_product",
     "tilt_profile",
     "tilted_level_constant",
-    "total_weighted_mass",
     "verify_suite",
     "weighted_mass",
     "weighted_mass_at",

@@ -13,12 +13,14 @@ F_p = (1 - (b-a)/p) / (1 - b/p) * (1 - 1/p)**a, so
     log F_p = sum_{j>=2} c_j / p^j,    c_j = (b^j - (b-a)^j - a) / j,
 
 the j = 1 term being exactly zero.  The primes p <= Q = MIN_TRUNCATION (the
-head) are summed term by term as exact log1p values; a factor that vanishes
-(1 + a/(p-1+s) == 0, possible only for p <= 11) marks the product exactly
-zero.  The primes Q < p <= P (the series) contribute
-sum_{j=2..J} c_j * S_j(P), where S_j(P) = sum_{Q<p<=P} p^(-j) comes from one
-streamed pass over the primes up to P, memoized per P.  A call therefore
-costs pi(Q) = 168 log terms and J products, whatever P is.
+head) are summed term by term as exact log1p values.  For real a a head
+factor can be negative (possible only for p <= 7): it enters as log|F_p|
+and flips the product's sign.  A factor that vanishes (1 + a/(p-1+s) == 0,
+possible only for p <= 11) marks the product exactly zero.  The primes
+Q < p <= P (the series) contribute sum_{j=2..J} c_j * S_j(P), where
+S_j(P) = sum_{Q<p<=P} p^(-j) comes from one streamed pass over the primes
+up to P, memoized per P.  A call therefore costs pi(Q) = 168 log terms and
+J products, whatever P is.
 
 Series remainder, J = SERIES_TERMS.  For j > J, |c_j| <= (|b|^j + |b-a|^j +
 |a|)/(J+1).  For t < Q and p > Q, sum_{j>J} (t/p)^j <= t^(J+1) p^-(J+1) /
@@ -151,12 +153,14 @@ def _prime_sums(P: int) -> tuple[int, float, tuple[float, ...]]:
 
 
 def _log_core(a: complex | float, s: float, P: int):
-    """(log product, tail_bound, primes_used, exact_zero) for the shared factor shape.
+    """(log |product|, tail_bound, primes_used, sign) for the shared factor shape.
 
     Exact log terms over the head primes p <= MIN_TRUNCATION plus the power
-    series over MIN_TRUNCATION < p <= P (module docstring).  A factor that
-    vanishes exactly (1 + a/(p-1+s) == 0) marks the whole product as exactly
-    zero and is left out of the log sum.
+    series over MIN_TRUNCATION < p <= P (module docstring).  For real a a
+    head factor may be negative (1 + a/(p-1+s) < 0, possible only for
+    p <= 7): its log|factor| enters the sum and it flips sign.  A factor
+    that vanishes exactly marks the whole product as exactly zero (sign 0)
+    and is left out of the log sum.  Complex a takes principal logs, sign 1.
     """
     if P < MIN_TRUNCATION:
         raise ValueError(f"truncation P={P} < {MIN_TRUNCATION}")
@@ -171,9 +175,13 @@ def _log_core(a: complex | float, s: float, P: int):
     pf = _head_primes()
     u = a_val / (pf - 1.0 + s)
     keep = 1.0 + u != 0
-    exact_zero = not keep.all()
-    if exact_zero:
-        pf, u = pf[keep], u[keep]
+    sign = 1 if keep.all() else 0
+    pf, u = pf[keep], u[keep]
+    if not is_complex:
+        negative = u < -1.0
+        if negative.sum() % 2:
+            sign = -sign
+        u = np.where(negative, -2.0 - u, u)  # log1p(-2 - u) = log|1 + u|
     terms = (np.log1p(u) + a_val * np.log1p(-1.0 / pf)).tolist()
     b = 1.0 - s
     terms += [
@@ -186,12 +194,12 @@ def _log_core(a: complex | float, s: float, P: int):
         log_value = math.fsum(terms)
     remainder = max(PRIME_ZETA_2 - inv_sq, 0.0) + 1e-12
     tail = _tail_constant(a_val, s) * remainder + _series_remainder(a_val, s)
-    return log_value, tail, count, exact_zero
+    return log_value, tail, count, sign
 
 
 def _assemble(prefactor, core, P: int) -> EulerProductResult:
-    log_value, tail, count, exact_zero = core
-    value = complex(0.0 if exact_zero else prefactor * np.exp(log_value))
+    log_value, tail, count, sign = core
+    value = complex(0.0 if sign == 0 else sign * prefactor * np.exp(log_value))
     if value.imag == 0.0:
         value = value.real
     return EulerProductResult(

@@ -198,9 +198,9 @@ def _get_table(config: ExperimentConfig, x: int, w: int, threads: int) -> OmegaT
     return build_omega_table(sieve)
 
 
-def _timed(fn, *args, **kwargs):
+def _timed(fn, *args):
     t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
+    out = fn(*args)
     return out, (time.perf_counter() - t0) * 1e3
 
 
@@ -218,13 +218,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     P = config.truncation_prime
     for x in config.x_list:
         w = resolve_w(config.w_rule, x)
-        table = _get_table(config, x, w, threads)
-        levels = level_histogram(table, x, threads=threads)
+        H = level_histogram(_get_table(config, x, w, threads), x)
         l2x, l3x = loglog(x), logloglog(x)
         gauss_err = l3x / math.sqrt(2.0 * l2x)
+        base_err = 1.0 / math.sqrt(l2x)
         for k in config.k_list:
-            hist = levels[k]
-            mass, ms = _timed(weighted_mass, table, k, x, hist=hist)
+            J = H[k]
+            mass, ms = _timed(weighted_mass, J)
             theo_mass = weighted_mass_theoretical(k, x, P)
             rows.append(
                 make_report("weighted_total", x, k, w, None, mass, theo_mass,
@@ -233,15 +233,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if mass == 0:
                 continue
             for y in config.y_grid:
-                emp, ms = _timed(
-                    weighted_mass_below, table, k, x, y, hist=hist
-                )
+                emp, ms = _timed(weighted_mass_below, J, x, y)
                 rows.append(
                     make_report("weighted_cdf", x, k, w, y, emp,
                                 mass * normal_cdf(y), gauss_err, ms)
                 )
             if config.y_grid:
-                emp, ms = _timed(ks_distance, table, k, x, hist=hist)
+                emp, ms = _timed(ks_distance, J, x)
                 rows.append(
                     make_report("ks_distance", x, k, w, None, emp, gauss_err,
                                 gauss_err, ms)
@@ -249,9 +247,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if config.ell_max >= 0 and w >= 3:
                 l2w = loglog(w)
                 for ell in range(config.ell_max + 1):
-                    emp, ms = _timed(
-                        weighted_mass_at, table, k, x, ell, hist=hist
-                    )
+                    emp, ms = _timed(weighted_mass_at, J, ell)
                     theo = small_factor_prediction(k, x, ell, w, P, mass=mass)
                     err = k / l2x**2 + (ell + 1) / l2w**2
                     rows.append(
@@ -259,26 +255,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                     emp, theo, err, ms)
                     )
             for m in config.moments:
-                emp, ms = _timed(weighted_moment, table, k, x, m, hist=hist)
+                emp, ms = _timed(weighted_moment, J, x, m)
                 rows.append(
                     make_report(f"moment_m{m}", x, k, w, m, emp,
                                 gaussian_moment(m), gauss_err, ms)
                 )
             if config.baseline:
+                size = int(J.sum())
                 for y in config.y_grid:
-                    rows.append(unweighted_baseline(table, k, x, y, hist=hist))
+                    emp, ms = _timed(unweighted_baseline, J, x, y)
+                    rows.append(
+                        make_report("unweighted_cdf", x, k, w, y, emp,
+                                    size * normal_cdf(y), base_err, ms)
+                    )
             if config.large_factor_c >= 0:
-                emp, ms = _timed(
-                    large_factor_ratio, table, k, x, config.large_factor_c,
-                    hist=hist,
-                )
+                emp, ms = _timed(large_factor_ratio, J, x, config.large_factor_c)
                 rows.append(
                     make_report("large_factor_ratio", x, k, w,
                                 config.large_factor_c, emp, 0.0, 1.0 / l2x, ms)
                 )
         if config.baseline:
             for y in config.y_grid:
-                rows.append(classical_baseline(table, x, y, hist=levels))
+                emp, ms = _timed(classical_baseline, H, x, y)
+                rows.append(
+                    make_report("classical_cdf", x, None, None, y, emp,
+                                (x - 1) * normal_cdf(y), base_err, ms)
+                )
     os.makedirs(config.output_dir, exist_ok=True)
     tag = config_hash(config)
     csv_path = os.path.join(config.output_dir, f"report_{tag}.csv")

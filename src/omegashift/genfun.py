@@ -15,9 +15,9 @@ g(q)/phi(dq), and the weighted generating function
     F_k(z) = sum over n in the k-level set of 2^omega(n-1) * z^omega(n-1, w),
 
 a polynomial in z whose coefficients are the small-factor masses.  Those
-coefficients are exact integers read from the joint histogram of the level
-set, so evaluation, coefficient extraction and the characteristic profile
-are small functions of one histogram pass.
+coefficients are exact integers read from the plane J = H[k] of the level
+histogram (stats.level_histogram), so evaluation, coefficient extraction and
+the characteristic profile are small functions of J alone.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .primes import factorize
-from .sieve import OmegaTable, SieveConfig, build_omega_table
-from .stats import OMEGA_CAP, joint_histogram, weighted_mass_at
+from .sieve import SieveConfig, build_omega_table
+from .stats import OMEGA_CAP, weighted_mass_at
 
 R_CONFIG = 4.0
 
@@ -49,25 +49,14 @@ class WeightKernel:
             raise ValueError(f"|z|={abs(self.z):.3f} exceeds {R_CONFIG}")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+def _check_prime(p: int) -> None:
+    if p < 2 or factorize(p) != [(p, 1)]:
+        raise ValueError(f"p={p} is not prime")
 
 
 def kernel_value(p: int, alpha: int, kernel: WeightKernel) -> complex:
     """g(p^alpha); p must be prime, alpha >= 1."""
-    if not _is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    _check_prime(p)
     if alpha < 1:
         raise ValueError("alpha < 1")
     if alpha > 2:
@@ -107,14 +96,12 @@ def convolution_check(n: int, kernel: WeightKernel) -> tuple[complex, complex]:
     return lhs, rhs
 
 
-def convolution_max_deviation(
-    n_max: int, kernel: WeightKernel, table: OmegaTable | None = None
-) -> float:
+def convolution_max_deviation(n_max: int, kernel: WeightKernel) -> float:
     """max |g * tau - 2^omega z^omega_small| over 1 <= n <= n_max.
 
     The convolution side accumulates g(q) tau(m) over q-multiples with numpy;
-    the target side reads a factor-count table, so the two routes share no
-    arithmetic.
+    the target side reads a sieve table of n <= n_max, so the two routes
+    share no arithmetic.
     """
     if n_max < 2:
         raise ValueError("n_max < 2")
@@ -143,13 +130,7 @@ def convolution_max_deviation(
             cnt = n_max // q
             lhs[q::q] += gq * tau[1 : cnt + 1]
     w_eff = min(kernel.w, n_max)  # primes above n_max divide nothing below it
-    usable = (
-        table is not None
-        and table.x_max >= n_max
-        and (table.w == kernel.w or (table.w >= n_max and kernel.w >= n_max))
-    )
-    if not usable:
-        table = build_omega_table(SieveConfig(x_max=n_max, w=w_eff))
+    table = build_omega_table(SieveConfig(x_max=n_max, w=w_eff))
     om = table.omega[1 : n_max + 1].astype(np.int64)
     osm = table.omega_small[1 : n_max + 1].astype(np.int64)
     zpow = _powers(complex(kernel.z), int(osm.max()) + 1)
@@ -172,8 +153,7 @@ def phi_prime_power(p: int, e: int, kernel: WeightKernel) -> complex:
     Even e = 2a+2: 1/(p^a (p-1)) + (1-2z)/(p^(a+1) (p-1)) below w,
                    1/(p^a (p-1)) - 1/(p^(a+1) (p-1)) above.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    _check_prime(p)
     if e < 1:
         raise ValueError("e < 1")
     z = complex(kernel.z)
@@ -205,42 +185,36 @@ def phi_weighted_kernel(ell: int, kernel: WeightKernel) -> complex:
 class GenFunValue:
     """One evaluation of the weighted generating function."""
 
-    k: int
-    x: int
-    w: int
     z: complex
     value: complex
     weight_total: int  # unweighted-by-z mass, bounds |value| at |z| <= 1
     terms: int
 
 
-def _level_coefficients(table: OmegaTable, k: int, x: int, threads: int = 1):
-    """(c_0..c_deg, level-set size) with c_u = sum_v J[v, u] 2^v exact integers
-    and deg the largest omega(n-1, w) attained (0 for an empty level set)."""
-    hist = joint_histogram(table, k, x, threads)
-    coeffs = [weighted_mass_at(table, k, x, u, hist=hist) for u in range(OMEGA_CAP)]
+def _coefficients(J: np.ndarray) -> list[int]:
+    """c_0..c_deg with c_u = sum_v J[v, u] 2^v exact integers and deg the
+    largest omega(n-1, w) attained (0 for an empty level set)."""
+    coeffs = [weighted_mass_at(J, u) for u in range(OMEGA_CAP)]
     degree = max((u for u, c in enumerate(coeffs) if c), default=0)
-    return coeffs[: degree + 1], int(hist.sum())
+    return coeffs[: degree + 1]
 
 
 def _polynomial(coeffs, z: complex) -> complex:
     return complex(sum(c * z**u for u, c in enumerate(coeffs)))
 
 
-def eval_genfun(
-    table: OmegaTable, k: int, x: int, z: complex | float, threads: int = 1
-) -> GenFunValue:
-    """F_k(z) = sum_{omega(n)=k, 2<=n<=x} 2^omega(n-1) z^omega(n-1, w).
+def eval_genfun(J: np.ndarray, z: complex | float) -> GenFunValue:
+    """F_k(z) = sum_{omega(n)=k, 2<=n<=x} 2^omega(n-1) z^omega(n-1, w), J = H[k].
 
     Evaluates sum_u c_u z^u over the exact integer coefficients, so every
-    thread count returns the identical value.
+    table that gives the same J gives the identical value.
     """
     if abs(z) > R_CONFIG + 1e-9:
         raise ValueError(f"|z|={abs(z):.3f} exceeds {R_CONFIG}")
-    coeffs, terms = _level_coefficients(table, k, x, threads)
+    coeffs = _coefficients(J)
     return GenFunValue(
-        k=k, x=x, w=table.w, z=complex(z), value=_polynomial(coeffs, complex(z)),
-        weight_total=sum(coeffs), terms=terms,
+        z=complex(z), value=_polynomial(coeffs, complex(z)),
+        weight_total=sum(coeffs), terms=int(J.sum()),
     )
 
 
@@ -249,23 +223,16 @@ class CoefficientVector:
     """Polynomial coefficients of F_k: entry l is the weighted mass at
     omega(n-1, w) = l.  Entries are >= 0 and sum to the total weighted mass."""
 
-    k: int
-    x: int
-    w: int
     coefficients: np.ndarray
     weight_total: int
 
 
-def extract_coefficients(
-    table: OmegaTable, k: int, x: int, threads: int = 1
-) -> CoefficientVector:
+def extract_coefficients(J: np.ndarray) -> CoefficientVector:
     """Coefficients c_0..c_deg of F_k as exact int64 slice masses, where deg
     is the largest omega(n-1, w) attained on the level set (at most 9 at desk
     scale, and always below 32); [0] for an empty level set."""
-    coeffs, _ = _level_coefficients(table, k, x, threads)
-    return CoefficientVector(
-        k, x, table.w, np.array(coeffs, dtype=np.int64), sum(coeffs)
-    )
+    coeffs = _coefficients(J)
+    return CoefficientVector(np.array(coeffs, dtype=np.int64), sum(coeffs))
 
 
 @dataclass(frozen=True)
@@ -275,23 +242,22 @@ class ProfilePoint:
     gaussian_gap: float  # |psi - exp(-t^2/2)|
 
 
-def characteristic_profile(
-    table: OmegaTable, k: int, x: int, t_grid, threads: int = 1
-) -> list[ProfilePoint]:
+def characteristic_profile(J: np.ndarray, w: int, t_grid) -> list[ProfilePoint]:
     """Normalized characteristic function of the small-factor count.
 
         psi(t) = exp(-i t sqrt(T)) F_k(exp(i t / sqrt(T))) / F_k(1),
         T = 2 loglog w,
 
+    over the plane J = H[k] of a table with small-prime threshold w,
     reported against the Gaussian target exp(-t^2/2).  |psi| <= 1 always.
     """
-    T = 2.0 * math.log(math.log(table.w)) if table.w > 2 else 0.0
+    T = 2.0 * math.log(math.log(w)) if w > 2 else 0.0
     if T <= 0.0:
-        raise ValueError(f"w={table.w} too small: 2*loglog(w) must be positive")
-    coeffs, _ = _level_coefficients(table, k, x, threads)
+        raise ValueError(f"w={w} too small: 2*loglog(w) must be positive")
+    coeffs = _coefficients(J)
     total = float(sum(coeffs))
     if total == 0.0:
-        raise ValueError(f"empty level set k={k}, x={x}")
+        raise ValueError("empty level set")
     sqrt_t = math.sqrt(T)
     out = []
     for t in t_grid:

@@ -1,26 +1,27 @@
 """Weighted level-set statistics and their analytic predictions.
 
-Every statistic is a functional of the level histogram
+Every statistic is a function of the level histogram
 
     H[k, v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
 
-a small table of exact integers (k, v, u < 32 for any x below 2^40) built by
-one pass over the table.  The k-level statistics read its plane
-J = H[k] (the joint histogram); the classical baseline reads its k marginal.
-Building H once per (table, x) and deriving weighted masses, thresholded
-masses, moments and distribution distances from it keeps all integer
-statistics exact and bit-reproducible for every chunking and thread count.
+a small table of exact integers (k, v, u < 32 for any x below 2^40).
+level_histogram builds H in one pass over a sieve table; it is the only
+function here that reads a table.  The k-level statistics take the plane
+J = H[k] (the joint histogram of the level set), plus x where a threshold
+or normalization needs it; the classical baseline takes H itself.  A
+plane of all n regardless of omega(n) is H.sum(axis=0).  Weighted masses,
+thresholded and slice masses and baseline counts are exact integers, and
+every float statistic is computed from them in a fixed order, so all of
+them are bit-reproducible for every sieve segmentation and thread count.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import chunk_spans, map_ordered
 from .constants import (
     DEFAULT_TRUNCATION,
     level_ratio,
@@ -32,6 +33,7 @@ from .sieve import MAX_OMEGA, OmegaTable, _check_range
 
 OMEGA_CAP = 32
 MAX_MOMENT = 12
+_CHUNK = 1 << 20
 
 # Every omega(n) and omega(n, w) of a table is a valid H index.
 if MAX_OMEGA >= OMEGA_CAP:
@@ -116,7 +118,7 @@ def make_report(
     )
 
 
-def level_histogram(table: OmegaTable, x: int, threads: int = 1) -> np.ndarray:
+def level_histogram(table: OmegaTable, x: int) -> np.ndarray:
     """H[k, v, u] over 2 <= n <= x; exact int64 counts, shape (32, 32, 32).
 
     One pass over fixed chunks: each chunk packs (k, v, u) into one uint16
@@ -125,48 +127,26 @@ def level_histogram(table: OmegaTable, x: int, threads: int = 1) -> np.ndarray:
     than OMEGA_CAP (checked at import), so every index is in range.
     """
     _check_range(table, x)
-
-    def one(lo, hi):
+    flat = np.zeros(OMEGA_CAP**3, dtype=np.int64)
+    for lo in range(2, x + 1, _CHUNK):
+        hi = min(lo + _CHUNK, x + 1)
         idx = table.omega[lo:hi].astype(np.uint16)
         idx *= OMEGA_CAP
         idx += table.omega[lo - 1 : hi - 1]
         idx *= OMEGA_CAP
         idx += table.omega_small[lo - 1 : hi - 1]
-        return np.bincount(idx, minlength=OMEGA_CAP**3)
-
-    flat = np.zeros(OMEGA_CAP**3, dtype=np.int64)
-    for part in map_ordered(one, chunk_spans(2, x + 1), threads):
-        flat += part
+        flat += np.bincount(idx, minlength=OMEGA_CAP**3)
     return flat.reshape(OMEGA_CAP, OMEGA_CAP, OMEGA_CAP)
 
 
-def joint_histogram(table: OmegaTable, k: int, x: int, threads: int = 1) -> np.ndarray:
-    """J[v, u] over the k-level set, the plane H[k]; exact int64 counts."""
-    if k < 0:
-        raise ValueError("k < 0")
-    hist = level_histogram(table, x, threads)
-    return hist[k] if k < OMEGA_CAP else np.zeros_like(hist[0])
+def _row_masses(J: np.ndarray) -> list[int]:
+    """[2^v * (row v count)] for v < OMEGA_CAP; exact integers."""
+    return [int(c) << v for v, c in enumerate(J.sum(axis=1))]
 
 
-def omega_histogram(table: OmegaTable, x: int, threads: int = 1) -> np.ndarray:
-    """Counts of omega(n) over 2 <= n <= x (the classical, unshifted counter)."""
-    return level_histogram(table, x, threads).sum(axis=(1, 2))
-
-
-def _hist(table, k, x, hist):
-    return joint_histogram(table, k, x) if hist is None else hist
-
-
-def weighted_mass(table: OmegaTable, k: int, x: int, hist=None) -> int:
-    """S = sum of 2^omega(n-1) over the k-level set; exact integer."""
-    j = _hist(table, k, x, hist)
-    return sum(int(c) << v for v, c in enumerate(j.sum(axis=1)) if c)
-
-
-def total_weighted_mass(table: OmegaTable, x: int, threads: int = 1) -> int:
-    """sum of 2^omega(n-1) over all 2 <= n <= x (no level restriction)."""
-    counts = level_histogram(table, x, threads).sum(axis=(0, 2))
-    return sum(int(c) << v for v, c in enumerate(counts) if c)
+def weighted_mass(J: np.ndarray) -> int:
+    """S = sum of 2^omega(n-1) over the plane J; exact integer."""
+    return sum(_row_masses(J))
 
 
 def weighted_mass_theoretical(k: int, x: int, P: int = DEFAULT_TRUNCATION) -> float:
@@ -180,55 +160,33 @@ def weighted_mass_theoretical(k: int, x: int, P: int = DEFAULT_TRUNCATION) -> fl
 
 
 def weighted_mass_below(
-    table: OmegaTable,
-    k: int,
+    J: np.ndarray,
     x: int,
     y: float,
     spec: ThresholdSpec | None = None,
     counter: str = "full",
-    hist=None,
 ) -> int:
-    """Weighted mass of the level set with the chosen counter thresholded:
+    """Weighted mass of the plane J with the chosen counter thresholded:
 
         sum 2^omega(n-1) over n with  counter(n-1) <= center + y * scale,
 
-    counter "full" = omega(n-1), "small" = omega(n-1, w).  Defaults to the
-    Gaussian spec (center 2 loglog x).  Exact integer; the comparison is an
-    exact integer against a floating threshold.
+    counter "full" = omega(n-1) (the row v), "small" = omega(n-1, w) (the
+    column u).  Defaults to the Gaussian spec (center 2 loglog x).  Exact
+    integer; the comparison is an exact integer against a floating threshold.
     """
     if counter not in ("full", "small"):
         raise ValueError(f"counter={counter!r}")
     if spec is None:
         spec = gaussian_spec(x)
-    j = _hist(table, k, x, hist)
-    thr = spec.center + y * spec.scale
-    marg = j.sum(axis=1) if counter == "full" else None
-    total = 0
-    if counter == "full":
-        for v, c in enumerate(marg):
-            if c and v <= thr:
-                total += int(c) << v
-    else:
-        for v in range(OMEGA_CAP):
-            row = j[v]
-            for u in range(OMEGA_CAP):
-                if row[u] and u <= thr:
-                    total += int(row[u]) << v
-    return total
+    keep = np.arange(OMEGA_CAP) <= spec.center + y * spec.scale
+    return weighted_mass(J * (keep[:, None] if counter == "full" else keep))
 
 
-def weighted_mass_at(
-    table: OmegaTable, k: int, x: int, ell: int, w: int | None = None, hist=None
-) -> int:
-    """Weighted mass of the slice omega(n-1, w) = ell; exact integer."""
+def weighted_mass_at(J: np.ndarray, ell: int) -> int:
+    """Weighted mass of the slice omega(n-1, w) = ell (the column u = ell)."""
     if ell < 0:
         raise ValueError("ell < 0")
-    if w is not None and w != table.w:
-        raise ValueError(f"w={w} does not match table.w={table.w}")
-    j = _hist(table, k, x, hist)
-    if ell >= OMEGA_CAP:
-        return 0
-    return sum(int(j[v, ell]) << v for v in range(OMEGA_CAP) if j[v, ell])
+    return weighted_mass(J * (np.arange(OMEGA_CAP) == ell))
 
 
 def small_factor_prediction(
@@ -260,7 +218,7 @@ def small_factor_prediction(
     )
 
 
-def weighted_moment(table: OmegaTable, k: int, x: int, m: int, hist=None) -> float:
+def weighted_moment(J: np.ndarray, x: int, m: int) -> float:
     """m-th normalized weighted moment of (omega(n-1) - 2 loglog x)/sqrt(2 loglog x).
 
     Gaussian limit: (m-1)!! for even m, 0 for odd m.
@@ -268,17 +226,14 @@ def weighted_moment(table: OmegaTable, k: int, x: int, m: int, hist=None) -> flo
     if not 0 <= m <= MAX_MOMENT:
         raise ValueError(f"m={m} outside [0, {MAX_MOMENT}]")
     spec = gaussian_spec(x)
-    j = _hist(table, k, x, hist)
-    marg = j.sum(axis=1)
     total = 0.0
     mass = 0.0
-    for v, c in enumerate(marg):
+    for v, c in enumerate(_row_masses(J)):
         if c:
-            wv = float(int(c) << v)
-            mass += wv
-            total += wv * ((v - spec.center) / spec.scale) ** m
+            mass += c
+            total += c * ((v - spec.center) / spec.scale) ** m
     if mass == 0.0:
-        raise ValueError(f"empty level set k={k}, x={x}")
+        raise ValueError(f"empty level set at x={x}")
     return total / mass
 
 
@@ -314,58 +269,31 @@ def ks_weighted_histogram(weights, center: float, scale: float) -> float:
     return dist
 
 
-def ks_distance(table: OmegaTable, k: int, x: int, hist=None) -> float:
+def ks_distance(J: np.ndarray, x: int) -> float:
     """sup_y |S(x, y)/S(x) - Phi(y)| for the weighted shifted counter."""
     spec = gaussian_spec(x)
-    j = _hist(table, k, x, hist)
-    marg = j.sum(axis=1)
-    weights = [int(c) << v if c else 0 for v, c in enumerate(marg)]
-    return ks_weighted_histogram(weights, spec.center, spec.scale)
+    return ks_weighted_histogram(_row_masses(J), spec.center, spec.scale)
 
 
-def unweighted_baseline(
-    table: OmegaTable, k: int, x: int, y: float, hist=None
-) -> PredictionReport:
-    """Plain count of the level set with omega(n-1) <= loglog x + y sqrt(loglog x),
-    against (level-set size) * Phi(y)."""
-    t0 = time.perf_counter()
+def _count_below(A: np.ndarray, x: int, y: float) -> int:
+    """Total count of A over first indices <= loglog x + y sqrt(loglog x)."""
     spec = unweighted_spec(x)
-    j = _hist(table, k, x, hist)
-    marg = j.sum(axis=1)
-    thr = spec.center + y * spec.scale
-    emp = sum(int(c) for v, c in enumerate(marg) if v <= thr)
-    size = int(marg.sum())
-    theo = size * normal_cdf(y)
-    ms = (time.perf_counter() - t0) * 1e3
-    return make_report(
-        "unweighted_cdf", x, k, table.w, y, emp, theo,
-        1.0 / math.sqrt(loglog(x)), ms,
-    )
+    return int(A[np.arange(OMEGA_CAP) <= spec.center + y * spec.scale].sum())
 
 
-def classical_baseline(
-    table: OmegaTable, x: int, y: float, hist=None
-) -> PredictionReport:
-    """All-n count of omega(n) <= loglog x + y sqrt(loglog x) vs (x-1) Phi(y).
-
-    hist, when given, is the level histogram H of (table, x).
-    """
-    t0 = time.perf_counter()
-    spec = unweighted_spec(x)
-    counts = omega_histogram(table, x) if hist is None else hist.sum(axis=(1, 2))
-    thr = spec.center + y * spec.scale
-    emp = sum(int(c) for v, c in enumerate(counts) if v <= thr)
-    theo = (x - 1) * normal_cdf(y)
-    ms = (time.perf_counter() - t0) * 1e3
-    return make_report(
-        "classical_cdf", x, None, None, y, emp, theo,
-        1.0 / math.sqrt(loglog(x)), ms,
-    )
+def unweighted_baseline(J: np.ndarray, x: int, y: float) -> int:
+    """Plain count of the plane J with omega(n-1) <= loglog x + y sqrt(loglog x);
+    its limit is the plane's size times Phi(y)."""
+    return _count_below(J, x, y)
 
 
-def large_factor_ratio(
-    table: OmegaTable, k: int, x: int, c_mult: float = 4.0, hist=None
-) -> float:
+def classical_baseline(H: np.ndarray, x: int, y: float) -> int:
+    """Count of 2 <= n <= x with omega(n) <= loglog x + y sqrt(loglog x), read
+    from the level histogram H; its limit is (x - 1) Phi(y)."""
+    return _count_below(H, x, y)
+
+
+def large_factor_ratio(J: np.ndarray, x: int, c_mult: float = 4.0) -> float:
     """Share of the weighted mass carried by n whose shifted argument has more
     than c_mult * logloglog x distinct prime factors above w:
 
@@ -375,19 +303,8 @@ def large_factor_ratio(
     if c_mult < 0:
         raise ValueError("c_mult < 0")
     thr = c_mult * logloglog(x)
-    j = _hist(table, k, x, hist)
-    excess = 0
-    total = 0
-    for v in range(OMEGA_CAP):
-        row = j[v]
-        for u in range(OMEGA_CAP):
-            c = int(row[u])
-            if not c:
-                continue
-            mass = c << v
-            total += mass
-            if v - u > thr:
-                excess += mass
+    total = weighted_mass(J)
     if total == 0:
-        raise ValueError(f"empty level set k={k}, x={x}")
-    return excess / total
+        raise ValueError(f"empty level set at x={x}")
+    v = np.arange(OMEGA_CAP)
+    return weighted_mass(J * (v[:, None] - v > thr)) / total

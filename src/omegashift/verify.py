@@ -28,12 +28,11 @@ from .primes import factorize
 from .sieve import SieveConfig, build_omega_table, count_omega_level, iter_omega_level
 from .stats import (
     gaussian_spec,
-    joint_histogram,
     ks_distance,
     ks_weighted_histogram,
+    level_histogram,
     loglog,
     small_factor_prediction,
-    total_weighted_mass,
     weighted_mass,
     weighted_mass_at,
     weighted_mass_below,
@@ -116,8 +115,9 @@ def _check_partition_identity():
     n_total = sum(count_omega_level(table, k, x) for k in range(1, 16))
     if n_total != x - 1:
         return False, f"sum pi_k = {n_total} != {x - 1}"
-    mass = sum(weighted_mass(table, k, x) for k in range(1, 16))
-    want = total_weighted_mass(table, x)
+    H = level_histogram(table, x)
+    mass = sum(weighted_mass(H[k]) for k in range(1, 16))
+    want = int(np.left_shift(1, table.omega[1:x].astype(np.int64)).sum())
     if mass != want:
         return False, f"sum of level masses {mass} != {want}"
     return True, f"sum_k pi_k = x-1 and masses partition ({want})"
@@ -221,7 +221,7 @@ def _check_normal_cdf():
 def _check_coefficients_vs_direct():
     x = 10_000
     for w in (10, resolve_w("auto", x)):
-        table = build_omega_table(SieveConfig(x_max=x, w=w))
+        H = level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
         direct = {}
         for n in range(2, x + 1):
             k = _trial_omega(n, w)[0]
@@ -229,7 +229,7 @@ def _check_coefficients_vs_direct():
             slices = direct.setdefault(k, {})
             slices[u] = slices.get(u, 0) + (1 << v)
         for k in (1, 2, 3):
-            coeffs = genfun.extract_coefficients(table, k, x).coefficients
+            coeffs = genfun.extract_coefficients(H[k]).coefficients
             want = [direct[k].get(u, 0) for u in range(max(direct[k]) + 1)]
             if coeffs.tolist() != want:
                 return False, f"w={w} k={k}: {coeffs.tolist()} != {want}"
@@ -237,27 +237,26 @@ def _check_coefficients_vs_direct():
 
 
 def _check_genfun_examples():
-    t10 = build_omega_table(SieveConfig(x_max=10, w=2))
-    val = genfun.eval_genfun(t10, 1, 10, 1.0)
-    vec = genfun.extract_coefficients(t10, 1, 10)
+    J = level_histogram(build_omega_table(SieveConfig(x_max=10, w=2)), 10)[1]
+    val = genfun.eval_genfun(J, 1.0)
+    vec = genfun.extract_coefficients(J)
     ok = (
         abs(val.value - 15.0) < 1e-12
         and val.weight_total == 15
         and np.allclose(vec.coefficients, [5.0, 10.0], atol=1e-9)
     )
     t10b = build_omega_table(SieveConfig(x_max=10, w=10))
-    ok &= weighted_mass(t10b, 2, 10) == 4
+    ok &= weighted_mass(level_histogram(t10b, 10)[2]) == 4
     return bool(ok), "F(x=10,k=1,w=2): F(1)=15, coeffs [5,10]; S_2(10)=4"
 
 
 def _check_threshold_monotone():
     x = 10_000
-    table = build_omega_table(SieveConfig(x_max=x, w=10))
-    hist = joint_histogram(table, 2, x)
-    total = weighted_mass(table, 2, x, hist=hist)
+    J = level_histogram(build_omega_table(SieveConfig(x_max=x, w=10)), x)[2]
+    total = weighted_mass(J)
     prev = -1
     for y in np.linspace(-4, 8, 25):
-        cur = weighted_mass_below(table, 2, x, float(y), hist=hist)
+        cur = weighted_mass_below(J, x, float(y))
         if cur < prev or cur > total:
             return False, f"not monotone at y={y}"
         prev = cur
@@ -268,25 +267,24 @@ def _check_threshold_monotone():
 
 def _check_profile_modulus():
     x = 10_000
-    table = build_omega_table(SieveConfig(x_max=x, w=10))
-    pts = genfun.characteristic_profile(table, 2, x, np.linspace(-3, 3, 13))
+    J = level_histogram(build_omega_table(SieveConfig(x_max=x, w=10)), x)[2]
+    pts = genfun.characteristic_profile(J, 10, np.linspace(-3, 3, 13))
     worst = max(abs(p.psi) for p in pts)
     return worst <= 1.0 + 1e-12, f"max |psi| = {worst:.6f}"
 
 
 def _check_stat_determinism():
-    x = 10_000
-    table = build_omega_table(SieveConfig(x_max=x, w=10))
-    z = 0.83 + 0.41j
-    v1 = genfun.eval_genfun(table, 2, x, z, threads=1)
-    v3 = genfun.eval_genfun(table, 2, x, z, threads=3)
-    if v1.value != v3.value:
-        return False, "eval_genfun differs across thread counts"
-    h1 = joint_histogram(table, 2, x, threads=1)
-    h3 = joint_histogram(table, 2, x, threads=3)
-    if not np.array_equal(h1, h3):
-        return False, "joint_histogram differs across thread counts"
-    return True, "bit-identical statistics for threads in {1, 3}"
+    x, z = 10_000, 0.83 + 0.41j
+    hists = [
+        level_histogram(build_omega_table(SieveConfig(x_max=x, w=10, **opts)), x)
+        for opts in ({}, {"threads": 3, "segment_length": 1024})
+    ]
+    if not np.array_equal(*hists):
+        return False, "level histogram differs across sieve threads"
+    values = [genfun.eval_genfun(H[2], z).value for H in hists]
+    if values[0] != values[1]:
+        return False, "eval_genfun differs across sieve threads"
+    return True, "bit-identical statistics for sieve threads in {1, 3}"
 
 
 def _check_ks_synthetic():
@@ -334,31 +332,28 @@ def _full_battery(x_top: int, emit) -> list[CheckResult]:
         results.append(CheckResult(name, status, detail))
         emit(results[-1])
 
-    tables = {}
+    k = 2
+    planes = {}  # x -> (w, J) with J = H[k]
     for x in xs:
         w = resolve_w("loglog_sq", x)
-        tables[x] = build_omega_table(SieveConfig(x_max=x, w=w))
-    k = 2
-    hists = {x: joint_histogram(tables[x], k, x) for x in xs}
+        table = build_omega_table(SieveConfig(x_max=x, w=w))
+        planes[x] = (w, level_histogram(table, x)[k])
 
-    ks_vals = [ks_distance(tables[x], k, x, hist=hists[x]) for x in xs]
+    ks_vals = [ks_distance(J, x) for x, (_, J) in planes.items()]
     ok = all(0.0 <= d <= 1.0 for d in ks_vals) and all(
         b <= 1.1 * a for a, b in zip(ks_vals, ks_vals[1:])
     )
     trend("ks_trend", ok, "ks(k=2): " + ", ".join(f"{d:.4f}" for d in ks_vals))
 
     x = xs[-1]
-    spec = gaussian_spec(x)
-    marg = hists[x].sum(axis=1)
-    mass = sum(int(c) << v for v, c in enumerate(marg))
-    mean = sum((int(c) << v) * v for v, c in enumerate(marg)) / mass
-    gap = abs(mean - spec.center)
+    w, J = planes[x]
+    gap = abs(weighted_moment(J, x, 1)) * gaussian_spec(x).scale
     trend("mean_location", gap <= 3.0,
           f"|weighted mean - 2loglog x| = {gap:.3f} at x={x:.0e}")
 
     if len(xs) >= 2:
-        m2 = [weighted_moment(tables[x], k, x, 2, hist=hists[x]) for x in xs]
-        m4 = [weighted_moment(tables[x], k, x, 4, hist=hists[x]) for x in xs]
+        m2 = [weighted_moment(J, x, 2) for x, (_, J) in planes.items()]
+        m4 = [weighted_moment(J, x, 4) for x, (_, J) in planes.items()]
         ok = (
             0.5 <= m2[-1] <= 1.5
             and 1.5 <= m4[-1] <= 4.5
@@ -368,12 +363,9 @@ def _full_battery(x_top: int, emit) -> list[CheckResult]:
         trend("moment_trend", ok,
               f"m2: {m2[0]:.3f}->{m2[-1]:.3f}, m4: {m4[0]:.3f}->{m4[-1]:.3f}")
 
-    table = tables[xs[-1]]
-    x = xs[-1]
-    w = table.w
     ell_top = int(3 * loglog(w))
-    mass = sum(int(c) << v for v, c in enumerate(hists[x].sum(axis=1)))
-    emp = [weighted_mass_at(table, k, x, l, hist=hists[x]) for l in range(ell_top + 1)]
+    mass = weighted_mass(J)
+    emp = [weighted_mass_at(J, l) for l in range(ell_top + 1)]
     theo = [
         small_factor_prediction(k, x, l, w, P=1_000_000, mass=mass)
         for l in range(ell_top + 1)
@@ -384,9 +376,8 @@ def _full_battery(x_top: int, emit) -> list[CheckResult]:
           f"corr={corr:.4f}, peak gap={peak_gap} over ell<=({ell_top})")
 
     gaps = {t: [] for t in (0.5, 1.0, 2.0)}
-    for x in xs:
-        pts = genfun.characteristic_profile(tables[x], k, x, list(gaps))
-        for p in pts:
+    for w, J in planes.values():
+        for p in genfun.characteristic_profile(J, w, list(gaps)):
             gaps[p.t].append(p.gaussian_gap)
     ok = all(g[-1] <= 1.1 * g[0] for g in gaps.values())
     trend("psi_trend", ok,

@@ -6,7 +6,8 @@ gathers a table's level set element by element and inverts F_k from its
 values at the roots of unity by a discrete Fourier transform; the
 Euler-product oracle uses mpmath with a prime-zeta tail so its error is far
 below the tolerances it is used to check, and the truncated-product oracle
-sums the exact logs of every factor up to the truncation prime.  Frozen
+sums the exact logs of every factor up to the truncation prime, carrying
+the sign of negative factors separately.  Frozen
 constants in the test files were produced by running this module directly
 (python3 tests/oracles.py).
 """
@@ -88,6 +89,32 @@ def weighted_moment(triples, k: int, x: int, m: int) -> float:
     return acc / total
 
 
+def weighted_ks(triples, k: int, x: int) -> float:
+    """sup_y |F(y) - Phi(y)|, F the weighted law of (omega(n-1) - 2 loglog x)
+    / sqrt(2 loglog x) over the k-level set; the sup sits at an atom, on one
+    side or the other of its jump."""
+    center = 2.0 * math.log(math.log(x))
+    scale = math.sqrt(center)
+    masses: dict[int, int] = {}
+    for kk, v, _ in triples:
+        if kk == k:
+            masses[v] = masses.get(v, 0) + (1 << v)
+    total = sum(masses.values())
+    below, worst = 0, 0.0
+    for v in sorted(masses):
+        phi = 0.5 * (1.0 + math.erf((v - center) / (scale * math.sqrt(2.0))))
+        above = below + masses[v]
+        worst = max(worst, abs(below / total - phi), abs(above / total - phi))
+        below = above
+    return worst
+
+
+def large_factor_ratio(triples, k: int, x: int, c_mult: float) -> float:
+    thr = c_mult * math.log(math.log(math.log(x)))
+    excess = sum(1 << v for kk, v, u in triples if kk == k and v - u > thr)
+    return excess / weighted_mass(triples, k)
+
+
 def joint_counts(triples, k: int) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
     for kk, v, u in triples:
@@ -150,22 +177,26 @@ def euler_product_mp(a, s, P0: int = 10_000, terms: int = 16, dps: int = 60):
 
 
 def truncated_log_product_mp(a, s, P: int, dps: int = 30):
-    """(sum of log (1+a/(p-1+s))(1-1/p)^a over every prime p <= P, exact_zero)
+    """(L, sign) with prod (1+a/(p-1+s))(1-1/p)^a over every prime p <= P
+    equal to sign * exp(L), straight from the definition with no series.
 
-    as an mpmath number, straight from the definition with no series.  A
-    factor that vanishes is left out of the sum and sets exact_zero."""
+    For real a, L sums log|factor| and sign is -1 when an odd number of
+    factors are negative, else 1; for complex a, L sums principal logs and
+    sign is 1.  A factor that vanishes is left out of L and makes sign 0."""
     with mp.workdps(dps):
         a = mp.mpmathify(a)
         s = mp.mpmathify(s)
         logs = []
-        exact_zero = False
+        sign = 1
         for p in _small_primes(P):
             factor = 1 + a / (p - 1 + s)
             if factor == 0:
-                exact_zero = True
+                sign = 0
                 continue
+            if not isinstance(factor, mp.mpc) and factor < 0:
+                sign, factor = -sign, -factor
             logs.append(mp.log(factor) + a * mp.log(1 - mp.mpf(1) / p))
-        return mp.fsum(logs), exact_zero
+        return mp.fsum(logs), sign
 
 
 def level_density_mp(r, **kw):

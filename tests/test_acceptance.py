@@ -26,8 +26,8 @@ from omegashift.genfun import (
 from omegashift.sieve import DEFAULT_SEGMENT, SieveConfig, build_omega_table
 from omegashift.stats import (
     gaussian_spec,
-    joint_histogram,
     ks_distance,
+    level_histogram,
     loglog,
     small_factor_prediction,
     weighted_mass,
@@ -42,7 +42,7 @@ GB = 1 << 30
 
 @pytest.fixture(scope="module")
 def big():
-    """Tables and k=2 joint histograms for x = 1e5..1e8 (loglog_sq w rule)."""
+    """Tables and k=2 planes J = H[2] for x = 1e5..1e8 (loglog_sq w rule)."""
     tables, hists = {}, {}
     seconds = None
     for x in (10**5, 10**6, 10**7, 10**8):
@@ -51,7 +51,7 @@ def big():
         tables[x] = build_omega_table(cfg)
         if x == 10**8:
             seconds = time.perf_counter() - t0
-        hists[x] = joint_histogram(tables[x], 2, x)
+        hists[x] = level_histogram(tables[x], x)[2]
     return {"tables": tables, "hists": hists, "build_seconds_1e8": seconds}
 
 
@@ -126,9 +126,10 @@ def test_criterion_4_coefficients_equal_direct_counting(record_property):
     for x in (10**4, 10**5, 10**6):
         for w in (10, 100, resolve_w("auto", x)):
             table = build_omega_table(SieveConfig(x_max=x, w=w))
+            H = level_histogram(table, x)
             for k in (1, 2, 3, 4):
                 dft = oracles.dft_coefficients(table, k, x)
-                counted = extract_coefficients(table, k, x).coefficients
+                counted = extract_coefficients(H[k]).coefficients
                 assert len(dft) == len(counted), (x, w, k)
                 for coeff, direct in zip(dft, counted):
                     worst = max(worst, abs(coeff - direct) / max(direct, 1))
@@ -147,9 +148,11 @@ def test_criterion_5_brute_force_oracle_equality(
 ):
     x = 100_000
     spec = gaussian_spec(x)
+    H = level_histogram(table_1e5, x)
     checked = 0
     for k in range(1, 7):
-        assert weighted_mass(table_1e5, k, x) == oracles.weighted_mass(
+        J = H[k]
+        assert weighted_mass(J) == oracles.weighted_mass(
             oracle_triples, k
         )
         checked += 1
@@ -157,15 +160,15 @@ def test_criterion_5_brute_force_oracle_equality(
             want = oracles.weighted_mass_below(
                 oracle_triples, k, spec.center + y * spec.scale
             )
-            assert weighted_mass_below(table_1e5, k, x, y) == want
+            assert weighted_mass_below(J, x, y) == want
             checked += 1
         for ell in range(0, 11):
             want = oracles.weighted_mass_at(oracle_triples, k, ell)
-            assert weighted_mass_at(table_1e5, k, x, ell) == want
+            assert weighted_mass_at(J, ell) == want
             checked += 1
-        if weighted_mass(table_1e5, k, x):
+        if weighted_mass(J):
             for m in range(0, 5):
-                got = weighted_moment(table_1e5, k, x, m)
+                got = weighted_moment(J, x, m)
                 want = oracles.weighted_moment(oracle_triples, k, x, m)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
                 checked += 1
@@ -178,7 +181,7 @@ def test_criterion_5_brute_force_oracle_equality(
 
 def test_criterion_6_gaussian_threshold_trend(record_property, big):
     xs = (10**5, 10**6, 10**7, 10**8)
-    ks = [ks_distance(big["tables"][x], 2, x, hist=big["hists"][x]) for x in xs]
+    ks = [ks_distance(big["hists"][x], x) for x in xs]
     marg = big["hists"][10**8].sum(axis=1)
     mass = sum(int(c) << v for v, c in enumerate(marg))
     mean = sum((int(c) << v) * v for v, c in enumerate(marg)) / mass
@@ -197,7 +200,7 @@ def test_criterion_6_gaussian_threshold_trend(record_property, big):
 
 
 def test_criterion_7a_moment_m2_box(record_property, big):
-    m2 = weighted_moment(big["tables"][10**8], 2, 10**8, 2, hist=big["hists"][10**8])
+    m2 = weighted_moment(big["hists"][10**8], 10**8, 2)
     record_property(
         "acceptance", f"criterion 7a m=2 moment at 1e8: {m2:.4f} in [0.5, 1.5]"
     )
@@ -205,7 +208,7 @@ def test_criterion_7a_moment_m2_box(record_property, big):
 
 
 def test_criterion_7b_moment_m4_box(record_property, big):
-    m4 = weighted_moment(big["tables"][10**8], 2, 10**8, 4, hist=big["hists"][10**8])
+    m4 = weighted_moment(big["hists"][10**8], 10**8, 4)
     record_property(
         "acceptance",
         f"criterion 7b m=4 moment at 1e8: {m4:.4f} in [1.5, 4.5] "
@@ -217,11 +220,8 @@ def test_criterion_7b_moment_m4_box(record_property, big):
 def test_criterion_7c_moments_move_toward_limits(record_property, big):
     vals = {}
     for x in (10**6, 10**8):
-        t, h = big["tables"][x], big["hists"][x]
-        vals[x] = (
-            weighted_moment(t, 2, x, 2, hist=h),
-            weighted_moment(t, 2, x, 4, hist=h),
-        )
+        J = big["hists"][x]
+        vals[x] = (weighted_moment(J, x, 2), weighted_moment(J, x, 4))
     (m2a, m4a), (m2b, m4b) = vals[10**6], vals[10**8]
     record_property(
         "acceptance",
@@ -236,10 +236,10 @@ def _profiles_1e8(big):
     x = 10**8
     table = big["tables"][x]
     w = table.w
-    hist = big["hists"][x]
-    mass = weighted_mass(table, 2, x, hist=hist)
+    J = big["hists"][x]
+    mass = weighted_mass(J)
     ell_top = int(3 * loglog(w))
-    emp = [weighted_mass_at(table, 2, x, l, hist=hist) for l in range(ell_top + 1)]
+    emp = [weighted_mass_at(J, l) for l in range(ell_top + 1)]
     theo = [
         small_factor_prediction(2, x, l, w, P=10_000_000, mass=mass)
         for l in range(ell_top + 1)
@@ -298,18 +298,18 @@ def test_criterion_9_performance_and_determinism(record_property, big):
         SieveConfig(x_max=x, w=ref.w, segment_length=1 << 21, threads=3)
     )
     tables_equal = variant == ref
+    h1 = level_histogram(ref, x)
+    h3 = level_histogram(variant, x)
     del variant
-    h1 = joint_histogram(ref, 2, x, threads=1)
-    h3 = joint_histogram(ref, 2, x, threads=3)
     hists_equal = bool(np.array_equal(h1, h3))
     z = 0.83 + 0.41j
-    g1 = eval_genfun(ref, 2, x, z, threads=1).value
-    g3 = eval_genfun(ref, 2, x, z, threads=3).value
+    g1 = eval_genfun(h1[2], z).value
+    g3 = eval_genfun(h3[2], z).value
     record_property(
         "acceptance",
         f"criterion 9 performance: 1e8 build {seconds:.1f}s (single thread), "
         f"peak rss {peak_gb:.2f} GB, table/hist/genfun bit-identical across "
-        f"threads: {tables_equal}/{hists_equal}/{g1 == g3}",
+        f"sieve threads 1/3: {tables_equal}/{hists_equal}/{g1 == g3}",
     )
     assert seconds < 60.0
     assert peak_gb < 1.0

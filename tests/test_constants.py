@@ -7,6 +7,7 @@ makes the bound itself part of what is being tested.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import pytest
@@ -164,8 +165,9 @@ def test_coprimality_pole_rejected():
 
 # (a, s): |a| = 10 at both ends of the shift range, tilt_profile's and
 # tilt_product's a at z = 0.8+0.3i, and a point whose p = 2 factor vanishes.
-# Real a = -10 has a negative factor at every s in range; -10 + 1e-6i takes
-# the complex branch there instead.
+# Real a = -10 has a negative factor at every s in range: (-10, 5), which
+# tilt_profile(4, -4) reaches, has three (a negative product), and (-8, 0)
+# has four.  -10 + 1e-6i takes the complex branch there instead.
 TRUNCATED_POINTS = [
     (10.0, 0.0),
     (10.0, 5.0),
@@ -174,6 +176,8 @@ TRUNCATED_POINTS = [
     (2 * Z_COMPLEX - 2, 1.5),
     (2 * Z_COMPLEX - 1, 0.5),
     (-2.0, 1.0),
+    (-10.0, 5.0),
+    (-8.0, 0.0),
 ]
 
 
@@ -181,12 +185,24 @@ TRUNCATED_POINTS = [
 def test_log_core_matches_truncated_product(a, s):
     # the exact log sum over every p <= P, independent of the head/series split
     for P in (MIN_TRUNCATION, 1009, 10**4, 10**5):
-        want, want_zero = oracles.truncated_log_product_mp(a, s, P)
-        log_value, _, count, exact_zero = _log_core(a, s, P)
+        want, want_sign = oracles.truncated_log_product_mp(a, s, P)
+        log_value, _, count, sign = _log_core(a, s, P)
         assert abs(complex(log_value) - complex(want)) <= 1e-13
-        assert exact_zero == want_zero
+        assert sign == want_sign
         assert count == len(oracles._small_primes(P))
         assert isinstance(log_value, complex) == isinstance(a, complex)
+
+
+def test_negative_head_factors_give_a_finite_signed_product():
+    # tilt_profile(4, -4) is the product at a = -10, s = 5, negative there
+    log_abs, sign = oracles.truncated_log_product_mp(-10.0, 5.0, 10**4)
+    want = sign * math.exp(-10.0 * EULER_GAMMA + float(log_abs))
+    assert want < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-4.0, complex(-4.0, 0.0)):
+            got = tilt_profile(4.0, z, 10**4).value
+            assert got == pytest.approx(want, rel=1e-12, abs=0), z
 
 
 def test_series_remainder_at_the_ceiling():

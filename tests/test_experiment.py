@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from omegashift.experiment import (
     run_experiment,
 )
 from omegashift.verify import verify_suite
+
+REFERENCE_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 GOOD_CONFIG = """
 # comment line
@@ -237,6 +240,15 @@ def test_verify_fast_battery_clean():
     names = [r.name for r in summary.results]
     assert "convolution_identity" in names
     assert "euler_identities" in names
+
+
+def test_verify_full_check_names_match_benchmark_reference():
+    # the benchmark freezes verify --level full's check names in order; a
+    # renamed or dropped check must fail here, not only in the benchmark
+    with open(REFERENCE_JSON) as fh:
+        frozen = [name for name, _ in json.load(fh)["verify_full"]["statuses"]]
+    summary = verify_suite("full", x_top=10**6, quiet=True)
+    assert [r.name for r in summary.results] == frozen
 
 
 def test_verify_detects_injected_kernel_fault(monkeypatch):

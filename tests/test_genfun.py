@@ -19,6 +19,7 @@ from omegashift.genfun import (
     phi_weighted_kernel,
 )
 from omegashift.sieve import SieveConfig, build_omega_table
+from omegashift.stats import level_histogram
 
 Z_SET = (0.0, 1.0, -1.0, 1.0j, 1.7 + 0.3j)
 
@@ -34,10 +35,15 @@ def test_kernel_values_match_oracle():
                     assert got == want, (p, alpha, w, z)
 
 
+def _planes(x, w):
+    return level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
+
+
 def test_kernel_input_validation():
     kern = WeightKernel(w=10, z=1.0)
-    with pytest.raises(ValueError):
-        kernel_value(4, 1, kern)  # not a prime
+    for not_prime in (4, 1, 0, -3, 91, 3 * 2**40):
+        with pytest.raises(ValueError, match="not prime"):
+            kernel_value(not_prime, 1, kern)
     with pytest.raises(ValueError):
         kernel_value(2, 0, kern)
     with pytest.raises(ValueError):
@@ -58,15 +64,6 @@ def test_convolution_identity_bulk():
         for z in Z_SET:
             dev = convolution_max_deviation(3000, WeightKernel(w=w, z=z))
             assert dev < 1e-10, (w, z)
-
-
-def test_convolution_reuses_compatible_table():
-    table = build_omega_table(SieveConfig(x_max=3000, w=10))
-    kern = WeightKernel(w=10, z=-1.0)
-    assert convolution_max_deviation(3000, kern, table=table) < 1e-10
-    # mismatched small-prime cutoff must not poison the check
-    wrong = build_omega_table(SieveConfig(x_max=3000, w=50))
-    assert convolution_max_deviation(3000, kern, table=wrong) < 1e-10
 
 
 def test_phi_prime_power_closed_forms():
@@ -95,8 +92,9 @@ def test_phi_rejects_bad_input():
     kern = WeightKernel(w=10, z=1.0)
     with pytest.raises(ValueError):
         phi_weighted_kernel(0, kern)
-    with pytest.raises(ValueError):
-        phi_prime_power(6, 2, kern)
+    for not_prime in (6, 1, 0, 49):
+        with pytest.raises(ValueError, match="not prime"):
+            phi_prime_power(not_prime, 2, kern)
 
 
 def _direct_genfun(triples, k, z, w_is_table=True):
@@ -105,24 +103,23 @@ def _direct_genfun(triples, k, z, w_is_table=True):
 
 def test_eval_genfun_matches_direct_sum():
     x, w = 2000, 10
-    table = build_omega_table(SieveConfig(x_max=x, w=w))
+    H = _planes(x, w)
     triples = oracles.level_triples(x, w)
     for k in (1, 2, 3):
         for z in (1.0, -0.5, 0.3 + 0.7j):
-            got = eval_genfun(table, k, x, z)
+            got = eval_genfun(H[k], z)
             want = _direct_genfun(triples, k, complex(z))
             assert abs(got.value - want) < 1e-9 * max(1.0, abs(want))
             assert got.terms == sum(1 for kk, _, _ in triples if kk == k)
     # z = 1 collapses to the plain weighted mass
-    v1 = eval_genfun(table, 2, x, 1.0)
+    v1 = eval_genfun(H[2], 1.0)
     assert v1.weight_total == int(round(v1.value.real))
 
 
 def test_eval_genfun_z_zero_counts_no_small_factor_mass():
     x, w = 2000, 10
-    table = build_omega_table(SieveConfig(x_max=x, w=w))
     triples = oracles.level_triples(x, w)
-    got = eval_genfun(table, 2, x, 0.0)
+    got = eval_genfun(_planes(x, w)[2], 0.0)
     want = sum(1 << v for kk, v, u in triples if kk == 2 and u == 0)
     assert abs(got.value - want) < 1e-9
 
@@ -130,17 +127,17 @@ def test_eval_genfun_z_zero_counts_no_small_factor_mass():
 def test_eval_genfun_validation():
     table = build_omega_table(SieveConfig(x_max=100, w=10))
     with pytest.raises(ValueError):
-        eval_genfun(table, 2, 100, 4.5)  # |z| above the configured radius
+        eval_genfun(level_histogram(table, 100)[2], 4.5)  # |z| above the radius
     with pytest.raises(ValueError):
-        eval_genfun(table, 2, 101, 1.0)
+        level_histogram(table, 101)  # x beyond the table
 
 
 def test_extract_coefficients_match_slices():
     x, w = 5000, 10
-    table = build_omega_table(SieveConfig(x_max=x, w=w))
+    H = _planes(x, w)
     triples = oracles.level_triples(x, w)
     for k in (1, 2, 3, 4):
-        vec = extract_coefficients(table, k, x)
+        vec = extract_coefficients(H[k])
         direct = {}
         for kk, v, u in triples:
             if kk == k:
@@ -153,19 +150,18 @@ def test_extract_coefficients_match_slices():
 
 def test_extract_coefficients_degenerate_level():
     # x = 10, k = 3 has no members; k = 2 at w = 2 spans u in {0, 1}
-    table = build_omega_table(SieveConfig(x_max=10, w=2))
-    empty = extract_coefficients(table, 3, 10)
+    H = _planes(10, 2)
+    empty = extract_coefficients(H[3])
     assert empty.weight_total == 0
     assert np.allclose(empty.coefficients, [0.0])
-    vec = extract_coefficients(table, 2, 10)
+    vec = extract_coefficients(H[2])
     # members 6 = 2*3 (n-1 = 5: v=1,u=0) and 10 = 2*5 (n-1 = 9: v=1,u=0)
     assert np.allclose(vec.coefficients, [4.0], atol=1e-9)
 
 
 def test_characteristic_profile_normalization():
     x, w = 20_000, 97
-    table = build_omega_table(SieveConfig(x_max=x, w=w))
-    pts = characteristic_profile(table, 2, x, [0.0, 0.5, -0.5, 2.0])
+    pts = characteristic_profile(_planes(x, w)[2], w, [0.0, 0.5, -0.5, 2.0])
     by_t = {p.t: p for p in pts}
     assert abs(by_t[0.0].psi - 1.0) < 1e-12
     assert abs(by_t[0.0].gaussian_gap) < 1e-12
@@ -178,7 +174,7 @@ def test_characteristic_profile_normalization():
 
 def test_characteristic_profile_against_direct_sum():
     x, w = 2000, 10
-    table = build_omega_table(SieveConfig(x_max=x, w=w))
+    H = _planes(x, w)
     triples = oracles.level_triples(x, w)
     T = 2.0 * math.log(math.log(w))
     t = 0.7
@@ -186,5 +182,9 @@ def test_characteristic_profile_against_direct_sum():
     num = sum((1 << v) * z**u for kk, v, u in triples if kk == 2)
     den = sum((1 << v) for kk, v, u in triples if kk == 2)
     want = cmath.exp(-1j * t * math.sqrt(T)) * num / den
-    (pt,) = characteristic_profile(table, 2, x, [t])
+    (pt,) = characteristic_profile(H[2], w, [t])
     assert abs(pt.psi - want) < 1e-12
+    with pytest.raises(ValueError):
+        characteristic_profile(H[9], w, [t])  # empty level set
+    with pytest.raises(ValueError):
+        characteristic_profile(H[2], 2, [t])  # 2 loglog w <= 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from omegashift.constants import normal_cdf
-from omegashift.sieve import SieveConfig, build_omega_table
+from omegashift.sieve import MAX_OMEGA, SieveConfig, build_omega_table
 from omegashift.stats import (
     OMEGA_CAP,
     PredictionReport,
@@ -18,17 +18,14 @@ from omegashift.stats import (
     classical_baseline,
     gaussian_moment,
     gaussian_spec,
-    joint_histogram,
     ks_distance,
     ks_weighted_histogram,
     large_factor_ratio,
     level_histogram,
     loglog,
     logloglog,
-    omega_histogram,
     small_counter_spec,
     small_factor_prediction,
-    total_weighted_mass,
     unweighted_baseline,
     unweighted_spec,
     weighted_mass,
@@ -44,6 +41,11 @@ X, W = 10_000, 50
 @pytest.fixture(scope="module")
 def table():
     return build_omega_table(SieveConfig(x_max=X, w=W))
+
+
+@pytest.fixture(scope="module")
+def H(table):
+    return level_histogram(table, X)
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +81,13 @@ def _nonzero_cells(hist) -> dict:
     return {tuple(map(int, idx)): int(hist[tuple(idx)]) for idx in np.argwhere(hist)}
 
 
-def test_level_histogram_matches_oracle(table, triples):
-    hist = level_histogram(table, X)
-    assert hist.shape == (OMEGA_CAP, OMEGA_CAP, OMEGA_CAP)
+def test_level_histogram_matches_oracle(H, triples):
+    assert H.shape == (OMEGA_CAP, OMEGA_CAP, OMEGA_CAP)
     for k in range(OMEGA_CAP):
-        assert _nonzero_cells(hist[k]) == oracles.joint_counts(triples, k), k
-    assert int(hist.sum()) == X - 1
+        assert _nonzero_cells(H[k]) == oracles.joint_counts(triples, k), k
+    assert int(H.sum()) == X - 1
     omega_counts = Counter(k for k, _, _ in triples)
-    assert hist.sum(axis=(1, 2)).tolist() == [omega_counts[k] for k in range(OMEGA_CAP)]
-    assert np.array_equal(level_histogram(table, X, threads=3), hist)
+    assert H.sum(axis=(1, 2)).tolist() == [omega_counts[k] for k in range(OMEGA_CAP)]
 
 
 @st.composite
@@ -106,86 +106,142 @@ def test_table_and_level_histogram_match_trial_division(inputs):
     )
     for n in range(2, x + 1):
         assert (table.omega[n], table.omega_small[n]) == oracles.omega_pair(n, w), n
-    hist = level_histogram(table, x, threads=threads)
-    assert _nonzero_cells(hist) == Counter(oracles.level_triples(x, w))
+    H = level_histogram(table, x)
+    assert _nonzero_cells(H) == Counter(oracles.level_triples(x, w))
 
 
-def test_joint_histogram_matches_oracle(table, triples):
-    for k in (1, 2, 3, 4, 40):
-        hist = joint_histogram(table, k, X)
+@settings(max_examples=50, deadline=None, database=None)
+@given(_sieve_inputs(), st.integers(0, 6))
+def test_plane_statistics_match_oracle(inputs, k):
+    x, w, segment, threads = inputs
+    table = build_omega_table(
+        SieveConfig(x_max=x, w=w, segment_length=segment, threads=threads)
+    )
+    H = level_histogram(table, x)
+    J = H[k]
+    triples = oracles.level_triples(x, w)
+    for ell in range(MAX_OMEGA + 2):
+        assert weighted_mass_at(J, ell) == oracles.weighted_mass_at(triples, k, ell)
+    normalized = [
+        lambda: weighted_mass_below(J, x, 0.0),
+        lambda: weighted_mass_below(J, x, 0.0, counter="small"),
+        lambda: unweighted_baseline(J, x, 0.0),
+        lambda: classical_baseline(H, x, 0.0),
+        lambda: weighted_moment(J, x, 2),
+        lambda: ks_distance(J, x),
+        lambda: large_factor_ratio(J, x),
+    ]
+    if x < 16:  # loglog x <= 1: no Gaussian or classical normalization
+        for stat in normalized:
+            with pytest.raises(ValueError):
+                stat()
+        return
+    g, c = gaussian_spec(x), unweighted_spec(x)
+    for y in (-1.5, -0.5, 0.0, 0.7, 1.5, 2.5):
+        thr, plain_thr = g.center + y * g.scale, c.center + y * c.scale
+        assert weighted_mass_below(J, x, y) == oracles.weighted_mass_below(
+            triples, k, thr
+        )
+        assert weighted_mass_below(J, x, y, counter="small") == (
+            oracles.weighted_mass_below(triples, k, thr, on_small=True)
+        )
+        assert unweighted_baseline(J, x, y) == sum(
+            1 for kk, v, _ in triples if kk == k and v <= plain_thr
+        )
+        assert classical_baseline(H, x, y) == sum(
+            1 for kk, _, _ in triples if kk <= plain_thr
+        )
+    if oracles.weighted_mass(triples, k) == 0:
+        for stat in normalized[4:]:
+            with pytest.raises(ValueError):
+                stat()
+        return
+    for m in range(5):
+        want = oracles.weighted_moment(triples, k, x, m)
+        assert abs(weighted_moment(J, x, m) - want) <= 1e-12 * max(1.0, abs(want)), m
+    assert abs(ks_distance(J, x) - oracles.weighted_ks(triples, k, x)) < 1e-12
+    for c_mult in (0.0, 1.0, 4.0):
+        want = oracles.large_factor_ratio(triples, k, x, c_mult)
+        assert large_factor_ratio(J, x, c_mult) == want, c_mult
+
+
+def test_joint_histogram_matches_oracle(H, triples):
+    # the plane H[k] is the joint histogram J[v, u] of the k-level set
+    for k in (1, 2, 3, 4):
+        J = H[k]
         want = oracles.joint_counts(triples, k)
-        for v in range(hist.shape[0]):
-            for u in range(hist.shape[1]):
-                assert int(hist[v, u]) == want.get((v, u), 0), (k, v, u)
+        for v in range(J.shape[0]):
+            for u in range(J.shape[1]):
+                assert int(J[v, u]) == want.get((v, u), 0), (k, v, u)
 
 
-def test_weighted_mass_matches_oracle(table, triples):
-    for k in (*range(1, 7), 40):
-        assert weighted_mass(table, k, X) == oracles.weighted_mass(triples, k)
+def test_weighted_mass_matches_oracle(H, triples):
+    for k in range(1, 7):
+        assert weighted_mass(H[k]) == oracles.weighted_mass(triples, k)
 
 
-def test_total_weighted_mass(table, triples):
+def test_total_weighted_mass(H, triples):
+    # the plane of all n, whatever omega(n), is H.sum(axis=0)
     want = sum(1 << v for _, v, _ in triples)
-    assert total_weighted_mass(table, X) == want
+    assert weighted_mass(H.sum(axis=0)) == want
     ks = range(1, 10)
-    assert sum(weighted_mass(table, k, X) for k in ks) == want
+    assert sum(weighted_mass(H[k]) for k in ks) == want
 
 
-def test_weighted_mass_below_full_counter(table, triples):
+def test_weighted_mass_below_full_counter(H, triples):
     spec = gaussian_spec(X)
     for k in (2, 3):
         for y in (-2.0, -0.5, 0.0, 0.7, 2.0, 8.0):
-            got = weighted_mass_below(table, k, X, y)
+            got = weighted_mass_below(H[k], X, y)
             want = oracles.weighted_mass_below(triples, k, spec.center + y * spec.scale)
             assert got == want, (k, y)
 
 
-def test_weighted_mass_below_small_counter(table, triples):
+def test_weighted_mass_below_small_counter(H, triples):
     # same gaussian threshold, but applied to the small-prime counter
     spec = gaussian_spec(X)
     for y in (-1.0, 0.0, 1.0):
-        got = weighted_mass_below(table, 2, X, y, counter="small")
+        got = weighted_mass_below(H[2], X, y, counter="small")
         want = oracles.weighted_mass_below(
             triples, 2, spec.center + y * spec.scale, on_small=True
         )
         assert got == want
 
 
-def test_weighted_mass_below_custom_spec(table, triples):
+def test_weighted_mass_below_custom_spec(H, triples):
     # the truncated variant centers on loglog w instead
     spec = small_counter_spec(W)
-    got = weighted_mass_below(table, 2, X, 0.5, spec=spec, counter="small")
+    got = weighted_mass_below(H[2], X, 0.5, spec=spec, counter="small")
     want = oracles.weighted_mass_below(
         triples, 2, spec.center + 0.5 * spec.scale, on_small=True
     )
     assert got == want
 
 
-def test_weighted_mass_at_slices(table, triples):
+def test_weighted_mass_at_slices(H, triples):
     for k in (1, 2, 3):
         total = 0
         for ell in range(12):
-            got = weighted_mass_at(table, k, X, ell)
+            got = weighted_mass_at(H[k], ell)
             assert got == oracles.weighted_mass_at(triples, k, ell), (k, ell)
             total += got
-        assert total == weighted_mass(table, k, X)
+        assert total == weighted_mass(H[k])
+    assert weighted_mass_at(H[2], OMEGA_CAP) == 0
     with pytest.raises(ValueError):
-        weighted_mass_at(table, 2, X, -1)
-    with pytest.raises(ValueError):
-        weighted_mass_at(table, 2, X, 3, w=W + 1)
+        weighted_mass_at(H[2], -1)
 
 
-def test_weighted_moment_matches_oracle(table, triples):
+def test_weighted_moment_matches_oracle(H, triples):
     for k in (2, 3):
         for m in range(0, 5):
-            got = weighted_moment(table, k, X, m)
+            got = weighted_moment(H[k], X, m)
             want = oracles.weighted_moment(triples, k, X, m)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (k, m)
-    assert weighted_moment(table, 2, X, 0) == 1.0
+    assert weighted_moment(H[2], X, 0) == 1.0
     with pytest.raises(ValueError):
-        weighted_moment(table, 2, X, 13)
+        weighted_moment(H[2], X, 13)
     with pytest.raises(ValueError):
-        weighted_moment(table, 2, X, -1)
+        weighted_moment(H[2], X, -1)
 
 
 def test_gaussian_moments():
@@ -209,12 +265,13 @@ def test_ks_weighted_histogram_hand_case():
     assert abs(got - want) < 1e-15
 
 
-def test_ks_distance_bounds_and_hist_reuse(table):
-    hist = joint_histogram(table, 2, X)
-    d1 = ks_distance(table, 2, X)
-    d2 = ks_distance(table, 2, X, hist=hist)
-    assert d1 == d2
-    assert 0.0 <= d1 <= 1.0
+def test_ks_distance_matches_oracle(H, triples):
+    for k in (1, 2, 3):
+        d = ks_distance(H[k], X)
+        assert 0.0 <= d <= 1.0
+        assert abs(d - oracles.weighted_ks(triples, k, X)) < 1e-12, k
+    with pytest.raises(ValueError):
+        ks_distance(H[9], X)  # empty level set
 
 
 def test_weighted_mass_theoretical_positive_and_trending():
@@ -223,12 +280,12 @@ def test_weighted_mass_theoretical_positive_and_trending():
         pred = weighted_mass_theoretical(k, X, P=100_000)
         assert pred > 0
     t = build_omega_table(SieveConfig(x_max=X, w=W))
-    emp = weighted_mass(t, 2, X)
+    emp = weighted_mass(level_histogram(t, X)[2])
     assert 0.1 < emp / weighted_mass_theoretical(2, X, P=100_000) < 10.0
 
 
-def test_small_factor_prediction_positive(table):
-    mass = weighted_mass(table, 2, X)
+def test_small_factor_prediction_positive(H):
+    mass = weighted_mass(H[2])
     vals = [
         small_factor_prediction(2, X, ell, W, P=100_000, mass=mass) for ell in range(5)
     ]
@@ -237,47 +294,44 @@ def test_small_factor_prediction_positive(table):
     assert vals[1] > vals[0]
 
 
-def test_unweighted_baseline_matches_oracle(table, triples):
+def test_unweighted_baseline_matches_oracle(H, triples):
     spec = unweighted_spec(X)
     for y in (-1.0, 0.0, 1.5):
-        rep = unweighted_baseline(table, 2, X, y)
+        got = unweighted_baseline(H[2], X, y)
         thr = spec.center + y * spec.scale
         want = sum(1 for kk, v, _ in triples if kk == 2 and v <= thr)
-        assert rep.empirical == want
-        assert rep.statistic == "unweighted_cdf"
-        size = sum(1 for kk, _, _ in triples if kk == 2)
-        assert abs(rep.theoretical - size * normal_cdf(y)) < 1e-9
+        assert type(got) is int and got == want
 
 
-def test_classical_baseline_matches_oracle(table, triples):
+def test_classical_baseline_matches_oracle(H, triples):
     spec = unweighted_spec(X)
-    rep = classical_baseline(table, X, 0.5)
+    got = classical_baseline(H, X, 0.5)
     thr = spec.center + 0.5 * spec.scale
     want = sum(1 for kk, _, _ in triples if kk <= thr)
-    assert rep.empirical == want
-    assert abs(rep.theoretical - (X - 1) * normal_cdf(0.5)) < 1e-9
-    assert rep.k is None
+    assert type(got) is int and got == want
 
 
-def test_omega_histogram_totals(table):
-    hist = omega_histogram(table, X)
-    assert int(hist.sum()) == X - 1
+def test_omega_histogram_totals(H):
+    # the classical omega(n) histogram is the k marginal of H
+    counts = H.sum(axis=(1, 2))
+    assert int(counts.sum()) == X - 1
+    assert classical_baseline(H, X, 100.0) == X - 1
 
 
-def test_large_factor_ratio_definition(table, triples):
+def test_large_factor_ratio_definition(H, triples):
     thr = 4.0 * logloglog(X)
     excess = sum(1 << v for kk, v, u in triples if kk == 2 and v - u > thr)
     total = sum(1 << v for kk, v, u in triples if kk == 2)
-    assert large_factor_ratio(table, 2, X) == pytest.approx(excess / total, abs=0)
+    assert large_factor_ratio(H[2], X) == pytest.approx(excess / total, abs=0)
     # with c = 0 every n whose shift has any large prime counts
     excess0 = sum(1 << v for kk, v, u in triples if kk == 2 and v > u)
-    assert large_factor_ratio(table, 2, X, c_mult=0.0) == pytest.approx(
+    assert large_factor_ratio(H[2], X, c_mult=0.0) == pytest.approx(
         excess0 / total, abs=0
     )
     with pytest.raises(ValueError):
-        large_factor_ratio(table, 2, X, c_mult=-1.0)
+        large_factor_ratio(H[2], X, c_mult=-1.0)
     with pytest.raises(ValueError):
-        large_factor_ratio(table, 9, X)  # empty level set
+        large_factor_ratio(H[9], X)  # empty level set
 
 
 def test_report_relative_deviation():
@@ -291,6 +345,5 @@ def test_report_relative_deviation():
 def test_session_oracle_agreement(table_1e5, oracle_triples):
     # the session-scoped 1e5 fixtures use the experiment w rule; spot-check
     k = 2
-    assert weighted_mass(table_1e5, k, 100_000) == oracles.weighted_mass(
-        oracle_triples, k
-    )
+    J = level_histogram(table_1e5, 100_000)[k]
+    assert weighted_mass(J) == oracles.weighted_mass(oracle_triples, k)
