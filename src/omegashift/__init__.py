@@ -4,9 +4,10 @@ The package measures how the number of distinct prime factors of n-1
 distributes when n ranges over integers with a fixed number of distinct
 prime factors, each n weighted by 2^(distinct prime factors of n-1).
 It provides an exact segmented sieve, high-precision Euler-product
-constants with rigorous truncation bounds, a level histogram built in one
-pass over the sieve table, statistics and a generating-function layer that
-read a plane of that histogram, and an experiment runner.
+constants with rigorous truncation bounds, a level histogram built by one
+table-free sieve pass over a grid of scales (or read off a sieve table)
+and cached per scale, statistics and a generating-function layer that read
+a plane of that histogram, and an experiment runner.
 """
 
 __version__ = "0.1.0"
@@ -61,10 +62,15 @@ from .stats import (
     ThresholdSpec,
     gaussian_moment,
     gaussian_spec,
+    grid_histograms,
+    histogram_digest,
+    histogram_path,
     ks_distance,
     large_factor_ratio,
     level_histogram,
+    load_histogram,
     loglog,
+    save_histogram,
     small_factor_prediction,
     weighted_mass,
     weighted_mass_at,
@@ -103,6 +109,9 @@ __all__ = [
     "extract_coefficients",
     "gaussian_moment",
     "gaussian_spec",
+    "grid_histograms",
+    "histogram_digest",
+    "histogram_path",
     "iter_omega_level",
     "kernel_value",
     "ks_distance",
@@ -110,6 +119,7 @@ __all__ = [
     "level_density_constant",
     "level_histogram",
     "level_ratio",
+    "load_histogram",
     "load_table",
     "loglog",
     "normal_cdf",
@@ -118,6 +128,7 @@ __all__ = [
     "phi_weighted_kernel",
     "resolve_w",
     "run_experiment",
+    "save_histogram",
     "save_table",
     "small_factor_prediction",
     "tilt_product",

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, gamma as _gamma
 
 from .primes import factorize, iter_prime_blocks, primes_up_to
 
@@ -111,7 +110,7 @@ def level_ratio(k: int, x: float, ceiling: float = R_CEILING) -> float:
 
 def normal_cdf(y: float) -> float:
     """Standard normal distribution function, |error| <= 1e-12 over the reals."""
-    return 0.5 * erfc(-y / math.sqrt(2.0))
+    return 0.5 * math.erfc(-y / math.sqrt(2.0))
 
 
 def _tail_constant(a: complex, s: float) -> float:
@@ -223,7 +222,7 @@ def level_density_constant(r: float, P: int = DEFAULT_TRUNCATION) -> EulerProduc
     Mean-value density constant of the k-factor level set; equals 1 at r = 0.
     """
     _check_r(r)
-    return _assemble(1.0 / float(_gamma(r + 1.0)), _log_core(float(r), 0.0, P), P)
+    return _assemble(1.0 / math.gamma(r + 1.0), _log_core(float(r), 0.0, P), P)
 
 
 def tilted_level_constant(r: float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
@@ -233,7 +232,7 @@ def tilted_level_constant(r: float, P: int = DEFAULT_TRUNCATION) -> EulerProduct
     factors exactly as level_density_constant(r) * tilt_product(r, 1).
     """
     _check_r(r)
-    return _assemble(1.0 / float(_gamma(r + 1.0)), _log_core(float(r) + 1.0, 0.0, P), P)
+    return _assemble(1.0 / math.gamma(r + 1.0), _log_core(float(r) + 1.0, 0.0, P), P)
 
 
 def tilt_product(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
@@ -280,11 +279,19 @@ def coprimality_density(
     for p in pdiv:
         if abs(y - (1 - p)) < 1e-6:
             raise PoleError(f"y={y} within 1e-6 of pole at {1 - p} (p={p} | ell)")
-    correction = 1.0 + 0.0j if isinstance(y, complex) else 1.0
+    if not (isinstance(y, complex) and y.imag != 0.0):
+        y = float(np.real(y))
+    correction = 1.0
     for p in pdiv:
         correction /= 1.0 + y / (p - 1.0)
-    pre = correction / _gamma(y + 1.0)
-    pre = complex(pre) if isinstance(y, complex) and y.imag != 0 else float(np.real(pre))
+    if isinstance(y, complex):
+        from scipy.special import gamma  # complex Gamma; math.gamma is real only
+
+        pre = complex(correction / gamma(y + 1.0))
+    elif y + 1.0 <= 0.0 and y == int(y):
+        pre = 0.0  # 1/Gamma vanishes at its poles
+    else:
+        pre = correction / math.gamma(y + 1.0)
     return _assemble(pre, _log_core(y, 0.0, P), P)
 
 

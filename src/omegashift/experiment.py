@@ -1,10 +1,15 @@
 """Experiment configuration, execution, and deterministic reports.
 
 A run is described by a flat key = value text file, executed over a grid of
-(x, k) pairs, and written as a CSV plus a JSON mirror.  Reruns of the same
-config produce byte-identical files except for the runtime_ms column, which
-is deliberately last in the schema.  runtime_ms is the time to derive a row
-from the level histogram; sieve, cache and histogram-pass time are excluded.
+(x, k) pairs, and written as a CSV plus a JSON mirror.  The level histogram
+H of each (x, w) comes from the histogram cache when cache_dir holds it;
+the missing ones come from one table-free sieve pass over the grid
+(stats.grid_histograms) and are then cached.  No sieve table is built.
+Reruns of the same config produce byte-identical files except for the
+runtime_ms column, which is deliberately last in the schema; whether a
+histogram came from the cache is not recorded.  runtime_ms is the time to
+derive a row from the level histogram; sieve, cache and histogram-pass time
+are excluded.
 """
 
 from __future__ import annotations
@@ -18,25 +23,21 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .constants import R_CEILING
-from .sieve import (
-    OmegaTable,
-    SieveConfig,
-    build_omega_table,
-    cache_path,
-    load_table,
-    save_table,
-)
 from .stats import (
     PredictionReport,
     classical_baseline,
     gaussian_moment,
+    grid_histograms,
+    histogram_digest,
+    histogram_path,
     ks_distance,
     large_factor_ratio,
-    level_histogram,
+    load_histogram,
     loglog,
     logloglog,
     make_report,
     normal_cdf,
+    save_histogram,
     small_factor_prediction,
     unweighted_baseline,
     weighted_mass,
@@ -185,17 +186,23 @@ def resolve_threads(default: int) -> int:
     return threads
 
 
-def _get_table(config: ExperimentConfig, x: int, w: int, threads: int) -> OmegaTable:
-    sieve = SieveConfig(x_max=x, w=w, threads=threads)
+def _histograms(config: ExperimentConfig, pairs, threads: int) -> dict:
+    """{(x, w): H}: cached pairs are loaded, the rest come from one grid pass
+    up to their own largest x and are cached."""
+    hists = {}
     if config.cache_dir:
-        os.makedirs(config.cache_dir, exist_ok=True)
-        path = cache_path(config.cache_dir, x, w)
-        if os.path.exists(path):
-            return load_table(path, x_max=x, w=w)
-        table = build_omega_table(sieve)
-        save_table(table, path)
-        return table
-    return build_omega_table(sieve)
+        for x, w in pairs:
+            path = histogram_path(config.cache_dir, x, w)
+            if os.path.exists(path):
+                hists[x, w] = load_histogram(path, x, w)
+    missing = [pair for pair in pairs if pair not in hists]
+    if missing:
+        built = grid_histograms(missing, threads=threads)
+        if config.cache_dir:
+            for (x, w), H in built.items():
+                save_histogram(H, histogram_path(config.cache_dir, x, w), x, w)
+        hists.update(built)
+    return hists
 
 
 def _timed(fn, *args):
@@ -216,9 +223,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     threads = resolve_threads(config.threads)
     rows: list[PredictionReport] = []
     P = config.truncation_prime
+    w_of = {x: resolve_w(config.w_rule, x) for x in config.x_list}
+    hists = _histograms(config, sorted(set(w_of.items())), threads)
     for x in config.x_list:
-        w = resolve_w(config.w_rule, x)
-        H = level_histogram(_get_table(config, x, w, threads), x)
+        w = w_of[x]
+        H = hists[x, w]
         l2x, l3x = loglog(x), logloglog(x)
         gauss_err = l3x / math.sqrt(2.0 * l2x)
         base_err = 1.0 / math.sqrt(l2x)
@@ -286,7 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     csv_path = os.path.join(config.output_dir, f"report_{tag}.csv")
     json_path = os.path.join(config.output_dir, f"report_{tag}.json")
     _write_csv(csv_path, rows)
-    _write_json(json_path, rows, config, tag)
+    _write_json(json_path, rows, config, tag, hists)
     return ExperimentResult(csv_path=csv_path, json_path=json_path, rows=rows)
 
 
@@ -314,7 +323,7 @@ def _write_csv(path: str, rows: list[PredictionReport]) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path, rows, config: ExperimentConfig, tag: str) -> None:
+def _write_json(path, rows, config: ExperimentConfig, tag: str, hists: dict) -> None:
     doc = {
         "metadata": {
             "package_version": __version__,
@@ -323,6 +332,10 @@ def _write_json(path, rows, config: ExperimentConfig, tag: str) -> None:
             "r_definition_rejected": "(k-1)*loglog(x)",
             "w_rule": config.w_rule,
             "truncation_prime": config.truncation_prime,
+            "histograms": [
+                {"x": x, "w": w, "sha256": histogram_digest(H)}
+                for (x, w), H in sorted(hists.items())
+            ],
         },
         "rows": [
             {

@@ -1,21 +1,25 @@
 """Segmented sieve for distinct-prime-factor counts.
 
-Builds, for every n in [2, x_max], the pair
+One segment kernel, _fill_segment, counts for every n of a segment
 
-    omega[n]       = number of distinct primes dividing n
-    omega_small[n] = number of distinct primes p <= w dividing n
+    omega(n)    = number of distinct primes dividing n
+    omega(n, w) = number of distinct primes p <= w dividing n
 
-as byte tables.  Everything downstream (level sets, weighted statistics,
-generating-function evaluations) reads these two arrays.
+for one or several thresholds w.  build_omega_table runs it over [2, x_max]
+with one w and keeps the result as two byte tables, omega and omega_small,
+indexed by n (omegashift sieve, level sets, tests, small verify tables);
+stats.grid_histograms runs it over a grid's whole range with every w of
+the grid and folds each segment into level histograms, keeping no table.
 
 Each segment sieves the base primes p <= sqrt(x_max).  What they leave of n
 is its cofactor c, which is 1 or a single prime above sqrt(x_max) (two such
-primes would multiply past x_max).  The sieve never divides: when
-w*w <= x_max, c can never count toward omega_small, so only "c > 1" matters,
-and a byte of scaled logarithms decides it exactly (the logarithmic-sieve
-trick of the quadratic sieve; the argument is in _fill_segment).  Only when
-w*w > x_max, where "c <= w" needs the cofactor's value, does a segment keep
-an int64 cofactor array and divide it by every prime power.
+primes would multiply past x_max).  The sieve never divides: when every
+w has w*w <= x_max, c can never count toward omega(n, w), so only "c > 1"
+matters, and a byte of scaled logarithms decides it exactly (the
+logarithmic-sieve trick of the quadratic sieve; the argument is in
+_fill_segment).  Only when some w has w*w > x_max, where "c <= w" needs
+the cofactor's value, does a segment keep an int64 cofactor array and
+divide it by every prime power.
 """
 
 from __future__ import annotations
@@ -143,24 +147,26 @@ def _octave_bounds(lo, hi, x_max):
         a *= 2
 
 
-def _fill_segment(omega, omega_small, base, lo, hi, w, x_max):
-    """Count prime divisors for n in [lo, hi) into the shared output arrays.
+def _fill_segment(om, osms, cell, base, lo, ws, x_max):
+    """Count prime divisors for n in [lo, lo + len(om)) into om and, for
+    each w of the ascending tuple ws, omega(n, w) into the matching osms array.
 
     One uint16 word per n.  Each base prime p <= sqrt(x_max) adds 1 to the
     low byte at its multiples, and L(p) = floor(8 ln p) to the high byte at
     the multiples of every power p^j < hi.  base ascends, so after the
-    primes p <= w the low byte is omega_small without the cofactor; it is
-    copied out, and the primes w < p are then added on top to give omega
-    without the cofactor.  Neither byte carries: the low byte is at most
-    MAX_OMEGA = 11, and the high byte at most 8 ln n <= 8 ln 2^40 < 222.
+    primes p <= w the low byte is omega(n, w) without the cofactor; it is
+    copied out for each w in turn, and the primes above the last w are then
+    added on top to give omega without the cofactor.  Neither byte carries:
+    the low byte is at most MAX_OMEGA = 11, and the high byte at most
+    8 ln n <= 8 ln 2^40 < 222.
 
     Write n = s * c with s the part made of base primes.  The cofactor c is
     1 or one prime above sqrt(x_max); it always counts toward omega when
-    c > 1, and toward omega_small iff c <= w.
+    c > 1, and toward omega(n, w) iff c <= w.
 
-    Log route (w*w <= x_max and x_max >= 13).  Then c > sqrt(x_max) >= w, so
-    only "c > 1" matters.  The high byte holds acc = sum over p^e || s of
-    e*L(p), and 8 ln p - 1 < L(p) <= 8 ln p gives
+    Log route (max(ws)^2 <= x_max and x_max >= 13).  Then every w has
+    c > sqrt(x_max) >= w, so only "c > 1" matters.  The high byte holds
+    acc = sum over p^e || s of e*L(p), and 8 ln p - 1 < L(p) <= 8 ln p gives
     8 ln s - Omega(s) < acc <= 8 ln s.  For n in the octave [a, 2a):
       c = 1:  s = n >= a and Omega(n) <= log2 x_max, so
               acc > 8 ln a - log2 x_max = A;
@@ -171,18 +177,23 @@ def _fill_segment(omega, omega_small, base, lo, hi, w, x_max):
     c > 1 exactly when acc < T.  The margin (A - B - 1) / 2 >= 0.007 dwarfs
     the float rounding in L(p) and T.
 
-    Exact route (w*w > x_max, or x_max < 13).  "c <= w" needs the value of
-    c, so an int64 array starts at n and is divided by p at every p^j < hi.
+    Exact route (max(ws)^2 > x_max, or x_max < 13).  "c <= w" needs the
+    value of c, so an int64 array starts at n and is divided by p at every
+    p^j < hi.
+
+    cell is zeroed uint16 scratch of len(om) words; it is left holding
+    other values.
     """
-    om = omega[lo:hi]
-    osm = omega_small[lo:hi]
-    cell = np.zeros(hi - lo, dtype=np.uint16)
-    small = int(np.searchsorted(base, w, side="right"))
-    _sieve_primes(cell, base[:small], lo, hi)
-    np.copyto(osm, cell, casting="unsafe")  # the uint8 cast keeps the low byte
-    _sieve_primes(cell, base[small:], lo, hi)
+    hi = lo + om.size
+    done = 0
+    for w, osm in zip(ws, osms):
+        small = int(np.searchsorted(base, w, side="right"))
+        _sieve_primes(cell, base[done:small], lo, hi)
+        np.copyto(osm, cell, casting="unsafe")  # the uint8 cast keeps the low byte
+        done = small
+    _sieve_primes(cell, base[done:], lo, hi)
     np.copyto(om, cell, casting="unsafe")
-    if w * w <= x_max and x_max >= LOG_ROUTE_MIN_X:
+    if ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X:
         for start, stop, bound in _octave_bounds(lo, hi, x_max):
             part = cell[start:stop]
             np.less(part, bound, out=part)  # in place: 1 iff the cofactor is > 1
@@ -196,7 +207,13 @@ def _fill_segment(omega, omega_small, base, lo, hi, w, x_max):
             q *= p
     big = rem > 1
     om[big] += 1
-    osm[big & (rem <= w)] += 1
+    for w, osm in zip(ws, osms):
+        osm[big & (rem <= w)] += 1
+
+
+def base_primes(x_max: int) -> np.ndarray:
+    """The primes p with p * p <= x_max: the sieving primes of [2, x_max]."""
+    return primes_up_to(math.isqrt(x_max))
 
 
 def build_omega_table(config: SieveConfig) -> OmegaTable:
@@ -208,24 +225,29 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     x_max, w = config.x_max, config.w
     omega = np.zeros(x_max + 1, dtype=np.uint8)
     omega_small = np.zeros(x_max + 1, dtype=np.uint8)
-    base = primes_up_to(int(np.sqrt(x_max)) + 1)
-    base = base[base * base <= x_max]
-    spans = [
-        (lo, min(lo + config.segment_length, x_max + 1))
-        for lo in range(2, x_max + 1, config.segment_length)
-    ]
+    base = base_primes(x_max)
+
+    def fill(lo, hi):
+        cell = np.zeros(hi - lo, dtype=np.uint16)
+        _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, base, lo, (w,), x_max)
+
+    spans = segment_spans(x_max, config.segment_length)
     if config.threads == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            _fill_segment(omega, omega_small, base, lo, hi, w, x_max)
+        for span in spans:
+            fill(*span)
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            jobs = [
-                pool.submit(_fill_segment, omega, omega_small, base, lo, hi, w, x_max)
-                for lo, hi in spans
-            ]
-            for j in jobs:
-                j.result()
+            for job in [pool.submit(fill, *span) for span in spans]:
+                job.result()
     return OmegaTable(x_max=x_max, w=w, omega=omega, omega_small=omega_small)
+
+
+def segment_spans(x_max: int, segment_length: int) -> list[tuple[int, int]]:
+    """[lo, hi) segments of length segment_length covering [2, x_max]."""
+    return [
+        (lo, min(lo + segment_length, x_max + 1))
+        for lo in range(2, x_max + 1, segment_length)
+    ]
 
 
 def iter_omega_level(table: OmegaTable, k: int, x: int, chunk: int = 1 << 20):

@@ -4,20 +4,28 @@ Every statistic is a function of the level histogram
 
     H[k, v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
 
-a small table of exact integers (k, v, u < 32 for any x below 2^40).
-level_histogram builds H in one pass over a sieve table; it is the only
-function here that reads a table.  The k-level statistics take the plane
-J = H[k] (the joint histogram of the level set), plus x where a threshold
-or normalization needs it; the classical baseline takes H itself.  A
-plane of all n regardless of omega(n) is H.sum(axis=0).  Weighted masses,
-thresholded and slice masses and baseline counts are exact integers, and
-every float statistic is computed from them in a fixed order, so all of
-them are bit-reproducible for every sieve segmentation and thread count.
+a small table of exact integers (k, v, u < 32 for any x below 2^40).  Two
+producers build H and share one packing fold: grid_histograms makes one
+ascending, table-free sieve pass over [2, max x] and returns H for every
+(x, w) of a grid, in O(segment) memory; level_histogram reads H off an
+existing sieve table.  save_histogram and load_histogram keep H in a
+256 KB cache file per (x, w) whose header carries a SHA-256 of the payload.
+The k-level statistics take the plane J = H[k] (the joint histogram of the
+level set), plus x where a threshold or normalization needs it; the
+classical baseline takes H itself.  A plane of all n regardless of
+omega(n) is H.sum(axis=0).  Weighted masses, thresholded and slice masses
+and baseline counts are exact integers, and every float statistic is
+computed from them in a fixed order, so all of them are bit-reproducible
+for every sieve segmentation and thread count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +37,31 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from .sieve import MAX_OMEGA, OmegaTable, _check_range
+from .sieve import (
+    DEFAULT_SEGMENT,
+    MAX_OMEGA,
+    CacheMismatchError,
+    OmegaTable,
+    SieveConfig,
+    _check_range,
+    _fill_segment,
+    base_primes,
+    segment_spans,
+)
 
 OMEGA_CAP = 32
 MAX_MOMENT = 12
-_CHUNK = 1 << 20
+_BITS = 4  # the fold packs (k, v, u) in base 2^_BITS, then widens to OMEGA_CAP
+_FOLD_CHUNK = 1 << 16  # n per bincount: its input and output stay cache-sized
 
-# Every omega(n) and omega(n, w) of a table is a valid H index.
-if MAX_OMEGA >= OMEGA_CAP:
-    raise RuntimeError(f"omega can reach {MAX_OMEGA}, outside H's {OMEGA_CAP} bins")
+# Every omega(n) and omega(n, w) is a valid H index and a valid fold digit.
+if MAX_OMEGA >= min(OMEGA_CAP, 1 << _BITS):
+    raise RuntimeError(f"omega can reach {MAX_OMEGA}, outside H's bins")
+
+HIST_MAGIC = b"OMGH"
+HIST_VERSION = 1  # bump when the format or the numbers H holds change
+_HIST_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of payload
+_HIST_BYTES = OMEGA_CAP**3 * 8
 
 
 def loglog(x: float) -> float:
@@ -118,25 +142,152 @@ def make_report(
     )
 
 
-def level_histogram(table: OmegaTable, x: int) -> np.ndarray:
-    """H[k, v, u] over 2 <= n <= x; exact int64 counts, shape (32, 32, 32).
+def _fold(flat, om, osm, start, stop) -> None:
+    """Add the packed triples of positions start <= i < stop to flat.
 
-    One pass over fixed chunks: each chunk packs (k, v, u) into one uint16
-    index per n and adds its bincount, so working memory stays O(chunk).
-    omega <= sieve.MAX_OMEGA = 11 below the 2^40 table ceiling, which is less
-    than OMEGA_CAP (checked at import), so every index is in range.
+    om[i] is omega(n), om[i-1] is omega(n-1) and osm[i-1] is omega(n-1, w).
+    Each sub-chunk of _FOLD_CHUNK positions packs (k, v, u) into one uint16
+    per n in a reused buffer and adds its bincount, so no temporary grows
+    with the range.
     """
+    buf = np.empty(min(_FOLD_CHUNK, stop - start), dtype=np.uint16)
+    for a in range(start, stop, _FOLD_CHUNK):
+        b = min(a + _FOLD_CHUNK, stop)
+        idx = buf[: b - a]
+        np.left_shift(om[a:b], _BITS, out=idx, dtype=np.uint16)
+        idx += om[a - 1 : b - 1]
+        idx <<= _BITS
+        idx += osm[a - 1 : b - 1]
+        flat += np.bincount(idx, minlength=flat.size)
+
+
+def _new_flat() -> np.ndarray:
+    return np.zeros(1 << 3 * _BITS, dtype=np.int64)
+
+
+def _widen(flat: np.ndarray) -> np.ndarray:
+    """The (OMEGA_CAP,) * 3 histogram of a packed fold."""
+    r = 1 << _BITS
+    H = np.zeros((OMEGA_CAP,) * 3, dtype=np.int64)
+    H[:r, :r, :r] = flat.reshape(r, r, r)
+    return H
+
+
+def level_histogram(table: OmegaTable, x: int) -> np.ndarray:
+    """H[k, v, u] over 2 <= n <= x read off a table; exact int64 counts,
+    shape (32, 32, 32)."""
     _check_range(table, x)
-    flat = np.zeros(OMEGA_CAP**3, dtype=np.int64)
-    for lo in range(2, x + 1, _CHUNK):
-        hi = min(lo + _CHUNK, x + 1)
-        idx = table.omega[lo:hi].astype(np.uint16)
-        idx *= OMEGA_CAP
-        idx += table.omega[lo - 1 : hi - 1]
-        idx *= OMEGA_CAP
-        idx += table.omega_small[lo - 1 : hi - 1]
-        flat += np.bincount(idx, minlength=OMEGA_CAP**3)
-    return flat.reshape(OMEGA_CAP, OMEGA_CAP, OMEGA_CAP)
+    flat = _new_flat()
+    _fold(flat, table.omega, table.omega_small, 2, x + 1)
+    return _widen(flat)
+
+
+def grid_histograms(
+    pairs, threads: int = 1, segment_length: int = DEFAULT_SEGMENT
+) -> dict[tuple[int, int], np.ndarray]:
+    """{(x, w): H} for each distinct pair, from one sieve pass over [2, max x].
+
+    No table is built.  Each segment [lo, hi) sieves [lo - 1, hi), so it
+    holds omega(n - 1) of its first n (omega(1) = 0), copies omega(n, w) out
+    once per distinct w, and folds the n in [lo, min(hi, x + 1)) into the
+    partial H of every pair.  Pairs that share a w share one running fold,
+    so each n is folded once per distinct w.  With threads > 1 each worker
+    takes every workers-th segment into its own buffers.  Segments are
+    independent and partial histograms add as exact integers, so H is
+    identical for every segment_length and thread count; working memory is
+    O(segment) per worker.
+    """
+    pairs = sorted(set(pairs))
+    if not pairs:
+        raise ValueError("no (x, w) pairs")
+    for x, w in pairs:
+        SieveConfig(x_max=x, w=w, segment_length=segment_length, threads=threads)
+    x_top = pairs[-1][0]
+    ws = tuple(sorted({w for _, w in pairs}))
+    xs_by_w = [sorted(x for x, v in pairs if v == w) for w in ws]
+    base = base_primes(x_top)
+
+    def sieve_spans(spans):
+        """Summed partial histograms of spans, in buffers reused across them."""
+        size = min(segment_length, x_top) + 1
+        om_buf = np.empty(size, dtype=np.uint8)  # position i holds n = lo - 1 + i
+        osm_bufs = [np.empty(size, dtype=np.uint8) for _ in ws]
+        cell_buf = np.empty(size, dtype=np.uint16)
+        totals = {pair: _new_flat() for pair in pairs}
+        for lo, hi in spans:
+            om = om_buf[: hi - lo + 1]
+            osms = [buf[: hi - lo + 1] for buf in osm_bufs]
+            cell = cell_buf[: hi - lo + 1]
+            cell.fill(0)
+            _fill_segment(om, osms, cell, base, lo - 1, ws, x_top)
+            for w, osm, xs in zip(ws, osms, xs_by_w):
+                flat, start = _new_flat(), 1
+                for x in xs:
+                    if x >= lo:
+                        stop = min(x + 1, hi) - (lo - 1)
+                        _fold(flat, om, osm, start, stop)
+                        totals[x, w] += flat
+                        start = stop
+        return totals
+
+    spans = segment_spans(x_top, segment_length)
+    workers = min(threads, len(spans))
+    if workers == 1:
+        parts = [sieve_spans(spans)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(sieve_spans, [spans[i::workers] for i in range(workers)]))
+    return {pair: _widen(sum(part[pair] for part in parts)) for pair in pairs}
+
+
+def histogram_path(cache_dir: str, x: int, w: int) -> str:
+    return os.path.join(cache_dir, f"hist_x{x}_w{w}.bin")
+
+
+def _payload(H: np.ndarray) -> bytes:
+    if H.shape != (OMEGA_CAP,) * 3:
+        raise ValueError(f"histogram shape {H.shape}, want {(OMEGA_CAP,) * 3}")
+    return np.ascontiguousarray(H, dtype="<i8").tobytes()
+
+
+def histogram_digest(H: np.ndarray) -> str:
+    """SHA-256 of H as little-endian int64 in C order, as the cache stores it."""
+    return hashlib.sha256(_payload(H)).hexdigest()
+
+
+def save_histogram(H: np.ndarray, path: str, x: int, w: int) -> None:
+    """Write header (magic, version, x, w, payload SHA-256) + payload, atomically."""
+    payload = _payload(H)
+    digest = hashlib.sha256(payload).digest()
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(_HIST_HEADER.pack(HIST_MAGIC, HIST_VERSION, x, w, digest))
+        fh.write(payload)
+    os.replace(tmp, path)
+
+
+def load_histogram(path: str, x: int, w: int) -> np.ndarray:
+    """Read a cached H for (x, w); a wrong size, magic, version, x or w, or
+    a payload that does not match its digest, raises CacheMismatchError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    size = _HIST_HEADER.size + _HIST_BYTES
+    if len(raw) != size:
+        raise CacheMismatchError(f"{path}: {len(raw)} bytes, want {size}")
+    magic, version, file_x, file_w, digest = _HIST_HEADER.unpack_from(raw)
+    if magic != HIST_MAGIC or version != HIST_VERSION:
+        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
+    if (file_x, file_w) != (x, w):
+        raise CacheMismatchError(
+            f"{path}: has (x, w) = ({file_x}, {file_w}), wanted ({x}, {w})"
+        )
+    payload = raw[_HIST_HEADER.size :]
+    if hashlib.sha256(payload).digest() != digest:
+        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    return np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape((OMEGA_CAP,) * 3)
 
 
 def _row_masses(J: np.ndarray) -> list[int]:

@@ -7,7 +7,11 @@ makes the bound itself part of what is being tested.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -152,6 +156,27 @@ def test_coprimality_strips_prime_factors():
     assert abs(l10 - expect) < 1e-12
     # ell = 20 has the same prime support as 10
     assert coprimality_density(20, 1.5, P_TEST).value == l10
+
+
+@pytest.mark.parametrize("ell,y", [(1, 0.5 + 0.3j), (6, -0.4 + 0.7j)])
+def test_coprimality_complex_against_oracle(ell, y):
+    got = coprimality_density(ell, y, P_TEST)
+    assert isinstance(got.value, complex)
+    want = complex(oracles.coprimality_density_mp(ell, y))
+    assert abs(got.value - want) <= got.tail_bound + 1e-12
+
+
+def test_coprimality_vanishes_at_the_poles_of_gamma():
+    # 1/Gamma(y + 1) = 0 at y = -1, -2, -3 when no p | ell puts a pole there
+    for ell, y in ((1, -1.0), (1, -3.0), (5, -2.0)):
+        assert coprimality_density(ell, y, P_TEST).value == 0.0
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import omegashift.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_coprimality_pole_rejected():

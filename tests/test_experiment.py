@@ -19,6 +19,7 @@ from omegashift.experiment import (
     resolve_w,
     run_experiment,
 )
+from omegashift.stats import grid_histograms, histogram_digest
 from omegashift.verify import verify_suite
 
 REFERENCE_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -155,12 +156,56 @@ def test_cache_reused_between_runs(tmp_path):
     cfg = _tiny_config(tmp_path)
     run_experiment(cfg)
     cache = tmp_path / "cache"
-    files = sorted(cache.glob("*.bin"))
+    files = sorted(cache.glob("hist_*.bin"))
     assert len(files) == 1
+    assert sorted(cache.iterdir()) == files  # a histogram, no sieve table
     stamp = files[0].stat().st_mtime_ns
     run_experiment(cfg)
     assert files[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
-    assert len(sorted(cache.glob("*.bin"))) == 1
+    assert len(sorted(cache.glob("hist_*.bin"))) == 1
+
+
+def _strip_runtime(path):
+    drop = CSV_HEADER.split(",").index("runtime_ms")
+    return [[c for i, c in enumerate(r) if i != drop] for r in _read_rows(path)]
+
+
+def test_partial_cache_run_matches_cold_run(tmp_path):
+    both = (5000, 10**4)
+    cold = run_experiment(
+        _tiny_config(tmp_path, x_list=both, cache_dir="", output_dir=str(tmp_path / "cold"))
+    )
+    run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "seed")))
+    cached = tmp_path / "cache" / "hist_x10000_w50.bin"
+    stamp = cached.stat().st_mtime_ns
+    stale = tmp_path / "cache" / "omega_x5000_w50.bin"
+    stale.write_bytes(b"an old table cache file is ignored")
+    part = run_experiment(
+        _tiny_config(tmp_path, x_list=both, output_dir=str(tmp_path / "part"))
+    )
+    assert _strip_runtime(part.csv_path) == _strip_runtime(cold.csv_path)
+    assert cached.stat().st_mtime_ns == stamp  # the cached x was loaded
+    assert (tmp_path / "cache" / "hist_x5000_w50.bin").exists()  # the other built
+    assert stale.read_bytes() == b"an old table cache file is ignored"
+    meta = [json.load(open(r.json_path))["metadata"] for r in (cold, part)]
+    assert meta[0]["histograms"] == meta[1]["histograms"]
+
+
+def test_json_records_histogram_provenance(tmp_path):
+    cfg = _tiny_config(tmp_path, x_list=(5000, 10**4, 5000))
+    res = run_experiment(cfg)
+    first = json.load(open(res.json_path))
+    hists = grid_histograms([(5000, 50), (10**4, 50)])
+    assert first["metadata"]["histograms"] == [
+        {"x": x, "w": w, "sha256": histogram_digest(hists[x, w])}
+        for x, w in sorted(hists)
+    ]
+    run_experiment(cfg)  # from the cache now: the report must not show it
+    second = json.load(open(res.json_path))
+    for doc in (first, second):
+        for row in doc["rows"]:
+            row.pop("runtime_ms")
+    assert first == second
 
 
 def test_threads_env_override(tmp_path, monkeypatch):

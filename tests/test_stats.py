@@ -1,6 +1,8 @@
 """Statistics engine against the independent trial-division oracle."""
 
+import hashlib
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -10,20 +12,27 @@ from hypothesis import strategies as st
 
 import oracles
 from omegashift.constants import normal_cdf
-from omegashift.sieve import MAX_OMEGA, SieveConfig, build_omega_table
+from omegashift.experiment import resolve_w
+from omegashift.sieve import MAX_OMEGA, CacheMismatchError, SieveConfig, build_omega_table
 from omegashift.stats import (
+    HIST_VERSION,
     OMEGA_CAP,
     PredictionReport,
     ThresholdSpec,
     classical_baseline,
     gaussian_moment,
     gaussian_spec,
+    grid_histograms,
+    histogram_digest,
+    histogram_path,
     ks_distance,
     ks_weighted_histogram,
     large_factor_ratio,
     level_histogram,
+    load_histogram,
     loglog,
     logloglog,
+    save_histogram,
     small_counter_spec,
     small_factor_prediction,
     unweighted_baseline,
@@ -108,6 +117,102 @@ def test_table_and_level_histogram_match_trial_division(inputs):
         assert (table.omega[n], table.omega_small[n]) == oracles.omega_pair(n, w), n
     H = level_histogram(table, x)
     assert _nonzero_cells(H) == Counter(oracles.level_triples(x, w))
+
+
+GRID_SEGMENTS = (1024, 4096, 1 << 22)
+# x at the edges 2 + m * L of the 1024 and 4096 segments, and one either side
+SEGMENT_EDGES = sorted(
+    {e + d for L in GRID_SEGMENTS[:2] for e in range(2 + L, 5001, L) for d in (-1, 0, 1)}
+)
+
+
+@st.composite
+def _grid_inputs(draw):
+    """1-4 pairs (x, w), x <= 5000, duplicates and segment edges included;
+    each w below or above isqrt(max x), so both cofactor routes run."""
+    x_any = st.one_of(st.integers(2, 5000), st.sampled_from(SEGMENT_EDGES))
+    xs = draw(st.lists(x_any, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        xs.append(xs[0])
+    r = math.isqrt(max(xs))
+    pairs = []
+    for x in xs:
+        if draw(st.booleans()):
+            w = draw(st.integers(2, max(2, min(x, r))))
+        else:
+            w = draw(st.integers(min(x, r + 1), x))
+        pairs.append((x, w))
+    segment = draw(st.sampled_from(GRID_SEGMENTS))
+    return pairs, segment, draw(st.sampled_from((1, 3)))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_grid_inputs())
+def test_grid_histograms_match_table_histograms(inputs):
+    pairs, segment, threads = inputs
+    got = grid_histograms(pairs, threads=threads, segment_length=segment)
+    assert set(got) == set(pairs)
+    for x, w in pairs:
+        want = level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
+        assert np.array_equal(got[x, w], want), (x, w)
+    x, w = max(pairs)
+    assert _nonzero_cells(got[x, w]) == Counter(oracles.level_triples(x, w))
+
+
+def test_grid_histograms_at_the_reference_grid():
+    # the 1e8 pair is checked end to end against the benchmark's frozen report
+    pairs = [(x, resolve_w("loglog_sq", x)) for x in (10**6, 10**7, 10**8)]
+    got = grid_histograms(pairs)
+    for x, w in pairs[:2]:
+        want = level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
+        assert np.array_equal(got[x, w], want), x
+    x, w = pairs[2]
+    assert int(got[x, w].sum()) == x - 1
+
+
+def test_grid_histograms_validation():
+    with pytest.raises(ValueError):
+        grid_histograms([])
+    with pytest.raises(ValueError):
+        grid_histograms([(100, 101)])  # w > x
+    with pytest.raises(ValueError):
+        grid_histograms([(100, 10)], threads=0)
+    with pytest.raises(ValueError):
+        grid_histograms([(100, 10)], segment_length=100)
+
+
+def test_histogram_cache_roundtrip(tmp_path, H):
+    path = histogram_path(str(tmp_path), X, W)
+    assert path.endswith(f"hist_x{X}_w{W}.bin")
+    save_histogram(H, path, X, W)
+    got = load_histogram(path, X, W)
+    assert got.dtype == np.int64 and np.array_equal(got, H)
+    got[2, 1, 1] += 1  # the loaded histogram is a writable copy
+    raw = open(path, "rb").read()
+    assert len(raw) == 56 + OMEGA_CAP**3 * 8
+    assert histogram_digest(H) == hashlib.sha256(raw[56:]).hexdigest()
+    assert not os.path.exists(path + ".tmp")
+
+
+def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
+    path = histogram_path(str(tmp_path), X, W)
+    save_histogram(H, path, X, W)
+    raw = open(path, "rb").read()
+    with pytest.raises(CacheMismatchError):
+        load_histogram(path, X + 1, W)
+    with pytest.raises(CacheMismatchError):
+        load_histogram(path, X, W + 1)
+    flipped = bytearray(raw)
+    flipped[56 + 8 * (2 * OMEGA_CAP**2 + OMEGA_CAP + 1)] ^= 1  # a payload byte
+    newer = bytearray(raw)
+    newer[4:8] = (HIST_VERSION + 1).to_bytes(4, "little")
+    magic = bytearray(raw)
+    magic[:4] = b"XXXX"
+    for bad in (flipped, newer, magic, raw[:-1], raw + b"\0", b""):
+        bad_path = tmp_path / "bad.bin"
+        bad_path.write_bytes(bytes(bad))
+        with pytest.raises(CacheMismatchError):
+            load_histogram(str(bad_path), X, W)
 
 
 @settings(max_examples=50, deadline=None, database=None)
