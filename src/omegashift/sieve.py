@@ -19,11 +19,13 @@ matters, and a byte of scaled logarithms decides it exactly (the
 logarithmic-sieve trick of the quadratic sieve; the argument is in
 _fill_segment).  Only when some w has w*w > x_max, where "c <= w" needs
 the cofactor's value, does a segment keep an int64 cofactor array and
-divide it by every prime power.
+divide it by every prime power.  The strided adds themselves run in C
+(kernel.sieve_words), built on the first call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -32,10 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .primes import primes_up_to
 
 X_MAX_CEILING = 1 << 40
-DEFAULT_SEGMENT = 1 << 22
+DEFAULT_SEGMENT = 1 << 18
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
 
@@ -67,8 +70,8 @@ if _log_gap(LOG_ROUTE_MIN_X) <= 1:
     raise RuntimeError("log test does not separate its bands at LOG_ROUTE_MIN_X")
 
 MAGIC = b"OMGT"
-CACHE_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")
+CACHE_VERSION = 2
+_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x_max, w, SHA-256 of payload
 
 
 class CacheMismatchError(ValueError):
@@ -122,17 +125,6 @@ class OmegaTable:
         )
 
 
-def _sieve_primes(cell, primes, lo, hi):
-    """Add 1 + (L(p) << 8) at the multiples of each p and L(p) << 8 at those of each p^j < hi."""
-    for p in primes.tolist():
-        step = int(LOG_SCALE * math.log(p)) << 8
-        cell[(-lo) % p :: p] += step + 1
-        q = p * p
-        while q < hi:
-            cell[(-lo) % q :: q] += step
-            q *= p
-
-
 def _octave_bounds(lo, hi, x_max):
     """(start, stop, T << 8) for each octave [a, 2a) meeting [lo, hi), offsets from lo.
 
@@ -151,12 +143,14 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
     """Count prime divisors for n in [lo, lo + len(om)) into om and, for
     each w of the ascending tuple ws, omega(n, w) into the matching osms array.
 
-    One uint16 word per n.  Each base prime p <= sqrt(x_max) adds 1 to the
-    low byte at its multiples, and L(p) = floor(8 ln p) to the high byte at
-    the multiples of every power p^j < hi.  base ascends, so after the
-    primes p <= w the low byte is omega(n, w) without the cofactor; it is
-    copied out for each w in turn, and the primes above the last w are then
-    added on top to give omega without the cofactor.  Neither byte carries:
+    One uint16 word per n.  base = base_primes(x_max) holds the primes
+    p <= sqrt(x_max), ascending, with their steps L(p) << 8, and the
+    compiled kernel.sieve_words adds 1 to the low byte at the multiples of
+    each p, and L(p) = floor(8 ln p) to the high byte at the multiples of
+    every power p^j < hi.  The primes ascend, so after the primes p <= w
+    the low byte is omega(n, w) without the cofactor; it is copied out for
+    each w in turn, and the primes above the last w are then added on top
+    to give omega without the cofactor.  Neither byte carries:
     the low byte is at most MAX_OMEGA = 11, and the high byte at most
     8 ln n <= 8 ln 2^40 < 222.
 
@@ -184,14 +178,15 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
     cell is zeroed uint16 scratch of len(om) words; it is left holding
     other values.
     """
+    primes, steps = base
     hi = lo + om.size
     done = 0
     for w, osm in zip(ws, osms):
-        small = int(np.searchsorted(base, w, side="right"))
-        _sieve_primes(cell, base[done:small], lo, hi)
+        small = int(np.searchsorted(primes, w, side="right"))
+        kernel.sieve_words(cell, lo, primes[done:small], steps[done:small])
         np.copyto(osm, cell, casting="unsafe")  # the uint8 cast keeps the low byte
         done = small
-    _sieve_primes(cell, base[done:], lo, hi)
+    kernel.sieve_words(cell, lo, primes[done:], steps[done:])
     np.copyto(om, cell, casting="unsafe")
     if ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X:
         for start, stop, bound in _octave_bounds(lo, hi, x_max):
@@ -200,7 +195,7 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
         om += cell
         return
     rem = np.arange(lo, hi, dtype=np.int64)
-    for p in base.tolist():
+    for p in primes.tolist():
         q = p
         while q < hi:
             rem[(-lo) % q :: q] //= p
@@ -211,9 +206,12 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
         osm[big & (rem <= w)] += 1
 
 
-def base_primes(x_max: int) -> np.ndarray:
-    """The primes p with p * p <= x_max: the sieving primes of [2, x_max]."""
-    return primes_up_to(math.isqrt(x_max))
+def base_primes(x_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sieving primes of [2, x_max], p * p <= x_max, and their word
+    steps L(p) << 8 (see _fill_segment), both int64."""
+    primes = primes_up_to(math.isqrt(x_max))
+    steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes.tolist()]
+    return primes, np.array(steps, dtype=np.int64)
 
 
 def build_omega_table(config: SieveConfig) -> OmegaTable:
@@ -278,26 +276,36 @@ def cache_path(cache_dir: str, x_max: int, w: int) -> str:
     return os.path.join(cache_dir, f"omega_x{x_max}_w{w}.bin")
 
 
+def _digest(omega: np.ndarray, omega_small: np.ndarray) -> bytes:
+    """SHA-256 of the payload: both byte tables, in file order."""
+    h = hashlib.sha256(omega)
+    h.update(omega_small)
+    return h.digest()
+
+
 def save_table(table: OmegaTable, path: str) -> None:
-    """Write header + raw little-endian byte arrays, atomically."""
+    """Write header (magic, version, x_max, w, payload SHA-256) + the two raw
+    byte arrays, atomically."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    digest = _digest(table.omega, table.omega_small)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, CACHE_VERSION, table.x_max, table.w))
+        fh.write(_HEADER.pack(MAGIC, CACHE_VERSION, table.x_max, table.w, digest))
         fh.write(memoryview(table.omega))  # the buffer itself; tobytes() would copy it
         fh.write(memoryview(table.omega_small))
     os.replace(tmp, path)
 
 
 def load_table(path: str, x_max: int | None = None, w: int | None = None) -> OmegaTable:
-    """Read a cached table; mismatched header fields raise CacheMismatchError."""
+    """Read a cached table; mismatched header fields, a short file or a
+    payload that does not match its digest raise CacheMismatchError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise CacheMismatchError(f"{path}: truncated header")
-        magic, version, file_x, file_w = _HEADER.unpack(head)
+        magic, version, file_x, file_w, digest = _HEADER.unpack(head)
         if magic != MAGIC or version != CACHE_VERSION:
             raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
         if x_max is not None and file_x != x_max:
@@ -309,4 +317,6 @@ def load_table(path: str, x_max: int | None = None, w: int | None = None) -> Ome
         omega_small = np.fromfile(fh, dtype=np.uint8, count=n)
     if omega.size != n or omega_small.size != n:
         raise CacheMismatchError(f"{path}: truncated payload")
+    if _digest(omega, omega_small) != digest:
+        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
     return OmegaTable(x_max=file_x, w=file_w, omega=omega, omega_small=omega_small)

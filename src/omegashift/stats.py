@@ -5,11 +5,12 @@ Every statistic is a function of the level histogram
     H[k, v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
 
 a small table of exact integers (k, v, u < 32 for any x below 2^40).  Two
-producers build H and share one packing fold: grid_histograms makes one
-ascending, table-free sieve pass over [2, max x] and returns H for every
-(x, w) of a grid, in O(segment) memory; level_histogram reads H off an
-existing sieve table.  save_histogram and load_histogram keep H in a
-256 KB cache file per (x, w) whose header carries a SHA-256 of the payload.
+producers build H and share one packing fold, the compiled kernel.fold:
+grid_histograms makes one ascending, table-free sieve pass over
+[2, max x] and returns H for every (x, w) of a grid, in O(segment)
+memory; level_histogram reads H off an existing sieve table.
+save_histogram and load_histogram keep H in a 256 KB cache file per
+(x, w) whose header carries a SHA-256 of the payload.
 The k-level statistics take the plane J = H[k] (the joint histogram of the
 level set), plus x where a threshold or normalization needs it; the
 classical baseline takes H itself.  A plane of all n regardless of
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .constants import (
     DEFAULT_TRUNCATION,
     level_ratio,
@@ -51,8 +53,7 @@ from .sieve import (
 
 OMEGA_CAP = 32
 MAX_MOMENT = 12
-_BITS = 4  # the fold packs (k, v, u) in base 2^_BITS, then widens to OMEGA_CAP
-_FOLD_CHUNK = 1 << 16  # n per bincount: its input and output stay cache-sized
+_BITS = 4  # kernel.fold packs (k, v, u) in base 2^_BITS; _widen widens to OMEGA_CAP
 
 # Every omega(n) and omega(n, w) is a valid H index and a valid fold digit.
 if MAX_OMEGA >= min(OMEGA_CAP, 1 << _BITS):
@@ -142,29 +143,6 @@ def make_report(
     )
 
 
-def _fold(flat, om, osm, start, stop) -> None:
-    """Add the packed triples of positions start <= i < stop to flat.
-
-    om[i] is omega(n), om[i-1] is omega(n-1) and osm[i-1] is omega(n-1, w).
-    Each sub-chunk of _FOLD_CHUNK positions packs (k, v, u) into one uint16
-    per n in a reused buffer and adds its bincount, so no temporary grows
-    with the range.
-    """
-    buf = np.empty(min(_FOLD_CHUNK, stop - start), dtype=np.uint16)
-    for a in range(start, stop, _FOLD_CHUNK):
-        b = min(a + _FOLD_CHUNK, stop)
-        idx = buf[: b - a]
-        np.left_shift(om[a:b], _BITS, out=idx, dtype=np.uint16)
-        idx += om[a - 1 : b - 1]
-        idx <<= _BITS
-        idx += osm[a - 1 : b - 1]
-        flat += np.bincount(idx, minlength=flat.size)
-
-
-def _new_flat() -> np.ndarray:
-    return np.zeros(1 << 3 * _BITS, dtype=np.int64)
-
-
 def _widen(flat: np.ndarray) -> np.ndarray:
     """The (OMEGA_CAP,) * 3 histogram of a packed fold."""
     r = 1 << _BITS
@@ -177,9 +155,7 @@ def level_histogram(table: OmegaTable, x: int) -> np.ndarray:
     """H[k, v, u] over 2 <= n <= x read off a table; exact int64 counts,
     shape (32, 32, 32)."""
     _check_range(table, x)
-    flat = _new_flat()
-    _fold(flat, table.omega, table.omega_small, 2, x + 1)
-    return _widen(flat)
+    return _widen(kernel.fold(table.omega, table.omega_small, 2, x + 1))
 
 
 def grid_histograms(
@@ -213,7 +189,7 @@ def grid_histograms(
         om_buf = np.empty(size, dtype=np.uint8)  # position i holds n = lo - 1 + i
         osm_bufs = [np.empty(size, dtype=np.uint8) for _ in ws]
         cell_buf = np.empty(size, dtype=np.uint16)
-        totals = {pair: _new_flat() for pair in pairs}
+        totals = {pair: np.zeros(kernel.FOLD_BINS, dtype=np.int64) for pair in pairs}
         for lo, hi in spans:
             om = om_buf[: hi - lo + 1]
             osms = [buf[: hi - lo + 1] for buf in osm_bufs]
@@ -221,11 +197,11 @@ def grid_histograms(
             cell.fill(0)
             _fill_segment(om, osms, cell, base, lo - 1, ws, x_top)
             for w, osm, xs in zip(ws, osms, xs_by_w):
-                flat, start = _new_flat(), 1
+                flat, start = 0, 1
                 for x in xs:
                     if x >= lo:
                         stop = min(x + 1, hi) - (lo - 1)
-                        _fold(flat, om, osm, start, stop)
+                        flat = flat + kernel.fold(om, osm, start, stop)
                         totals[x, w] += flat
                         start = stop
         return totals

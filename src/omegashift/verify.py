@@ -10,7 +10,8 @@ checks degrade to warnings when the largest scale available is below 1e7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,13 +44,19 @@ from .stats import (
 
 Z_GRID = (0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, 1.0j, 1.7 + 0.3j)
 W_GRID = (2, 10, 97)
+FULL_SCALES = (100_000, 1_000_000, 10_000_000, 100_000_000)  # the full battery's x
 
 
 @dataclass
 class CheckResult:
+    """One check's outcome.  seconds is its wall time; a full-level check
+    counts from the end of the previous one, so the first also carries the
+    shared sieve pass."""
+
     name: str
     status: str  # PASS | FAIL | WARN
     detail: str
+    seconds: float
 
 
 @dataclass
@@ -64,6 +71,18 @@ class VerifySummary:
     @property
     def warnings(self) -> int:
         return sum(1 for r in self.results if r.status == "WARN")
+
+    def as_dict(self) -> dict:
+        """One object per check plus the summary counts, for verify --json."""
+        return {
+            "level": self.level,
+            "checks": [asdict(r) for r in self.results],
+            "summary": {
+                "checks": len(self.results),
+                "failures": self.failures,
+                "warnings": self.warnings,
+            },
+        }
 
 
 def _trial_omega(n: int, w: int) -> tuple[int, int]:
@@ -325,13 +344,17 @@ _FAST_CHECKS = [
 
 def _full_battery(x_top: int, emit) -> list[CheckResult]:
     """Large-scale trend checks; x_top below 1e7 demotes failures to warnings."""
-    xs = [x for x in (100_000, 1_000_000, 10_000_000, 100_000_000) if x <= x_top]
+    xs = [x for x in FULL_SCALES if x <= x_top]
     soft = x_top < 10_000_000
     results = []
+    last = time.perf_counter()
 
     def trend(name, ok, detail):
+        nonlocal last
         status = "PASS" if ok else ("WARN" if soft else "FAIL")
-        results.append(CheckResult(name, status, detail))
+        now = time.perf_counter()
+        results.append(CheckResult(name, status, detail, now - last))
+        last = now
         emit(results[-1])
 
     k = 2
@@ -386,9 +409,17 @@ def _full_battery(x_top: int, emit) -> list[CheckResult]:
 
 
 def verify_suite(level: str = "fast", x_top: int = 100_000_000, quiet: bool = False) -> VerifySummary:
-    """Run the named battery; returns a summary with failure/warning counts."""
+    """Run the named battery; returns a summary with failure/warning counts.
+
+    The full level needs x_top >= FULL_SCALES[0]; a smaller one is rejected
+    before any check runs.
+    """
     if level not in ("fast", "full"):
         raise ValueError(f"level={level!r} (expected fast|full)")
+    if level == "full" and x_top < FULL_SCALES[0]:
+        raise ValueError(
+            f"--x-top {x_top} is below {FULL_SCALES[0]}, the full battery's smallest scale"
+        )
     results: list[CheckResult] = []
 
     def emit(res: CheckResult):
@@ -396,11 +427,13 @@ def verify_suite(level: str = "fast", x_top: int = 100_000_000, quiet: bool = Fa
             print(f"[{res.status}] {res.name}: {res.detail}")
 
     for name, fn in _FAST_CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
-            res = CheckResult(name, "PASS" if ok else "FAIL", detail)
+            status = "PASS" if ok else "FAIL"
         except Exception as exc:  # a crash is a failure, not an abort
-            res = CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}")
+            status, detail = "FAIL", f"raised {type(exc).__name__}: {exc}"
+        res = CheckResult(name, status, detail, time.perf_counter() - start)
         results.append(res)
         emit(res)
     if level == "full":

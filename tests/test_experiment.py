@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,26 @@ def test_cache_reused_between_runs(tmp_path):
     run_experiment(cfg)
     assert files[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
     assert len(sorted(cache.glob("hist_*.bin"))) == 1
+
+
+def test_warm_run_never_loads_the_kernel(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "x_list = 10000\nk_list = 2\nw_rule = fixed:50\ny_grid = 0\n"
+        f"output_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 0  # fills the histogram cache
+    probe = (
+        "import omegashift.kernel as k; from omegashift.cli import main; "
+        f"rc = main(['run', '--config', {str(cfg)!r}]); "
+        "print(rc, k._library.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 0"  # exit 0, no library loaded
 
 
 def _strip_runtime(path):
@@ -330,3 +352,40 @@ def test_cli_verify_exit_code(monkeypatch, capsys):
     assert main(["verify", "--level", "fast"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] convolution_identity" in out
+
+
+def test_cli_verify_json_matches_printed_battery(tmp_path, monkeypatch, capsys):
+    real = genfun.kernel_value
+    monkeypatch.setattr(  # one failing check, so statuses differ
+        genfun, "kernel_value",
+        lambda p, alpha, kernel: -real(p, alpha, kernel) if alpha == 2 else real(p, alpha, kernel),
+    )
+    assert main(["verify", "--level", "fast"]) == 1
+    plain = capsys.readouterr().out
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--level", "fast", "--json", str(path)]) == 1
+    assert capsys.readouterr().out == plain  # the flag only adds the file
+    report = json.loads(path.read_text())
+    *lines, last = plain.splitlines()
+    printed = [line.split(" ", 1) for line in lines]
+    printed = [(status.strip("[]"), *rest.split(": ", 1)) for status, rest in printed]
+    checks = report["checks"]
+    assert [(c["status"], c["name"], c["detail"]) for c in checks] == printed
+    assert "FAIL" in {c["status"] for c in checks} and "PASS" in {c["status"] for c in checks}
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)
+    summary = report["summary"]
+    assert report["level"] == "fast"
+    assert last == (
+        f"fast: {summary['checks']} checks, {summary['failures']} failed, "
+        f"{summary['warnings']} warnings"
+    )
+    assert summary["checks"] == len(checks) == 15
+
+
+def test_cli_verify_rejects_a_small_x_top_before_any_check(capsys):
+    assert main(["verify", "--level", "full", "--x-top", "99999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no check ran
+    assert captured.err.startswith("error: --x-top 99999")
+    with pytest.raises(ValueError, match="x-top"):
+        verify_suite("full", x_top=1000, quiet=True)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from omegashift import kernel
+from omegashift.cli import main
 from omegashift.sieve import (
     LOG_ROUTE_MIN_X,
     LOG_SCALE,
@@ -26,7 +29,7 @@ from omegashift.sieve import (
     load_table,
     save_table,
 )
-from omegashift.stats import OMEGA_CAP
+from omegashift.stats import OMEGA_CAP, level_histogram
 
 
 def small_table(x=1000, w=10, **kw):
@@ -252,6 +255,12 @@ def test_cache_rejects_corruption(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(CacheMismatchError):
         load_table(str(empty))
+    flipped = bytearray(open(path, "rb").read())
+    flipped[-2000] ^= 1  # one payload byte; header and size intact
+    bad_payload = tmp_path / "flipped.bin"
+    bad_payload.write_bytes(bytes(flipped))
+    with pytest.raises(CacheMismatchError, match="SHA-256"):
+        load_table(str(bad_payload))
 
 
 def test_loaded_table_is_writable_copy(tmp_path):
@@ -288,3 +297,78 @@ def test_agrees_with_session_oracle(table_1e5, oracle_triples, oracle_w):
     assert np.array_equal(table_1e5.omega[idx], kk)
     assert np.array_equal(table_1e5.omega[idx - 1], vv)
     assert np.array_equal(table_1e5.omega_small[idx - 1], uu)
+
+
+@pytest.fixture
+def kernel_dir(monkeypatch, tmp_path):
+    """The kernel's library cache emptied and moved to tmp_path for one test."""
+    monkeypatch.setattr(kernel, "CACHE_DIR", str(tmp_path))
+    kernel._library.cache_clear()
+    yield tmp_path
+    kernel._library.cache_clear()  # later calls load the package's library again
+
+
+def test_kernel_without_a_compiler_is_an_os_error(kernel_dir, monkeypatch, capsys):
+    monkeypatch.setattr(kernel, "_compiler", lambda: [str(kernel_dir / "no-such-cc")])
+    with pytest.raises(kernel.KernelBuildError, match="C compiler") as info:
+        small_table(1000, 10)
+    assert isinstance(info.value, OSError)
+    assert main(["sieve", "--x", "1000", "--w", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.setattr(kernel, "_compiler", lambda: ["false"])  # runs, exits 1
+    with pytest.raises(kernel.KernelBuildError, match="failed"):
+        small_table(1000, 10)
+    assert list(kernel_dir.iterdir()) == []  # no temporary file is left behind
+
+
+def test_truncated_kernel_library_is_rebuilt(kernel_dir):
+    path = kernel.library_path()
+    open(path, "wb").close()  # a cached library cut to 0 bytes
+    t = small_table(5000, 13, segment_length=1024)
+    assert os.path.getsize(path) > 0
+    omega, omega_small = _trial_division_tables(5000, 13)
+    assert np.array_equal(t.omega, omega) and np.array_equal(t.omega_small, omega_small)
+    H = level_histogram(t, 5000)
+    assert H.sum() == 4999
+    assert [f.name for f in kernel_dir.iterdir()] == [os.path.basename(path)]
+
+
+def test_fold_refuses_a_corrupt_table():
+    t = small_table(1000, 10)
+    good = level_histogram(t, 1000)
+    for array, n in ((t.omega, 500), (t.omega, 1), (t.omega_small, 999)):
+        saved = array[n]
+        array[n] = 200  # its packed index would fall far outside the fold's bins
+        with pytest.raises(ValueError, match="corrupt"):
+            level_histogram(t, 1000)
+        array[n] = 16  # the first byte outside a base-16 digit
+        with pytest.raises(ValueError, match="corrupt"):
+            level_histogram(t, 1000)
+        array[n] = saved
+    assert np.array_equal(level_histogram(t, 1000), good)
+
+
+def test_kernel_rejects_bad_arguments():
+    om = np.zeros(100, dtype=np.uint8)
+    for start, stop in ((0, 10), (5, 101), (10, 5)):
+        with pytest.raises(ValueError, match="fold range"):
+            kernel.fold(om, om, start, stop)
+    with pytest.raises(TypeError):
+        kernel.fold(om.astype(np.int64), om, 1, 10)
+    with pytest.raises(TypeError):
+        kernel.fold(om[::2], om, 1, 10)
+    cell = np.zeros(64, dtype=np.uint16)
+    primes, steps = np.array([2, 3]), np.array([5 << 8, 8 << 8])
+    with pytest.raises(ValueError, match="differ"):
+        kernel.sieve_words(cell, 10, primes, steps[:1])
+    with pytest.raises(ValueError, match="base prime"):
+        kernel.sieve_words(cell, 10, np.array([(1 << 20) + 7]), steps[:1])
+    with pytest.raises(ValueError, match="segment"):
+        kernel.sieve_words(cell, 1 << 40, primes, steps)
+    with pytest.raises(TypeError):
+        kernel.sieve_words(cell.astype(np.int32), 10, primes, steps)
+    kernel.sieve_words(cell, 10, primes, steps)  # n = 10..73
+    assert cell[0] == (5 << 8) + 1  # 10 = 2 * 5
+    assert cell[2] == 2 * (5 << 8) + 1 + (8 << 8) + 1  # 12: 2, 4 and 3
+    assert cell[54] == 6 * (5 << 8) + 1  # 64 = 2^6
