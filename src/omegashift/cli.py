@@ -17,6 +17,7 @@ import time
 
 from . import __version__
 from .constants import (
+    DEFAULT_TRUNCATION,
     level_density_constant,
     tilt_product,
     tilt_profile,
@@ -31,7 +32,7 @@ from .sieve import (
     load_table,
     save_table,
 )
-from .verify import verify_suite
+from .verify import FULL_SCALES, verify_suite
 
 
 def _parse_z(text: str) -> complex:
@@ -139,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--x-top",
         type=int,
-        default=100_000_000,
-        help="largest scale for full-level trend checks (at least 100000)",
+        default=FULL_SCALES[-1],
+        help=f"largest scale for full-level trend checks (at least {FULL_SCALES[0]})",
     )
     p.add_argument(
         "--json",
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="print Euler-product constants")
     p.add_argument("--r", type=float, default=0.0, help="tilt exponent")
     p.add_argument("--z", type=_parse_z, default=complex(1.0), help="RE or RE,IM")
-    p.add_argument("--P", type=int, default=10_000_000, help="truncation prime")
+    p.add_argument("--P", type=int, default=DEFAULT_TRUNCATION, help="truncation prime")
     p.set_defaults(fn=_cmd_constants)
     return parser
 

@@ -22,8 +22,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .constants import R_CEILING
+from .constants import DEFAULT_TRUNCATION, R_CEILING
 from .stats import (
+    MAX_MOMENT,
     PredictionReport,
     classical_baseline,
     gaussian_moment,
@@ -59,7 +60,7 @@ class ExperimentConfig:
     y_grid: tuple[float, ...] = (-2.0, -1.0, 0.0, 1.0, 2.0)
     ell_max: int = -1
     moments: tuple[int, ...] = ()
-    truncation_prime: int = 10_000_000
+    truncation_prime: int = DEFAULT_TRUNCATION
     output_dir: str = "reports"
     cache_dir: str = ""
     threads: int = 1
@@ -87,8 +88,8 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError("threads < 1")
         for m in self.moments:
-            if not 0 <= m <= 12:
-                raise ValueError(f"moment order {m} outside [0, 12]")
+            if not 0 <= m <= MAX_MOMENT:
+                raise ValueError(f"moment order {m} outside [0, {MAX_MOMENT}]")
 
 
 def _parse_w_rule(rule: str):

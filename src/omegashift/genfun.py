@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import R_CEILING
 from .primes import factorize
 from .sieve import SieveConfig, build_omega_table
 from .stats import OMEGA_CAP, weighted_mass_at
-
-R_CONFIG = 4.0
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,8 @@ class WeightKernel:
     def __post_init__(self):
         if self.w < 2:
             raise ValueError("w < 2")
-        if abs(self.z) > R_CONFIG + 1e-9:
-            raise ValueError(f"|z|={abs(self.z):.3f} exceeds {R_CONFIG}")
+        if abs(self.z) > R_CEILING + 1e-9:
+            raise ValueError(f"|z|={abs(self.z):.3f} exceeds {R_CEILING}")
 
 
 def _check_prime(p: int) -> None:
@@ -209,8 +208,8 @@ def eval_genfun(J: np.ndarray, z: complex | float) -> GenFunValue:
     Evaluates sum_u c_u z^u over the exact integer coefficients, so every
     table that gives the same J gives the identical value.
     """
-    if abs(z) > R_CONFIG + 1e-9:
-        raise ValueError(f"|z|={abs(z):.3f} exceeds {R_CONFIG}")
+    if abs(z) > R_CEILING + 1e-9:
+        raise ValueError(f"|z|={abs(z):.3f} exceeds {R_CEILING}")
     coeffs = _coefficients(J)
     return GenFunValue(
         z=complex(z), value=_polynomial(coeffs, complex(z)),

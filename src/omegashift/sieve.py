@@ -20,7 +20,8 @@ logarithmic-sieve trick of the quadratic sieve; the argument is in
 _fill_segment).  Only when some w has w*w > x_max, where "c <= w" needs
 the cofactor's value, does a segment keep an int64 cofactor array and
 divide it by every prime power.  The strided adds themselves run in C
-(kernel.sieve_words), built on the first call.
+(kernel.sieve_words), built on the first call.  write_cache and read_cache
+hold the one cache-file format, which stats' histogram cache shares.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import hashlib
 import math
 import os
 import struct
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,11 +73,64 @@ if _log_gap(LOG_ROUTE_MIN_X) <= 1:
 
 MAGIC = b"OMGT"
 CACHE_VERSION = 2
-_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x_max, w, SHA-256 of payload
+_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of payload
 
 
 class CacheMismatchError(ValueError):
-    """Cached table header disagrees with the requested parameters."""
+    """A cache file's header or payload disagrees with what was asked for."""
+
+
+def write_cache(path: str, magic: bytes, version: int, x: int, w: int, chunks) -> None:
+    """Write the header (magic, version, x, w, SHA-256 of the payload), then
+    the chunks' bytes as the payload, to a fresh temporary file beside path
+    and os.replace it over path: readers see the old file or the whole new
+    one, and writers that share a directory never share a temporary file."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    parent = os.path.dirname(path) or "."
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_HEADER.pack(magic, version, x, w, digest.digest()))
+            for chunk in chunks:
+                fh.write(chunk)  # the buffer itself; tobytes() would copy it
+        os.chmod(tmp, 0o644)  # mkstemp made it private to its creator
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def read_cache(path: str, magic: bytes, version: int, x, w, sizes) -> tuple[int, int, list]:
+    """(x, w, payload chunks) of a write_cache file; x or w None accepts the
+    file's.  sizes(x) gives the chunks' byte counts, and each comes back as a
+    writable uint8 array read straight from the file.  Another magic, version,
+    x or w, size or payload digest raises CacheMismatchError."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CacheMismatchError(f"{path}: truncated header")
+        file_magic, file_version, file_x, file_w, digest = _HEADER.unpack(head)
+        if (file_magic, file_version) != (magic, version):
+            raise CacheMismatchError(f"{path}: bad magic/version {file_magic!r} v{file_version}")
+        if x is not None and file_x != x:
+            raise CacheMismatchError(f"{path}: has x={file_x}, wanted {x}")
+        if w is not None and file_w != w:
+            raise CacheMismatchError(f"{path}: has w={file_w}, wanted {w}")
+        counts = sizes(file_x)
+        size, want = os.fstat(fh.fileno()).st_size, _HEADER.size + sum(counts)
+        if size != want:
+            raise CacheMismatchError(f"{path}: {size} bytes, want {want}")
+        chunks = [np.fromfile(fh, dtype=np.uint8, count=n) for n in counts]
+    check = hashlib.sha256()
+    for chunk in chunks:
+        check.update(chunk)
+    if check.digest() != digest:
+        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    return file_x, file_w, chunks
 
 
 @dataclass(frozen=True)
@@ -276,47 +331,16 @@ def cache_path(cache_dir: str, x_max: int, w: int) -> str:
     return os.path.join(cache_dir, f"omega_x{x_max}_w{w}.bin")
 
 
-def _digest(omega: np.ndarray, omega_small: np.ndarray) -> bytes:
-    """SHA-256 of the payload: both byte tables, in file order."""
-    h = hashlib.sha256(omega)
-    h.update(omega_small)
-    return h.digest()
-
-
 def save_table(table: OmegaTable, path: str) -> None:
-    """Write header (magic, version, x_max, w, payload SHA-256) + the two raw
-    byte arrays, atomically."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    digest = _digest(table.omega, table.omega_small)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, CACHE_VERSION, table.x_max, table.w, digest))
-        fh.write(memoryview(table.omega))  # the buffer itself; tobytes() would copy it
-        fh.write(memoryview(table.omega_small))
-    os.replace(tmp, path)
+    """Write the table as a cache file (see write_cache): the two raw byte
+    arrays, omega then omega_small."""
+    write_cache(path, MAGIC, CACHE_VERSION, table.x_max, table.w, (table.omega, table.omega_small))
 
 
 def load_table(path: str, x_max: int | None = None, w: int | None = None) -> OmegaTable:
     """Read a cached table; mismatched header fields, a short file or a
     payload that does not match its digest raise CacheMismatchError."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise CacheMismatchError(f"{path}: truncated header")
-        magic, version, file_x, file_w, digest = _HEADER.unpack(head)
-        if magic != MAGIC or version != CACHE_VERSION:
-            raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
-        if x_max is not None and file_x != x_max:
-            raise CacheMismatchError(f"{path}: has x_max={file_x}, wanted {x_max}")
-        if w is not None and file_w != w:
-            raise CacheMismatchError(f"{path}: has w={file_w}, wanted {w}")
-        n = file_x + 1
-        omega = np.fromfile(fh, dtype=np.uint8, count=n)
-        omega_small = np.fromfile(fh, dtype=np.uint8, count=n)
-    if omega.size != n or omega_small.size != n:
-        raise CacheMismatchError(f"{path}: truncated payload")
-    if _digest(omega, omega_small) != digest:
-        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    file_x, file_w, (omega, omega_small) = read_cache(
+        path, MAGIC, CACHE_VERSION, x_max, w, lambda x: (x + 1, x + 1)
+    )
     return OmegaTable(x_max=file_x, w=file_w, omega=omega, omega_small=omega_small)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,13 +41,14 @@ from .constants import (
 from .sieve import (
     DEFAULT_SEGMENT,
     MAX_OMEGA,
-    CacheMismatchError,
     OmegaTable,
     SieveConfig,
     _check_range,
     _fill_segment,
     base_primes,
+    read_cache,
     segment_spans,
+    write_cache,
 )
 
 OMEGA_CAP = 32
@@ -61,7 +61,6 @@ if MAX_OMEGA >= min(OMEGA_CAP, 1 << _BITS):
 
 HIST_MAGIC = b"OMGH"
 HIST_VERSION = 1  # bump when the format or the numbers H holds change
-_HIST_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of payload
 _HIST_BYTES = OMEGA_CAP**3 * 8
 
 
@@ -232,38 +231,15 @@ def histogram_digest(H: np.ndarray) -> str:
 
 
 def save_histogram(H: np.ndarray, path: str, x: int, w: int) -> None:
-    """Write header (magic, version, x, w, payload SHA-256) + payload, atomically."""
-    payload = _payload(H)
-    digest = hashlib.sha256(payload).digest()
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_HIST_HEADER.pack(HIST_MAGIC, HIST_VERSION, x, w, digest))
-        fh.write(payload)
-    os.replace(tmp, path)
+    """Write H as a cache file (see sieve.write_cache)."""
+    write_cache(path, HIST_MAGIC, HIST_VERSION, x, w, (_payload(H),))
 
 
 def load_histogram(path: str, x: int, w: int) -> np.ndarray:
     """Read a cached H for (x, w); a wrong size, magic, version, x or w, or
     a payload that does not match its digest, raises CacheMismatchError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    size = _HIST_HEADER.size + _HIST_BYTES
-    if len(raw) != size:
-        raise CacheMismatchError(f"{path}: {len(raw)} bytes, want {size}")
-    magic, version, file_x, file_w, digest = _HIST_HEADER.unpack_from(raw)
-    if magic != HIST_MAGIC or version != HIST_VERSION:
-        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
-    if (file_x, file_w) != (x, w):
-        raise CacheMismatchError(
-            f"{path}: has (x, w) = ({file_x}, {file_w}), wanted ({x}, {w})"
-        )
-    payload = raw[_HIST_HEADER.size :]
-    if hashlib.sha256(payload).digest() != digest:
-        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
-    return np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape((OMEGA_CAP,) * 3)
+    _, _, (payload,) = read_cache(path, HIST_MAGIC, HIST_VERSION, x, w, lambda _: (_HIST_BYTES,))
+    return payload.view("<i8").astype(np.int64, copy=False).reshape((OMEGA_CAP,) * 3)
 
 
 def _row_masses(J: np.ndarray) -> list[int]:

@@ -1,16 +1,19 @@
 """Built-in verification battery.
 
 Runs named invariant checks and prints one [PASS]/[FAIL]/[WARN] line each.
-The fast level finishes in seconds on small ranges; the full level makes
-one table-free sieve pass up to 1e8 (stats.grid_histograms) for the level
-histograms at 1e5..1e8 and exercises the large-scale trend checks.  Trend
-checks degrade to warnings when the largest scale available is below 1e7.
+The fast level finishes in seconds on small ranges.  The full level makes
+one table-free sieve pass (stats.grid_histograms) for the k = 2 planes at
+1e5..x_top and evaluates TREND_GATES, the one definition of the acceptance
+trend criteria, which tests/test_acceptance.py asserts too.  Each trend
+check ANDs its gates; failures degrade to warnings when x_top is below 1e7.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ from .experiment import resolve_w
 from .primes import factorize
 from .sieve import SieveConfig, build_omega_table, count_omega_level, iter_omega_level
 from .stats import (
+    gaussian_moment,
     gaussian_spec,
     grid_histograms,
     ks_distance,
@@ -45,6 +49,7 @@ from .stats import (
 Z_GRID = (0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, 1.0j, 1.7 + 0.3j)
 W_GRID = (2, 10, 97)
 FULL_SCALES = (100_000, 1_000_000, 10_000_000, 100_000_000)  # the full battery's x
+TREND_K = 2  # the level whose plane the trend gates read
 
 
 @dataclass
@@ -342,73 +347,135 @@ _FAST_CHECKS = [
 ]
 
 
-def _full_battery(x_top: int, emit) -> list[CheckResult]:
-    """Large-scale trend checks; x_top below 1e7 demotes failures to warnings."""
-    xs = [x for x in FULL_SCALES if x <= x_top]
-    soft = x_top < 10_000_000
-    results = []
-    last = time.perf_counter()
+def trend_pairs(x_top: int = FULL_SCALES[-1]) -> list[tuple[int, int]]:
+    """The trend gates' (x, w) grid: each FULL_SCALES x <= x_top, loglog_sq w."""
+    return [(x, resolve_w("loglog_sq", x)) for x in FULL_SCALES if x <= x_top]
 
-    def trend(name, ok, detail):
-        nonlocal last
-        status = "PASS" if ok else ("WARN" if soft else "FAIL")
-        now = time.perf_counter()
-        results.append(CheckResult(name, status, detail, now - last))
-        last = now
-        emit(results[-1])
 
-    k = 2
-    pairs = [(x, resolve_w("loglog_sq", x)) for x in xs]
-    hists = grid_histograms(pairs)
-    planes = {x: (w, hists[x, w][k]) for x, w in pairs}  # x -> (w, J = H[k])
+def trend_planes(hists: dict) -> dict[int, tuple[int, np.ndarray]]:
+    """{x: (w, J = H[TREND_K])} from grid_histograms(trend_pairs(...)), ascending in x."""
+    return {x: (w, hists[x, w][TREND_K]) for x, w in sorted(hists)}
 
-    ks_vals = [ks_distance(J, x) for x, (_, J) in planes.items()]
-    ok = all(0.0 <= d <= 1.0 for d in ks_vals) and all(
-        b <= 1.1 * a for a, b in zip(ks_vals, ks_vals[1:])
-    )
-    trend("ks_trend", ok, "ks(k=2): " + ", ".join(f"{d:.4f}" for d in ks_vals))
 
-    x = xs[-1]
-    w, J = planes[x]
+def _top(planes):
+    x = max(planes)
+    return (x, *planes[x])
+
+
+def _ks_trend(planes):
+    ks = [ks_distance(J, x) for x, (_, J) in planes.items()]
+    slack = 1.1  # each step may rise by at most 10%
+    ok = all(0.0 <= d <= 1.0 for d in ks) and all(b <= slack * a for a, b in zip(ks, ks[1:]))
+    return ok, f"ks(k={TREND_K}): " + ", ".join(f"{d:.4f}" for d in ks)
+
+
+def _mean_location(planes):
+    x, _, J = _top(planes)
     gap = abs(weighted_moment(J, x, 1)) * gaussian_spec(x).scale
-    trend("mean_location", gap <= 3.0,
-          f"|weighted mean - 2loglog x| = {gap:.3f} at x={x:.0e}")
+    bound = 3.0
+    return gap <= bound, f"|weighted mean - 2loglog x| = {gap:.3f} <= {bound} at x={x:.0e}"
 
-    if len(xs) >= 2:
-        m2 = [weighted_moment(J, x, 2) for x, (_, J) in planes.items()]
-        m4 = [weighted_moment(J, x, 4) for x, (_, J) in planes.items()]
-        ok = (
-            0.5 <= m2[-1] <= 1.5
-            and 1.5 <= m4[-1] <= 4.5
-            and abs(m2[-1] - 1.0) <= abs(m2[0] - 1.0)
-            and abs(m4[-1] - 3.0) <= abs(m4[0] - 3.0)
-        )
-        trend("moment_trend", ok,
-              f"m2: {m2[0]:.3f}->{m2[-1]:.3f}, m4: {m4[0]:.3f}->{m4[-1]:.3f}")
 
+def _moment_box(m, lo, hi):
+    def gate(planes):
+        x, _, J = _top(planes)
+        value = weighted_moment(J, x, m)
+        return lo <= value <= hi, f"m{m} = {value:.4f} in [{lo}, {hi}] at x={x:.0e}"
+    return gate
+
+
+def _moment_movement(planes):
+    x0 = 1_000_000  # the moments at the top scale must be nearer their limits than here
+    x, _, J = _top(planes)
+    if x0 not in planes:
+        return False, f"movement needs the scale x={x0:.0e}"
+    ok, parts = True, []
+    for m in (2, 4):
+        a, b = weighted_moment(planes[x0][1], x0, m), weighted_moment(J, x, m)
+        target = gaussian_moment(m)
+        ok &= abs(b - target) <= abs(a - target)
+        parts.append(f"m{m} {a:.4f}->{b:.4f} (target {target:g})")
+    return ok, ", ".join(parts) + f" over x={x0:.0e}->{x:.0e}"
+
+
+def _slice_profiles(planes):
+    """Empirical and predicted omega(n-1, w) = ell slice masses at the top scale."""
+    x, w, J = _top(planes)
     ell_top = int(3 * loglog(w))
     mass = weighted_mass(J)
     emp = [weighted_mass_at(J, l) for l in range(ell_top + 1)]
-    theo = [
-        small_factor_prediction(k, x, l, w, P=1_000_000, mass=mass)
-        for l in range(ell_top + 1)
-    ]
-    corr = float(np.corrcoef(emp, theo)[0, 1])
-    peak_gap = abs(int(np.argmax(emp)) - int(np.argmax(theo)))
-    trend("profile_correlation", corr > 0.9 and peak_gap <= 2,
-          f"corr={corr:.4f}, peak gap={peak_gap} over ell<=({ell_top})")
+    theo = [small_factor_prediction(TREND_K, x, l, w, P=10_000_000, mass=mass)
+            for l in range(ell_top + 1)]
+    return emp, theo, f"ell <= {ell_top}, w={w}, x={x:.0e}"
 
+
+def _profile_peak(planes):
+    emp, theo, where = _slice_profiles(planes)
+    a, b = int(np.argmax(emp)), int(np.argmax(theo))
+    bound = 2
+    return abs(a - b) <= bound, f"slice peaks {a} vs predicted {b}, gap <= {bound} ({where})"
+
+
+def _profile_pearson(planes):
+    emp, theo, where = _slice_profiles(planes)
+    corr = float(np.corrcoef(emp, theo)[0, 1])
+    bound = 0.9
+    return corr > bound, f"slice pearson {corr:.5f} > {bound} ({where})"
+
+
+def _psi_trend(planes):
     gaps = {t: [] for t in (0.5, 1.0, 2.0)}
     for w, J in planes.values():
         for p in genfun.characteristic_profile(J, w, list(gaps)):
             gaps[p.t].append(p.gaussian_gap)
-    ok = all(g[-1] <= 1.1 * g[0] for g in gaps.values())
-    trend("psi_trend", ok,
-          "; ".join(f"t={t}: {g[0]:.4f}->{g[-1]:.4f}" for t, g in gaps.items()))
+    slack = 1.1  # the top scale's gap may exceed the first by at most 10%
+    ok = all(g[-1] <= slack * g[0] for g in gaps.values())
+    return ok, "psi gap " + "; ".join(f"t={t}: {g[0]:.4f}->{g[-1]:.4f}" for t, g in gaps.items())
+
+
+@dataclass(frozen=True)
+class TrendGate:
+    """An acceptance criterion's label, the full-level check it belongs to, and
+    predicate(planes) -> (ok, detail), which holds the gate's bounds and inputs."""
+
+    label: str
+    check: str
+    predicate: Callable[[dict], tuple[bool, str]]
+
+
+# The only definition of the trend gates.  verify --level full ANDs each
+# check's gates; tests/test_acceptance.py asserts every gate at 1e8.
+TREND_GATES = (
+    TrendGate("6a", "ks_trend", _ks_trend),
+    TrendGate("6b", "mean_location", _mean_location),
+    TrendGate("7a", "moment_trend", _moment_box(2, 0.5, 1.5)),
+    TrendGate("7b", "moment_trend", _moment_box(4, 1.5, 4.5)),
+    TrendGate("7c", "moment_trend", _moment_movement),
+    TrendGate("8a", "profile_correlation", _profile_peak),
+    TrendGate("8b", "profile_correlation", _profile_pearson),
+    TrendGate("psi", "psi_trend", _psi_trend),
+)
+
+
+def _full_battery(x_top: int, emit) -> list[CheckResult]:
+    """One check per group of TREND_GATES; x_top below 1e7 demotes failures to warnings."""
+    soft = x_top < FULL_SCALES[-2]
+    results = []
+    last = time.perf_counter()
+    planes = trend_planes(grid_histograms(trend_pairs(x_top)))
+    for name, gates in itertools.groupby(TREND_GATES, key=lambda g: g.check):
+        outcomes = [gate.predicate(planes) for gate in gates]
+        status = "PASS" if all(ok for ok, _ in outcomes) else ("WARN" if soft else "FAIL")
+        now = time.perf_counter()
+        results.append(CheckResult(name, status, "; ".join(d for _, d in outcomes), now - last))
+        last = now
+        emit(results[-1])
     return results
 
 
-def verify_suite(level: str = "fast", x_top: int = 100_000_000, quiet: bool = False) -> VerifySummary:
+def verify_suite(
+    level: str = "fast", x_top: int = FULL_SCALES[-1], quiet: bool = False
+) -> VerifySummary:
     """Run the named battery; returns a summary with failure/warning counts.
 
     The full level needs x_top >= FULL_SCALES[0]; a smaller one is rejected

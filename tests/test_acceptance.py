@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion (7 and 8 split into parts).
 
 Each test records a summary line via record_property("acceptance", ...);
-conftest prints the block at the end of the run.  Criteria that measure
-trends use the largest scale x = 1e8 and thus build the full table once
-as a module fixture.
+conftest prints the block at the end of the run.  The trend criteria are
+verify.TREND_GATES, the gates verify --level full evaluates, asserted on
+one grid pass up to 1e8; the 1e8 table is built once, as a module fixture.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from omegashift.constants import normal_cdf, tilt_product, tilt_profile, tilted_level_constant, level_density_constant
+from omegashift.constants import level_density_constant, tilt_product, tilt_profile, tilted_level_constant
 from omegashift.experiment import resolve_w
 from omegashift.genfun import (
     WeightKernel,
@@ -26,47 +26,45 @@ from omegashift.genfun import (
 from omegashift.sieve import DEFAULT_SEGMENT, SieveConfig, build_omega_table
 from omegashift.stats import (
     gaussian_spec,
-    ks_distance,
+    grid_histograms,
     level_histogram,
-    loglog,
-    small_factor_prediction,
     weighted_mass,
     weighted_mass_at,
     weighted_mass_below,
     weighted_moment,
 )
+from omegashift.verify import TREND_GATES, W_GRID, Z_GRID, trend_pairs, trend_planes, verify_suite
 
-Z_SET = (0.0, 1.0, -1.0, 1.0j, 1.7 + 0.3j)
 GB = 1 << 30
 
 
 @pytest.fixture(scope="module")
+def trend_hists():
+    """{(x, w): H} for the trend grid up to 1e8, from one grid pass."""
+    return grid_histograms(trend_pairs())
+
+
+@pytest.fixture(scope="module")
 def big():
-    """Tables and k=2 planes J = H[2] for x = 1e5..1e8 (loglog_sq w rule)."""
-    tables, hists = {}, {}
-    seconds = None
-    for x in (10**5, 10**6, 10**7, 10**8):
-        cfg = SieveConfig(x_max=x, w=resolve_w("loglog_sq", x))
-        t0 = time.perf_counter()
-        tables[x] = build_omega_table(cfg)
-        if x == 10**8:
-            seconds = time.perf_counter() - t0
-        hists[x] = level_histogram(tables[x], x)[2]
-    return {"tables": tables, "hists": hists, "build_seconds_1e8": seconds}
+    """The 1e8 table (the trend grid's top pair) and its single-thread build time."""
+    x, w = trend_pairs()[-1]
+    t0 = time.perf_counter()
+    table = build_omega_table(SieveConfig(x_max=x, w=w))
+    return {"table": table, "build_seconds": time.perf_counter() - t0}
 
 
 def test_criterion_1_convolution_identity(record_property):
     t0 = time.perf_counter()
     worst = 0.0
-    for w in (2, 10, 97):
-        for z in Z_SET:
+    for w in W_GRID:
+        for z in Z_GRID:
             dev = convolution_max_deviation(10_000, WeightKernel(w=w, z=z))
             worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     record_property(
         "acceptance",
         f"criterion 1 convolution identity: max dev {worst:.2e} over n<=1e4, "
-        f"15 (z,w) pairs, {elapsed:.1f}s",
+        f"{len(W_GRID) * len(Z_GRID)} (z,w) pairs, {elapsed:.1f}s",
     )
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -75,8 +73,8 @@ def test_criterion_1_convolution_identity(record_property):
 def test_criterion_2_prime_power_closed_forms(record_property):
     worst = 0.0
     primes = [p for p in range(2, 101) if all(p % q for q in range(2, p))]
-    for w in (2, 10, 97):
-        for z in Z_SET:
+    for w in W_GRID:
+        for z in Z_GRID:
             kern = WeightKernel(w=w, z=z)
             for p in primes:
                 for e in (1, 2, 3, 4, 5, 6):  # alpha <= 2 in both parities
@@ -179,102 +177,28 @@ def test_criterion_5_brute_force_oracle_equality(
     )
 
 
-def test_criterion_6_gaussian_threshold_trend(record_property, big):
-    xs = (10**5, 10**6, 10**7, 10**8)
-    ks = [ks_distance(big["hists"][x], x) for x in xs]
-    marg = big["hists"][10**8].sum(axis=1)
-    mass = sum(int(c) << v for v, c in enumerate(marg))
-    mean = sum((int(c) << v) * v for v, c in enumerate(marg)) / mass
-    gap = abs(mean - gaussian_spec(10**8).center)
-    record_property(
-        "acceptance",
-        "criterion 6 gaussian threshold trend: ks(k=2) = "
-        + ", ".join(f"{d:.4f}" for d in ks)
-        + f"; |weighted mean - 2loglog x| = {gap:.3f} at 1e8",
-    )
-    for d in ks:
-        assert 0.0 <= d <= 1.0
-    for a, b in zip(ks, ks[1:]):
-        assert b <= 1.1 * a  # non-increasing up to 10% slack per step
-    assert gap <= 3.0
+@pytest.mark.parametrize("gate", TREND_GATES, ids=[g.label for g in TREND_GATES])
+def test_trend_gate(record_property, trend_hists, gate):
+    ok, detail = gate.predicate(trend_planes(trend_hists))
+    record_property("acceptance", f"criterion {gate.label} ({gate.check}): {detail}")
+    assert ok, detail
 
 
-def test_criterion_7a_moment_m2_box(record_property, big):
-    m2 = weighted_moment(big["hists"][10**8], 10**8, 2)
-    record_property(
-        "acceptance", f"criterion 7a m=2 moment at 1e8: {m2:.4f} in [0.5, 1.5]"
-    )
-    assert 0.5 <= m2 <= 1.5
-
-
-def test_criterion_7b_moment_m4_box(record_property, big):
-    m4 = weighted_moment(big["hists"][10**8], 10**8, 4)
-    record_property(
-        "acceptance",
-        f"criterion 7b m=4 moment at 1e8: {m4:.4f} in [1.5, 4.5] "
-        "(support omega(n-1) <= 8 truncates the tilted law at desk scale)",
-    )
-    assert 1.5 <= m4 <= 4.5
-
-
-def test_criterion_7c_moments_move_toward_limits(record_property, big):
-    vals = {}
-    for x in (10**6, 10**8):
-        J = big["hists"][x]
-        vals[x] = (weighted_moment(J, x, 2), weighted_moment(J, x, 4))
-    (m2a, m4a), (m2b, m4b) = vals[10**6], vals[10**8]
-    record_property(
-        "acceptance",
-        f"criterion 7c movement 1e6->1e8: m2 {m2a:.4f}->{m2b:.4f} (target 1), "
-        f"m4 {m4a:.4f}->{m4b:.4f} (target 3)",
-    )
-    assert abs(m2b - 1.0) <= abs(m2a - 1.0)
-    assert abs(m4b - 3.0) <= abs(m4a - 3.0)
-
-
-def _profiles_1e8(big):
-    x = 10**8
-    table = big["tables"][x]
-    w = table.w
-    J = big["hists"][x]
-    mass = weighted_mass(J)
-    ell_top = int(3 * loglog(w))
-    emp = [weighted_mass_at(J, l) for l in range(ell_top + 1)]
-    theo = [
-        small_factor_prediction(2, x, l, w, P=10_000_000, mass=mass)
-        for l in range(ell_top + 1)
-    ]
-    return emp, theo, w, ell_top
-
-
-def test_criterion_8a_profile_peak_alignment(record_property, big):
-    emp, theo, w, ell_top = _profiles_1e8(big)
-    gap = abs(int(np.argmax(emp)) - int(np.argmax(theo)))
-    record_property(
-        "acceptance",
-        f"criterion 8a slice profile peaks at 1e8 (w={w}, ell<=({ell_top})): "
-        f"empirical argmax {int(np.argmax(emp))}, predicted {int(np.argmax(theo))}",
-    )
-    assert gap <= 2
-
-
-def test_criterion_8b_profile_pearson(record_property, big):
-    emp, theo, w, ell_top = _profiles_1e8(big)
-    corr = float(np.corrcoef(emp, theo)[0, 1])
-    record_property(
-        "acceptance",
-        f"criterion 8b slice profile pearson at 1e8 (w={w}): {corr:.5f} > 0.9 "
-        "(main term only; the prediction's own (ell+1)/(loglog w)^2 error "
-        "term exceeds 1 at ell=5,6)",
-    )
-    assert corr > 0.9
+def test_verify_full_ands_the_trend_gates(trend_hists, monkeypatch):
+    """verify --level full reports, per check, the AND of the same gates."""
+    monkeypatch.setattr("omegashift.verify.grid_histograms", lambda pairs: trend_hists)
+    planes, want = trend_planes(trend_hists), {}
+    for gate in TREND_GATES:
+        want[gate.check] = want.get(gate.check, True) and gate.predicate(planes)[0]
+    got = [(r.name, r.status) for r in verify_suite("full", quiet=True).results[-len(want):]]
+    assert got == [(name, "PASS" if ok else "FAIL") for name, ok in want.items()]
 
 
 def test_table_1e8_matches_trial_division_at_sampled_n(big):
     """The 1e8 table against trial division, independent of the sieve's code:
     the top 1000 n, n near each 2^j and each segment edge, and a fixed sample."""
-    x = 10**8
-    table = big["tables"][x]
+    table = big["table"]
+    x = table.x_max
     edges = [1 << j for j in range(1, x.bit_length())]
     edges += range(2 + DEFAULT_SEGMENT, x + 1, DEFAULT_SEGMENT)
     ns = {e + d for e in edges for d in range(-2, 3)}
@@ -289,11 +213,11 @@ def test_table_1e8_matches_trial_division_at_sampled_n(big):
     assert bad == []
 
 
-def test_criterion_9_performance_and_determinism(record_property, big):
-    x = 10**8
-    seconds = big["build_seconds_1e8"]
+def test_criterion_9_performance_and_determinism(record_property, big, trend_hists):
+    ref = big["table"]
+    x = ref.x_max
+    seconds = big["build_seconds"]
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / GB
-    ref = big["tables"][x]
     variant = build_omega_table(
         SieveConfig(x_max=x, w=ref.w, segment_length=1 << 21, threads=3)
     )
@@ -302,6 +226,7 @@ def test_criterion_9_performance_and_determinism(record_property, big):
     h3 = level_histogram(variant, x)
     del variant
     hists_equal = bool(np.array_equal(h1, h3))
+    grid_equal = bool(np.array_equal(h1, trend_hists[x, ref.w]))
     z = 0.83 + 0.41j
     g1 = eval_genfun(h1[2], z).value
     g3 = eval_genfun(h3[2], z).value
@@ -309,10 +234,12 @@ def test_criterion_9_performance_and_determinism(record_property, big):
         "acceptance",
         f"criterion 9 performance: 1e8 build {seconds:.1f}s (single thread), "
         f"peak rss {peak_gb:.2f} GB, table/hist/genfun bit-identical across "
-        f"sieve threads 1/3: {tables_equal}/{hists_equal}/{g1 == g3}",
+        f"sieve threads 1/3: {tables_equal}/{hists_equal}/{g1 == g3}; "
+        f"table H == grid-pass H: {grid_equal}",
     )
     assert seconds < 60.0
     assert peak_gb < 1.0
     assert tables_equal
     assert hists_equal
+    assert grid_equal
     assert g1 == g3

@@ -1,8 +1,10 @@
 """Sieve correctness, determinism, and cache round-trips."""
 
+import hashlib
 import itertools
 import math
 import os
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -216,7 +218,10 @@ def test_cache_roundtrip(tmp_path):
     save_table(t, path)
     assert load_table(path) == t
     assert load_table(path, x_max=4000, w=17) == t
-    assert not (tmp_path / "omega_x4000_w17.bin.tmp").exists()
+    payload = t.omega.tobytes() + t.omega_small.tobytes()  # the format, spelled out
+    header = struct.pack("<4sIQQ32s", b"OMGT", 2, 4000, 17, hashlib.sha256(payload).digest())
+    assert open(path, "rb").read() == header + payload
+    assert os.listdir(tmp_path) == ["omega_x4000_w17.bin"]  # no temporary file left
 
 
 def test_cache_save_creates_directory(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import struct
 from collections import Counter
 
 import numpy as np
@@ -189,9 +190,32 @@ def test_histogram_cache_roundtrip(tmp_path, H):
     assert got.dtype == np.int64 and np.array_equal(got, H)
     got[2, 1, 1] += 1  # the loaded histogram is a writable copy
     raw = open(path, "rb").read()
-    assert len(raw) == 56 + OMEGA_CAP**3 * 8
-    assert histogram_digest(H) == hashlib.sha256(raw[56:]).hexdigest()
-    assert not os.path.exists(path + ".tmp")
+    payload = H.astype("<i8").tobytes()  # the format, spelled out: header, then H
+    digest = hashlib.sha256(payload)
+    assert raw == struct.pack("<4sIQQ32s", b"OMGH", HIST_VERSION, X, W, digest.digest()) + payload
+    assert histogram_digest(H) == digest.hexdigest()
+    assert os.listdir(tmp_path) == [os.path.basename(path)]  # no temporary file left
+
+
+def test_concurrent_histogram_saves_do_not_collide(tmp_path, H, monkeypatch):
+    """A second save of the same path that runs while the first one is
+    between writing and renaming its temporary file: both must finish."""
+    path = histogram_path(str(tmp_path), X, W)
+    real_replace = os.replace
+    nested = []
+
+    def replace_with_a_second_save(src, dst):
+        if not nested:
+            nested.append(src)
+            save_histogram(2 * H, path, X, W)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_with_a_second_save)
+    save_histogram(H, path, X, W)
+    monkeypatch.undo()
+    assert nested
+    assert np.array_equal(load_histogram(path, X, W), H)  # the first save renamed last
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
