@@ -5,9 +5,9 @@ distributes when n ranges over integers with a fixed number of distinct
 prime factors, each n weighted by 2^(distinct prime factors of n-1).
 It provides an exact segmented sieve, high-precision Euler-product
 constants with rigorous truncation bounds, a level histogram built by one
-table-free sieve pass over a grid of scales (or read off a sieve table)
-and cached per scale, statistics and a generating-function layer that read
-a plane of that histogram, and an experiment runner.
+table-free sieve pass over a grid of scales and cached per scale,
+statistics and a generating-function layer that read a plane of that
+histogram, and an experiment runner.
 """
 
 __version__ = "0.1.0"
@@ -47,17 +47,14 @@ from .genfun import (
     phi_weighted_kernel,
 )
 from .sieve import (
-    CacheMismatchError,
     OmegaTable,
     SieveConfig,
     build_omega_table,
-    cache_path,
     count_omega_level,
     iter_omega_level,
-    load_table,
-    save_table,
 )
 from .stats import (
+    CacheMismatchError,
     PredictionReport,
     ThresholdSpec,
     gaussian_moment,
@@ -67,7 +64,6 @@ from .stats import (
     histogram_path,
     ks_distance,
     large_factor_ratio,
-    level_histogram,
     load_histogram,
     loglog,
     save_histogram,
@@ -98,7 +94,6 @@ __all__ = [
     "VerifySummary",
     "WeightKernel",
     "build_omega_table",
-    "cache_path",
     "characteristic_profile",
     "convolution_check",
     "convolution_max_deviation",
@@ -117,10 +112,8 @@ __all__ = [
     "ks_distance",
     "large_factor_ratio",
     "level_density_constant",
-    "level_histogram",
     "level_ratio",
     "load_histogram",
-    "load_table",
     "loglog",
     "normal_cdf",
     "parse_config",
@@ -129,7 +122,6 @@ __all__ = [
     "resolve_w",
     "run_experiment",
     "save_histogram",
-    "save_table",
     "small_factor_prediction",
     "tilt_product",
     "tilt_profile",

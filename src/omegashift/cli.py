@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands:
-  sieve      build (and optionally cache) a factor-count table
+  sieve      build a factor-count table
   run        execute an experiment from a flat key=value config file
   verify     run the built-in invariant battery
   constants  print the Euler-product constants with rigorous tail bounds
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -23,15 +22,8 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from .experiment import parse_config, resolve_threads, run_experiment
-from .sieve import (
-    DEFAULT_SEGMENT,
-    SieveConfig,
-    build_omega_table,
-    cache_path,
-    load_table,
-    save_table,
-)
+from .experiment import parse_config, run_experiment
+from .sieve import SieveConfig, build_omega_table
 from .verify import FULL_SCALES, verify_suite
 
 
@@ -45,29 +37,13 @@ def _parse_z(text: str) -> complex:
 
 
 def _cmd_sieve(args) -> int:
-    cfg = SieveConfig(
-        x_max=args.x,
-        w=args.w,
-        segment_length=args.segment_length,
-        threads=resolve_threads(args.threads),
-    )
-    if args.cache:
-        path = cache_path(args.cache, args.x, args.w)
-        if os.path.exists(path):
-            table = load_table(path, x_max=args.x, w=args.w)
-            print(f"loaded {path} (x={table.x_max}, w={table.w})")
-            return 0
     t0 = time.perf_counter()
-    table = build_omega_table(cfg)
+    table = build_omega_table(SieveConfig(x_max=args.x, w=args.w, threads=args.threads))
     dt = time.perf_counter() - t0
     print(
         f"built table: x={table.x_max} w={table.w} "
         f"max_omega={int(table.omega.max())} in {dt:.2f}s"
     )
-    if args.cache:
-        path = cache_path(args.cache, args.x, args.w)
-        save_table(table, path)
-        print(f"cached {path}")
     return 0
 
 
@@ -119,15 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", help="build a factor-count table")
     p.add_argument("--x", type=int, required=True, help="table upper bound")
     p.add_argument("--w", type=int, required=True, help="small-prime cutoff")
-    p.add_argument("--cache", default="", help="cache directory (load or save)")
-    p.add_argument(
-        "--segment-length",
-        type=int,
-        default=DEFAULT_SEGMENT,
-        help="numbers per sieve segment (>= 1024); does not change the table. "
-        "The default, 2^18 (512 KB of sieve words), was the fastest of "
-        "2^17..2^22 for the compiled kernel (default %(default)s)",
-    )
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_sieve)
 

@@ -46,11 +46,11 @@ from .stats import (
     weighted_mass_below,
     weighted_mass_theoretical,
     weighted_moment,
+    write_atomic,
 )
 
 CSV_HEADER = "statistic,x,k,w,param,empirical,theoretical,rel_dev,error_scale,runtime_ms"
 
-THREADS_ENV = "OMEGASHIFT_THREADS"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,6 +83,14 @@ class ExperimentConfig:
                 f"(ceiling {cap:.1f})"
             )
         _parse_w_rule(self.w_rule)
+        for x in self.x_list:  # the slice rows need tilt_profile at z = ell / loglog w
+            w = resolve_w(self.w_rule, x)
+            z = self.ell_max / loglog(w) if w >= 3 else 0.0
+            if z > R_CEILING + 1e-9:
+                raise ValueError(
+                    f"ell_max={self.ell_max} too deep for x={x} (w={w}): "
+                    f"ell_max / loglog w = {z:.3f} exceeds {R_CEILING}"
+                )
         if self.truncation_prime < 1000:
             raise ValueError("truncation_prime < 1000")
         if self.threads < 1:
@@ -172,22 +180,7 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def resolve_threads(default: int) -> int:
-    """OMEGASHIFT_THREADS when set, else default; a set value that is not a
-    positive integer raises ValueError."""
-    text = os.environ.get(THREADS_ENV, "").strip()
-    if not text:
-        return default
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV}={text!r}: expected a positive integer")
-    return threads
-
-
-def _histograms(config: ExperimentConfig, pairs, threads: int) -> dict:
+def _histograms(config: ExperimentConfig, pairs) -> dict:
     """{(x, w): H}: cached pairs are loaded, the rest come from one grid pass
     up to their own largest x and are cached."""
     hists = {}
@@ -198,7 +191,7 @@ def _histograms(config: ExperimentConfig, pairs, threads: int) -> dict:
                 hists[x, w] = load_histogram(path, x, w)
     missing = [pair for pair in pairs if pair not in hists]
     if missing:
-        built = grid_histograms(missing, threads=threads)
+        built = grid_histograms(missing, threads=config.threads)
         if config.cache_dir:
             for (x, w), H in built.items():
                 save_histogram(H, histogram_path(config.cache_dir, x, w), x, w)
@@ -221,11 +214,10 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the grid and write reports; row order is deterministic."""
-    threads = resolve_threads(config.threads)
     rows: list[PredictionReport] = []
     P = config.truncation_prime
     w_of = {x: resolve_w(config.w_rule, x) for x in config.x_list}
-    hists = _histograms(config, sorted(set(w_of.items())), threads)
+    hists = _histograms(config, sorted(set(w_of.items())))
     for x in config.x_list:
         w = w_of[x]
         H = hists[x, w]
@@ -318,10 +310,7 @@ def _write_csv(path: str, rows: list[PredictionReport]) -> None:
                           r.theoretical, r.rel_dev, r.error_scale, r.runtime_ms)
             )
         )
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _write_json(path, rows, config: ExperimentConfig, tag: str, hists: dict) -> None:
@@ -348,8 +337,4 @@ def _write_json(path, rows, config: ExperimentConfig, tag: str, hists: dict) -> 
             for r in rows
         ],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, (json.dumps(doc, indent=1) + "\n").encode())

@@ -16,7 +16,7 @@ g(q)/phi(dq), and the weighted generating function
 
 a polynomial in z whose coefficients are the small-factor masses.  Those
 coefficients are exact integers read from the plane J = H[k] of the level
-histogram (stats.level_histogram), so evaluation, coefficient extraction and
+histogram (stats.grid_histograms), so evaluation, coefficient extraction and
 the characteristic profile are small functions of J alone.
 """
 
@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import R_CEILING
+from .kernel import OMEGA_CAP
 from .primes import factorize
 from .sieve import SieveConfig, build_omega_table
-from .stats import OMEGA_CAP, weighted_mass_at
+from .stats import weighted_mass_at
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ import numpy as np
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-shared", "-fPIC")
-FOLD_BINS = 1 << 12  # the fold's 16^3 packed (k, v, u) counts
+OMEGA_CAP = 16  # bins per axis of H: kernel.c's fold packs (k, v, u) as base-16 digits
+FOLD_BINS = OMEGA_CAP**3
 
 _LOCK = threading.Lock()
 
@@ -125,9 +126,9 @@ def sieve_words(cell: np.ndarray, lo: int, primes: np.ndarray, steps: np.ndarray
 
 
 def fold(om: np.ndarray, osm: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The 16^3 packed counts of (om[i], om[i-1], osm[i-1]), start <= i < stop.
+    """The counts H[k, v, u] of (om[i], om[i-1], osm[i-1]), start <= i < stop.
 
-    Returns a new int64 array indexed by k << 8 | v << 4 | u; a byte >= 16
+    Returns a new int64 array of shape (OMEGA_CAP,) * 3; a byte >= OMEGA_CAP
     raises ValueError.
     """
     _check(om, np.uint8, "om")
@@ -136,5 +137,5 @@ def fold(om: np.ndarray, osm: np.ndarray, start: int, stop: int) -> np.ndarray:
         raise ValueError(f"fold range [{start}, {stop}) outside the arrays")
     flat = np.zeros(FOLD_BINS, dtype=np.int64)
     if library().fold(flat.ctypes.data, om.ctypes.data, osm.ctypes.data, start, stop):
-        raise ValueError("a factor count >= 16: the table is corrupt")
-    return flat
+        raise ValueError(f"a factor count >= {OMEGA_CAP}: the table is corrupt")
+    return flat.reshape((OMEGA_CAP,) * 3)

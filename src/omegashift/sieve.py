@@ -20,17 +20,12 @@ logarithmic-sieve trick of the quadratic sieve; the argument is in
 _fill_segment).  Only when some w has w*w > x_max, where "c <= w" needs
 the cofactor's value, does a segment keep an int64 cofactor array and
 divide it by every prime power.  The strided adds themselves run in C
-(kernel.sieve_words), built on the first call.  write_cache and read_cache
-hold the one cache-file format, which stats' histogram cache shares.
+(kernel.sieve_words), built on the first call.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import struct
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +35,7 @@ from . import kernel
 from .primes import primes_up_to
 
 X_MAX_CEILING = 1 << 40
-DEFAULT_SEGMENT = 1 << 18
+DEFAULT_SEGMENT = 1 << 18  # 512 KB of words, the fastest of 2^17..2^22 for the C kernel
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
 
@@ -70,67 +65,6 @@ if LOG_SCALE * math.log(X_MAX_CEILING) >= 256:
     raise RuntimeError("scaled log of X_MAX_CEILING does not fit the accumulator byte")
 if _log_gap(LOG_ROUTE_MIN_X) <= 1:
     raise RuntimeError("log test does not separate its bands at LOG_ROUTE_MIN_X")
-
-MAGIC = b"OMGT"
-CACHE_VERSION = 2
-_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of payload
-
-
-class CacheMismatchError(ValueError):
-    """A cache file's header or payload disagrees with what was asked for."""
-
-
-def write_cache(path: str, magic: bytes, version: int, x: int, w: int, chunks) -> None:
-    """Write the header (magic, version, x, w, SHA-256 of the payload), then
-    the chunks' bytes as the payload, to a fresh temporary file beside path
-    and os.replace it over path: readers see the old file or the whole new
-    one, and writers that share a directory never share a temporary file."""
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-    parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_HEADER.pack(magic, version, x, w, digest.digest()))
-            for chunk in chunks:
-                fh.write(chunk)  # the buffer itself; tobytes() would copy it
-        os.chmod(tmp, 0o644)  # mkstemp made it private to its creator
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def read_cache(path: str, magic: bytes, version: int, x, w, sizes) -> tuple[int, int, list]:
-    """(x, w, payload chunks) of a write_cache file; x or w None accepts the
-    file's.  sizes(x) gives the chunks' byte counts, and each comes back as a
-    writable uint8 array read straight from the file.  Another magic, version,
-    x or w, size or payload digest raises CacheMismatchError."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise CacheMismatchError(f"{path}: truncated header")
-        file_magic, file_version, file_x, file_w, digest = _HEADER.unpack(head)
-        if (file_magic, file_version) != (magic, version):
-            raise CacheMismatchError(f"{path}: bad magic/version {file_magic!r} v{file_version}")
-        if x is not None and file_x != x:
-            raise CacheMismatchError(f"{path}: has x={file_x}, wanted {x}")
-        if w is not None and file_w != w:
-            raise CacheMismatchError(f"{path}: has w={file_w}, wanted {w}")
-        counts = sizes(file_x)
-        size, want = os.fstat(fh.fileno()).st_size, _HEADER.size + sum(counts)
-        if size != want:
-            raise CacheMismatchError(f"{path}: {size} bytes, want {want}")
-        chunks = [np.fromfile(fh, dtype=np.uint8, count=n) for n in counts]
-    check = hashlib.sha256()
-    for chunk in chunks:
-        check.update(chunk)
-    if check.digest() != digest:
-        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
-    return file_x, file_w, chunks
 
 
 @dataclass(frozen=True)
@@ -326,21 +260,3 @@ def _check_range(table: OmegaTable, x: int):
     if not (2 <= x <= table.x_max):
         raise ValueError(f"x={x} outside [2, x_max={table.x_max}]")
 
-
-def cache_path(cache_dir: str, x_max: int, w: int) -> str:
-    return os.path.join(cache_dir, f"omega_x{x_max}_w{w}.bin")
-
-
-def save_table(table: OmegaTable, path: str) -> None:
-    """Write the table as a cache file (see write_cache): the two raw byte
-    arrays, omega then omega_small."""
-    write_cache(path, MAGIC, CACHE_VERSION, table.x_max, table.w, (table.omega, table.omega_small))
-
-
-def load_table(path: str, x_max: int | None = None, w: int | None = None) -> OmegaTable:
-    """Read a cached table; mismatched header fields, a short file or a
-    payload that does not match its digest raise CacheMismatchError."""
-    file_x, file_w, (omega, omega_small) = read_cache(
-        path, MAGIC, CACHE_VERSION, x_max, w, lambda x: (x + 1, x + 1)
-    )
-    return OmegaTable(x_max=file_x, w=file_w, omega=omega, omega_small=omega_small)

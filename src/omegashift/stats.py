@@ -4,12 +4,11 @@ Every statistic is a function of the level histogram
 
     H[k, v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
 
-a small table of exact integers (k, v, u < 32 for any x below 2^40).  Two
-producers build H and share one packing fold, the compiled kernel.fold:
-grid_histograms makes one ascending, table-free sieve pass over
-[2, max x] and returns H for every (x, w) of a grid, in O(segment)
-memory; level_histogram reads H off an existing sieve table.
-save_histogram and load_histogram keep H in a 256 KB cache file per
+a small table of exact integers, shape (OMEGA_CAP,) * 3 = (16, 16, 16):
+no omega reaches 16 below 2^40.  grid_histograms is its one producer: one
+ascending, table-free sieve pass over [2, max x] that folds H for every
+(x, w) of a grid with the compiled kernel.fold, in O(segment) memory.
+save_histogram and load_histogram keep H in a 32 KB cache file per
 (x, w) whose header carries a SHA-256 of the payload.
 The k-level statistics take the plane J = H[k] (the joint histogram of the
 level set), plus x where a threshold or normalization needs it; the
@@ -25,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,30 +39,30 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
+from .kernel import OMEGA_CAP
 from .sieve import (
     DEFAULT_SEGMENT,
     MAX_OMEGA,
-    OmegaTable,
     SieveConfig,
-    _check_range,
     _fill_segment,
     base_primes,
-    read_cache,
     segment_spans,
-    write_cache,
 )
 
-OMEGA_CAP = 32
 MAX_MOMENT = 12
-_BITS = 4  # kernel.fold packs (k, v, u) in base 2^_BITS; _widen widens to OMEGA_CAP
 
 # Every omega(n) and omega(n, w) is a valid H index and a valid fold digit.
-if MAX_OMEGA >= min(OMEGA_CAP, 1 << _BITS):
+if MAX_OMEGA >= OMEGA_CAP:
     raise RuntimeError(f"omega can reach {MAX_OMEGA}, outside H's bins")
 
 HIST_MAGIC = b"OMGH"
-HIST_VERSION = 1  # bump when the format or the numbers H holds change
-_HIST_BYTES = OMEGA_CAP**3 * 8
+HIST_VERSION = 2  # bump when the format or the numbers H holds change
+_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
+_HIST_BYTES = kernel.FOLD_BINS * 8
+
+
+class CacheMismatchError(ValueError):
+    """A cache file's header or payload disagrees with what was asked for."""
 
 
 def loglog(x: float) -> float:
@@ -142,21 +143,6 @@ def make_report(
     )
 
 
-def _widen(flat: np.ndarray) -> np.ndarray:
-    """The (OMEGA_CAP,) * 3 histogram of a packed fold."""
-    r = 1 << _BITS
-    H = np.zeros((OMEGA_CAP,) * 3, dtype=np.int64)
-    H[:r, :r, :r] = flat.reshape(r, r, r)
-    return H
-
-
-def level_histogram(table: OmegaTable, x: int) -> np.ndarray:
-    """H[k, v, u] over 2 <= n <= x read off a table; exact int64 counts,
-    shape (32, 32, 32)."""
-    _check_range(table, x)
-    return _widen(kernel.fold(table.omega, table.omega_small, 2, x + 1))
-
-
 def grid_histograms(
     pairs, threads: int = 1, segment_length: int = DEFAULT_SEGMENT
 ) -> dict[tuple[int, int], np.ndarray]:
@@ -188,7 +174,7 @@ def grid_histograms(
         om_buf = np.empty(size, dtype=np.uint8)  # position i holds n = lo - 1 + i
         osm_bufs = [np.empty(size, dtype=np.uint8) for _ in ws]
         cell_buf = np.empty(size, dtype=np.uint16)
-        totals = {pair: np.zeros(kernel.FOLD_BINS, dtype=np.int64) for pair in pairs}
+        totals = {pair: np.zeros((OMEGA_CAP,) * 3, dtype=np.int64) for pair in pairs}
         for lo, hi in spans:
             om = om_buf[: hi - lo + 1]
             osms = [buf[: hi - lo + 1] for buf in osm_bufs]
@@ -196,12 +182,12 @@ def grid_histograms(
             cell.fill(0)
             _fill_segment(om, osms, cell, base, lo - 1, ws, x_top)
             for w, osm, xs in zip(ws, osms, xs_by_w):
-                flat, start = 0, 1
+                running, start = 0, 1
                 for x in xs:
                     if x >= lo:
                         stop = min(x + 1, hi) - (lo - 1)
-                        flat = flat + kernel.fold(om, osm, start, stop)
-                        totals[x, w] += flat
+                        running = running + kernel.fold(om, osm, start, stop)
+                        totals[x, w] += running
                         start = stop
         return totals
 
@@ -212,7 +198,7 @@ def grid_histograms(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(sieve_spans, [spans[i::workers] for i in range(workers)]))
-    return {pair: _widen(sum(part[pair] for part in parts)) for pair in pairs}
+    return {pair: sum(part[pair] for part in parts) for pair in pairs}
 
 
 def histogram_path(cache_dir: str, x: int, w: int) -> str:
@@ -230,16 +216,52 @@ def histogram_digest(H: np.ndarray) -> str:
     return hashlib.sha256(_payload(H)).hexdigest()
 
 
+def write_atomic(path: str, data: bytes) -> None:
+    """Write data to a fresh temporary file beside path, creating the
+    directories, and os.replace it over path: readers see the old file or
+    the whole new one, and writers that share a path never share a
+    temporary file."""
+    parent = os.path.dirname(path) or "."
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o644)  # mkstemp made it private to its creator
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_histogram(H: np.ndarray, path: str, x: int, w: int) -> None:
-    """Write H as a cache file (see sieve.write_cache)."""
-    write_cache(path, HIST_MAGIC, HIST_VERSION, x, w, (_payload(H),))
+    """Write H as a cache file: the header (magic, version, x, w, SHA-256
+    of the payload), then the payload, H as little-endian int64 in C order."""
+    payload = _payload(H)
+    digest = hashlib.sha256(payload).digest()
+    write_atomic(path, _HEADER.pack(HIST_MAGIC, HIST_VERSION, x, w, digest) + payload)
 
 
 def load_histogram(path: str, x: int, w: int) -> np.ndarray:
-    """Read a cached H for (x, w); a wrong size, magic, version, x or w, or
-    a payload that does not match its digest, raises CacheMismatchError."""
-    _, _, (payload,) = read_cache(path, HIST_MAGIC, HIST_VERSION, x, w, lambda _: (_HIST_BYTES,))
-    return payload.view("<i8").astype(np.int64, copy=False).reshape((OMEGA_CAP,) * 3)
+    """Read a cached H for (x, w) as a writable int64 array; a short or long
+    file, another magic, version, x or w, or a payload that does not match
+    its digest raises CacheMismatchError."""
+    with open(path, "rb") as fh:
+        raw = fh.read(_HEADER.size + _HIST_BYTES + 1)  # a byte too many shows a long file
+    if len(raw) < _HEADER.size:
+        raise CacheMismatchError(f"{path}: truncated header")
+    magic, version, file_x, file_w, digest = _HEADER.unpack_from(raw)
+    if (magic, version) != (HIST_MAGIC, HIST_VERSION):
+        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
+    if (file_x, file_w) != (x, w):
+        raise CacheMismatchError(f"{path}: has x={file_x} w={file_w}, wanted x={x} w={w}")
+    payload = raw[_HEADER.size :]
+    if len(payload) != _HIST_BYTES:
+        raise CacheMismatchError(f"{path}: payload is not {_HIST_BYTES} bytes")
+    if hashlib.sha256(payload).digest() != digest:
+        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    return np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape((OMEGA_CAP,) * 3)
 
 
 def _row_masses(J: np.ndarray) -> list[int]:

@@ -37,7 +37,6 @@ from .stats import (
     grid_histograms,
     ks_distance,
     ks_weighted_histogram,
-    level_histogram,
     loglog,
     small_factor_prediction,
     weighted_mass,
@@ -95,6 +94,11 @@ def _trial_omega(n: int, w: int) -> tuple[int, int]:
     return len(fact), sum(1 for p, _ in fact if p <= w)
 
 
+def _histogram(x: int, w: int, **opts) -> np.ndarray:
+    """H of the one pair (x, w), from grid_histograms."""
+    return grid_histograms([(x, w)], **opts)[x, w]
+
+
 def _check_sieve_known_values():
     t12 = build_omega_table(SieveConfig(x_max=12, w=12))
     t30 = build_omega_table(SieveConfig(x_max=30, w=3))
@@ -141,7 +145,7 @@ def _check_partition_identity():
     n_total = sum(count_omega_level(table, k, x) for k in range(1, 16))
     if n_total != x - 1:
         return False, f"sum pi_k = {n_total} != {x - 1}"
-    H = level_histogram(table, x)
+    H = _histogram(x, 10)
     mass = sum(weighted_mass(H[k]) for k in range(1, 16))
     want = int(np.left_shift(1, table.omega[1:x].astype(np.int64)).sum())
     if mass != want:
@@ -247,7 +251,7 @@ def _check_normal_cdf():
 def _check_coefficients_vs_direct():
     x = 10_000
     for w in (10, resolve_w("auto", x)):
-        H = level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
+        H = _histogram(x, w)
         direct = {}
         for n in range(2, x + 1):
             k = _trial_omega(n, w)[0]
@@ -263,7 +267,7 @@ def _check_coefficients_vs_direct():
 
 
 def _check_genfun_examples():
-    J = level_histogram(build_omega_table(SieveConfig(x_max=10, w=2)), 10)[1]
+    J = _histogram(10, 2)[1]
     val = genfun.eval_genfun(J, 1.0)
     vec = genfun.extract_coefficients(J)
     ok = (
@@ -271,14 +275,13 @@ def _check_genfun_examples():
         and val.weight_total == 15
         and np.allclose(vec.coefficients, [5.0, 10.0], atol=1e-9)
     )
-    t10b = build_omega_table(SieveConfig(x_max=10, w=10))
-    ok &= weighted_mass(level_histogram(t10b, 10)[2]) == 4
+    ok &= weighted_mass(_histogram(10, 10)[2]) == 4
     return bool(ok), "F(x=10,k=1,w=2): F(1)=15, coeffs [5,10]; S_2(10)=4"
 
 
 def _check_threshold_monotone():
     x = 10_000
-    J = level_histogram(build_omega_table(SieveConfig(x_max=x, w=10)), x)[2]
+    J = _histogram(x, 10)[2]
     total = weighted_mass(J)
     prev = -1
     for y in np.linspace(-4, 8, 25):
@@ -293,7 +296,7 @@ def _check_threshold_monotone():
 
 def _check_profile_modulus():
     x = 10_000
-    J = level_histogram(build_omega_table(SieveConfig(x_max=x, w=10)), x)[2]
+    J = _histogram(x, 10)[2]
     pts = genfun.characteristic_profile(J, 10, np.linspace(-3, 3, 13))
     worst = max(abs(p.psi) for p in pts)
     return worst <= 1.0 + 1e-12, f"max |psi| = {worst:.6f}"
@@ -301,10 +304,7 @@ def _check_profile_modulus():
 
 def _check_stat_determinism():
     x, z = 10_000, 0.83 + 0.41j
-    hists = [
-        level_histogram(build_omega_table(SieveConfig(x_max=x, w=10, **opts)), x)
-        for opts in ({}, {"threads": 3, "segment_length": 1024})
-    ]
+    hists = [_histogram(x, 10, **opts) for opts in ({}, {"threads": 3, "segment_length": 1024})]
     if not np.array_equal(*hists):
         return False, "level histogram differs across sieve threads"
     values = [genfun.eval_genfun(H[2], z).value for H in hists]

@@ -1,7 +1,8 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Nothing here imports the package under test.  The arithmetic oracles use
-plain trial division and Python integers; the generating-function oracle
+plain trial division and Python integers; the histogram oracle counts a
+table's (k, v, u) triples with numpy bincount; the generating-function oracle
 gathers a table's level set element by element and inverts F_k from its
 values at the roots of unity by a discrete Fourier transform; the
 Euler-product oracle uses mpmath with a prime-zeta tail so its error is far
@@ -113,6 +114,22 @@ def large_factor_ratio(triples, k: int, x: int, c_mult: float) -> float:
     thr = c_mult * math.log(math.log(math.log(x)))
     excess = sum(1 << v for kk, v, u in triples if kk == k and v - u > thr)
     return excess / weighted_mass(triples, k)
+
+
+def histogram(omega, omega_small, x: int, chunk: int = 1 << 20) -> np.ndarray:
+    """H[k, v, u] = #{2 <= n <= x : omega[n] = k, omega[n-1] = v,
+    omega_small[n-1] = u} from two byte tables indexed by n, shape (16, 16, 16),
+    by a numpy bincount over each chunk of n; a count >= 16 raises ValueError."""
+    counts = np.zeros(16**3, dtype=np.int64)
+    for lo in range(2, x + 1, chunk):
+        hi = min(lo + chunk, x + 1)
+        k = omega[lo:hi].astype(np.int64)
+        v = omega[lo - 1 : hi - 1].astype(np.int64)
+        u = omega_small[lo - 1 : hi - 1].astype(np.int64)
+        if max(k.max(), v.max(), u.max()) >= 16:
+            raise ValueError(f"a factor count >= 16 in [{lo}, {hi})")
+        counts += np.bincount((k * 16 + v) * 16 + u, minlength=16**3)
+    return counts.reshape(16, 16, 16)
 
 
 def joint_counts(triples, k: int) -> dict[tuple[int, int], int]:

@@ -1,0 +1,41 @@
+"""The package's public names."""
+
+import pkgutil
+from importlib import import_module
+
+import omegashift
+
+# Names removed from the package, with the table route to H, the table
+# cache and the thread override; a half-finished removal leaves one behind.
+REMOVED = (
+    "level_histogram",
+    "save_table",
+    "load_table",
+    "cache_path",
+    "resolve_threads",
+    "THREADS_ENV",
+    "read_cache",
+    "write_cache",
+    "_widen",
+    "_BITS",
+)
+
+
+def test_every_exported_name_imports():
+    missing = [name for name in omegashift.__all__ if not hasattr(omegashift, name)]
+    assert missing == []
+
+
+def test_all_has_no_duplicates():
+    assert len(omegashift.__all__) == len(set(omegashift.__all__))
+
+
+def test_no_removed_name_is_exported_or_defined():
+    assert not set(REMOVED) & set(omegashift.__all__)
+    modules = [omegashift] + [
+        import_module(f"omegashift.{info.name}")
+        for info in pkgutil.iter_modules(omegashift.__path__)
+    ]
+    for module in modules:
+        leftover = [name for name in REMOVED if hasattr(module, name)]
+        assert leftover == [], (module.__name__, leftover)

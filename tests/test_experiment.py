@@ -1,27 +1,39 @@
 """Experiment runner, config parsing, report determinism, CLI, verify battery."""
 
 import csv
+import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import omegashift.genfun as genfun
 from omegashift.cli import main
 from omegashift.experiment import (
     CSV_HEADER,
-    THREADS_ENV,
     ExperimentConfig,
+    _write_csv,
+    _write_json,
     config_hash,
     parse_config,
     resolve_w,
     run_experiment,
 )
-from omegashift.stats import grid_histograms, histogram_digest
+from omegashift.stats import (
+    CacheMismatchError,
+    grid_histograms,
+    histogram_digest,
+    histogram_path,
+    load_histogram,
+    make_report,
+    small_factor_prediction,
+)
 from omegashift.verify import verify_suite
 
 REFERENCE_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -81,6 +93,37 @@ def test_config_validation_bounds():
         ExperimentConfig(x_list=(10**4,), k_list=(2,), moments=(13,))
     with pytest.raises(ValueError):
         ExperimentConfig(x_list=(10**4,), k_list=(2,), truncation_prime=10)
+
+
+def test_config_rejects_an_ell_max_the_run_cannot_evaluate():
+    # a slice row evaluates the profile at z = ell / loglog w, whose ceiling is 4
+    with pytest.raises(ValueError, match=r"ell_max=8 too deep for x=1000000 .*4\.143"):
+        ExperimentConfig(x_list=(10**6,), k_list=(2,), w_rule="loglog_sq", ell_max=8)
+    ExperimentConfig(x_list=(10**6,), k_list=(2,), w_rule="loglog_sq", ell_max=7)  # 3.625
+    # loglog 15 = 0.996 and loglog 16 = 1.020 put ell = 4 on either side of the ceiling
+    with pytest.raises(ValueError, match="exceeds ceiling"):
+        small_factor_prediction(2, 10**4, 4, 15, P=10_000)
+    with pytest.raises(ValueError, match="ell_max=4 too deep for x=10000 "):
+        ExperimentConfig(x_list=(10**4,), k_list=(2,), w_rule="fixed:15", ell_max=4)
+    assert small_factor_prediction(2, 10**4, 4, 16, P=10_000) > 0
+    ExperimentConfig(x_list=(10**4,), k_list=(2,), w_rule="fixed:16", ell_max=4)
+    # the first x past the ceiling is named; w < 3 has no slice rows to bound
+    with pytest.raises(ValueError, match="x=10000 "):
+        ExperimentConfig(x_list=(10**6, 10**4), k_list=(2,), w_rule="loglog_sq", ell_max=7)
+    ExperimentConfig(x_list=(10**4,), k_list=(2,), w_rule="fixed:2", ell_max=50)
+    with open(REFERENCE_JSON) as fh:
+        assert parse_config(json.load(fh)["config"]).ell_max == 6  # the reference stays valid
+
+
+def test_cli_run_rejects_a_deep_ell_max_before_sieving(tmp_path, capsys):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(
+        "x_list = 1000000\nk_list = 2\nw_rule = loglog_sq\nell_max = 8\n"
+        f"output_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ell_max=8 too deep for x=1000000 ")
+    assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no report
 
 
 def test_resolve_w_rules():
@@ -213,6 +256,64 @@ def test_partial_cache_run_matches_cold_run(tmp_path):
     assert meta[0]["histograms"] == meta[1]["histograms"]
 
 
+def test_a_parent_format_cache_file_is_an_error(tmp_path, capsys):
+    """A format-1 file (H padded to 32^3, a 256 KB payload) is refused, not rebuilt."""
+    x, w = 10**4, 50
+    padded = np.zeros((32, 32, 32), dtype="<i8")
+    padded[:16, :16, :16] = grid_histograms([(x, w)])[x, w]
+    payload = padded.tobytes()
+    old = struct.pack("<4sIQQ32s", b"OMGH", 1, x, w, hashlib.sha256(payload).digest()) + payload
+    path = Path(histogram_path(str(tmp_path / "cache"), x, w))
+    path.parent.mkdir()
+    path.write_bytes(old)
+    with pytest.raises(CacheMismatchError, match="v1"):
+        load_histogram(str(path), x, w)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"x_list = {x}\nk_list = 2\nw_rule = fixed:{w}\n"
+        f"output_dir = {tmp_path / 'out'}\ncache_dir = {path.parent}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: bad magic/version")
+    assert path.read_bytes() == old
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_report_writes_do_not_collide(tmp_path, monkeypatch, suffix):
+    """A second write of the same report that runs while the first one is
+    between writing and renaming its temporary file: both must finish."""
+    path = str(tmp_path / f"report.{suffix}")
+    config = _tiny_config(tmp_path)
+
+    def write(empirical):
+        rows = [make_report("weighted_total", 10**4, 2, 50, None, empirical, 1.0, 0.1, 0.0)]
+        if suffix == "csv":
+            _write_csv(path, rows)
+        else:
+            _write_json(path, rows, config, "tag", {})
+
+    real_replace = os.replace
+    nested = []
+
+    def replace_with_a_second_write(src, dst):
+        if not nested:
+            nested.append(src)
+            write(2.0)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_with_a_second_write)
+    write(1.0)
+    monkeypatch.undo()
+    assert nested
+    if suffix == "csv":  # the first write renamed last
+        assert _read_rows(path)[1][5] == "1.0"
+    else:
+        with open(path) as fh:
+            assert json.load(fh)["rows"][0]["empirical"] == 1.0
+    assert os.listdir(tmp_path) == [os.path.basename(path)]  # no temporary file left
+
+
 def test_json_records_histogram_provenance(tmp_path):
     cfg = _tiny_config(tmp_path, x_list=(5000, 10**4, 5000))
     res = run_experiment(cfg)
@@ -230,27 +331,6 @@ def test_json_records_histogram_provenance(tmp_path):
     assert first == second
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "3")
-    r1 = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "t3")))
-    monkeypatch.delenv(THREADS_ENV)
-    r2 = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "t1")))
-    drop = CSV_HEADER.split(",").index("runtime_ms")
-    strip = lambda path: [
-        [c for i, c in enumerate(r) if i != drop] for r in _read_rows(path)
-    ]
-    assert strip(r1.csv_path) == strip(r2.csv_path)
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "x"])
-def test_threads_env_rejects_bad_values(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv(THREADS_ENV, value)
-    with pytest.raises(ValueError, match=THREADS_ENV):
-        run_experiment(_tiny_config(tmp_path))
-    assert main(["sieve", "--x", "2000", "--w", "11"]) == 2
-    assert THREADS_ENV in capsys.readouterr().err
-
-
 def test_mass_skip_on_empty_level(tmp_path):
     res = run_experiment(_tiny_config(tmp_path, k_list=(6,), baseline=False))
     stats = [r.statistic for r in res.rows]
@@ -260,13 +340,18 @@ def test_mass_skip_on_empty_level(tmp_path):
 
 
 def test_cli_sieve_and_cache(tmp_path, capsys):
-    cache = str(tmp_path / "c")
-    os.makedirs(cache)
-    assert main(["sieve", "--x", "2000", "--w", "11", "--cache", cache]) == 0
-    out = capsys.readouterr().out
-    assert "built table" in out and "cached" in out
-    assert main(["sieve", "--x", "2000", "--w", "11", "--cache", cache]) == 0
-    assert "loaded" in capsys.readouterr().out
+    # sieve builds and prints a table; it has no table cache to load or save
+    assert main(["sieve", "--x", "2000", "--w", "11", "--threads", "2"]) == 0
+    assert capsys.readouterr().out.startswith("built table: x=2000 w=11 max_omega=4 ")
+    for gone in (["--cache", str(tmp_path)], ["--segment-length", "4096"]):
+        with pytest.raises(SystemExit):
+            main(["sieve", "--x", "2000", "--w", "11", *gone])
+        assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["sieve", "--help"])
+    usage = capsys.readouterr().out
+    assert "--threads" in usage and "--cache" not in usage and "--segment-length" not in usage
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run(tmp_path, capsys):

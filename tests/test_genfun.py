@@ -18,8 +18,7 @@ from omegashift.genfun import (
     phi_prime_power,
     phi_weighted_kernel,
 )
-from omegashift.sieve import SieveConfig, build_omega_table
-from omegashift.stats import level_histogram
+from omegashift.stats import grid_histograms
 
 Z_SET = (0.0, 1.0, -1.0, 1.0j, 1.7 + 0.3j)
 
@@ -36,7 +35,7 @@ def test_kernel_values_match_oracle():
 
 
 def _planes(x, w):
-    return level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
+    return grid_histograms([(x, w)])[x, w]
 
 
 def test_kernel_input_validation():
@@ -125,11 +124,8 @@ def test_eval_genfun_z_zero_counts_no_small_factor_mass():
 
 
 def test_eval_genfun_validation():
-    table = build_omega_table(SieveConfig(x_max=100, w=10))
     with pytest.raises(ValueError):
-        eval_genfun(level_histogram(table, 100)[2], 4.5)  # |z| above the radius
-    with pytest.raises(ValueError):
-        level_histogram(table, 101)  # x beyond the table
+        eval_genfun(_planes(100, 10)[2], 4.5)  # |z| above the radius
 
 
 def test_extract_coefficients_match_slices():

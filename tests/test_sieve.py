@@ -1,10 +1,8 @@
-"""Sieve correctness, determinism, and cache round-trips."""
+"""Sieve correctness and determinism, and the compiled kernel."""
 
-import hashlib
 import itertools
 import math
 import os
-import struct
 from functools import lru_cache
 
 import numpy as np
@@ -20,18 +18,13 @@ from omegashift.sieve import (
     LOG_SCALE,
     MAX_OMEGA,
     X_MAX_CEILING,
-    CacheMismatchError,
     OmegaTable,
     SieveConfig,
     _log_gap,
     build_omega_table,
-    cache_path,
     count_omega_level,
     iter_omega_level,
-    load_table,
-    save_table,
 )
-from omegashift.stats import OMEGA_CAP, level_histogram
 
 
 def small_table(x=1000, w=10, **kw):
@@ -150,7 +143,7 @@ def test_max_omega_is_derived_from_the_ceiling():
     primorial_11 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
     assert primorial_11 <= X_MAX_CEILING < primorial_11 * 37
     assert MAX_OMEGA == 11
-    assert MAX_OMEGA < OMEGA_CAP  # every omega is an index of the level histogram
+    assert MAX_OMEGA < kernel.OMEGA_CAP  # every omega is an index of the level histogram
     assert MAX_OMEGA < 256  # the sieve's count byte never carries into its log byte
 
 
@@ -211,75 +204,6 @@ def test_partition_of_range():
     assert sum(count_omega_level(t, k, x) for k in range(1, 10)) == x - 1
 
 
-def test_cache_roundtrip(tmp_path):
-    t = small_table(4000, 17)
-    path = cache_path(str(tmp_path), 4000, 17)
-    assert path.endswith("omega_x4000_w17.bin")
-    save_table(t, path)
-    assert load_table(path) == t
-    assert load_table(path, x_max=4000, w=17) == t
-    payload = t.omega.tobytes() + t.omega_small.tobytes()  # the format, spelled out
-    header = struct.pack("<4sIQQ32s", b"OMGT", 2, 4000, 17, hashlib.sha256(payload).digest())
-    assert open(path, "rb").read() == header + payload
-    assert os.listdir(tmp_path) == ["omega_x4000_w17.bin"]  # no temporary file left
-
-
-def test_cache_save_creates_directory(tmp_path):
-    t = small_table(1000, 7)
-    path = cache_path(str(tmp_path / "deep" / "cache"), 1000, 7)
-    save_table(t, path)  # parent directories must be created on demand
-    assert load_table(path) == t
-
-
-def test_cache_parameter_mismatch(tmp_path):
-    t = small_table(4000, 17)
-    path = cache_path(str(tmp_path), 4000, 17)
-    save_table(t, path)
-    with pytest.raises(CacheMismatchError):
-        load_table(path, x_max=5000)
-    with pytest.raises(CacheMismatchError):
-        load_table(path, w=19)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    t = small_table(4000, 17)
-    path = cache_path(str(tmp_path), 4000, 17)
-    save_table(t, path)
-    raw = bytearray(open(path, "rb").read())
-    raw[:4] = b"XXXX"
-    bad = tmp_path / "bad_magic.bin"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(CacheMismatchError):
-        load_table(str(bad))
-    for cut in (24 + 1000, len(raw) - 1):  # inside the first and the second array
-        short = tmp_path / "short.bin"
-        short.write_bytes(open(path, "rb").read()[:cut])
-        with pytest.raises(CacheMismatchError):
-            load_table(str(short))
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    with pytest.raises(CacheMismatchError):
-        load_table(str(empty))
-    flipped = bytearray(open(path, "rb").read())
-    flipped[-2000] ^= 1  # one payload byte; header and size intact
-    bad_payload = tmp_path / "flipped.bin"
-    bad_payload.write_bytes(bytes(flipped))
-    with pytest.raises(CacheMismatchError, match="SHA-256"):
-        load_table(str(bad_payload))
-
-
-def test_loaded_table_is_writable_copy(tmp_path):
-    t = small_table(2000, 11)
-    path = cache_path(str(tmp_path), 2000, 11)
-    save_table(t, path)
-    loaded = load_table(path)
-    assert loaded == t
-    loaded.omega_small[5] = 99
-    loaded.omega[5] = 99  # must not raise: the loader hands back a mutable copy
-    assert loaded.omega[5] == 99
-    assert t.omega[5] != 99
-
-
 def test_table_equality_semantics():
     a = small_table(500, 7)
     b = small_table(500, 7)
@@ -334,24 +258,26 @@ def test_truncated_kernel_library_is_rebuilt(kernel_dir):
     assert os.path.getsize(path) > 0
     omega, omega_small = _trial_division_tables(5000, 13)
     assert np.array_equal(t.omega, omega) and np.array_equal(t.omega_small, omega_small)
-    H = level_histogram(t, 5000)
-    assert H.sum() == 4999
+    assert kernel.fold(t.omega, t.omega_small, 2, 5001).sum() == 4999
     assert [f.name for f in kernel_dir.iterdir()] == [os.path.basename(path)]
 
 
 def test_fold_refuses_a_corrupt_table():
     t = small_table(1000, 10)
-    good = level_histogram(t, 1000)
+    fold = lambda: kernel.fold(t.omega, t.omega_small, 2, 1001)
+    good = fold()
+    assert good.shape == (16, 16, 16) and good.dtype == np.int64
+    assert np.array_equal(good, oracles.histogram(t.omega, t.omega_small, 1000))
     for array, n in ((t.omega, 500), (t.omega, 1), (t.omega_small, 999)):
         saved = array[n]
         array[n] = 200  # its packed index would fall far outside the fold's bins
         with pytest.raises(ValueError, match="corrupt"):
-            level_histogram(t, 1000)
+            fold()
         array[n] = 16  # the first byte outside a base-16 digit
         with pytest.raises(ValueError, match="corrupt"):
-            level_histogram(t, 1000)
+            fold()
         array[n] = saved
-    assert np.array_equal(level_histogram(t, 1000), good)
+    assert np.array_equal(fold(), good)
 
 
 def test_kernel_rejects_bad_arguments():

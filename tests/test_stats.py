@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import oracles
 from omegashift.constants import normal_cdf
 from omegashift.experiment import resolve_w
-from omegashift.sieve import MAX_OMEGA, CacheMismatchError, SieveConfig, build_omega_table
+from omegashift.kernel import OMEGA_CAP
+from omegashift.sieve import MAX_OMEGA, SieveConfig, build_omega_table
 from omegashift.stats import (
     HIST_VERSION,
-    OMEGA_CAP,
+    CacheMismatchError,
     PredictionReport,
     ThresholdSpec,
     classical_baseline,
@@ -29,7 +30,6 @@ from omegashift.stats import (
     ks_distance,
     ks_weighted_histogram,
     large_factor_ratio,
-    level_histogram,
     load_histogram,
     loglog,
     logloglog,
@@ -49,13 +49,8 @@ X, W = 10_000, 50
 
 
 @pytest.fixture(scope="module")
-def table():
-    return build_omega_table(SieveConfig(x_max=X, w=W))
-
-
-@pytest.fixture(scope="module")
-def H(table):
-    return level_histogram(table, X)
+def H():
+    return grid_histograms([(X, W)])[X, W]
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +87,7 @@ def _nonzero_cells(hist) -> dict:
 
 
 def test_level_histogram_matches_oracle(H, triples):
-    assert H.shape == (OMEGA_CAP, OMEGA_CAP, OMEGA_CAP)
+    assert H.shape == (16, 16, 16) and H.dtype == np.int64
     for k in range(OMEGA_CAP):
         assert _nonzero_cells(H[k]) == oracles.joint_counts(triples, k), k
     assert int(H.sum()) == X - 1
@@ -116,7 +111,7 @@ def test_table_and_level_histogram_match_trial_division(inputs):
     )
     for n in range(2, x + 1):
         assert (table.omega[n], table.omega_small[n]) == oracles.omega_pair(n, w), n
-    H = level_histogram(table, x)
+    H = grid_histograms([(x, w)], threads=threads, segment_length=segment)[x, w]
     assert _nonzero_cells(H) == Counter(oracles.level_triples(x, w))
 
 
@@ -154,7 +149,8 @@ def test_grid_histograms_match_table_histograms(inputs):
     got = grid_histograms(pairs, threads=threads, segment_length=segment)
     assert set(got) == set(pairs)
     for x, w in pairs:
-        want = level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
+        table = build_omega_table(SieveConfig(x_max=x, w=w))
+        want = oracles.histogram(table.omega, table.omega_small, x)
         assert np.array_equal(got[x, w], want), (x, w)
     x, w = max(pairs)
     assert _nonzero_cells(got[x, w]) == Counter(oracles.level_triples(x, w))
@@ -165,8 +161,8 @@ def test_grid_histograms_at_the_reference_grid():
     pairs = [(x, resolve_w("loglog_sq", x)) for x in (10**6, 10**7, 10**8)]
     got = grid_histograms(pairs)
     for x, w in pairs[:2]:
-        want = level_histogram(build_omega_table(SieveConfig(x_max=x, w=w)), x)
-        assert np.array_equal(got[x, w], want), x
+        table = build_omega_table(SieveConfig(x_max=x, w=w))
+        assert np.array_equal(got[x, w], oracles.histogram(table.omega, table.omega_small, x)), x
     x, w = pairs[2]
     assert int(got[x, w].sum()) == x - 1
 
@@ -183,18 +179,21 @@ def test_grid_histograms_validation():
 
 
 def test_histogram_cache_roundtrip(tmp_path, H):
-    path = histogram_path(str(tmp_path), X, W)
+    cache_dir = tmp_path / "deep" / "cache"
+    path = histogram_path(str(cache_dir), X, W)
     assert path.endswith(f"hist_x{X}_w{W}.bin")
-    save_histogram(H, path, X, W)
+    save_histogram(H, path, X, W)  # parent directories are created on demand
     got = load_histogram(path, X, W)
-    assert got.dtype == np.int64 and np.array_equal(got, H)
+    assert got.dtype == np.int64 and got.shape == (16, 16, 16) and np.array_equal(got, H)
     got[2, 1, 1] += 1  # the loaded histogram is a writable copy
+    assert not np.array_equal(got, load_histogram(path, X, W))
     raw = open(path, "rb").read()
     payload = H.astype("<i8").tobytes()  # the format, spelled out: header, then H
     digest = hashlib.sha256(payload)
+    assert HIST_VERSION == 2 and len(raw) == 56 + 16**3 * 8 == 32_824
     assert raw == struct.pack("<4sIQQ32s", b"OMGH", HIST_VERSION, X, W, digest.digest()) + payload
     assert histogram_digest(H) == digest.hexdigest()
-    assert os.listdir(tmp_path) == [os.path.basename(path)]  # no temporary file left
+    assert os.listdir(cache_dir) == [os.path.basename(path)]  # no temporary file left
 
 
 def test_concurrent_histogram_saves_do_not_collide(tmp_path, H, monkeypatch):
@@ -232,7 +231,9 @@ def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
     newer[4:8] = (HIST_VERSION + 1).to_bytes(4, "little")
     magic = bytearray(raw)
     magic[:4] = b"XXXX"
-    for bad in (flipped, newer, magic, raw[:-1], raw + b"\0", b""):
+    # a bad payload byte, version or magic; a file cut inside the payload or
+    # the header, one byte too long, and empty
+    for bad in (flipped, newer, magic, raw[:-1], raw[:20], raw + b"\0", b""):
         bad_path = tmp_path / "bad.bin"
         bad_path.write_bytes(bytes(bad))
         with pytest.raises(CacheMismatchError):
@@ -243,10 +244,7 @@ def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
 @given(_sieve_inputs(), st.integers(0, 6))
 def test_plane_statistics_match_oracle(inputs, k):
     x, w, segment, threads = inputs
-    table = build_omega_table(
-        SieveConfig(x_max=x, w=w, segment_length=segment, threads=threads)
-    )
-    H = level_histogram(table, x)
+    H = grid_histograms([(x, w)], threads=threads, segment_length=segment)[x, w]
     J = H[k]
     triples = oracles.level_triples(x, w)
     for ell in range(MAX_OMEGA + 2):
@@ -403,13 +401,12 @@ def test_ks_distance_matches_oracle(H, triples):
         ks_distance(H[9], X)  # empty level set
 
 
-def test_weighted_mass_theoretical_positive_and_trending():
+def test_weighted_mass_theoretical_positive_and_trending(H):
     # pure prediction: positive, and the empirical/theoretical ratio is O(1)
     for k in (2, 3):
         pred = weighted_mass_theoretical(k, X, P=100_000)
         assert pred > 0
-    t = build_omega_table(SieveConfig(x_max=X, w=W))
-    emp = weighted_mass(level_histogram(t, X)[2])
+    emp = weighted_mass(H[2])
     assert 0.1 < emp / weighted_mass_theoretical(2, X, P=100_000) < 10.0
 
 
@@ -471,8 +468,10 @@ def test_report_relative_deviation():
     assert rep.rel_dev == pytest.approx(0.1)
 
 
-def test_session_oracle_agreement(table_1e5, oracle_triples):
+def test_session_oracle_agreement(table_1e5, oracle_triples, oracle_w):
     # the session-scoped 1e5 fixtures use the experiment w rule; spot-check
     k = 2
-    J = level_histogram(table_1e5, 100_000)[k]
+    H = oracles.histogram(table_1e5.omega, table_1e5.omega_small, 100_000)
+    assert np.array_equal(grid_histograms([(100_000, oracle_w)])[100_000, oracle_w], H)
+    J = H[k]
     assert weighted_mass(J) == oracles.weighted_mass(oracle_triples, k)
