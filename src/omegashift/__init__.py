@@ -17,7 +17,6 @@ from .constants import (
     LevelRatio,
     PoleError,
     coprimality_density,
-    coprimality_density_dd,
     level_density_constant,
     level_ratio,
     normal_cdf,
@@ -98,7 +97,6 @@ __all__ = [
     "convolution_check",
     "convolution_max_deviation",
     "coprimality_density",
-    "coprimality_density_dd",
     "count_omega_level",
     "eval_genfun",
     "extract_coefficients",

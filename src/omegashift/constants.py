@@ -261,57 +261,31 @@ def tilt_profile(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> E
     return _assemble(pre, _log_core(a, float(r) + 1.0, P), P)
 
 
-def coprimality_density(
-    ell: int, y: complex | float, P: int = DEFAULT_TRUNCATION
-) -> EulerProductResult:
+def coprimality_density(ell: int, y: float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
     """Density constant of the level set restricted to n coprime to ell:
 
         prod_p (1 + y/(p-1)) (1 - 1/p)^y / Gamma(y+1)
             * prod_{p | ell} (1 + y/(p-1))^(-1).
 
+    y is real: a complex y with a nonzero imaginary part is a ValueError.
     Equals 1 at y = 0 for every ell.  Points within 1e-6 of a pole
     y = 1 - p for p | ell are rejected.
     """
     if ell < 1:
         raise ValueError("ell < 1")
+    if isinstance(y, complex) and y.imag != 0.0:
+        raise ValueError(f"y={y} is complex; coprimality_density takes a real y")
+    y = float(np.real(y))
     _check_z(y)
     pdiv = [p for p, _ in factorize(ell)]
     for p in pdiv:
         if abs(y - (1 - p)) < 1e-6:
             raise PoleError(f"y={y} within 1e-6 of pole at {1 - p} (p={p} | ell)")
-    if not (isinstance(y, complex) and y.imag != 0.0):
-        y = float(np.real(y))
     correction = 1.0
     for p in pdiv:
         correction /= 1.0 + y / (p - 1.0)
-    if isinstance(y, complex):
-        from scipy.special import gamma  # complex Gamma; math.gamma is real only
-
-        pre = complex(correction / gamma(y + 1.0))
-    elif y + 1.0 <= 0.0 and y == int(y):
+    if y + 1.0 <= 0.0 and y == int(y):
         pre = 0.0  # 1/Gamma vanishes at its poles
     else:
         pre = correction / math.gamma(y + 1.0)
     return _assemble(pre, _log_core(y, 0.0, P), P)
-
-
-def coprimality_density_dd(
-    ell: int, r: float, P: int = DEFAULT_TRUNCATION, step: float = 1e-4
-) -> float:
-    """Second derivative in y of coprimality_density at y = r.
-
-    Central differences with the given step, Richardson-extrapolated against
-    step/2 (leading h^2 error cancels).
-    """
-
-    def f(y: float) -> float:
-        return float(coprimality_density(ell, y, P).value)
-
-    center = f(r)
-
-    def second(h: float) -> float:
-        return (f(r + h) - 2.0 * center + f(r - h)) / (h * h)
-
-    d_h = second(step)
-    d_half = second(step / 2.0)
-    return (4.0 * d_half - d_h) / 3.0

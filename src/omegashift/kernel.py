@@ -1,4 +1,4 @@
-"""The sieve's strided adds and the histogram fold, compiled from kernel.c.
+"""The sieve's segment pass and the histogram fold, compiled from kernel.c.
 
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
@@ -20,7 +20,7 @@ import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O3", "-shared", "-fPIC")  # -O2 leaves the byte copy-outs scalar
 OMEGA_CAP = 16  # bins per axis of H: kernel.c's fold packs (k, v, u) as base-16 digits
 FOLD_BINS = OMEGA_CAP**3
 
@@ -86,8 +86,10 @@ def _library():
         except OSError as exc:
             raise KernelBuildError(f"cannot load the rebuilt {path}: {exc}") from exc
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.sieve_words.argtypes = [ptr, i64, i64, ptr, ptr, i64]
-    lib.sieve_words.restype = None
+    lib.fill_segment.argtypes = [
+        ptr, i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, ptr, ptr, i64
+    ]
+    lib.fill_segment.restype = None
     lib.fold.argtypes = [ptr, ptr, ptr, i64, i64]
     lib.fold.restype = ctypes.c_int
     return lib
@@ -104,24 +106,74 @@ def _check(arr: np.ndarray, dtype, name: str) -> None:
         raise TypeError(f"{name}: want a contiguous 1-d {np.dtype(dtype)} array")
 
 
-def sieve_words(cell: np.ndarray, lo: int, primes: np.ndarray, steps: np.ndarray) -> None:
-    """Add steps[i] + 1 at each multiple of p = primes[i] among n = lo + j,
-    j < len(cell), and steps[i] at each multiple of every p^j < lo + len(cell).
+def fill_segment(cell, om, osms, lo, primes, steps, splits, octaves=(), pattern=None) -> None:
+    """Sieve the segment n = lo + j, j < len(om), in one pass over cell.
 
-    cell is uint16 and written in place.  Every prime must be at most 2^20
-    and lo + len(cell) at most 2^40 + 1, which keeps the powers in int64.
+    cell (uint16 scratch) starts as pattern[(lo + j) % len(pattern)] when a
+    pattern is given, else as zeros.  Then each base prime p = primes[i]
+    adds steps[i] + 1 at each multiple of p and steps[i] at each multiple
+    of every power p^j < lo + len(om); the leading primes that divide the
+    pattern's period add only their powers that do not, since the pattern
+    holds the rest.  After the primes primes[:splits[s]] the low byte of
+    each word is copied into osms[s].  Last, om gets the low byte, plus 1
+    where the word is below bound, for each (start, stop, bound) of
+    octaves; octaves, if any, must tile [0, len(om)).
+
+    Every prime must be at most 2^20 and lo + len(om) at most 2^40 + 1,
+    which keeps the powers in int64.  Every argument is checked here, before
+    the C call.
     """
+    size = om.size
     _check(cell, np.uint16, "cell")
+    _check(om, np.uint8, "om")
     _check(primes, np.int64, "primes")
     _check(steps, np.int64, "steps")
+    for osm in osms:
+        _check(osm, np.uint8, "osm")
+    if cell.size != size or any(osm.size != size for osm in osms):
+        raise ValueError("cell, om and the osms differ in length")
     if primes.size != steps.size:
         raise ValueError("primes and steps differ in length")
-    if not 0 <= lo <= lo + cell.size <= (1 << 40) + 1:
-        raise ValueError(f"segment [{lo}, {lo + cell.size}) outside [0, 2^40]")
+    if not 0 <= lo <= lo + size <= (1 << 40) + 1:
+        raise ValueError(f"segment [{lo}, {lo + size}) outside [0, 2^40]")
     if primes.size and not 2 <= primes[0] <= primes[-1] <= 1 << 20:
         raise ValueError("a base prime outside [2, 2^20]")
-    library().sieve_words(
-        cell.ctypes.data, cell.size, lo, primes.ctypes.data, steps.ctypes.data, primes.size
+    if len(osms) != len(splits):
+        raise ValueError(f"{len(osms)} osm arrays for {len(splits)} splits")
+    if list(splits) != sorted(splits) or not all(0 <= s <= primes.size for s in splits):
+        raise ValueError(f"splits {list(splits)} not ascending within [0, {primes.size}]")
+    edge = 0
+    for start, stop, bound in octaves:
+        if start != edge or not start < stop <= size:
+            raise ValueError(f"octave [{start}, {stop}) does not tile the segment [0, {size})")
+        if not 0 <= bound < 1 << 16:
+            raise ValueError(f"octave bound {bound} outside a word")
+        edge = stop
+    if octaves and edge != size:
+        raise ValueError(f"the octaves end at {edge}, not at the segment end {size}")
+    period = 0
+    if pattern is not None:
+        _check(pattern, np.uint16, "pattern")
+        period = rest = pattern.size
+        lead = 0  # the leading primes dividing period, as kernel.c counts them
+        while period and lead < primes.size and period % primes[lead] == 0:
+            while rest % primes[lead] == 0:
+                rest //= int(primes[lead])
+            lead += 1
+        if rest != 1:
+            raise ValueError(f"pattern period {period} is not made of leading base primes")
+        if splits and splits[0] < lead:
+            raise ValueError("a split falls among the pre-sieved primes")
+    # Held in locals so they outlive the call that reads them.
+    osm_ptrs = np.array([osm.ctypes.data for osm in osms], dtype=np.uintp)
+    split_arr = np.array(splits, dtype=np.int64)
+    octave_arr = np.array(octaves, dtype=np.int64)
+    library().fill_segment(
+        cell.ctypes.data, size, lo,
+        primes.ctypes.data, steps.ctypes.data, primes.size,
+        None if pattern is None else pattern.ctypes.data, period,
+        osm_ptrs.ctypes.data, split_arr.ctypes.data, len(splits),
+        om.ctypes.data, octave_arr.ctypes.data, len(octaves),
     )
 
 

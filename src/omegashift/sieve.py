@@ -19,12 +19,19 @@ matters, and a byte of scaled logarithms decides it exactly (the
 logarithmic-sieve trick of the quadratic sieve; the argument is in
 _fill_segment).  Only when some w has w*w > x_max, where "c <= w" needs
 the cofactor's value, does a segment keep an int64 cofactor array and
-divide it by every prime power.  The strided adds themselves run in C
-(kernel.sieve_words), built on the first call.
+divide it by every prime power.
+
+A segment is one compiled pass (kernel.fill_segment, built on the first
+call): it copies in a pre-sieve pattern of period 55 440 = 2^4 3^2 5 7 11
+that holds the primes 2..11 and their powers dividing the period, adds the
+remaining prime powers strided, copies each omega(n, w) out and applies the
+log test.  The pattern is used when every w >= 11 and 11 <= sqrt(x_max);
+otherwise the words start at zero and every base prime is added strided.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +45,8 @@ X_MAX_CEILING = 1 << 40
 DEFAULT_SEGMENT = 1 << 18  # 512 KB of words, the fastest of 2^17..2^22 for the C kernel
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
+PRESIEVE_PRIMES = (2, 3, 5, 7, 11)  # held by the pre-sieve pattern (see _fill_segment)
+PRESIEVE_PERIOD = 2**4 * 3**2 * 5 * 7 * 11  # 55 440 words, 110 KB
 
 
 def _max_omega(limit: int) -> int:
@@ -132,16 +141,24 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
     """Count prime divisors for n in [lo, lo + len(om)) into om and, for
     each w of the ascending tuple ws, omega(n, w) into the matching osms array.
 
-    One uint16 word per n.  base = base_primes(x_max) holds the primes
-    p <= sqrt(x_max), ascending, with their steps L(p) << 8, and the
-    compiled kernel.sieve_words adds 1 to the low byte at the multiples of
-    each p, and L(p) = floor(8 ln p) to the high byte at the multiples of
-    every power p^j < hi.  The primes ascend, so after the primes p <= w
+    One uint16 word per n, in one compiled pass (kernel.fill_segment).
+    base = base_primes(x_max) holds the primes p <= sqrt(x_max), ascending,
+    with their steps L(p) << 8: each p adds 1 to the low byte at its
+    multiples, and L(p) = floor(8 ln p) to the high byte at the multiples
+    of every power p^j < hi.  The primes ascend, so after the primes p <= w
     the low byte is omega(n, w) without the cofactor; it is copied out for
     each w in turn, and the primes above the last w are then added on top
     to give omega without the cofactor.  Neither byte carries:
     the low byte is at most MAX_OMEGA = 11, and the high byte at most
     8 ln n <= 8 ln 2^40 < 222.
+
+    Pre-sieve.  When 11 <= sqrt(x_max) and every w >= 11, the words start
+    as presieve_pattern(), which already holds 2, 3, 5, 7, 11 and their
+    powers dividing PRESIEVE_PERIOD (4, 8, 16, 9), so only their higher
+    powers (32, 64, ..., 27, 81, ..., 25, ..., 49, ..., 121, ...) and the
+    primes from 13 up are added strided.  Otherwise the words start at 0:
+    below x_max = 121 the prime 11 is a cofactor, not a base prime, and a
+    w < 11 copies its low byte out before 11 is sieved.
 
     Write n = s * c with s the part made of base primes.  The cofactor c is
     1 or one prime above sqrt(x_max); it always counts toward omega when
@@ -158,30 +175,24 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
     A - B = 4 ln x_max - log2 x_max - 8 ln 2 exceeds 1 for every
     x_max >= 13, so the integer T nearest (A + B) / 2 has B < T < A, and
     c > 1 exactly when acc < T.  The margin (A - B - 1) / 2 >= 0.007 dwarfs
-    the float rounding in L(p) and T.
+    the float rounding in L(p) and T.  The kernel adds that test to om,
+    octave by octave, with the thresholds of _octave_bounds.
 
     Exact route (max(ws)^2 > x_max, or x_max < 13).  "c <= w" needs the
     value of c, so an int64 array starts at n and is divided by p at every
-    p^j < hi.
+    p^j < hi, in numpy.
 
-    cell is zeroed uint16 scratch of len(om) words; it is left holding
-    other values.
+    cell is uint16 scratch of len(om) words, overwritten whatever it holds.
     """
     primes, steps = base
     hi = lo + om.size
-    done = 0
-    for w, osm in zip(ws, osms):
-        small = int(np.searchsorted(primes, w, side="right"))
-        kernel.sieve_words(cell, lo, primes[done:small], steps[done:small])
-        np.copyto(osm, cell, casting="unsafe")  # the uint8 cast keeps the low byte
-        done = small
-    kernel.sieve_words(cell, lo, primes[done:], steps[done:])
-    np.copyto(om, cell, casting="unsafe")
-    if ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X:
-        for start, stop, bound in _octave_bounds(lo, hi, x_max):
-            part = cell[start:stop]
-            np.less(part, bound, out=part)  # in place: 1 iff the cofactor is > 1
-        om += cell
+    splits = [int(np.searchsorted(primes, w, side="right")) for w in ws]
+    log_route = ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X
+    octaves = list(_octave_bounds(lo, hi, x_max)) if log_route else ()
+    presieve = ws[0] >= PRESIEVE_PRIMES[-1] and primes.size >= len(PRESIEVE_PRIMES)
+    pattern = presieve_pattern() if presieve else None
+    kernel.fill_segment(cell, om, osms, lo, primes, steps, splits, octaves, pattern)
+    if log_route:
         return
     rem = np.arange(lo, hi, dtype=np.int64)
     for p in primes.tolist():
@@ -195,37 +206,58 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
         osm[big & (rem <= w)] += 1
 
 
+def _step(p: int) -> int:
+    """The word step L(p) << 8 of prime p (see _fill_segment)."""
+    return int(LOG_SCALE * math.log(p)) << 8
+
+
 def base_primes(x_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The sieving primes of [2, x_max], p * p <= x_max, and their word
     steps L(p) << 8 (see _fill_segment), both int64."""
     primes = primes_up_to(math.isqrt(x_max))
-    steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes.tolist()]
-    return primes, np.array(steps, dtype=np.int64)
+    return primes, np.array([_step(p) for p in primes.tolist()], dtype=np.int64)
+
+
+@functools.cache
+def presieve_pattern() -> np.ndarray:
+    """The words of n = 0..PRESIEVE_PERIOD - 1 sieved by 2, 3, 5, 7, 11 and
+    their powers dividing PRESIEVE_PERIOD; read-only, built once."""
+    pattern = np.zeros(PRESIEVE_PERIOD, dtype=np.uint16)
+    for p in PRESIEVE_PRIMES:
+        pattern[::p] += _step(p) + 1
+        q = p * p
+        while PRESIEVE_PERIOD % q == 0:
+            pattern[::q] += _step(p)
+            q *= p
+    pattern.flags.writeable = False
+    return pattern
 
 
 def build_omega_table(config: SieveConfig) -> OmegaTable:
     """Build the omega/omega_small tables for config.
 
-    Segments are independent and write disjoint slices, so the table is
-    bit-identical for every segment_length and thread count.
+    Each worker takes every threads-th segment, with one scratch buffer of
+    words.  Segments are independent and write disjoint slices, so the
+    table is bit-identical for every segment_length and thread count.
     """
     x_max, w = config.x_max, config.w
     omega = np.zeros(x_max + 1, dtype=np.uint8)
     omega_small = np.zeros(x_max + 1, dtype=np.uint8)
     base = base_primes(x_max)
 
-    def fill(lo, hi):
-        cell = np.zeros(hi - lo, dtype=np.uint16)
-        _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, base, lo, (w,), x_max)
+    def fill(spans):
+        cell_buf = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
+        for lo, hi in spans:
+            cell = cell_buf[: hi - lo]
+            _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, base, lo, (w,), x_max)
 
     spans = segment_spans(x_max, config.segment_length)
-    if config.threads == 1 or len(spans) == 1:
-        for span in spans:
-            fill(*span)
+    workers = min(config.threads, len(spans))
+    if workers == 1:
+        fill(spans)
     else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for job in [pool.submit(fill, *span) for span in spans]:
-                job.result()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, [spans[i::workers] for i in range(workers)]))
     return OmegaTable(x_max=x_max, w=w, omega=omega, omega_small=omega_small)
 
 

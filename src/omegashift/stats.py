@@ -150,13 +150,13 @@ def grid_histograms(
 
     No table is built.  Each segment [lo, hi) sieves [lo - 1, hi), so it
     holds omega(n - 1) of its first n (omega(1) = 0), copies omega(n, w) out
-    once per distinct w, and folds the n in [lo, min(hi, x + 1)) into the
-    partial H of every pair.  Pairs that share a w share one running fold,
-    so each n is folded once per distinct w.  With threads > 1 each worker
-    takes every workers-th segment into its own buffers.  Segments are
-    independent and partial histograms add as exact integers, so H is
-    identical for every segment_length and thread count; working memory is
-    O(segment) per worker.
+    once per distinct w that some x >= lo still needs, and folds the n in
+    [lo, min(hi, x + 1)) into the partial H of every pair.  Pairs that
+    share a w share one running fold, so each n is folded once per distinct
+    w.  With threads > 1 each worker takes every workers-th segment into
+    its own buffers.  Segments are independent and partial histograms add
+    as exact integers, so H is identical for every segment_length and
+    thread count; working memory is O(segment) per worker.
     """
     pairs = sorted(set(pairs))
     if not pairs:
@@ -176,14 +176,14 @@ def grid_histograms(
         cell_buf = np.empty(size, dtype=np.uint16)
         totals = {pair: np.zeros((OMEGA_CAP,) * 3, dtype=np.int64) for pair in pairs}
         for lo, hi in spans:
+            live = [i for i, xs in enumerate(xs_by_w) if xs[-1] >= lo]
             om = om_buf[: hi - lo + 1]
-            osms = [buf[: hi - lo + 1] for buf in osm_bufs]
+            osms = [osm_bufs[i][: hi - lo + 1] for i in live]
             cell = cell_buf[: hi - lo + 1]
-            cell.fill(0)
-            _fill_segment(om, osms, cell, base, lo - 1, ws, x_top)
-            for w, osm, xs in zip(ws, osms, xs_by_w):
-                running, start = 0, 1
-                for x in xs:
+            _fill_segment(om, osms, cell, base, lo - 1, tuple(ws[i] for i in live), x_top)
+            for i, osm in zip(live, osms):
+                w, running, start = ws[i], 0, 1
+                for x in xs_by_w[i]:
                     if x >= lo:
                         stop = min(x + 1, hi) - (lo - 1)
                         running = running + kernel.fold(om, osm, start, stop)

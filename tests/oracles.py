@@ -247,13 +247,6 @@ def coprimality_density_mp(ell: int, y, **kw):
         return val
 
 
-def coprimality_dd_mp(ell: int, y, **kw):
-    h = mp.mpf("1e-6")
-    with mp.workdps(kw.get("dps", 60)):
-        f = lambda t: coprimality_density_mp(ell, t, **kw)
-        return mp.diff(f, mp.mpmathify(y), 2, h=h, method="step")
-
-
 # --------------------------------------------------------- kernel enumeration
 
 
@@ -301,8 +294,6 @@ if __name__ == "__main__":
     print(f'    ("tilt_profile", 0.5, 0.8+0.3j): "{mp.nstr(tilt_profile_mp(mp.mpf(0.5), zc, dps=60), 32)}",')
     for ell, y in ((1, 1.0), (6, 1.0), (12, 1.5)):
         print(f'    ("coprimality", {ell}, {y}): "{mp.nstr(coprimality_density_mp(ell, mp.mpf(y)), 30)}",')
-    print(f'    ("coprimality_dd", 1, 1.0): "{mp.nstr(coprimality_dd_mp(1, mp.mpf(1)), 25)}",')
-    print(f'    ("coprimality_dd", 6, 1.0): "{mp.nstr(coprimality_dd_mp(6, mp.mpf(1)), 25)}",')
     # identity sanity for the oracle itself
     print("# h(1/2) - e^-gamma =", mp.nstr(tilt_product_mp(mp.mpf(0.5), mp.mpf(0.5)) - mp.exp(-mp.euler), 8))
     print("# H(0.7,1) - 1     =", mp.nstr(tilt_profile_mp(mp.mpf(0.7), mp.mpf(1)) - 1, 8))

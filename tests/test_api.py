@@ -6,7 +6,9 @@ from importlib import import_module
 import omegashift
 
 # Names removed from the package, with the table route to H, the table
-# cache and the thread override; a half-finished removal leaves one behind.
+# cache, the thread override, the uncalled second derivative and the Python
+# wrapper of the old strided-add kernel; a half-finished removal leaves one
+# behind.
 REMOVED = (
     "level_histogram",
     "save_table",
@@ -18,6 +20,8 @@ REMOVED = (
     "write_cache",
     "_widen",
     "_BITS",
+    "coprimality_density_dd",
+    "sieve_words",
 )
 
 

@@ -20,6 +20,8 @@ from omegashift.sieve import (
     LOG_ROUTE_MIN_X,
     LOG_SCALE,
     MAX_OMEGA,
+    PRESIEVE_PERIOD,
+    PRESIEVE_PRIMES,
     X_MAX_CEILING,
     OmegaTable,
     SieveConfig,
@@ -27,10 +29,12 @@ from omegashift.sieve import (
     build_omega_table,
     count_omega_level,
     iter_omega_level,
+    presieve_pattern,
 )
 from omegashift.stats import (
     HIST_VERSION,
     CacheMismatchError,
+    grid_histograms,
     histogram_path,
     load_histogram,
     save_histogram,
@@ -374,17 +378,152 @@ def test_kernel_rejects_bad_arguments():
         kernel.fold(om.astype(np.int64), om, 1, 10)
     with pytest.raises(TypeError):
         kernel.fold(om[::2], om, 1, 10)
-    cell = np.zeros(64, dtype=np.uint16)
-    primes, steps = np.array([2, 3]), np.array([5 << 8, 8 << 8])
-    with pytest.raises(ValueError, match="differ"):
-        kernel.sieve_words(cell, 10, primes, steps[:1])
-    with pytest.raises(ValueError, match="base prime"):
-        kernel.sieve_words(cell, 10, np.array([(1 << 20) + 7]), steps[:1])
-    with pytest.raises(ValueError, match="segment"):
-        kernel.sieve_words(cell, 1 << 40, primes, steps)
-    with pytest.raises(TypeError):
-        kernel.sieve_words(cell.astype(np.int32), 10, primes, steps)
-    kernel.sieve_words(cell, 10, primes, steps)  # n = 10..73
+
+
+def _segment(size=64, nosm=1):
+    """Zeroed (cell, om, osms) for a segment of size words."""
+    return (
+        np.zeros(size, dtype=np.uint16),
+        np.zeros(size, dtype=np.uint8),
+        [np.zeros(size, dtype=np.uint8) for _ in range(nosm)],
+    )
+
+
+PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
+
+
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        (dict(splits=[2, 1], nosm=2), ValueError, "not ascending"),
+        (dict(splits=[3]), ValueError, "not ascending"),
+        (dict(splits=[-1]), ValueError, "not ascending"),
+        (dict(splits=[1, 2]), ValueError, "osm arrays"),
+        (dict(nosm=0), ValueError, "osm arrays"),
+        (dict(osm_size=63), ValueError, "differ in length"),
+        (dict(cell_size=65), ValueError, "differ in length"),
+        (dict(steps=PRIMES_23[1][:1]), ValueError, "differ in length"),
+        (dict(octaves=[(0, 65, 0)]), ValueError, "tile"),
+        (dict(octaves=[(1, 64, 0)]), ValueError, "tile"),
+        (dict(octaves=[(0, 32, 0), (30, 64, 0)]), ValueError, "tile"),
+        (dict(octaves=[(0, 32, 0)]), ValueError, "segment end"),
+        (dict(octaves=[(0, 64, 1 << 16)]), ValueError, "outside a word"),
+        (dict(lo=1 << 40), ValueError, "segment"),
+        (dict(primes=np.array([2, (1 << 20) + 7])), ValueError, "base prime"),
+        (dict(pattern=np.zeros(10, dtype=np.uint16)), ValueError, "pattern period"),
+        (dict(pattern=np.zeros(6, dtype=np.uint16)), ValueError, "pre-sieved"),
+        (dict(pattern=np.zeros(0, dtype=np.uint16)), ValueError, "pattern period"),
+        (dict(cell_dtype=np.int32), TypeError, "cell"),
+        (dict(pattern=np.zeros(6, dtype=np.int16), splits=[2]), TypeError, "pattern"),
+        (dict(om_stride=2), TypeError, "om"),
+    ],
+)
+def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, change, error, match):
+    arg = dict(splits=[1], nosm=1, osm_size=64, cell_size=64, lo=10, octaves=(),
+               primes=PRIMES_23[0], steps=PRIMES_23[1], pattern=None,
+               cell_dtype=np.uint16, om_stride=1)
+    arg.update(change)
+    cell = np.zeros(arg["cell_size"], dtype=arg["cell_dtype"])
+    om = np.zeros(64 * arg["om_stride"], dtype=np.uint8)[:: arg["om_stride"]]
+    osms = [np.zeros(arg["osm_size"], dtype=np.uint8) for _ in range(arg["nosm"])]
+    monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
+    with pytest.raises(error, match=match):
+        kernel.fill_segment(cell, om, osms, arg["lo"], arg["primes"], arg["steps"],
+                            arg["splits"], arg["octaves"], arg["pattern"])
+
+
+def test_fill_segment_words_copy_outs_and_cofactor_test():
+    cell, om, (osm,) = _segment()
+    primes, steps = PRIMES_23
+    kernel.fill_segment(cell, om, [osm], 10, primes, steps, [1])  # n = 10..73
     assert cell[0] == (5 << 8) + 1  # 10 = 2 * 5
     assert cell[2] == 2 * (5 << 8) + 1 + (8 << 8) + 1  # 12: 2, 4 and 3
     assert cell[54] == 6 * (5 << 8) + 1  # 64 = 2^6
+    assert np.array_equal(om, cell.astype(np.uint8))  # no octaves: the low byte
+    assert (osm[2], om[2]) == (1, 2)  # 12 after the prime 2, and after 3
+    cell[:] = 12345  # the pass overwrites whatever the scratch holds
+    bound = 6 << 8
+    kernel.fill_segment(cell, om, [osm], 10, primes, steps, [1], [(0, 30, bound), (30, 64, 0)])
+    low = cell.astype(np.uint8)
+    assert np.array_equal(om[:30], low[:30] + (cell[:30] < bound))
+    assert np.array_equal(om[30:], low[30:])  # bound 0: no word is below it
+    assert om[0] == 2  # 10: one counted prime, and its word is below the bound
+
+
+@pytest.mark.parametrize("lo", [1, 10, 1000, 11 * 12 - 5, (1 << 40) - 63])
+def test_fill_segment_pattern_matches_the_zero_start(lo):
+    # A period-12 pattern holding 2, 4 and 3: the pass must add only 8, 16,
+    # ..., 9, 27, ... and the primes 5, 7 on top, and wrap it at every 12.
+    primes, steps = [2, 3, 5, 7], [5 << 8, 8 << 8, 12 << 8, 15 << 8]
+    pattern = np.zeros(12, dtype=np.uint16)
+    pattern[::2] += steps[0] + 1
+    pattern[::4] += steps[0]
+    pattern[::3] += steps[1] + 1
+    primes, steps = np.array(primes), np.array(steps)
+    octaves = [(0, 30, 9 << 8), (30, 64, 3 << 8)]
+    runs = []
+    for pat in (pattern, None):
+        cell, om, osms = _segment(nosm=2)
+        kernel.fill_segment(cell, om, osms, lo, primes, steps, [2, 3], octaves, pat)
+        runs.append((cell, om, *osms))
+    for with_pattern, zero_start in zip(*runs):
+        assert np.array_equal(with_pattern, zero_start)
+
+
+def test_presieve_pattern_against_its_definition():
+    pattern = presieve_pattern()
+    assert pattern.nbytes == 2 * PRESIEVE_PERIOD == 110_880  # at most 128 KB
+    assert not pattern.flags.writeable
+    caps = {p: _multiplicity(PRESIEVE_PERIOD, p) for p in PRESIEVE_PRIMES}
+    assert math.prod(p**e for p, e in caps.items()) == PRESIEVE_PERIOD
+    want = np.zeros(PRESIEVE_PERIOD, dtype=np.int64)
+    for n in range(PRESIEVE_PERIOD):
+        for p, cap in caps.items():
+            e = cap if n == 0 else min(_multiplicity(n, p), cap)
+            if e:
+                want[n] += e * (int(LOG_SCALE * math.log(p)) << 8) + 1
+    assert np.array_equal(pattern, want)
+
+
+def _multiplicity(n, p):
+    e = 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    return e
+
+
+@pytest.mark.parametrize("w", [2, 10, 11, 12, 13, 300])
+def test_presieve_cut_matches_trial_division(w):
+    # w < 11 starts every segment from zeros, w >= 11 from the pattern;
+    # 60 000 covers one full period and 300 > sqrt(60 000) takes the exact route.
+    for seg, th in ((1024, 2), (1 << 22, 1)):
+        _assert_matches_trial_division(60_000, w, seg, th)
+
+
+@pytest.mark.parametrize("x", [120, 121, 168, 169])
+def test_presieve_bound_on_x_matches_trial_division(x):
+    # 11 <= sqrt(x) from x = 121 on, and 13 joins the base primes at 169.
+    for w in (2, 10, 11, 12, 13, x):
+        _assert_matches_trial_division(x, w, 1024, 1)
+
+
+def test_segments_across_pattern_periods():
+    # 1024-word segments start at 2 + 1024 i, so each multiple of 55 440
+    # falls inside one, and the pattern wraps there.
+    x, seg = 200_000, 1024
+    for w in (13, 447, 448):  # log route up to isqrt(x) = 447, then exact
+        t = small_table(x, w, segment_length=seg, threads=2)
+        for m in range(1, x // PRESIEVE_PERIOD + 1):
+            for n in range(PRESIEVE_PERIOD * m - seg, PRESIEVE_PERIOD * m + seg):
+                assert (t.omega[n], t.omega_small[n]) == oracles.omega_pair(n, w), (w, n)
+
+
+def test_grid_pass_switches_the_pattern_on_between_segments():
+    # The w = 10 pair ends at 3000; later segments copy out only w = 13 and
+    # 400 and start from the pattern.  The grid pass shifts each segment by
+    # one (lo - 1), and 400 > sqrt(120 000) keeps it on the exact route.
+    pairs = [(3000, 10), (120_000, 13), (120_000, 400)]
+    got = grid_histograms(pairs, threads=2, segment_length=1024)
+    for x, w in pairs:
+        t = small_table(x, w)
+        assert np.array_equal(got[x, w], oracles.histogram(t.omega, t.omega_small, x)), (x, w)
