@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .constants import (
     EulerProductResult,
-    LevelRatio,
     PoleError,
     coprimality_density,
     level_density_constant,
@@ -32,12 +31,10 @@ from .experiment import (
     run_experiment,
 )
 from .genfun import (
-    CoefficientVector,
     GenFunValue,
     ProfilePoint,
     WeightKernel,
     characteristic_profile,
-    convolution_check,
     convolution_max_deviation,
     eval_genfun,
     extract_coefficients,
@@ -45,13 +42,7 @@ from .genfun import (
     phi_prime_power,
     phi_weighted_kernel,
 )
-from .sieve import (
-    OmegaTable,
-    SieveConfig,
-    build_omega_table,
-    count_omega_level,
-    iter_omega_level,
-)
+from .sieve import OmegaTable, SieveConfig, build_omega_table
 from .stats import (
     CacheMismatchError,
     PredictionReport,
@@ -78,12 +69,10 @@ from .verify import VerifySummary, verify_suite
 __all__ = [
     "__version__",
     "CacheMismatchError",
-    "CoefficientVector",
     "EulerProductResult",
     "ExperimentConfig",
     "ExperimentResult",
     "GenFunValue",
-    "LevelRatio",
     "OmegaTable",
     "PoleError",
     "PredictionReport",
@@ -94,10 +83,8 @@ __all__ = [
     "WeightKernel",
     "build_omega_table",
     "characteristic_profile",
-    "convolution_check",
     "convolution_max_deviation",
     "coprimality_density",
-    "count_omega_level",
     "eval_genfun",
     "extract_coefficients",
     "gaussian_moment",
@@ -105,7 +92,6 @@ __all__ = [
     "grid_histograms",
     "histogram_digest",
     "histogram_path",
-    "iter_omega_level",
     "kernel_value",
     "ks_distance",
     "large_factor_ratio",

@@ -84,28 +84,16 @@ class EulerProductResult:
     primes_used: int
 
 
-@dataclass(frozen=True)
-class LevelRatio:
+def level_ratio(k: int, x: float) -> float:
     """Relative level r = (k - 1)/loglog(x) of a k-factor level set at scale x."""
-
-    k: int
-    x: float
-    r: float
-
-    @classmethod
-    def from_kx(cls, k: int, x: float, ceiling: float = R_CEILING) -> "LevelRatio":
-        if k < 1:
-            raise ValueError("k < 1")
-        if x <= math.e:
-            raise ValueError("x <= e: loglog(x) undefined or nonpositive")
-        r = (k - 1) / math.log(math.log(x))
-        if not 0.0 <= r <= ceiling:
-            raise ValueError(f"r={r:.4f} outside [0, {ceiling}] for k={k}, x={x:g}")
-        return cls(k=k, x=float(x), r=r)
-
-
-def level_ratio(k: int, x: float, ceiling: float = R_CEILING) -> float:
-    return LevelRatio.from_kx(k, x, ceiling).r
+    if k < 1:
+        raise ValueError("k < 1")
+    if x <= math.e:
+        raise ValueError("x <= e: loglog(x) undefined or nonpositive")
+    r = (k - 1) / math.log(math.log(x))
+    if not 0.0 <= r <= R_CEILING:
+        raise ValueError(f"r={r:.4f} outside [0, {R_CEILING}] for k={k}, x={x:g}")
+    return r
 
 
 def normal_cdf(y: float) -> float:
@@ -207,7 +195,7 @@ def _assemble(prefactor, core, P: int) -> EulerProductResult:
 
 
 def _check_z(z: complex | float):
-    if abs(z) > R_CEILING + 1e-9:
+    if not abs(z) <= R_CEILING + 1e-9:  # a nan z fails too
         raise ValueError(f"|z|={abs(z):.3f} exceeds ceiling {R_CEILING}")
 
 

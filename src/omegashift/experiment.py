@@ -98,6 +98,10 @@ class ExperimentConfig:
         for m in self.moments:
             if not 0 <= m <= MAX_MOMENT:
                 raise ValueError(f"moment order {m} outside [0, {MAX_MOMENT}]")
+        if not all(math.isfinite(y) for y in self.y_grid):
+            raise ValueError(f"y_grid {self.y_grid} holds a non-finite value")
+        if not math.isfinite(self.large_factor_c):
+            raise ValueError(f"large_factor_c={self.large_factor_c} is not finite")
 
 
 def _parse_w_rule(rule: str):
@@ -151,6 +155,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in values:
+            raise ValueError(f"line {lineno}: key {key!r} repeated")
         if key in _LIST_KEYS:
             values[key] = tuple(int(v) for v in val.replace(",", " ").split())
         elif key in _FLOAT_LIST_KEYS:

@@ -45,7 +45,7 @@ class WeightKernel:
     def __post_init__(self):
         if self.w < 2:
             raise ValueError("w < 2")
-        if abs(self.z) > R_CEILING + 1e-9:
+        if not abs(self.z) <= R_CEILING + 1e-9:  # a nan z fails too
             raise ValueError(f"|z|={abs(self.z):.3f} exceeds {R_CEILING}")
 
 
@@ -65,35 +65,6 @@ def kernel_value(p: int, alpha: int, kernel: WeightKernel) -> complex:
     if p <= kernel.w:
         return 2.0 * (z - 1.0) if alpha == 1 else 1.0 - 2.0 * z
     return complex(0.0) if alpha == 1 else complex(-1.0)
-
-
-def convolution_check(n: int, kernel: WeightKernel) -> tuple[complex, complex]:
-    """(sum_{q | n} g(q) tau(n/q), 2^omega(n) z^omega(n, w)) for one n."""
-    if n < 1:
-        raise ValueError("n < 1")
-    fact = factorize(n)
-    lhs = 0.0 + 0.0j
-    exps = [0] * len(fact)
-    while True:
-        g = 1.0 + 0.0j
-        tau = 1
-        for (p, e), a in zip(fact, exps):
-            if a:
-                g *= kernel_value(p, a, kernel)
-            tau *= e - a + 1
-        lhs += g * tau
-        i = 0
-        while i < len(fact) and exps[i] == fact[i][1]:
-            exps[i] = 0
-            i += 1
-        if i == len(fact):
-            break
-        exps[i] += 1
-    om = len(fact)
-    om_small = sum(1 for p, _ in fact if p <= kernel.w)
-    z = complex(kernel.z)
-    rhs = (2.0**om) * (z**om_small if om_small else 1.0 + 0.0j)
-    return lhs, rhs
 
 
 def convolution_max_deviation(n_max: int, kernel: WeightKernel) -> float:
@@ -209,7 +180,7 @@ def eval_genfun(J: np.ndarray, z: complex | float) -> GenFunValue:
     Evaluates sum_u c_u z^u over the exact integer coefficients, so every
     table that gives the same J gives the identical value.
     """
-    if abs(z) > R_CEILING + 1e-9:
+    if not abs(z) <= R_CEILING + 1e-9:  # a nan z fails too
         raise ValueError(f"|z|={abs(z):.3f} exceeds {R_CEILING}")
     coeffs = _coefficients(J)
     return GenFunValue(
@@ -218,21 +189,12 @@ def eval_genfun(J: np.ndarray, z: complex | float) -> GenFunValue:
     )
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Polynomial coefficients of F_k: entry l is the weighted mass at
-    omega(n-1, w) = l.  Entries are >= 0 and sum to the total weighted mass."""
-
-    coefficients: np.ndarray
-    weight_total: int
-
-
-def extract_coefficients(J: np.ndarray) -> CoefficientVector:
+def extract_coefficients(J: np.ndarray) -> np.ndarray:
     """Coefficients c_0..c_deg of F_k as exact int64 slice masses, where deg
     is the largest omega(n-1, w) attained on the level set (at most 9 at desk
-    scale, and always below 32); [0] for an empty level set."""
-    coeffs = _coefficients(J)
-    return CoefficientVector(np.array(coeffs, dtype=np.int64), sum(coeffs))
+    scale, and always below 32); [0] for an empty level set.  Entries are
+    >= 0 and sum to the weighted mass of J."""
+    return np.array(_coefficients(J), dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ One segment kernel, _fill_segment, counts for every n of a segment
 
 for one or several thresholds w.  build_omega_table runs it over [2, x_max]
 with one w and keeps the result as two byte tables, omega and omega_small,
-indexed by n (omegashift sieve, level sets, tests, small verify tables);
+indexed by n (omegashift sieve, tests, small verify tables);
 stats.grid_histograms runs it over a grid's whole range with every w of
 the grid and folds each segment into level histograms, keeping no table.
 
@@ -267,28 +267,3 @@ def segment_spans(x_max: int, segment_length: int) -> list[tuple[int, int]]:
         (lo, min(lo + segment_length, x_max + 1))
         for lo in range(2, x_max + 1, segment_length)
     ]
-
-
-def iter_omega_level(table: OmegaTable, k: int, x: int, chunk: int = 1 << 20):
-    """Yield n in [2, x] with omega(n) == k, ascending."""
-    _check_range(table, x)
-    if k < 0:
-        raise ValueError("k < 0")
-    for lo in range(2, x + 1, chunk):
-        hi = min(lo + chunk, x + 1)
-        for n in np.nonzero(table.omega[lo:hi] == k)[0]:
-            yield lo + int(n)
-
-
-def count_omega_level(table: OmegaTable, k: int, x: int) -> int:
-    """#{n in [2, x] : omega(n) == k}; zero for k == 0 by the range convention."""
-    _check_range(table, x)
-    if k < 0:
-        raise ValueError("k < 0")
-    return int(np.count_nonzero(table.omega[2 : x + 1] == k))
-
-
-def _check_range(table: OmegaTable, x: int):
-    if not (2 <= x <= table.x_max):
-        raise ValueError(f"x={x} outside [2, x_max={table.x_max}]")
-

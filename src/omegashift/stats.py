@@ -99,14 +99,6 @@ def gaussian_spec(x: int) -> ThresholdSpec:
     return ThresholdSpec(center=t, scale=math.sqrt(t))
 
 
-def small_counter_spec(w: int) -> ThresholdSpec:
-    """Small-factor normalization: center loglog w, scale sqrt(loglog w)."""
-    t = loglog(w)
-    if t <= 0:
-        raise ValueError(f"w={w}: loglog(w) must be positive")
-    return ThresholdSpec(center=t, scale=math.sqrt(t))
-
-
 def unweighted_spec(x: int) -> ThresholdSpec:
     """Classical normalization: center loglog x, scale sqrt(loglog x)."""
     if x < 16:
@@ -284,27 +276,16 @@ def weighted_mass_theoretical(k: int, x: int, P: int = DEFAULT_TRUNCATION) -> fl
     return x * loglog(x) ** (k - 1) / math.factorial(k - 1) * const
 
 
-def weighted_mass_below(
-    J: np.ndarray,
-    x: int,
-    y: float,
-    spec: ThresholdSpec | None = None,
-    counter: str = "full",
-) -> int:
-    """Weighted mass of the plane J with the chosen counter thresholded:
+def weighted_mass_below(J: np.ndarray, x: int, y: float) -> int:
+    """Weighted mass of the plane J over the rows below the Gaussian threshold:
 
-        sum 2^omega(n-1) over n with  counter(n-1) <= center + y * scale,
+        sum 2^omega(n-1) over n with  omega(n-1) <= 2 loglog x + y sqrt(2 loglog x).
 
-    counter "full" = omega(n-1) (the row v), "small" = omega(n-1, w) (the
-    column u).  Defaults to the Gaussian spec (center 2 loglog x).  Exact
-    integer; the comparison is an exact integer against a floating threshold.
+    Exact integer; the comparison is an exact integer against a floating threshold.
     """
-    if counter not in ("full", "small"):
-        raise ValueError(f"counter={counter!r}")
-    if spec is None:
-        spec = gaussian_spec(x)
+    spec = gaussian_spec(x)
     keep = np.arange(OMEGA_CAP) <= spec.center + y * spec.scale
-    return weighted_mass(J * (keep[:, None] if counter == "full" else keep))
+    return weighted_mass(J * keep[:, None])
 
 
 def weighted_mass_at(J: np.ndarray, ell: int) -> int:

@@ -1,7 +1,9 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Nothing here imports the package under test.  The arithmetic oracles use
-plain trial division and Python integers; the histogram oracle counts a
+plain trial division and Python integers; the convolution oracle sums
+g(q) tau(n/q) over the divisors q of one trial-divided n, for a kernel g
+that a test may pass in; the histogram oracle counts a
 table's (k, v, u) triples with numpy bincount; the generating-function oracle
 gathers a table's level set element by element and inverts F_k from its
 values at the roots of unity by a discrete Fourier transform; the
@@ -16,6 +18,7 @@ constants in the test files were produced by running this module directly
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from functools import lru_cache
 
@@ -67,12 +70,8 @@ def weighted_mass(triples, k: int) -> int:
     return sum(1 << v for kk, v, _ in triples if kk == k)
 
 
-def weighted_mass_below(triples, k: int, threshold: float, on_small: bool = False) -> int:
-    tot = 0
-    for kk, v, u in triples:
-        if kk == k and (u if on_small else v) <= threshold:
-            tot += 1 << v
-    return tot
+def weighted_mass_below(triples, k: int, threshold: float) -> int:
+    return sum(1 << v for kk, v, _ in triples if kk == k and v <= threshold)
 
 
 def weighted_mass_at(triples, k: int, ell: int) -> int:
@@ -256,6 +255,22 @@ def kernel_g(p: int, alpha: int, w: int, z) -> complex:
     if alpha == 2:
         return 1 - 2 * z if p <= w else -1.0
     return 0.0
+
+
+def convolution_sides(n: int, w: int, z, g=kernel_g) -> tuple[complex, complex]:
+    """(sum over q | n of g(q) tau(n/q), 2^omega(n) z^omega(n, w)) for one n,
+    with g(p, alpha, w, z) the kernel on prime powers, extended multiplicatively."""
+    fac = factorize(n)
+    lhs = 0.0 + 0.0j
+    for exps in itertools.product(*(range(e + 1) for _, e in fac)):
+        term = 1.0 + 0.0j
+        for (p, e), a in zip(fac, exps):
+            if a:
+                term *= g(p, a, w, z)
+            term *= e - a + 1  # tau(n/q) is multiplicative too
+        lhs += term
+    om, om_small = omega_pair(n, w)
+    return lhs, 2.0**om * complex(z) ** om_small
 
 
 def kernel_g_general(q: int, w: int, z) -> complex:

@@ -126,7 +126,7 @@ def test_criterion_4_coefficients_equal_direct_counting(record_property):
         table = build_omega_table(SieveConfig(x_max=x, w=w))
         for k in (1, 2, 3, 4):
             dft = oracles.dft_coefficients(table, k, x)
-            counted = extract_coefficients(hists[x, w][k]).coefficients
+            counted = extract_coefficients(hists[x, w][k])
             assert len(dft) == len(counted), (x, w, k)
             for coeff, direct in zip(dft, counted):
                 worst = max(worst, abs(coeff - direct) / max(direct, 1))

@@ -1,14 +1,15 @@
 """The package's public names."""
 
+import inspect
 import pkgutil
 from importlib import import_module
 
 import omegashift
 
 # Names removed from the package, with the table route to H, the table
-# cache, the thread override, the uncalled second derivative and the Python
-# wrapper of the old strided-add kernel; a half-finished removal leaves one
-# behind.
+# cache, the thread override, the uncalled second derivative, the Python
+# wrapper of the old strided-add kernel, and the API that no command, report
+# row or check read; a half-finished removal leaves one behind.
 REMOVED = (
     "level_histogram",
     "save_table",
@@ -22,6 +23,13 @@ REMOVED = (
     "_BITS",
     "coprimality_density_dd",
     "sieve_words",
+    "convolution_check",
+    "small_counter_spec",
+    "LevelRatio",
+    "iter_omega_level",
+    "count_omega_level",
+    "_check_range",
+    "CoefficientVector",
 )
 
 
@@ -43,3 +51,9 @@ def test_no_removed_name_is_exported_or_defined():
     for module in modules:
         leftover = [name for name in REMOVED if hasattr(module, name)]
         assert leftover == [], (module.__name__, leftover)
+
+
+def test_trimmed_signatures():
+    # the threshold spec, counter choice and ratio ceiling are gone
+    assert list(inspect.signature(omegashift.weighted_mass_below).parameters) == ["J", "x", "y"]
+    assert list(inspect.signature(omegashift.level_ratio).parameters) == ["k", "x"]

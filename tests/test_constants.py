@@ -22,7 +22,6 @@ from omegashift.constants import (
     MIN_TRUNCATION,
     PRIME_ZETA_2,
     EulerProductResult,
-    LevelRatio,
     PoleError,
     coprimality_density,
     level_density_constant,
@@ -262,17 +261,14 @@ def test_argument_validation():
 
 
 def test_level_ratio():
-    lr = LevelRatio.from_kx(3, 10**8)
-    assert lr.k == 3 and lr.x == 10**8
-    assert abs(lr.r - 2.0 / math.log(math.log(10**8))) < 1e-15
-    assert level_ratio(3, 10**8) == lr.r
+    assert abs(level_ratio(3, 10**8) - 2.0 / math.log(math.log(10**8))) < 1e-15
     assert level_ratio(1, 100) == 0.0
     with pytest.raises(ValueError):
         level_ratio(0, 100)
     with pytest.raises(ValueError):
         level_ratio(1, 2)
-    with pytest.raises(ValueError):
-        LevelRatio.from_kx(50, 100)  # r would exceed the ceiling
+    with pytest.raises(ValueError, match=r"outside \[0, 4.0\]"):
+        level_ratio(50, 100)  # r would exceed the ceiling
 
 
 def test_normal_cdf_against_reference():

@@ -93,6 +93,10 @@ def test_config_validation_bounds():
         ExperimentConfig(x_list=(10**4,), k_list=(2,), moments=(13,))
     with pytest.raises(ValueError):
         ExperimentConfig(x_list=(10**4,), k_list=(2,), truncation_prime=10)
+    with pytest.raises(ValueError, match="non-finite"):
+        ExperimentConfig(x_list=(10**4,), k_list=(2,), y_grid=(0.0, -math.inf))
+    with pytest.raises(ValueError, match="not finite"):
+        ExperimentConfig(x_list=(10**4,), k_list=(2,), large_factor_c=math.inf)
 
 
 def test_config_rejects_an_ell_max_the_run_cannot_evaluate():
@@ -123,6 +127,26 @@ def test_cli_run_rejects_a_deep_ell_max_before_sieving(tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ell_max=8 too deep for x=1000000 ")
+    assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no report
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("x_list = 1000000", "line 3: key 'x_list' repeated"),
+        ("y_grid = 0 nan", "y_grid (0.0, nan) holds a non-finite value"),
+        ("large_factor_c = nan", "large_factor_c=nan is not finite"),
+    ],
+    ids=["repeated_key", "nan_y", "nan_large_factor_c"],
+)
+def test_cli_run_rejects_bad_config_input(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"x_list = 100000\nk_list = 2\n{line}\n"
+        f"output_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no report
 
 
@@ -371,6 +395,14 @@ def test_cli_constants(capsys):
     for name in ("level_density", "tilted_level", "tilt_product", "tilt_profile"):
         assert name in out
     assert "tail bound" in out
+
+
+@pytest.mark.parametrize("z", ["nan", "0,nan"])
+def test_cli_constants_rejects_a_non_finite_z(capsys, z):
+    assert main(["constants", "--r", "0.5", "--z", z, "--P", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: |z|=nan exceeds ceiling")
 
 
 def test_cli_error_paths(tmp_path, capsys):

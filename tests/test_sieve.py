@@ -27,8 +27,6 @@ from omegashift.sieve import (
     SieveConfig,
     _log_gap,
     build_omega_table,
-    count_omega_level,
-    iter_omega_level,
     presieve_pattern,
 )
 from omegashift.stats import (
@@ -184,38 +182,19 @@ def test_config_validation():
 
 def test_level_set_iteration():
     t = small_table(30, 30)
-    assert list(iter_omega_level(t, 1, 30)) == [
+    assert np.flatnonzero(t.omega == 1).tolist() == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
     ]
-    assert list(iter_omega_level(t, 3, 30)) == [30]
-    assert count_omega_level(t, 2, 30) == 12
-    assert count_omega_level(t, 0, 30) == 0
-    assert count_omega_level(t, 9, 30) == 0
-
-
-def test_level_iteration_chunk_invariance():
-    t = small_table(10_000, 10)
-    whole = list(iter_omega_level(t, 2, 10_000))
-    assert whole == list(iter_omega_level(t, 2, 10_000, chunk=997))
-    assert whole == list(iter_omega_level(t, 2, 10_000, chunk=1))
-
-
-def test_range_validation():
-    t = small_table(100, 10)
-    with pytest.raises(ValueError):
-        count_omega_level(t, 1, 101)
-    with pytest.raises(ValueError):
-        count_omega_level(t, 1, 1)
-    with pytest.raises(ValueError):
-        count_omega_level(t, -1, 50)
-    with pytest.raises(ValueError):
-        list(iter_omega_level(t, -1, 50))
+    assert np.flatnonzero(t.omega == 3).tolist() == [30]
+    assert np.count_nonzero(t.omega[2:31] == 2) == 12
+    assert np.count_nonzero(t.omega[2:31] == 0) == 0
+    assert np.count_nonzero(t.omega[2:31] == 9) == 0
 
 
 def test_partition_of_range():
     x = 20_000
     t = small_table(x, 10)
-    assert sum(count_omega_level(t, k, x) for k in range(1, 10)) == x - 1
+    assert np.bincount(t.omega[2 : x + 1])[1:].sum() == x - 1
 
 
 def sieved_histogram(x, w):

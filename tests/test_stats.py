@@ -34,7 +34,6 @@ from omegashift.stats import (
     loglog,
     logloglog,
     save_histogram,
-    small_counter_spec,
     small_factor_prediction,
     unweighted_baseline,
     unweighted_spec,
@@ -71,9 +70,6 @@ def test_threshold_specs():
     g = gaussian_spec(X)
     assert abs(g.center - 2 * loglog(X)) < 1e-12
     assert abs(g.scale - math.sqrt(2 * loglog(X))) < 1e-12
-    s = small_counter_spec(W)
-    assert abs(s.center - loglog(W)) < 1e-12
-    assert abs(s.scale - math.sqrt(loglog(W))) < 1e-12
     u = unweighted_spec(X)
     assert abs(u.center - loglog(X)) < 1e-12
     with pytest.raises(ValueError):
@@ -251,7 +247,6 @@ def test_plane_statistics_match_oracle(inputs, k):
         assert weighted_mass_at(J, ell) == oracles.weighted_mass_at(triples, k, ell)
     normalized = [
         lambda: weighted_mass_below(J, x, 0.0),
-        lambda: weighted_mass_below(J, x, 0.0, counter="small"),
         lambda: unweighted_baseline(J, x, 0.0),
         lambda: classical_baseline(H, x, 0.0),
         lambda: weighted_moment(J, x, 2),
@@ -269,9 +264,6 @@ def test_plane_statistics_match_oracle(inputs, k):
         assert weighted_mass_below(J, x, y) == oracles.weighted_mass_below(
             triples, k, thr
         )
-        assert weighted_mass_below(J, x, y, counter="small") == (
-            oracles.weighted_mass_below(triples, k, thr, on_small=True)
-        )
         assert unweighted_baseline(J, x, y) == sum(
             1 for kk, v, _ in triples if kk == k and v <= plain_thr
         )
@@ -279,7 +271,7 @@ def test_plane_statistics_match_oracle(inputs, k):
             1 for kk, _, _ in triples if kk <= plain_thr
         )
     if oracles.weighted_mass(triples, k) == 0:
-        for stat in normalized[4:]:
+        for stat in normalized[3:]:
             with pytest.raises(ValueError):
                 stat()
         return
@@ -322,27 +314,6 @@ def test_weighted_mass_below_full_counter(H, triples):
             got = weighted_mass_below(H[k], X, y)
             want = oracles.weighted_mass_below(triples, k, spec.center + y * spec.scale)
             assert got == want, (k, y)
-
-
-def test_weighted_mass_below_small_counter(H, triples):
-    # same gaussian threshold, but applied to the small-prime counter
-    spec = gaussian_spec(X)
-    for y in (-1.0, 0.0, 1.0):
-        got = weighted_mass_below(H[2], X, y, counter="small")
-        want = oracles.weighted_mass_below(
-            triples, 2, spec.center + y * spec.scale, on_small=True
-        )
-        assert got == want
-
-
-def test_weighted_mass_below_custom_spec(H, triples):
-    # the truncated variant centers on loglog w instead
-    spec = small_counter_spec(W)
-    got = weighted_mass_below(H[2], X, 0.5, spec=spec, counter="small")
-    want = oracles.weighted_mass_below(
-        triples, 2, spec.center + 0.5 * spec.scale, on_small=True
-    )
-    assert got == want
 
 
 def test_weighted_mass_at_slices(H, triples):
