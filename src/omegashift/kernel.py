@@ -106,6 +106,82 @@ def _check(arr: np.ndarray, dtype, name: str) -> None:
         raise TypeError(f"{name}: want a contiguous 1-d {np.dtype(dtype)} array")
 
 
+class SegmentPass:
+    """The pass-wide arguments of fill_segment, checked once, with their C pointers.
+
+    primes and steps are int64 arrays of the same length, every prime in
+    [2, 2^20] and every step a multiple of 256 below 2^16; pattern, if
+    given, is a uint16 array whose length (the period) is made of the
+    leading primes.  A pass keeps them alive while it lives; fill sieves
+    one segment with them.
+    """
+
+    def __init__(self, primes, steps, pattern=None):
+        _check(primes, np.int64, "primes")
+        _check(steps, np.int64, "steps")
+        if primes.size != steps.size:
+            raise ValueError("primes and steps differ in length")
+        if primes.size and not 2 <= primes[0] <= primes[-1] <= 1 << 20:
+            raise ValueError("a base prime outside [2, 2^20]")
+        # kernel.c adds large powers after copy-outs that count p.  A numpy
+        # bitwise op here would page in ufunc code: 0.13 MB of a run's peak RSS.
+        if any(step & ~0xFF00 for step in steps.tolist()):
+            raise ValueError("a step outside the high byte of a word")
+        self.primes, self.steps, self.pattern = primes, steps, pattern
+        self.lead = 0  # the leading primes dividing the period, as kernel.c counts them
+        period = 0
+        if pattern is not None:
+            _check(pattern, np.uint16, "pattern")
+            period = rest = pattern.size
+            while period and self.lead < primes.size and period % primes[self.lead] == 0:
+                while rest % primes[self.lead] == 0:
+                    rest //= int(primes[self.lead])
+                self.lead += 1
+            if rest != 1:
+                raise ValueError(f"pattern period {period} is not made of leading base primes")
+        self._args = (
+            primes.ctypes.data, steps.ctypes.data, primes.size,
+            None if pattern is None else pattern.ctypes.data, period,
+        )
+
+    def fill(self, cell, om, osms, lo, splits, octaves=()) -> None:
+        """kernel.fill_segment with this pass's primes, steps and pattern."""
+        size = om.size
+        _check(cell, np.uint16, "cell")
+        _check(om, np.uint8, "om")
+        for osm in osms:
+            _check(osm, np.uint8, "osm")
+        if cell.size != size or any(osm.size != size for osm in osms):
+            raise ValueError("cell, om and the osms differ in length")
+        if not 0 <= lo <= lo + size <= (1 << 40) + 1:
+            raise ValueError(f"segment [{lo}, {lo + size}) outside [0, 2^40]")
+        if len(osms) != len(splits):
+            raise ValueError(f"{len(osms)} osm arrays for {len(splits)} splits")
+        count = self.primes.size
+        if list(splits) != sorted(splits) or not all(0 <= s <= count for s in splits):
+            raise ValueError(f"splits {list(splits)} not ascending within [0, {count}]")
+        if self.pattern is not None and splits and splits[0] < self.lead:
+            raise ValueError("a split falls among the pre-sieved primes")
+        edge = 0
+        for start, stop, bound in octaves:
+            if start != edge or not start < stop <= size:
+                raise ValueError(f"octave [{start}, {stop}) does not tile the segment [0, {size})")
+            if not 0 <= bound < 1 << 16:
+                raise ValueError(f"octave bound {bound} outside a word")
+            edge = stop
+        if octaves and edge != size:
+            raise ValueError(f"the octaves end at {edge}, not at the segment end {size}")
+        # Held in locals so they outlive the call that reads them.
+        osm_ptrs = np.array([osm.ctypes.data for osm in osms], dtype=np.uintp)
+        split_arr = np.array(splits, dtype=np.int64)
+        octave_arr = np.array(octaves, dtype=np.int64)
+        library().fill_segment(
+            cell.ctypes.data, size, lo, *self._args,
+            osm_ptrs.ctypes.data, split_arr.ctypes.data, len(splits),
+            om.ctypes.data, octave_arr.ctypes.data, len(octaves),
+        )
+
+
 def fill_segment(cell, om, osms, lo, primes, steps, splits, octaves=(), pattern=None) -> None:
     """Sieve the segment n = lo + j, j < len(om), in one pass over cell.
 
@@ -117,64 +193,17 @@ def fill_segment(cell, om, osms, lo, primes, steps, splits, octaves=(), pattern=
     holds the rest.  After the primes primes[:splits[s]] the low byte of
     each word is copied into osms[s].  Last, om gets the low byte, plus 1
     where the word is below bound, for each (start, stop, bound) of
-    octaves; octaves, if any, must tile [0, len(om)).
+    octaves; octaves, if any, must tile [0, len(om)).  kernel.c adds the
+    small powers of the small primes chunk by chunk and the rest over the
+    whole segment; the words do not depend on it.
 
     Every prime must be at most 2^20 and lo + len(om) at most 2^40 + 1,
-    which keeps the powers in int64.  Every argument is checked here, before
-    the C call.
+    which keeps the powers in int64.  Every step must leave the low byte
+    alone: it is a multiple of 256 below 2^16.  Every argument is checked here, before
+    the C call.  A sieve pass over many segments makes one SegmentPass and
+    calls its fill, so the pass-wide arrays are checked once.
     """
-    size = om.size
-    _check(cell, np.uint16, "cell")
-    _check(om, np.uint8, "om")
-    _check(primes, np.int64, "primes")
-    _check(steps, np.int64, "steps")
-    for osm in osms:
-        _check(osm, np.uint8, "osm")
-    if cell.size != size or any(osm.size != size for osm in osms):
-        raise ValueError("cell, om and the osms differ in length")
-    if primes.size != steps.size:
-        raise ValueError("primes and steps differ in length")
-    if not 0 <= lo <= lo + size <= (1 << 40) + 1:
-        raise ValueError(f"segment [{lo}, {lo + size}) outside [0, 2^40]")
-    if primes.size and not 2 <= primes[0] <= primes[-1] <= 1 << 20:
-        raise ValueError("a base prime outside [2, 2^20]")
-    if len(osms) != len(splits):
-        raise ValueError(f"{len(osms)} osm arrays for {len(splits)} splits")
-    if list(splits) != sorted(splits) or not all(0 <= s <= primes.size for s in splits):
-        raise ValueError(f"splits {list(splits)} not ascending within [0, {primes.size}]")
-    edge = 0
-    for start, stop, bound in octaves:
-        if start != edge or not start < stop <= size:
-            raise ValueError(f"octave [{start}, {stop}) does not tile the segment [0, {size})")
-        if not 0 <= bound < 1 << 16:
-            raise ValueError(f"octave bound {bound} outside a word")
-        edge = stop
-    if octaves and edge != size:
-        raise ValueError(f"the octaves end at {edge}, not at the segment end {size}")
-    period = 0
-    if pattern is not None:
-        _check(pattern, np.uint16, "pattern")
-        period = rest = pattern.size
-        lead = 0  # the leading primes dividing period, as kernel.c counts them
-        while period and lead < primes.size and period % primes[lead] == 0:
-            while rest % primes[lead] == 0:
-                rest //= int(primes[lead])
-            lead += 1
-        if rest != 1:
-            raise ValueError(f"pattern period {period} is not made of leading base primes")
-        if splits and splits[0] < lead:
-            raise ValueError("a split falls among the pre-sieved primes")
-    # Held in locals so they outlive the call that reads them.
-    osm_ptrs = np.array([osm.ctypes.data for osm in osms], dtype=np.uintp)
-    split_arr = np.array(splits, dtype=np.int64)
-    octave_arr = np.array(octaves, dtype=np.int64)
-    library().fill_segment(
-        cell.ctypes.data, size, lo,
-        primes.ctypes.data, steps.ctypes.data, primes.size,
-        None if pattern is None else pattern.ctypes.data, period,
-        osm_ptrs.ctypes.data, split_arr.ctypes.data, len(splits),
-        om.ctypes.data, octave_arr.ctypes.data, len(octaves),
-    )
+    SegmentPass(primes, steps, pattern).fill(cell, om, osms, lo, splits, octaves)
 
 
 def fold(om: np.ndarray, osm: np.ndarray, start: int, stop: int) -> np.ndarray:

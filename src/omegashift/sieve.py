@@ -22,11 +22,16 @@ the cofactor's value, does a segment keep an int64 cofactor array and
 divide it by every prime power.
 
 A segment is one compiled pass (kernel.fill_segment, built on the first
-call): it copies in a pre-sieve pattern of period 55 440 = 2^4 3^2 5 7 11
-that holds the primes 2..11 and their powers dividing the period, adds the
-remaining prime powers strided, copies each omega(n, w) out and applies the
-log test.  The pattern is used when every w >= 11 and 11 <= sqrt(x_max);
-otherwise the words start at zero and every base prime is added strided.
+call) in two phases.  Phase 1 walks the segment in chunks of 8192 words
+(16 KB, inside any L1 data cache).  Each chunk starts from a pre-sieve
+pattern of period 55 440 = 2^4 3^2 5 7 11, which holds the primes 2..11 and
+their powers dividing the period, or from zeros; it gains every other power
+below 8192 of the base primes below 2048, and each omega(n, w) with w
+below 2048 is copied out of it.  Phase 2 adds the remaining prime powers
+strided over the whole segment, copies the other omega(n, w) out and
+applies the log test.  The pattern is used when every w >= 11 and
+11 <= sqrt(x_max); otherwise the words start at zero.  The order of the
+adds does not change the words.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from . import kernel
 from .primes import primes_up_to
 
 X_MAX_CEILING = 1 << 40
-DEFAULT_SEGMENT = 1 << 18  # 512 KB of words, the fastest of 2^17..2^22 for the C kernel
+DEFAULT_SEGMENT = 1 << 18  # 512 KB of words: 2^17..2^21 time alike, and larger ones cost memory
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
 PRESIEVE_PRIMES = (2, 3, 5, 7, 11)  # held by the pre-sieve pattern (see _fill_segment)
@@ -137,13 +142,14 @@ def _octave_bounds(lo, hi, x_max):
         a *= 2
 
 
-def _fill_segment(om, osms, cell, base, lo, ws, x_max):
+def _fill_segment(om, osms, cell, passes, lo, ws, x_max):
     """Count prime divisors for n in [lo, lo + len(om)) into om and, for
     each w of the ascending tuple ws, omega(n, w) into the matching osms array.
 
     One uint16 word per n, in one compiled pass (kernel.fill_segment).
-    base = base_primes(x_max) holds the primes p <= sqrt(x_max), ascending,
-    with their steps L(p) << 8: each p adds 1 to the low byte at its
+    passes = segment_passes(x_max) holds the kernel's passes over the
+    primes p <= sqrt(x_max), ascending, with their steps L(p) << 8, from
+    zeros and from the pre-sieve pattern: each p adds 1 to the low byte at its
     multiples, and L(p) = floor(8 ln p) to the high byte at the multiples
     of every power p^j < hi.  The primes ascend, so after the primes p <= w
     the low byte is omega(n, w) without the cofactor; it is copied out for
@@ -156,7 +162,9 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
     as presieve_pattern(), which already holds 2, 3, 5, 7, 11 and their
     powers dividing PRESIEVE_PERIOD (4, 8, 16, 9), so only their higher
     powers (32, 64, ..., 27, 81, ..., 25, ..., 49, ..., 121, ...) and the
-    primes from 13 up are added strided.  Otherwise the words start at 0:
+    primes from 13 up are added: the powers below 8192 of the primes below
+    2048 chunk by chunk, the rest strided over the whole segment (phases 1
+    and 2 of the module docstring).  Otherwise the words start at 0:
     below x_max = 121 the prime 11 is a cofactor, not a base prime, and a
     w < 11 copies its low byte out before 11 is sieved.
 
@@ -184,14 +192,14 @@ def _fill_segment(om, osms, cell, base, lo, ws, x_max):
 
     cell is uint16 scratch of len(om) words, overwritten whatever it holds.
     """
-    primes, steps = base
+    zero_start, presieved = passes
+    primes = zero_start.primes
     hi = lo + om.size
     splits = [int(np.searchsorted(primes, w, side="right")) for w in ws]
     log_route = ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X
     octaves = list(_octave_bounds(lo, hi, x_max)) if log_route else ()
-    presieve = ws[0] >= PRESIEVE_PRIMES[-1] and primes.size >= len(PRESIEVE_PRIMES)
-    pattern = presieve_pattern() if presieve else None
-    kernel.fill_segment(cell, om, osms, lo, primes, steps, splits, octaves, pattern)
+    presieve = ws[0] >= PRESIEVE_PRIMES[-1] and presieved is not None
+    (presieved if presieve else zero_start).fill(cell, om, osms, lo, splits, octaves)
     if log_route:
         return
     rem = np.arange(lo, hi, dtype=np.int64)
@@ -216,6 +224,17 @@ def base_primes(x_max: int) -> tuple[np.ndarray, np.ndarray]:
     steps L(p) << 8 (see _fill_segment), both int64."""
     primes = primes_up_to(math.isqrt(x_max))
     return primes, np.array([_step(p) for p in primes.tolist()], dtype=np.int64)
+
+
+def segment_passes(x_max: int) -> tuple[kernel.SegmentPass, kernel.SegmentPass | None]:
+    """The kernel's passes over base_primes(x_max): one from zeros, and one
+    from presieve_pattern() when 11 is a base prime (else None).  Their
+    pass-wide arrays are checked once, here, for all the segments."""
+    primes, steps = base_primes(x_max)
+    presieved = None
+    if primes.size >= len(PRESIEVE_PRIMES):
+        presieved = kernel.SegmentPass(primes, steps, presieve_pattern())
+    return kernel.SegmentPass(primes, steps), presieved
 
 
 @functools.cache
@@ -243,13 +262,13 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     x_max, w = config.x_max, config.w
     omega = np.zeros(x_max + 1, dtype=np.uint8)
     omega_small = np.zeros(x_max + 1, dtype=np.uint8)
-    base = base_primes(x_max)
+    passes = segment_passes(x_max)
 
     def fill(spans):
         cell_buf = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
         for lo, hi in spans:
             cell = cell_buf[: hi - lo]
-            _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, base, lo, (w,), x_max)
+            _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, passes, lo, (w,), x_max)
 
     spans = segment_spans(x_max, config.segment_length)
     workers = min(config.threads, len(spans))

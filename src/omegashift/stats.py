@@ -45,7 +45,7 @@ from .sieve import (
     MAX_OMEGA,
     SieveConfig,
     _fill_segment,
-    base_primes,
+    segment_passes,
     segment_spans,
 )
 
@@ -158,7 +158,7 @@ def grid_histograms(
     x_top = pairs[-1][0]
     ws = tuple(sorted({w for _, w in pairs}))
     xs_by_w = [sorted(x for x, v in pairs if v == w) for w in ws]
-    base = base_primes(x_top)
+    passes = segment_passes(x_top)
 
     def sieve_spans(spans):
         """Summed partial histograms of spans, in buffers reused across them."""
@@ -172,7 +172,7 @@ def grid_histograms(
             om = om_buf[: hi - lo + 1]
             osms = [osm_bufs[i][: hi - lo + 1] for i in live]
             cell = cell_buf[: hi - lo + 1]
-            _fill_segment(om, osms, cell, base, lo - 1, tuple(ws[i] for i in live), x_top)
+            _fill_segment(om, osms, cell, passes, lo - 1, tuple(ws[i] for i in live), x_top)
             for i, osm in zip(live, osms):
                 w, running, start = ws[i], 0, 1
                 for x in xs_by_w[i]:
@@ -281,8 +281,10 @@ def weighted_mass_below(J: np.ndarray, x: int, y: float) -> int:
 
         sum 2^omega(n-1) over n with  omega(n-1) <= 2 loglog x + y sqrt(2 loglog x).
 
-    Exact integer; the comparison is an exact integer against a floating threshold.
+    Exact integer; the comparison is an exact integer against a floating
+    threshold.  y = -inf gives 0 and +inf the full mass; a nan y is a ValueError.
     """
+    _check_y(y)
     spec = gaussian_spec(x)
     keep = np.arange(OMEGA_CAP) <= spec.center + y * spec.scale
     return weighted_mass(J * keep[:, None])
@@ -381,8 +383,15 @@ def ks_distance(J: np.ndarray, x: int) -> float:
     return ks_weighted_histogram(_row_masses(J), spec.center, spec.scale)
 
 
+def _check_y(y: float) -> None:
+    if math.isnan(y):
+        raise ValueError("threshold y is nan")
+
+
 def _count_below(A: np.ndarray, x: int, y: float) -> int:
-    """Total count of A over first indices <= loglog x + y sqrt(loglog x)."""
+    """Total count of A over first indices <= loglog x + y sqrt(loglog x);
+    a nan y is a ValueError."""
+    _check_y(y)
     spec = unweighted_spec(x)
     return int(A[np.arange(OMEGA_CAP) <= spec.center + y * spec.scale].sum())
 
@@ -406,8 +415,8 @@ def large_factor_ratio(J: np.ndarray, x: int, c_mult: float = 4.0) -> float:
         sum 2^omega(n-1) over { omega(n-1) - omega(n-1, w) > c_mult * log3 x }
         divided by the full weighted mass.
     """
-    if c_mult < 0:
-        raise ValueError("c_mult < 0")
+    if not c_mult >= 0:  # a nan c_mult fails too
+        raise ValueError(f"c_mult={c_mult} not >= 0")
     thr = c_mult * logloglog(x)
     total = weighted_mass(J)
     if total == 0:

@@ -3,16 +3,17 @@
 Nothing here imports the package under test.  The arithmetic oracles use
 plain trial division and Python integers; the convolution oracle sums
 g(q) tau(n/q) over the divisors q of one trial-divided n, for a kernel g
-that a test may pass in; the histogram oracle counts a
-table's (k, v, u) triples with numpy bincount; the generating-function oracle
-gathers a table's level set element by element and inverts F_k from its
-values at the roots of unity by a discrete Fourier transform; the
-Euler-product oracle uses mpmath with a prime-zeta tail so its error is far
-below the tolerances it is used to check, and the truncated-product oracle
-sums the exact logs of every factor up to the truncation prime, carrying
-the sign of negative factors separately.  Frozen
-constants in the test files were produced by running this module directly
-(python3 tests/oracles.py).
+that a test may pass in; the segment oracle sieves one segment with a numpy
+strided add per prime power over the whole segment, in no chunks and from
+no pattern; the histogram oracle counts a table's (k, v, u) triples with
+numpy bincount; the generating-function oracle gathers a table's level set
+element by element and inverts F_k from its values at the roots of unity by
+a discrete Fourier transform; the Euler-product oracle uses mpmath with a
+prime-zeta tail so its error is far below the tolerances it is used to
+check, and the truncated-product oracle sums the exact logs of every factor
+up to the truncation prime, carrying the sign of negative factors
+separately.  Frozen constants in the test files were produced by running
+this module directly (python3 tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -113,6 +114,34 @@ def large_factor_ratio(triples, k: int, x: int, c_mult: float) -> float:
     thr = c_mult * math.log(math.log(math.log(x)))
     excess = sum(1 << v for kk, v, u in triples if kk == k and v - u > thr)
     return excess / weighted_mass(triples, k)
+
+
+def segment_pass(lo: int, size: int, primes, steps, splits, octaves=()):
+    """(cell, om, osms) of the sieve's segment pass over n = lo + j, j < size,
+    from its definition, one numpy strided add per prime power over the
+    whole segment: the uint16 word of n gains steps[i] + 1 where primes[i]
+    divides n and steps[i] where each higher power does, for each power
+    below lo + size (only n = 0 has a multiple of a larger one);
+    osms[s] is the low byte after the primes primes[:splits[s]]; om is the
+    low byte after every prime, plus 1 where the word is below bound, for
+    each (start, stop, bound) of octaves.  Words wrap modulo 2^16."""
+    cell = np.zeros(size, dtype=np.uint16)
+    osms = [None] * len(splits)
+    for i in range(len(primes) + 1):
+        for s, cut in enumerate(splits):
+            if cut == i:
+                osms[s] = cell.astype(np.uint8)
+        if i == len(primes):
+            break
+        p, add = int(primes[i]), int(steps[i]) + 1
+        q = p
+        while q < lo + size:
+            cell[(-lo) % q :: q] += np.uint16(add)
+            q, add = q * p, int(steps[i])
+    om = cell.astype(np.uint8)
+    for start, stop, bound in octaves:
+        om[start:stop] += cell[start:stop] < bound
+    return cell, om, osms
 
 
 def histogram(omega, omega_small, x: int, chunk: int = 1 << 20) -> np.ndarray:

@@ -5,7 +5,10 @@ import hashlib
 import itertools
 import math
 import os
+import re
+import shutil
 import struct
+import subprocess
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +29,7 @@ from omegashift.sieve import (
     OmegaTable,
     SieveConfig,
     _log_gap,
+    base_primes,
     build_omega_table,
     presieve_pattern,
 )
@@ -395,6 +399,9 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
         (dict(cell_dtype=np.int32), TypeError, "cell"),
         (dict(pattern=np.zeros(6, dtype=np.int16), splits=[2]), TypeError, "pattern"),
         (dict(om_stride=2), TypeError, "om"),
+        (dict(steps=np.array([5 << 8, (8 << 8) + 1])), ValueError, "high byte"),
+        (dict(steps=np.array([5 << 8, 1 << 16])), ValueError, "high byte"),
+        (dict(steps=np.array([5 << 8, -(8 << 8)])), ValueError, "high byte"),
     ],
 )
 def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, change, error, match):
@@ -447,6 +454,80 @@ def test_fill_segment_pattern_matches_the_zero_start(lo):
         runs.append((cell, om, *osms))
     for with_pattern, zero_start in zip(*runs):
         assert np.array_equal(with_pattern, zero_start)
+
+
+def _kernel_define(name):
+    with open(kernel.SOURCE) as fh:
+        return int(re.search(rf"^#define {name} (\d+)$", fh.read(), re.M).group(1))
+
+
+CHUNK, SMALL_BOUND = _kernel_define("CHUNK"), _kernel_define("SMALL_BOUND")
+
+
+def _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, patterns):
+    want = oracles.segment_pass(lo, size, primes, steps, splits, octaves)
+    for pattern in patterns:
+        cell, om, osms = _segment(size, len(splits))
+        kernel.fill_segment(cell, om, osms, lo, primes, steps, splits, octaves, pattern)
+        assert np.array_equal(cell, want[0])
+        assert np.array_equal(om, want[1])
+        for s, (got, osm) in enumerate(zip(osms, want[2])):
+            assert np.array_equal(got, osm), (pattern is None, s)
+
+
+def _small_split(primes):
+    """How many primes kernel.c sieves chunk by chunk, when it has room."""
+    small = int(np.searchsorted(primes, SMALL_BOUND))
+    assert 0 < small < primes.size
+    return small
+
+
+@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+@settings(max_examples=12, deadline=None, database=None)
+@given(lo=st.integers(0, X_MAX_CEILING + 1 - (3 * CHUNK + 17)), cut=st.integers(5, 300))
+def test_fill_segment_chunks_match_the_whole_segment_oracle(size, lo, cut):
+    # The primes up to 10^4, split before, at and after SMALL_BOUND and at
+    # the end, from zeros and from the pattern.
+    primes, steps = base_primes(10**8)
+    small = _small_split(primes)
+    splits = [cut, small, small + cut, primes.size]
+    octaves = [(0, size // 3, 60 << 8), (size // 3, size, 120 << 8)]
+    patterns = (None, presieve_pattern())
+    _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, patterns)
+
+
+@pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
+def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
+    # Every prime up to 2^20 and every power up to 2^40, where the phase-1
+    # primes have the most powers past CHUNK.
+    primes, steps = base_primes(X_MAX_CEILING)
+    small = _small_split(primes)
+    splits = [5, small - 1, small, primes.size // 2, primes.size]
+    octaves = [(0, 1000, 150 << 8), (1000, 1024, 0)]
+    patterns = (None, presieve_pattern())
+    _assert_segment_matches_oracle(hi - 1024, 1024, primes, steps, splits, octaves, patterns)
+
+
+def test_fill_segment_past_a_full_stream_table():
+    # A base prime list never repeats a prime, but the kernel must not overrun
+    # its stream table on one that does: 100 copies of 2 have 12 powers each
+    # below CHUNK, and the copies that do not fit are sieved in phase 2.
+    primes = np.full(100, 2, dtype=np.int64)
+    steps = (np.arange(100, dtype=np.int64) % 7) << 8
+    size = 3 * CHUNK + 17
+    splits = [10, 60, 100]
+    _assert_segment_matches_oracle(X_MAX_CEILING + 1 - size, size, primes, steps, splits,
+                                   [(0, size, 1 << 15)], (None,))
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cc = kernel._compiler()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    argv = [*cc, *kernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"),
+            kernel.SOURCE]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_presieve_pattern_against_its_definition():

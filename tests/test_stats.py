@@ -431,6 +431,44 @@ def test_large_factor_ratio_definition(H, triples):
         large_factor_ratio(H[9], X)  # empty level set
 
 
+X5 = 100_000  # the x = 1e5, w = 50 grid, whose k = 2 plane has weighted mass 304 124
+
+
+@pytest.fixture(scope="module")
+def H5():
+    H = grid_histograms([(X5, W)])[X5, W]
+    assert weighted_mass(H[2]) == 304_124
+    return H
+
+
+def test_weighted_mass_below_rejects_a_nan_threshold(H5):
+    with pytest.raises(ValueError, match="nan"):
+        weighted_mass_below(H5[2], X5, math.nan)
+    assert weighted_mass_below(H5[2], X5, -math.inf) == 0
+    assert weighted_mass_below(H5[2], X5, math.inf) == 304_124
+
+
+def test_unweighted_baseline_rejects_a_nan_threshold(H5):
+    with pytest.raises(ValueError, match="nan"):
+        unweighted_baseline(H5[2], X5, math.nan)
+    assert unweighted_baseline(H5[2], X5, -math.inf) == 0
+    assert unweighted_baseline(H5[2], X5, math.inf) == int(H5[2].sum())
+
+
+def test_classical_baseline_rejects_a_nan_threshold(H5):
+    with pytest.raises(ValueError, match="nan"):
+        classical_baseline(H5, X5, math.nan)
+    assert classical_baseline(H5, X5, -math.inf) == 0
+    assert classical_baseline(H5, X5, math.inf) == X5 - 1
+
+
+def test_large_factor_ratio_rejects_a_nan_c_mult(H5):
+    for c_mult in (math.nan, -math.inf, -1e-300):
+        with pytest.raises(ValueError, match="c_mult"):
+            large_factor_ratio(H5[2], X5, c_mult)
+    assert large_factor_ratio(H5[2], X5, math.inf) == 0.0
+
+
 def test_report_relative_deviation():
     rep = PredictionReport(
         statistic="s", x=10, k=1, w=2, param=None,
