@@ -42,14 +42,13 @@ from .genfun import (
     phi_prime_power,
     phi_weighted_kernel,
 )
-from .sieve import OmegaTable, SieveConfig, build_omega_table
+from .sieve import OmegaTable, SieveConfig, build_omega_table, grid_histograms
 from .stats import (
     CacheMismatchError,
     PredictionReport,
     ThresholdSpec,
     gaussian_moment,
     gaussian_spec,
-    grid_histograms,
     histogram_digest,
     histogram_path,
     ks_distance,

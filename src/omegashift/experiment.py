@@ -4,7 +4,7 @@ A run is described by a flat key = value text file, executed over a grid of
 (x, k) pairs, and written as a CSV plus a JSON mirror.  The level histogram
 H of each (x, w) comes from the histogram cache when cache_dir holds it;
 the missing ones come from one table-free sieve pass over the grid
-(stats.grid_histograms) and are then cached.  No sieve table is built.
+(sieve.grid_histograms) and are then cached.  No sieve table is built.
 Reruns of the same config produce byte-identical files except for the
 runtime_ms column, which is deliberately last in the schema; whether a
 histogram came from the cache is not recorded.  runtime_ms is the time to
@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .constants import DEFAULT_TRUNCATION, R_CEILING
+from .sieve import MAX_THREADS, grid_histograms
 from .stats import (
     MAX_MOMENT,
     PredictionReport,
     classical_baseline,
     gaussian_moment,
-    grid_histograms,
     histogram_digest,
     histogram_path,
     ks_distance,
@@ -93,8 +93,8 @@ class ExperimentConfig:
                 )
         if self.truncation_prime < 1000:
             raise ValueError("truncation_prime < 1000")
-        if self.threads < 1:
-            raise ValueError("threads < 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads={self.threads} outside [1, {MAX_THREADS}]")
         for m in self.moments:
             if not 0 <= m <= MAX_MOMENT:
                 raise ValueError(f"moment order {m} outside [0, {MAX_MOMENT}]")

@@ -16,7 +16,7 @@ g(q)/phi(dq), and the weighted generating function
 
 a polynomial in z whose coefficients are the small-factor masses.  Those
 coefficients are exact integers read from the plane J = H[k] of the level
-histogram (stats.grid_histograms), so evaluation, coefficient extraction and
+histogram (sieve.grid_histograms), so evaluation, coefficient extraction and
 the characteristic profile are small functions of J alone.
 """
 

@@ -116,12 +116,13 @@ static void add_cofactor(uint8_t *om, const uint16_t *cell, int64_t start, int64
 /* One segment n = lo + j, j < len, into the words cell[0..len).
  *
  * The cell starts as the pre-sieve pattern[(lo + j) % period] when pattern
- * is given, else as zeros.  The pattern holds the words of the leading base
- * primes that divide period and of their powers that divide period, so
- * those primes add only their higher powers here (2^5, 3^3, ... for
- * period 2^4 3^2 5 7 11); every later prime is sieved in full.  After the
- * primes primes[0..splits[s]) the low byte is copied into osms[s], for
- * each s < nsplits in turn.  Last, om[j] gets the low byte, plus 1 where
+ * is given, else as zeros.  The pattern holds the words of the lead base
+ * primes, those that divide period (counted by kernel.py; 0 without a
+ * pattern), and of their powers that divide period, so those primes add
+ * only their higher powers here (2^5, 3^3, ... for period 2^4 3^2 5 7 11);
+ * every later prime is sieved in full.  After the primes
+ * primes[0..splits[s]) the low byte is copied into osms[s], for each
+ * s < nsplits in turn.  Last, om[j] gets the low byte, plus 1 where
  * the word is below the octave's bound, for each octave
  * (start, stop, bound) = octaves[3 o .. 3 o + 3) of the noct given; with
  * noct == 0, om gets the low byte alone.
@@ -135,16 +136,14 @@ static void add_cofactor(uint8_t *om, const uint16_t *cell, int64_t start, int64
  * not change them. */
 void fill_segment(uint16_t *cell, int64_t len, int64_t lo,
                   const int64_t *primes, const int64_t *steps, int64_t count,
-                  const uint16_t *pattern, int64_t period,
+                  const uint16_t *pattern, int64_t period, int64_t lead,
                   uint8_t *const *osms, const int64_t *splits, int64_t nsplits,
                   uint8_t *om, const int64_t *octaves, int64_t noct)
 {
     struct stream streams[MAX_STREAMS];
     const int64_t hi = lo + len;
-    int64_t lead = 0, i = 0, n = 0, s = 0;
+    int64_t i = 0, n = 0, s = 0;
     uint16_t add;
-    while (pattern && lead < count && period % primes[lead] == 0)
-        lead++;
     for (; i < count && primes[i] < SMALL_BOUND; i++) {
         const int64_t p = primes[i], first = n;
         int64_t q = first_power(p, i < lead, period, (uint16_t)steps[i], &add);

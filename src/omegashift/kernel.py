@@ -1,4 +1,5 @@
-"""The sieve's segment pass and the histogram fold, compiled from kernel.c.
+"""The sieve's segment pass and the histogram fold, compiled from kernel.c:
+SegmentPass.fill and fold are their one way in, and check every argument.
 
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
@@ -87,7 +88,7 @@ def _library():
             raise KernelBuildError(f"cannot load the rebuilt {path}: {exc}") from exc
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fill_segment.argtypes = [
-        ptr, i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, ptr, ptr, i64
+        ptr, i64, i64, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64
     ]
     lib.fill_segment.restype = None
     lib.fold.argtypes = [ptr, ptr, ptr, i64, i64]
@@ -107,13 +108,23 @@ def _check(arr: np.ndarray, dtype, name: str) -> None:
 
 
 class SegmentPass:
-    """The pass-wide arguments of fill_segment, checked once, with their C pointers.
+    """kernel.c's fill_segment over many segments, its pass-wide arguments
+    checked and their C pointers taken once, and kept alive by the pass.
 
     primes and steps are int64 arrays of the same length, every prime in
-    [2, 2^20] and every step a multiple of 256 below 2^16; pattern, if
-    given, is a uint16 array whose length (the period) is made of the
-    leading primes.  A pass keeps them alive while it lives; fill sieves
-    one segment with them.
+    [2, 2^20] and every step a multiple of 256 below 2^16 (it leaves the low
+    byte alone); pattern, if given, is a uint16 array whose length, the
+    period, is made of the lead leading primes.
+
+    fill sieves n = lo + j, j < len(om), in one pass over cell (uint16
+    scratch).  cell starts as pattern[(lo + j) % period], or as zeros.  Each
+    prime p = primes[i] adds steps[i] + 1 at each multiple of p and steps[i]
+    at each multiple of every power p^j < lo + len(om), but the lead primes
+    only at their powers not dividing the period.  After primes[:splits[s]]
+    the low byte is copied into osms[s].  Last, om gets the low byte, plus 1
+    where the word is below bound, for each (start, stop, bound) of octaves,
+    which, if any, tile [0, len(om)).  lo + len(om) <= 2^40 + 1 keeps the
+    powers in int64.  The order of kernel.c's adds does not change the words.
     """
 
     def __init__(self, primes, steps, pattern=None):
@@ -128,7 +139,7 @@ class SegmentPass:
         if any(step & ~0xFF00 for step in steps.tolist()):
             raise ValueError("a step outside the high byte of a word")
         self.primes, self.steps, self.pattern = primes, steps, pattern
-        self.lead = 0  # the leading primes dividing the period, as kernel.c counts them
+        self.lead = 0  # the leading primes dividing the period
         period = 0
         if pattern is not None:
             _check(pattern, np.uint16, "pattern")
@@ -141,11 +152,11 @@ class SegmentPass:
                 raise ValueError(f"pattern period {period} is not made of leading base primes")
         self._args = (
             primes.ctypes.data, steps.ctypes.data, primes.size,
-            None if pattern is None else pattern.ctypes.data, period,
+            None if pattern is None else pattern.ctypes.data, period, self.lead,
         )
 
     def fill(self, cell, om, osms, lo, splits, octaves=()) -> None:
-        """kernel.fill_segment with this pass's primes, steps and pattern."""
+        """Sieve one segment with this pass's primes, steps and pattern."""
         size = om.size
         _check(cell, np.uint16, "cell")
         _check(om, np.uint8, "om")
@@ -180,30 +191,6 @@ class SegmentPass:
             osm_ptrs.ctypes.data, split_arr.ctypes.data, len(splits),
             om.ctypes.data, octave_arr.ctypes.data, len(octaves),
         )
-
-
-def fill_segment(cell, om, osms, lo, primes, steps, splits, octaves=(), pattern=None) -> None:
-    """Sieve the segment n = lo + j, j < len(om), in one pass over cell.
-
-    cell (uint16 scratch) starts as pattern[(lo + j) % len(pattern)] when a
-    pattern is given, else as zeros.  Then each base prime p = primes[i]
-    adds steps[i] + 1 at each multiple of p and steps[i] at each multiple
-    of every power p^j < lo + len(om); the leading primes that divide the
-    pattern's period add only their powers that do not, since the pattern
-    holds the rest.  After the primes primes[:splits[s]] the low byte of
-    each word is copied into osms[s].  Last, om gets the low byte, plus 1
-    where the word is below bound, for each (start, stop, bound) of
-    octaves; octaves, if any, must tile [0, len(om)).  kernel.c adds the
-    small powers of the small primes chunk by chunk and the rest over the
-    whole segment; the words do not depend on it.
-
-    Every prime must be at most 2^20 and lo + len(om) at most 2^40 + 1,
-    which keeps the powers in int64.  Every step must leave the low byte
-    alone: it is a multiple of 256 below 2^16.  Every argument is checked here, before
-    the C call.  A sieve pass over many segments makes one SegmentPass and
-    calls its fill, so the pass-wide arrays are checked once.
-    """
-    SegmentPass(primes, steps, pattern).fill(cell, om, osms, lo, splits, octaves)
 
 
 def fold(om: np.ndarray, osm: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Prime generation and trial division shared by the sieve, the Euler
-products, the generating-function layer and the verify battery."""
+products, the generating-function layer and the verify battery.  The one
+prime sieve is iter_prime_blocks; primes_up_to joins its blocks.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -10,14 +14,7 @@ FACTOR_LIMIT = 1 << 50
 
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit as an ascending int64 array."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.concatenate([np.empty(0, dtype=np.int64), *iter_prime_blocks(limit)])
 
 
 def iter_prime_blocks(limit: int, block_len: int = 1 << 22):
@@ -25,21 +22,17 @@ def iter_prime_blocks(limit: int, block_len: int = 1 << 22):
 
     Segmented so working memory stays O(block_len + pi(sqrt(limit))); block
     boundaries are fixed by block_len alone, which keeps downstream
-    block-ordered reductions deterministic.
+    block-ordered reductions deterministic.  The base primes come from
+    primes_up_to(isqrt(limit)); a limit below 4 has none, which ends the recursion.
     """
     if limit < 2:
         return
-    base = primes_up_to(int(limit**0.5))
+    base = primes_up_to(math.isqrt(limit)).tolist()
     for lo in range(2, limit + 1, block_len):
         hi = min(lo + block_len, limit + 1)
         mask = np.ones(hi - lo, dtype=bool)
-        if lo <= 1:
-            mask[: 2 - lo] = False
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mask[start - lo :: p] = False
+        for p in base:  # from p * p or the first multiple at or above lo
+            mask[max(p * p, (lo + p - 1) // p * p) - lo :: p] = False
         yield (np.nonzero(mask)[0] + lo).astype(np.int64)
 
 

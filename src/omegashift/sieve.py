@@ -5,11 +5,13 @@ One segment kernel, _fill_segment, counts for every n of a segment
     omega(n)    = number of distinct primes dividing n
     omega(n, w) = number of distinct primes p <= w dividing n
 
-for one or several thresholds w.  build_omega_table runs it over [2, x_max]
-with one w and keeps the result as two byte tables, omega and omega_small,
-indexed by n (omegashift sieve, tests, small verify tables);
-stats.grid_histograms runs it over a grid's whole range with every w of
-the grid and folds each segment into level histograms, keeping no table.
+for one or several thresholds w.  Two producers run it over [2, x_max]:
+build_omega_table with one w, keeping the result as two byte tables, omega
+and omega_small, indexed by n (omegashift sieve, tests, small verify
+tables); and grid_histograms over a grid's whole range with every w of the
+grid, folding each segment into the level histograms H (see stats) and
+keeping no table.  Both hand their segments to worker threads through one
+helper, _map_segments; at most MAX_THREADS of them.
 
 Each segment sieves the base primes p <= sqrt(x_max).  What they leave of n
 is its cofactor c, which is 1 or a single prime above sqrt(x_max) (two such
@@ -21,8 +23,8 @@ _fill_segment).  Only when some w has w*w > x_max, where "c <= w" needs
 the cofactor's value, does a segment keep an int64 cofactor array and
 divide it by every prime power.
 
-A segment is one compiled pass (kernel.fill_segment, built on the first
-call) in two phases.  Phase 1 walks the segment in chunks of 8192 words
+A segment is one compiled pass (kernel.SegmentPass.fill, built on the
+first call) in two phases.  Phase 1 walks the segment in chunks of 8192 words
 (16 KB, inside any L1 data cache).  Each chunk starts from a pre-sieve
 pattern of period 55 440 = 2^4 3^2 5 7 11, which holds the primes 2..11 and
 their powers dividing the period, or from zeros; it gains every other power
@@ -52,6 +54,7 @@ LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
 PRESIEVE_PRIMES = (2, 3, 5, 7, 11)  # held by the pre-sieve pattern (see _fill_segment)
 PRESIEVE_PERIOD = 2**4 * 3**2 * 5 * 7 * 11  # 55 440 words, 110 KB
+MAX_THREADS = 256  # each worker thread holds a segment's buffers
 
 
 def _max_omega(limit: int) -> int:
@@ -73,8 +76,9 @@ MAX_OMEGA = _max_omega(X_MAX_CEILING)  # 11: 2*3*...*31 <= 2^40 < 2*3*...*37
 
 # Fixed-width guards for the segment's uint16 words: the low byte counts
 # distinct primes and the high byte accumulates scaled logs; neither may carry.
-if MAX_OMEGA >= 256:
-    raise RuntimeError(f"omega can reach {MAX_OMEGA}: the count byte would carry")
+# Every omega(n) and omega(n, w) must also be an index of H and a fold digit.
+if MAX_OMEGA >= min(kernel.OMEGA_CAP, 256):
+    raise RuntimeError(f"omega can reach {MAX_OMEGA}: outside H's bins or the count byte")
 if LOG_SCALE * math.log(X_MAX_CEILING) >= 256:
     raise RuntimeError("scaled log of X_MAX_CEILING does not fit the accumulator byte")
 if _log_gap(LOG_ROUTE_MIN_X) <= 1:
@@ -89,8 +93,8 @@ class SieveConfig:
     w     : small-prime threshold for omega_small, 2 <= w <= x_max
     segment_length : numbers processed per segment; any value >= 1024
         produces the identical table, it only trades memory for call overhead
-    threads : worker threads mapped over segments (disjoint output slices,
-        so the result is independent of the count)
+    threads : worker threads mapped over segments, 1 <= threads <= MAX_THREADS
+        (disjoint output slices, so the result is independent of the count)
     """
 
     x_max: int
@@ -105,8 +109,8 @@ class SieveConfig:
             raise ValueError(f"w={self.w} outside [2, x_max]")
         if self.segment_length < 1024:
             raise ValueError("segment_length < 1024")
-        if self.threads < 1:
-            raise ValueError("threads < 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads={self.threads} outside [1, {MAX_THREADS}]")
 
 
 @dataclass
@@ -146,7 +150,7 @@ def _fill_segment(om, osms, cell, passes, lo, ws, x_max):
     """Count prime divisors for n in [lo, lo + len(om)) into om and, for
     each w of the ascending tuple ws, omega(n, w) into the matching osms array.
 
-    One uint16 word per n, in one compiled pass (kernel.fill_segment).
+    One uint16 word per n, in one compiled pass (kernel.SegmentPass.fill).
     passes = segment_passes(x_max) holds the kernel's passes over the
     primes p <= sqrt(x_max), ascending, with their steps L(p) << 8, from
     zeros and from the pre-sieve pattern: each p adds 1 to the low byte at its
@@ -190,8 +194,10 @@ def _fill_segment(om, osms, cell, passes, lo, ws, x_max):
     value of c, so an int64 array starts at n and is divided by p at every
     p^j < hi, in numpy.
 
-    cell is uint16 scratch of len(om) words, overwritten whatever it holds.
+    cell is uint16 scratch of at least len(om) words; its first len(om)
+    are overwritten whatever they hold.
     """
+    cell = cell[: om.size]
     zero_start, presieved = passes
     primes = zero_start.primes
     hi = lo + om.size
@@ -255,9 +261,8 @@ def presieve_pattern() -> np.ndarray:
 def build_omega_table(config: SieveConfig) -> OmegaTable:
     """Build the omega/omega_small tables for config.
 
-    Each worker takes every threads-th segment, with one scratch buffer of
-    words.  Segments are independent and write disjoint slices, so the
-    table is bit-identical for every segment_length and thread count.
+    Segments are independent and write disjoint slices, so the table is
+    bit-identical for every segment_length and thread count.
     """
     x_max, w = config.x_max, config.w
     omega = np.zeros(x_max + 1, dtype=np.uint8)
@@ -265,24 +270,76 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     passes = segment_passes(x_max)
 
     def fill(spans):
-        cell_buf = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
+        cell = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
         for lo, hi in spans:
-            cell = cell_buf[: hi - lo]
             _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, passes, lo, (w,), x_max)
 
-    spans = segment_spans(x_max, config.segment_length)
-    workers = min(config.threads, len(spans))
-    if workers == 1:
-        fill(spans)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, [spans[i::workers] for i in range(workers)]))
+    _map_segments(fill, x_max, config.segment_length, config.threads)
     return OmegaTable(x_max=x_max, w=w, omega=omega, omega_small=omega_small)
 
 
-def segment_spans(x_max: int, segment_length: int) -> list[tuple[int, int]]:
-    """[lo, hi) segments of length segment_length covering [2, x_max]."""
-    return [
-        (lo, min(lo + segment_length, x_max + 1))
-        for lo in range(2, x_max + 1, segment_length)
+def grid_histograms(
+    pairs, threads: int = 1, segment_length: int = DEFAULT_SEGMENT
+) -> dict[tuple[int, int], np.ndarray]:
+    """{(x, w): H} for each distinct pair, from one sieve pass over [2, max x].
+
+    No table is built.  Each segment [lo, hi) sieves [lo - 1, hi), so it
+    holds omega(n - 1) of its first n (omega(1) = 0), copies omega(n, w) out
+    once per distinct w that some x >= lo still needs, and folds the n in
+    [lo, min(hi, x + 1)) into the partial H of every pair with kernel.fold.
+    Pairs that share a w share one running fold, so each n is folded once
+    per distinct w.  Segments are independent and partial histograms add
+    as exact integers, so H is identical for every segment_length and
+    thread count; working memory is O(segment) per worker.
+    """
+    pairs = sorted(set(pairs))
+    if not pairs:
+        raise ValueError("no (x, w) pairs")
+    for x, w in pairs:
+        SieveConfig(x_max=x, w=w, segment_length=segment_length, threads=threads)
+    x_top = pairs[-1][0]
+    ws = tuple(sorted({w for _, w in pairs}))
+    xs_by_w = [sorted(x for x, v in pairs if v == w) for w in ws]
+    passes = segment_passes(x_top)
+
+    def sieve_spans(spans):
+        """Summed partial histograms of spans, in buffers reused across them."""
+        size = min(segment_length, x_top) + 1
+        om_buf = np.empty(size, dtype=np.uint8)  # position i holds n = lo - 1 + i
+        osm_bufs = [np.empty(size, dtype=np.uint8) for _ in ws]
+        cell = np.empty(size, dtype=np.uint16)
+        totals = {pair: np.zeros((kernel.OMEGA_CAP,) * 3, dtype=np.int64) for pair in pairs}
+        for lo, hi in spans:
+            live = [i for i, xs in enumerate(xs_by_w) if xs[-1] >= lo]
+            om = om_buf[: hi - lo + 1]
+            osms = [osm_bufs[i][: hi - lo + 1] for i in live]
+            _fill_segment(om, osms, cell, passes, lo - 1, tuple(ws[i] for i in live), x_top)
+            for i, osm in zip(live, osms):
+                w, running, start = ws[i], 0, 1
+                for x in xs_by_w[i]:
+                    if x >= lo:
+                        stop = min(x + 1, hi) - (lo - 1)
+                        running = running + kernel.fold(om, osm, start, stop)
+                        totals[x, w] += running
+                        start = stop
+        return totals
+
+    parts = _map_segments(sieve_spans, x_top, segment_length, threads)
+    return {pair: sum(part[pair] for part in parts) for pair in pairs}
+
+
+def _map_segments(work, x_max, segment_length, threads):
+    """Cut [2, x_max] into [lo, hi) segments of segment_length and give each of
+    min(threads, segments) workers every workers-th of them: [work(spans), ...]
+    in worker order.  Each worker runs its spans in ascending order; a lone
+    worker runs in the calling thread."""
+    los = range(2, x_max + 1, segment_length)
+    workers = min(threads, len(los))
+    parts = [  # lazy: near 2^40 a list of every span would take about 0.5 GB
+        ((lo, min(lo + segment_length, x_max + 1)) for lo in los[i::workers])
+        for i in range(workers)
     ]
+    if workers == 1:
+        return [work(parts[0])]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, parts))

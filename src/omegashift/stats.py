@@ -5,9 +5,8 @@ Every statistic is a function of the level histogram
     H[k, v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
 
 a small table of exact integers, shape (OMEGA_CAP,) * 3 = (16, 16, 16):
-no omega reaches 16 below 2^40.  grid_histograms is its one producer: one
-ascending, table-free sieve pass over [2, max x] that folds H for every
-(x, w) of a grid with the compiled kernel.fold, in O(segment) memory.
+no omega reaches 16 below 2^40.  Its one producer is sieve.grid_histograms;
+this module holds no sieve code, only statistics of H and its cache:
 save_histogram and load_histogram keep H in a 32 KB cache file per
 (x, w) whose header carries a SHA-256 of the payload.
 The k-level statistics take the plane J = H[k] (the joint histogram of the
@@ -26,12 +25,10 @@ import math
 import os
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
 from .constants import (
     DEFAULT_TRUNCATION,
     level_ratio,
@@ -39,26 +36,14 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from .kernel import OMEGA_CAP
-from .sieve import (
-    DEFAULT_SEGMENT,
-    MAX_OMEGA,
-    SieveConfig,
-    _fill_segment,
-    segment_passes,
-    segment_spans,
-)
+from .kernel import FOLD_BINS, OMEGA_CAP
 
 MAX_MOMENT = 12
-
-# Every omega(n) and omega(n, w) is a valid H index and a valid fold digit.
-if MAX_OMEGA >= OMEGA_CAP:
-    raise RuntimeError(f"omega can reach {MAX_OMEGA}, outside H's bins")
 
 HIST_MAGIC = b"OMGH"
 HIST_VERSION = 2  # bump when the format or the numbers H holds change
 _HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
-_HIST_BYTES = kernel.FOLD_BINS * 8
+_HIST_BYTES = FOLD_BINS * 8
 
 
 class CacheMismatchError(ValueError):
@@ -133,64 +118,6 @@ def make_report(
         rel_dev=float(rel), error_scale=float(error_scale),
         runtime_ms=float(runtime_ms),
     )
-
-
-def grid_histograms(
-    pairs, threads: int = 1, segment_length: int = DEFAULT_SEGMENT
-) -> dict[tuple[int, int], np.ndarray]:
-    """{(x, w): H} for each distinct pair, from one sieve pass over [2, max x].
-
-    No table is built.  Each segment [lo, hi) sieves [lo - 1, hi), so it
-    holds omega(n - 1) of its first n (omega(1) = 0), copies omega(n, w) out
-    once per distinct w that some x >= lo still needs, and folds the n in
-    [lo, min(hi, x + 1)) into the partial H of every pair.  Pairs that
-    share a w share one running fold, so each n is folded once per distinct
-    w.  With threads > 1 each worker takes every workers-th segment into
-    its own buffers.  Segments are independent and partial histograms add
-    as exact integers, so H is identical for every segment_length and
-    thread count; working memory is O(segment) per worker.
-    """
-    pairs = sorted(set(pairs))
-    if not pairs:
-        raise ValueError("no (x, w) pairs")
-    for x, w in pairs:
-        SieveConfig(x_max=x, w=w, segment_length=segment_length, threads=threads)
-    x_top = pairs[-1][0]
-    ws = tuple(sorted({w for _, w in pairs}))
-    xs_by_w = [sorted(x for x, v in pairs if v == w) for w in ws]
-    passes = segment_passes(x_top)
-
-    def sieve_spans(spans):
-        """Summed partial histograms of spans, in buffers reused across them."""
-        size = min(segment_length, x_top) + 1
-        om_buf = np.empty(size, dtype=np.uint8)  # position i holds n = lo - 1 + i
-        osm_bufs = [np.empty(size, dtype=np.uint8) for _ in ws]
-        cell_buf = np.empty(size, dtype=np.uint16)
-        totals = {pair: np.zeros((OMEGA_CAP,) * 3, dtype=np.int64) for pair in pairs}
-        for lo, hi in spans:
-            live = [i for i, xs in enumerate(xs_by_w) if xs[-1] >= lo]
-            om = om_buf[: hi - lo + 1]
-            osms = [osm_bufs[i][: hi - lo + 1] for i in live]
-            cell = cell_buf[: hi - lo + 1]
-            _fill_segment(om, osms, cell, passes, lo - 1, tuple(ws[i] for i in live), x_top)
-            for i, osm in zip(live, osms):
-                w, running, start = ws[i], 0, 1
-                for x in xs_by_w[i]:
-                    if x >= lo:
-                        stop = min(x + 1, hi) - (lo - 1)
-                        running = running + kernel.fold(om, osm, start, stop)
-                        totals[x, w] += running
-                        start = stop
-        return totals
-
-    spans = segment_spans(x_top, segment_length)
-    workers = min(threads, len(spans))
-    if workers == 1:
-        parts = [sieve_spans(spans)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(sieve_spans, [spans[i::workers] for i in range(workers)]))
-    return {pair: sum(part[pair] for part in parts) for pair in pairs}
 
 
 def histogram_path(cache_dir: str, x: int, w: int) -> str:

@@ -2,7 +2,7 @@
 
 Runs named invariant checks and prints one [PASS]/[FAIL]/[WARN] line each.
 The fast level finishes in seconds on small ranges.  The full level makes
-one table-free sieve pass (stats.grid_histograms) for the k = 2 planes at
+one table-free sieve pass (sieve.grid_histograms) for the k = 2 planes at
 1e5..x_top and evaluates TREND_GATES, the one definition of the acceptance
 trend criteria, which tests/test_acceptance.py asserts too.  Each trend
 check ANDs its gates; failures degrade to warnings when x_top is below 1e7.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -30,11 +31,10 @@ from .constants import (
 )
 from .experiment import resolve_w
 from .primes import factorize
-from .sieve import SieveConfig, build_omega_table
+from .sieve import SieveConfig, build_omega_table, grid_histograms
 from .stats import (
     gaussian_moment,
     gaussian_spec,
-    grid_histograms,
     ks_distance,
     ks_weighted_histogram,
     loglog,
@@ -89,11 +89,6 @@ class VerifySummary:
         }
 
 
-def _trial_omega(n: int, w: int) -> tuple[int, int]:
-    fact = factorize(n)
-    return len(fact), sum(1 for p, _ in fact if p <= w)
-
-
 def _histogram(x: int, w: int, **opts) -> np.ndarray:
     """H of the one pair (x, w), from grid_histograms."""
     return grid_histograms([(x, w)], **opts)[x, w]
@@ -120,7 +115,8 @@ def _check_sieve_vs_trial_division():
     x, w = 3000, 13
     table = build_omega_table(SieveConfig(x_max=x, w=w))
     for n in range(2, x + 1):
-        om, osm = _trial_omega(n, w)
+        fact = factorize(n)
+        om, osm = len(fact), sum(1 for p, _ in fact if p <= w)
         if table.omega[n] != om or table.omega_small[n] != osm:
             return False, f"mismatch at n={n}"
     return True, f"all n <= {x} match trial division (w={w})"
@@ -254,17 +250,19 @@ def _check_normal_cdf():
 
 def _check_coefficients_vs_direct():
     x = 10_000
-    for w in (10, resolve_w("auto", x)):
+    ws = (10, resolve_w("auto", x))
+    direct = defaultdict(Counter)  # (w, k) -> u -> slice mass
+    prev = []  # the primes of n - 1, so each n is factorized once
+    for n in range(2, x + 1):
+        primes = [p for p, _ in factorize(n)]
+        for w in ws:
+            direct[w, len(primes)][sum(1 for p in prev if p <= w)] += 1 << len(prev)
+        prev = primes
+    for w in ws:
         H = _histogram(x, w)
-        direct = {}
-        for n in range(2, x + 1):
-            k = _trial_omega(n, w)[0]
-            v, u = _trial_omega(n - 1, w)
-            slices = direct.setdefault(k, {})
-            slices[u] = slices.get(u, 0) + (1 << v)
         for k in (1, 2, 3):
             coeffs = genfun.extract_coefficients(H[k])
-            want = [direct[k].get(u, 0) for u in range(max(direct[k]) + 1)]
+            want = [direct[w, k][u] for u in range(max(direct[w, k]) + 1)]
             if coeffs.tolist() != want:
                 return False, f"w={w} k={k}: {coeffs.tolist()} != {want}"
     return True, f"F_k coefficients equal trial-division slice masses (x={x}, k<=3)"

@@ -23,10 +23,9 @@ from omegashift.genfun import (
     extract_coefficients,
     phi_prime_power,
 )
-from omegashift.sieve import DEFAULT_SEGMENT, SieveConfig, build_omega_table
+from omegashift.sieve import DEFAULT_SEGMENT, SieveConfig, build_omega_table, grid_histograms
 from omegashift.stats import (
     gaussian_spec,
-    grid_histograms,
     weighted_mass,
     weighted_mass_at,
     weighted_mass_below,

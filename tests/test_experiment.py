@@ -25,9 +25,9 @@ from omegashift.experiment import (
     resolve_w,
     run_experiment,
 )
+from omegashift.sieve import grid_histograms
 from omegashift.stats import (
     CacheMismatchError,
-    grid_histograms,
     histogram_digest,
     histogram_path,
     load_histogram,
@@ -97,6 +97,10 @@ def test_config_validation_bounds():
         ExperimentConfig(x_list=(10**4,), k_list=(2,), y_grid=(0.0, -math.inf))
     with pytest.raises(ValueError, match="not finite"):
         ExperimentConfig(x_list=(10**4,), k_list=(2,), large_factor_c=math.inf)
+    for threads in (0, 257):
+        with pytest.raises(ValueError, match=rf"threads={threads} outside \[1, 256\]"):
+            ExperimentConfig(x_list=(10**4,), k_list=(2,), threads=threads)
+    assert ExperimentConfig(x_list=(10**4,), k_list=(2,), threads=256).threads == 256
 
 
 def test_config_rejects_an_ell_max_the_run_cannot_evaluate():
@@ -136,8 +140,9 @@ def test_cli_run_rejects_a_deep_ell_max_before_sieving(tmp_path, capsys):
         ("x_list = 1000000", "line 3: key 'x_list' repeated"),
         ("y_grid = 0 nan", "y_grid (0.0, nan) holds a non-finite value"),
         ("large_factor_c = nan", "large_factor_c=nan is not finite"),
+        ("threads = 100000", "threads=100000 outside [1, 256]"),
     ],
-    ids=["repeated_key", "nan_y", "nan_large_factor_c"],
+    ids=["repeated_key", "nan_y", "nan_large_factor_c", "absurd_threads"],
 )
 def test_cli_run_rejects_bad_config_input(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
@@ -376,6 +381,13 @@ def test_cli_sieve_and_cache(tmp_path, capsys):
     usage = capsys.readouterr().out
     assert "--threads" in usage and "--cache" not in usage and "--segment-length" not in usage
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_sieve_rejects_an_absurd_thread_count(monkeypatch, capsys):
+    # The config is refused before any table is allocated or thread started.
+    monkeypatch.setattr("omegashift.cli.build_omega_table", lambda config: pytest.fail("sieved"))
+    assert main(["sieve", "--x", "100000000", "--w", "4858", "--threads", "100000"]) == 2
+    assert capsys.readouterr().err == "error: threads=100000 outside [1, 256]\n"
 
 
 def test_cli_run(tmp_path, capsys):

@@ -17,7 +17,7 @@ from omegashift.genfun import (
     phi_prime_power,
     phi_weighted_kernel,
 )
-from omegashift.stats import grid_histograms
+from omegashift.sieve import grid_histograms
 
 Z_SET = (0.0, 1.0, -1.0, 1.0j, 1.7 + 0.3j)
 

@@ -1,6 +1,7 @@
 """Sieve correctness and determinism, the cache of a sieved table's
 histogram, and the compiled kernel."""
 
+import ctypes
 import hashlib
 import itertools
 import math
@@ -19,10 +20,12 @@ from hypothesis import strategies as st
 import oracles
 from omegashift import kernel
 from omegashift.cli import main
+from omegashift.primes import iter_prime_blocks, primes_up_to
 from omegashift.sieve import (
     LOG_ROUTE_MIN_X,
     LOG_SCALE,
     MAX_OMEGA,
+    MAX_THREADS,
     PRESIEVE_PERIOD,
     PRESIEVE_PRIMES,
     X_MAX_CEILING,
@@ -31,12 +34,12 @@ from omegashift.sieve import (
     _log_gap,
     base_primes,
     build_omega_table,
+    grid_histograms,
     presieve_pattern,
 )
 from omegashift.stats import (
     HIST_VERSION,
     CacheMismatchError,
-    grid_histograms,
     histogram_path,
     load_histogram,
     save_histogram,
@@ -180,8 +183,46 @@ def test_config_validation():
         SieveConfig(x_max=100, w=10, segment_length=100)
     with pytest.raises(ValueError):
         SieveConfig(x_max=100, w=10, threads=0)
+    with pytest.raises(ValueError, match=rf"threads={MAX_THREADS + 1} outside \[1, 256\]"):
+        SieveConfig(x_max=100, w=10, threads=MAX_THREADS + 1)
+    assert SieveConfig(x_max=100, w=10, threads=MAX_THREADS).threads == 256
     with pytest.raises(ValueError):
         SieveConfig(x_max=(1 << 40) + 1, w=10)
+
+
+def _is_prime(n):
+    return oracles.factorize(n) == [(n, 1)]
+
+
+def test_primes_up_to_every_small_limit():
+    want = [n for n in range(2, 301) if _is_prime(n)]
+    for limit in range(301):
+        got = primes_up_to(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in want if p <= limit], limit
+
+
+def test_primes_up_to_around_prime_squares():
+    # The limit p^2 is the first whose base primes hold p, and p^2 the first
+    # number that only p strikes: the window below it is checked by trial
+    # division, and each list must be the head of one longer list.
+    longest = primes_up_to(997**2 + 1)
+    for p in primes_up_to(1000).tolist():
+        start = max(2, p * p - 40)
+        window = [n for n in range(start, p * p + 2) if _is_prime(n)]
+        for limit in (p * p - 1, p * p, p * p + 1):
+            got = primes_up_to(limit)
+            assert got[got >= start].tolist() == [n for n in window if n <= limit], limit
+            assert np.array_equal(got, longest[longest <= limit]), limit
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 97, 10_007])
+def test_prime_blocks_concatenate_to_primes_up_to(limit):
+    want = primes_up_to(limit)
+    for block_len in (1, 2, 7, 64, 1 << 22):
+        blocks = list(iter_prime_blocks(limit, block_len))
+        assert all(block.dtype == np.int64 for block in blocks)
+        assert np.array_equal(np.concatenate([want[:0], *blocks]), want), block_len
 
 
 def test_level_set_iteration():
@@ -414,14 +455,14 @@ def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, chang
     osms = [np.zeros(arg["osm_size"], dtype=np.uint8) for _ in range(arg["nosm"])]
     monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
     with pytest.raises(error, match=match):
-        kernel.fill_segment(cell, om, osms, arg["lo"], arg["primes"], arg["steps"],
-                            arg["splits"], arg["octaves"], arg["pattern"])
+        kernel.SegmentPass(arg["primes"], arg["steps"], arg["pattern"]).fill(
+            cell, om, osms, arg["lo"], arg["splits"], arg["octaves"])
 
 
 def test_fill_segment_words_copy_outs_and_cofactor_test():
     cell, om, (osm,) = _segment()
     primes, steps = PRIMES_23
-    kernel.fill_segment(cell, om, [osm], 10, primes, steps, [1])  # n = 10..73
+    kernel.SegmentPass(primes, steps).fill(cell, om, [osm], 10, [1])  # n = 10..73
     assert cell[0] == (5 << 8) + 1  # 10 = 2 * 5
     assert cell[2] == 2 * (5 << 8) + 1 + (8 << 8) + 1  # 12: 2, 4 and 3
     assert cell[54] == 6 * (5 << 8) + 1  # 64 = 2^6
@@ -429,7 +470,7 @@ def test_fill_segment_words_copy_outs_and_cofactor_test():
     assert (osm[2], om[2]) == (1, 2)  # 12 after the prime 2, and after 3
     cell[:] = 12345  # the pass overwrites whatever the scratch holds
     bound = 6 << 8
-    kernel.fill_segment(cell, om, [osm], 10, primes, steps, [1], [(0, 30, bound), (30, 64, 0)])
+    kernel.SegmentPass(primes, steps).fill(cell, om, [osm], 10, [1], [(0, 30, bound), (30, 64, 0)])
     low = cell.astype(np.uint8)
     assert np.array_equal(om[:30], low[:30] + (cell[:30] < bound))
     assert np.array_equal(om[30:], low[30:])  # bound 0: no word is below it
@@ -450,7 +491,7 @@ def test_fill_segment_pattern_matches_the_zero_start(lo):
     runs = []
     for pat in (pattern, None):
         cell, om, osms = _segment(nosm=2)
-        kernel.fill_segment(cell, om, osms, lo, primes, steps, [2, 3], octaves, pat)
+        kernel.SegmentPass(primes, steps, pat).fill(cell, om, osms, lo, [2, 3], octaves)
         runs.append((cell, om, *osms))
     for with_pattern, zero_start in zip(*runs):
         assert np.array_equal(with_pattern, zero_start)
@@ -468,7 +509,7 @@ def _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, pat
     want = oracles.segment_pass(lo, size, primes, steps, splits, octaves)
     for pattern in patterns:
         cell, om, osms = _segment(size, len(splits))
-        kernel.fill_segment(cell, om, osms, lo, primes, steps, splits, octaves, pattern)
+        kernel.SegmentPass(primes, steps, pattern).fill(cell, om, osms, lo, splits, octaves)
         assert np.array_equal(cell, want[0])
         assert np.array_equal(om, want[1])
         for s, (got, osm) in enumerate(zip(osms, want[2])):
@@ -528,6 +569,21 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
             kernel.SOURCE]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_kernel_parameters_match_their_ctypes_argtypes():
+    # ctypes trusts argtypes: a count or a kind that disagrees with kernel.c
+    # shifts every later argument and corrupts memory without an error.
+    cc = kernel._compiler()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    with open(kernel.SOURCE) as fh:
+        source = fh.read()
+    lib = kernel.library()
+    for name in ("fill_segment", "fold"):
+        params = re.search(rf"^\w+ {name}\(([^)]*)\)", source, re.M).group(1).split(",")
+        want = [ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params]
+        assert list(getattr(lib, name).argtypes) == want, name
 
 
 def test_presieve_pattern_against_its_definition():

@@ -15,7 +15,13 @@ import oracles
 from omegashift.constants import normal_cdf
 from omegashift.experiment import resolve_w
 from omegashift.kernel import OMEGA_CAP
-from omegashift.sieve import MAX_OMEGA, SieveConfig, build_omega_table
+from omegashift.sieve import (
+    MAX_OMEGA,
+    MAX_THREADS,
+    SieveConfig,
+    build_omega_table,
+    grid_histograms,
+)
 from omegashift.stats import (
     HIST_VERSION,
     CacheMismatchError,
@@ -24,7 +30,6 @@ from omegashift.stats import (
     classical_baseline,
     gaussian_moment,
     gaussian_spec,
-    grid_histograms,
     histogram_digest,
     histogram_path,
     ks_distance,
@@ -170,6 +175,8 @@ def test_grid_histograms_validation():
         grid_histograms([(100, 101)])  # w > x
     with pytest.raises(ValueError):
         grid_histograms([(100, 10)], threads=0)
+    with pytest.raises(ValueError, match="threads=257 outside"):
+        grid_histograms([(100, 10)], threads=MAX_THREADS + 1)
     with pytest.raises(ValueError):
         grid_histograms([(100, 10)], segment_length=100)
 
