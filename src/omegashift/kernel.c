@@ -7,7 +7,12 @@
  * zeros), every power below CHUNK of the base primes below SMALL_BOUND, and
  * the copy-outs of the splits that fall among those primes.  Phase 2 adds
  * the other powers strided over the whole segment, then makes the other
- * splits' copy-outs and the octave cofactor test. */
+ * splits' copy-outs and the octave cofactor test.
+ *
+ * The fold also works in L1-sized blocks: it packs FOLD_BLOCK positions'
+ * keys at a time, checking their bytes, then counts them in a uint32
+ * table on the stack that it adds into the caller's int64 counts every
+ * FOLD_FLUSH positions and at the end. */
 #include <stdint.h>
 #include <string.h>
 
@@ -36,6 +41,19 @@
  * first prime that does not fit, and that prime and every later one are
  * sieved in phase 2. */
 #define MAX_STREAMS 358
+
+/* The fold's bins, 16^3 (kernel.py's FOLD_BINS), and the positions whose
+ * keys it packs at a time: 8192 uint16 keys and the 4096 uint32 counts take
+ * 16 KB of stack each, 32 KB together. */
+#define FOLD_BINS 4096
+#define FOLD_BLOCK 8192
+
+/* Positions the fold counts into its uint32 table between flushes: a count
+ * grows by at most 1 per position, so none can pass 2^32 - 1. */
+#define FOLD_FLUSH (INT64_C(1) << 30)
+#if FOLD_FLUSH > UINT32_MAX
+#error "a fold count could wrap its uint32 between flushes"
+#endif
 
 /* One power q of a phase-1 prime: add goes to each n = lo + j that q
  * divides, and next is the offset j of the first one not yet added. */
@@ -113,6 +131,12 @@ static void add_cofactor(uint8_t *om, const uint16_t *cell, int64_t start, int64
         om[j] = (uint8_t)((uint8_t)cell[j] + (cell[j] < bound));
 }
 
+/* The bytes at the address osms[s]. */
+static uint8_t *osm_at(const int64_t *osms, int64_t s)
+{
+    return (uint8_t *)(uintptr_t)osms[s];
+}
+
 /* One segment n = lo + j, j < len, into the words cell[0..len).
  *
  * The cell starts as the pre-sieve pattern[(lo + j) % period] when pattern
@@ -121,9 +145,11 @@ static void add_cofactor(uint8_t *om, const uint16_t *cell, int64_t start, int64
  * pattern), and of their powers that divide period, so those primes add
  * only their higher powers here (2^5, 3^3, ... for period 2^4 3^2 5 7 11);
  * every later prime is sieved in full.  After the primes
- * primes[0..splits[s]) the low byte is copied into osms[s], for each
- * s < nsplits in turn.  Last, om[j] gets the low byte, plus 1 where
- * the word is below the octave's bound, for each octave
+ * primes[0..splits[s]) the low byte is copied into the bytes at the
+ * address osms[s], for each s < nsplits in turn (kernel.py packs the osm
+ * addresses, the splits and the octaves into one int64 array).  Last,
+ * om[j] gets the low byte, plus 1 where the word is below the octave's
+ * bound, for each octave
  * (start, stop, bound) = octaves[3 o .. 3 o + 3) of the noct given; with
  * noct == 0, om gets the low byte alone.
  *
@@ -137,7 +163,7 @@ static void add_cofactor(uint8_t *om, const uint16_t *cell, int64_t start, int64
 void fill_segment(uint16_t *cell, int64_t len, int64_t lo,
                   const int64_t *primes, const int64_t *steps, int64_t count,
                   const uint16_t *pattern, int64_t period, int64_t lead,
-                  uint8_t *const *osms, const int64_t *splits, int64_t nsplits,
+                  const int64_t *osms, const int64_t *splits, int64_t nsplits,
                   uint8_t *om, const int64_t *octaves, int64_t noct)
 {
     struct stream streams[MAX_STREAMS];
@@ -166,7 +192,7 @@ void fill_segment(uint16_t *cell, int64_t len, int64_t lo,
         for (s = 0; s < nsplits && splits[s] <= nsmall; s++) {
             for (; t < n && streams[t].prime < splits[s]; t++)
                 add_stream(cell, c1, &streams[t]);
-            copy_low(osms[s] + c0, cell + c0, c1 - c0);
+            copy_low(osm_at(osms, s) + c0, cell + c0, c1 - c0);
         }
         for (; t < n; t++)
             add_stream(cell, c1, &streams[t]);
@@ -183,12 +209,12 @@ void fill_segment(uint16_t *cell, int64_t len, int64_t lo,
     }
     for (; i < count; i++) {
         for (; s < nsplits && splits[s] <= i; s++)
-            copy_low(osms[s], cell, len);
+            copy_low(osm_at(osms, s), cell, len);
         int64_t q = first_power(primes[i], i < lead, period, (uint16_t)steps[i], &add);
         sieve_prime(cell, len, lo, primes[i], q, add, (uint16_t)steps[i]);
     }
     for (; s < nsplits; s++)
-        copy_low(osms[s], cell, len);
+        copy_low(osm_at(osms, s), cell, len);
     if (noct == 0)
         copy_low(om, cell, len);
     for (int64_t o = 0; o < noct; o++)
@@ -197,16 +223,41 @@ void fill_segment(uint16_t *cell, int64_t len, int64_t lo,
 
 /* Add the packed triple k << 8 | v << 4 | u of each position start <= i < stop
  * to the 16^3 counts in flat, where k = om[i], v = om[i - 1] and
- * u = osm[i - 1].  A byte >= 16 would index outside flat: the fold stops
- * there and returns -1, leaving flat partly counted; otherwise it returns 0. */
+ * u = osm[i - 1].  A byte >= 16 would index outside flat: the fold returns
+ * -1 before it counts the block holding it, leaving flat untouched or
+ * partly counted; otherwise it returns 0.
+ *
+ * Each block of FOLD_BLOCK positions is two loops.  The first packs the
+ * keys into key[] and ORs the bytes into a mask; it has no branch, so
+ * GCC vectorizes it at -O3.  The second counts the keys in the uint32
+ * table t, which stays in L1 beside key[], and only it carries the
+ * increments' store-to-load chain.  t is added into flat every FOLD_FLUSH
+ * positions and at the end.  On one 2^18-position segment at x = 1e8,
+ * w = 4858 (2-core Xeon, 48 KB L1d), this took about half the time of one
+ * loop that checks, packs and adds each position into flat in turn. */
 int fold(int64_t *flat, const uint8_t *om, const uint8_t *osm,
          int64_t start, int64_t stop)
 {
-    for (int64_t i = start; i < stop; i++) {
-        const unsigned k = om[i], v = om[i - 1], u = osm[i - 1];
-        if ((k | v | u) >= 16)
-            return -1;
-        flat[k << 8 | v << 4 | u] += 1;
+    uint16_t key[FOLD_BLOCK];
+    uint32_t t[FOLD_BINS];
+    for (int64_t w0 = start; w0 < stop; w0 += FOLD_FLUSH) {
+        const int64_t w1 = stop - w0 < FOLD_FLUSH ? stop : w0 + FOLD_FLUSH;
+        memset(t, 0, sizeof t);
+        for (int64_t b = w0; b < w1; b += FOLD_BLOCK) {
+            const int64_t len = w1 - b < FOLD_BLOCK ? w1 - b : FOLD_BLOCK;
+            const uint8_t *k = om + b, *v = om + b - 1, *u = osm + b - 1;
+            uint8_t mask = 0;
+            for (int64_t j = 0; j < len; j++) {
+                key[j] = (uint16_t)(k[j] << 8 | v[j] << 4 | u[j]);
+                mask |= k[j] | v[j] | u[j];
+            }
+            if (mask >= 16)
+                return -1;
+            for (int64_t j = 0; j < len; j++)
+                t[key[j]]++;
+        }
+        for (int j = 0; j < FOLD_BINS; j++)
+            flat[j] += t[j];
     }
     return 0;
 }

@@ -201,7 +201,7 @@ def _fill_segment(om, osms, cell, passes, lo, ws, x_max):
     zero_start, presieved = passes
     primes = zero_start.primes
     hi = lo + om.size
-    splits = [int(np.searchsorted(primes, w, side="right")) for w in ws]
+    splits = np.searchsorted(primes, ws, side="right").tolist()
     log_route = ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X
     octaves = list(_octave_bounds(lo, hi, x_max)) if log_route else ()
     presieve = ws[0] >= PRESIEVE_PRIMES[-1] and presieved is not None

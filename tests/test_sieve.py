@@ -225,6 +225,21 @@ def test_prime_blocks_concatenate_to_primes_up_to(limit):
         assert np.array_equal(np.concatenate([want[:0], *blocks]), want), block_len
 
 
+@pytest.mark.parametrize("limit", [*range(41), 10_007])
+def test_each_prime_block_holds_the_primes_of_its_span(limit):
+    # Block i is [2 + i * block_len, ...) whatever it holds, empty blocks
+    # too: the Euler products' block-ordered sums depend on it.
+    primes = {n for n in range(2, limit + 1) if _is_prime(n)}
+    for block_len in (1, 2, 7, 64, 1000):
+        blocks = list(iter_prime_blocks(limit, block_len))
+        los = range(2, limit + 1, block_len)
+        assert len(blocks) == len(los), block_len
+        for lo, block in zip(los, blocks):
+            assert block.dtype == np.int64
+            span = range(lo, min(lo + block_len, limit + 1))
+            assert block.tolist() == [n for n in span if n in primes], (block_len, lo)
+
+
 def test_level_set_iteration():
     t = small_table(30, 30)
     assert np.flatnonzero(t.omega == 1).tolist() == [
@@ -502,7 +517,7 @@ def _kernel_define(name):
         return int(re.search(rf"^#define {name} (\d+)$", fh.read(), re.M).group(1))
 
 
-CHUNK, SMALL_BOUND = _kernel_define("CHUNK"), _kernel_define("SMALL_BOUND")
+CHUNK, SMALL_BOUND, FOLD_BLOCK = map(_kernel_define, ("CHUNK", "SMALL_BOUND", "FOLD_BLOCK"))
 
 
 def _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, patterns):
@@ -559,6 +574,89 @@ def test_fill_segment_past_a_full_stream_table():
     splits = [10, 60, 100]
     _assert_segment_matches_oracle(X_MAX_CEILING + 1 - size, size, primes, steps, splits,
                                    [(0, size, 1 << 15)], (None,))
+
+
+@lru_cache(maxsize=1)
+def _fold_table():
+    """A sieved table long enough for four fold blocks; read-only."""
+    t = small_table(4 * FOLD_BLOCK + 100, 100)
+    t.omega.flags.writeable = t.omega_small.flags.writeable = False
+    return t
+
+
+def _oracle_fold(t, start, stop):
+    """oracles.histogram over the positions start <= i < stop, start >= 2:
+    shifted by start - 2, its n = 2..stop - start + 1 are those positions."""
+    shift = start - 2
+    return oracles.histogram(t.omega[shift:], t.omega_small[shift:], stop - shift - 1)
+
+
+@pytest.mark.parametrize("size", [1, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1,
+                                  3 * FOLD_BLOCK + 17])
+@pytest.mark.parametrize("start", [2, FOLD_BLOCK - 1])
+def test_fold_matches_the_oracle_at_its_block_edges(start, size):
+    assert _kernel_define("FOLD_BINS") == kernel.FOLD_BINS
+    t = _fold_table()
+    got = kernel.fold(t.omega, t.omega_small, start, start + size)
+    assert np.array_equal(got, _oracle_fold(t, start, start + size))
+
+
+@pytest.mark.parametrize("bad", [16, 200])
+def test_fold_refuses_a_corrupt_byte_in_any_block(bad):
+    # Four blocks: a byte is caught in the last one, after three were
+    # counted, and at the first position, before any; bytes just outside
+    # the range are never read.
+    t = small_table(4 * FOLD_BLOCK, 100)
+    start, stop = 3, 3 + 3 * FOLD_BLOCK + 17
+    fold = lambda: kernel.fold(t.omega, t.omega_small, start, stop)
+    good = fold()
+    assert np.array_equal(good, _oracle_fold(t, start, stop))
+    inside = ((t.omega, stop - 1), (t.omega_small, stop - 2), (t.omega, start),
+              (t.omega, start - 1), (t.omega_small, start - 1))
+    outside = ((t.omega, stop), (t.omega_small, stop - 1), (t.omega, start - 2),
+               (t.omega_small, start - 2))
+    for cells, raises in ((inside, True), (outside, False)):
+        for array, i in cells:
+            saved = array[i]
+            array[i] = bad
+            if raises:
+                with pytest.raises(ValueError, match="corrupt"):
+                    fold()
+            else:
+                assert np.array_equal(fold(), good)
+            array[i] = saved
+    assert np.array_equal(fold(), good)
+    zeros = np.zeros(100, dtype=np.uint8)  # the bad byte alone sets the mask
+    for i in (0, 50, 99):
+        om = zeros.copy()
+        om[i] = bad
+        with pytest.raises(ValueError, match="corrupt"):
+            kernel.fold(om, zeros, 1, 100)
+
+
+@pytest.mark.parametrize("flush", [1000, FOLD_BLOCK + FOLD_BLOCK // 2 + 1])
+def test_fold_flushes_its_table_between_windows(tmp_path, flush):
+    # FOLD_FLUSH is 2^30 positions, past any test table: a copy of kernel.c
+    # flushing every few thousand positions, some windows ending inside a
+    # block, must fold the same H.
+    cc = kernel._compiler()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    with open(kernel.SOURCE) as fh:
+        source, count = re.subn(r"^#define FOLD_FLUSH .*$", f"#define FOLD_FLUSH INT64_C({flush})",
+                                fh.read(), flags=re.M)
+    assert count == 1
+    (tmp_path / "k.c").write_text(source)
+    argv = [*cc, *kernel.FLAGS, "-o", str(tmp_path / "k.so"), str(tmp_path / "k.c")]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    fold = ctypes.CDLL(str(tmp_path / "k.so")).fold
+    fold.argtypes = kernel.library().fold.argtypes
+    t = _fold_table()
+    start, stop = 3, 3 + 3 * FOLD_BLOCK + 17
+    H = np.zeros((16, 16, 16), dtype=np.int64)
+    assert fold(H.ctypes.data, t.omega.ctypes.data, t.omega_small.ctypes.data, start, stop) == 0
+    assert np.array_equal(H, _oracle_fold(t, start, stop))
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
