@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .constants import DEFAULT_TRUNCATION, R_CEILING
@@ -136,12 +136,22 @@ def resolve_w(rule: str, x: int) -> int:
     return max(2, min(int(round(w)), x))
 
 
-_LIST_KEYS = {"x_list", "k_list", "moments"}
-_FLOAT_LIST_KEYS = {"y_grid"}
-_INT_KEYS = {"ell_max", "truncation_prime", "threads"}
-_FLOAT_KEYS = {"large_factor_c"}
-_BOOL_KEYS = {"baseline"}
-_STR_KEYS = {"w_rule", "output_dir", "cache_dir"}
+def _numbers(kind):
+    return lambda val: tuple(kind(v) for v in val.replace(",", " ").split())
+
+
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+_TYPE_PARSERS = {  # a boolean's parser alone returns None, on a bad value
+    "tuple[int, ...]": _numbers(int),
+    "tuple[float, ...]": _numbers(float),
+    "int": int,
+    "float": float,
+    "bool": lambda val: _BOOLEANS.get(val.lower()),
+    "str": str,
+}
+# Each key's parser from its field's annotation; a field of a type with no
+# parser fails here, at import.
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -157,22 +167,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ValueError(f"line {lineno}: key {key!r} repeated")
-        if key in _LIST_KEYS:
-            values[key] = tuple(int(v) for v in val.replace(",", " ").split())
-        elif key in _FLOAT_LIST_KEYS:
-            values[key] = tuple(float(v) for v in val.replace(",", " ").split())
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _BOOL_KEYS:
-            if val.lower() not in ("true", "false", "0", "1"):
-                raise ValueError(f"line {lineno}: bad boolean {val!r}")
-            values[key] = val.lower() in ("true", "1")
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
+        if key not in _PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        values[key] = _PARSERS[key](val)
+        if values[key] is None:
+            raise ValueError(f"line {lineno}: bad boolean {val!r}")
     for req in ("x_list", "k_list"):
         if req not in values:
             raise ValueError(f"missing required key {req!r}")

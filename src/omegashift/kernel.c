@@ -3,8 +3,8 @@
  * pointer and range is checked there before a call.
  *
  * A segment pass has two phases.  Phase 1 walks the segment in chunks of
- * CHUNK words that stay in L1: each chunk gets its pre-sieve pattern (or
- * zeros), every power below CHUNK of the base primes below SMALL_BOUND, and
+ * CHUNK words that stay in L1: each chunk gets its pre-sieve pattern,
+ * every power below CHUNK of the base primes below SMALL_BOUND, and
  * the copy-outs of the splits that fall among those primes.  Phase 2 adds
  * the other powers strided over the whole segment, then makes the other
  * splits' copy-outs and the octave cofactor test.
@@ -139,12 +139,12 @@ static uint8_t *osm_at(const int64_t *osms, int64_t s)
 
 /* One segment n = lo + j, j < len, into the words cell[0..len).
  *
- * The cell starts as the pre-sieve pattern[(lo + j) % period] when pattern
- * is given, else as zeros.  The pattern holds the words of the lead base
- * primes, those that divide period (counted by kernel.py; 0 without a
- * pattern), and of their powers that divide period, so those primes add
- * only their higher powers here (2^5, 3^3, ... for period 2^4 3^2 5 7 11);
- * every later prime is sieved in full.  After the primes
+ * The cell starts as the pre-sieve pattern[(lo + j) % period], which
+ * kernel.py's SegmentPass builds: the words of the lead leading base
+ * primes and of their powers that divide period, so those primes add only
+ * their higher powers here (2^5, 3^3, ... for period 2^4 3^2 5 7 11);
+ * every later prime is sieved in full.  lead = 0 takes a period-1 pattern
+ * of one zero word.  After the primes
  * primes[0..splits[s]) the low byte is copied into the bytes at the
  * address osms[s], for each s < nsplits in turn (kernel.py packs the osm
  * addresses, the splits and the octaves into one int64 array).  Last,
@@ -155,7 +155,7 @@ static uint8_t *osm_at(const int64_t *osms, int64_t s)
  *
  * The powers below CHUNK of the primes below SMALL_BOUND become streams,
  * each offset found with one modulo, and phase 1 runs them chunk by chunk,
- * starting each chunk from its pattern or zeros and making the copy-outs
+ * starting each chunk from its pattern and making the copy-outs
  * of the splits at or below those primes.  Phase 2 adds the other powers
  * strided over the whole segment and makes the rest of the copy-outs and
  * the cofactor test.  The words are sums, so the order of the adds does
@@ -184,10 +184,7 @@ void fill_segment(uint16_t *cell, int64_t len, int64_t lo,
 
     for (int64_t c0 = 0; c0 < len; c0 += CHUNK) {
         const int64_t c1 = len - c0 < CHUNK ? len : c0 + CHUNK;
-        if (pattern)
-            copy_pattern(cell, c0, c1, lo, pattern, period);
-        else
-            memset(cell + c0, 0, (size_t)(c1 - c0) * sizeof *cell);
+        copy_pattern(cell, c0, c1, lo, pattern, period);
         int64_t t = 0;
         for (s = 0; s < nsplits && splits[s] <= nsmall; s++) {
             for (; t < n && streams[t].prime < splits[s]; t++)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import threading
 
@@ -22,7 +23,10 @@ import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
-FLAGS = ("-O3", "-shared", "-fPIC")  # -O2 leaves the byte copy-outs scalar
+# -O2 leaves the byte copy-outs scalar.  -falign-loops=32 keeps fold's
+# 20-byte counting loop inside one 64-byte line whatever code comes before
+# it: crossing one, it took 1.7 instead of 1.15 ns per n (2-core Xeon).
+FLAGS = ("-O3", "-falign-loops=32", "-shared", "-fPIC")
 OMEGA_CAP = 16  # bins per axis of H: kernel.c's fold packs (k, v, u) as base-16 digits
 FOLD_BINS = OMEGA_CAP**3
 
@@ -101,9 +105,11 @@ def library():
         return _library()
 
 
-def _check(arr: np.ndarray, dtype, name: str) -> None:
+def _check(arr: np.ndarray, dtype, name: str, written: bool = False) -> None:
     if arr.dtype != dtype or arr.ndim != 1 or not arr.flags.c_contiguous:
         raise TypeError(f"{name}: want a contiguous 1-d {np.dtype(dtype)} array")
+    if written and not arr.flags.writeable:
+        raise ValueError(f"{name}: the pass writes into it, but it is read-only")
 
 
 _NO_BYTES = ctypes.c_char * 0  # a view of it fits in any buffer, even an empty one
@@ -111,8 +117,8 @@ _NO_BYTES = ctypes.c_char * 0  # a view of it fits in any buffer, even an empty 
 
 def _address(arr: np.ndarray) -> int:
     """The address of a checked array's first byte.  A ctypes view of its
-    buffer costs about 1 us; arr.ctypes.data, which read-only arrays take,
-    about 2.5 us."""
+    buffer costs about 1 us; arr.ctypes.data, which only fold's read-only
+    inputs take (fill refuses a read-only output), about 2.5 us."""
     try:
         return ctypes.addressof(_NO_BYTES.from_buffer(arr))
     except TypeError:  # a read-only buffer
@@ -121,25 +127,31 @@ def _address(arr: np.ndarray) -> int:
 
 class SegmentPass:
     """kernel.c's fill_segment over many segments, its pass-wide arguments
-    checked and their C pointers taken once, and kept alive by the pass.
+    checked, its pre-sieved starts built and their C pointers taken once,
+    and kept alive by the pass.
 
     primes and steps are int64 arrays of the same length, every prime in
     [2, 2^20] and every step a multiple of 256 below 2^16 (it leaves the low
-    byte alone); pattern, if given, is a uint16 array whose length, the
-    period, is made of the lead leading primes.
+    byte alone).  starts[lead] holds the words of n = 0..period - 1 sieved
+    by the lead leading primes, each p at its powers up to p^e, its largest
+    power <= 16 (p itself above 16); period is the lcm of those p^e, and
+    starts holds every lead whose period stays <= 2^16 words: 0..5, periods
+    1, 16, 144, 720, 5040 and 55 440, for the base primes of x >= 121.
 
     fill sieves n = lo + j, j < len(om), in one pass over cell (uint16
-    scratch).  cell starts as pattern[(lo + j) % period], or as zeros.  Each
-    prime p = primes[i] adds steps[i] + 1 at each multiple of p and steps[i]
-    at each multiple of every power p^j < lo + len(om), but the lead primes
-    only at their powers not dividing the period.  After primes[:splits[s]]
-    the low byte is copied into osms[s].  Last, om gets the low byte, plus 1
-    where the word is below bound, for each (start, stop, bound) of octaves,
-    which, if any, tile [0, len(om)).  lo + len(om) <= 2^40 + 1 keeps the
-    powers in int64.  The order of kernel.c's adds does not change the words.
+    scratch).  cell starts as starts[lead][(lo + j) % period], the largest
+    start the first split allows: lead = min(L, splits[0]), or L without
+    splits, for L = len(starts) - 1.  Each prime p = primes[i] adds
+    steps[i] + 1 at each multiple of p and steps[i] at each multiple of
+    every power p^j < lo + len(om), but the lead primes only at their
+    powers not dividing the period.  After primes[:splits[s]] the low byte
+    is copied into osms[s].  Last, om gets the low byte, plus 1 where the
+    word is below bound, for each (start, stop, bound) of octaves, which,
+    if any, tile [0, len(om)).  lo + len(om) <= 2^40 + 1 keeps the powers
+    in int64.  The order of kernel.c's adds does not change the words.
     """
 
-    def __init__(self, primes, steps, pattern=None):
+    def __init__(self, primes, steps):
         _check(primes, np.int64, "primes")
         _check(steps, np.int64, "steps")
         if primes.size != steps.size:
@@ -150,30 +162,35 @@ class SegmentPass:
         # bitwise op here would page in ufunc code: 0.13 MB of a run's peak RSS.
         if any(step & ~0xFF00 for step in steps.tolist()):
             raise ValueError("a step outside the high byte of a word")
-        self.primes, self.steps, self.pattern = primes, steps, pattern
-        self.lead = 0  # the leading primes dividing the period
-        period = 0
-        if pattern is not None:
-            _check(pattern, np.uint16, "pattern")
-            period = rest = pattern.size
-            while period and self.lead < primes.size and period % primes[self.lead] == 0:
-                while rest % primes[self.lead] == 0:
-                    rest //= int(primes[self.lead])
-                self.lead += 1
-            if rest != 1:
-                raise ValueError(f"pattern period {period} is not made of leading base primes")
-        self._args = (
-            primes.ctypes.data, steps.ctypes.data, primes.size,
-            None if pattern is None else pattern.ctypes.data, period, self.lead,
-        )
+        self.primes, self.steps = primes, steps
+        start = np.zeros(1, dtype=np.uint16)
+        self.starts = [start]
+        for p, step in zip(primes.tolist(), steps.tolist()):
+            top = p
+            while top * p <= 16:
+                top *= p
+            period = math.lcm(start.size, top)
+            if period > 1 << 16:
+                break
+            start = np.tile(start, period // start.size)
+            q, add = p, step + 1
+            while q <= top:
+                start[::q] += add
+                q, add = q * p, step
+            self.starts.append(start)
+        for start in self.starts:
+            start.flags.writeable = False
+        self._args = (primes.ctypes.data, steps.ctypes.data, primes.size)
+        self._start_args = [(start.ctypes.data, start.size, lead)
+                            for lead, start in enumerate(self.starts)]
 
     def fill(self, cell, om, osms, lo, splits, octaves=()) -> None:
-        """Sieve one segment with this pass's primes, steps and pattern."""
+        """Sieve one segment with this pass's primes, steps and starts."""
         size = om.size
-        _check(cell, np.uint16, "cell")
-        _check(om, np.uint8, "om")
+        _check(cell, np.uint16, "cell", written=True)
+        _check(om, np.uint8, "om", written=True)
         for osm in osms:
-            _check(osm, np.uint8, "osm")
+            _check(osm, np.uint8, "osm", written=True)
         if cell.size != size or any(osm.size != size for osm in osms):
             raise ValueError("cell, om and the osms differ in length")
         if not 0 <= lo <= lo + size <= (1 << 40) + 1:
@@ -183,8 +200,6 @@ class SegmentPass:
         count = self.primes.size
         if list(splits) != sorted(splits) or not all(0 <= s <= count for s in splits):
             raise ValueError(f"splits {list(splits)} not ascending within [0, {count}]")
-        if self.pattern is not None and splits and splits[0] < self.lead:
-            raise ValueError("a split falls among the pre-sieved primes")
         edge = 0
         for start, stop, bound in octaves:
             if start != edge or not start < stop <= size:
@@ -202,8 +217,9 @@ class SegmentPass:
             dtype=np.int64,
         )
         at = _address(packed)
+        lead = min(len(self.starts) - 1, splits[0]) if splits else len(self.starts) - 1
         library().fill_segment(
-            _address(cell), size, lo, *self._args,
+            _address(cell), size, lo, *self._args, *self._start_args[lead],
             at, at + 8 * nosm, nosm, _address(om), at + 16 * nosm, len(octaves),
         )
 

@@ -26,19 +26,18 @@ divide it by every prime power.
 A segment is one compiled pass (kernel.SegmentPass.fill, built on the
 first call) in two phases.  Phase 1 walks the segment in chunks of 8192 words
 (16 KB, inside any L1 data cache).  Each chunk starts from a pre-sieve
-pattern of period 55 440 = 2^4 3^2 5 7 11, which holds the primes 2..11 and
-their powers dividing the period, or from zeros; it gains every other power
-below 8192 of the base primes below 2048, and each omega(n, w) with w
-below 2048 is copied out of it.  Phase 2 adds the remaining prime powers
-strided over the whole segment, copies the other omega(n, w) out and
-applies the log test.  The pattern is used when every w >= 11 and
-11 <= sqrt(x_max); otherwise the words start at zero.  The order of the
-adds does not change the words.
+pattern that holds the leading base primes up to the smallest w and their
+powers dividing its period: 2..11 and the period 55 440 = 2^4 3^2 5 7 11
+when every w >= 11, fewer below (the pass builds one start per count of
+primes).  It gains every other power below 8192 of the base primes below
+2048, and each omega(n, w) with w below 2048 is copied out of it.  Phase 2
+adds the remaining prime powers strided over the whole segment, copies the
+other omega(n, w) out and applies the log test.  The order of the adds
+does not change the words.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -52,8 +51,6 @@ X_MAX_CEILING = 1 << 40
 DEFAULT_SEGMENT = 1 << 18  # 512 KB of words: 2^17..2^21 time alike, and larger ones cost memory
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
-PRESIEVE_PRIMES = (2, 3, 5, 7, 11)  # held by the pre-sieve pattern (see _fill_segment)
-PRESIEVE_PERIOD = 2**4 * 3**2 * 5 * 7 * 11  # 55 440 words, 110 KB
 MAX_THREADS = 256  # each worker thread holds a segment's buffers
 
 
@@ -146,14 +143,13 @@ def _octave_bounds(lo, hi, x_max):
         a *= 2
 
 
-def _fill_segment(om, osms, cell, passes, lo, ws, x_max):
+def _fill_segment(om, osms, cell, segment_pass, lo, ws, x_max):
     """Count prime divisors for n in [lo, lo + len(om)) into om and, for
     each w of the ascending tuple ws, omega(n, w) into the matching osms array.
 
-    One uint16 word per n, in one compiled pass (kernel.SegmentPass.fill).
-    passes = segment_passes(x_max) holds the kernel's passes over the
-    primes p <= sqrt(x_max), ascending, with their steps L(p) << 8, from
-    zeros and from the pre-sieve pattern: each p adds 1 to the low byte at its
+    One uint16 word per n, in one compiled pass, segment_pass =
+    kernel.SegmentPass(*base_primes(x_max)): the primes p <= sqrt(x_max),
+    ascending, with their steps L(p) << 8.  Each p adds 1 to the low byte at its
     multiples, and L(p) = floor(8 ln p) to the high byte at the multiples
     of every power p^j < hi.  The primes ascend, so after the primes p <= w
     the low byte is omega(n, w) without the cofactor; it is copied out for
@@ -162,15 +158,16 @@ def _fill_segment(om, osms, cell, passes, lo, ws, x_max):
     the low byte is at most MAX_OMEGA = 11, and the high byte at most
     8 ln n <= 8 ln 2^40 < 222.
 
-    Pre-sieve.  When 11 <= sqrt(x_max) and every w >= 11, the words start
-    as presieve_pattern(), which already holds 2, 3, 5, 7, 11 and their
-    powers dividing PRESIEVE_PERIOD (4, 8, 16, 9), so only their higher
-    powers (32, 64, ..., 27, 81, ..., 25, ..., 49, ..., 121, ...) and the
-    primes from 13 up are added: the powers below 8192 of the primes below
-    2048 chunk by chunk, the rest strided over the whole segment (phases 1
-    and 2 of the module docstring).  Otherwise the words start at 0:
-    below x_max = 121 the prime 11 is a cofactor, not a base prime, and a
-    w < 11 copies its low byte out before 11 is sieved.
+    Pre-sieve.  The words start from the pass's pre-sieved pattern of the
+    leading base primes p <= ws[0], at most 2, 3, 5, 7, 11: a w < 11
+    copies its low byte out before 11 is sieved, and below x_max = 121 the
+    prime 11 is a cofactor, not a base prime.  With all five, the pattern
+    of period 55 440 already holds their powers dividing it (4, 8, 16, 9),
+    so only their higher powers (32, 64, ..., 27, 81, ..., 25, ..., 49,
+    ..., 121, ...) and the primes from 13 up are added: the powers below
+    8192 of the primes below 2048 chunk by chunk, the rest strided over the
+    whole segment (phases 1 and 2 of the module docstring).  A w in [7, 11)
+    starts from 2, 3, 5, 7 (period 5040), and so on down to one zero word.
 
     Write n = s * c with s the part made of base primes.  The cofactor c is
     1 or one prime above sqrt(x_max); it always counts toward omega when
@@ -198,14 +195,12 @@ def _fill_segment(om, osms, cell, passes, lo, ws, x_max):
     are overwritten whatever they hold.
     """
     cell = cell[: om.size]
-    zero_start, presieved = passes
-    primes = zero_start.primes
+    primes = segment_pass.primes
     hi = lo + om.size
     splits = np.searchsorted(primes, ws, side="right").tolist()
     log_route = ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X
     octaves = list(_octave_bounds(lo, hi, x_max)) if log_route else ()
-    presieve = ws[0] >= PRESIEVE_PRIMES[-1] and presieved is not None
-    (presieved if presieve else zero_start).fill(cell, om, osms, lo, splits, octaves)
+    segment_pass.fill(cell, om, osms, lo, splits, octaves)
     if log_route:
         return
     rem = np.arange(lo, hi, dtype=np.int64)
@@ -232,32 +227,6 @@ def base_primes(x_max: int) -> tuple[np.ndarray, np.ndarray]:
     return primes, np.array([_step(p) for p in primes.tolist()], dtype=np.int64)
 
 
-def segment_passes(x_max: int) -> tuple[kernel.SegmentPass, kernel.SegmentPass | None]:
-    """The kernel's passes over base_primes(x_max): one from zeros, and one
-    from presieve_pattern() when 11 is a base prime (else None).  Their
-    pass-wide arrays are checked once, here, for all the segments."""
-    primes, steps = base_primes(x_max)
-    presieved = None
-    if primes.size >= len(PRESIEVE_PRIMES):
-        presieved = kernel.SegmentPass(primes, steps, presieve_pattern())
-    return kernel.SegmentPass(primes, steps), presieved
-
-
-@functools.cache
-def presieve_pattern() -> np.ndarray:
-    """The words of n = 0..PRESIEVE_PERIOD - 1 sieved by 2, 3, 5, 7, 11 and
-    their powers dividing PRESIEVE_PERIOD; read-only, built once."""
-    pattern = np.zeros(PRESIEVE_PERIOD, dtype=np.uint16)
-    for p in PRESIEVE_PRIMES:
-        pattern[::p] += _step(p) + 1
-        q = p * p
-        while PRESIEVE_PERIOD % q == 0:
-            pattern[::q] += _step(p)
-            q *= p
-    pattern.flags.writeable = False
-    return pattern
-
-
 def build_omega_table(config: SieveConfig) -> OmegaTable:
     """Build the omega/omega_small tables for config.
 
@@ -267,12 +236,12 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     x_max, w = config.x_max, config.w
     omega = np.zeros(x_max + 1, dtype=np.uint8)
     omega_small = np.zeros(x_max + 1, dtype=np.uint8)
-    passes = segment_passes(x_max)
+    segment_pass = kernel.SegmentPass(*base_primes(x_max))
 
     def fill(spans):
         cell = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
         for lo, hi in spans:
-            _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, passes, lo, (w,), x_max)
+            _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, segment_pass, lo, (w,), x_max)
 
     _map_segments(fill, x_max, config.segment_length, config.threads)
     return OmegaTable(x_max=x_max, w=w, omega=omega, omega_small=omega_small)
@@ -300,7 +269,7 @@ def grid_histograms(
     x_top = pairs[-1][0]
     ws = tuple(sorted({w for _, w in pairs}))
     xs_by_w = [sorted(x for x, v in pairs if v == w) for w in ws]
-    passes = segment_passes(x_top)
+    segment_pass = kernel.SegmentPass(*base_primes(x_top))
 
     def sieve_spans(spans):
         """Summed partial histograms of spans, in buffers reused across them."""
@@ -313,7 +282,7 @@ def grid_histograms(
             live = [i for i, xs in enumerate(xs_by_w) if xs[-1] >= lo]
             om = om_buf[: hi - lo + 1]
             osms = [osm_bufs[i][: hi - lo + 1] for i in live]
-            _fill_segment(om, osms, cell, passes, lo - 1, tuple(ws[i] for i in live), x_top)
+            _fill_segment(om, osms, cell, segment_pass, lo - 1, tuple(ws[i] for i in live), x_top)
             for i, osm in zip(live, osms):
                 w, running, start = ws[i], 0, 1
                 for x in xs_by_w[i]:

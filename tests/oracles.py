@@ -310,17 +310,18 @@ def kernel_g_general(q: int, w: int, z) -> complex:
 
 
 def phi_via_enumeration(ell: int, w: int, z) -> complex:
-    """sum over d^2 * q = ell of g(q) / phi(d*q), straight from the definition."""
+    """sum over d^2 * q = ell of g(q) / phi(d*q), straight from the definition,
+    in ascending d; the d with d^2 | ell are built from ell's factorization."""
+    ds = [1]
+    for p, e in factorize(ell):
+        ds = [d * p**f for d in ds for f in range(e // 2 + 1)]
     total = 0.0 + 0.0j
-    d = 1
-    while d * d <= ell:
-        if ell % (d * d) == 0:
-            q = ell // (d * d)
-            phi = 1
-            for p, e in factorize(d * q):
-                phi *= (p - 1) * p ** (e - 1)
-            total += kernel_g_general(q, w, z) / phi
-        d += 1
+    for d in sorted(ds):
+        q = ell // (d * d)
+        phi = 1
+        for p, e in factorize(d * q):
+            phi *= (p - 1) * p ** (e - 1)
+        total += kernel_g_general(q, w, z) / phi
     return total
 
 

@@ -9,8 +9,9 @@ import omegashift
 # Names removed from the package, with the table route to H, the table
 # cache, the thread override, the uncalled second derivative, the Python
 # wrapper of the old strided-add kernel, the API that no command, report
-# row or check read, and the second segment pass and fill entry point; a
-# half-finished removal leaves one behind.  "module.name" is removed from
+# row or check read, the second segment pass and fill entry point, and the
+# pre-sieve pattern handed to the pass from outside; a half-finished
+# removal leaves one behind.  "module.name" is removed from
 # that module only.
 REMOVED = (
     "level_histogram",
@@ -35,6 +36,10 @@ REMOVED = (
     "kernel.fill_segment",
     "sieve.segment_spans",
     "stats.grid_histograms",
+    "sieve.segment_passes",
+    "sieve.presieve_pattern",
+    "sieve.PRESIEVE_PRIMES",
+    "sieve.PRESIEVE_PERIOD",
 )
 
 

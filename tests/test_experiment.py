@@ -1,6 +1,7 @@
 """Experiment runner, config parsing, report determinism, CLI, verify battery."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -67,6 +68,26 @@ def test_parse_config_happy_path():
 def test_parse_config_defaults_are_the_dataclass_defaults():
     cfg = parse_config("x_list = 10000 100000\nk_list = 2 3")
     assert cfg == ExperimentConfig(x_list=(10000, 100000), k_list=(2, 3))
+
+
+def test_parse_config_reads_every_field():
+    # One line per ExperimentConfig field, each off its default; the repr
+    # tells 4 from 4.0, so each value must also come out as its field's type.
+    text = (
+        "x_list = 10000, 100000\nk_list = 2 3\nw_rule = fixed:50\ny_grid = -1.5 0 2\n"
+        "ell_max = 4\nmoments = 2 4\ntruncation_prime = 100000\noutput_dir = out\n"
+        "cache_dir = cache\nthreads = 3\nbaseline = 1\nlarge_factor_c = 4.5\n"
+    )
+    names = [line.partition(" =")[0] for line in text.splitlines()]
+    assert names == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    want = ExperimentConfig(
+        x_list=(10000, 100000), k_list=(2, 3), w_rule="fixed:50", y_grid=(-1.5, 0.0, 2.0),
+        ell_max=4, moments=(2, 4), truncation_prime=100000, output_dir="out",
+        cache_dir="cache", threads=3, baseline=True, large_factor_c=4.5,
+    )
+    assert repr(parse_config(text)) == repr(want)
+    default = ExperimentConfig(x_list=(10000,), k_list=(2,))
+    assert all(getattr(want, name) != getattr(default, name) for name in names[2:])
 
 
 def test_parse_config_rejects_unknown_and_malformed():

@@ -26,8 +26,6 @@ from omegashift.sieve import (
     LOG_SCALE,
     MAX_OMEGA,
     MAX_THREADS,
-    PRESIEVE_PERIOD,
-    PRESIEVE_PRIMES,
     X_MAX_CEILING,
     OmegaTable,
     SieveConfig,
@@ -35,7 +33,6 @@ from omegashift.sieve import (
     base_primes,
     build_omega_table,
     grid_histograms,
-    presieve_pattern,
 )
 from omegashift.stats import (
     HIST_VERSION,
@@ -449,11 +446,11 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
         (dict(octaves=[(0, 64, 1 << 16)]), ValueError, "outside a word"),
         (dict(lo=1 << 40), ValueError, "segment"),
         (dict(primes=np.array([2, (1 << 20) + 7])), ValueError, "base prime"),
-        (dict(pattern=np.zeros(10, dtype=np.uint16)), ValueError, "pattern period"),
-        (dict(pattern=np.zeros(6, dtype=np.uint16)), ValueError, "pre-sieved"),
-        (dict(pattern=np.zeros(0, dtype=np.uint16)), ValueError, "pattern period"),
+        (dict(frozen=("cell",)), ValueError, "read-only"),
+        (dict(frozen=("om",)), ValueError, "read-only"),
+        (dict(frozen=("osm0",)), ValueError, "read-only"),
         (dict(cell_dtype=np.int32), TypeError, "cell"),
-        (dict(pattern=np.zeros(6, dtype=np.int16), splits=[2]), TypeError, "pattern"),
+        (dict(frozen=("osm1",), splits=[1, 2], nosm=2), ValueError, "read-only"),
         (dict(om_stride=2), TypeError, "om"),
         (dict(steps=np.array([5 << 8, (8 << 8) + 1])), ValueError, "high byte"),
         (dict(steps=np.array([5 << 8, 1 << 16])), ValueError, "high byte"),
@@ -462,15 +459,18 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
 )
 def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, change, error, match):
     arg = dict(splits=[1], nosm=1, osm_size=64, cell_size=64, lo=10, octaves=(),
-               primes=PRIMES_23[0], steps=PRIMES_23[1], pattern=None,
+               primes=PRIMES_23[0], steps=PRIMES_23[1], frozen=(),
                cell_dtype=np.uint16, om_stride=1)
     arg.update(change)
     cell = np.zeros(arg["cell_size"], dtype=arg["cell_dtype"])
     om = np.zeros(64 * arg["om_stride"], dtype=np.uint8)[:: arg["om_stride"]]
     osms = [np.zeros(arg["osm_size"], dtype=np.uint8) for _ in range(arg["nosm"])]
+    outputs = {"cell": cell, "om": om, **{f"osm{s}": osm for s, osm in enumerate(osms)}}
+    for name in arg["frozen"]:  # the pass would write into it
+        outputs[name].flags.writeable = False
     monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
     with pytest.raises(error, match=match):
-        kernel.SegmentPass(arg["primes"], arg["steps"], arg["pattern"]).fill(
+        kernel.SegmentPass(arg["primes"], arg["steps"]).fill(
             cell, om, osms, arg["lo"], arg["splits"], arg["octaves"])
 
 
@@ -492,24 +492,17 @@ def test_fill_segment_words_copy_outs_and_cofactor_test():
     assert om[0] == 2  # 10: one counted prime, and its word is below the bound
 
 
-@pytest.mark.parametrize("lo", [1, 10, 1000, 11 * 12 - 5, (1 << 40) - 63])
+@pytest.mark.parametrize("lo", [1, 10, 127, 1000, (1 << 40) - 63])
 def test_fill_segment_pattern_matches_the_zero_start(lo):
-    # A period-12 pattern holding 2, 4 and 3: the pass must add only 8, 16,
-    # ..., 9, 27, ... and the primes 5, 7 on top, and wrap it at every 12.
-    primes, steps = [2, 3, 5, 7], [5 << 8, 8 << 8, 12 << 8, 15 << 8]
-    pattern = np.zeros(12, dtype=np.uint16)
-    pattern[::2] += steps[0] + 1
-    pattern[::4] += steps[0]
-    pattern[::3] += steps[1] + 1
-    primes, steps = np.array(primes), np.array(steps)
-    octaves = [(0, 30, 9 << 8), (30, 64, 3 << 8)]
-    runs = []
-    for pat in (pattern, None):
-        cell, om, osms = _segment(nosm=2)
-        kernel.SegmentPass(primes, steps, pat).fill(cell, om, osms, lo, [2, 3], octaves)
-        runs.append((cell, om, *osms))
-    for with_pattern, zero_start in zip(*runs):
-        assert np.array_equal(with_pattern, zero_start)
+    # The primes 2, 3, 5, 7 get starts of periods 1 (one zero word), 16,
+    # 144, 720 and 5040: the pass must add only the powers a start lacks and
+    # the primes after it, and wrap the start at each period.  5200 words
+    # from lo < 5040 cross every period; the last segment ends at 2^40.
+    primes, steps = np.array([2, 3, 5, 7]), np.array([5 << 8, 8 << 8, 12 << 8, 15 << 8])
+    assert [s.size for s in kernel.SegmentPass(primes, steps).starts] == [1, 16, 144, 720, 5040]
+    size = min(5200, X_MAX_CEILING + 1 - lo)
+    octaves = [(0, 30, 9 << 8), (30, size, 3 << 8)]
+    _assert_segment_matches_oracle(lo, size, primes, steps, [4], octaves, range(5))
 
 
 def _kernel_define(name):
@@ -520,15 +513,18 @@ def _kernel_define(name):
 CHUNK, SMALL_BOUND, FOLD_BLOCK = map(_kernel_define, ("CHUNK", "SMALL_BOUND", "FOLD_BLOCK"))
 
 
-def _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, patterns):
-    want = oracles.segment_pass(lo, size, primes, steps, splits, octaves)
-    for pattern in patterns:
-        cell, om, osms = _segment(size, len(splits))
-        kernel.SegmentPass(primes, steps, pattern).fill(cell, om, osms, lo, splits, octaves)
-        assert np.array_equal(cell, want[0])
-        assert np.array_equal(om, want[1])
-        for s, (got, osm) in enumerate(zip(osms, want[2])):
-            assert np.array_equal(got, osm), (pattern is None, s)
+def _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, leads):
+    """One fill from each start in leads, each forced by a first split at
+    its lead, against one oracle run with every split."""
+    want = oracles.segment_pass(lo, size, primes, steps, [*leads, *splits], octaves)
+    segment_pass = kernel.SegmentPass(primes, steps)
+    for i, lead in enumerate(leads):
+        cell, om, osms = _segment(size, 1 + len(splits))
+        segment_pass.fill(cell, om, osms, lo, [lead, *splits], octaves)
+        assert np.array_equal(cell, want[0]), lead
+        assert np.array_equal(om, want[1]), lead
+        for s, (got, osm) in enumerate(zip(osms, [want[2][i], *want[2][len(leads):]])):
+            assert np.array_equal(got, osm), (lead, s)
 
 
 def _small_split(primes):
@@ -543,13 +539,12 @@ def _small_split(primes):
 @given(lo=st.integers(0, X_MAX_CEILING + 1 - (3 * CHUNK + 17)), cut=st.integers(5, 300))
 def test_fill_segment_chunks_match_the_whole_segment_oracle(size, lo, cut):
     # The primes up to 10^4, split before, at and after SMALL_BOUND and at
-    # the end, from zeros and from the pattern.
+    # the end, from each start.
     primes, steps = base_primes(10**8)
     small = _small_split(primes)
     splits = [cut, small, small + cut, primes.size]
     octaves = [(0, size // 3, 60 << 8), (size // 3, size, 120 << 8)]
-    patterns = (None, presieve_pattern())
-    _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, patterns)
+    _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, range(6))
 
 
 @pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
@@ -560,20 +555,20 @@ def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
     small = _small_split(primes)
     splits = [5, small - 1, small, primes.size // 2, primes.size]
     octaves = [(0, 1000, 150 << 8), (1000, 1024, 0)]
-    patterns = (None, presieve_pattern())
-    _assert_segment_matches_oracle(hi - 1024, 1024, primes, steps, splits, octaves, patterns)
+    _assert_segment_matches_oracle(hi - 1024, 1024, primes, steps, splits, octaves, range(6))
 
 
 def test_fill_segment_past_a_full_stream_table():
     # A base prime list never repeats a prime, but the kernel must not overrun
     # its stream table on one that does: 100 copies of 2 have 12 powers each
     # below CHUNK, and the copies that do not fit are sieved in phase 2.
+    # Every copy shares the period 16, so each start holds lead copies.
     primes = np.full(100, 2, dtype=np.int64)
     steps = (np.arange(100, dtype=np.int64) % 7) << 8
     size = 3 * CHUNK + 17
     splits = [10, 60, 100]
     _assert_segment_matches_oracle(X_MAX_CEILING + 1 - size, size, primes, steps, splits,
-                                   [(0, size, 1 << 15)], (None,))
+                                   [(0, size, 1 << 15)], range(11))
 
 
 @lru_cache(maxsize=1)
@@ -685,18 +680,23 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
 
 
 def test_presieve_pattern_against_its_definition():
-    pattern = presieve_pattern()
-    assert pattern.nbytes == 2 * PRESIEVE_PERIOD == 110_880  # at most 128 KB
-    assert not pattern.flags.writeable
-    caps = {p: _multiplicity(PRESIEVE_PERIOD, p) for p in PRESIEVE_PRIMES}
-    assert math.prod(p**e for p, e in caps.items()) == PRESIEVE_PERIOD
-    want = np.zeros(PRESIEVE_PERIOD, dtype=np.int64)
-    for n in range(PRESIEVE_PERIOD):
-        for p, cap in caps.items():
-            e = cap if n == 0 else min(_multiplicity(n, p), cap)
-            if e:
-                want[n] += e * (int(LOG_SCALE * math.log(p)) << 8) + 1
-    assert np.array_equal(pattern, want)
+    # Each start holds its leading primes at their powers up to 16, and
+    # 13 would take the period past 2^16 words.
+    primes, steps = base_primes(10**8)
+    starts = kernel.SegmentPass(primes, steps).starts
+    assert [s.size for s in starts] == [1, 16, 144, 720, 5040, 55_440]
+    assert starts[-1].nbytes == 110_880  # at most 128 KB
+    words, powers = [], []  # each prime's word and largest power, for n < 55 440
+    for p in primes[:5].tolist():
+        step = int(LOG_SCALE * math.log(p)) << 8
+        cap = max(e for e in range(1, 5) if p**e <= 16)
+        mults = [cap if n == 0 else min(_multiplicity(n, p), cap) for n in range(55_440)]
+        words.append(np.array([e and e * step + 1 for e in mults], dtype=np.int64))
+        powers.append(p**cap)
+    for lead, start in enumerate(starts):
+        assert not start.flags.writeable
+        assert start.size == math.prod(powers[:lead])
+        assert np.array_equal(start, sum(words[:lead], np.zeros(55_440))[: start.size])
 
 
 def _multiplicity(n, p):
@@ -706,19 +706,23 @@ def _multiplicity(n, p):
     return e
 
 
-@pytest.mark.parametrize("w", [2, 10, 11, 12, 13, 300])
+@pytest.mark.parametrize("w", [2, 3, 5, 6, 7, 10, 11, 12, 13, 300])
 def test_presieve_cut_matches_trial_division(w):
-    # w < 11 starts every segment from zeros, w >= 11 from the pattern;
-    # 60 000 covers one full period and 300 > sqrt(60 000) takes the exact route.
+    # Each w starts every segment from the primes up to it, at most 2..11:
+    # w = 2 from {2}, 3 from {2, 3}, 5 and 6 from {2, 3, 5}, 7..10 from
+    # {2, 3, 5, 7}; 60 000 covers one full period and 300 > sqrt(60 000)
+    # takes the exact route.
     for seg, th in ((1024, 2), (1 << 22, 1)):
         _assert_matches_trial_division(60_000, w, seg, th)
 
 
-@pytest.mark.parametrize("x", [120, 121, 168, 169])
+@pytest.mark.parametrize("x", [8, 9, 24, 25, 48, 49, 120, 121, 168, 169])
 def test_presieve_bound_on_x_matches_trial_division(x):
-    # 11 <= sqrt(x) from x = 121 on, and 13 joins the base primes at 169.
-    for w in (2, 10, 11, 12, 13, x):
-        _assert_matches_trial_division(x, w, 1024, 1)
+    # 3, 5, 7 and 11 join the base primes, and their starts, at x = 9, 25,
+    # 49 and 121; 13 joins at 169 with no start of its own.
+    for w in (2, 3, 5, 7, 10, 11, 12, 13, x):
+        if w <= x:
+            _assert_matches_trial_division(x, w, 1024, 1)
 
 
 def test_segments_across_pattern_periods():
@@ -727,16 +731,19 @@ def test_segments_across_pattern_periods():
     x, seg = 200_000, 1024
     for w in (13, 447, 448):  # log route up to isqrt(x) = 447, then exact
         t = small_table(x, w, segment_length=seg, threads=2)
-        for m in range(1, x // PRESIEVE_PERIOD + 1):
-            for n in range(PRESIEVE_PERIOD * m - seg, PRESIEVE_PERIOD * m + seg):
+        for m in range(1, x // 55_440 + 1):  # the period of 2..11
+            for n in range(55_440 * m - seg, 55_440 * m + seg):
                 assert (t.omega[n], t.omega_small[n]) == oracles.omega_pair(n, w), (w, n)
 
 
 def test_grid_pass_switches_the_pattern_on_between_segments():
-    # The w = 10 pair ends at 3000; later segments copy out only w = 13 and
-    # 400 and start from the pattern.  The grid pass shifts each segment by
-    # one (lo - 1), and 400 > sqrt(120 000) keeps it on the exact route.
-    pairs = [(3000, 10), (120_000, 13), (120_000, 400)]
+    # The 1024-word segments start at 2 + 1024 i, and each starts from the
+    # primes up to its smallest live w: {2} (two segments), then {2, 3, 5}
+    # up to 2500, {2, 3, 5, 7} up to 3500, then 2..11 as only w = 13 and
+    # 400 stay live.
+    # The grid pass shifts each segment by one (lo - 1), and
+    # 400 > sqrt(120 000) keeps it on the exact route.
+    pairs = [(1500, 2), (2500, 5), (3500, 10), (120_000, 13), (120_000, 400)]
     got = grid_histograms(pairs, threads=2, segment_length=1024)
     for x, w in pairs:
         t = small_table(x, w)
