@@ -23,6 +23,7 @@ the characteristic profile are small functions of J alone.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,7 @@ class WeightKernel:
             raise ValueError(f"|z|={abs(self.z):.3f} exceeds {R_CEILING}")
 
 
+@functools.lru_cache(maxsize=2048)
 def _check_prime(p: int) -> None:
     if p < 2 or factorize(p) != [(p, 1)]:
         raise ValueError(f"p={p} is not prime")
@@ -67,39 +69,84 @@ def kernel_value(p: int, alpha: int, kernel: WeightKernel) -> complex:
     return complex(0.0) if alpha == 1 else complex(-1.0)
 
 
+def _pairs(qs: np.ndarray, n_max: int):
+    """Every (q, m) with q in the ascending qs and 1 <= m <= n_max // q, sorted
+    by q and then m, as arrays in blocks of q in [2^j, 2^(j+1)): a block holds
+    at most n_max pairs, though all of them number about n_max ln n_max."""
+    edges = np.searchsorted(qs, [1 << j for j in range(int(n_max).bit_length() + 1)])
+    for start, stop in zip(edges, edges[1:]):
+        counts = n_max // qs[start:stop]
+        q = np.repeat(qs[start:stop], counts)
+        m = np.arange(1, q.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        yield q, m
+
+
+@functools.lru_cache(maxsize=1)
+def _divisor_structure(n_max: int):
+    """What convolution_max_deviation needs of 1..n_max that no kernel changes,
+    as read-only arrays indexed by q: tau(q) = 1 + #{(d, m): d >= 2, d m = q},
+    the smallest prime p of q, the exponent a of p in q and m = q / p^a (p and
+    a are 0 and m is 1 at q = 1), plus the q >= 2 grouped by omega(q), so the
+    m of a group lie in the groups before it."""
+    q = np.arange(n_max + 1)
+    tau = np.ones(n_max + 1, dtype=np.int64)
+    for d, m in _pairs(q[2:], n_max):
+        tau += np.bincount(d * m, minlength=n_max + 1)
+    spf = q.copy()
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:  # p is prime; a smaller prime keeps its multiples
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    spf[:2] = 0
+    cofactor, alpha = q.copy(), np.zeros(n_max + 1, dtype=np.int64)
+    cofactor[:2] = 1
+    left = q[2:]
+    while left.size:
+        cofactor[left] //= spf[left]
+        alpha[left] += 1
+        left = left[cofactor[left] % spf[left] == 0]
+    omega, chain = np.zeros(n_max + 1, dtype=np.int64), q
+    while (more := chain > 1).any():  # chain runs q, m(q), m(m(q)), ... down to 1
+        omega += more
+        chain = cofactor[chain]
+    levels = [np.flatnonzero(omega == k) for k in range(1, int(omega.max()) + 1)]
+    for arr in (tau, spf, alpha, cofactor, *levels):
+        arr.flags.writeable = False
+    return tau, spf, alpha, cofactor, levels
+
+
 def convolution_max_deviation(n_max: int, kernel: WeightKernel) -> float:
     """max |g * tau - 2^omega z^omega_small| over 1 <= n <= n_max.
 
-    The convolution side accumulates g(q) tau(m) over q-multiples with numpy;
-    the target side reads a sieve table of n <= n_max, so the two routes
-    share no arithmetic.
+    The convolution side sums g(q) tau(n/q) over the divisors q of n with
+    numpy; the target side reads a sieve table of n <= n_max, so the two
+    routes share no arithmetic.  Calls with the same n_max share tau and the
+    factorizations q = p^a m (the last n_max is cached, read-only), so a call
+    asks kernel_value for g(p^a) once per prime power and builds g by
+    g(q) = g(m) g(p^a), one omega(q) at a time.  That product is written as
+    separate float operations in the order of a scalar complex product:
+    numpy's vectorized complex product rounds some of them differently, and
+    the deviation reported is of the order of those roundings.  Each lhs[n]
+    adds its terms in ascending q.
     """
     if n_max < 2:
         raise ValueError("n_max < 2")
-    tau = np.zeros(n_max + 1, dtype=np.int64)
-    for d in range(1, n_max + 1):
-        tau[d::d] += 1
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    for p in range(2, n_max + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
+    tau, spf, alpha, cofactor, levels = _divisor_structure(n_max)
+    kval = np.zeros(n_max + 1, dtype=np.complex128)  # g(p^a) at q = p^a
+    for q in levels[0].tolist():
+        kval[q] = kernel_value(int(spf[q]), int(alpha[q]), kernel)
     g = np.zeros(n_max + 1, dtype=np.complex128)
     g[1] = 1.0
-    for q in range(2, n_max + 1):
-        p = int(spf[q])
-        m, a = q // p, 1
-        while m % p == 0:
-            m //= p
-            a += 1
-        gm = g[m]
-        g[q] = gm * kernel_value(p, a, kernel) if gm != 0 else 0.0
-    lhs = np.zeros(n_max + 1, dtype=np.complex128)
-    lhs[1:] = tau[1:]  # q = 1 term
-    for q in range(2, n_max + 1):
-        gq = g[q]
-        if gq != 0:
-            cnt = n_max // q
-            lhs[q::q] += gq * tau[1 : cnt + 1]
+    gr, gi, kr, ki = g.real, g.imag, kval.real, kval.imag
+    for qs in levels:
+        ms = cofactor[qs]
+        pa = qs // ms
+        ar, ai, br, bi = gr[ms], gi[ms], kr[pa], ki[pa]
+        gr[qs] = ar * br - ai * bi
+        gi[qs] = ar * bi + ai * br
+    lhs = tau.astype(np.complex128)  # the q = 1 term
+    nonzero = np.flatnonzero(g)
+    for q, m in _pairs(nonzero[nonzero >= 2], n_max):
+        np.add.at(lhs, q * m, g[q] * tau[m])
     w_eff = min(kernel.w, n_max)  # primes above n_max divide nothing below it
     table = build_omega_table(SieveConfig(x_max=n_max, w=w_eff))
     om = table.omega[1 : n_max + 1].astype(np.int64)

@@ -6,8 +6,10 @@ sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
 __pycache__, under a name made from the SHA-256 of the source, the flags
 and the compiler, so an edit or a new compiler gets a new file.  It is
 written to a temporary file and moved into place with os.replace, and a
-cached file that fails to load is rebuilt once.  ctypes releases the
-interpreter lock during each call, so threads run the loops in parallel.
+cached file that fails to load, or is removed before it loads, is rebuilt
+once.  A build removes the other builds in that directory; a process that
+has one loaded keeps it mapped.  ctypes releases the interpreter lock
+during each call, so threads run the loops in parallel.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def library_path() -> str:
 
 
 def _build(path: str) -> None:
+    import glob
     import subprocess
     import tempfile
 
@@ -74,6 +77,12 @@ def _build(path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    for stale in glob.glob(os.path.join(CACHE_DIR, "omegashift_kernel_*.so")):
+        if stale != path:
+            try:
+                os.remove(stale)
+            except OSError:  # removed already, or not ours to remove: leave it
+                pass
 
 
 @functools.cache

@@ -1,7 +1,9 @@
 """Built-in verification battery.
 
 Runs named invariant checks and prints one [PASS]/[FAIL]/[WARN] line each.
-The fast level finishes in seconds on small ranges.  The full level makes
+The fast level finishes in seconds on small ranges.  Its counts are checked
+against _trial_division, which trial-divides every n <= x at once in numpy
+and shares no code with the sieve or the prime generator.  The full level makes
 one table-free sieve pass (sieve.grid_histograms) for the k = 2 planes at
 1e5..x_top and evaluates TREND_GATES, the one definition of the acceptance
 trend criteria, which tests/test_acceptance.py asserts too.  Each trend
@@ -13,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -30,7 +31,6 @@ from .constants import (
     tilted_level_constant,
 )
 from .experiment import resolve_w
-from .primes import factorize
 from .sieve import SieveConfig, build_omega_table, grid_histograms
 from .stats import (
     gaussian_moment,
@@ -111,14 +111,38 @@ def _check_sieve_known_values():
     return ok, "12=2^2*3, 30=2*3*5, level sets at x=10"
 
 
+def _trial_division(x: int, ws) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """omega(n) and {w: omega(n, w)} for 0 <= n <= x (0 at n = 0, 1), as int64
+    arrays, by trial division of every n at once.  Each d <= sqrt(x) in turn
+    is divided out of what is left of n wherever it divides, so only primes
+    ever divide; what is left at the end is 1 or one prime above sqrt(x)."""
+    rest = np.arange(x + 1)
+    omega = np.zeros(x + 1, dtype=np.int64)
+    small = {w: np.zeros(x + 1, dtype=np.int64) for w in ws}
+    for d in range(2, math.isqrt(x) + 1):
+        n = np.arange(d, x + 1, d)
+        n = n[rest[n] % d == 0]
+        omega[n] += 1
+        for w, counts in small.items():
+            if d <= w:
+                counts[n] += 1
+        while n.size:
+            rest[n] //= d
+            n = n[rest[n] % d == 0]
+    big = rest > 1
+    omega += big
+    for w, counts in small.items():
+        counts += big & (rest <= w)
+    return omega, small
+
+
 def _check_sieve_vs_trial_division():
     x, w = 3000, 13
     table = build_omega_table(SieveConfig(x_max=x, w=w))
-    for n in range(2, x + 1):
-        fact = factorize(n)
-        om, osm = len(fact), sum(1 for p, _ in fact if p <= w)
-        if table.omega[n] != om or table.omega_small[n] != osm:
-            return False, f"mismatch at n={n}"
+    omega, small = _trial_division(x, (w,))
+    bad = (table.omega[2:] != omega[2:]) | (table.omega_small[2:] != small[w][2:])
+    if bad.any():
+        return False, f"mismatch at n={int(np.argmax(bad)) + 2}"
     return True, f"all n <= {x} match trial division (w={w})"
 
 
@@ -192,14 +216,10 @@ def _check_phi_kernel_closed_forms():
 def _check_phi_kernel_multiplicative():
     kernel = genfun.WeightKernel(w=10, z=1.7 + 0.3j)
     worst = 0.0
-    pairs = [(a, b) for a in range(2, 80) for b in range(2, 80) if math.gcd(a, b) == 1]
+    f = {a: genfun.phi_weighted_kernel(a, kernel) for a in range(2, 80)}
+    pairs = [(a, b) for a in f for b in f if math.gcd(a, b) == 1]
     for a, b in pairs:
-        dev = abs(
-            genfun.phi_weighted_kernel(a * b, kernel)
-            - genfun.phi_weighted_kernel(a, kernel)
-            * genfun.phi_weighted_kernel(b, kernel)
-        )
-        worst = max(worst, dev)
+        worst = max(worst, abs(genfun.phi_weighted_kernel(a * b, kernel) - f[a] * f[b]))
     return worst < 1e-12, f"max |f(ab) - f(a)f(b)| = {worst:.2e} ({len(pairs)} pairs)"
 
 
@@ -251,18 +271,15 @@ def _check_normal_cdf():
 def _check_coefficients_vs_direct():
     x = 10_000
     ws = (10, resolve_w("auto", x))
-    direct = defaultdict(Counter)  # (w, k) -> u -> slice mass
-    prev = []  # the primes of n - 1, so each n is factorized once
-    for n in range(2, x + 1):
-        primes = [p for p, _ in factorize(n)]
-        for w in ws:
-            direct[w, len(primes)][sum(1 for p in prev if p <= w)] += 1 << len(prev)
-        prev = primes
+    omega, small = _trial_division(x, ws)
     for w in ws:
+        # direct[k, u] sums 2^omega(n-1) over the n with omega(n) = k, omega(n-1, w) = u
+        direct = np.zeros((omega.max() + 1, small[w].max() + 1), dtype=np.int64)
+        np.add.at(direct, (omega[2:], small[w][1:x]), np.left_shift(1, omega[1:x]))
         H = _histogram(x, w)
         for k in (1, 2, 3):
             coeffs = genfun.extract_coefficients(H[k])
-            want = [direct[w, k][u] for u in range(max(direct[w, k]) + 1)]
+            want = direct[k, : np.flatnonzero(direct[k]).max() + 1].tolist()
             if coeffs.tolist() != want:
                 return False, f"w={w} k={k}: {coeffs.tolist()} != {want}"
     return True, f"F_k coefficients equal trial-division slice masses (x={x}, k<=3)"

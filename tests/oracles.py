@@ -302,6 +302,32 @@ def convolution_sides(n: int, w: int, z, g=kernel_g) -> tuple[complex, complex]:
     return lhs, 2.0**om * complex(z) ** om_small
 
 
+def convolution_deviation_loops(n_max: int, kernel, kernel_value) -> float:
+    """max |g * tau - 2^omega z^omega_small| over n <= n_max by scalar loops:
+    g(q) = g(m) g(p^a) one q at a time, for p the smallest prime of q, and
+    lhs[q::q] += g(q) tau(1..) for ascending q.  The same operations in the
+    same order as genfun.convolution_max_deviation, so its value to the bit."""
+    tau = np.zeros(n_max + 1, dtype=np.int64)
+    for d in range(1, n_max + 1):
+        tau[d::d] += 1
+    g = np.zeros(n_max + 1, dtype=np.complex128)
+    g[1] = 1.0
+    for q in range(2, n_max + 1):
+        (p, a), *_ = factorize(q)
+        gm = g[q // p**a]
+        g[q] = gm * kernel_value(p, a, kernel) if gm != 0 else 0.0
+    lhs = tau.astype(np.complex128)
+    for q in range(2, n_max + 1):
+        if g[q] != 0:
+            lhs[q::q] += g[q] * tau[1 : n_max // q + 1]
+    om, osm = np.array([omega_pair(n, kernel.w) for n in range(1, n_max + 1)]).T
+    zpow = np.ones(osm.max() + 1, dtype=np.complex128)
+    for j in range(1, zpow.size):
+        zpow[j] = zpow[j - 1] * complex(kernel.z)
+    rhs = np.ldexp(1.0, om.astype(np.int32)) * zpow[osm]
+    return float(np.max(np.abs(lhs[1:] - rhs)))
+
+
 def kernel_g_general(q: int, w: int, z) -> complex:
     out = 1.0 + 0.0j
     for p, e in factorize(q):

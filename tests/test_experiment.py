@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import omegashift.genfun as genfun
+import omegashift.verify as verify
 from omegashift.cli import main
 from omegashift.experiment import (
     CSV_HEADER,
@@ -484,6 +486,57 @@ def test_verify_detects_injected_kernel_fault(monkeypatch):
     # sieve-level checks are independent of the kernel and must still pass
     passed = {r.name for r in summary.results if r.status == "PASS"}
     assert "sieve_vs_trial_division" in passed
+
+
+@pytest.mark.parametrize("x", (2, 3, 4, 8, 9, 10, 3000, 10_000))
+def test_verify_trial_division_matches_the_oracle(x):
+    ws = (2, 6, 10, 13, x)
+    omega, small = verify._trial_division(x, ws)
+    want_omega = [0, 0] + [len(oracles.factorize(n)) for n in range(2, x + 1)]
+    assert omega.tolist() == want_omega
+    for w in ws:
+        want = [0, 0] + [sum(p <= w for p, _ in oracles.factorize(n)) for n in range(2, x + 1)]
+        assert small[w].tolist() == want, w
+
+
+def _fast_statuses():
+    summary = verify_suite("fast", quiet=True)
+    return {r.name: (r.status, r.detail) for r in summary.results}
+
+
+@pytest.mark.parametrize("field", ("omega", "omega_small"))
+def test_verify_trial_division_catches_one_raised_byte(monkeypatch, field):
+    real = verify.build_omega_table
+
+    def raised(config):
+        table = real(config)
+        if config.x_max == 3000:
+            getattr(table, field)[2310] += 1
+        return table
+
+    monkeypatch.setattr(verify, "build_omega_table", raised)
+    statuses = _fast_statuses()
+    assert statuses["sieve_vs_trial_division"] == ("FAIL", "mismatch at n=2310")
+    assert statuses["convolution_identity"][0] == "PASS"
+
+
+def test_verify_coefficients_catch_one_moved_count(monkeypatch):
+    real = verify.grid_histograms
+
+    def moved(pairs, **opts):
+        hists = real(pairs, **opts)
+        for (x, _), H in hists.items():
+            if x == 10_000:
+                v, u = np.argwhere(H[2])[0]
+                H[2, v, u] -= 1
+                H[2, v, u + 1] += 1
+        return hists
+
+    monkeypatch.setattr(verify, "grid_histograms", moved)
+    statuses = _fast_statuses()
+    status, detail = statuses["coefficients_vs_direct"]
+    assert status == "FAIL" and detail.startswith("w=10 k=2: ")
+    assert statuses["convolution_identity"][0] == "PASS"
 
 
 def test_verify_rejects_unknown_level():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from omegashift import genfun
 from omegashift.genfun import (
     WeightKernel,
     characteristic_profile,
@@ -67,6 +68,46 @@ def test_convolution_identity_bulk():
         for z in Z_SET:
             dev = convolution_max_deviation(3000, WeightKernel(w=w, z=z))
             assert dev < 1e-10, (w, z)
+
+
+def test_convolution_max_deviation_equals_the_scalar_loops():
+    for n_max in (2, 17, 2000):
+        for w in (2, 10, 97, 3000):
+            for z in (*Z_SET, 0.83 + 0.41j):
+                kern = WeightKernel(w=w, z=z)
+                got = convolution_max_deviation(n_max, kern)
+                assert got == oracles.convolution_deviation_loops(n_max, kern, kernel_value)
+
+
+def test_convolution_calls_on_a_shared_structure_match_cold_calls():
+    kernels = [WeightKernel(w=w, z=z) for w in (2, 97) for z in (1.7 + 0.3j, -1.0, 1.0j)]
+    sizes = (2000, 3000, 2000, 17)
+    cold = []
+    for n_max in sizes:
+        for kern in kernels:
+            genfun._divisor_structure.cache_clear()
+            cold.append(convolution_max_deviation(n_max, kern))
+    genfun._divisor_structure.cache_clear()
+    warm = [convolution_max_deviation(n_max, kern) for n_max in sizes for kern in kernels]
+    assert warm == cold
+
+
+def test_divisor_structure_is_read_only():
+    tau, spf, alpha, cofactor, levels = genfun._divisor_structure(100)
+    for arr in (tau, spf, alpha, cofactor, *levels):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] = 0
+
+
+def test_convolution_identity_at_the_smallest_n_max(monkeypatch):
+    for n_max in (2, 3):
+        for w in (2, 3):
+            for z in Z_SET:
+                assert convolution_max_deviation(n_max, WeightKernel(w=w, z=z)) < 1e-12
+    real = genfun.kernel_value
+    monkeypatch.setattr(genfun, "kernel_value", lambda p, a, kern: -real(p, a, kern))
+    assert convolution_max_deviation(2, WeightKernel(w=2, z=1.7 + 0.3j)) > 1.0  # n = 2
 
 
 def test_phi_prime_power_closed_forms():

@@ -99,14 +99,17 @@ def _prime_divisors(n):
     return tuple(p for p, _ in oracles.factorize(n))
 
 
+@lru_cache(maxsize=None)
 def _trial_division_tables(x, w):
-    """(omega, omega_small) for n <= x from oracles.factorize, entries 0, 1 zero."""
+    """(omega, omega_small) for n <= x from oracles.factorize, entries 0, 1
+    zero; cached per (x, w) and read-only."""
     omega = np.zeros(x + 1, dtype=np.uint8)
     omega_small = np.zeros(x + 1, dtype=np.uint8)
     for n in range(2, x + 1):
         primes = _prime_divisors(n)
         omega[n] = len(primes)
         omega_small[n] = sum(1 for p in primes if p <= w)
+    omega.flags.writeable = omega_small.flags.writeable = False
     return omega, omega_small
 
 
@@ -385,6 +388,17 @@ def test_truncated_kernel_library_is_rebuilt(kernel_dir):
     assert np.array_equal(t.omega, omega) and np.array_equal(t.omega_small, omega_small)
     assert kernel.fold(t.omega, t.omega_small, 2, 5001).sum() == 4999
     assert [f.name for f in kernel_dir.iterdir()] == [os.path.basename(path)]
+
+
+def test_a_build_removes_the_stale_kernel_libraries(kernel_dir):
+    stale = [kernel_dir / f"omegashift_kernel_{'0' * 15}{i}.so" for i in (1, 2)]
+    for path in stale:
+        path.write_bytes(b"an older build")
+    (kernel_dir / "unrelated.so").write_bytes(b"not a kernel build")
+    small_table(1000, 10)
+    assert sorted(f.name for f in kernel_dir.iterdir()) == sorted(
+        [os.path.basename(kernel.library_path()), "unrelated.so"]
+    )
 
 
 def test_fold_refuses_a_corrupt_table():
