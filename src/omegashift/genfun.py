@@ -31,7 +31,7 @@ import numpy as np
 
 from .constants import R_CEILING
 from .kernel import OMEGA_CAP
-from .primes import factorize
+from .primes import factor_table, factorize
 from .sieve import SieveConfig, build_omega_table
 from .stats import weighted_mass_at
 
@@ -69,64 +69,45 @@ def kernel_value(p: int, alpha: int, kernel: WeightKernel) -> complex:
     return complex(0.0) if alpha == 1 else complex(-1.0)
 
 
-def _pairs(qs: np.ndarray, n_max: int):
-    """Every (q, m) with q in the ascending qs and 1 <= m <= n_max // q, sorted
-    by q and then m, as arrays in blocks of q in [2^j, 2^(j+1)): a block holds
-    at most n_max pairs, though all of them number about n_max ln n_max."""
-    edges = np.searchsorted(qs, [1 << j for j in range(int(n_max).bit_length() + 1)])
-    for start, stop in zip(edges, edges[1:]):
-        counts = n_max // qs[start:stop]
-        q = np.repeat(qs[start:stop], counts)
-        m = np.arange(1, q.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield q, m
-
-
 @functools.lru_cache(maxsize=1)
 def _divisor_structure(n_max: int):
     """What convolution_max_deviation needs of 1..n_max that no kernel changes,
-    as read-only arrays indexed by q: tau(q) = 1 + #{(d, m): d >= 2, d m = q},
-    the smallest prime p of q, the exponent a of p in q and m = q / p^a (p and
-    a are 0 and m is 1 at q = 1), plus the q >= 2 grouped by omega(q), so the
-    m of a group lie in the groups before it."""
-    q = np.arange(n_max + 1)
-    tau = np.ones(n_max + 1, dtype=np.int64)
-    for d, m in _pairs(q[2:], n_max):
-        tau += np.bincount(d * m, minlength=n_max + 1)
-    spf = q.copy()
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == p:  # p is prime; a smaller prime keeps its multiples
-            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
-    spf[:2] = 0
-    cofactor, alpha = q.copy(), np.zeros(n_max + 1, dtype=np.int64)
-    cofactor[:2] = 1
-    left = q[2:]
-    while left.size:
-        cofactor[left] //= spf[left]
-        alpha[left] += 1
-        left = left[cofactor[left] % spf[left] == 0]
-    omega, chain = np.zeros(n_max + 1, dtype=np.int64), q
-    while (more := chain > 1).any():  # chain runs q, m(q), m(m(q)), ... down to 1
-        omega += more
-        chain = cofactor[chain]
+    as read-only arrays indexed by q: tau(q), primes.factor_table's p, a and
+    m = q / p^a, and the q >= 2 grouped by omega(q), so the m of a group lie
+    in the groups before it and tau(q) = (a + 1) tau(m) is built group by group."""
+    spf, alpha, cofactor, omega = factor_table(n_max)
     levels = [np.flatnonzero(omega == k) for k in range(1, int(omega.max()) + 1)]
-    for arr in (tau, spf, alpha, cofactor, *levels):
+    tau = np.ones(n_max + 1, dtype=np.int64)
+    for qs in levels:
+        tau[qs] = (alpha[qs] + 1) * tau[cofactor[qs]]
+    for arr in (tau, *levels):
         arr.flags.writeable = False
     return tau, spf, alpha, cofactor, levels
+
+
+@functools.lru_cache(maxsize=1)
+def _target(n_max: int, w: int):
+    """omega(n) and omega(n, w), 1 <= n <= n_max, of a sieve table, read-only int64."""
+    table = build_omega_table(SieveConfig(x_max=n_max, w=w))
+    out = table.omega[1:].astype(np.int64), table.omega_small[1:].astype(np.int64)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def convolution_max_deviation(n_max: int, kernel: WeightKernel) -> float:
     """max |g * tau - 2^omega z^omega_small| over 1 <= n <= n_max.
 
     The convolution side sums g(q) tau(n/q) over the divisors q of n with
-    numpy; the target side reads a sieve table of n <= n_max, so the two
-    routes share no arithmetic.  Calls with the same n_max share tau and the
-    factorizations q = p^a m (the last n_max is cached, read-only), so a call
-    asks kernel_value for g(p^a) once per prime power and builds g by
-    g(q) = g(m) g(p^a), one omega(q) at a time.  That product is written as
+    numpy, from primes.factor_table; the target side reads a sieve table of
+    n <= n_max, so the two routes share no arithmetic.  The last n_max's tau
+    and factorizations q = p^a m, and the last (n_max, min(w, n_max))'s
+    target, are cached, read-only.  A call asks kernel_value for g(p^a) once
+    per prime power and builds g(q) = g(m) g(p^a) one omega(q) at a time, as
     separate float operations in the order of a scalar complex product:
     numpy's vectorized complex product rounds some of them differently, and
-    the deviation reported is of the order of those roundings.  Each lhs[n]
-    adds its terms in ascending q.
+    the deviation reported is of the order of those roundings.  Each nonzero
+    g(q), q >= 2, is added in ascending q as lhs[q::q] += g(q) tau(1..n_max // q).
     """
     if n_max < 2:
         raise ValueError("n_max < 2")
@@ -144,13 +125,9 @@ def convolution_max_deviation(n_max: int, kernel: WeightKernel) -> float:
         gr[qs] = ar * br - ai * bi
         gi[qs] = ar * bi + ai * br
     lhs = tau.astype(np.complex128)  # the q = 1 term
-    nonzero = np.flatnonzero(g)
-    for q, m in _pairs(nonzero[nonzero >= 2], n_max):
-        np.add.at(lhs, q * m, g[q] * tau[m])
-    w_eff = min(kernel.w, n_max)  # primes above n_max divide nothing below it
-    table = build_omega_table(SieveConfig(x_max=n_max, w=w_eff))
-    om = table.omega[1 : n_max + 1].astype(np.int64)
-    osm = table.omega_small[1 : n_max + 1].astype(np.int64)
+    for q in (np.flatnonzero(g[2:]) + 2).tolist():
+        lhs[q::q] += g[q] * tau[1 : n_max // q + 1]
+    om, osm = _target(n_max, min(kernel.w, n_max))  # primes above n_max divide nothing below it
     zpow = _powers(complex(kernel.z), int(osm.max()) + 1)
     rhs = np.ldexp(1.0, om.astype(np.int32)) * zpow[osm]
     return float(np.max(np.abs(lhs[1:] - rhs)))

@@ -2,8 +2,9 @@
 
 Runs named invariant checks and prints one [PASS]/[FAIL]/[WARN] line each.
 The fast level finishes in seconds on small ranges.  Its counts are checked
-against _trial_division, which trial-divides every n <= x at once in numpy
-and shares no code with the sieve or the prime generator.  The full level makes
+against _trial_division, read from primes.factor_table, which calls no sieve.
+tests/test_acceptance.py runs its convolution and Euler-product checks at a
+larger scale as criteria 1 and 3.  The full level makes
 one table-free sieve pass (sieve.grid_histograms) for the k = 2 planes at
 1e5..x_top and evaluates TREND_GATES, the one definition of the acceptance
 trend criteria, which tests/test_acceptance.py asserts too.  Each trend
@@ -31,6 +32,7 @@ from .constants import (
     tilted_level_constant,
 )
 from .experiment import resolve_w
+from .primes import factor_table
 from .sieve import SieveConfig, build_omega_table, grid_histograms
 from .stats import (
     gaussian_moment,
@@ -113,26 +115,15 @@ def _check_sieve_known_values():
 
 def _trial_division(x: int, ws) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """omega(n) and {w: omega(n, w)} for 0 <= n <= x (0 at n = 0, 1), as int64
-    arrays, by trial division of every n at once.  Each d <= sqrt(x) in turn
-    is divided out of what is left of n wherever it divides, so only primes
-    ever divide; what is left at the end is 1 or one prime above sqrt(x)."""
-    rest = np.arange(x + 1)
-    omega = np.zeros(x + 1, dtype=np.int64)
+    arrays, from primes.factor_table: omega(n, w) counts the smallest primes
+    p(n), p(m(n)), p(m(m(n))), ... <= w along the chain of cofactors m."""
+    p, _, m, omega = factor_table(x)
     small = {w: np.zeros(x + 1, dtype=np.int64) for w in ws}
-    for d in range(2, math.isqrt(x) + 1):
-        n = np.arange(d, x + 1, d)
-        n = n[rest[n] % d == 0]
-        omega[n] += 1
+    chain = np.arange(x + 1)
+    while (more := chain > 1).any():
         for w, counts in small.items():
-            if d <= w:
-                counts[n] += 1
-        while n.size:
-            rest[n] //= d
-            n = n[rest[n] % d == 0]
-    big = rest > 1
-    omega += big
-    for w, counts in small.items():
-        counts += big & (rest <= w)
+            counts += more & (p[chain] <= w)
+        chain = m[chain]
     return omega, small
 
 
@@ -177,14 +168,14 @@ def _check_partition_identity():
     return True, f"sum_k pi_k = x-1 and masses partition ({want})"
 
 
-def _check_convolution_identity():
+def _check_convolution_identity(n_max: int = 2000):
     worst = 0.0
     for w in W_GRID:
         for z in Z_GRID:
             kernel = genfun.WeightKernel(w=w, z=z)
-            worst = max(worst, genfun.convolution_max_deviation(2000, kernel))
+            worst = max(worst, genfun.convolution_max_deviation(n_max, kernel))
     ok = worst < 1e-10
-    return ok, f"max |g*tau - 2^om z^om_w| = {worst:.2e} over n <= 2000"
+    return ok, f"max |g*tau - 2^om z^om_w| = {worst:.2e} over n <= {n_max}"
 
 
 def _phi_direct(p: int, e: int, kernel) -> complex:
@@ -223,8 +214,7 @@ def _check_phi_kernel_multiplicative():
     return worst < 1e-12, f"max |f(ab) - f(a)f(b)| = {worst:.2e} ({len(pairs)} pairs)"
 
 
-def _check_euler_identities():
-    P = 100_000
+def _check_euler_identities(P: int = 100_000):
     msgs = []
     ok = True
     dev0 = abs(tilted_level_constant(0.0, P).value - 1.0)

@@ -58,12 +58,13 @@ def omega_pair(n: int, w: int) -> tuple[int, int]:
 
 
 def level_triples(x: int, w: int) -> list[tuple[int, int, int]]:
-    """For n = 2..x: (omega(n), omega(n-1), omega(n-1, w)), index n-2."""
-    out = []
+    """For n = 2..x: (omega(n), omega(n-1), omega(n-1, w)), index n-2; each
+    n is factorized once, and its pair read again as the next n's n - 1."""
+    out, prev = [], omega_pair(1, w)
     for n in range(2, x + 1):
-        k = omega_pair(n, x)[0]
-        v, u = omega_pair(n - 1, w)
-        out.append((k, v, u))
+        cur = omega_pair(n, w)
+        out.append((cur[0], *prev))
+        prev = cur
     return out
 
 

@@ -1,12 +1,13 @@
 """Acceptance criteria, one test per criterion (7 and 8 split into parts).
 
 Each test records a summary line via record_property("acceptance", ...);
-conftest prints the block at the end of the run.  The trend criteria are
-verify.TREND_GATES, the gates verify --level full evaluates, asserted on
-one grid pass up to 1e8; the 1e8 table is built once, as a module fixture.
+conftest prints the block at the end of the run.  Criteria 1 and 3 run
+verify's own convolution_identity and euler_identities checks at a larger
+scale (n <= 1e4 and P = 1e7).  The trend criteria are verify.TREND_GATES,
+the gates verify --level full evaluates, asserted on one grid pass up to
+1e8; the 1e8 table is built once, as a module fixture.
 """
 
-import math
 import resource
 import time
 
@@ -14,15 +15,9 @@ import numpy as np
 import pytest
 
 import oracles
-from omegashift.constants import level_density_constant, tilt_product, tilt_profile, tilted_level_constant
+from omegashift import verify
 from omegashift.experiment import resolve_w
-from omegashift.genfun import (
-    WeightKernel,
-    convolution_max_deviation,
-    eval_genfun,
-    extract_coefficients,
-    phi_prime_power,
-)
+from omegashift.genfun import WeightKernel, eval_genfun, extract_coefficients, phi_prime_power
 from omegashift.sieve import DEFAULT_SEGMENT, SieveConfig, build_omega_table, grid_histograms
 from omegashift.stats import (
     gaussian_spec,
@@ -53,18 +48,14 @@ def big():
 
 def test_criterion_1_convolution_identity(record_property):
     t0 = time.perf_counter()
-    worst = 0.0
-    for w in W_GRID:
-        for z in Z_GRID:
-            dev = convolution_max_deviation(10_000, WeightKernel(w=w, z=z))
-            worst = max(worst, dev)
+    ok, detail = verify._check_convolution_identity(10_000)
     elapsed = time.perf_counter() - t0
     record_property(
         "acceptance",
-        f"criterion 1 convolution identity: max dev {worst:.2e} over n<=1e4, "
+        f"criterion 1 convolution identity: {detail}, "
         f"{len(W_GRID) * len(Z_GRID)} (z,w) pairs, {elapsed:.1f}s",
     )
-    assert worst < 1e-10
+    assert ok, detail
     assert elapsed < 10.0
 
 
@@ -90,29 +81,12 @@ def test_criterion_2_prime_power_closed_forms(record_property):
 
 def test_criterion_3_euler_product_identities(record_property):
     t0 = time.perf_counter()
-    P = 10_000_000
-    a0 = abs(tilted_level_constant(0.0, P).value - 1.0)
-    worst_ach = 0.0
-    for r in (0.0, 0.25, 0.5, 1.0, 2.0):
-        a = tilted_level_constant(r, P).value
-        c = level_density_constant(r, P).value
-        h1 = tilt_product(r, 1.0, P).value
-        worst_ach = max(worst_ach, abs(a - c * h1))
-    worst_h = max(
-        abs(tilt_profile(r, 1.0, P).value - 1.0) for r in (0.0, 0.25, 0.5, 1.0, 2.0)
-    )
-    gamma_dev = abs(tilt_product(0.5, 0.5, P).value - math.exp(-0.5772156649015328606))
+    ok, detail = verify._check_euler_identities(10_000_000)
     elapsed = time.perf_counter() - t0
     record_property(
-        "acceptance",
-        f"criterion 3 euler identities at P=1e7: |A0-1|={a0:.1e}, "
-        f"max|A-C*h|={worst_ach:.1e}, max|H(r,1)-1|={worst_h:.1e}, "
-        f"|h(1/2)-e^-g|={gamma_dev:.1e}, {elapsed:.1f}s",
+        "acceptance", f"criterion 3 euler identities at P=1e7: {detail}, {elapsed:.1f}s"
     )
-    assert a0 < 1e-9
-    assert worst_ach < 1e-6
-    assert worst_h < 1e-12
-    assert gamma_dev < 1e-9
+    assert ok, detail
     assert elapsed < 60.0
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from omegashift import genfun
+from omegashift import genfun, verify
 from omegashift.genfun import (
     WeightKernel,
     characteristic_profile,
@@ -79,22 +79,60 @@ def test_convolution_max_deviation_equals_the_scalar_loops():
                 assert got == oracles.convolution_deviation_loops(n_max, kern, kernel_value)
 
 
+def _clear_convolution_caches():
+    genfun._divisor_structure.cache_clear()
+    genfun._target.cache_clear()
+
+
 def test_convolution_calls_on_a_shared_structure_match_cold_calls():
     kernels = [WeightKernel(w=w, z=z) for w in (2, 97) for z in (1.7 + 0.3j, -1.0, 1.0j)]
     sizes = (2000, 3000, 2000, 17)
     cold = []
     for n_max in sizes:
         for kern in kernels:
-            genfun._divisor_structure.cache_clear()
+            _clear_convolution_caches()
             cold.append(convolution_max_deviation(n_max, kern))
-    genfun._divisor_structure.cache_clear()
+    _clear_convolution_caches()
     warm = [convolution_max_deviation(n_max, kern) for n_max in sizes for kern in kernels]
     assert warm == cold
+
+
+def test_the_battery_builds_each_target_table_once(monkeypatch):
+    # The battery's 15 calls at n_max = 2000 loop over z inside w, so the
+    # one cached table serves each w's five calls.
+    built = []
+    real = genfun.build_omega_table
+
+    def counted(config):
+        built.append((config.x_max, config.w))
+        return real(config)
+
+    monkeypatch.setattr(genfun, "build_omega_table", counted)
+    _clear_convolution_caches()
+    ok, _ = verify._check_convolution_identity()
+    assert ok
+    assert built == [(2000, w) for w in verify.W_GRID]
+
+
+def test_a_call_after_another_target_matches_a_cold_call():
+    kern = WeightKernel(w=10, z=1.7 + 0.3j)
+    _clear_convolution_caches()
+    cold = convolution_max_deviation(500, kern)
+    for n_max, w in ((500, 97), (600, 10), (500, 10)):
+        convolution_max_deviation(n_max, WeightKernel(w=w, z=-1.0))
+        assert convolution_max_deviation(500, kern) == cold, (n_max, w)
 
 
 def test_divisor_structure_is_read_only():
     tau, spf, alpha, cofactor, levels = genfun._divisor_structure(100)
     for arr in (tau, spf, alpha, cofactor, *levels):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] = 0
+
+
+def test_cached_target_is_read_only():
+    for arr in genfun._target(100, 10):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[-1] = 0

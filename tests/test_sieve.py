@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from omegashift import kernel
+from omegashift import kernel, verify
 from omegashift.cli import main
-from omegashift.primes import iter_prime_blocks, primes_up_to
+from omegashift.primes import factor_table, iter_prime_blocks, primes_up_to
 from omegashift.sieve import (
     LOG_ROUTE_MIN_X,
     LOG_SCALE,
@@ -29,6 +29,7 @@ from omegashift.sieve import (
     X_MAX_CEILING,
     OmegaTable,
     SieveConfig,
+    _fill_segment,
     _log_gap,
     base_primes,
     build_omega_table,
@@ -238,6 +239,44 @@ def test_each_prime_block_holds_the_primes_of_its_span(limit):
             assert block.dtype == np.int64
             span = range(lo, min(lo + block_len, limit + 1))
             assert block.tolist() == [n for n in span if n in primes], (block_len, lo)
+
+
+def _oracle_factor_rows(n_max):
+    """(p, a, m, omega) of each q <= n_max from oracles.factorize."""
+    rows = [(0, 0, 1, 0)] * min(n_max + 1, 2)
+    for q in range(2, n_max + 1):
+        (p, a), *rest = oracles.factorize(q)
+        rows.append((p, a, q // p**a, 1 + len(rest)))
+    return rows
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 8, 9, 97, 10_000, 10_007])
+def test_factor_table_matches_the_oracle(n_max):
+    table = factor_table(n_max)
+    for arr in table:
+        assert arr.dtype == np.int64 and arr.shape == (n_max + 1,)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert list(zip(*(arr.tolist() for arr in table))) == _oracle_factor_rows(n_max)
+
+
+def test_factor_table_and_verify_trial_division_call_no_sieve(monkeypatch):
+    # They are the oracles of the sieve and of its base primes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sieve was called")
+
+    for name in ("primes.iter_prime_blocks", "primes.primes_up_to", "kernel.SegmentPass",
+                 "sieve.build_omega_table", "verify.build_omega_table"):
+        monkeypatch.setattr(f"omegashift.{name}", refuse)
+    x, ws = 3000, (13, 3000)
+    rows = _oracle_factor_rows(x)
+    assert list(zip(*(arr.tolist() for arr in factor_table(x)))) == rows
+    omega, small = verify._trial_division(x, ws)
+    assert omega.tolist() == [row[3] for row in rows]
+    for w in ws:
+        assert small[w].tolist() == [0, 0] + [
+            sum(p <= w for p in _prime_divisors(n)) for n in range(2, x + 1)], w
 
 
 def test_level_set_iteration():
@@ -570,6 +609,21 @@ def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
     splits = [5, small - 1, small, primes.size // 2, primes.size]
     octaves = [(0, 1000, 150 << 8), (1000, 1024, 0)]
     _assert_segment_matches_oracle(hi - 1024, 1024, primes, steps, splits, octaves, range(6))
+
+
+@pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
+def test_exact_route_at_the_ceiling_matches_trial_division(hi):
+    # (2^20 + 1)^2 > 2^40 sends the segment down the exact route: the
+    # numpy tail divides each n by every base-prime power below hi.
+    size, ws = 64, (13, 1 << 20, (1 << 20) + 1)
+    segment_pass = kernel.SegmentPass(*base_primes(X_MAX_CEILING))
+    cell, om, osms = _segment(size, len(ws))
+    _fill_segment(om, osms, cell, segment_pass, hi - size, ws, X_MAX_CEILING)
+    for j, n in enumerate(range(hi - size, hi)):
+        divisors = _prime_divisors(n)
+        assert om[j] == len(divisors), n
+        for w, osm in zip(ws, osms):
+            assert osm[j] == sum(p <= w for p in divisors), (n, w)
 
 
 def test_fill_segment_past_a_full_stream_table():
