@@ -7,9 +7,9 @@ the missing ones come from one table-free sieve pass over the grid
 (sieve.grid_histograms) and are then cached.  No sieve table is built.
 Reruns of the same config produce byte-identical files except for the
 runtime_ms column, which is deliberately last in the schema; whether a
-histogram came from the cache is not recorded.  runtime_ms is the time to
-derive a row from the level histogram; sieve, cache and histogram-pass time
-are excluded.
+histogram came from the cache is not recorded.  runtime_ms times a row's
+empirical call on the level histogram alone: its theoretical value, sieve,
+cache and histogram-pass time are excluded.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .stats import (
     write_atomic,
 )
 
-CSV_HEADER = "statistic,x,k,w,param,empirical,theoretical,rel_dev,error_scale,runtime_ms"
+_COLUMNS = [f.name for f in fields(PredictionReport)]
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,18 @@ def _numbers(kind):
     return lambda val: tuple(kind(v) for v in val.replace(",", " ").split())
 
 
-_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
-_TYPE_PARSERS = {  # a boolean's parser alone returns None, on a bad value
+def _boolean(val: str) -> bool:
+    if val.lower() not in ("true", "1", "false", "0"):
+        raise ValueError("bad boolean (expected true, false, 1 or 0)")
+    return val.lower() in ("true", "1")
+
+
+_TYPE_PARSERS = {
     "tuple[int, ...]": _numbers(int),
     "tuple[float, ...]": _numbers(float),
     "int": int,
     "float": float,
-    "bool": lambda val: _BOOLEANS.get(val.lower()),
+    "bool": _boolean,
     "str": str,
 }
 # Each key's parser from its field's annotation; a field of a type with no
@@ -169,9 +175,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: key {key!r} repeated")
         if key not in _PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _PARSERS[key](val)
-        if values[key] is None:
-            raise ValueError(f"line {lineno}: bad boolean {val!r}")
+        try:
+            values[key] = _PARSERS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key} = {val!r}: {exc}") from None
     for req in ("x_list", "k_list"):
         if req not in values:
             raise ValueError(f"missing required key {req!r}")
@@ -204,12 +211,6 @@ def _histograms(config: ExperimentConfig, pairs) -> dict:
     return hists
 
 
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, (time.perf_counter() - t0) * 1e3
-
-
 @dataclass
 class ExperimentResult:
     csv_path: str
@@ -218,8 +219,17 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute the grid and write reports; row order is deterministic."""
+    """Execute the grid and write reports; row order is deterministic.  row()
+    builds every row, timing only its empirical call as runtime_ms."""
     rows: list[PredictionReport] = []
+
+    def row(statistic, x, k, w, param, theoretical, error_scale, empirical, *args):
+        t0 = time.perf_counter()
+        emp = empirical(*args)
+        ms = (time.perf_counter() - t0) * 1e3
+        rows.append(make_report(statistic, x, k, w, param, emp, theoretical, error_scale, ms))
+        return emp
+
     P = config.truncation_prime
     w_of = {x: resolve_w(config.w_rule, x) for x in config.x_list}
     hists = _histograms(config, sorted(set(w_of.items())))
@@ -231,63 +241,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         base_err = 1.0 / math.sqrt(l2x)
         for k in config.k_list:
             J = H[k]
-            mass, ms = _timed(weighted_mass, J)
-            theo_mass = weighted_mass_theoretical(k, x, P)
-            rows.append(
-                make_report("weighted_total", x, k, w, None, mass, theo_mass,
-                            1.0 / l2x, ms)
-            )
+            mass = row("weighted_total", x, k, w, None, weighted_mass_theoretical(k, x, P),
+                       1.0 / l2x, weighted_mass, J)
             if mass == 0:
                 continue
             for y in config.y_grid:
-                emp, ms = _timed(weighted_mass_below, J, x, y)
-                rows.append(
-                    make_report("weighted_cdf", x, k, w, y, emp,
-                                mass * normal_cdf(y), gauss_err, ms)
-                )
+                row("weighted_cdf", x, k, w, y, mass * normal_cdf(y), gauss_err,
+                    weighted_mass_below, J, x, y)
             if config.y_grid:
-                emp, ms = _timed(ks_distance, J, x)
-                rows.append(
-                    make_report("ks_distance", x, k, w, None, emp, gauss_err,
-                                gauss_err, ms)
-                )
+                row("ks_distance", x, k, w, None, gauss_err, gauss_err, ks_distance, J, x)
             if config.ell_max >= 0 and w >= 3:
                 l2w = loglog(w)
                 for ell in range(config.ell_max + 1):
-                    emp, ms = _timed(weighted_mass_at, J, ell)
-                    theo = small_factor_prediction(k, x, ell, w, P, mass=mass)
-                    err = k / l2x**2 + (ell + 1) / l2w**2
-                    rows.append(
-                        make_report("small_factor_profile", x, k, w, ell,
-                                    emp, theo, err, ms)
-                    )
+                    row("small_factor_profile", x, k, w, ell,
+                        small_factor_prediction(k, x, ell, w, P, mass=mass),
+                        k / l2x**2 + (ell + 1) / l2w**2, weighted_mass_at, J, ell)
             for m in config.moments:
-                emp, ms = _timed(weighted_moment, J, x, m)
-                rows.append(
-                    make_report(f"moment_m{m}", x, k, w, m, emp,
-                                gaussian_moment(m), gauss_err, ms)
-                )
+                row(f"moment_m{m}", x, k, w, m, gaussian_moment(m), gauss_err,
+                    weighted_moment, J, x, m)
             if config.baseline:
                 size = int(J.sum())
                 for y in config.y_grid:
-                    emp, ms = _timed(unweighted_baseline, J, x, y)
-                    rows.append(
-                        make_report("unweighted_cdf", x, k, w, y, emp,
-                                    size * normal_cdf(y), base_err, ms)
-                    )
+                    row("unweighted_cdf", x, k, w, y, size * normal_cdf(y), base_err,
+                        unweighted_baseline, J, x, y)
             if config.large_factor_c >= 0:
-                emp, ms = _timed(large_factor_ratio, J, x, config.large_factor_c)
-                rows.append(
-                    make_report("large_factor_ratio", x, k, w,
-                                config.large_factor_c, emp, 0.0, 1.0 / l2x, ms)
-                )
+                c = config.large_factor_c
+                row("large_factor_ratio", x, k, w, c, 0.0, 1.0 / l2x, large_factor_ratio, J, x, c)
         if config.baseline:
             for y in config.y_grid:
-                emp, ms = _timed(classical_baseline, H, x, y)
-                rows.append(
-                    make_report("classical_cdf", x, None, None, y, emp,
-                                (x - 1) * normal_cdf(y), base_err, ms)
-                )
+                row("classical_cdf", x, None, None, y, (x - 1) * normal_cdf(y), base_err,
+                    classical_baseline, H, x, y)
     os.makedirs(config.output_dir, exist_ok=True)
     tag = config_hash(config)
     csv_path = os.path.join(config.output_dir, f"report_{tag}.csv")
@@ -298,23 +281,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else str(v)  # str of a float is its shortest round-trip repr
 
 
 def _write_csv(path: str, rows: list[PredictionReport]) -> None:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (r.statistic, r.x, r.k, r.w, r.param, r.empirical,
-                          r.theoretical, r.rel_dev, r.error_scale, r.runtime_ms)
-            )
-        )
+    lines = [CSV_HEADER] + [",".join(_cell(getattr(r, c)) for c in _COLUMNS) for r in rows]
     write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -332,14 +303,6 @@ def _write_json(path, rows, config: ExperimentConfig, tag: str, hists: dict) -> 
                 for (x, w), H in sorted(hists.items())
             ],
         },
-        "rows": [
-            {
-                "statistic": r.statistic, "x": r.x, "k": r.k, "w": r.w,
-                "param": r.param, "empirical": r.empirical,
-                "theoretical": r.theoretical, "rel_dev": r.rel_dev,
-                "error_scale": r.error_scale, "runtime_ms": r.runtime_ms,
-            }
-            for r in rows
-        ],
+        "rows": [{c: getattr(r, c) for c in _COLUMNS} for r in rows],
     }
     write_atomic(path, (json.dumps(doc, indent=1) + "\n").encode())

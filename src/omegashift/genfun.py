@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import R_CEILING
+from .constants import _check_z
 from .kernel import OMEGA_CAP
 from .primes import factor_table, factorize
 from .sieve import SieveConfig, build_omega_table
@@ -46,8 +46,7 @@ class WeightKernel:
     def __post_init__(self):
         if self.w < 2:
             raise ValueError("w < 2")
-        if not abs(self.z) <= R_CEILING + 1e-9:  # a nan z fails too
-            raise ValueError(f"|z|={abs(self.z):.3f} exceeds {R_CEILING}")
+        _check_z(self.z)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -204,8 +203,7 @@ def eval_genfun(J: np.ndarray, z: complex | float) -> GenFunValue:
     Evaluates sum_u c_u z^u over the exact integer coefficients, so every
     table that gives the same J gives the identical value.
     """
-    if not abs(z) <= R_CEILING + 1e-9:  # a nan z fails too
-        raise ValueError(f"|z|={abs(z):.3f} exceeds {R_CEILING}")
+    _check_z(z)
     coeffs = _coefficients(J)
     return GenFunValue(
         z=complex(z), value=_polynomial(coeffs, complex(z)),

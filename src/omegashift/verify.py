@@ -1,18 +1,20 @@
 """Built-in verification battery.
 
-Runs named invariant checks and prints one [PASS]/[FAIL]/[WARN] line each.
-The fast level finishes in seconds on small ranges.  Its counts are checked
-against _trial_division, read from primes.factor_table, which calls no sieve.
+verify_suite runs every check in one loop and prints one [PASS]/[FAIL]/[WARN]
+line each; a check that raises is a FAIL at either level.  The fast level
+finishes in seconds on small ranges.  Its counts are checked against
+_trial_division, read from primes.factor_table, which calls no sieve.
 tests/test_acceptance.py runs its convolution and Euler-product checks at a
-larger scale as criteria 1 and 3.  The full level makes
-one table-free sieve pass (sieve.grid_histograms) for the k = 2 planes at
-1e5..x_top and evaluates TREND_GATES, the one definition of the acceptance
-trend criteria, which tests/test_acceptance.py asserts too.  Each trend
-check ANDs its gates; failures degrade to warnings when x_top is below 1e7.
+larger scale as criteria 1 and 3.  The full level adds one check per group of
+TREND_GATES, the one definition of the acceptance trend criteria, which
+tests/test_acceptance.py asserts too; the first makes the one table-free
+sieve pass (sieve.grid_histograms) for the k = 2 planes at 1e5..x_top.  Each
+trend check ANDs its gates; a miss is a warning when x_top is below 1e7.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -55,9 +57,8 @@ TREND_K = 2  # the level whose plane the trend gates read
 
 @dataclass
 class CheckResult:
-    """One check's outcome.  seconds is its wall time; a full-level check
-    counts from the end of the previous one, so the first also carries the
-    shared sieve pass."""
+    """One check's outcome.  seconds is the check's own wall time; the first
+    full-level check's includes the shared grid pass."""
 
     name: str
     status: str  # PASS | FAIL | WARN
@@ -465,20 +466,29 @@ TREND_GATES = (
 )
 
 
-def _full_battery(x_top: int, emit) -> list[CheckResult]:
-    """One check per group of TREND_GATES; x_top below 1e7 demotes failures to warnings."""
-    soft = x_top < FULL_SCALES[-2]
-    results = []
-    last = time.perf_counter()
-    planes = trend_planes(grid_histograms(trend_pairs(x_top)))
-    for name, gates in itertools.groupby(TREND_GATES, key=lambda g: g.check):
-        outcomes = [gate.predicate(planes) for gate in gates]
-        status = "PASS" if all(ok for ok, _ in outcomes) else ("WARN" if soft else "FAIL")
-        now = time.perf_counter()
-        results.append(CheckResult(name, status, "; ".join(d for _, d in outcomes), now - last))
-        last = now
-        emit(results[-1])
-    return results
+def _trend_checks(x_top: int) -> list[tuple[str, Callable[[], tuple[bool, str]], str]]:
+    """(name, check, status if it does not hold) per group of TREND_GATES; each
+    check ANDs its gates.  The first to run makes the one grid pass; if that
+    raises, each check raises its exception.  Below 1e7 a miss is a WARN."""
+    miss = "WARN" if x_top < FULL_SCALES[-2] else "FAIL"
+
+    @functools.cache
+    def planes():
+        try:
+            return trend_planes(grid_histograms(trend_pairs(x_top)))
+        except Exception as exc:
+            return exc
+
+    def check(gates):
+        def run():
+            if isinstance(got := planes(), Exception):
+                raise got
+            outcomes = [gate.predicate(got) for gate in gates]
+            return all(ok for ok, _ in outcomes), "; ".join(d for _, d in outcomes)
+        return run
+
+    groups = itertools.groupby(TREND_GATES, key=lambda g: g.check)
+    return [(name, check(tuple(gates)), miss) for name, gates in groups]
 
 
 def verify_suite(
@@ -495,24 +505,20 @@ def verify_suite(
         raise ValueError(
             f"--x-top {x_top} is below {FULL_SCALES[0]}, the full battery's smallest scale"
         )
+    checks = [(name, fn, "FAIL") for name, fn in _FAST_CHECKS]
+    if level == "full":
+        checks += _trend_checks(x_top)
     results: list[CheckResult] = []
-
-    def emit(res: CheckResult):
-        if not quiet:
-            print(f"[{res.status}] {res.name}: {res.detail}")
-
-    for name, fn in _FAST_CHECKS:
+    for name, fn, miss in checks:
         start = time.perf_counter()
         try:
             ok, detail = fn()
-            status = "PASS" if ok else "FAIL"
+            status = "PASS" if ok else miss
         except Exception as exc:  # a crash is a failure, not an abort
             status, detail = "FAIL", f"raised {type(exc).__name__}: {exc}"
-        res = CheckResult(name, status, detail, time.perf_counter() - start)
-        results.append(res)
-        emit(res)
-    if level == "full":
-        results.extend(_full_battery(x_top, emit))
+        results.append(CheckResult(name, status, detail, time.perf_counter() - start))
+        if not quiet:
+            print(f"[{status}] {name}: {detail}")
     summary = VerifySummary(level=level, results=results)
     if not quiet:
         print(

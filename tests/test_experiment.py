@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 import omegashift.genfun as genfun
+import omegashift.kernel as kernel
 import omegashift.verify as verify
 from omegashift.cli import main
 from omegashift.experiment import (
@@ -178,6 +179,30 @@ def test_cli_run_rejects_bad_config_input(tmp_path, capsys, line, message):
     assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no report
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("x_list", "1e6", "invalid literal for int() with base 10: '1e6'"),
+        ("k_list", "two", "invalid literal for int() with base 10: 'two'"),
+        ("y_grid", "0 x", "could not convert string to float: 'x'"),
+        ("threads", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("baseline", "maybe", "bad boolean (expected true, false, 1 or 0)"),
+    ],
+    ids=["float_x", "word_k", "word_y", "float_threads", "maybe_baseline"],
+)
+def test_cli_run_names_the_line_and_key_of_a_bad_value(tmp_path, capsys, key, value, reason):
+    values = {"x_list": "100000", "k_list": "2", "y_grid": "0", "threads": "1",
+              "baseline": "true", key: value}
+    lines = ["# a comment", *(f"{k} = {v}" for k, v in values.items()),
+             f"output_dir = {tmp_path / 'out'}", f"cache_dir = {tmp_path / 'cache'}"]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    lineno = lines.index(f"{key} = {value}") + 1
+    assert capsys.readouterr().err == f"error: line {lineno}: {key} = {value!r}: {reason}\n"
+    assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no report
+
+
 def test_resolve_w_rules():
     x = 10**8
     t = math.log(math.log(x))
@@ -223,10 +248,15 @@ def _read_rows(path):
         return list(csv.reader(fh))
 
 
+# The report schema the README documents; PredictionReport's field order must keep it.
+REPORT_COLUMNS = "statistic,x,k,w,param,empirical,theoretical,rel_dev,error_scale,runtime_ms"
+
+
 def test_run_experiment_schema(tmp_path):
     res = run_experiment(_tiny_config(tmp_path))
     rows = _read_rows(res.csv_path)
-    assert rows[0] == CSV_HEADER.split(",")
+    assert CSV_HEADER == REPORT_COLUMNS
+    assert rows[0] == REPORT_COLUMNS.split(",")
     stats = {r[0] for r in rows[1:]}
     assert {
         "weighted_total", "weighted_cdf", "ks_distance", "small_factor_profile",
@@ -236,7 +266,7 @@ def test_run_experiment_schema(tmp_path):
     assert payload["metadata"]["config_hash"] in res.csv_path
     assert len(payload["rows"]) == len(rows) - 1
     for row in payload["rows"]:
-        assert set(CSV_HEADER.split(",")) == set(row)
+        assert list(row) == REPORT_COLUMNS.split(",")  # the same keys, in order
 
 
 def test_reports_are_deterministic_modulo_runtime(tmp_path):
@@ -537,6 +567,44 @@ def test_verify_coefficients_catch_one_moved_count(monkeypatch):
     status, detail = statuses["coefficients_vs_direct"]
     assert status == "FAIL" and detail.startswith("w=10 k=2: ")
     assert statuses["convolution_identity"][0] == "PASS"
+
+
+def test_verify_full_makes_one_grid_pass_and_fails_each_check_on_its_raise(monkeypatch):
+    real, trend_calls = verify.grid_histograms, []
+
+    def broken(pairs, **opts):
+        if pairs != verify.trend_pairs(10**6):
+            return real(pairs, **opts)  # the fast checks' histograms
+        trend_calls.append(pairs)
+        raise RuntimeError("the grid pass broke")
+
+    monkeypatch.setattr(verify, "grid_histograms", broken)
+    summary = verify_suite("full", x_top=10**6, quiet=True)
+    assert len(trend_calls) == 1  # not retried by the later checks
+    trend = summary.results[len(verify._FAST_CHECKS):]
+    names = ["ks_trend", "mean_location", "moment_trend", "profile_correlation", "psi_trend"]
+    assert [(r.name, r.status, r.detail) for r in trend] == [
+        (name, "FAIL", "raised RuntimeError: the grid pass broke") for name in names
+    ]  # a FAIL, not the WARN a trend miss below 1e7 gets
+    assert summary.failures == 5 and summary.warnings == 0
+
+
+def test_cli_verify_full_writes_json_when_the_kernel_cannot_build(tmp_path, monkeypatch, capsys):
+    def unbuildable():
+        raise kernel.KernelBuildError("no compiler")
+
+    monkeypatch.setattr(kernel, "library", unbuildable)
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--level", "full", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(path.read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(report["checks"]) == report["summary"]["checks"] == 20
+    assert len(captured.out.splitlines()) == 21  # every check's line and the summary
+    for name in ("sieve_known_values", "ks_trend", "psi_trend"):
+        assert checks[name]["status"] == "FAIL"
+        assert checks[name]["detail"] == "raised KernelBuildError: no compiler"
 
 
 def test_verify_rejects_unknown_level():

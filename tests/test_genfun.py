@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from omegashift import genfun, verify
+from omegashift.constants import tilt_product
 from omegashift.genfun import (
     WeightKernel,
     characteristic_profile,
@@ -51,6 +52,20 @@ def test_kernel_input_validation():
         WeightKernel(w=10, z=5.0)  # outside the configured disc
     with pytest.raises(ValueError):
         WeightKernel(w=10, z=complex("nan"))
+
+
+def test_one_disc_check_for_kernel_genfun_and_tilt_product():
+    J = grid_histograms([(1000, 10)])[1000, 10][2]
+    calls = [lambda z: WeightKernel(w=10, z=z), lambda z: eval_genfun(J, z),
+             lambda z: tilt_product(0.5, z, 10_000)]
+    for call in calls:
+        for z, shown in ((4 + 1e-6, "4.000"), (complex(0, -4 - 1e-6), "4.000"),
+                         (math.nan, "nan"), (complex(math.nan, 0), "nan")):
+            with pytest.raises(ValueError) as info:
+                call(z)
+            assert str(info.value) == f"|z|={shown} exceeds ceiling 4.0"
+        for z in (4.0, -4.0, 4j, complex(2.4, -3.2)):  # on the circle |z| = 4
+            call(z)
 
 
 def test_convolution_identity_single_values():

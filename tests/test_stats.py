@@ -25,7 +25,6 @@ from omegashift.sieve import (
 from omegashift.stats import (
     HIST_VERSION,
     CacheMismatchError,
-    PredictionReport,
     ThresholdSpec,
     classical_baseline,
     gaussian_moment,
@@ -38,6 +37,7 @@ from omegashift.stats import (
     load_histogram,
     loglog,
     logloglog,
+    make_report,
     save_histogram,
     small_factor_prediction,
     unweighted_baseline,
@@ -477,11 +477,15 @@ def test_large_factor_ratio_rejects_a_nan_c_mult(H5):
 
 
 def test_report_relative_deviation():
-    rep = PredictionReport(
-        statistic="s", x=10, k=1, w=2, param=None,
-        empirical=11.0, theoretical=10.0, rel_dev=0.1, error_scale=0.5, runtime_ms=0.1,
-    )
-    assert rep.rel_dev == pytest.approx(0.1)
+    # |empirical - theoretical| / max(|theoretical|, 1e-30); large_factor_ratio's
+    # rows predict 0.0, so the guard gives them a finite rel_dev
+    cases = [(9, 10.0, 0.1), (np.int64(-11), -10, 0.1), (0.25, 0.0, 0.25e30), (0.0, 0.0, 0.0)]
+    for empirical, theoretical, rel_dev in cases:
+        rep = make_report("s", 10, 1, None, 2.5, empirical, theoretical, 1, np.float64(0.5))
+        assert rep.rel_dev == pytest.approx(rel_dev, rel=1e-12), (empirical, theoretical)
+        assert (rep.statistic, rep.x, rep.k, rep.w, rep.param) == ("s", 10, 1, None, 2.5)
+        for name in ("empirical", "theoretical", "rel_dev", "error_scale", "runtime_ms"):
+            assert type(getattr(rep, name)) is float, name
 
 
 def test_session_oracle_agreement(table_1e5, oracle_triples, oracle_w):
