@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .constants import DEFAULT_TRUNCATION, R_CEILING
-from .sieve import MAX_THREADS, grid_histograms
+from .sieve import MAX_THREADS, SieveConfig, grid_histograms
 from .stats import (
     MAX_MOMENT,
     PredictionReport,
@@ -86,6 +86,7 @@ class ExperimentConfig:
         _parse_w_rule(self.w_rule)
         for x in self.x_list:  # the slice rows need tilt_profile at z = ell / loglog w
             w = resolve_w(self.w_rule, x)
+            SieveConfig(x_max=x, w=w)  # a pair the sieve refuses fails here, before any sieving
             z = self.ell_max / loglog(w) if w >= 3 else 0.0
             if z > R_CEILING + 1e-9:
                 raise ValueError(

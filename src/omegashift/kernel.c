@@ -98,7 +98,7 @@ static int64_t first_power(int64_t p, int presieved, int64_t period, uint16_t st
 }
 
 /* Add the powers q, q p, q p^2, ... < lo + len of p: add at the first,
- * step at the rest.  Base primes are at most sqrt(x_max) <= 2^20 and
+ * step at the rest.  kernel.py keeps every base prime at most 2^20 and
  * q < hi <= 2^40 + 1, so q * p < 2^61 never overflows. */
 static void sieve_prime(uint16_t *cell, int64_t len, int64_t lo, int64_t p, int64_t q,
                         uint16_t add, uint16_t step)

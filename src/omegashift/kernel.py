@@ -145,7 +145,7 @@ class SegmentPass:
     by the lead leading primes, each p at its powers up to p^e, its largest
     power <= 16 (p itself above 16); period is the lcm of those p^e, and
     starts holds every lead whose period stays <= 2^16 words: 0..5, periods
-    1, 16, 144, 720, 5040 and 55 440, for the base primes of x >= 121.
+    1, 16, 144, 720, 5040 and 55 440, when the primes start 2, 3, 5, 7, 11.
 
     fill sieves n = lo + j, j < len(om), in one pass over cell (uint16
     scratch).  cell starts as starts[lead][(lo + j) % period], the largest

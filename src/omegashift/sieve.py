@@ -13,15 +13,13 @@ grid, folding each segment into the level histograms H (see stats) and
 keeping no table.  Both hand their segments to worker threads through one
 helper, _map_segments; at most MAX_THREADS of them.
 
-Each segment sieves the base primes p <= sqrt(x_max).  What they leave of n
-is its cofactor c, which is 1 or a single prime above sqrt(x_max) (two such
-primes would multiply past x_max).  The sieve never divides: when every
-w has w*w <= x_max, c can never count toward omega(n, w), so only "c > 1"
-matters, and a byte of scaled logarithms decides it exactly (the
-logarithmic-sieve trick of the quadratic sieve; the argument is in
-_fill_segment).  Only when some w has w*w > x_max, where "c <= w" needs
-the cofactor's value, does a segment keep an int64 cofactor array and
-divide it by every prime power.
+Each segment sieves every prime up to sqrt(x_max) and up to each w below
+its x (base_primes).  What they leave of n, its cofactor c, is 1 or one
+prime above them all (two would multiply past x_max), so it never counts
+toward omega(n, w), and a byte of scaled logarithms decides "c > 1"
+exactly, with no division (the argument is in _fill_segment).  A pair
+with w = x takes omega(n, w) = omega(n), n <= x, and adds no base prime.
+Base primes stop at 2^20, so SieveConfig rejects a w in [W_CEILING, x).
 
 A segment is one compiled pass (kernel.SegmentPass.fill, built on the
 first call) in two phases.  Phase 1 walks the segment in chunks of 8192 words
@@ -38,6 +36,8 @@ does not change the words.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,12 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .primes import primes_up_to
+from .primes import factorize, primes_up_to
 
 X_MAX_CEILING = 1 << 40
 DEFAULT_SEGMENT = 1 << 18  # 512 KB of words: 2^17..2^21 time alike, and larger ones cost memory
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
-LOG_ROUTE_MIN_X = 13  # smallest x_max whose log test separates by a full unit
+LOG_TEST_MIN_X = 13  # smallest x_max whose log test separates by a unit; below, sieve all p
+W_CEILING = 1_048_583  # smallest prime above kernel.SegmentPass's 2^20 base-prime ceiling
 MAX_THREADS = 256  # each worker thread holds a segment's buffers
 
 
@@ -78,8 +79,8 @@ if MAX_OMEGA >= min(kernel.OMEGA_CAP, 256):
     raise RuntimeError(f"omega can reach {MAX_OMEGA}: outside H's bins or the count byte")
 if LOG_SCALE * math.log(X_MAX_CEILING) >= 256:
     raise RuntimeError("scaled log of X_MAX_CEILING does not fit the accumulator byte")
-if _log_gap(LOG_ROUTE_MIN_X) <= 1:
-    raise RuntimeError("log test does not separate its bands at LOG_ROUTE_MIN_X")
+if _log_gap(LOG_TEST_MIN_X) <= 1:
+    raise RuntimeError("log test does not separate its bands at LOG_TEST_MIN_X")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ class SieveConfig:
     """Parameters of one table build.
 
     x_max : largest argument tabulated (inclusive), 2 <= x_max <= 2**40
-    w     : small-prime threshold for omega_small, 2 <= w <= x_max
+    w     : small-prime threshold for omega_small, 2 <= w <= x_max, and
+        below W_CEILING unless w = x_max (the base primes reach w < x_max)
     segment_length : numbers processed per segment; any value >= 1024
         produces the identical table, it only trades memory for call overhead
     threads : worker threads mapped over segments, 1 <= threads <= MAX_THREADS
@@ -104,6 +106,9 @@ class SieveConfig:
             raise ValueError(f"x_max={self.x_max} outside [2, 2^40]")
         if not (2 <= self.w <= self.x_max):
             raise ValueError(f"w={self.w} outside [2, x_max]")
+        if W_CEILING <= self.w < self.x_max:
+            raise ValueError(f"w={self.w} < x={self.x_max} needs base primes above 2^20 "
+                             f"(w >= W_CEILING = {W_CEILING}, the first prime above 2^20)")
         if self.segment_length < 1024:
             raise ValueError("segment_length < 1024")
         if not 1 <= self.threads <= MAX_THREADS:
@@ -148,33 +153,28 @@ def _fill_segment(om, osms, cell, segment_pass, lo, ws, x_max):
     each w of the ascending tuple ws, omega(n, w) into the matching osms array.
 
     One uint16 word per n, in one compiled pass, segment_pass =
-    kernel.SegmentPass(*base_primes(x_max)): the primes p <= sqrt(x_max),
-    ascending, with their steps L(p) << 8.  Each p adds 1 to the low byte at its
-    multiples, and L(p) = floor(8 ln p) to the high byte at the multiples
-    of every power p^j < hi.  The primes ascend, so after the primes p <= w
-    the low byte is omega(n, w) without the cofactor; it is copied out for
-    each w in turn, and the primes above the last w are then added on top
-    to give omega without the cofactor.  Neither byte carries:
+    kernel.SegmentPass(*base_primes(x_max, ws)): the primes up to
+    max(sqrt(x_max), max ws), ascending, with their steps L(p) << 8.  Each p
+    adds 1 to the low byte at its multiples, and L(p) = floor(8 ln p) to the
+    high byte at the multiples of every power p^j < hi.  The primes ascend,
+    so after the primes p <= w the low byte is omega(n, w); it is copied out
+    for each w in turn, and the primes above the last w are then added on
+    top to give omega without the cofactor.  Neither byte carries:
     the low byte is at most MAX_OMEGA = 11, and the high byte at most
     8 ln n <= 8 ln 2^40 < 222.
 
     Pre-sieve.  The words start from the pass's pre-sieved pattern of the
-    leading base primes p <= ws[0], at most 2, 3, 5, 7, 11: a w < 11
-    copies its low byte out before 11 is sieved, and below x_max = 121 the
-    prime 11 is a cofactor, not a base prime.  With all five, the pattern
-    of period 55 440 already holds their powers dividing it (4, 8, 16, 9),
-    so only their higher powers (32, 64, ..., 27, 81, ..., 25, ..., 49,
-    ..., 121, ...) and the primes from 13 up are added: the powers below
-    8192 of the primes below 2048 chunk by chunk, the rest strided over the
-    whole segment (phases 1 and 2 of the module docstring).  A w in [7, 11)
-    starts from 2, 3, 5, 7 (period 5040), and so on down to one zero word.
+    leading base primes p <= ws[0], at most 2, 3, 5, 7, 11 (period 55 440),
+    down to one zero word.  It holds their powers dividing its period (4, 8,
+    16, 9 with all five), so only their higher powers and the later primes
+    are added: the powers below 8192 of the primes below 2048 chunk by
+    chunk, the rest strided over the whole segment (phases 1 and 2 of the
+    module docstring).
 
-    Write n = s * c with s the part made of base primes.  The cofactor c is
-    1 or one prime above sqrt(x_max); it always counts toward omega when
-    c > 1, and toward omega(n, w) iff c <= w.
-
-    Log route (max(ws)^2 <= x_max and x_max >= 13).  Then every w has
-    c > sqrt(x_max) >= w, so only "c > 1" matters.  The high byte holds
+    Write n = s * c with s made of base primes: the cofactor c is 1 or one
+    prime above them, so c > sqrt(x_max) and c > w for every w.  When the
+    base primes reach every prime <= x_max, c = 1 and om is the low byte.
+    Otherwise x_max >= 13 and the high byte holds
     acc = sum over p^e || s of e*L(p), and 8 ln p - 1 < L(p) <= 8 ln p gives
     8 ln s - Omega(s) < acc <= 8 ln s.  For n in the octave [a, 2a):
       c = 1:  s = n >= a and Omega(n) <= log2 x_max, so
@@ -185,46 +185,39 @@ def _fill_segment(om, osms, cell, segment_pass, lo, ws, x_max):
     x_max >= 13, so the integer T nearest (A + B) / 2 has B < T < A, and
     c > 1 exactly when acc < T.  The margin (A - B - 1) / 2 >= 0.007 dwarfs
     the float rounding in L(p) and T.  The kernel adds that test to om,
-    octave by octave, with the thresholds of _octave_bounds.
-
-    Exact route (max(ws)^2 > x_max, or x_max < 13).  "c <= w" needs the
-    value of c, so an int64 array starts at n and is divided by p at every
-    p^j < hi, in numpy.
+    octave by octave, with the thresholds of _octave_bounds.  A pass short
+    of a prime of base_primes(x_max, ws) <= x_max is refused before any C call.
 
     cell is uint16 scratch of at least len(om) words; its first len(om)
     are overwritten whatever they hold.
     """
-    cell = cell[: om.size]
     primes = segment_pass.primes
-    hi = lo + om.size
+    unsieved = _prime_after(int(primes[-1]) if primes.size else 1)  # the least c > 1
+    if unsieved <= min(_sieve_bound(x_max, ws), x_max):
+        raise ValueError(f"the base primes stop short of {unsieved}, which x_max = {x_max} "
+                         f"and ws = {ws} need sieved (see base_primes)")
     splits = np.searchsorted(primes, ws, side="right").tolist()
-    log_route = ws[-1] * ws[-1] <= x_max and x_max >= LOG_ROUTE_MIN_X
-    octaves = list(_octave_bounds(lo, hi, x_max)) if log_route else ()
-    segment_pass.fill(cell, om, osms, lo, splits, octaves)
-    if log_route:
-        return
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in primes.tolist():
-        q = p
-        while q < hi:
-            rem[(-lo) % q :: q] //= p
-            q *= p
-    big = rem > 1
-    om[big] += 1
-    for w, osm in zip(ws, osms):
-        osm[big & (rem <= w)] += 1
+    octaves = list(_octave_bounds(lo, lo + om.size, x_max)) if unsieved <= x_max else ()
+    segment_pass.fill(cell[: om.size], om, osms, lo, splits, octaves)
 
 
-def _step(p: int) -> int:
-    """The word step L(p) << 8 of prime p (see _fill_segment)."""
-    return int(LOG_SCALE * math.log(p)) << 8
+@functools.lru_cache(maxsize=None)
+def _prime_after(p: int) -> int:
+    """The smallest prime above p, by trial division (cached: once per pass)."""
+    return next(q for q in itertools.count(p + 1) if factorize(q) == [(q, 1)])
 
 
-def base_primes(x_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sieving primes of [2, x_max], p * p <= x_max, and their word
-    steps L(p) << 8 (see _fill_segment), both int64."""
-    primes = primes_up_to(math.isqrt(x_max))
-    return primes, np.array([_step(p) for p in primes.tolist()], dtype=np.int64)
+def _sieve_bound(x_max: int, ws) -> int:
+    return x_max if x_max < LOG_TEST_MIN_X else max([math.isqrt(x_max), *ws])
+
+
+def base_primes(x_max: int, ws=()) -> tuple[np.ndarray, np.ndarray]:
+    """The sieving primes of [2, x_max] for the thresholds ws, each below its
+    x, and their word steps L(p) << 8 (see _fill_segment), both int64: every
+    prime up to max(sqrt(x_max), max ws), or up to x_max below LOG_TEST_MIN_X."""
+    primes = primes_up_to(_sieve_bound(x_max, ws))
+    steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes.tolist()]
+    return primes, np.array(steps, dtype=np.int64)
 
 
 def build_omega_table(config: SieveConfig) -> OmegaTable:
@@ -234,16 +227,20 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     bit-identical for every segment_length and thread count.
     """
     x_max, w = config.x_max, config.w
+    ws = (w,) if w < x_max else ()  # w = x_max: omega_small is omega
     omega = np.zeros(x_max + 1, dtype=np.uint8)
     omega_small = np.zeros(x_max + 1, dtype=np.uint8)
-    segment_pass = kernel.SegmentPass(*base_primes(x_max))
+    segment_pass = kernel.SegmentPass(*base_primes(x_max, ws))
 
     def fill(spans):
         cell = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
         for lo, hi in spans:
-            _fill_segment(omega[lo:hi], (omega_small[lo:hi],), cell, segment_pass, lo, (w,), x_max)
+            osms = [omega_small[lo:hi]] * len(ws)
+            _fill_segment(omega[lo:hi], osms, cell, segment_pass, lo, ws, x_max)
 
     _map_segments(fill, x_max, config.segment_length, config.threads)
+    if not ws:
+        omega_small[:] = omega
     return OmegaTable(x_max=x_max, w=w, omega=omega, omega_small=omega_small)
 
 
@@ -254,12 +251,12 @@ def grid_histograms(
 
     No table is built.  Each segment [lo, hi) sieves [lo - 1, hi), so it
     holds omega(n - 1) of its first n (omega(1) = 0), copies omega(n, w) out
-    once per distinct w that some x >= lo still needs, and folds the n in
-    [lo, min(hi, x + 1)) into the partial H of every pair with kernel.fold.
-    Pairs that share a w share one running fold, so each n is folded once
-    per distinct w.  Segments are independent and partial histograms add
-    as exact integers, so H is identical for every segment_length and
-    thread count; working memory is O(segment) per worker.
+    once per distinct w < x that some x >= lo still needs (a pair with
+    w = x reads omega itself), and folds the n in [lo, min(hi, x + 1)) into
+    the partial H of every pair with kernel.fold.  Pairs that share a u
+    share one running fold.  Segments are independent and partial
+    histograms add as exact integers, so H is identical for every
+    segment_length and thread count; working memory is O(segment) per worker.
     """
     pairs = sorted(set(pairs))
     if not pairs:
@@ -267,29 +264,32 @@ def grid_histograms(
     for x, w in pairs:
         SieveConfig(x_max=x, w=w, segment_length=segment_length, threads=threads)
     x_top = pairs[-1][0]
-    ws = tuple(sorted({w for _, w in pairs}))
-    xs_by_w = [sorted(x for x, v in pairs if v == w) for w in ws]
-    segment_pass = kernel.SegmentPass(*base_primes(x_top))
+    xs_by_u = {}  # the ascending xs folding each u: omega(n - 1, w) for w < x, None for w = x
+    for x, w in pairs:
+        xs_by_u.setdefault(w if w < x else None, []).append(x)
+    ws = sorted(w for w in xs_by_u if w is not None)
+    segment_pass = kernel.SegmentPass(*base_primes(x_top, ws))
 
     def sieve_spans(spans):
         """Summed partial histograms of spans, in buffers reused across them."""
         size = min(segment_length, x_top) + 1
         om_buf = np.empty(size, dtype=np.uint8)  # position i holds n = lo - 1 + i
-        osm_bufs = [np.empty(size, dtype=np.uint8) for _ in ws]
+        osm_bufs = {w: np.empty(size, dtype=np.uint8) for w in ws}
         cell = np.empty(size, dtype=np.uint16)
         totals = {pair: np.zeros((kernel.OMEGA_CAP,) * 3, dtype=np.int64) for pair in pairs}
         for lo, hi in spans:
-            live = [i for i, xs in enumerate(xs_by_w) if xs[-1] >= lo]
+            live = tuple(w for w in ws if xs_by_u[w][-1] >= lo)
             om = om_buf[: hi - lo + 1]
-            osms = [osm_bufs[i][: hi - lo + 1] for i in live]
-            _fill_segment(om, osms, cell, segment_pass, lo - 1, tuple(ws[i] for i in live), x_top)
-            for i, osm in zip(live, osms):
-                w, running, start = ws[i], 0, 1
-                for x in xs_by_w[i]:
+            us = {w: osm_bufs[w][: hi - lo + 1] for w in live}
+            _fill_segment(om, list(us.values()), cell, segment_pass, lo - 1, live, x_top)
+            us[None] = om
+            for w, u in us.items():
+                running, start = 0, 1
+                for x in xs_by_u.get(w, ()):
                     if x >= lo:
                         stop = min(x + 1, hi) - (lo - 1)
-                        running = running + kernel.fold(om, osm, start, stop)
-                        totals[x, w] += running
+                        running = running + kernel.fold(om, u, start, stop)
+                        totals[x, x if w is None else w] += running
                         start = stop
         return totals
 

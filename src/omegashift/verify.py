@@ -34,6 +34,7 @@ from .constants import (
     tilted_level_constant,
 )
 from .experiment import resolve_w
+from .kernel import OMEGA_CAP
 from .primes import factor_table
 from .sieve import SieveConfig, build_omega_table, grid_histograms
 from .stats import (
@@ -129,12 +130,23 @@ def _trial_division(x: int, ws) -> tuple[np.ndarray, dict[int, np.ndarray]]:
 
 
 def _check_sieve_vs_trial_division():
+    """build_omega_table at one w, and one grid pass with w <= sqrt x, w > sqrt x
+    and w = x on 1 and 3 threads, against _trial_division."""
     x, w = 3000, 13
     table = build_omega_table(SieveConfig(x_max=x, w=w))
-    omega, small = _trial_division(x, (w,))
+    pairs = ((x, w), (x, 1009), (x, x), (2047, 2047), (1500, 60))
+    omega, small = _trial_division(x, {pw for _, pw in pairs})
     bad = (table.omega[2:] != omega[2:]) | (table.omega_small[2:] != small[w][2:])
     if bad.any():
         return False, f"mismatch at n={int(np.argmax(bad)) + 2}"
+    for threads in (1, 3):
+        hists = grid_histograms(pairs, threads=threads, segment_length=1024)
+        for px, pw in pairs:
+            n = np.arange(2, px + 1)
+            keys = (omega[n] * OMEGA_CAP + omega[n - 1]) * OMEGA_CAP + small[pw][n - 1]
+            want = np.bincount(keys, minlength=OMEGA_CAP**3).reshape((OMEGA_CAP,) * 3)
+            if not np.array_equal(hists[px, pw], want):
+                return False, f"grid H of (x, w) = ({px}, {pw}) differs on {threads} threads"
     return True, f"all n <= {x} match trial division (w={w})"
 
 

@@ -9,8 +9,9 @@ import omegashift
 # Names removed from the package, with the table route to H, the table
 # cache, the thread override, the uncalled second derivative, the Python
 # wrapper of the old strided-add kernel, the API that no command, report
-# row or check read, the second segment pass and fill entry point, and the
-# pre-sieve pattern handed to the pass from outside; a half-finished
+# row or check read, the second segment pass and fill entry point, the
+# pre-sieve pattern handed to the pass from outside, and the bound of the
+# deleted numpy cofactor route (now LOG_TEST_MIN_X); a half-finished
 # removal leaves one behind.  "module.name" is removed from
 # that module only.
 REMOVED = (
@@ -40,6 +41,7 @@ REMOVED = (
     "sieve.presieve_pattern",
     "sieve.PRESIEVE_PRIMES",
     "sieve.PRESIEVE_PERIOD",
+    "sieve.LOG_ROUTE_MIN_X",
 )
 
 

@@ -443,6 +443,27 @@ def test_cli_sieve_rejects_an_absurd_thread_count(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: threads=100000 outside [1, 256]\n"
 
 
+def test_cli_rejects_a_w_past_the_base_prime_ceiling(tmp_path, monkeypatch, capsys):
+    # fixed:1048583 below x = 2e6 needs the base prime 1 048 583 > 2^20; at
+    # x = 1e5 it is clamped to w = x and needs none.  Both commands refuse
+    # the pair before any sieving.
+    monkeypatch.setattr("omegashift.cli.build_omega_table", lambda config: pytest.fail("sieved"))
+    monkeypatch.setattr("omegashift.experiment.grid_histograms",
+                        lambda *args, **kwargs: pytest.fail("sieved"))
+    message = ("error: w=1048583 < x=2000000 needs base primes above 2^20 "
+               "(w >= W_CEILING = 1048583, the first prime above 2^20)\n")
+    assert main(["sieve", "--x", "2000000", "--w", "1048583"]) == 2
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "ceiling.cfg"
+    cfg.write_text(
+        "x_list = 100000 2000000\nk_list = 2\nw_rule = fixed:1048583\n"
+        f"output_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no report
+
+
 def test_cli_run(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

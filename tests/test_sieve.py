@@ -22,10 +22,11 @@ from omegashift import kernel, verify
 from omegashift.cli import main
 from omegashift.primes import factor_table, iter_prime_blocks, primes_up_to
 from omegashift.sieve import (
-    LOG_ROUTE_MIN_X,
+    LOG_TEST_MIN_X,
     LOG_SCALE,
     MAX_OMEGA,
     MAX_THREADS,
+    W_CEILING,
     X_MAX_CEILING,
     OmegaTable,
     SieveConfig,
@@ -88,7 +89,7 @@ def test_large_leftover_prime_counts_once():
 
 
 def test_deterministic_across_segments_and_threads():
-    for w in (300, 200):  # sqrt(60000) = 244.9: the exact and the log route
+    for w in (300, 200):  # base primes up to w = 300, then up to sqrt(60000) = 244.9
         ref = small_table(60_000, w, segment_length=1 << 15)
         for seg in (1024, 4096, 1 << 22):
             for th in (1, 2, 5):
@@ -126,8 +127,9 @@ def _assert_matches_trial_division(x, w, segment_length, threads):
 
 @st.composite
 def _routed_inputs(draw):
-    """w drawn from one cofactor route: w*w <= x (log) or w*w > x (exact)."""
-    if draw(st.sampled_from(("log", "exact"))) == "log":
+    """w drawn up to sqrt(x), where the base primes stop at sqrt(x), or
+    above it, where they run up to w."""
+    if draw(st.sampled_from(("up to sqrt x", "above sqrt x"))) == "up to sqrt x":
         x = draw(st.integers(4, 5000))
         w = draw(st.integers(2, math.isqrt(x)))
     else:
@@ -143,7 +145,7 @@ def test_both_cofactor_routes_match_trial_division(inputs):
 
 
 # x = p^2 - 1, p^2, p^2 + 1 for p = 11, 251; 2^16 and 2^16 + 1; the smallest
-# x of the log route and the largest below it.
+# x of the log test and the largest below it, where every prime <= x is sieved.
 BOUNDARY_X = (12, 13, 120, 121, 122, 63_000, 63_001, 63_002, 1 << 16, (1 << 16) + 1)
 
 
@@ -151,7 +153,7 @@ BOUNDARY_X = (12, 13, 120, 121, 122, 63_000, 63_001, 63_002, 1 << 16, (1 << 16) 
 def test_cofactor_routes_at_boundaries(x):
     r = math.isqrt(x)
     p = next(q for q in itertools.count(r + 1) if _prime_divisors(q) == (q,))
-    for w in (r, r + 1):  # the last w of the log route and the first of the exact
+    for w in (r, r + 1):  # base primes up to sqrt(x), then up to w = r + 1
         for seg, th in SEGMENTS_AND_THREADS:
             _assert_matches_trial_division(x, w, seg, th)
         if 2 * p <= x:  # s = 2 and the cofactor is the first prime above sqrt(x)
@@ -170,7 +172,7 @@ def test_max_omega_is_derived_from_the_ceiling():
 def test_log_accumulator_fits_a_byte():
     assert LOG_SCALE * math.log(X_MAX_CEILING) < 256
     # the log test separates by more than one unit from x = 13 on, not at 12
-    assert _log_gap(LOG_ROUTE_MIN_X) > 1 >= _log_gap(LOG_ROUTE_MIN_X - 1)
+    assert _log_gap(LOG_TEST_MIN_X) > 1 >= _log_gap(LOG_TEST_MIN_X - 1)
 
 
 def test_config_validation():
@@ -189,6 +191,33 @@ def test_config_validation():
     assert SieveConfig(x_max=100, w=10, threads=MAX_THREADS).threads == 256
     with pytest.raises(ValueError):
         SieveConfig(x_max=(1 << 40) + 1, w=10)
+
+
+def test_config_rejects_a_w_past_the_base_prime_ceiling():
+    # A w < x needs every prime up to w as a base prime, and base primes
+    # stop at 2^20; W_CEILING is the first prime above it.
+    assert _is_prime(W_CEILING)
+    assert not any(_is_prime(n) for n in range((1 << 20) + 1, W_CEILING))
+    for x, w in ((W_CEILING + 1, W_CEILING), (X_MAX_CEILING, 1 << 30)):
+        with pytest.raises(ValueError, match=rf"w={w} < x={x} needs base primes above 2\^20 "
+                                             rf"\(w >= W_CEILING = {W_CEILING}"):
+            SieveConfig(x_max=x, w=w)
+    SieveConfig(x_max=X_MAX_CEILING, w=W_CEILING - 1)  # adds no prime above 2^20
+    SieveConfig(x_max=W_CEILING, w=W_CEILING)  # w = x: omega_small is omega
+
+
+def test_w_equal_to_x_counts_every_prime():
+    # A pair with w = x adds no base prime above sqrt(x): omega(n, x) = omega(n).
+    t = small_table(1 << 21, 1 << 21)
+    assert np.array_equal(t.omega_small, t.omega)
+    top = range((1 << 21) - 2000, (1 << 21) + 1)
+    assert t.omega[top.start :].tolist() == [len(_prime_divisors(n)) for n in top]
+    # Decided per pair: the grid's w = 2^21 at x = 2^21 is no base prime of x = 2^22.
+    pairs = [(1 << 21, 1 << 21), (1 << 22, 10)]
+    got = grid_histograms(pairs, threads=3)
+    for x, w in pairs:
+        t = small_table(x, w)
+        assert np.array_equal(got[x, w], oracles.histogram(t.omega, t.omega_small, x)), (x, w)
 
 
 def _is_prime(n):
@@ -613,8 +642,8 @@ def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
 
 @pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
 def test_exact_route_at_the_ceiling_matches_trial_division(hi):
-    # (2^20 + 1)^2 > 2^40 sends the segment down the exact route: the
-    # numpy tail divides each n by every base-prime power below hi.
+    # w = 2^20 + 1 = 17 * 61 681 is above sqrt(2^40) but adds no base prime:
+    # the primes up to 2^20 leave each n a cofactor above every w.
     size, ws = 64, (13, 1 << 20, (1 << 20) + 1)
     segment_pass = kernel.SegmentPass(*base_primes(X_MAX_CEILING))
     cell, om, osms = _segment(size, len(ws))
@@ -624,6 +653,30 @@ def test_exact_route_at_the_ceiling_matches_trial_division(hi):
         assert om[j] == len(divisors), n
         for w, osm in zip(ws, osms):
             assert osm[j] == sum(p <= w for p in divisors), (n, w)
+
+
+def test_fill_segment_refuses_a_pass_short_of_a_w(monkeypatch):
+    # The pass of x = 10 000 sieves the primes up to 97.  A w from 101, the
+    # first prime it leaves, would miss the cofactor 101 <= w.  Below
+    # x_max = 13 the log test cannot find a cofactor at all, and without
+    # every prime up to sqrt(x_max) a cofactor need not be prime.
+    segment_pass = kernel.SegmentPass(*base_primes(10_000))
+    cell, om, osms = _segment(64, 2)
+    monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
+    for ws in ((13, 101), (100, 10_000), (5000,)):
+        with pytest.raises(ValueError, match=r"stop short of 101, which x_max = 10000"):
+            _fill_segment(om, osms[: len(ws)], cell, segment_pass, 10, ws, 10_000)
+    short = kernel.SegmentPass(*base_primes(9))  # 2, 3, 5, 7
+    with pytest.raises(ValueError, match=r"stop short of 11, which x_max = 12 and ws = \(\)"):
+        _fill_segment(om, [], cell, short, 2, (), 12)
+    with pytest.raises(ValueError, match=r"stop short of 11, which x_max = 121 and"):
+        _fill_segment(om, osms[:1], cell, short, 10, (2,), 121)  # 121 = 11^2
+    monkeypatch.undo()
+    # w = 100 adds no prime: the pass is exact for it
+    _fill_segment(om, osms, cell, segment_pass, 10, (13, 100), 10_000)
+    for j, n in enumerate(range(10, 74)):
+        assert (om[j], osms[0][j], osms[1][j]) == (
+            *oracles.omega_pair(n, 13), oracles.omega_pair(n, 100)[1]), n
 
 
 def test_fill_segment_past_a_full_stream_table():
@@ -779,7 +832,7 @@ def test_presieve_cut_matches_trial_division(w):
     # Each w starts every segment from the primes up to it, at most 2..11:
     # w = 2 from {2}, 3 from {2, 3}, 5 and 6 from {2, 3, 5}, 7..10 from
     # {2, 3, 5, 7}; 60 000 covers one full period and 300 > sqrt(60 000)
-    # takes the exact route.
+    # takes the base primes up to 300.
     for seg, th in ((1024, 2), (1 << 22, 1)):
         _assert_matches_trial_division(60_000, w, seg, th)
 
@@ -797,7 +850,7 @@ def test_segments_across_pattern_periods():
     # 1024-word segments start at 2 + 1024 i, so each multiple of 55 440
     # falls inside one, and the pattern wraps there.
     x, seg = 200_000, 1024
-    for w in (13, 447, 448):  # log route up to isqrt(x) = 447, then exact
+    for w in (13, 447, 448):  # base primes up to isqrt(x) = 447; 448 adds none
         t = small_table(x, w, segment_length=seg, threads=2)
         for m in range(1, x // 55_440 + 1):  # the period of 2..11
             for n in range(55_440 * m - seg, 55_440 * m + seg):
@@ -810,7 +863,7 @@ def test_grid_pass_switches_the_pattern_on_between_segments():
     # up to 2500, {2, 3, 5, 7} up to 3500, then 2..11 as only w = 13 and
     # 400 stay live.
     # The grid pass shifts each segment by one (lo - 1), and
-    # 400 > sqrt(120 000) keeps it on the exact route.
+    # 400 > sqrt(120 000) takes the base primes up to 400.
     pairs = [(1500, 2), (2500, 5), (3500, 10), (120_000, 13), (120_000, 400)]
     got = grid_histograms(pairs, threads=2, segment_length=1024)
     for x, w in pairs:

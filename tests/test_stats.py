@@ -126,7 +126,7 @@ SEGMENT_EDGES = sorted(
 @st.composite
 def _grid_inputs(draw):
     """1-4 pairs (x, w), x <= 5000, duplicates and segment edges included;
-    each w below or above isqrt(max x), so both cofactor routes run."""
+    each w up to isqrt(max x) or above it, where the base primes run up to w."""
     x_any = st.one_of(st.integers(2, 5000), st.sampled_from(SEGMENT_EDGES))
     xs = draw(st.lists(x_any, min_size=1, max_size=4))
     if draw(st.booleans()):
