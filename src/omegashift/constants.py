@@ -19,8 +19,8 @@ and flips the product's sign.  A factor that vanishes (1 + a/(p-1+s) == 0,
 possible only for p <= 11) marks the product exactly zero.  The primes
 Q < p <= P (the series) contribute sum_{j=2..J} c_j * S_j(P), where
 S_j(P) = sum_{Q<p<=P} p^(-j) comes from one streamed pass over the primes
-up to P, memoized per P.  A call therefore costs pi(Q) = 168 log terms and
-J products, whatever P is.
+up to P, kept in one memo per P that a run may fill from its cache.  A
+call therefore costs pi(Q) = 168 log terms and J products, whatever P is.
 
 Series remainder, J = SERIES_TERMS.  For j > J, |c_j| <= (|b|^j + |b-a|^j +
 |a|)/(J+1).  For t < Q and p > Q, sum_{j>J} (t/p)^j <= t^(J+1) p^-(J+1) /
@@ -120,9 +120,13 @@ def _head_primes() -> np.ndarray:
     return primes_up_to(MIN_TRUNCATION).astype(np.float64)
 
 
-@lru_cache(maxsize=16)
-def _prime_sums(P: int) -> tuple[int, float, tuple[float, ...]]:
-    """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) from one streamed pass over the primes <= P."""
+PrimeSums = tuple[int, float, tuple[float, ...]]
+_SUMS: dict[int, PrimeSums] = {}
+
+
+def _prime_sums(P: int) -> PrimeSums:
+    """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) from one streamed pass over the
+    primes <= P in blocks of _BLOCK integers; the only code that computes them."""
     count = 0
     inv_sq_parts: list[float] = []
     power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]
@@ -137,6 +141,15 @@ def _prime_sums(P: int) -> tuple[int, float, tuple[float, ...]]:
             parts.append(float(term.sum()))
             term *= inv
     return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
+
+
+def prime_sums(P: int, loaded: PrimeSums | None = None) -> PrimeSums:
+    """The one memo of prime sums the Euler products read, keyed by P.  loaded
+    (sums read back from a cache file) becomes P's entry; otherwise the first
+    call for P computes them with _prime_sums."""
+    if loaded or P not in _SUMS:
+        _SUMS[P] = loaded or _prime_sums(P)
+    return _SUMS[P]
 
 
 def _log_core(a: complex | float, s: float, P: int):
@@ -158,7 +171,7 @@ def _log_core(a: complex | float, s: float, P: int):
         raise ValueError(f"shift s={s} outside [0, {R_CEILING + 1}]")
     is_complex = isinstance(a, complex) and a.imag != 0.0
     a_val = complex(a) if is_complex else float(np.real(a))
-    count, inv_sq, power_sums = _prime_sums(P)
+    count, inv_sq, power_sums = prime_sums(P)
     pf = _head_primes()
     u = a_val / (pf - 1.0 + s)
     keep = 1.0 + u != 0

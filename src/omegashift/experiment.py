@@ -5,11 +5,13 @@ A run is described by a flat key = value text file, executed over a grid of
 H of each (x, w) comes from the histogram cache when cache_dir holds it;
 the missing ones come from one table-free sieve pass over the grid
 (sieve.grid_histograms) and are then cached.  No sieve table is built.
-Reruns of the same config produce byte-identical files except for the
-runtime_ms column, which is deliberately last in the schema; whether a
-histogram came from the cache is not recorded.  runtime_ms times a row's
-empirical call on the level histogram alone: its theoretical value, sieve,
-cache and histogram-pass time are excluded.
+The Euler products' prime sums are cached too, one file per truncation P,
+so a warm run sieves no primes.  Reruns of the same config produce
+byte-identical files except for the runtime_ms column, which is
+deliberately last in the schema; what came from the cache is not
+recorded.  runtime_ms times a row's empirical call on the level histogram
+alone: its theoretical value, sieve, cache and histogram-pass time are
+excluded.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import __version__
-from .constants import DEFAULT_TRUNCATION, R_CEILING
+from .constants import DEFAULT_TRUNCATION, R_CEILING, prime_sums
 from .sieve import MAX_THREADS, SieveConfig, grid_histograms
 from .stats import (
     MAX_MOMENT,
@@ -34,11 +36,14 @@ from .stats import (
     ks_distance,
     large_factor_ratio,
     load_histogram,
+    load_prime_sums,
     loglog,
     logloglog,
     make_report,
     normal_cdf,
+    prime_sums_path,
     save_histogram,
+    save_prime_sums,
     small_factor_prediction,
     unweighted_baseline,
     weighted_mass,
@@ -212,6 +217,16 @@ def _histograms(config: ExperimentConfig, pairs) -> dict:
     return hists
 
 
+def _cache_prime_sums(config: ExperimentConfig) -> None:
+    """Fill the prime-sums memo for truncation_prime from cache_dir, or sum and cache them."""
+    P = config.truncation_prime
+    path = prime_sums_path(config.cache_dir, P)
+    if os.path.exists(path):
+        prime_sums(P, loaded=load_prime_sums(path, P))
+    else:
+        save_prime_sums(prime_sums(P), path, P)
+
+
 @dataclass
 class ExperimentResult:
     csv_path: str
@@ -233,6 +248,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     P = config.truncation_prime
     w_of = {x: resolve_w(config.w_rule, x) for x in config.x_list}
+    if config.cache_dir:
+        _cache_prime_sums(config)
     hists = _histograms(config, sorted(set(w_of.items())))
     for x in config.x_list:
         w = w_of[x]

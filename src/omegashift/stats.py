@@ -8,7 +8,8 @@ a small table of exact integers, shape (OMEGA_CAP,) * 3 = (16, 16, 16):
 no omega reaches 16 below 2^40.  Its one producer is sieve.grid_histograms;
 this module holds no sieve code, only statistics of H and its cache:
 save_histogram and load_histogram keep H in a 32 KB cache file per
-(x, w) whose header carries a SHA-256 of the payload.
+(x, w) whose header carries a SHA-256 of the payload, and the Euler
+products' prime sums in one such file per truncation P.
 The k-level statistics take the plane J = H[k] (the joint histogram of the
 level set), plus x where a threshold or normalization needs it; the
 classical baseline takes H itself.  A plane of all n regardless of
@@ -30,7 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
+    _BLOCK,
     DEFAULT_TRUNCATION,
+    MIN_TRUNCATION,
+    SERIES_TERMS,
+    PrimeSums,
     level_ratio,
     normal_cdf,
     tilt_profile,
@@ -44,6 +49,10 @@ HIST_MAGIC = b"OMGH"
 HIST_VERSION = 2  # bump when the format or the numbers H holds change
 _HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
 _HIST_BYTES = FOLD_BINS * 8
+SUMS_MAGIC = b"OMGS"
+SUMS_VERSION = 1  # bump when the format or the way _prime_sums sums changes
+_SUMS_HEADER = struct.Struct("<4sIQIII32s")  # the fields of _sums_key, SHA-256 of the payload
+_SUMS_PAYLOAD = struct.Struct(f"<q{SERIES_TERMS}d")  # pi(P), sum p^-2, S_2..S_J
 
 
 class CacheMismatchError(ValueError):
@@ -154,33 +163,73 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _write_cache(path: str, header: struct.Struct, key: tuple, payload: bytes) -> None:
+    write_atomic(path, header.pack(*key, hashlib.sha256(payload).digest()) + payload)
+
+
+def _read_cache(path: str, header: struct.Struct, key: dict, size: int) -> bytes:
+    """The payload of a cache file whose header holds the values of key (magic
+    and version first) and whose payload is size bytes matching its SHA-256;
+    anything else raises CacheMismatchError naming path and the field."""
+    with open(path, "rb") as fh:
+        raw = fh.read(header.size + size + 1)  # a byte too many shows a long file
+    if len(raw) < header.size:
+        raise CacheMismatchError(f"{path}: truncated header")
+    magic, version, *found, digest = header.unpack_from(raw)
+    names, want = list(key), list(key.values())
+    if [magic, version] != want[:2]:
+        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
+    for name, got, wanted in zip(names[2:], found, want[2:]):
+        if got != wanted:
+            raise CacheMismatchError(f"{path}: has {name}={got}, wanted {name}={wanted}")
+    payload = raw[header.size :]
+    if len(payload) != size:
+        raise CacheMismatchError(f"{path}: payload is not {size} bytes")
+    if hashlib.sha256(payload).digest() != digest:
+        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    return payload
+
+
 def save_histogram(H: np.ndarray, path: str, x: int, w: int) -> None:
     """Write H as a cache file: the header (magic, version, x, w, SHA-256
     of the payload), then the payload, H as little-endian int64 in C order."""
-    payload = _payload(H)
-    digest = hashlib.sha256(payload).digest()
-    write_atomic(path, _HEADER.pack(HIST_MAGIC, HIST_VERSION, x, w, digest) + payload)
+    _write_cache(path, _HEADER, (HIST_MAGIC, HIST_VERSION, x, w), _payload(H))
 
 
 def load_histogram(path: str, x: int, w: int) -> np.ndarray:
     """Read a cached H for (x, w) as a writable int64 array; a short or long
     file, another magic, version, x or w, or a payload that does not match
     its digest raises CacheMismatchError."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size + _HIST_BYTES + 1)  # a byte too many shows a long file
-    if len(raw) < _HEADER.size:
-        raise CacheMismatchError(f"{path}: truncated header")
-    magic, version, file_x, file_w, digest = _HEADER.unpack_from(raw)
-    if (magic, version) != (HIST_MAGIC, HIST_VERSION):
-        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
-    if (file_x, file_w) != (x, w):
-        raise CacheMismatchError(f"{path}: has x={file_x} w={file_w}, wanted x={x} w={w}")
-    payload = raw[_HEADER.size :]
-    if len(payload) != _HIST_BYTES:
-        raise CacheMismatchError(f"{path}: payload is not {_HIST_BYTES} bytes")
-    if hashlib.sha256(payload).digest() != digest:
-        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    key = {"magic": HIST_MAGIC, "version": HIST_VERSION, "x": x, "w": w}
+    payload = _read_cache(path, _HEADER, key, _HIST_BYTES)
     return np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape((OMEGA_CAP,) * 3)
+
+
+def prime_sums_path(cache_dir: str, P: int) -> str:
+    return os.path.join(cache_dir, f"prime_sums_P{P}.bin")
+
+
+def _sums_key(P: int) -> dict:
+    """The header fields, with the constants that fix the sums' bits."""
+    return {"magic": SUMS_MAGIC, "version": SUMS_VERSION, "P": P,
+            "MIN_TRUNCATION": MIN_TRUNCATION, "SERIES_TERMS": SERIES_TERMS, "_BLOCK": _BLOCK}
+
+
+def save_prime_sums(sums: PrimeSums, path: str, P: int) -> None:
+    """Write constants.prime_sums(P) as a cache file: the header (_sums_key,
+    SHA-256 of the payload), then pi(P) as int64 and the sums as float64."""
+    count, inv_sq, powers = sums
+    payload = _SUMS_PAYLOAD.pack(count, inv_sq, *powers)
+    _write_cache(path, _SUMS_HEADER, tuple(_sums_key(P).values()), payload)
+
+
+def load_prime_sums(path: str, P: int) -> PrimeSums:
+    """Read the prime sums save_prime_sums wrote for P, bit for bit; a short
+    or long file, another header field or a payload that does not match its
+    digest raises CacheMismatchError."""
+    payload = _read_cache(path, _SUMS_HEADER, _sums_key(P), _SUMS_PAYLOAD.size)
+    count, inv_sq, *powers = _SUMS_PAYLOAD.unpack(payload)
+    return count, inv_sq, tuple(powers)
 
 
 def _row_masses(J: np.ndarray) -> list[int]:

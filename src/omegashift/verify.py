@@ -147,7 +147,9 @@ def _check_sieve_vs_trial_division():
             want = np.bincount(keys, minlength=OMEGA_CAP**3).reshape((OMEGA_CAP,) * 3)
             if not np.array_equal(hists[px, pw], want):
                 return False, f"grid H of (x, w) = ({px}, {pw}) differs on {threads} threads"
-    return True, f"all n <= {x} match trial division (w={w})"
+    grid = ", ".join(f"({px}, {pw})" for px, pw in pairs)
+    return True, (f"all n <= {x} match trial division (w={w}); "
+                  f"grid H of {grid} match on 1 and 3 threads")
 
 
 def _check_sieve_determinism():

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import oracles
+import omegashift.constants as constants
 import omegashift.genfun as genfun
 import omegashift.kernel as kernel
+import omegashift.primes as primes
 import omegashift.verify as verify
 from omegashift.cli import main
 from omegashift.experiment import (
@@ -283,13 +285,42 @@ def test_cache_reused_between_runs(tmp_path):
     cfg = _tiny_config(tmp_path)
     run_experiment(cfg)
     cache = tmp_path / "cache"
-    files = sorted(cache.glob("hist_*.bin"))
-    assert len(files) == 1
-    assert sorted(cache.iterdir()) == files  # a histogram, no sieve table
-    stamp = files[0].stat().st_mtime_ns
+    # a histogram and the prime sums of P = 10 000, no sieve table
+    files = [cache / "hist_x10000_w50.bin", cache / "prime_sums_P10000.bin"]
+    assert sorted(cache.iterdir()) == files
+    stamps = [f.stat().st_mtime_ns for f in files]
     run_experiment(cfg)
-    assert files[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
-    assert len(sorted(cache.glob("hist_*.bin"))) == 1
+    assert sorted(cache.iterdir()) == files
+    assert [f.stat().st_mtime_ns for f in files] == stamps  # loaded, not rebuilt
+
+
+def test_warm_run_computes_no_prime_sums(tmp_path, monkeypatch):
+    cold = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "cold")))
+    limits = []
+    real = primes.iter_prime_blocks
+
+    def recorded(limit, *args):
+        limits.append(limit)
+        return real(limit, *args)
+
+    monkeypatch.setattr(constants, "_SUMS", {})  # the memo of a fresh process
+    monkeypatch.setattr(constants, "_prime_sums", lambda P: pytest.fail(f"summed P={P}"))
+    monkeypatch.setattr(primes, "iter_prime_blocks", recorded)
+    monkeypatch.setattr(constants, "iter_prime_blocks", recorded)
+    constants._head_primes.cache_clear()
+    warm = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "warm")))
+    assert limits and max(limits) <= constants.MIN_TRUNCATION  # the head primes only
+    assert _strip_runtime(warm.csv_path) == _strip_runtime(cold.csv_path)
+
+
+def test_prime_sums_cache_only_with_a_cache_dir_and_one_file_per_P(tmp_path):
+    run_experiment(_tiny_config(tmp_path, cache_dir=""))
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"]  # the cache writes nothing
+    for P in (10_000, 20_000):
+        run_experiment(_tiny_config(tmp_path, truncation_prime=P))
+    cache = tmp_path / "cache"
+    assert sorted(p.name for p in cache.glob("prime_sums_*.bin")) == [
+        "prime_sums_P10000.bin", "prime_sums_P20000.bin"]
 
 
 def test_warm_run_never_loads_the_kernel(tmp_path):

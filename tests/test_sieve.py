@@ -126,7 +126,7 @@ def _assert_matches_trial_division(x, w, segment_length, threads):
 
 
 @st.composite
-def _routed_inputs(draw):
+def _w_either_side_of_sqrt_x(draw):
     """w drawn up to sqrt(x), where the base primes stop at sqrt(x), or
     above it, where they run up to w."""
     if draw(st.sampled_from(("up to sqrt x", "above sqrt x"))) == "up to sqrt x":
@@ -139,8 +139,8 @@ def _routed_inputs(draw):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(_routed_inputs())
-def test_both_cofactor_routes_match_trial_division(inputs):
+@given(_w_either_side_of_sqrt_x())
+def test_w_up_to_and_above_sqrt_x_match_trial_division(inputs):
     _assert_matches_trial_division(*inputs)
 
 
@@ -641,7 +641,7 @@ def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
 
 
 @pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
-def test_exact_route_at_the_ceiling_matches_trial_division(hi):
+def test_w_above_sqrt_x_at_the_ceiling_matches_trial_division(hi):
     # w = 2^20 + 1 = 17 * 61 681 is above sqrt(2^40) but adds no base prime:
     # the primes up to 2^20 leave each n a cofactor above every w.
     size, ws = 64, (13, 1 << 20, (1 << 20) + 1)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from omegashift.constants import normal_cdf
+from omegashift.constants import _BLOCK, MIN_TRUNCATION, SERIES_TERMS, _prime_sums, normal_cdf
 from omegashift.experiment import resolve_w
 from omegashift.kernel import OMEGA_CAP
 from omegashift.sieve import (
@@ -24,6 +24,7 @@ from omegashift.sieve import (
 )
 from omegashift.stats import (
     HIST_VERSION,
+    SUMS_VERSION,
     CacheMismatchError,
     ThresholdSpec,
     classical_baseline,
@@ -35,10 +36,13 @@ from omegashift.stats import (
     ks_weighted_histogram,
     large_factor_ratio,
     load_histogram,
+    load_prime_sums,
     loglog,
     logloglog,
     make_report,
+    prime_sums_path,
     save_histogram,
+    save_prime_sums,
     small_factor_prediction,
     unweighted_baseline,
     unweighted_spec,
@@ -241,6 +245,65 @@ def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
         bad_path.write_bytes(bytes(bad))
         with pytest.raises(CacheMismatchError):
             load_histogram(str(bad_path), X, W)
+
+
+def _sums_file(P, sums, magic=b"OMGS", version=SUMS_VERSION, file_P=None,
+               min_truncation=MIN_TRUNCATION, series_terms=SERIES_TERMS, block=_BLOCK):
+    """A prime-sums cache file, spelled out: the header (magic, version, P,
+    MIN_TRUNCATION, SERIES_TERMS, _BLOCK, SHA-256 of the payload), then
+    pi(P) as int64 and sum p^-2, S_2..S_J as float64, little-endian."""
+    count, inv_sq, powers = sums
+    payload = struct.pack(f"<q{1 + len(powers)}d", count, inv_sq, *powers)
+    header = struct.pack("<4sIQIII", magic, version, P if file_P is None else file_P,
+                         min_truncation, series_terms, block)
+    return header + hashlib.sha256(payload).digest() + payload
+
+
+@pytest.mark.parametrize("P", [1000, 10_000, 2_000_003])
+def test_prime_sums_cache_roundtrip_is_bit_exact(tmp_path, P):
+    path = prime_sums_path(str(tmp_path / "cache"), P)
+    assert path.endswith(f"prime_sums_P{P}.bin")
+    fresh = _prime_sums(P)
+    save_prime_sums(fresh, path, P)  # parent directories are created on demand
+    raw = open(path, "rb").read()
+    assert len(raw) == 60 + 8 * (1 + SERIES_TERMS) == 164 and raw == _sums_file(P, fresh)
+    count, inv_sq, powers = load_prime_sums(path, P)
+    assert count == fresh[0] and type(count) is int
+    assert inv_sq == fresh[1]
+    assert len(powers) == SERIES_TERMS - 1
+    assert all(got == want for got, want in zip(powers, fresh[2], strict=True))
+    assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]  # no temporary file
+
+
+def test_prime_sums_cache_rejects_mismatch_and_corruption(tmp_path):
+    P = 10_000
+    sums = _prime_sums(P)
+    good = _sums_file(P, sums)
+    flipped = bytearray(good)
+    flipped[60 + 8 * 3 + 2] ^= 1  # a byte of S_3
+    # each bad file, and a word its error must hold besides the path
+    cases = [
+        (_sums_file(P, sums, magic=b"OMGH"), "magic/version"),
+        (_sums_file(P, sums, version=SUMS_VERSION + 1), "magic/version"),
+        (_sums_file(P, sums, file_P=P + 1), "has P=10001, wanted P=10000"),
+        (_sums_file(P, sums, min_truncation=MIN_TRUNCATION + 1), "MIN_TRUNCATION"),
+        (_sums_file(P, sums, series_terms=SERIES_TERMS + 1), "SERIES_TERMS"),
+        (_sums_file(P, sums, block=_BLOCK // 2), "_BLOCK"),
+        (good[:-1], "payload is not 104 bytes"),
+        (good[:40], "truncated header"),
+        (good + b"\0", "payload is not 104 bytes"),
+        (bytes(flipped), "SHA-256"),
+    ]
+    path = tmp_path / "prime_sums_P10000.bin"
+    for bad, word in cases:
+        path.write_bytes(bad)
+        with pytest.raises(CacheMismatchError) as err:
+            load_prime_sums(str(path), P)
+        assert str(err.value).startswith(f"{path}: ") and word in str(err.value)
+    path.write_bytes(good)
+    assert load_prime_sums(str(path), P) == sums
+    with pytest.raises(CacheMismatchError, match="has P=10000, wanted P=20000"):
+        load_prime_sums(str(path), 20_000)
 
 
 @settings(max_examples=50, deadline=None, database=None)
