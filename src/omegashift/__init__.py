@@ -24,11 +24,17 @@ from .constants import (
     tilted_level_constant,
 )
 from .experiment import (
+    CacheMismatchError,
     ExperimentConfig,
     ExperimentResult,
+    PredictionReport,
+    histogram_digest,
+    histogram_path,
+    load_histogram,
     parse_config,
     resolve_w,
     run_experiment,
+    save_histogram,
 )
 from .genfun import (
     GenFunValue,
@@ -44,18 +50,12 @@ from .genfun import (
 )
 from .sieve import OmegaTable, SieveConfig, build_omega_table, grid_histograms
 from .stats import (
-    CacheMismatchError,
-    PredictionReport,
     ThresholdSpec,
     gaussian_moment,
     gaussian_spec,
-    histogram_digest,
-    histogram_path,
     ks_distance,
     large_factor_ratio,
-    load_histogram,
     loglog,
-    save_histogram,
     small_factor_prediction,
     weighted_mass,
     weighted_mass_at,

@@ -22,7 +22,7 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from .experiment import parse_config, run_experiment
+from .experiment import parse_config, run_experiment, write_atomic
 from .sieve import SieveConfig, build_omega_table
 from .verify import FULL_SCALES, verify_suite
 
@@ -59,9 +59,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     summary = verify_suite(level=args.level, x_top=args.x_top)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(summary.as_dict(), fh, indent=2)
-            fh.write("\n")
+        write_atomic(args.json, (json.dumps(summary.as_dict(), indent=2) + "\n").encode())
     return 1 if summary.failures else 0
 
 

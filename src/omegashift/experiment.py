@@ -1,4 +1,4 @@
-"""Experiment configuration, execution, and deterministic reports.
+"""Experiment configuration, execution, the run cache and deterministic reports.
 
 A run is described by a flat key = value text file, executed over a grid of
 (x, k) pairs, and written as a CSV plus a JSON mirror.  The level histogram
@@ -6,12 +6,16 @@ H of each (x, w) comes from the histogram cache when cache_dir holds it;
 the missing ones come from one table-free sieve pass over the grid
 (sieve.grid_histograms) and are then cached.  No sieve table is built.
 The Euler products' prime sums are cached too, one file per truncation P,
-so a warm run sieves no primes.  Reruns of the same config produce
-byte-identical files except for the runtime_ms column, which is
-deliberately last in the schema; what came from the cache is not
-recorded.  runtime_ms times a row's empirical call on the level histogram
-alone: its theoretical value, sieve, cache and histogram-pass time are
-excluded.
+so a warm run sieves no primes.
+
+This module is the one that knows what run reads and writes: both cache
+formats (a header holding the file's key and the SHA-256 of its payload,
+then the payload), write_atomic, which every file goes through, and the
+report row.  Reruns of the same config produce byte-identical files
+except for the runtime_ms column, which is deliberately last in the
+schema; what came from the cache is not recorded.  runtime_ms times a
+row's empirical call on the level histogram alone: its theoretical value,
+sieve, cache and histogram-pass time are excluded.
 """
 
 from __future__ import annotations
@@ -20,30 +24,34 @@ import hashlib
 import json
 import math
 import os
+import struct
+import tempfile
 import time
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import __version__
-from .constants import DEFAULT_TRUNCATION, R_CEILING, prime_sums
-from .sieve import MAX_THREADS, SieveConfig, grid_histograms
+from .constants import (
+    _BLOCK,
+    DEFAULT_TRUNCATION,
+    MIN_TRUNCATION,
+    R_CEILING,
+    SERIES_TERMS,
+    PrimeSums,
+    normal_cdf,
+    prime_sums,
+)
+from .kernel import FOLD_BINS, OMEGA_CAP
+from .sieve import SieveConfig, grid_histograms
 from .stats import (
     MAX_MOMENT,
-    PredictionReport,
     classical_baseline,
     gaussian_moment,
-    histogram_digest,
-    histogram_path,
     ks_distance,
     large_factor_ratio,
-    load_histogram,
-    load_prime_sums,
     loglog,
     logloglog,
-    make_report,
-    normal_cdf,
-    prime_sums_path,
-    save_histogram,
-    save_prime_sums,
     small_factor_prediction,
     unweighted_baseline,
     weighted_mass,
@@ -51,8 +59,36 @@ from .stats import (
     weighted_mass_below,
     weighted_mass_theoretical,
     weighted_moment,
-    write_atomic,
 )
+
+
+@dataclass(frozen=True)
+class PredictionReport:
+    """One empirical-vs-theoretical comparison row."""
+
+    statistic: str
+    x: int
+    k: int | None
+    w: int | None
+    param: float | None
+    empirical: float
+    theoretical: float
+    rel_dev: float
+    error_scale: float
+    runtime_ms: float
+
+
+def make_report(
+    statistic, x, k, w, param, empirical, theoretical, error_scale, runtime_ms
+) -> PredictionReport:
+    rel = abs(empirical - theoretical) / max(abs(theoretical), 1e-30)
+    return PredictionReport(
+        statistic=statistic, x=x, k=k, w=w, param=param,
+        empirical=float(empirical), theoretical=float(theoretical),
+        rel_dev=float(rel), error_scale=float(error_scale),
+        runtime_ms=float(runtime_ms),
+    )
+
 
 _COLUMNS = [f.name for f in fields(PredictionReport)]
 CSV_HEADER = ",".join(_COLUMNS)
@@ -91,7 +127,8 @@ class ExperimentConfig:
         _parse_w_rule(self.w_rule)
         for x in self.x_list:  # the slice rows need tilt_profile at z = ell / loglog w
             w = resolve_w(self.w_rule, x)
-            SieveConfig(x_max=x, w=w)  # a pair the sieve refuses fails here, before any sieving
+            # a pair or thread count the sieve refuses fails here, before any sieving
+            SieveConfig(x_max=x, w=w, threads=self.threads)
             z = self.ell_max / loglog(w) if w >= 3 else 0.0
             if z > R_CEILING + 1e-9:
                 raise ValueError(
@@ -100,8 +137,6 @@ class ExperimentConfig:
                 )
         if self.truncation_prime < 1000:
             raise ValueError("truncation_prime < 1000")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ValueError(f"threads={self.threads} outside [1, {MAX_THREADS}]")
         for m in self.moments:
             if not 0 <= m <= MAX_MOMENT:
                 raise ValueError(f"moment order {m} outside [0, {MAX_MOMENT}]")
@@ -196,6 +231,123 @@ def config_hash(config: ExperimentConfig) -> str:
         f"{k}={getattr(config, k)!r}" for k in sorted(ExperimentConfig.__dataclass_fields__)
     )
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+HIST_MAGIC = b"OMGH"
+HIST_VERSION = 2  # bump when the format or the numbers H holds change
+_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
+_HIST_BYTES = FOLD_BINS * 8
+SUMS_MAGIC = b"OMGS"
+SUMS_VERSION = 1  # bump when the format or the way _prime_sums sums changes
+_SUMS_HEADER = struct.Struct("<4sIQIII32s")  # the fields of _sums_key, SHA-256 of the payload
+_SUMS_PAYLOAD = struct.Struct(f"<q{SERIES_TERMS}d")  # pi(P), sum p^-2, S_2..S_J
+
+
+class CacheMismatchError(ValueError):
+    """A cache file's header or payload disagrees with what was asked for."""
+
+
+def histogram_path(cache_dir: str, x: int, w: int) -> str:
+    return os.path.join(cache_dir, f"hist_x{x}_w{w}.bin")
+
+
+def _payload(H: np.ndarray) -> bytes:
+    if H.shape != (OMEGA_CAP,) * 3:
+        raise ValueError(f"histogram shape {H.shape}, want {(OMEGA_CAP,) * 3}")
+    return np.ascontiguousarray(H, dtype="<i8").tobytes()
+
+
+def histogram_digest(H: np.ndarray) -> str:
+    """SHA-256 of H as little-endian int64 in C order, as the cache stores it."""
+    return hashlib.sha256(_payload(H)).hexdigest()
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write data to a fresh temporary file beside path, creating the
+    directories, and os.replace it over path: readers see the old file or
+    the whole new one, and writers that share a path never share a
+    temporary file."""
+    parent = os.path.dirname(path) or "."
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o644)  # mkstemp made it private to its creator
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_cache(path: str, header: struct.Struct, key: tuple, payload: bytes) -> None:
+    write_atomic(path, header.pack(*key, hashlib.sha256(payload).digest()) + payload)
+
+
+def _read_cache(path: str, header: struct.Struct, key: dict, size: int) -> bytes:
+    """The payload of a cache file whose header holds the values of key (magic
+    and version first) and whose payload is size bytes matching its SHA-256;
+    anything else raises CacheMismatchError naming path and the field."""
+    with open(path, "rb") as fh:
+        raw = fh.read(header.size + size + 1)  # a byte too many shows a long file
+    if len(raw) < header.size:
+        raise CacheMismatchError(f"{path}: truncated header")
+    magic, version, *found, digest = header.unpack_from(raw)
+    names, want = list(key), list(key.values())
+    if [magic, version] != want[:2]:
+        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
+    for name, got, wanted in zip(names[2:], found, want[2:]):
+        if got != wanted:
+            raise CacheMismatchError(f"{path}: has {name}={got}, wanted {name}={wanted}")
+    payload = raw[header.size :]
+    if len(payload) != size:
+        raise CacheMismatchError(f"{path}: payload is not {size} bytes")
+    if hashlib.sha256(payload).digest() != digest:
+        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    return payload
+
+
+def save_histogram(H: np.ndarray, path: str, x: int, w: int) -> None:
+    """Write H as a cache file: the header (magic, version, x, w, SHA-256
+    of the payload), then the payload, H as little-endian int64 in C order."""
+    _write_cache(path, _HEADER, (HIST_MAGIC, HIST_VERSION, x, w), _payload(H))
+
+
+def load_histogram(path: str, x: int, w: int) -> np.ndarray:
+    """Read a cached H for (x, w) as a writable int64 array; a short or long
+    file, another magic, version, x or w, or a payload that does not match
+    its digest raises CacheMismatchError."""
+    key = {"magic": HIST_MAGIC, "version": HIST_VERSION, "x": x, "w": w}
+    payload = _read_cache(path, _HEADER, key, _HIST_BYTES)
+    return np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape((OMEGA_CAP,) * 3)
+
+
+def prime_sums_path(cache_dir: str, P: int) -> str:
+    return os.path.join(cache_dir, f"prime_sums_P{P}.bin")
+
+
+def _sums_key(P: int) -> dict:
+    """The header fields, with the constants that fix the sums' bits."""
+    return {"magic": SUMS_MAGIC, "version": SUMS_VERSION, "P": P,
+            "MIN_TRUNCATION": MIN_TRUNCATION, "SERIES_TERMS": SERIES_TERMS, "_BLOCK": _BLOCK}
+
+
+def save_prime_sums(sums: PrimeSums, path: str, P: int) -> None:
+    """Write constants.prime_sums(P) as a cache file: the header (_sums_key,
+    SHA-256 of the payload), then pi(P) as int64 and the sums as float64."""
+    count, inv_sq, powers = sums
+    payload = _SUMS_PAYLOAD.pack(count, inv_sq, *powers)
+    _write_cache(path, _SUMS_HEADER, tuple(_sums_key(P).values()), payload)
+
+
+def load_prime_sums(path: str, P: int) -> PrimeSums:
+    """Read the prime sums save_prime_sums wrote for P, bit for bit; a short
+    or long file, another header field or a payload that does not match its
+    digest raises CacheMismatchError."""
+    payload = _read_cache(path, _SUMS_HEADER, _sums_key(P), _SUMS_PAYLOAD.size)
+    count, inv_sq, *powers = _SUMS_PAYLOAD.unpack(payload)
+    return count, inv_sq, tuple(powers)
 
 
 def _histograms(config: ExperimentConfig, pairs) -> dict:

@@ -5,11 +5,9 @@ Every statistic is a function of the level histogram
     H[k, v, u] = #{ 2 <= n <= x : omega(n) = k, omega(n-1) = v, omega(n-1, w) = u },
 
 a small table of exact integers, shape (OMEGA_CAP,) * 3 = (16, 16, 16):
-no omega reaches 16 below 2^40.  Its one producer is sieve.grid_histograms;
-this module holds no sieve code, only statistics of H and its cache:
-save_histogram and load_histogram keep H in a 32 KB cache file per
-(x, w) whose header carries a SHA-256 of the payload, and the Euler
-products' prime sums in one such file per truncation P.
+no omega reaches 16 below 2^40.  Its one producer is sieve.grid_histograms,
+and experiment caches it; this module holds no sieve or file code, only
+the statistics of H and their predictions.
 The k-level statistics take the plane J = H[k] (the joint histogram of the
 level set), plus x where a threshold or normalization needs it; the
 classical baseline takes H itself.  A plane of all n regardless of
@@ -21,42 +19,21 @@ for every sieve segmentation and thread count.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import (
-    _BLOCK,
     DEFAULT_TRUNCATION,
-    MIN_TRUNCATION,
-    SERIES_TERMS,
-    PrimeSums,
     level_ratio,
     normal_cdf,
     tilt_profile,
     tilted_level_constant,
 )
-from .kernel import FOLD_BINS, OMEGA_CAP
+from .kernel import OMEGA_CAP
 
 MAX_MOMENT = 12
-
-HIST_MAGIC = b"OMGH"
-HIST_VERSION = 2  # bump when the format or the numbers H holds change
-_HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
-_HIST_BYTES = FOLD_BINS * 8
-SUMS_MAGIC = b"OMGS"
-SUMS_VERSION = 1  # bump when the format or the way _prime_sums sums changes
-_SUMS_HEADER = struct.Struct("<4sIQIII32s")  # the fields of _sums_key, SHA-256 of the payload
-_SUMS_PAYLOAD = struct.Struct(f"<q{SERIES_TERMS}d")  # pi(P), sum p^-2, S_2..S_J
-
-
-class CacheMismatchError(ValueError):
-    """A cache file's header or payload disagrees with what was asked for."""
 
 
 def loglog(x: float) -> float:
@@ -99,137 +76,6 @@ def unweighted_spec(x: int) -> ThresholdSpec:
         raise ValueError("x < 16")
     t = loglog(x)
     return ThresholdSpec(center=t, scale=math.sqrt(t))
-
-
-@dataclass(frozen=True)
-class PredictionReport:
-    """One empirical-vs-theoretical comparison row."""
-
-    statistic: str
-    x: int
-    k: int | None
-    w: int | None
-    param: float | None
-    empirical: float
-    theoretical: float
-    rel_dev: float
-    error_scale: float
-    runtime_ms: float
-
-
-def make_report(
-    statistic, x, k, w, param, empirical, theoretical, error_scale, runtime_ms
-) -> PredictionReport:
-    rel = abs(empirical - theoretical) / max(abs(theoretical), 1e-30)
-    return PredictionReport(
-        statistic=statistic, x=x, k=k, w=w, param=param,
-        empirical=float(empirical), theoretical=float(theoretical),
-        rel_dev=float(rel), error_scale=float(error_scale),
-        runtime_ms=float(runtime_ms),
-    )
-
-
-def histogram_path(cache_dir: str, x: int, w: int) -> str:
-    return os.path.join(cache_dir, f"hist_x{x}_w{w}.bin")
-
-
-def _payload(H: np.ndarray) -> bytes:
-    if H.shape != (OMEGA_CAP,) * 3:
-        raise ValueError(f"histogram shape {H.shape}, want {(OMEGA_CAP,) * 3}")
-    return np.ascontiguousarray(H, dtype="<i8").tobytes()
-
-
-def histogram_digest(H: np.ndarray) -> str:
-    """SHA-256 of H as little-endian int64 in C order, as the cache stores it."""
-    return hashlib.sha256(_payload(H)).hexdigest()
-
-
-def write_atomic(path: str, data: bytes) -> None:
-    """Write data to a fresh temporary file beside path, creating the
-    directories, and os.replace it over path: readers see the old file or
-    the whole new one, and writers that share a path never share a
-    temporary file."""
-    parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.chmod(tmp, 0o644)  # mkstemp made it private to its creator
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _write_cache(path: str, header: struct.Struct, key: tuple, payload: bytes) -> None:
-    write_atomic(path, header.pack(*key, hashlib.sha256(payload).digest()) + payload)
-
-
-def _read_cache(path: str, header: struct.Struct, key: dict, size: int) -> bytes:
-    """The payload of a cache file whose header holds the values of key (magic
-    and version first) and whose payload is size bytes matching its SHA-256;
-    anything else raises CacheMismatchError naming path and the field."""
-    with open(path, "rb") as fh:
-        raw = fh.read(header.size + size + 1)  # a byte too many shows a long file
-    if len(raw) < header.size:
-        raise CacheMismatchError(f"{path}: truncated header")
-    magic, version, *found, digest = header.unpack_from(raw)
-    names, want = list(key), list(key.values())
-    if [magic, version] != want[:2]:
-        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
-    for name, got, wanted in zip(names[2:], found, want[2:]):
-        if got != wanted:
-            raise CacheMismatchError(f"{path}: has {name}={got}, wanted {name}={wanted}")
-    payload = raw[header.size :]
-    if len(payload) != size:
-        raise CacheMismatchError(f"{path}: payload is not {size} bytes")
-    if hashlib.sha256(payload).digest() != digest:
-        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
-    return payload
-
-
-def save_histogram(H: np.ndarray, path: str, x: int, w: int) -> None:
-    """Write H as a cache file: the header (magic, version, x, w, SHA-256
-    of the payload), then the payload, H as little-endian int64 in C order."""
-    _write_cache(path, _HEADER, (HIST_MAGIC, HIST_VERSION, x, w), _payload(H))
-
-
-def load_histogram(path: str, x: int, w: int) -> np.ndarray:
-    """Read a cached H for (x, w) as a writable int64 array; a short or long
-    file, another magic, version, x or w, or a payload that does not match
-    its digest raises CacheMismatchError."""
-    key = {"magic": HIST_MAGIC, "version": HIST_VERSION, "x": x, "w": w}
-    payload = _read_cache(path, _HEADER, key, _HIST_BYTES)
-    return np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape((OMEGA_CAP,) * 3)
-
-
-def prime_sums_path(cache_dir: str, P: int) -> str:
-    return os.path.join(cache_dir, f"prime_sums_P{P}.bin")
-
-
-def _sums_key(P: int) -> dict:
-    """The header fields, with the constants that fix the sums' bits."""
-    return {"magic": SUMS_MAGIC, "version": SUMS_VERSION, "P": P,
-            "MIN_TRUNCATION": MIN_TRUNCATION, "SERIES_TERMS": SERIES_TERMS, "_BLOCK": _BLOCK}
-
-
-def save_prime_sums(sums: PrimeSums, path: str, P: int) -> None:
-    """Write constants.prime_sums(P) as a cache file: the header (_sums_key,
-    SHA-256 of the payload), then pi(P) as int64 and the sums as float64."""
-    count, inv_sq, powers = sums
-    payload = _SUMS_PAYLOAD.pack(count, inv_sq, *powers)
-    _write_cache(path, _SUMS_HEADER, tuple(_sums_key(P).values()), payload)
-
-
-def load_prime_sums(path: str, P: int) -> PrimeSums:
-    """Read the prime sums save_prime_sums wrote for P, bit for bit; a short
-    or long file, another header field or a payload that does not match its
-    digest raises CacheMismatchError."""
-    payload = _read_cache(path, _SUMS_HEADER, _sums_key(P), _SUMS_PAYLOAD.size)
-    count, inv_sq, *powers = _SUMS_PAYLOAD.unpack(payload)
-    return count, inv_sq, tuple(powers)
 
 
 def _row_masses(J: np.ndarray) -> list[int]:
@@ -291,8 +137,6 @@ def small_factor_prediction(
     if ell < 0:
         raise ValueError("ell < 0")
     t = loglog(w)
-    if t <= 0:
-        raise ValueError(f"w={w}: loglog(w) must be positive")
     if mass is None:
         mass = weighted_mass_theoretical(k, x, P)
     r = level_ratio(k, x)

@@ -11,8 +11,9 @@ import omegashift
 # wrapper of the old strided-add kernel, the API that no command, report
 # row or check read, the second segment pass and fill entry point, the
 # pre-sieve pattern handed to the pass from outside, and the bound of the
-# deleted numpy cofactor route (now LOG_TEST_MIN_X); a half-finished
-# removal leaves one behind.  "module.name" is removed from
+# deleted numpy cofactor route (now LOG_TEST_MIN_X); and, from stats only,
+# the run cache, atomic writer and report row, which moved to experiment.
+# A half-finished removal or move leaves one behind.  "module.name" is removed from
 # that module only.
 REMOVED = (
     "level_histogram",
@@ -42,6 +43,29 @@ REMOVED = (
     "sieve.PRESIEVE_PRIMES",
     "sieve.PRESIEVE_PERIOD",
     "sieve.LOG_ROUTE_MIN_X",
+    "stats.HIST_MAGIC",
+    "stats.HIST_VERSION",
+    "stats._HEADER",
+    "stats._HIST_BYTES",
+    "stats.SUMS_MAGIC",
+    "stats.SUMS_VERSION",
+    "stats._SUMS_HEADER",
+    "stats._SUMS_PAYLOAD",
+    "stats.CacheMismatchError",
+    "stats.PredictionReport",
+    "stats.make_report",
+    "stats.histogram_path",
+    "stats._payload",
+    "stats.histogram_digest",
+    "stats.write_atomic",
+    "stats._write_cache",
+    "stats._read_cache",
+    "stats.save_histogram",
+    "stats.load_histogram",
+    "stats.prime_sums_path",
+    "stats._sums_key",
+    "stats.save_prime_sums",
+    "stats.load_prime_sums",
 )
 
 

@@ -1,14 +1,11 @@
-"""Sieve correctness and determinism, the cache of a sieved table's
-histogram, and the compiled kernel."""
+"""Sieve correctness and determinism, and the compiled kernel."""
 
 import ctypes
-import hashlib
 import itertools
 import math
 import os
 import re
 import shutil
-import struct
 import subprocess
 from functools import lru_cache
 
@@ -35,13 +32,6 @@ from omegashift.sieve import (
     base_primes,
     build_omega_table,
     grid_histograms,
-)
-from omegashift.stats import (
-    HIST_VERSION,
-    CacheMismatchError,
-    histogram_path,
-    load_histogram,
-    save_histogram,
 )
 
 
@@ -150,7 +140,7 @@ BOUNDARY_X = (12, 13, 120, 121, 122, 63_000, 63_001, 63_002, 1 << 16, (1 << 16) 
 
 
 @pytest.mark.parametrize("x", BOUNDARY_X)
-def test_cofactor_routes_at_boundaries(x):
+def test_w_either_side_of_sqrt_x_at_boundary_x(x):
     r = math.isqrt(x)
     p = next(q for q in itertools.count(r + 1) if _prime_divisors(q) == (q,))
     for w in (r, r + 1):  # base primes up to sqrt(x), then up to w = r + 1
@@ -323,81 +313,6 @@ def test_partition_of_range():
     x = 20_000
     t = small_table(x, 10)
     assert np.bincount(t.omega[2 : x + 1])[1:].sum() == x - 1
-
-
-def sieved_histogram(x, w):
-    """H of a sieved table over n in [2, x], the array the cache stores."""
-    t = small_table(x, w)
-    return kernel.fold(t.omega, t.omega_small, 2, x + 1)
-
-
-def test_cache_roundtrip(tmp_path):
-    H = sieved_histogram(4000, 17)
-    path = histogram_path(str(tmp_path), 4000, 17)
-    assert path.endswith("hist_x4000_w17.bin")
-    save_histogram(H, path, 4000, 17)
-    assert np.array_equal(load_histogram(path, 4000, 17), H)
-    payload = H.astype("<i8").tobytes()  # the format, spelled out
-    digest = hashlib.sha256(payload).digest()
-    header = struct.pack("<4sIQQ32s", b"OMGH", HIST_VERSION, 4000, 17, digest)
-    assert open(path, "rb").read() == header + payload
-    assert os.listdir(tmp_path) == ["hist_x4000_w17.bin"]  # no temporary file left
-
-
-def test_cache_save_creates_directory(tmp_path):
-    H = sieved_histogram(1000, 7)
-    path = histogram_path(str(tmp_path / "deep" / "cache"), 1000, 7)
-    save_histogram(H, path, 1000, 7)  # parent directories must be created on demand
-    assert np.array_equal(load_histogram(path, 1000, 7), H)
-
-
-def test_cache_parameter_mismatch(tmp_path):
-    H = sieved_histogram(4000, 17)
-    path = histogram_path(str(tmp_path), 4000, 17)
-    save_histogram(H, path, 4000, 17)
-    with pytest.raises(CacheMismatchError):
-        load_histogram(path, 5000, 17)
-    with pytest.raises(CacheMismatchError):
-        load_histogram(path, 4000, 19)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    H = sieved_histogram(4000, 17)
-    path = histogram_path(str(tmp_path), 4000, 17)
-    save_histogram(H, path, 4000, 17)
-    raw = open(path, "rb").read()
-    bad_magic = bytearray(raw)
-    bad_magic[:4] = b"XXXX"
-    bad = tmp_path / "bad_magic.bin"
-    bad.write_bytes(bytes(bad_magic))
-    with pytest.raises(CacheMismatchError):
-        load_histogram(str(bad), 4000, 17)
-    for cut in (20, 56 + 1000, len(raw) - 1):  # inside the header, the payload, its end
-        short = tmp_path / "short.bin"
-        short.write_bytes(raw[:cut])
-        with pytest.raises(CacheMismatchError):
-            load_histogram(str(short), 4000, 17)
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    with pytest.raises(CacheMismatchError):
-        load_histogram(str(empty), 4000, 17)
-    flipped = bytearray(raw)
-    flipped[-2000] ^= 1  # one payload byte; header and size intact
-    bad_payload = tmp_path / "flipped.bin"
-    bad_payload.write_bytes(bytes(flipped))
-    with pytest.raises(CacheMismatchError, match="SHA-256"):
-        load_histogram(str(bad_payload), 4000, 17)
-
-
-def test_loaded_table_is_writable_copy(tmp_path):
-    H = sieved_histogram(2000, 11)
-    path = histogram_path(str(tmp_path), 2000, 11)
-    save_histogram(H, path, 2000, 11)
-    loaded = load_histogram(path, 2000, 11)
-    assert np.array_equal(loaded, H)
-    loaded[2, 1, 1] += 1  # must not raise: the loader hands back a mutable copy
-    assert loaded[2, 1, 1] == H[2, 1, 1] + 1
-    assert np.array_equal(load_histogram(path, 2000, 11), H)  # the file is untouched
 
 
 def test_table_equality_semantics():

@@ -1,9 +1,6 @@
 """Statistics engine against the independent trial-division oracle."""
 
-import hashlib
 import math
-import os
-import struct
 from collections import Counter
 
 import numpy as np
@@ -12,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from omegashift.constants import _BLOCK, MIN_TRUNCATION, SERIES_TERMS, _prime_sums, normal_cdf
+from omegashift.constants import normal_cdf
 from omegashift.experiment import resolve_w
 from omegashift.kernel import OMEGA_CAP
 from omegashift.sieve import (
@@ -23,26 +20,15 @@ from omegashift.sieve import (
     grid_histograms,
 )
 from omegashift.stats import (
-    HIST_VERSION,
-    SUMS_VERSION,
-    CacheMismatchError,
     ThresholdSpec,
     classical_baseline,
     gaussian_moment,
     gaussian_spec,
-    histogram_digest,
-    histogram_path,
     ks_distance,
     ks_weighted_histogram,
     large_factor_ratio,
-    load_histogram,
-    load_prime_sums,
     loglog,
     logloglog,
-    make_report,
-    prime_sums_path,
-    save_histogram,
-    save_prime_sums,
     small_factor_prediction,
     unweighted_baseline,
     unweighted_spec,
@@ -183,127 +169,6 @@ def test_grid_histograms_validation():
         grid_histograms([(100, 10)], threads=MAX_THREADS + 1)
     with pytest.raises(ValueError):
         grid_histograms([(100, 10)], segment_length=100)
-
-
-def test_histogram_cache_roundtrip(tmp_path, H):
-    cache_dir = tmp_path / "deep" / "cache"
-    path = histogram_path(str(cache_dir), X, W)
-    assert path.endswith(f"hist_x{X}_w{W}.bin")
-    save_histogram(H, path, X, W)  # parent directories are created on demand
-    got = load_histogram(path, X, W)
-    assert got.dtype == np.int64 and got.shape == (16, 16, 16) and np.array_equal(got, H)
-    got[2, 1, 1] += 1  # the loaded histogram is a writable copy
-    assert not np.array_equal(got, load_histogram(path, X, W))
-    raw = open(path, "rb").read()
-    payload = H.astype("<i8").tobytes()  # the format, spelled out: header, then H
-    digest = hashlib.sha256(payload)
-    assert HIST_VERSION == 2 and len(raw) == 56 + 16**3 * 8 == 32_824
-    assert raw == struct.pack("<4sIQQ32s", b"OMGH", HIST_VERSION, X, W, digest.digest()) + payload
-    assert histogram_digest(H) == digest.hexdigest()
-    assert os.listdir(cache_dir) == [os.path.basename(path)]  # no temporary file left
-
-
-def test_concurrent_histogram_saves_do_not_collide(tmp_path, H, monkeypatch):
-    """A second save of the same path that runs while the first one is
-    between writing and renaming its temporary file: both must finish."""
-    path = histogram_path(str(tmp_path), X, W)
-    real_replace = os.replace
-    nested = []
-
-    def replace_with_a_second_save(src, dst):
-        if not nested:
-            nested.append(src)
-            save_histogram(2 * H, path, X, W)
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", replace_with_a_second_save)
-    save_histogram(H, path, X, W)
-    monkeypatch.undo()
-    assert nested
-    assert np.array_equal(load_histogram(path, X, W), H)  # the first save renamed last
-    assert os.listdir(tmp_path) == [os.path.basename(path)]
-
-
-def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
-    path = histogram_path(str(tmp_path), X, W)
-    save_histogram(H, path, X, W)
-    raw = open(path, "rb").read()
-    with pytest.raises(CacheMismatchError):
-        load_histogram(path, X + 1, W)
-    with pytest.raises(CacheMismatchError):
-        load_histogram(path, X, W + 1)
-    flipped = bytearray(raw)
-    flipped[56 + 8 * (2 * OMEGA_CAP**2 + OMEGA_CAP + 1)] ^= 1  # a payload byte
-    newer = bytearray(raw)
-    newer[4:8] = (HIST_VERSION + 1).to_bytes(4, "little")
-    magic = bytearray(raw)
-    magic[:4] = b"XXXX"
-    # a bad payload byte, version or magic; a file cut inside the payload or
-    # the header, one byte too long, and empty
-    for bad in (flipped, newer, magic, raw[:-1], raw[:20], raw + b"\0", b""):
-        bad_path = tmp_path / "bad.bin"
-        bad_path.write_bytes(bytes(bad))
-        with pytest.raises(CacheMismatchError):
-            load_histogram(str(bad_path), X, W)
-
-
-def _sums_file(P, sums, magic=b"OMGS", version=SUMS_VERSION, file_P=None,
-               min_truncation=MIN_TRUNCATION, series_terms=SERIES_TERMS, block=_BLOCK):
-    """A prime-sums cache file, spelled out: the header (magic, version, P,
-    MIN_TRUNCATION, SERIES_TERMS, _BLOCK, SHA-256 of the payload), then
-    pi(P) as int64 and sum p^-2, S_2..S_J as float64, little-endian."""
-    count, inv_sq, powers = sums
-    payload = struct.pack(f"<q{1 + len(powers)}d", count, inv_sq, *powers)
-    header = struct.pack("<4sIQIII", magic, version, P if file_P is None else file_P,
-                         min_truncation, series_terms, block)
-    return header + hashlib.sha256(payload).digest() + payload
-
-
-@pytest.mark.parametrize("P", [1000, 10_000, 2_000_003])
-def test_prime_sums_cache_roundtrip_is_bit_exact(tmp_path, P):
-    path = prime_sums_path(str(tmp_path / "cache"), P)
-    assert path.endswith(f"prime_sums_P{P}.bin")
-    fresh = _prime_sums(P)
-    save_prime_sums(fresh, path, P)  # parent directories are created on demand
-    raw = open(path, "rb").read()
-    assert len(raw) == 60 + 8 * (1 + SERIES_TERMS) == 164 and raw == _sums_file(P, fresh)
-    count, inv_sq, powers = load_prime_sums(path, P)
-    assert count == fresh[0] and type(count) is int
-    assert inv_sq == fresh[1]
-    assert len(powers) == SERIES_TERMS - 1
-    assert all(got == want for got, want in zip(powers, fresh[2], strict=True))
-    assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]  # no temporary file
-
-
-def test_prime_sums_cache_rejects_mismatch_and_corruption(tmp_path):
-    P = 10_000
-    sums = _prime_sums(P)
-    good = _sums_file(P, sums)
-    flipped = bytearray(good)
-    flipped[60 + 8 * 3 + 2] ^= 1  # a byte of S_3
-    # each bad file, and a word its error must hold besides the path
-    cases = [
-        (_sums_file(P, sums, magic=b"OMGH"), "magic/version"),
-        (_sums_file(P, sums, version=SUMS_VERSION + 1), "magic/version"),
-        (_sums_file(P, sums, file_P=P + 1), "has P=10001, wanted P=10000"),
-        (_sums_file(P, sums, min_truncation=MIN_TRUNCATION + 1), "MIN_TRUNCATION"),
-        (_sums_file(P, sums, series_terms=SERIES_TERMS + 1), "SERIES_TERMS"),
-        (_sums_file(P, sums, block=_BLOCK // 2), "_BLOCK"),
-        (good[:-1], "payload is not 104 bytes"),
-        (good[:40], "truncated header"),
-        (good + b"\0", "payload is not 104 bytes"),
-        (bytes(flipped), "SHA-256"),
-    ]
-    path = tmp_path / "prime_sums_P10000.bin"
-    for bad, word in cases:
-        path.write_bytes(bad)
-        with pytest.raises(CacheMismatchError) as err:
-            load_prime_sums(str(path), P)
-        assert str(err.value).startswith(f"{path}: ") and word in str(err.value)
-    path.write_bytes(good)
-    assert load_prime_sums(str(path), P) == sums
-    with pytest.raises(CacheMismatchError, match="has P=10000, wanted P=20000"):
-        load_prime_sums(str(path), 20_000)
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -537,18 +402,6 @@ def test_large_factor_ratio_rejects_a_nan_c_mult(H5):
         with pytest.raises(ValueError, match="c_mult"):
             large_factor_ratio(H5[2], X5, c_mult)
     assert large_factor_ratio(H5[2], X5, math.inf) == 0.0
-
-
-def test_report_relative_deviation():
-    # |empirical - theoretical| / max(|theoretical|, 1e-30); large_factor_ratio's
-    # rows predict 0.0, so the guard gives them a finite rel_dev
-    cases = [(9, 10.0, 0.1), (np.int64(-11), -10, 0.1), (0.25, 0.0, 0.25e30), (0.0, 0.0, 0.0)]
-    for empirical, theoretical, rel_dev in cases:
-        rep = make_report("s", 10, 1, None, 2.5, empirical, theoretical, 1, np.float64(0.5))
-        assert rep.rel_dev == pytest.approx(rel_dev, rel=1e-12), (empirical, theoretical)
-        assert (rep.statistic, rep.x, rep.k, rep.w, rep.param) == ("s", 10, 1, None, 2.5)
-        for name in ("empirical", "theoretical", "rel_dev", "error_scale", "runtime_ms"):
-            assert type(getattr(rep, name)) is float, name
 
 
 def test_session_oracle_agreement(table_1e5, oracle_triples, oracle_w):
