@@ -126,20 +126,29 @@ _SUMS: dict[int, PrimeSums] = {}
 
 def _prime_sums(P: int) -> PrimeSums:
     """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) from one streamed pass over the
-    primes <= P in blocks of _BLOCK integers; the only code that computes them."""
+    primes <= P in blocks of _BLOCK integers; the only code that computes them.
+
+    Each block's sums are ndarray.sum's pairwise sums, and the blocks' are
+    joined with math.fsum, so the bits depend on _BLOCK (a key of the cache
+    file).  A block's primes are dropped once 1/p is taken, and the primes
+    above MIN_TRUNCATION are the tail of the block, since primes ascend: one
+    block and two float arrays of its length are the most ever alive.
+    """
     count = 0
     inv_sq_parts: list[float] = []
     power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]
     for ps in iter_prime_blocks(P, _BLOCK):
         count += len(ps)
-        inv = 1.0 / ps.astype(np.float64)
+        head = int(np.searchsorted(ps, MIN_TRUNCATION, side="right"))
+        inv = np.divide(1.0, ps)
+        del ps
         term = inv * inv
         inv_sq_parts.append(float(term.sum()))
-        beyond = ps > MIN_TRUNCATION
-        inv, term = inv[beyond], term[beyond]
+        inv, term = inv[head:], term[head:]
         for parts in power_parts:
             parts.append(float(term.sum()))
             term *= inv
+        del inv, term  # before the next block is sieved
     return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
 
 

@@ -20,7 +20,6 @@ sieve, cache and histogram-pass time are excluded.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -42,7 +41,7 @@ from .constants import (
     normal_cdf,
     prime_sums,
 )
-from .kernel import FOLD_BINS, OMEGA_CAP
+from .kernel import FOLD_BINS, OMEGA_CAP, sha256
 from .sieve import SieveConfig, grid_histograms
 from .stats import (
     MAX_MOMENT,
@@ -226,11 +225,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+# Where a run reads and writes, and on how many threads: no report row changes.
+_UNHASHED = ("cache_dir", "output_dir", "threads")
+
+
 def config_hash(config: ExperimentConfig) -> str:
+    """12 hex digits of the SHA-256 of the fields that change a report row."""
     canon = "\n".join(
-        f"{k}={getattr(config, k)!r}" for k in sorted(ExperimentConfig.__dataclass_fields__)
+        f"{k}={getattr(config, k)!r}"
+        for k in sorted(ExperimentConfig.__dataclass_fields__)
+        if k not in _UNHASHED
     )
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return sha256(canon.encode()).hexdigest()[:12]
 
 
 HIST_MAGIC = b"OMGH"
@@ -259,7 +265,7 @@ def _payload(H: np.ndarray) -> bytes:
 
 def histogram_digest(H: np.ndarray) -> str:
     """SHA-256 of H as little-endian int64 in C order, as the cache stores it."""
-    return hashlib.sha256(_payload(H)).hexdigest()
+    return sha256(_payload(H)).hexdigest()
 
 
 def write_atomic(path: str, data: bytes) -> None:
@@ -282,7 +288,7 @@ def write_atomic(path: str, data: bytes) -> None:
 
 
 def _write_cache(path: str, header: struct.Struct, key: tuple, payload: bytes) -> None:
-    write_atomic(path, header.pack(*key, hashlib.sha256(payload).digest()) + payload)
+    write_atomic(path, header.pack(*key, sha256(payload).digest()) + payload)
 
 
 def _read_cache(path: str, header: struct.Struct, key: dict, size: int) -> bytes:
@@ -303,7 +309,7 @@ def _read_cache(path: str, header: struct.Struct, key: dict, size: int) -> bytes
     payload = raw[header.size :]
     if len(payload) != size:
         raise CacheMismatchError(f"{path}: payload is not {size} bytes")
-    if hashlib.sha256(payload).digest() != digest:
+    if sha256(payload).digest() != digest:
         raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
     return payload
 

@@ -16,12 +16,23 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import math
 import os
 import threading
 
 import numpy as np
+
+# The one SHA-256 of the package (this library's name, the cache files, the
+# report's digests and name): CPython's built-in module, _sha256 up to 3.11,
+# _sha2 from 3.12, which gives hashlib's digests without loading OpenSSL's
+# libcrypto, 3.6 MB of a run's peak RSS; hashlib only where neither is built.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
@@ -49,7 +60,7 @@ def _compiler() -> list[str]:
 def library_path() -> str:
     """Where the library built by the current source, flags and compiler lives."""
     with open(SOURCE, "rb") as fh:
-        key = hashlib.sha256(fh.read())
+        key = sha256(fh.read())
     key.update(repr((FLAGS, _compiler())).encode())
     return os.path.join(CACHE_DIR, f"omegashift_kernel_{key.hexdigest()[:16]}.so")
 

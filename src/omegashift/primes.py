@@ -26,24 +26,31 @@ def iter_prime_blocks(limit: int, block_len: int = 1 << 22):
     block-ordered reductions deterministic.  The base primes come from
     primes_up_to(isqrt(limit)); a limit below 4 has none, which ends the recursion.
     Block i holds the primes of [lo, lo + block_len), lo = 2 + i * block_len,
-    and may be empty.  It sieves only the odd numbers, by the odd base
-    primes; the first block adds 2.
+    and may be empty.  Each block is built by _prime_block, so between yields
+    the generator holds neither the block's sieve mask nor the block itself:
+    a caller that drops a block frees it before the next one is sieved.
     """
     if limit < 2:
         return
     odd_base = primes_up_to(math.isqrt(limit))[1:].tolist()
     for lo in range(2, limit + 1, block_len):
-        hi = min(lo + block_len, limit + 1)
-        first = lo | 1  # mask[j] stands for the odd n = first + 2 j < hi
-        mask = np.ones((hi - first + 1) // 2, dtype=bool)
-        for p in odd_base:  # from p * p or the first odd multiple at or above lo
-            start = p * max(p, (lo + p - 1) // p | 1)
-            mask[(start - first) // 2 :: p] = False
-        # In place: a new array per step raised a run's peak RSS by 0.8 MB.
-        odd = np.flatnonzero(mask).astype(np.int64, copy=False)
-        odd *= 2
-        odd += first
-        yield np.concatenate(([2], odd)) if lo == 2 else odd
+        yield _prime_block(lo, min(lo + block_len, limit + 1), odd_base)
+
+
+def _prime_block(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
+    """The primes of [lo, hi) as an ascending int64 array, sieving only the
+    odd numbers by the odd base primes; lo = 2 adds 2."""
+    first = lo | 1  # mask[j] stands for the odd n = first + 2 j < hi
+    mask = np.ones((hi - first + 1) // 2, dtype=bool)
+    for p in odd_base:  # from p * p or the first odd multiple at or above lo
+        start = p * max(p, (lo + p - 1) // p | 1)
+        mask[(start - first) // 2 :: p] = False
+    odd = np.flatnonzero(mask).astype(np.int64, copy=False)
+    del mask
+    # In place: a new array per step raised a run's peak RSS by 0.8 MB.
+    odd *= 2
+    odd += first
+    return np.concatenate(([2], odd)) if lo == 2 else odd
 
 
 def factor_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ from omegashift.constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from omegashift.constants import _log_core, _series_remainder
+from omegashift.constants import _log_core, _prime_sums, _series_remainder
 
 P_TEST = 1_000_000
 
@@ -287,3 +287,42 @@ def test_normal_cdf_against_reference():
 def test_module_constants_match_references():
     assert abs(EULER_GAMMA - 0.5772156649015328606) < 1e-18
     assert abs(PRIME_ZETA_2 - 0.4522474200410654985) < 1e-15
+
+
+# (pi(P), sum_{p<=P} p^-2, S_2..S_12) with the sums as float.hex: the bits a
+# prime-sums cache file of SUMS_VERSION 1 holds.  The cache round-trip tests
+# compare _prime_sums only with itself, so a change to how it sums that moves
+# one bit must bump SUMS_VERSION and refreeze these.
+PRIME_SUMS_BITS = {
+    1_000: (168, "0x1.cef8a87718cb2p-2", ("0x0.0p+0",) * 11),
+    10_000: (1229, "0x1.cf175fe2a5598p-2", (
+        "0x1.eb76b8c8e698dp-14", "0x1.1ee5d97458ad6p-24", "0x1.943944ad00be6p-35",
+        "0x1.3b6cb9a4dc7dbp-45", "0x1.0556e9d225e44p-55", "0x1.c21a6633426d4p-66",
+        "0x1.8e20a14fbb9a2p-76", "0x1.6720dd6f5c799p-86", "0x1.48d327b6d23a7p-96",
+        "0x1.30a0fd6341ca2p-106", "0x1.1ce291a4ed122p-116",
+    )),
+    1_048_577: (82025, "0x1.cf19ee488abacp-2", (
+        "0x1.0a2e8b8f7d802p-13", "0x1.21187cae541eap-24", "0x1.94872d75718f5p-35",
+        "0x1.3b72bf9b419b5p-45", "0x1.0557689be0d00p-55", "0x1.c21a7be3c2739p-66",
+        "0x1.8e20a337e5467p-76", "0x1.6720dd9b286f5p-86", "0x1.48d327bacfebcp-96",
+        "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
+    )),
+    2_000_003: (148934, "0x1.cf19f06f5512dp-2", (
+        "0x1.0a3fc1e23ddb7p-13", "0x1.211883416880ap-24", "0x1.94872d7809334p-35",
+        "0x1.3b72bf9b42220p-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2739p-66",
+        "0x1.8e20a337e5467p-76", "0x1.6720dd9b286f5p-86", "0x1.48d327bacfebcp-96",
+        "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
+    )),
+    10_000_000: (664579, "0x1.cf19f2366e97ap-2", (
+        "0x1.0a4dfaae6483ep-13", "0x1.2118858438862p-24", "0x1.94872d78727f0p-35",
+        "0x1.3b72bf9b422c7p-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2739p-66",
+        "0x1.8e20a337e5467p-76", "0x1.6720dd9b286f5p-86", "0x1.48d327bacfebcp-96",
+        "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
+    )),
+}
+
+
+@pytest.mark.parametrize("P", sorted(PRIME_SUMS_BITS))
+def test_prime_sums_bits_are_pinned(P):
+    count, inv_sq, powers = _prime_sums(P)
+    assert (count, inv_sq.hex(), tuple(v.hex() for v in powers)) == PRIME_SUMS_BITS[P]

@@ -224,13 +224,23 @@ def test_resolve_w_rules():
         resolve_w("mystery", x)
 
 
-def test_config_hash_is_stable_and_sensitive():
-    a = ExperimentConfig(x_list=(10**4,), k_list=(2,))
-    b = ExperimentConfig(x_list=(10**4,), k_list=(2,))
-    c = ExperimentConfig(x_list=(10**4,), k_list=(3,))
-    assert config_hash(a) == config_hash(b)
-    assert config_hash(a) != config_hash(c)
-    assert len(config_hash(a)) == 12
+def test_config_hash_is_stable_and_sensitive(tmp_path):
+    base = _tiny_config(tmp_path)
+    assert config_hash(base) == config_hash(_tiny_config(tmp_path))
+    assert len(config_hash(base)) == 12
+    # where a run reads and writes, and on how many threads: no row changes
+    unhashed = {"cache_dir": str(tmp_path / "c2"), "output_dir": str(tmp_path / "o2"),
+                "threads": 2}
+    # every other field changes a row, so each changes the hash
+    hashed = {"x_list": (10**4, 10**5), "k_list": (3,), "w_rule": "fixed:51",
+              "y_grid": (1.0,), "ell_max": 2, "moments": (4,), "truncation_prime": 20_000,
+              "baseline": False, "large_factor_c": 3.0}
+    assert {*unhashed, *hashed} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for key, value in unhashed.items():
+        assert config_hash(dataclasses.replace(base, **{key: value})) == config_hash(base), key
+    others = {config_hash(dataclasses.replace(base, **{key: value}))
+              for key, value in hashed.items()}
+    assert len(others) == len(hashed) and config_hash(base) not in others
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -491,6 +501,41 @@ def test_warm_run_never_loads_the_kernel(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 0"  # exit 0, no library loaded
+
+
+def test_a_run_loads_neither_openssl_nor_the_thread_pool(tmp_path):
+    """A cold and then a warm threads = 1 run and the kernel's library page in
+    neither hashlib's OpenSSL module nor concurrent.futures; a two-thread
+    grid matches one thread and loads no concurrent.futures either, and the
+    package's SHA-256 is hashlib's."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "x_list = 10000\nk_list = 2\nw_rule = fixed:50\ny_grid = 0\nthreads = 1\n"
+        f"output_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    probe = f"""
+import sys
+import omegashift.kernel as kernel
+from omegashift.cli import main
+from omegashift.sieve import grid_histograms
+assert main(["run", "--config", {str(cfg)!r}]) == 0  # cold: sieves, fills the cache
+assert main(["run", "--config", {str(cfg)!r}]) == 0  # warm: reads the cache
+kernel.library()
+print(sorted(m for m in ("_hashlib", "concurrent.futures") if m in sys.modules))
+pairs = [(10000, 50), (30000, 50), (30000, 30000)]
+one, two = (grid_histograms(pairs, threads=t, segment_length=1024) for t in (1, 2))
+print(all((one[p] == two[p]).all() for p in pairs), "concurrent.futures" in sys.modules)
+import hashlib
+payloads = [b"", b"abc", bytes(range(256)) * 1000]
+print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in payloads))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-3:] == ["[]", "True False", "True"]
+    assert (tmp_path / "cache" / "hist_x10000_w50.bin").exists()
 
 
 def _strip_runtime(path):

@@ -29,6 +29,7 @@ from omegashift.sieve import (
     SieveConfig,
     _fill_segment,
     _log_gap,
+    _map_segments,
     base_primes,
     build_omega_table,
     grid_histograms,
@@ -84,6 +85,22 @@ def test_deterministic_across_segments_and_threads():
         for seg in (1024, 4096, 1 << 22):
             for th in (1, 2, 5):
                 assert small_table(60_000, w, segment_length=seg, threads=th) == ref
+
+
+def test_map_segments_raises_a_worker_error_once_every_worker_has_ended():
+    ended = []
+
+    def work(spans):
+        spans = list(spans)
+        ended.append(spans[0][0])
+        if spans[0][0] > 2:  # workers 1 and 2 fail
+            raise ValueError(f"worker at {spans[0][0]}")
+        return len(spans)
+
+    with pytest.raises(ValueError, match="worker at 1026"):  # worker 1's, in worker order
+        _map_segments(work, 10_000, 1024, 3)
+    assert sorted(ended) == [2, 1026, 2050]
+    assert _map_segments(lambda spans: len(list(spans)), 10_000, 1024, 3) == [4, 3, 3]
 
 
 @lru_cache(maxsize=None)
