@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--x-top",
         type=int,
         default=FULL_SCALES[-1],
-        help=f"largest scale for full-level trend checks (at least {FULL_SCALES[0]})",
+        help=f"largest scale for full-level trend checks ({FULL_SCALES[0]} to {FULL_SCALES[-1]})",
     )
     p.add_argument(
         "--json",

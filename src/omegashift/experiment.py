@@ -113,6 +113,12 @@ class ExperimentConfig:
             raise ValueError("x_list is empty")
         if not self.k_list:
             raise ValueError("k_list is empty")
+        for name in ("x_list", "k_list"):  # a repeat would write each of its rows again
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} {values} repeats a value")
+        if self.ell_max < -1:
+            raise ValueError(f"ell_max={self.ell_max} below -1, which disables the slice rows")
         if min(self.x_list) < 16:
             raise ValueError("every x must be >= 16")
         if min(self.k_list) < 1:

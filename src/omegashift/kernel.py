@@ -166,12 +166,15 @@ class SegmentPass:
     every power p^j < lo + len(om), but the lead primes only at their
     powers not dividing the period.  After primes[:splits[s]] the low byte
     is copied into osms[s].  Last, om gets the low byte, plus 1 where the
-    word is below bound, for each (start, stop, bound) of octaves, which,
-    if any, tile [0, len(om)).  lo + len(om) <= 2^40 + 1 keeps the powers
-    in int64.  The order of kernel.c's adds does not change the words.
+    word is below bounds[b], the cofactor test's threshold for the octave
+    [2^b, 2^(b+1)) that holds n (see sieve.segment_pass); each bound is in
+    [0, 2^16), and 0 adds nothing.  With bounds the segment must lie in
+    [1, 2^len(bounds)); with none, om is the low byte alone and lo may be
+    0.  lo + len(om) <= 2^40 + 1 keeps the powers in int64.  The order of
+    kernel.c's adds does not change the words.
     """
 
-    def __init__(self, primes, steps):
+    def __init__(self, primes, steps, bounds=()):
         _check(primes, np.int64, "primes")
         _check(steps, np.int64, "steps")
         if primes.size != steps.size:
@@ -182,7 +185,9 @@ class SegmentPass:
         # bitwise op here would page in ufunc code: 0.13 MB of a run's peak RSS.
         if any(step & ~0xFF00 for step in steps.tolist()):
             raise ValueError("a step outside the high byte of a word")
-        self.primes, self.steps = primes, steps
+        if not all(0 <= bound < 1 << 16 for bound in bounds):
+            raise ValueError("an octave bound outside a word")
+        self.primes, self.steps, self.bounds = primes, steps, tuple(bounds)
         start = np.zeros(1, dtype=np.uint16)
         self.starts = [start]
         for p, step in zip(primes.tolist(), steps.tolist()):
@@ -204,43 +209,44 @@ class SegmentPass:
         self._start_args = [(start.ctypes.data, start.size, lead)
                             for lead, start in enumerate(self.starts)]
 
-    def fill(self, cell, om, osms, lo, splits, octaves=()) -> None:
-        """Sieve one segment with this pass's primes, steps and starts."""
+    def fill(self, cell, om, osms, lo, splits) -> None:
+        """Sieve one segment with this pass's primes, steps, starts and bounds."""
         size = om.size
+        hi = lo + size
         _check(cell, np.uint16, "cell", written=True)
         _check(om, np.uint8, "om", written=True)
         for osm in osms:
             _check(osm, np.uint8, "osm", written=True)
         if cell.size != size or any(osm.size != size for osm in osms):
             raise ValueError("cell, om and the osms differ in length")
-        if not 0 <= lo <= lo + size <= (1 << 40) + 1:
-            raise ValueError(f"segment [{lo}, {lo + size}) outside [0, 2^40]")
+        if not 0 <= lo <= hi <= (1 << 40) + 1:
+            raise ValueError(f"segment [{lo}, {hi}) outside [0, 2^40]")
         if len(osms) != len(splits):
             raise ValueError(f"{len(osms)} osm arrays for {len(splits)} splits")
         count = self.primes.size
         if list(splits) != sorted(splits) or not all(0 <= s <= count for s in splits):
             raise ValueError(f"splits {list(splits)} not ascending within [0, {count}]")
-        edge = 0
-        for start, stop, bound in octaves:
-            if start != edge or not start < stop <= size:
-                raise ValueError(f"octave [{start}, {stop}) does not tile the segment [0, {size})")
-            if not 0 <= bound < 1 << 16:
-                raise ValueError(f"octave bound {bound} outside a word")
-            edge = stop
-        if octaves and edge != size:
-            raise ValueError(f"the octaves end at {edge}, not at the segment end {size}")
-        # The osm pointers, the splits and the octaves in one array, held in
-        # a local so it outlives the call that reads it.
+        bits = ()
+        if self.bounds:
+            if lo < 1:
+                raise ValueError(f"segment start {lo} below 1, the start of the octaves "
+                                 f"its bounds tile")
+            if (hi - 1).bit_length() > len(self.bounds):
+                raise ValueError(f"segment end {hi} past 2^{len(self.bounds)}, the end of "
+                                 f"the octaves its bounds tile")
+            bits = range(lo.bit_length() - 1, (hi - 1).bit_length())
+        # The osm pointers, the splits and (start, stop, bound) of each octave
+        # meeting the segment, as offsets from lo, in one array held in a
+        # local so it outlives the call that reads it.
         nosm = len(osms)
-        packed = np.array(
-            [*map(_address, osms), *splits, *(v for octave in octaves for v in octave)],
-            dtype=np.int64,
-        )
+        octaves = [v for b in bits
+                   for v in (max(1 << b, lo) - lo, min(2 << b, hi) - lo, self.bounds[b])]
+        packed = np.array([*map(_address, osms), *splits, *octaves], dtype=np.int64)
         at = _address(packed)
         lead = min(len(self.starts) - 1, splits[0]) if splits else len(self.starts) - 1
         library().fill_segment(
             _address(cell), size, lo, *self._args, *self._start_args[lead],
-            at, at + 8 * nosm, nosm, _address(om), at + 16 * nosm, len(octaves),
+            at, at + 8 * nosm, nosm, _address(om), at + 16 * nosm, len(octaves) // 3,
         )
 
 

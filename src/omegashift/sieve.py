@@ -1,6 +1,7 @@
 """Segmented sieve for distinct-prime-factor counts.
 
-One segment kernel, _fill_segment, counts for every n of a segment
+One segment pass, planned once per table or grid by segment_pass, counts
+for every n of a segment
 
     omega(n)    = number of distinct primes dividing n
     omega(n, w) = number of distinct primes p <= w dividing n
@@ -14,20 +15,20 @@ keeping no table.  Both hand their segments to worker threads through one
 helper, _map_segments; at most MAX_THREADS of them.
 
 Each segment sieves every prime up to sqrt(x_max) and up to each w below
-its x (base_primes).  What they leave of n, its cofactor c, is 1 or one
-prime above them all (two would multiply past x_max), so it never counts
-toward omega(n, w), and a byte of scaled logarithms decides "c > 1"
-exactly, with no division (the argument is in _fill_segment).  A pair
-with w = x takes omega(n, w) = omega(n), n <= x, and adds no base prime.
-Base primes stop at 2^20, so SieveConfig rejects a w in [W_CEILING, x).
+its x.  What they leave of n, its cofactor c, is 1 or one prime above them
+all (two would multiply past x_max), so it never counts toward omega(n, w),
+and a byte of scaled logarithms decides "c > 1" exactly, with no division
+(the argument is in segment_pass).  A pair with w = x takes
+omega(n, w) = omega(n), n <= x, and adds no base prime.  Base primes stop
+at 2^20, so SieveConfig rejects a w in [W_CEILING, x).
 
-A segment is one compiled pass (kernel.SegmentPass.fill, built on the
-first call) in two phases.  Phase 1 walks the segment in chunks of 8192 words
-(16 KB, inside any L1 data cache).  Each chunk starts from a pre-sieve
-pattern that holds the leading base primes up to the smallest w and their
-powers dividing its period: 2..11 and the period 55 440 = 2^4 3^2 5 7 11
-when every w >= 11, fewer below (the pass builds one start per count of
-primes).  It gains every other power below 8192 of the base primes below
+A segment is one call of the compiled pass (kernel.SegmentPass.fill, built
+when the first pass is planned) in two phases.  Phase 1 walks the segment
+in chunks of 8192 words (16 KB, inside any L1 data cache).  Each chunk
+starts from a pre-sieve pattern that holds the leading base primes up to
+the smallest w and their powers dividing its period: 2..11 and the period
+55 440 = 2^4 3^2 5 7 11 when every w >= 11, fewer below (the pass builds
+one start per count of primes).  It gains every other power below 8192 of the base primes below
 2048, and each omega(n, w) with w below 2048 is copied out of it.  Phase 2
 adds the remaining prime powers strided over the whole segment, copies the
 other omega(n, w) out and applies the log test.  The order of the adds
@@ -36,8 +37,6 @@ does not change the words.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .primes import factorize, primes_up_to
+from .primes import primes_up_to
 
 X_MAX_CEILING = 1 << 40
 DEFAULT_SEGMENT = 1 << 18  # 512 KB of words: 2^17..2^21 time alike, and larger ones cost memory
@@ -66,7 +65,7 @@ def _max_omega(limit: int) -> int:
 
 
 def _log_gap(x_max: int) -> float:
-    """Lower edge of the c = 1 band minus upper edge of the c > 1 band (see _fill_segment)."""
+    """Lower edge of the c = 1 band minus upper edge of the c > 1 band (see segment_pass)."""
     return LOG_SCALE / 2 * math.log(x_max) - math.log2(x_max) - LOG_SCALE * math.log(2)
 
 
@@ -134,90 +133,50 @@ class OmegaTable:
         )
 
 
-def _octave_bounds(lo, hi, x_max):
-    """(start, stop, T << 8) for each octave [a, 2a) meeting [lo, hi), offsets from lo.
-
-    A word is below T << 8 iff its high byte is below T, whatever its low
-    byte; T < 0 is raised to 0, which no word is below either.
-    """
-    a = 1 << (lo.bit_length() - 1)
-    while a < hi:
-        upper = LOG_SCALE * math.log(2 * a) - LOG_SCALE / 2 * math.log(x_max)  # B
-        lower = LOG_SCALE * math.log(a) - math.log2(x_max)  # A
-        yield max(a, lo) - lo, min(2 * a, hi) - lo, max(round((lower + upper) / 2), 0) << 8
-        a *= 2
-
-
-def _fill_segment(om, osms, cell, segment_pass, lo, ws, x_max):
-    """Count prime divisors for n in [lo, lo + len(om)) into om and, for
-    each w of the ascending tuple ws, omega(n, w) into the matching osms array.
-
-    One uint16 word per n, in one compiled pass, segment_pass =
-    kernel.SegmentPass(*base_primes(x_max, ws)): the primes up to
-    max(sqrt(x_max), max ws), ascending, with their steps L(p) << 8.  Each p
-    adds 1 to the low byte at its multiples, and L(p) = floor(8 ln p) to the
-    high byte at the multiples of every power p^j < hi.  The primes ascend,
-    so after the primes p <= w the low byte is omega(n, w); it is copied out
-    for each w in turn, and the primes above the last w are then added on
-    top to give omega without the cofactor.  Neither byte carries:
-    the low byte is at most MAX_OMEGA = 11, and the high byte at most
-    8 ln n <= 8 ln 2^40 < 222.
-
-    Pre-sieve.  The words start from the pass's pre-sieved pattern of the
-    leading base primes p <= ws[0], at most 2, 3, 5, 7, 11 (period 55 440),
-    down to one zero word.  It holds their powers dividing its period (4, 8,
-    16, 9 with all five), so only their higher powers and the later primes
-    are added: the powers below 8192 of the primes below 2048 chunk by
-    chunk, the rest strided over the whole segment (phases 1 and 2 of the
-    module docstring).
+def segment_pass(x_max: int, ws=()) -> kernel.SegmentPass:
+    """The kernel.SegmentPass of [2, x_max] for the ascending thresholds ws,
+    each below x_max, built once per table or grid, with the compiled kernel
+    loaded: its base primes, their word steps L(p) << 8 with
+    L(p) = floor(8 ln p), and the cofactor test's word bound for each
+    octave.  The base primes are every prime up to max(sqrt(x_max), max ws),
+    or up to x_max below LOG_TEST_MIN_X, where there are no bounds.
 
     Write n = s * c with s made of base primes: the cofactor c is 1 or one
-    prime above them, so c > sqrt(x_max) and c > w for every w.  When the
-    base primes reach every prime <= x_max, c = 1 and om is the low byte.
-    Otherwise x_max >= 13 and the high byte holds
-    acc = sum over p^e || s of e*L(p), and 8 ln p - 1 < L(p) <= 8 ln p gives
-    8 ln s - Omega(s) < acc <= 8 ln s.  For n in the octave [a, 2a):
+    prime above them, so c > sqrt(x_max) and c > w for every w.  The high
+    byte of n's word holds acc = sum over p^e || s of e*L(p), and
+    8 ln p - 1 < L(p) <= 8 ln p gives 8 ln s - Omega(s) < acc <= 8 ln s.
+    For n in the octave [a, 2a):
       c = 1:  s = n >= a and Omega(n) <= log2 x_max, so
               acc > 8 ln a - log2 x_max = A;
       c > 1:  s = n / c < 2a / sqrt(x_max), so
               acc < 8 ln(2a) - 4 ln x_max = B.
     A - B = 4 ln x_max - log2 x_max - 8 ln 2 exceeds 1 for every
     x_max >= 13, so the integer T nearest (A + B) / 2 has B < T < A, and
-    c > 1 exactly when acc < T.  The margin (A - B - 1) / 2 >= 0.007 dwarfs
-    the float rounding in L(p) and T.  The kernel adds that test to om,
-    octave by octave, with the thresholds of _octave_bounds.  A pass short
-    of a prime of base_primes(x_max, ws) <= x_max is refused before any C call.
-
-    cell is uint16 scratch of at least len(om) words; its first len(om)
-    are overwritten whatever they hold.
+    c > 1 exactly when acc < T, that is when the word is below T << 8,
+    whatever its low byte (T < 0 is raised to 0, which no word is below).
+    The margin (A - B - 1) / 2 >= 0.007 dwarfs the float rounding in L(p)
+    and T.  bounds[b] = T << 8 for a = 2^b, b < x_max.bit_length().  Where
+    the base primes reach every prime <= x_max, every c is 1 and the test
+    adds 0; below 13 they always do.
     """
-    primes = segment_pass.primes
-    unsieved = _prime_after(int(primes[-1]) if primes.size else 1)  # the least c > 1
-    if unsieved <= min(_sieve_bound(x_max, ws), x_max):
-        raise ValueError(f"the base primes stop short of {unsieved}, which x_max = {x_max} "
-                         f"and ws = {ws} need sieved (see base_primes)")
-    splits = np.searchsorted(primes, ws, side="right").tolist()
-    octaves = list(_octave_bounds(lo, lo + om.size, x_max)) if unsieved <= x_max else ()
-    segment_pass.fill(cell[: om.size], om, osms, lo, splits, octaves)
-
-
-@functools.lru_cache(maxsize=None)
-def _prime_after(p: int) -> int:
-    """The smallest prime above p, by trial division (cached: once per pass)."""
-    return next(q for q in itertools.count(p + 1) if factorize(q) == [(q, 1)])
-
-
-def _sieve_bound(x_max: int, ws) -> int:
-    return x_max if x_max < LOG_TEST_MIN_X else max([math.isqrt(x_max), *ws])
-
-
-def base_primes(x_max: int, ws=()) -> tuple[np.ndarray, np.ndarray]:
-    """The sieving primes of [2, x_max] for the thresholds ws, each below its
-    x, and their word steps L(p) << 8 (see _fill_segment), both int64: every
-    prime up to max(sqrt(x_max), max ws), or up to x_max below LOG_TEST_MIN_X."""
-    primes = primes_up_to(_sieve_bound(x_max, ws))
+    bounds = []
+    if x_max < LOG_TEST_MIN_X:
+        primes = primes_up_to(x_max)
+    else:
+        primes = primes_up_to(max([math.isqrt(x_max), *ws]))
+        for b in range(x_max.bit_length()):
+            a = 1 << b
+            upper = LOG_SCALE * math.log(2 * a) - LOG_SCALE / 2 * math.log(x_max)  # B
+            lower = LOG_SCALE * math.log(a) - math.log2(x_max)  # A
+            bounds.append(max(round((lower + upper) / 2), 0) << 8)
     steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes.tolist()]
-    return primes, np.array(steps, dtype=np.int64)
+    plan = kernel.SegmentPass(primes, np.array(steps, dtype=np.int64), bounds)
+    # Load the kernel now, in the calling thread and before any segment
+    # buffer exists.  Loaded by whichever worker reaches it first, or with a
+    # pass's buffers live, it raised peak RSS: by 0.1 MB for a 2-thread 1e8
+    # table and by 1.1 MB for the reference run (2-core Xeon).
+    kernel.library()
+    return plan
 
 
 def build_omega_table(config: SieveConfig) -> OmegaTable:
@@ -230,13 +189,13 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     ws = (w,) if w < x_max else ()  # w = x_max: omega_small is omega
     omega = np.zeros(x_max + 1, dtype=np.uint8)
     omega_small = np.zeros(x_max + 1, dtype=np.uint8)
-    segment_pass = kernel.SegmentPass(*base_primes(x_max, ws))
+    plan = segment_pass(x_max, ws)
+    splits = np.searchsorted(plan.primes, ws, side="right").tolist()
 
     def fill(spans):
         cell = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
         for lo, hi in spans:
-            osms = [omega_small[lo:hi]] * len(ws)
-            _fill_segment(omega[lo:hi], osms, cell, segment_pass, lo, ws, x_max)
+            plan.fill(cell[: hi - lo], omega[lo:hi], [omega_small[lo:hi]] * len(ws), lo, splits)
 
     _map_segments(fill, x_max, config.segment_length, config.threads)
     if not ws:
@@ -268,7 +227,8 @@ def grid_histograms(
     for x, w in pairs:
         xs_by_u.setdefault(w if w < x else None, []).append(x)
     ws = sorted(w for w in xs_by_u if w is not None)
-    segment_pass = kernel.SegmentPass(*base_primes(x_top, ws))
+    plan = segment_pass(x_top, ws)
+    split_of = dict(zip(ws, np.searchsorted(plan.primes, ws, side="right").tolist()))
 
     def sieve_spans(spans):
         """Summed partial histograms of spans, in buffers reused across them."""
@@ -281,7 +241,8 @@ def grid_histograms(
             live = tuple(w for w in ws if xs_by_u[w][-1] >= lo)
             om = om_buf[: hi - lo + 1]
             us = {w: osm_bufs[w][: hi - lo + 1] for w in live}
-            _fill_segment(om, list(us.values()), cell, segment_pass, lo - 1, live, x_top)
+            plan.fill(cell[: hi - lo + 1], om, list(us.values()), lo - 1,
+                      [split_of[w] for w in live])
             us[None] = om
             for w, u in us.items():
                 running, start = 0, 1

@@ -510,14 +510,18 @@ def verify_suite(
 ) -> VerifySummary:
     """Run the named battery; returns a summary with failure/warning counts.
 
-    The full level needs x_top >= FULL_SCALES[0]; a smaller one is rejected
-    before any check runs.
+    The full level needs FULL_SCALES[0] <= x_top <= FULL_SCALES[-1]; any
+    other x_top is rejected before any check runs.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"level={level!r} (expected fast|full)")
     if level == "full" and x_top < FULL_SCALES[0]:
         raise ValueError(
             f"--x-top {x_top} is below {FULL_SCALES[0]}, the full battery's smallest scale"
+        )
+    if level == "full" and x_top > FULL_SCALES[-1]:
+        raise ValueError(
+            f"--x-top {x_top} is above {FULL_SCALES[-1]}, the full battery's largest scale"
         )
     checks = [(name, fn, "FAIL") for name, fn in _FAST_CHECKS]
     if level == "full":

@@ -117,15 +117,16 @@ def large_factor_ratio(triples, k: int, x: int, c_mult: float) -> float:
     return excess / weighted_mass(triples, k)
 
 
-def segment_pass(lo: int, size: int, primes, steps, splits, octaves=()):
+def segment_pass(lo: int, size: int, primes, steps, splits, bounds=()):
     """(cell, om, osms) of the sieve's segment pass over n = lo + j, j < size,
     from its definition, one numpy strided add per prime power over the
     whole segment: the uint16 word of n gains steps[i] + 1 where primes[i]
     divides n and steps[i] where each higher power does, for each power
     below lo + size (only n = 0 has a multiple of a larger one);
     osms[s] is the low byte after the primes primes[:splits[s]]; om is the
-    low byte after every prime, plus 1 where the word is below bound, for
-    each (start, stop, bound) of octaves.  Words wrap modulo 2^16."""
+    low byte after every prime, plus 1, if bounds is not empty, where the
+    word is below bounds[b] for the b with 2^b <= n < 2^(b+1), found for
+    each n by itself.  Words wrap modulo 2^16."""
     cell = np.zeros(size, dtype=np.uint16)
     osms = [None] * len(splits)
     for i in range(len(primes) + 1):
@@ -140,8 +141,9 @@ def segment_pass(lo: int, size: int, primes, steps, splits, octaves=()):
             cell[(-lo) % q :: q] += np.uint16(add)
             q, add = q * p, int(steps[i])
     om = cell.astype(np.uint8)
-    for start, stop, bound in octaves:
-        om[start:stop] += cell[start:stop] < bound
+    if bounds:
+        below = [bounds[n.bit_length() - 1] for n in range(lo, lo + size)]
+        om += cell < np.array(below, dtype=np.int64)
     return cell, om, osms
 
 

@@ -66,6 +66,11 @@ REMOVED = (
     "stats._sums_key",
     "stats.save_prime_sums",
     "stats.load_prime_sums",
+    "sieve._fill_segment",
+    "sieve._octave_bounds",
+    "sieve._prime_after",
+    "sieve.base_primes",
+    "sieve._sieve_bound",
 )
 
 

@@ -110,6 +110,11 @@ def test_parse_config_rejects_unknown_and_malformed():
         parse_config("k_list = 2")
     with pytest.raises(ValueError, match="bad boolean"):
         parse_config("x_list = 100\nk_list = 1\nbaseline = maybe")
+    # each row would be written once per repeat of its x and of its k
+    with pytest.raises(ValueError, match=r"x_list \(10000, 10000\) repeats a value"):
+        parse_config("x_list = 10000 10000\nk_list = 2 2")
+    with pytest.raises(ValueError, match=r"k_list \(2, 3, 2\) repeats a value"):
+        parse_config("x_list = 10000\nk_list = 2, 3, 2")
 
 
 def test_config_validation_bounds():
@@ -132,6 +137,14 @@ def test_config_validation_bounds():
     for threads in (0, 257):
         with pytest.raises(ValueError, match=rf"threads={threads} outside \[1, 256\]"):
             ExperimentConfig(x_list=(10**4,), k_list=(2,), threads=threads)
+    with pytest.raises(ValueError, match=r"x_list \(10000, 100000, 10000\) repeats a value"):
+        ExperimentConfig(x_list=(10**4, 10**5, 10**4), k_list=(2,))
+    with pytest.raises(ValueError, match=r"k_list \(2, 2\) repeats a value"):
+        ExperimentConfig(x_list=(10**4,), k_list=(2, 2))
+    for ell_max in (-2, -7):
+        with pytest.raises(ValueError, match=f"ell_max={ell_max} below -1"):
+            ExperimentConfig(x_list=(10**4,), k_list=(2,), ell_max=ell_max)
+    assert ExperimentConfig(x_list=(10**4,), k_list=(2,), ell_max=-1).ell_max == -1
     assert ExperimentConfig(x_list=(10**4,), k_list=(2,), threads=256).threads == 256
 
 
@@ -173,8 +186,9 @@ def test_cli_run_rejects_a_deep_ell_max_before_sieving(tmp_path, capsys):
         ("y_grid = 0 nan", "y_grid (0.0, nan) holds a non-finite value"),
         ("large_factor_c = nan", "large_factor_c=nan is not finite"),
         ("threads = 100000", "threads=100000 outside [1, 256]"),
+        ("ell_max = -7", "ell_max=-7 below -1, which disables the slice rows"),
     ],
-    ids=["repeated_key", "nan_y", "nan_large_factor_c", "absurd_threads"],
+    ids=["repeated_key", "nan_y", "nan_large_factor_c", "absurd_threads", "ell_max_below_off"],
 )
 def test_cli_run_rejects_bad_config_input(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
@@ -623,7 +637,7 @@ def test_report_writes_do_not_collide(tmp_path, monkeypatch, suffix):
 
 
 def test_json_records_histogram_provenance(tmp_path):
-    cfg = _tiny_config(tmp_path, x_list=(5000, 10**4, 5000))
+    cfg = _tiny_config(tmp_path, x_list=(5000, 10**4))
     res = run_experiment(cfg)
     first = json.load(open(res.json_path))
     hists = grid_histograms([(5000, 50), (10**4, 50)])
@@ -914,5 +928,12 @@ def test_cli_verify_rejects_a_small_x_top_before_any_check(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # no check ran
     assert captured.err.startswith("error: --x-top 99999")
+    assert main(["verify", "--level", "full", "--x-top", "10000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no check ran, not even the 10^8 ladder
+    assert captured.err == ("error: --x-top 10000000000 is above 100000000, "
+                            "the full battery's largest scale\n")
     with pytest.raises(ValueError, match="x-top"):
         verify_suite("full", x_top=1000, quiet=True)
+    with pytest.raises(ValueError, match="x-top 100000001 is above"):
+        verify_suite("full", x_top=10**8 + 1, quiet=True)

@@ -27,12 +27,11 @@ from omegashift.sieve import (
     X_MAX_CEILING,
     OmegaTable,
     SieveConfig,
-    _fill_segment,
     _log_gap,
     _map_segments,
-    base_primes,
     build_omega_table,
     grid_histograms,
+    segment_pass,
 )
 
 
@@ -453,11 +452,11 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
         (dict(osm_size=63), ValueError, "differ in length"),
         (dict(cell_size=65), ValueError, "differ in length"),
         (dict(steps=PRIMES_23[1][:1]), ValueError, "differ in length"),
-        (dict(octaves=[(0, 65, 0)]), ValueError, "tile"),
-        (dict(octaves=[(1, 64, 0)]), ValueError, "tile"),
-        (dict(octaves=[(0, 32, 0), (30, 64, 0)]), ValueError, "tile"),
-        (dict(octaves=[(0, 32, 0)]), ValueError, "segment end"),
-        (dict(octaves=[(0, 64, 1 << 16)]), ValueError, "outside a word"),
+        (dict(bounds=[0] * 7, lo=0), ValueError, "tile"),
+        (dict(bounds=[0] * 6), ValueError, "tile"),  # [10, 74) ends past 2^6
+        (dict(bounds=[0] * 40, lo=(1 << 40) + 1 - 64), ValueError, "tile"),  # 2^40 needs 41
+        (dict(bounds=[0] * 6, lo=1), ValueError, "segment end"),  # n = 64 needs 7
+        (dict(bounds=[0] * 6 + [1 << 16]), ValueError, "outside a word"),
         (dict(lo=1 << 40), ValueError, "segment"),
         (dict(primes=np.array([2, (1 << 20) + 7])), ValueError, "base prime"),
         (dict(frozen=("cell",)), ValueError, "read-only"),
@@ -469,10 +468,11 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
         (dict(steps=np.array([5 << 8, (8 << 8) + 1])), ValueError, "high byte"),
         (dict(steps=np.array([5 << 8, 1 << 16])), ValueError, "high byte"),
         (dict(steps=np.array([5 << 8, -(8 << 8)])), ValueError, "high byte"),
+        (dict(bounds=[0, -1, 0, 0, 0, 0, 0]), ValueError, "outside a word"),
     ],
 )
 def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, change, error, match):
-    arg = dict(splits=[1], nosm=1, osm_size=64, cell_size=64, lo=10, octaves=(),
+    arg = dict(splits=[1], nosm=1, osm_size=64, cell_size=64, lo=10, bounds=(),
                primes=PRIMES_23[0], steps=PRIMES_23[1], frozen=(),
                cell_dtype=np.uint16, om_stride=1)
     arg.update(change)
@@ -484,8 +484,8 @@ def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, chang
         outputs[name].flags.writeable = False
     monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
     with pytest.raises(error, match=match):
-        kernel.SegmentPass(arg["primes"], arg["steps"]).fill(
-            cell, om, osms, arg["lo"], arg["splits"], arg["octaves"])
+        kernel.SegmentPass(arg["primes"], arg["steps"], arg["bounds"]).fill(
+            cell, om, osms, arg["lo"], arg["splits"])
 
 
 def test_fill_segment_words_copy_outs_and_cofactor_test():
@@ -495,15 +495,17 @@ def test_fill_segment_words_copy_outs_and_cofactor_test():
     assert cell[0] == (5 << 8) + 1  # 10 = 2 * 5
     assert cell[2] == 2 * (5 << 8) + 1 + (8 << 8) + 1  # 12: 2, 4 and 3
     assert cell[54] == 6 * (5 << 8) + 1  # 64 = 2^6
-    assert np.array_equal(om, cell.astype(np.uint8))  # no octaves: the low byte
+    assert np.array_equal(om, cell.astype(np.uint8))  # no bounds: the low byte
     assert (osm[2], om[2]) == (1, 2)  # 12 after the prime 2, and after 3
     cell[:] = 12345  # the pass overwrites whatever the scratch holds
-    bound = 6 << 8
-    kernel.SegmentPass(primes, steps).fill(cell, om, [osm], 10, [1], [(0, 30, bound), (30, 64, 0)])
+    bounds = (0, 0, 0, 6 << 8, 9 << 8, 0, 31 << 8)  # [8, 16), [16, 32), [32, 64), [64, 128)
+    kernel.SegmentPass(primes, steps, bounds).fill(cell, om, [osm], 10, [1])
     low = cell.astype(np.uint8)
-    assert np.array_equal(om[:30], low[:30] + (cell[:30] < bound))
-    assert np.array_equal(om[30:], low[30:])  # bound 0: no word is below it
+    for start, stop, bound in ((0, 6, 6 << 8), (6, 22, 9 << 8), (22, 54, 0), (54, 64, 31 << 8)):
+        assert np.array_equal(om[start:stop], low[start:stop] + (cell[start:stop] < bound))
+    assert np.array_equal(om[22:54], low[22:54])  # bound 0: no word is below it
     assert om[0] == 2  # 10: one counted prime, and its word is below the bound
+    assert om[54] == 2  # 64 = 2^6: its word 6 * (5 << 8) + 1 is below 31 << 8
 
 
 @pytest.mark.parametrize("lo", [1, 10, 127, 1000, (1 << 40) - 63])
@@ -515,8 +517,7 @@ def test_fill_segment_pattern_matches_the_zero_start(lo):
     primes, steps = np.array([2, 3, 5, 7]), np.array([5 << 8, 8 << 8, 12 << 8, 15 << 8])
     assert [s.size for s in kernel.SegmentPass(primes, steps).starts] == [1, 16, 144, 720, 5040]
     size = min(5200, X_MAX_CEILING + 1 - lo)
-    octaves = [(0, 30, 9 << 8), (30, size, 3 << 8)]
-    _assert_segment_matches_oracle(lo, size, primes, steps, [4], octaves, range(5))
+    _assert_segment_matches_oracle(lo, size, primes, steps, [4], ALTERNATING_BOUNDS, range(5))
 
 
 def _kernel_define(name):
@@ -527,14 +528,18 @@ def _kernel_define(name):
 CHUNK, SMALL_BOUND, FOLD_BLOCK = map(_kernel_define, ("CHUNK", "SMALL_BOUND", "FOLD_BLOCK"))
 
 
-def _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, leads):
+# A bound for every octave up to 2^40, 9 << 8 and 3 << 8 in turn.
+ALTERNATING_BOUNDS = tuple((3 + 6 * (b % 2)) << 8 for b in range(41))
+
+
+def _assert_segment_matches_oracle(lo, size, primes, steps, splits, bounds, leads):
     """One fill from each start in leads, each forced by a first split at
     its lead, against one oracle run with every split."""
-    want = oracles.segment_pass(lo, size, primes, steps, [*leads, *splits], octaves)
-    segment_pass = kernel.SegmentPass(primes, steps)
+    want = oracles.segment_pass(lo, size, primes, steps, [*leads, *splits], bounds)
+    plan = kernel.SegmentPass(primes, steps, bounds)
     for i, lead in enumerate(leads):
         cell, om, osms = _segment(size, 1 + len(splits))
-        segment_pass.fill(cell, om, osms, lo, [lead, *splits], octaves)
+        plan.fill(cell, om, osms, lo, [lead, *splits])
         assert np.array_equal(cell, want[0]), lead
         assert np.array_equal(om, want[1]), lead
         for s, (got, osm) in enumerate(zip(osms, [want[2][i], *want[2][len(leads):]])):
@@ -553,23 +558,23 @@ def _small_split(primes):
 @given(lo=st.integers(0, X_MAX_CEILING + 1 - (3 * CHUNK + 17)), cut=st.integers(5, 300))
 def test_fill_segment_chunks_match_the_whole_segment_oracle(size, lo, cut):
     # The primes up to 10^4, split before, at and after SMALL_BOUND and at
-    # the end, from each start.
-    primes, steps = base_primes(10**8)
-    small = _small_split(primes)
-    splits = [cut, small, small + cut, primes.size]
-    octaves = [(0, size // 3, 60 << 8), (size // 3, size, 120 << 8)]
-    _assert_segment_matches_oracle(lo, size, primes, steps, splits, octaves, range(6))
+    # the end, from each start, with ALTERNATING_BOUNDS (none from lo = 0).
+    plan = segment_pass(10**8)
+    small = _small_split(plan.primes)
+    splits = [cut, small, small + cut, plan.primes.size]
+    bounds = ALTERNATING_BOUNDS if lo else ()
+    _assert_segment_matches_oracle(lo, size, plan.primes, plan.steps, splits, bounds, range(6))
 
 
 @pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
 def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
     # Every prime up to 2^20 and every power up to 2^40, where the phase-1
-    # primes have the most powers past CHUNK.
-    primes, steps = base_primes(X_MAX_CEILING)
-    small = _small_split(primes)
-    splits = [5, small - 1, small, primes.size // 2, primes.size]
-    octaves = [(0, 1000, 150 << 8), (1000, 1024, 0)]
-    _assert_segment_matches_oracle(hi - 1024, 1024, primes, steps, splits, octaves, range(6))
+    # primes have the most powers past CHUNK, with the ceiling's bounds.
+    plan = segment_pass(X_MAX_CEILING)
+    small = _small_split(plan.primes)
+    splits = [5, small - 1, small, plan.primes.size // 2, plan.primes.size]
+    _assert_segment_matches_oracle(hi - 1024, 1024, plan.primes, plan.steps, splits,
+                                   plan.bounds, range(6))
 
 
 @pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
@@ -577,9 +582,9 @@ def test_w_above_sqrt_x_at_the_ceiling_matches_trial_division(hi):
     # w = 2^20 + 1 = 17 * 61 681 is above sqrt(2^40) but adds no base prime:
     # the primes up to 2^20 leave each n a cofactor above every w.
     size, ws = 64, (13, 1 << 20, (1 << 20) + 1)
-    segment_pass = kernel.SegmentPass(*base_primes(X_MAX_CEILING))
+    plan = segment_pass(X_MAX_CEILING, ws)
     cell, om, osms = _segment(size, len(ws))
-    _fill_segment(om, osms, cell, segment_pass, hi - size, ws, X_MAX_CEILING)
+    plan.fill(cell, om, osms, hi - size, _splits(plan, ws))
     for j, n in enumerate(range(hi - size, hi)):
         divisors = _prime_divisors(n)
         assert om[j] == len(divisors), n
@@ -587,28 +592,62 @@ def test_w_above_sqrt_x_at_the_ceiling_matches_trial_division(hi):
             assert osm[j] == sum(p <= w for p in divisors), (n, w)
 
 
-def test_fill_segment_refuses_a_pass_short_of_a_w(monkeypatch):
-    # The pass of x = 10 000 sieves the primes up to 97.  A w from 101, the
-    # first prime it leaves, would miss the cofactor 101 <= w.  Below
-    # x_max = 13 the log test cannot find a cofactor at all, and without
-    # every prime up to sqrt(x_max) a cofactor need not be prime.
-    segment_pass = kernel.SegmentPass(*base_primes(10_000))
+def _splits(plan, ws):
+    """How many of the pass's primes are <= each w of ws."""
+    return [int(np.count_nonzero(plan.primes <= w)) for w in ws]
+
+
+def test_segment_pass_sieves_every_prime_its_thresholds_need():
+    # Every prime up to max(sqrt(x), max ws), or up to x below 13, where
+    # the log test cannot find a cofactor and there are no bounds.
+    for x, ws in ((10_000, (13, 101)), (10_000, (100, 10_000)), (10_000, (5000,)),
+                  (12, ()), (12, (5,)), (13, ()), (121, ()), (121, (2,))):
+        plan = segment_pass(x, ws)
+        top = max([math.isqrt(x), *ws]) if x >= LOG_TEST_MIN_X else x
+        assert plan.primes.tolist() == [n for n in range(2, top + 1) if _is_prime(n)], (x, ws)
+        steps = [int(LOG_SCALE * math.log(p)) << 8 for p in plan.primes.tolist()]
+        assert plan.steps.tolist() == steps, (x, ws)
+        assert len(plan.bounds) == (x.bit_length() if x >= LOG_TEST_MIN_X else 0), (x, ws)
+    # The pass of x = 10 000 sieves the primes up to 97; w = 100 adds none
+    # and is exact.
+    ws = (13, 100)
+    plan = segment_pass(10_000, ws)
+    assert plan.primes[-1] == 97
     cell, om, osms = _segment(64, 2)
-    monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
-    for ws in ((13, 101), (100, 10_000), (5000,)):
-        with pytest.raises(ValueError, match=r"stop short of 101, which x_max = 10000"):
-            _fill_segment(om, osms[: len(ws)], cell, segment_pass, 10, ws, 10_000)
-    short = kernel.SegmentPass(*base_primes(9))  # 2, 3, 5, 7
-    with pytest.raises(ValueError, match=r"stop short of 11, which x_max = 12 and ws = \(\)"):
-        _fill_segment(om, [], cell, short, 2, (), 12)
-    with pytest.raises(ValueError, match=r"stop short of 11, which x_max = 121 and"):
-        _fill_segment(om, osms[:1], cell, short, 10, (2,), 121)  # 121 = 11^2
-    monkeypatch.undo()
-    # w = 100 adds no prime: the pass is exact for it
-    _fill_segment(om, osms, cell, segment_pass, 10, (13, 100), 10_000)
+    plan.fill(cell, om, osms, 10, _splits(plan, ws))
     for j, n in enumerate(range(10, 74)):
         assert (om[j], osms[0][j], osms[1][j]) == (
             *oracles.omega_pair(n, 13), oracles.omega_pair(n, 100)[1]), n
+
+
+# The bounds of x = 10^8 and 2^40 (T, the word bound >> 8, per octave b),
+# pinned so that any change to their float formula shows.
+FROZEN_BOUNDS = {
+    10**8: [0] * 9 + [3, 8, 14, 19, 25, 30, 36, 41, 47, 52, 58, 64, 69, 75, 80, 86, 91, 97],
+    X_MAX_CEILING: [0] * 14 + [5, 10, 16, 22, 27, 33, 38, 44, 49, 55, 60, 66, 71, 77, 83, 88,
+                               94, 99, 105, 110, 116, 121, 127, 132, 138, 144, 149],
+}
+
+
+@pytest.mark.parametrize("x", sorted(FROZEN_BOUNDS))
+def test_segment_pass_bounds_are_pinned(x):
+    assert list(segment_pass(x).bounds) == [t << 8 for t in FROZEN_BOUNDS[x]]
+
+
+# Passes whose base primes reach every prime <= x, x >= 13: the log test
+# runs and must add nothing.
+EVERY_PRIME_PAIRS = [(3000, 2999), (10_000, 9973), (20, 19)]
+
+
+@pytest.mark.parametrize("x, w", EVERY_PRIME_PAIRS)
+def test_a_pass_through_every_prime_up_to_x_matches_trial_division(x, w):
+    assert primes_up_to(x)[-1] == w
+    omega, omega_small = _trial_division_tables(x, w)
+    want = oracles.histogram(omega, omega_small, x)
+    for threads in (1, 3):
+        _assert_matches_trial_division(x, w, 1024, threads)
+        got = grid_histograms([(x, w)], threads=threads, segment_length=1024)
+        assert np.array_equal(got[x, w], want), threads
 
 
 def test_fill_segment_past_a_full_stream_table():
@@ -621,7 +660,7 @@ def test_fill_segment_past_a_full_stream_table():
     size = 3 * CHUNK + 17
     splits = [10, 60, 100]
     _assert_segment_matches_oracle(X_MAX_CEILING + 1 - size, size, primes, steps, splits,
-                                   [(0, size, 1 << 15)], range(11))
+                                   (1 << 15,) * 41, range(11))
 
 
 @lru_cache(maxsize=1)
@@ -735,8 +774,8 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
 def test_presieve_pattern_against_its_definition():
     # Each start holds its leading primes at their powers up to 16, and
     # 13 would take the period past 2^16 words.
-    primes, steps = base_primes(10**8)
-    starts = kernel.SegmentPass(primes, steps).starts
+    plan = segment_pass(10**8)
+    primes, starts = plan.primes, plan.starts
     assert [s.size for s in starts] == [1, 16, 144, 720, 5040, 55_440]
     assert starts[-1].nbytes == 110_880  # at most 128 KB
     words, powers = [], []  # each prime's word and largest power, for n < 55 440
