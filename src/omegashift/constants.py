@@ -52,6 +52,7 @@ The reported tail_bound is this truncation tail plus E_J(a, s).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -181,17 +182,26 @@ def _log_core(a: complex | float, s: float, P: int):
     is_complex = isinstance(a, complex) and a.imag != 0.0
     a_val = complex(a) if is_complex else float(np.real(a))
     count, inv_sq, power_sums = prime_sums(P)
-    pf = _head_primes()
-    u = a_val / (pf - 1.0 + s)
-    keep = 1.0 + u != 0
-    sign = 1 if keep.all() else 0
-    pf, u = pf[keep], u[keep]
-    if not is_complex:
-        negative = u < -1.0
-        if negative.sum() % 2:
-            sign = -sign
-        u = np.where(negative, -2.0 - u, u)  # log1p(-2 - u) = log|1 + u|
-    terms = (np.log1p(u) + a_val * np.log1p(-1.0 / pf)).tolist()
+    sign = 1
+    if is_complex:
+        pf = _head_primes()
+        u = a_val / (pf - 1.0 + s)
+        keep = 1.0 + u != 0
+        if not keep.all():
+            sign = 0
+        pf, u = pf[keep], u[keep]
+        terms = (np.log1p(u) + a_val * np.log1p(-1.0 / pf)).tolist()
+    else:  # through libm, whose bits do not depend on numpy's SIMD dispatch
+        terms = []
+        for p in _head_primes().tolist():
+            u = a_val / (p - 1.0 + s)
+            if 1.0 + u == 0:
+                sign = 0
+                continue
+            if u < -1.0:
+                sign = -sign
+                u = -2.0 - u  # log1p(-2 - u) = log|1 + u|
+            terms.append(math.log1p(u) + a_val * math.log1p(-1.0 / p))
     b = 1.0 - s
     terms += [
         (b**j - (b - a_val) ** j - a_val) / j * S_j
@@ -206,9 +216,14 @@ def _log_core(a: complex | float, s: float, P: int):
     return log_value, tail, count, sign
 
 
+def _exp(v: complex | float) -> complex | float:
+    """exp through libm: cmath for a complex argument, math otherwise."""
+    return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
+
+
 def _assemble(prefactor, core, P: int) -> EulerProductResult:
     log_value, tail, count, sign = core
-    value = complex(0.0 if sign == 0 else sign * prefactor * np.exp(log_value))
+    value = complex(0.0 if sign == 0 else sign * prefactor * _exp(log_value))
     if value.imag == 0.0:
         value = value.real
     return EulerProductResult(
@@ -254,7 +269,7 @@ def tilt_product(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> E
     _check_r(r)
     _check_z(z)
     a = 2.0 * z - 1.0
-    pre = np.exp(EULER_GAMMA * (2.0 * z - 2.0))
+    pre = _exp(EULER_GAMMA * (2.0 * z - 2.0))
     return _assemble(pre, _log_core(a, float(r), P), P)
 
 
@@ -267,7 +282,7 @@ def tilt_profile(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> E
     _check_r(r)
     _check_z(z)
     a = 2.0 * z - 2.0
-    pre = np.exp(EULER_GAMMA * a)
+    pre = _exp(EULER_GAMMA * a)
     return _assemble(pre, _log_core(a, float(r) + 1.0, P), P)
 
 

@@ -326,3 +326,36 @@ PRIME_SUMS_BITS = {
 def test_prime_sums_bits_are_pinned(P):
     count, inv_sq, powers = _prime_sums(P)
     assert (count, inv_sq.hex(), tuple(v.hex() for v in powers)) == PRIME_SUMS_BITS[P]
+
+
+def _has_avx512() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(not _has_avx512(), reason="numpy dispatches no AVX-512 loops on this CPU")
+def test_report_bits_do_not_depend_on_numpys_simd_dispatch(tmp_path):
+    """The same run in two child processes, the second with numpy's AVX-512
+    loops switched off, writes the same report in columns 1-9: the Euler
+    products take their real logs and exponentials from libm, not numpy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    variants = {"simd": {}, "plain": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}}
+    reports = {}
+    for name, extra in variants.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            "x_list = 100000 1000000\nk_list = 1 2 3 4\nw_rule = loglog_sq\n"
+            f"ell_max = 6\ny_grid = 0\noutput_dir = {tmp_path / name}\n"
+        )
+        env = dict(base, PYTHONPATH=str(src), **extra)
+        done = subprocess.run(
+            [sys.executable, "-m", "omegashift.cli", "run", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        (csv_path,) = (tmp_path / name).glob("*.csv")
+        reports[name] = [line.split(",")[:9] for line in csv_path.read_text().splitlines()]
+    assert len(reports["simd"]) > 1
+    assert reports["simd"] == reports["plain"]
