@@ -8,111 +8,107 @@ constants with rigorous truncation bounds, a level histogram built by one
 table-free sieve pass over a grid of scales and cached per scale,
 statistics and a generating-function layer that read a plane of that
 histogram, and an experiment runner.
+
+Importing the package runs none of its modules.  Each is bound as a lazy
+module (importlib.util.LazyLoader) that runs on first use, and each name
+of __all__ resolves through __getattr__ (PEP 562) on first access.  So a
+process loads only what it uses: a run on a warm cache loads no numpy.
 """
 
 __version__ = "0.1.0"
 
-from .constants import (
-    EulerProductResult,
-    PoleError,
-    coprimality_density,
-    level_density_constant,
-    level_ratio,
-    normal_cdf,
-    tilt_product,
-    tilt_profile,
-    tilted_level_constant,
-)
-from .experiment import (
-    CacheMismatchError,
-    ExperimentConfig,
-    ExperimentResult,
-    PredictionReport,
-    histogram_digest,
-    histogram_path,
-    load_histogram,
-    parse_config,
-    resolve_w,
-    run_experiment,
-    save_histogram,
-)
-from .genfun import (
-    GenFunValue,
-    ProfilePoint,
-    WeightKernel,
-    characteristic_profile,
-    convolution_max_deviation,
-    eval_genfun,
-    extract_coefficients,
-    kernel_value,
-    phi_prime_power,
-    phi_weighted_kernel,
-)
-from .sieve import OmegaTable, SieveConfig, build_omega_table, grid_histograms
-from .stats import (
-    ThresholdSpec,
-    gaussian_moment,
-    gaussian_spec,
-    ks_distance,
-    large_factor_ratio,
-    loglog,
-    small_factor_prediction,
-    weighted_mass,
-    weighted_mass_at,
-    weighted_mass_below,
-    weighted_mass_theoretical,
-    weighted_moment,
-)
-from .verify import VerifySummary, verify_suite
+import importlib.util
+import sys
+from importlib.machinery import PathFinder
 
-__all__ = [
-    "__version__",
-    "CacheMismatchError",
-    "EulerProductResult",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GenFunValue",
-    "OmegaTable",
-    "PoleError",
-    "PredictionReport",
-    "ProfilePoint",
-    "SieveConfig",
-    "ThresholdSpec",
-    "VerifySummary",
-    "WeightKernel",
-    "build_omega_table",
-    "characteristic_profile",
-    "convolution_max_deviation",
-    "coprimality_density",
-    "eval_genfun",
-    "extract_coefficients",
-    "gaussian_moment",
-    "gaussian_spec",
-    "grid_histograms",
-    "histogram_digest",
-    "histogram_path",
-    "kernel_value",
-    "ks_distance",
-    "large_factor_ratio",
-    "level_density_constant",
-    "level_ratio",
-    "load_histogram",
-    "loglog",
-    "normal_cdf",
-    "parse_config",
-    "phi_prime_power",
-    "phi_weighted_kernel",
-    "resolve_w",
-    "run_experiment",
-    "save_histogram",
-    "small_factor_prediction",
-    "tilt_product",
-    "tilt_profile",
-    "tilted_level_constant",
-    "verify_suite",
-    "weighted_mass",
-    "weighted_mass_at",
-    "weighted_mass_below",
-    "weighted_mass_theoretical",
-    "weighted_moment",
-]
+_EXPORTS = {
+    "base": ("SieveConfig",),
+    "constants": (
+        "EulerProductResult",
+        "PoleError",
+        "coprimality_density",
+        "level_density_constant",
+        "level_ratio",
+        "normal_cdf",
+        "tilt_product",
+        "tilt_profile",
+        "tilted_level_constant",
+    ),
+    "experiment": (
+        "CacheMismatchError",
+        "ExperimentConfig",
+        "ExperimentResult",
+        "PredictionReport",
+        "histogram_digest",
+        "histogram_path",
+        "load_histogram",
+        "parse_config",
+        "resolve_w",
+        "run_experiment",
+        "save_histogram",
+    ),
+    "genfun": (
+        "GenFunValue",
+        "ProfilePoint",
+        "WeightKernel",
+        "characteristic_profile",
+        "convolution_max_deviation",
+        "eval_genfun",
+        "extract_coefficients",
+        "kernel_value",
+        "phi_prime_power",
+        "phi_weighted_kernel",
+    ),
+    "sieve": ("OmegaTable", "build_omega_table", "grid_histograms"),
+    "stats": (
+        "ThresholdSpec",
+        "gaussian_moment",
+        "gaussian_spec",
+        "ks_distance",
+        "large_factor_ratio",
+        "loglog",
+        "small_factor_prediction",
+        "weighted_mass",
+        "weighted_mass_at",
+        "weighted_mass_below",
+        "weighted_mass_theoretical",
+        "weighted_moment",
+    ),
+    "verify": ("VerifySummary", "verify_suite"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *sorted(_HOME)]
+
+# Every module but cli, which runs as __main__ under python -m.  Bound at
+# import, as when the package imported them all, omegashift.<module> and its
+# sys.modules entry resolve before the module runs: perfbench/spans.py looks
+# each layer module up there once it has imported omegashift.cli.
+_MODULES = ("base", "constants", "experiment", "genfun", "kernel", "primes", "sieve", "stats",
+            "verify")
+
+
+def _bind_lazily(name: str):
+    """omegashift.<name> in sys.modules, to run on its first attribute access."""
+    spec = PathFinder.find_spec(f"{__name__}.{name}", __path__)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _MODULES:
+    globals()[_name] = _bind_lazily(_name)
+del _name
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[home], name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,0 +1,66 @@
+"""What the layers share that needs no numpy: the level histogram's shape,
+the package's SHA-256, the sieve's parameter checks and verify's scales.
+
+A warm run reads each H from its cache and computes every report row from
+it without numpy; this module holds what that path needs of the sieve, the
+kernel and verify, so that it loads none of them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+# The one SHA-256 of the package (the kernel library's name, the cache files,
+# the report's digests and name): CPython's built-in module, _sha256 up to
+# 3.11, _sha2 from 3.12, which gives hashlib's digests without loading
+# OpenSSL's libcrypto, 3.6 MB of a run's peak RSS; hashlib only where
+# neither is built.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+OMEGA_CAP = 16  # bins per axis of H: kernel.c's fold packs (k, v, u) as base-16 digits
+FOLD_BINS = OMEGA_CAP**3
+
+X_MAX_CEILING = 1 << 40
+DEFAULT_SEGMENT = 1 << 18  # 512 KB of words: 2^17..2^21 time alike, and larger ones cost memory
+W_CEILING = 1_048_583  # smallest prime above kernel.SegmentPass's 2^20 base-prime ceiling
+MAX_THREADS = 256  # each worker thread holds a segment's buffers
+
+FULL_SCALES = (100_000, 1_000_000, 10_000_000, 100_000_000)  # verify's full battery's x
+
+
+@dataclass(frozen=True)
+class SieveConfig:
+    """Parameters of one table build.
+
+    x_max : largest argument tabulated (inclusive), 2 <= x_max <= 2**40
+    w     : small-prime threshold for omega_small, 2 <= w <= x_max, and
+        below W_CEILING unless w = x_max (the base primes reach w < x_max)
+    segment_length : numbers processed per segment; any value >= 1024
+        produces the identical table, it only trades memory for call overhead
+    threads : worker threads mapped over segments, 1 <= threads <= MAX_THREADS
+        (disjoint output slices, so the result is independent of the count)
+    """
+
+    x_max: int
+    w: int
+    segment_length: int = DEFAULT_SEGMENT
+    threads: int = 1
+
+    def __post_init__(self):
+        if not (2 <= self.x_max <= X_MAX_CEILING):
+            raise ValueError(f"x_max={self.x_max} outside [2, 2^40]")
+        if not (2 <= self.w <= self.x_max):
+            raise ValueError(f"w={self.w} outside [2, x_max]")
+        if W_CEILING <= self.w < self.x_max:
+            raise ValueError(f"w={self.w} < x={self.x_max} needs base primes above 2^20 "
+                             f"(w >= W_CEILING = {W_CEILING}, the first prime above 2^20)")
+        if self.segment_length < 1024:
+            raise ValueError("segment_length < 1024")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads={self.threads} outside [1, {MAX_THREADS}]")

@@ -5,26 +5,20 @@ Subcommands:
   run        execute an experiment from a flat key=value config file
   verify     run the built-in invariant battery
   constants  print the Euler-product constants with rigorous tail bounds
+
+Each command imports its modules when it runs, so a command loads only
+what it uses: run, on a warm cache, loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 from . import __version__
-from .constants import (
-    DEFAULT_TRUNCATION,
-    level_density_constant,
-    tilt_product,
-    tilt_profile,
-    tilted_level_constant,
-)
-from .experiment import parse_config, run_experiment, write_atomic
-from .sieve import SieveConfig, build_omega_table
-from .verify import FULL_SCALES, verify_suite
+from .base import FULL_SCALES
+from .constants import DEFAULT_TRUNCATION
 
 
 def _parse_z(text: str) -> complex:
@@ -37,6 +31,8 @@ def _parse_z(text: str) -> complex:
 
 
 def _cmd_sieve(args) -> int:
+    from .sieve import SieveConfig, build_omega_table
+
     t0 = time.perf_counter()
     table = build_omega_table(SieveConfig(x_max=args.x, w=args.w, threads=args.threads))
     dt = time.perf_counter() - t0
@@ -48,6 +44,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .experiment import parse_config, run_experiment
+
     with open(args.config, "r", encoding="utf-8") as fh:
         config = parse_config(fh.read())
     result = run_experiment(config)
@@ -57,6 +55,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from .experiment import write_atomic
+    from .verify import verify_suite
+
     summary = verify_suite(level=args.level, x_top=args.x_top)
     if args.json:
         write_atomic(args.json, (json.dumps(summary.as_dict(), indent=2) + "\n").encode())
@@ -64,6 +67,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .constants import (
+        level_density_constant,
+        tilt_product,
+        tilt_profile,
+        tilted_level_constant,
+    )
+
     rows = [
         ("level_density", level_density_constant(args.r, args.P)),
         ("tilted_level", tilted_level_constant(args.r, args.P)),

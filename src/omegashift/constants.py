@@ -57,10 +57,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .primes import factorize, iter_prime_blocks, primes_up_to
-
 EULER_GAMMA = 0.577215664901532860606512090082
 PRIME_ZETA_2 = 0.452247420041065498506543364832
 
@@ -117,8 +113,17 @@ def _series_remainder(a: complex | float, s: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _head_primes() -> np.ndarray:
-    return primes_up_to(MIN_TRUNCATION).astype(np.float64)
+def _head_primes() -> tuple[float, ...]:
+    """The primes p <= MIN_TRUNCATION, ascending, as floats: a sieve of
+    Eratosthenes in plain Python, so a run that reads its prime sums from
+    the cache loads no numpy."""
+    n = MIN_TRUNCATION
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return tuple(float(p) for p in range(n + 1) if sieve[p])
 
 
 PrimeSums = tuple[int, float, tuple[float, ...]]
@@ -134,7 +139,12 @@ def _prime_sums(P: int) -> PrimeSums:
     file).  A block's primes are dropped once 1/p is taken, and the primes
     above MIN_TRUNCATION are the tail of the block, since primes ascend: one
     block and two float arrays of its length are the most ever alive.
+    numpy and the prime sieve load here, on a prime-sums cache miss only.
     """
+    import numpy as np
+
+    from .primes import iter_prime_blocks
+
     count = 0
     inv_sq_parts: list[float] = []
     power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]
@@ -180,11 +190,13 @@ def _log_core(a: complex | float, s: float, P: int):
     if not 0.0 <= s <= R_CEILING + 1.0 + 1e-9:
         raise ValueError(f"shift s={s} outside [0, {R_CEILING + 1}]")
     is_complex = isinstance(a, complex) and a.imag != 0.0
-    a_val = complex(a) if is_complex else float(np.real(a))
+    a_val = complex(a) if is_complex else float(a.real)
     count, inv_sq, power_sums = prime_sums(P)
     sign = 1
-    if is_complex:
-        pf = _head_primes()
+    if is_complex:  # numpy's complex log1p; no report row takes a complex a
+        import numpy as np
+
+        pf = np.array(_head_primes())
         u = a_val / (pf - 1.0 + s)
         keep = 1.0 + u != 0
         if not keep.all():
@@ -193,7 +205,7 @@ def _log_core(a: complex | float, s: float, P: int):
         terms = (np.log1p(u) + a_val * np.log1p(-1.0 / pf)).tolist()
     else:  # through libm, whose bits do not depend on numpy's SIMD dispatch
         terms = []
-        for p in _head_primes().tolist():
+        for p in _head_primes():
             u = a_val / (p - 1.0 + s)
             if 1.0 + u == 0:
                 sign = 0
@@ -300,8 +312,10 @@ def coprimality_density(ell: int, y: float, P: int = DEFAULT_TRUNCATION) -> Eule
         raise ValueError("ell < 1")
     if isinstance(y, complex) and y.imag != 0.0:
         raise ValueError(f"y={y} is complex; coprimality_density takes a real y")
-    y = float(np.real(y))
+    y = float(y.real)
     _check_z(y)
+    from .primes import factorize
+
     pdiv = [p for p, _ in factorize(ell)]
     for p in pdiv:
         if abs(y - (1 - p)) < 1e-6:

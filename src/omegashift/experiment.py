@@ -28,9 +28,8 @@ import tempfile
 import time
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import __version__
+from .base import FOLD_BINS, OMEGA_CAP, SieveConfig, sha256
 from .constants import (
     _BLOCK,
     DEFAULT_TRUNCATION,
@@ -41,8 +40,6 @@ from .constants import (
     normal_cdf,
     prime_sums,
 )
-from .kernel import FOLD_BINS, OMEGA_CAP, sha256
-from .sieve import SieveConfig, grid_histograms
 from .stats import (
     MAX_MOMENT,
     classical_baseline,
@@ -113,7 +110,7 @@ class ExperimentConfig:
             raise ValueError("x_list is empty")
         if not self.k_list:
             raise ValueError("k_list is empty")
-        for name in ("x_list", "k_list"):  # a repeat would write each of its rows again
+        for name in ("x_list", "k_list", "moments", "y_grid"):  # a repeat writes its rows again
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} {values} repeats a value")
@@ -248,7 +245,6 @@ def config_hash(config: ExperimentConfig) -> str:
 HIST_MAGIC = b"OMGH"
 HIST_VERSION = 2  # bump when the format or the numbers H holds change
 _HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
-_HIST_BYTES = FOLD_BINS * 8
 SUMS_MAGIC = b"OMGS"
 SUMS_VERSION = 1  # bump when the format or the way _prime_sums sums changes
 _SUMS_HEADER = struct.Struct("<4sIQIII32s")  # the fields of _sums_key, SHA-256 of the payload
@@ -263,14 +259,24 @@ def histogram_path(cache_dir: str, x: int, w: int) -> str:
     return os.path.join(cache_dir, f"hist_x{x}_w{w}.bin")
 
 
-def _payload(H: np.ndarray) -> bytes:
-    if H.shape != (OMEGA_CAP,) * 3:
-        raise ValueError(f"histogram shape {H.shape}, want {(OMEGA_CAP,) * 3}")
-    return np.ascontiguousarray(H, dtype="<i8").tobytes()
+_HIST_PAYLOAD = struct.Struct(f"<{FOLD_BINS}q")  # H as little-endian int64 in C order
 
 
-def histogram_digest(H: np.ndarray) -> str:
-    """SHA-256 of H as little-endian int64 in C order, as the cache stores it."""
+def _payload(H) -> bytes:
+    """H, a 16 x 16 x 16 nested sequence of ints (nested lists or a numpy
+    array), packed as the cache stores it."""
+    n = OMEGA_CAP
+    try:  # a TypeError: too shallow; a struct.error: too deep, or not an int64 count
+        if len(H) == n and all(len(J) == n and all(len(row) == n for row in J) for J in H):
+            return _HIST_PAYLOAD.pack(*(c for J in H for row in J for c in row))
+    except (TypeError, struct.error):
+        pass
+    raise ValueError(f"histogram is not {(n,) * 3} int64 counts")
+
+
+def histogram_digest(H) -> str:
+    """SHA-256 of H as little-endian int64 in C order, as the cache stores it;
+    nested lists and a numpy array of the same counts give the same digest."""
     return sha256(_payload(H)).hexdigest()
 
 
@@ -320,19 +326,21 @@ def _read_cache(path: str, header: struct.Struct, key: dict, size: int) -> bytes
     return payload
 
 
-def save_histogram(H: np.ndarray, path: str, x: int, w: int) -> None:
+def save_histogram(H, path: str, x: int, w: int) -> None:
     """Write H as a cache file: the header (magic, version, x, w, SHA-256
     of the payload), then the payload, H as little-endian int64 in C order."""
     _write_cache(path, _HEADER, (HIST_MAGIC, HIST_VERSION, x, w), _payload(H))
 
 
-def load_histogram(path: str, x: int, w: int) -> np.ndarray:
-    """Read a cached H for (x, w) as a writable int64 array; a short or long
-    file, another magic, version, x or w, or a payload that does not match
-    its digest raises CacheMismatchError."""
+def load_histogram(path: str, x: int, w: int) -> list[list[list[int]]]:
+    """Read a cached H for (x, w) as nested lists of ints, H[k][v][u]; a short
+    or long file, another magic, version, x or w, or a payload that does not
+    match its digest raises CacheMismatchError."""
     key = {"magic": HIST_MAGIC, "version": HIST_VERSION, "x": x, "w": w}
-    payload = _read_cache(path, _HEADER, key, _HIST_BYTES)
-    return np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape((OMEGA_CAP,) * 3)
+    counts = _HIST_PAYLOAD.unpack(_read_cache(path, _HEADER, key, _HIST_PAYLOAD.size))
+    n = OMEGA_CAP
+    return [[list(counts[(k * n + v) * n : (k * n + v + 1) * n]) for v in range(n)]
+            for k in range(n)]
 
 
 def prime_sums_path(cache_dir: str, P: int) -> str:
@@ -363,8 +371,9 @@ def load_prime_sums(path: str, P: int) -> PrimeSums:
 
 
 def _histograms(config: ExperimentConfig, pairs) -> dict:
-    """{(x, w): H}: cached pairs are loaded, the rest come from one grid pass
-    up to their own largest x and are cached."""
+    """{(x, w): H} as nested lists of ints: cached pairs are loaded, the rest
+    come from one grid pass up to their own largest x and are cached.  The
+    sieve, and numpy with it, loads only when a pair is missing."""
     hists = {}
     if config.cache_dir:
         for x, w in pairs:
@@ -373,11 +382,13 @@ def _histograms(config: ExperimentConfig, pairs) -> dict:
                 hists[x, w] = load_histogram(path, x, w)
     missing = [pair for pair in pairs if pair not in hists]
     if missing:
+        from .sieve import grid_histograms
+
         built = grid_histograms(missing, threads=config.threads)
-        if config.cache_dir:
-            for (x, w), H in built.items():
+        for (x, w), H in built.items():
+            if config.cache_dir:
                 save_histogram(H, histogram_path(config.cache_dir, x, w), x, w)
-        hists.update(built)
+            hists[x, w] = H.tolist()
     return hists
 
 
@@ -442,7 +453,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 row(f"moment_m{m}", x, k, w, m, gaussian_moment(m), gauss_err,
                     weighted_moment, J, x, m)
             if config.baseline:
-                size = int(J.sum())
+                size = sum(map(sum, J))
                 for y in config.y_grid:
                     row("unweighted_cdf", x, k, w, y, size * normal_cdf(y), base_err,
                         unweighted_baseline, J, x, y)

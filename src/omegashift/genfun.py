@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import OMEGA_CAP
 from .constants import _check_z
-from .kernel import OMEGA_CAP
 from .primes import factor_table, factorize
 from .sieve import SieveConfig, build_omega_table
 from .stats import weighted_mass_at

@@ -4,10 +4,10 @@ SegmentPass.fill and fold are their one way in, and check every argument.
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
 __pycache__, under a name made from the SHA-256 of the source, the flags
-and the compiler, so an edit or a new compiler gets a new file.  It is
-written to a temporary file and moved into place with os.replace, and a
-cached file that fails to load, or is removed before it loads, is rebuilt
-once.  A build removes the other builds in that directory; a process that
+and the interpreter build, so an edit or a new interpreter gets a new
+file.  It is written to a temporary file and moved into place with
+os.replace, and a cached file that fails to load, or is removed before it
+loads, is rebuilt once.  A build removes the other builds in that directory; a process that
 has one loaded keeps it mapped.  ctypes releases the interpreter lock
 during each call, so threads run the loops in parallel.
 """
@@ -18,21 +18,12 @@ import ctypes
 import functools
 import math
 import os
+import sys
 import threading
 
 import numpy as np
 
-# The one SHA-256 of the package (this library's name, the cache files, the
-# report's digests and name): CPython's built-in module, _sha256 up to 3.11,
-# _sha2 from 3.12, which gives hashlib's digests without loading OpenSSL's
-# libcrypto, 3.6 MB of a run's peak RSS; hashlib only where neither is built.
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+from .base import FOLD_BINS, OMEGA_CAP, sha256
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
@@ -40,8 +31,6 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # 20-byte counting loop inside one 64-byte line whatever code comes before
 # it: crossing one, it took 1.7 instead of 1.15 ns per n (2-core Xeon).
 FLAGS = ("-O3", "-falign-loops=32", "-shared", "-fPIC")
-OMEGA_CAP = 16  # bins per axis of H: kernel.c's fold packs (k, v, u) as base-16 digits
-FOLD_BINS = OMEGA_CAP**3
 
 _LOCK = threading.Lock()
 
@@ -58,10 +47,14 @@ def _compiler() -> list[str]:
 
 
 def library_path() -> str:
-    """Where the library built by the current source, flags and compiler lives."""
+    """Where the library built by the current source and flags for this
+    interpreter build lives.  The interpreter's version string and path fix
+    the sysconfig CC that _compiler reads, so a new compiler comes with a
+    new name without loading sysconfig and shlex, 0.25-0.41 MB of peak RSS,
+    in every process that loads a cached library."""
     with open(SOURCE, "rb") as fh:
         key = sha256(fh.read())
-    key.update(repr((FLAGS, _compiler())).encode())
+    key.update(repr((FLAGS, sys.version, sys.executable)).encode())
     return os.path.join(CACHE_DIR, f"omegashift_kernel_{key.hexdigest()[:16]}.so")
 
 

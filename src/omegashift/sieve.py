@@ -44,14 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
+from .base import DEFAULT_SEGMENT, MAX_THREADS, W_CEILING, X_MAX_CEILING, SieveConfig
 from .primes import primes_up_to
 
-X_MAX_CEILING = 1 << 40
-DEFAULT_SEGMENT = 1 << 18  # 512 KB of words: 2^17..2^21 time alike, and larger ones cost memory
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_TEST_MIN_X = 13  # smallest x_max whose log test separates by a unit; below, sieve all p
-W_CEILING = 1_048_583  # smallest prime above kernel.SegmentPass's 2^20 base-prime ceiling
-MAX_THREADS = 256  # each worker thread holds a segment's buffers
 
 
 def _max_omega(limit: int) -> int:
@@ -80,38 +77,6 @@ if LOG_SCALE * math.log(X_MAX_CEILING) >= 256:
     raise RuntimeError("scaled log of X_MAX_CEILING does not fit the accumulator byte")
 if _log_gap(LOG_TEST_MIN_X) <= 1:
     raise RuntimeError("log test does not separate its bands at LOG_TEST_MIN_X")
-
-
-@dataclass(frozen=True)
-class SieveConfig:
-    """Parameters of one table build.
-
-    x_max : largest argument tabulated (inclusive), 2 <= x_max <= 2**40
-    w     : small-prime threshold for omega_small, 2 <= w <= x_max, and
-        below W_CEILING unless w = x_max (the base primes reach w < x_max)
-    segment_length : numbers processed per segment; any value >= 1024
-        produces the identical table, it only trades memory for call overhead
-    threads : worker threads mapped over segments, 1 <= threads <= MAX_THREADS
-        (disjoint output slices, so the result is independent of the count)
-    """
-
-    x_max: int
-    w: int
-    segment_length: int = DEFAULT_SEGMENT
-    threads: int = 1
-
-    def __post_init__(self):
-        if not (2 <= self.x_max <= X_MAX_CEILING):
-            raise ValueError(f"x_max={self.x_max} outside [2, 2^40]")
-        if not (2 <= self.w <= self.x_max):
-            raise ValueError(f"w={self.w} outside [2, x_max]")
-        if W_CEILING <= self.w < self.x_max:
-            raise ValueError(f"w={self.w} < x={self.x_max} needs base primes above 2^20 "
-                             f"(w >= W_CEILING = {W_CEILING}, the first prime above 2^20)")
-        if self.segment_length < 1024:
-            raise ValueError("segment_length < 1024")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ValueError(f"threads={self.threads} outside [1, {MAX_THREADS}]")
 
 
 @dataclass

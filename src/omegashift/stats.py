@@ -9,10 +9,11 @@ no omega reaches 16 below 2^40.  Its one producer is sieve.grid_histograms,
 and experiment caches it; this module holds no sieve or file code, only
 the statistics of H and their predictions.
 The k-level statistics take the plane J = H[k] (the joint histogram of the
-level set), plus x where a threshold or normalization needs it; the
-classical baseline takes H itself.  A plane of all n regardless of
-omega(n) is H.sum(axis=0).  Weighted masses, thresholded and slice masses
-and baseline counts are exact integers, and every float statistic is
+level set), a 16 x 16 nested sequence of ints, plus x where a threshold or
+normalization needs it; the classical baseline takes H itself, 16 x 16 x 16.
+Nested lists, as a run reads them from its cache, and numpy arrays give
+the same values.  Weighted masses, thresholded and slice masses and
+baseline counts are exact Python integers, and every float statistic is
 computed from them in a fixed order, so all of them are bit-reproducible
 for every sieve segmentation and thread count.
 """
@@ -20,10 +21,10 @@ for every sieve segmentation and thread count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
+from .base import OMEGA_CAP
 from .constants import (
     DEFAULT_TRUNCATION,
     level_ratio,
@@ -31,7 +32,8 @@ from .constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from .kernel import OMEGA_CAP
+
+Plane = Sequence[Sequence[int]]  # J[v][u]
 
 MAX_MOMENT = 12
 
@@ -78,12 +80,17 @@ def unweighted_spec(x: int) -> ThresholdSpec:
     return ThresholdSpec(center=t, scale=math.sqrt(t))
 
 
-def _row_masses(J: np.ndarray) -> list[int]:
+def _row_counts(J: Plane) -> list[int]:
+    """[row v count] for v < OMEGA_CAP; exact integers."""
+    return [int(sum(row)) for row in J]
+
+
+def _row_masses(J: Plane) -> list[int]:
     """[2^v * (row v count)] for v < OMEGA_CAP; exact integers."""
-    return [int(c) << v for v, c in enumerate(J.sum(axis=1))]
+    return [c << v for v, c in enumerate(_row_counts(J))]
 
 
-def weighted_mass(J: np.ndarray) -> int:
+def weighted_mass(J: Plane) -> int:
     """S = sum of 2^omega(n-1) over the plane J; exact integer."""
     return sum(_row_masses(J))
 
@@ -98,7 +105,7 @@ def weighted_mass_theoretical(k: int, x: int, P: int = DEFAULT_TRUNCATION) -> fl
     return x * loglog(x) ** (k - 1) / math.factorial(k - 1) * const
 
 
-def weighted_mass_below(J: np.ndarray, x: int, y: float) -> int:
+def weighted_mass_below(J: Plane, x: int, y: float) -> int:
     """Weighted mass of the plane J over the rows below the Gaussian threshold:
 
         sum 2^omega(n-1) over n with  omega(n-1) <= 2 loglog x + y sqrt(2 loglog x).
@@ -108,15 +115,17 @@ def weighted_mass_below(J: np.ndarray, x: int, y: float) -> int:
     """
     _check_y(y)
     spec = gaussian_spec(x)
-    keep = np.arange(OMEGA_CAP) <= spec.center + y * spec.scale
-    return weighted_mass(J * keep[:, None])
+    top = spec.center + y * spec.scale
+    return sum(m for v, m in enumerate(_row_masses(J)) if v <= top)
 
 
-def weighted_mass_at(J: np.ndarray, ell: int) -> int:
+def weighted_mass_at(J: Plane, ell: int) -> int:
     """Weighted mass of the slice omega(n-1, w) = ell (the column u = ell)."""
     if ell < 0:
         raise ValueError("ell < 0")
-    return weighted_mass(J * (np.arange(OMEGA_CAP) == ell))
+    if ell >= OMEGA_CAP:
+        return 0
+    return sum(int(row[ell]) << v for v, row in enumerate(J))
 
 
 def small_factor_prediction(
@@ -146,7 +155,7 @@ def small_factor_prediction(
     )
 
 
-def weighted_moment(J: np.ndarray, x: int, m: int) -> float:
+def weighted_moment(J: Plane, x: int, m: int) -> float:
     """m-th normalized weighted moment of (omega(n-1) - 2 loglog x)/sqrt(2 loglog x).
 
     Gaussian limit: (m-1)!! for even m, 0 for odd m.
@@ -197,7 +206,7 @@ def ks_weighted_histogram(weights, center: float, scale: float) -> float:
     return dist
 
 
-def ks_distance(J: np.ndarray, x: int) -> float:
+def ks_distance(J: Plane, x: int) -> float:
     """sup_y |S(x, y)/S(x) - Phi(y)| for the weighted shifted counter."""
     spec = gaussian_spec(x)
     return ks_weighted_histogram(_row_masses(J), spec.center, spec.scale)
@@ -208,27 +217,28 @@ def _check_y(y: float) -> None:
         raise ValueError("threshold y is nan")
 
 
-def _count_below(A: np.ndarray, x: int, y: float) -> int:
-    """Total count of A over first indices <= loglog x + y sqrt(loglog x);
-    a nan y is a ValueError."""
+def _count_below(counts: list[int], x: int, y: float) -> int:
+    """Sum of counts[i] over i <= loglog x + y sqrt(loglog x); a nan y is a
+    ValueError."""
     _check_y(y)
     spec = unweighted_spec(x)
-    return int(A[np.arange(OMEGA_CAP) <= spec.center + y * spec.scale].sum())
+    top = spec.center + y * spec.scale
+    return sum(c for i, c in enumerate(counts) if i <= top)
 
 
-def unweighted_baseline(J: np.ndarray, x: int, y: float) -> int:
+def unweighted_baseline(J: Plane, x: int, y: float) -> int:
     """Plain count of the plane J with omega(n-1) <= loglog x + y sqrt(loglog x);
     its limit is the plane's size times Phi(y)."""
-    return _count_below(J, x, y)
+    return _count_below(_row_counts(J), x, y)
 
 
-def classical_baseline(H: np.ndarray, x: int, y: float) -> int:
+def classical_baseline(H: Sequence[Plane], x: int, y: float) -> int:
     """Count of 2 <= n <= x with omega(n) <= loglog x + y sqrt(loglog x), read
     from the level histogram H; its limit is (x - 1) Phi(y)."""
-    return _count_below(H, x, y)
+    return _count_below([sum(_row_counts(J)) for J in H], x, y)
 
 
-def large_factor_ratio(J: np.ndarray, x: int, c_mult: float = 4.0) -> float:
+def large_factor_ratio(J: Plane, x: int, c_mult: float = 4.0) -> float:
     """Share of the weighted mass carried by n whose shifted argument has more
     than c_mult * logloglog x distinct prime factors above w:
 
@@ -241,5 +251,5 @@ def large_factor_ratio(J: np.ndarray, x: int, c_mult: float = 4.0) -> float:
     total = weighted_mass(J)
     if total == 0:
         raise ValueError(f"empty level set at x={x}")
-    v = np.arange(OMEGA_CAP)
-    return weighted_mass(J * (v[:, None] - v > thr)) / total
+    above = sum(int(c) << v for v, row in enumerate(J) for u, c in enumerate(row) if v - u > thr)
+    return above / total

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import genfun
+from .base import FULL_SCALES, OMEGA_CAP
 from .constants import (
     EULER_GAMMA,
     coprimality_density,
@@ -34,7 +35,6 @@ from .constants import (
     tilted_level_constant,
 )
 from .experiment import resolve_w
-from .kernel import OMEGA_CAP
 from .primes import factor_table
 from .sieve import SieveConfig, build_omega_table, grid_histograms
 from .stats import (
@@ -52,7 +52,6 @@ from .stats import (
 
 Z_GRID = (0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, 1.0j, 1.7 + 0.3j)
 W_GRID = (2, 10, 97)
-FULL_SCALES = (100_000, 1_000_000, 10_000_000, 100_000_000)  # the full battery's x
 TREND_K = 2  # the level whose plane the trend gates read
 
 

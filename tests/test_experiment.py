@@ -115,6 +115,10 @@ def test_parse_config_rejects_unknown_and_malformed():
         parse_config("x_list = 10000 10000\nk_list = 2 2")
     with pytest.raises(ValueError, match=r"k_list \(2, 3, 2\) repeats a value"):
         parse_config("x_list = 10000\nk_list = 2, 3, 2")
+    with pytest.raises(ValueError, match=r"moments \(2, 2\) repeats a value"):
+        parse_config("x_list = 10000\nk_list = 2\nmoments = 2 2")
+    with pytest.raises(ValueError, match=r"y_grid \(0.0, 1.0, 0.0\) repeats a value"):
+        parse_config("x_list = 10000\nk_list = 2\ny_grid = 0 1 0")
 
 
 def test_config_validation_bounds():
@@ -337,15 +341,16 @@ def test_histogram_cache_roundtrip(tmp_path, H):
     assert path.endswith(f"hist_x{X}_w{W}.bin")
     save_histogram(H, path, X, W)  # parent directories are created on demand
     got = load_histogram(path, X, W)
-    assert got.dtype == np.int64 and got.shape == (16, 16, 16) and np.array_equal(got, H)
-    got[2, 1, 1] += 1  # the loaded histogram is a writable copy
-    assert not np.array_equal(got, load_histogram(path, X, W))
+    assert got == H.tolist()  # nested lists of ints, H[k][v][u]
+    assert {type(c) for J in got for row in J for c in row} == {int}
+    got[2][1][1] += 1  # the loaded histogram is a writable copy
+    assert got != load_histogram(path, X, W)
     raw = open(path, "rb").read()
     payload = H.astype("<i8").tobytes()  # the format, spelled out: header, then H
     digest = hashlib.sha256(payload)
     assert HIST_VERSION == 2 and len(raw) == 56 + 16**3 * 8 == 32_824
     assert raw == struct.pack("<4sIQQ32s", b"OMGH", HIST_VERSION, X, W, digest.digest()) + payload
-    assert histogram_digest(H) == digest.hexdigest()
+    assert histogram_digest(H) == histogram_digest(H.tolist()) == digest.hexdigest()
     assert os.listdir(cache_dir) == [os.path.basename(path)]  # no temporary file left
 
 
@@ -480,10 +485,9 @@ def test_warm_run_computes_no_prime_sums(tmp_path, monkeypatch):
     monkeypatch.setattr(constants, "_SUMS", {})  # the memo of a fresh process
     monkeypatch.setattr(constants, "_prime_sums", lambda P: pytest.fail(f"summed P={P}"))
     monkeypatch.setattr(primes, "iter_prime_blocks", recorded)
-    monkeypatch.setattr(constants, "iter_prime_blocks", recorded)
     constants._head_primes.cache_clear()
     warm = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "warm")))
-    assert limits and max(limits) <= constants.MIN_TRUNCATION  # the head primes only
+    assert limits == []  # the head primes come from constants' own small sieve
     assert _strip_runtime(warm.csv_path) == _strip_runtime(cold.csv_path)
 
 
@@ -550,6 +554,64 @@ print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in paylo
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-3:] == ["[]", "True False", "True"]
     assert (tmp_path / "cache" / "hist_x10000_w50.bin").exists()
+
+
+def test_a_warm_run_imports_no_numpy(tmp_path):
+    """A cold and then a warm `python -m omegashift.cli run`, each in a child
+    process: at the warm one's exit numpy is not loaded and none of the sieve,
+    kernel, prime, genfun or verify modules has run (the package binds each
+    lazily, and a lazy module that never ran is not a plain ModuleType), and
+    its report equals the cold one's but for runtime_ms.  Importing the
+    package and its command line loads no numpy either, and every name of
+    __all__ still resolves."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "x_list = 10000 100000\nk_list = 1 2 3\nw_rule = loglog_sq\nell_max = 4\n"
+        "moments = 2 4\nbaseline = true\nlarge_factor_c = 4.0\n"
+        f"cache_dir = {tmp_path / 'cache'}\n"
+    )
+    heavy = ("omegashift.sieve", "omegashift.kernel", "omegashift.primes",
+             "omegashift.genfun", "omegashift.verify")
+    probe = f"""
+import atexit, runpy, sys, types
+def loaded():
+    ran = [m for m in {heavy!r} if type(sys.modules.get(m)) is types.ModuleType]
+    print("numpy" in sys.modules, ran)
+atexit.register(loaded)
+sys.argv = ["omegashift", *sys.argv[1:]]
+runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
+    reports = {}
+    for phase in ("cold", "warm"):
+        (tmp_path / f"{phase}.cfg").write_text(cfg.read_text() + f"output_dir = {tmp_path / phase}\n")
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "run", "--config", str(tmp_path / f"{phase}.cfg")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        reports[phase] = done.stdout.splitlines()[-1]
+    assert reports["cold"].startswith("True ")  # the cold run sieved
+    assert reports["warm"] == "False []"
+    (cold_csv,), (warm_csv,) = ((tmp_path / p).glob("*.csv") for p in ("cold", "warm"))
+    assert _strip_runtime(warm_csv) == _strip_runtime(cold_csv)
+    (cold_json,), (warm_json,) = ((tmp_path / p).glob("*.json") for p in ("cold", "warm"))
+    docs = [json.loads(path.read_text()) for path in (cold_json, warm_json)]
+    for doc in docs:
+        for row in doc["rows"]:
+            row.pop("runtime_ms")
+    assert docs[0] == docs[1]
+    imports = """
+import sys
+import omegashift
+import omegashift.cli
+print("numpy" in sys.modules)
+print(all(hasattr(omegashift, n) for n in omegashift.__all__))
+"""
+    done = subprocess.run([sys.executable, "-c", imports], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]  # numpy loads only once a name needs it
 
 
 def _strip_runtime(path):
@@ -678,7 +740,7 @@ def test_cli_sieve_and_cache(tmp_path, capsys):
 
 def test_cli_sieve_rejects_an_absurd_thread_count(monkeypatch, capsys):
     # The config is refused before any table is allocated or thread started.
-    monkeypatch.setattr("omegashift.cli.build_omega_table", lambda config: pytest.fail("sieved"))
+    monkeypatch.setattr("omegashift.sieve.build_omega_table", lambda config: pytest.fail("sieved"))
     assert main(["sieve", "--x", "100000000", "--w", "4858", "--threads", "100000"]) == 2
     assert capsys.readouterr().err == "error: threads=100000 outside [1, 256]\n"
 
@@ -687,8 +749,8 @@ def test_cli_rejects_a_w_past_the_base_prime_ceiling(tmp_path, monkeypatch, caps
     # fixed:1048583 below x = 2e6 needs the base prime 1 048 583 > 2^20; at
     # x = 1e5 it is clamped to w = x and needs none.  Both commands refuse
     # the pair before any sieving.
-    monkeypatch.setattr("omegashift.cli.build_omega_table", lambda config: pytest.fail("sieved"))
-    monkeypatch.setattr("omegashift.experiment.grid_histograms",
+    monkeypatch.setattr("omegashift.sieve.build_omega_table", lambda config: pytest.fail("sieved"))
+    monkeypatch.setattr("omegashift.sieve.grid_histograms",
                         lambda *args, **kwargs: pytest.fail("sieved"))
     message = ("error: w=1048583 < x=2000000 needs base primes above 2^20 "
                "(w >= W_CEILING = 1048583, the first prime above 2^20)\n")

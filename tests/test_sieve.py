@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -398,6 +399,20 @@ def test_a_build_removes_the_stale_kernel_libraries(kernel_dir):
     assert sorted(f.name for f in kernel_dir.iterdir()) == sorted(
         [os.path.basename(kernel.library_path()), "unrelated.so"]
     )
+
+
+def test_a_cached_library_loads_without_sysconfig_or_shlex():
+    """The library's name comes from the source, FLAGS and the interpreter
+    build, so loading a cached build needs no compiler name: sysconfig and
+    shlex stay unloaded until a build runs."""
+    kernel.library()  # the cached build the child loads
+    probe = ("import sys, omegashift.kernel as k; k.library(); "
+             "print(sorted(m for m in ('sysconfig', 'shlex') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kernel.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 def test_fold_refuses_a_corrupt_table():

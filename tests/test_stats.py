@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from omegashift.constants import normal_cdf
-from omegashift.experiment import resolve_w
+from omegashift.experiment import histogram_digest, load_histogram, resolve_w, save_histogram
 from omegashift.kernel import OMEGA_CAP
 from omegashift.sieve import (
     MAX_OMEGA,
@@ -411,3 +411,66 @@ def test_session_oracle_agreement(table_1e5, oracle_triples, oracle_w):
     assert np.array_equal(grid_histograms([(100_000, oracle_w)])[100_000, oracle_w], H)
     J = H[k]
     assert weighted_mass(J) == oracles.weighted_mass(oracle_triples, k)
+
+
+def _outcome(fn, *args):
+    """fn(*args) with its type, or the type and message of the ValueError it raised."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def _random_histogram(seed: int, empty: float) -> np.ndarray:
+    """A 16 x 16 x 16 int64 histogram of counts up to 2^40, about a share
+    empty of them 0 and a tenth of the rest below 16."""
+    rng = np.random.default_rng(seed)
+    shape = (OMEGA_CAP,) * 3
+    H = rng.integers(0, 1 << 40, size=shape, dtype=np.int64, endpoint=True)
+    H[rng.random(shape) < 0.1] %= 16
+    H[rng.random(shape) < empty] = 0
+    return H
+
+
+_HISTOGRAMS = st.builds(_random_histogram, st.integers(0, 2**32 - 1),
+                        st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    H=_HISTOGRAMS,
+    x=st.sampled_from([16, 10_000, 10**8, 1 << 40]),
+    y=st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-math.inf, math.inf])),
+    ell=st.integers(0, OMEGA_CAP + 1),
+    m=st.integers(0, 12),
+    c_mult=st.floats(0.0, 8.0),
+)
+def test_statistics_agree_on_numpy_planes_and_nested_ints(H, x, y, ell, m, c_mult):
+    """Every statistic gives the same value, of the same type, bit for bit,
+    on an int64 plane J and on J.tolist(), and the classical baseline on H
+    and H.tolist(): a run reads H from its cache as nested ints, and the
+    grid pass builds it with numpy."""
+    J = H[2]
+    calls = [
+        (weighted_mass, ()),
+        (weighted_mass_below, (x, y)),
+        (weighted_mass_at, (ell,)),
+        (weighted_moment, (x, m)),
+        (ks_distance, (x,)),
+        (unweighted_baseline, (x, y)),
+        (large_factor_ratio, (x, c_mult)),
+    ]
+    for fn, args in calls:
+        assert _outcome(fn, J, *args) == _outcome(fn, J.tolist(), *args), fn.__name__
+    assert _outcome(classical_baseline, H, x, y) == _outcome(classical_baseline, H.tolist(), x, y)
+    assert _outcome(weighted_mass, J)[0] is int
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(H=_HISTOGRAMS)
+def test_a_saved_histogram_loads_as_nested_ints(tmp_path_factory, H):
+    path = str(tmp_path_factory.mktemp("hist") / "hist.bin")
+    save_histogram(H, path, 10**6, 987)
+    assert load_histogram(path, 10**6, 987) == H.tolist()
+    assert histogram_digest(H) == histogram_digest(H.tolist())
