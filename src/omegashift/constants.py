@@ -126,6 +126,13 @@ def _head_primes() -> tuple[float, ...]:
     return tuple(float(p) for p in range(n + 1) if sieve[p])
 
 
+@lru_cache(maxsize=1)
+def _head_shifts_and_logs() -> tuple[tuple[float, float], ...]:
+    """(p - 1, log1p(-1/p)) for each head prime p, the parts of a real head
+    term that do not depend on a or s, taken once."""
+    return tuple((p - 1.0, math.log1p(-1.0 / p)) for p in _head_primes())
+
+
 PrimeSums = tuple[int, float, tuple[float, ...]]
 _SUMS: dict[int, PrimeSums] = {}
 
@@ -205,15 +212,15 @@ def _log_core(a: complex | float, s: float, P: int):
         terms = (np.log1p(u) + a_val * np.log1p(-1.0 / pf)).tolist()
     else:  # through libm, whose bits do not depend on numpy's SIMD dispatch
         terms = []
-        for p in _head_primes():
-            u = a_val / (p - 1.0 + s)
+        for shift, log_q in _head_shifts_and_logs():
+            u = a_val / (shift + s)
             if 1.0 + u == 0:
                 sign = 0
                 continue
             if u < -1.0:
                 sign = -sign
                 u = -2.0 - u  # log1p(-2 - u) = log|1 + u|
-            terms.append(math.log1p(u) + a_val * math.log1p(-1.0 / p))
+            terms.append(math.log1p(u) + a_val * log_q)
     b = 1.0 - s
     terms += [
         (b**j - (b - a_val) ** j - a_val) / j * S_j

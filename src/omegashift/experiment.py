@@ -386,9 +386,9 @@ def _histograms(config: ExperimentConfig, pairs) -> dict:
 
         built = grid_histograms(missing, threads=config.threads)
         for (x, w), H in built.items():
+            hists[x, w] = H = H.tolist()
             if config.cache_dir:
                 save_histogram(H, histogram_path(config.cache_dir, x, w), x, w)
-            hists[x, w] = H.tolist()
     return hists
 
 

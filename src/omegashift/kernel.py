@@ -48,13 +48,15 @@ def _compiler() -> list[str]:
 
 def library_path() -> str:
     """Where the library built by the current source and flags for this
-    interpreter build lives.  The interpreter's version string and path fix
-    the sysconfig CC that _compiler reads, so a new compiler comes with a
-    new name without loading sysconfig and shlex, 0.25-0.41 MB of peak RSS,
-    in every process that loads a cached library."""
+    interpreter build lives.  The interpreter's version string and binary
+    fix the sysconfig CC that _compiler reads, so a new compiler comes with
+    a new name without loading sysconfig and shlex, 0.25-0.41 MB of peak
+    RSS, in every process that loads a cached library.  The binary is named
+    by its real path: python and python3 are links to one binary, and two
+    names would rebuild the library in turn, each build removing the other."""
     with open(SOURCE, "rb") as fh:
         key = sha256(fh.read())
-    key.update(repr((FLAGS, sys.version, sys.executable)).encode())
+    key.update(repr((FLAGS, sys.version, os.path.realpath(sys.executable))).encode())
     return os.path.join(CACHE_DIR, f"omegashift_kernel_{key.hexdigest()[:16]}.so")
 
 

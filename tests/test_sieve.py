@@ -415,6 +415,16 @@ def test_a_cached_library_loads_without_sysconfig_or_shlex():
     assert done.stdout.split() == ["[]"]
 
 
+def test_a_link_to_the_interpreter_names_the_same_library(tmp_path, monkeypatch):
+    # python and python3 are links to one binary: one name, so neither
+    # rebuilds the library and removes the other's build
+    link = tmp_path / "python-link"
+    link.symlink_to(os.path.realpath(sys.executable))
+    path = kernel.library_path()
+    monkeypatch.setattr(sys, "executable", str(link))
+    assert kernel.library_path() == path
+
+
 def test_fold_refuses_a_corrupt_table():
     t = small_table(1000, 10)
     fold = lambda: kernel.fold(t.omega, t.omega_small, 2, 1001)
