@@ -108,7 +108,3 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(globals()[home], name)
     return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

@@ -6,19 +6,27 @@ Subcommands:
   verify     run the built-in invariant battery
   constants  print the Euler-product constants with rigorous tail bounds
 
-Each command imports its modules when it runs, so a command loads only
-what it uses: run, on a warm cache, loads no numpy.
+The parser needs only constants and base, which load no numpy; each other
+module is imported by the command that uses it, when it runs, so run on a
+warm cache loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
 from . import __version__
 from .base import FULL_SCALES
-from .constants import DEFAULT_TRUNCATION
+from .constants import (
+    DEFAULT_TRUNCATION,
+    level_density_constant,
+    tilt_product,
+    tilt_profile,
+    tilted_level_constant,
+)
 
 
 def _parse_z(text: str) -> complex:
@@ -55,8 +63,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import json
-
     from .experiment import write_atomic
     from .verify import verify_suite
 
@@ -67,13 +73,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .constants import (
-        level_density_constant,
-        tilt_product,
-        tilt_profile,
-        tilted_level_constant,
-    )
-
     rows = [
         ("level_density", level_density_constant(args.r, args.P)),
         ("tilted_level", tilted_level_constant(args.r, args.P)),

@@ -564,8 +564,7 @@ def test_a_warm_run_imports_no_numpy(tmp_path):
     its report equals the cold one's but for runtime_ms.  Importing the
     package and its command line loads no numpy either, and every name of
     __all__ still resolves."""
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
+    config = (
         "x_list = 10000 100000\nk_list = 1 2 3\nw_rule = loglog_sq\nell_max = 4\n"
         "moments = 2 4\nbaseline = true\nlarge_factor_c = 4.0\n"
         f"cache_dir = {tmp_path / 'cache'}\n"
@@ -584,9 +583,10 @@ runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
     env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
     reports = {}
     for phase in ("cold", "warm"):
-        (tmp_path / f"{phase}.cfg").write_text(cfg.read_text() + f"output_dir = {tmp_path / phase}\n")
+        cfg = tmp_path / f"{phase}.cfg"
+        cfg.write_text(config + f"output_dir = {tmp_path / phase}\n")
         done = subprocess.run(
-            [sys.executable, "-c", probe, "run", "--config", str(tmp_path / f"{phase}.cfg")],
+            [sys.executable, "-c", probe, "run", "--config", str(cfg)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr

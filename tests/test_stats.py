@@ -414,7 +414,8 @@ def test_session_oracle_agreement(table_1e5, oracle_triples, oracle_w):
 
 
 def _outcome(fn, *args):
-    """fn(*args) with its type, or the type and message of the ValueError it raised."""
+    """(type, value) of fn(*args), a float as its hex, or ("raised", message)
+    of the ValueError it raised."""
     try:
         value = fn(*args)
     except ValueError as exc:
