@@ -12,7 +12,9 @@ histogram, and an experiment runner.
 Importing the package runs none of its modules.  Each is bound as a lazy
 module (importlib.util.LazyLoader) that runs on first use, and each name
 of __all__ resolves through __getattr__ (PEP 562) on first access.  So a
-process loads only what it uses: a run on a warm cache loads no numpy.
+process loads only what it uses: a run loads no numpy, on a warm cache or
+an empty one, because the grid pass, the kernel and the prime sums work on
+plain buffers; numpy loads for sieve tables, verify and genfun.
 """
 
 __version__ = "0.1.0"

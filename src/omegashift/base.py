@@ -1,5 +1,6 @@
 """What the layers share that needs no numpy: the level histogram's shape,
-the package's SHA-256, the sieve's parameter checks and verify's scales.
+the package's SHA-256, the one prime sieve in plain Python, the sieve's
+parameter checks and verify's scales.
 
 A warm run reads each H from its cache and computes every report row from
 it without numpy; this module holds what that path needs of the sieve, the
@@ -8,6 +9,8 @@ kernel and verify, so that it loads none of them.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 # The one SHA-256 of the package (the kernel library's name, the cache files,
@@ -32,6 +35,20 @@ W_CEILING = 1_048_583  # smallest prime above kernel.SegmentPass's 2^20 base-pri
 MAX_THREADS = 256  # each worker thread holds a segment's buffers
 
 FULL_SCALES = (100_000, 1_000_000, 10_000_000, 100_000_000)  # verify's full battery's x
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, ascending: a sieve of Eratosthenes on a bytearray.
+    The base primes of the sieve's passes and of the prime sums, and the
+    Euler products' head primes, all come from here."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,17 @@ Subcommands:
   constants  print the Euler-product constants with rigorous tail bounds
 
 The parser needs only constants and base, which load no numpy; each other
-module is imported by the command that uses it, when it runs, so run on a
-warm cache loads no numpy.
+module is imported by the command that uses it, when it runs, so neither
+run, on a warm cache or an empty one, nor constants with a real z loads
+numpy.  A command whose stdout is closed under it (`omegashift verify |
+head -1`) stops quietly with exit code 1; 2 stays the code of bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -137,7 +140,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # here, where a closed reader is caught, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`omegashift verify | head -1`): stop
+        # quietly with 1, as Python does on EPIPE.  stdout now writes to
+        # devnull, so the flush at exit cannot fail again (Python's
+        # documentation, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,8 @@ and flips the product's sign.  A factor that vanishes (1 + a/(p-1+s) == 0,
 possible only for p <= 11) marks the product exactly zero.  The primes
 Q < p <= P (the series) contribute sum_{j=2..J} c_j * S_j(P), where
 S_j(P) = sum_{Q<p<=P} p^(-j) comes from one streamed pass over the primes
-up to P, kept in one memo per P that a run may fill from its cache.  A
+up to P, sieved and summed in C in blocks (_prime_sums has the summation
+order), kept in one memo per P that a run may fill from its cache.  A
 call therefore costs pi(Q) = 168 log terms and J products, whatever P is.
 
 Series remainder, J = SERIES_TERMS.  For j > J, |c_j| <= (|b|^j + |b-a|^j +
@@ -56,6 +57,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .base import primes_up_to
 
 EULER_GAMMA = 0.577215664901532860606512090082
 PRIME_ZETA_2 = 0.452247420041065498506543364832
@@ -114,16 +117,10 @@ def _series_remainder(a: complex | float, s: float) -> float:
 
 @lru_cache(maxsize=1)
 def _head_primes() -> tuple[float, ...]:
-    """The primes p <= MIN_TRUNCATION, ascending, as floats: a sieve of
-    Eratosthenes in plain Python, so a run that reads its prime sums from
-    the cache loads no numpy."""
-    n = MIN_TRUNCATION
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return tuple(float(p) for p in range(n + 1) if sieve[p])
+    """The primes p <= MIN_TRUNCATION, ascending, as floats, from the plain
+    Python sieve, so a run that reads its prime sums from the cache loads no
+    numpy."""
+    return tuple(map(float, primes_up_to(MIN_TRUNCATION)))
 
 
 @lru_cache(maxsize=1)
@@ -141,32 +138,31 @@ def _prime_sums(P: int) -> PrimeSums:
     """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) from one streamed pass over the
     primes <= P in blocks of _BLOCK integers; the only code that computes them.
 
-    Each block's sums are ndarray.sum's pairwise sums, and the blocks' are
-    joined with math.fsum, so the bits depend on _BLOCK (a key of the cache
-    file).  A block's primes are dropped once 1/p is taken, and the primes
-    above MIN_TRUNCATION are the tail of the block, since primes ascend: one
-    block and two float arrays of its length are the most ever alive.
-    numpy and the prime sieve load here, on a prime-sums cache miss only.
+    kernel.prime_sums sieves each block in C and sums its primes' terms in
+    ndarray.sum's pairwise order: below 8 terms in order; up to 128 in 8
+    accumulators striding by 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest in order; above 128, the two halves split at n/2 rounded
+    down to a multiple of 8.  Each term is 1/p squared, times 1/p for each
+    further power.  The blocks' sums are joined with math.fsum, so the bits
+    depend on _BLOCK (a key of the cache file), and equal those of the numpy
+    sums of SUMS_VERSION 1, kept as the tests' oracle.  The kernel loads
+    here, on a prime-sums cache miss only; numpy never.
     """
-    import numpy as np
+    from array import array
 
-    from .primes import iter_prime_blocks
+    from . import kernel
 
+    odd_base = array("q", primes_up_to(math.isqrt(P))[1:])
     count = 0
     inv_sq_parts: list[float] = []
     power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]
-    for ps in iter_prime_blocks(P, _BLOCK):
-        count += len(ps)
-        head = int(np.searchsorted(ps, MIN_TRUNCATION, side="right"))
-        inv = np.divide(1.0, ps)
-        del ps
-        term = inv * inv
-        inv_sq_parts.append(float(term.sum()))
-        inv, term = inv[head:], term[head:]
-        for parts in power_parts:
-            parts.append(float(term.sum()))
-            term *= inv
-        del inv, term  # before the next block is sieved
+    for lo in range(2, P + 1, _BLOCK):
+        n, inv_sq, powers = kernel.prime_sums(lo, min(lo + _BLOCK, P + 1), odd_base,
+                                              MIN_TRUNCATION, SERIES_TERMS - 1)
+        count += n
+        inv_sq_parts.append(inv_sq)
+        for parts, power_sum in zip(power_parts, powers):
+            parts.append(power_sum)
     return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
 
 

@@ -373,7 +373,7 @@ def load_prime_sums(path: str, P: int) -> PrimeSums:
 def _histograms(config: ExperimentConfig, pairs) -> dict:
     """{(x, w): H} as nested lists of ints: cached pairs are loaded, the rest
     come from one grid pass up to their own largest x and are cached.  The
-    sieve, and numpy with it, loads only when a pair is missing."""
+    sieve and its kernel load only when a pair is missing; numpy never."""
     hists = {}
     if config.cache_dir:
         for x, w in pairs:
@@ -386,7 +386,7 @@ def _histograms(config: ExperimentConfig, pairs) -> dict:
 
         built = grid_histograms(missing, threads=config.threads)
         for (x, w), H in built.items():
-            hists[x, w] = H = H.tolist()
+            hists[x, w] = H
             if config.cache_dir:
                 save_histogram(H, histogram_path(config.cache_dir, x, w), x, w)
     return hists

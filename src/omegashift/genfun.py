@@ -17,7 +17,8 @@ g(q)/phi(dq), and the weighted generating function
 a polynomial in z whose coefficients are the small-factor masses.  Those
 coefficients are exact integers read from the plane J = H[k] of the level
 histogram (sieve.grid_histograms), so evaluation, coefficient extraction and
-the characteristic profile are small functions of J alone.
+the characteristic profile are small functions of J alone.  J is a 16 x 16
+nested sequence of ints, nested lists or a numpy array, as stats takes it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .base import OMEGA_CAP
 from .constants import _check_z
 from .primes import factor_table, factorize
 from .sieve import SieveConfig, build_omega_table
-from .stats import weighted_mass_at
+from .stats import Plane, weighted_mass_at
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ class GenFunValue:
     terms: int
 
 
-def _coefficients(J: np.ndarray) -> list[int]:
+def _coefficients(J: Plane) -> list[int]:
     """c_0..c_deg with c_u = sum_v J[v, u] 2^v exact integers and deg the
     largest omega(n-1, w) attained (0 for an empty level set)."""
     coeffs = [weighted_mass_at(J, u) for u in range(OMEGA_CAP)]
@@ -197,7 +198,7 @@ def _polynomial(coeffs, z: complex) -> complex:
     return complex(sum(c * z**u for u, c in enumerate(coeffs)))
 
 
-def eval_genfun(J: np.ndarray, z: complex | float) -> GenFunValue:
+def eval_genfun(J: Plane, z: complex | float) -> GenFunValue:
     """F_k(z) = sum_{omega(n)=k, 2<=n<=x} 2^omega(n-1) z^omega(n-1, w), J = H[k].
 
     Evaluates sum_u c_u z^u over the exact integer coefficients, so every
@@ -207,11 +208,11 @@ def eval_genfun(J: np.ndarray, z: complex | float) -> GenFunValue:
     coeffs = _coefficients(J)
     return GenFunValue(
         z=complex(z), value=_polynomial(coeffs, complex(z)),
-        weight_total=sum(coeffs), terms=int(J.sum()),
+        weight_total=sum(coeffs), terms=int(sum(map(sum, J))),
     )
 
 
-def extract_coefficients(J: np.ndarray) -> np.ndarray:
+def extract_coefficients(J: Plane) -> np.ndarray:
     """Coefficients c_0..c_deg of F_k as exact int64 slice masses, where deg
     is the largest omega(n-1, w) attained on the level set (at most 9 at desk
     scale, and always below 32); [0] for an empty level set.  Entries are
@@ -226,7 +227,7 @@ class ProfilePoint:
     gaussian_gap: float  # |psi - exp(-t^2/2)|
 
 
-def characteristic_profile(J: np.ndarray, w: int, t_grid) -> list[ProfilePoint]:
+def characteristic_profile(J: Plane, w: int, t_grid) -> list[ProfilePoint]:
     """Normalized characteristic function of the small-factor count.
 
         psi(t) = exp(-i t sqrt(T)) F_k(exp(i t / sqrt(T))) / F_k(1),

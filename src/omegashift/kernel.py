@@ -1,5 +1,11 @@
-"""The sieve's segment pass and the histogram fold, compiled from kernel.c:
-SegmentPass.fill and fold are their one way in, and check every argument.
+"""The sieve's segment pass, the histogram fold and the prime sums of a
+block, compiled from kernel.c: SegmentPass.fill, fold and prime_sums are
+their one way in, and check every argument.
+
+They take plain buffers and load no numpy: any 1-d C-contiguous buffer of
+the right item size, checked through memoryview, as bytes ("B"), uint16
+words ("H") and int64 ("q" or "l"), say an array.array, a bytearray or a
+numpy array.  A buffer the kernel writes into must be writable.
 
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
@@ -20,8 +26,7 @@ import math
 import os
 import sys
 import threading
-
-import numpy as np
+from array import array
 
 from .base import FOLD_BINS, OMEGA_CAP, sha256
 
@@ -30,7 +35,10 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # -O2 leaves the byte copy-outs scalar.  -falign-loops=32 keeps fold's
 # 20-byte counting loop inside one 64-byte line whatever code comes before
 # it: crossing one, it took 1.7 instead of 1.15 ns per n (2-core Xeon).
-FLAGS = ("-O3", "-falign-loops=32", "-shared", "-fPIC")
+# -ffp-contract=off keeps every multiply and add of the prime sums apart, so
+# that no fused multiply-add moves a bit.
+FLAGS = ("-O3", "-falign-loops=32", "-ffp-contract=off", "-shared", "-fPIC")
+MAX_POWERS = 16  # kernel.c's: the most power sums prime_sums takes at once
 
 _LOCK = threading.Lock()
 
@@ -111,6 +119,8 @@ def _library():
     lib.fill_segment.restype = None
     lib.fold.argtypes = [ptr, ptr, ptr, i64, i64]
     lib.fold.restype = ctypes.c_int
+    lib.prime_sums.argtypes = [i64, i64, ptr, i64, i64, i64, ptr]
+    lib.prime_sums.restype = i64
     return lib
 
 
@@ -120,24 +130,46 @@ def library():
         return _library()
 
 
-def _check(arr: np.ndarray, dtype, name: str, written: bool = False) -> None:
-    if arr.dtype != dtype or arr.ndim != 1 or not arr.flags.c_contiguous:
-        raise TypeError(f"{name}: want a contiguous 1-d {np.dtype(dtype)} array")
-    if written and not arr.flags.writeable:
+_BYTES, _WORDS, _INT64 = ("B",), ("H",), ("q", "l")  # memoryview formats, per item size
+_SIZES = {"B": 1, "H": 2, "q": 8, "l": 8}
+
+
+def _view(buf, formats, name: str, written: bool = False) -> memoryview:
+    """A memoryview of buf, checked to be 1-d, C-contiguous, of one of the
+    formats at its item size and, if the pass writes into it, writable."""
+    view = memoryview(buf)
+    if (view.format not in formats or view.itemsize != _SIZES[view.format]
+            or view.ndim != 1 or not view.c_contiguous):
+        raise TypeError(f"{name}: want a contiguous 1-d buffer of format {' or '.join(formats)}")
+    if written and view.readonly:
         raise ValueError(f"{name}: the pass writes into it, but it is read-only")
+    return view
+
+
+class _PyBuffer(ctypes.Structure):
+    """CPython's Py_buffer, filled by PyObject_GetBuffer."""
+
+    _fields_ = [("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
+                ("len", ctypes.c_ssize_t), ("itemsize", ctypes.c_ssize_t),
+                ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
+                ("format", ctypes.c_char_p), ("shape", ctypes.c_void_p),
+                ("strides", ctypes.c_void_p), ("suboffsets", ctypes.c_void_p),
+                ("internal", ctypes.c_void_p)]
 
 
 _NO_BYTES = ctypes.c_char * 0  # a view of it fits in any buffer, even an empty one
 
 
-def _address(arr: np.ndarray) -> int:
-    """The address of a checked array's first byte.  A ctypes view of its
-    buffer costs about 1 us; arr.ctypes.data, which only fold's read-only
-    inputs take (fill refuses a read-only output), about 2.5 us."""
-    try:
-        return ctypes.addressof(_NO_BYTES.from_buffer(arr))
-    except TypeError:  # a read-only buffer
-        return arr.ctypes.data
+def _address(view: memoryview) -> int:
+    """The address of a checked buffer's first byte.  A ctypes view of a
+    writable buffer costs about 1 us; a read-only one, which only fold's
+    inputs and the pass's starts are, takes CPython's buffer protocol."""
+    if not view.readonly:
+        return ctypes.addressof(_NO_BYTES.from_buffer(view))
+    got = _PyBuffer()
+    ctypes.pythonapi.PyObject_GetBuffer(ctypes.py_object(view), ctypes.byref(got), 0)
+    ctypes.pythonapi.PyBuffer_Release(ctypes.byref(got))  # the caller keeps view alive
+    return got.buf or 0
 
 
 class SegmentPass:
@@ -145,23 +177,27 @@ class SegmentPass:
     checked, its pre-sieved starts built and their C pointers taken once,
     and kept alive by the pass.
 
-    primes and steps are int64 arrays of the same length, every prime in
+    primes and steps are int64 buffers of the same length, every prime in
     [2, 2^20] and every step a multiple of 256 below 2^16 (it leaves the low
     byte alone).  starts[lead] holds the words of n = 0..period - 1 sieved
     by the lead leading primes, each p at its powers up to p^e, its largest
-    power <= 16 (p itself above 16); period is the lcm of those p^e, and
-    starts holds every lead whose period stays <= 2^16 words: 0..5, periods
-    1, 16, 144, 720, 5040 and 55 440, when the primes start 2, 3, 5, 7, 11.
+    power <= 16 (p itself above 16), as a read-only uint16 memoryview;
+    period is the lcm of those p^e, and starts holds every lead whose
+    period stays <= 2^16 words: 0..5, periods 1, 16, 144, 720, 5040 and
+    55 440, when the primes start 2, 3, 5, 7, 11.  Each start repeats the
+    one before it and adds only the new prime's multiples, about 6000 adds
+    for them all.
 
     fill sieves n = lo + j, j < len(om), in one pass over cell (uint16
-    scratch).  cell starts as starts[lead][(lo + j) % period], the largest
-    start the first split allows: lead = min(L, splits[0]), or L without
-    splits, for L = len(starts) - 1.  Each prime p = primes[i] adds
-    steps[i] + 1 at each multiple of p and steps[i] at each multiple of
-    every power p^j < lo + len(om), but the lead primes only at their
-    powers not dividing the period.  After primes[:splits[s]] the low byte
-    is copied into osms[s].  Last, om gets the low byte, plus 1 where the
-    word is below bounds[b], the cofactor test's threshold for the octave
+    scratch); om and each osm are byte buffers of that length.  cell starts
+    as starts[lead][(lo + j) % period], the largest start the first split
+    allows: lead = min(L, splits[0]), or L without splits, for
+    L = len(starts) - 1.  Each prime p = primes[i] adds steps[i] + 1 at
+    each multiple of p and steps[i] at each multiple of every power
+    p^j < lo + len(om), but the lead primes only at their powers not
+    dividing the period.  After primes[:splits[s]] the low byte is copied
+    into osms[s].  Last, om gets the low byte, plus 1 where the word is
+    below bounds[b], the cofactor test's threshold for the octave
     [2^b, 2^(b+1)) that holds n (see sieve.segment_pass); each bound is in
     [0, 2^16), and 0 adds nothing.  With bounds the segment must lie in
     [1, 2^len(bounds)); with none, om is the low byte alone and lo may be
@@ -170,55 +206,53 @@ class SegmentPass:
     """
 
     def __init__(self, primes, steps, bounds=()):
-        _check(primes, np.int64, "primes")
-        _check(steps, np.int64, "steps")
-        if primes.size != steps.size:
+        prime_view, step_view = _view(primes, _INT64, "primes"), _view(steps, _INT64, "steps")
+        if len(prime_view) != len(step_view):
             raise ValueError("primes and steps differ in length")
-        if primes.size and not 2 <= primes[0] <= primes[-1] <= 1 << 20:
+        if len(prime_view) and not 2 <= prime_view[0] <= prime_view[-1] <= 1 << 20:
             raise ValueError("a base prime outside [2, 2^20]")
-        # kernel.c adds large powers after copy-outs that count p.  A numpy
-        # bitwise op here would page in ufunc code: 0.13 MB of a run's peak RSS.
-        if any(step & ~0xFF00 for step in steps.tolist()):
+        # kernel.c adds large powers after copy-outs that count p.
+        if any(step & ~0xFF00 for step in step_view.tolist()):
             raise ValueError("a step outside the high byte of a word")
         if not all(0 <= bound < 1 << 16 for bound in bounds):
             raise ValueError("an octave bound outside a word")
         self.primes, self.steps, self.bounds = primes, steps, tuple(bounds)
-        start = np.zeros(1, dtype=np.uint16)
-        self.starts = [start]
-        for p, step in zip(primes.tolist(), steps.tolist()):
+        self._views = (prime_view, step_view)  # while held, no array can resize under kernel.c
+        start = array("H", [0])
+        starts = [start]
+        for p, step in zip(prime_view.tolist(), step_view.tolist()):
             top = p
             while top * p <= 16:
                 top *= p
-            period = math.lcm(start.size, top)
+            period = math.lcm(len(start), top)
             if period > 1 << 16:
                 break
-            start = np.tile(start, period // start.size)
+            start = start * (period // len(start))
             q, add = p, step + 1
             while q <= top:
-                start[::q] += add
+                for j in range(0, period, q):
+                    start[j] = (start[j] + add) & 0xFFFF  # a word wraps, as in kernel.c
                 q, add = q * p, step
-            self.starts.append(start)
-        for start in self.starts:
-            start.flags.writeable = False
-        self._args = (primes.ctypes.data, steps.ctypes.data, primes.size)
-        self._start_args = [(start.ctypes.data, start.size, lead)
+            starts.append(start)
+        self.starts = [memoryview(start.tobytes()).cast("H") for start in starts]
+        self._args = (_address(prime_view), _address(step_view), len(prime_view))
+        self._start_args = [(_address(start), len(start), lead)
                             for lead, start in enumerate(self.starts)]
 
     def fill(self, cell, om, osms, lo, splits) -> None:
         """Sieve one segment with this pass's primes, steps, starts and bounds."""
-        size = om.size
+        cell = _view(cell, _WORDS, "cell", written=True)
+        om = _view(om, _BYTES, "om", written=True)
+        osms = [_view(osm, _BYTES, "osm", written=True) for osm in osms]
+        size = len(om)
         hi = lo + size
-        _check(cell, np.uint16, "cell", written=True)
-        _check(om, np.uint8, "om", written=True)
-        for osm in osms:
-            _check(osm, np.uint8, "osm", written=True)
-        if cell.size != size or any(osm.size != size for osm in osms):
+        if len(cell) != size or any(len(osm) != size for osm in osms):
             raise ValueError("cell, om and the osms differ in length")
         if not 0 <= lo <= hi <= (1 << 40) + 1:
             raise ValueError(f"segment [{lo}, {hi}) outside [0, 2^40]")
         if len(osms) != len(splits):
             raise ValueError(f"{len(osms)} osm arrays for {len(splits)} splits")
-        count = self.primes.size
+        count = len(self._views[0])
         if list(splits) != sorted(splits) or not all(0 <= s <= count for s in splits):
             raise ValueError(f"splits {list(splits)} not ascending within [0, {count}]")
         bits = ()
@@ -236,8 +270,8 @@ class SegmentPass:
         nosm = len(osms)
         octaves = [v for b in bits
                    for v in (max(1 << b, lo) - lo, min(2 << b, hi) - lo, self.bounds[b])]
-        packed = np.array([*map(_address, osms), *splits, *octaves], dtype=np.int64)
-        at = _address(packed)
+        packed = array("q", [*map(_address, osms), *splits, *octaves])
+        at = _address(memoryview(packed))
         lead = min(len(self.starts) - 1, splits[0]) if splits else len(self.starts) - 1
         library().fill_segment(
             _address(cell), size, lo, *self._args, *self._start_args[lead],
@@ -245,17 +279,43 @@ class SegmentPass:
         )
 
 
-def fold(om: np.ndarray, osm: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The counts H[k, v, u] of (om[i], om[i-1], osm[i-1]), start <= i < stop.
+def fold(counts, om, osm, start: int, stop: int) -> None:
+    """Add the count of each (om[i], om[i-1], osm[i-1]), start <= i < stop,
+    into counts, a writable int64 buffer of FOLD_BINS counts owned by the
+    caller, at (k * OMEGA_CAP + v) * OMEGA_CAP + u: H[k, v, u] in C order.
 
-    Returns a new int64 array of shape (OMEGA_CAP,) * 3; a byte >= OMEGA_CAP
-    raises ValueError.
+    A byte >= OMEGA_CAP raises ValueError, and counts may then hold part of
+    the range.
     """
-    _check(om, np.uint8, "om")
-    _check(osm, np.uint8, "osm")
-    if not (1 <= start <= stop <= om.size and stop - 1 <= osm.size):
+    counts = _view(counts, _INT64, "counts", written=True)
+    om, osm = _view(om, _BYTES, "om"), _view(osm, _BYTES, "osm")
+    if len(counts) != FOLD_BINS:
+        raise ValueError(f"counts: want {FOLD_BINS} bins, not {len(counts)}")
+    if not (1 <= start <= stop <= len(om) and stop - 1 <= len(osm)):
         raise ValueError(f"fold range [{start}, {stop}) outside the arrays")
-    H = np.zeros((OMEGA_CAP,) * 3, dtype=np.int64)
-    if library().fold(_address(H), _address(om), _address(osm), start, stop):
+    if library().fold(_address(counts), _address(om), _address(osm), start, stop):
         raise ValueError(f"a factor count >= {OMEGA_CAP}: the table is corrupt")
-    return H
+
+
+def prime_sums(lo: int, hi: int, odd_base, above: int, powers: int):
+    """(count, sum p^-2, (S_2, ..., S_{powers+1})) over the primes p of
+    [lo, hi): their count, the sum of p^-2 over all of them, and each
+    S_j = sum of p^-j over those above `above`, from one C sieve of the
+    block.  odd_base is an int64 buffer that must hold every odd prime up
+    to sqrt(hi - 1), and may hold more.  Each sum is ndarray.sum's pairwise
+    sum of the terms 1/p * 1/p, times 1/p for each further power, so it has
+    numpy's bits (kernel.c's pairwise_powers); an empty sum is +0.0.
+    """
+    base = _view(odd_base, _INT64, "odd_base")
+    if not 2 <= lo <= hi <= 1 << 53:
+        raise ValueError(f"block [{lo}, {hi}) outside [2, 2^53]")
+    if len(base) and not 3 <= min(base) <= max(base) <= 1 << 26:
+        raise ValueError("an odd base prime outside [3, 2^26]")
+    if not 0 <= powers <= MAX_POWERS:
+        raise ValueError(f"powers={powers} outside [0, {MAX_POWERS}]")
+    out = array("d", [0.0]) * (1 + powers)
+    count = library().prime_sums(lo, hi, _address(base), len(base), above, powers,
+                                 _address(memoryview(out)))
+    if count < 0:
+        raise MemoryError(f"no memory to sieve the block [{lo}, {hi})")
+    return count, out[0], tuple(out[1:])

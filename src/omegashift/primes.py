@@ -1,7 +1,7 @@
-"""Prime generation and trial division shared by the sieve, the Euler
-products, the generating-function layer and the verify battery.  The one
-prime sieve is iter_prime_blocks; primes_up_to joins its blocks.  The one
-trial division of a whole range, factor_table, calls no sieve, so it can check one.
+"""Trial division for the Euler products, the generating-function layer and
+the verify battery.  The one trial division of a whole range, factor_table,
+calls no sieve, so it can check one; the one prime sieve is
+base.primes_up_to.
 """
 
 from __future__ import annotations
@@ -11,46 +11,6 @@ import math
 import numpy as np
 
 FACTOR_LIMIT = 1 << 50
-
-
-def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit as an ascending int64 array."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *iter_prime_blocks(limit)])
-
-
-def iter_prime_blocks(limit: int, block_len: int = 1 << 22):
-    """Yield ascending int64 arrays of primes covering [2, limit].
-
-    Segmented so working memory stays O(block_len + pi(sqrt(limit))); block
-    boundaries are fixed by block_len alone, which keeps downstream
-    block-ordered reductions deterministic.  The base primes come from
-    primes_up_to(isqrt(limit)); a limit below 4 has none, which ends the recursion.
-    Block i holds the primes of [lo, lo + block_len), lo = 2 + i * block_len,
-    and may be empty.  Each block is built by _prime_block, so between yields
-    the generator holds neither the block's sieve mask nor the block itself:
-    a caller that drops a block frees it before the next one is sieved.
-    """
-    if limit < 2:
-        return
-    odd_base = primes_up_to(math.isqrt(limit))[1:].tolist()
-    for lo in range(2, limit + 1, block_len):
-        yield _prime_block(lo, min(lo + block_len, limit + 1), odd_base)
-
-
-def _prime_block(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
-    """The primes of [lo, hi) as an ascending int64 array, sieving only the
-    odd numbers by the odd base primes; lo = 2 adds 2."""
-    first = lo | 1  # mask[j] stands for the odd n = first + 2 j < hi
-    mask = np.ones((hi - first + 1) // 2, dtype=bool)
-    for p in odd_base:  # from p * p or the first odd multiple at or above lo
-        start = p * max(p, (lo + p - 1) // p | 1)
-        mask[(start - first) // 2 :: p] = False
-    odd = np.flatnonzero(mask).astype(np.int64, copy=False)
-    del mask
-    # In place: a new array per step raised a run's peak RSS by 0.8 MB.
-    odd *= 2
-    odd += first
-    return np.concatenate(([2], odd)) if lo == 2 else odd
 
 
 def factor_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -33,19 +33,32 @@ one start per count of primes).  It gains every other power below 8192 of the ba
 adds the remaining prime powers strided over the whole segment, copies the
 other omega(n, w) out and applies the log test.  The order of the adds
 does not change the words.
+
+The base primes come from base.primes_up_to, and grid_histograms keeps its
+segments in plain buffers (bytearray, array) and returns nested ints, so a
+grid pass loads no numpy; only build_omega_table and OmegaTable, whose
+tables are numpy arrays, import it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernel
-from .base import DEFAULT_SEGMENT, MAX_THREADS, W_CEILING, X_MAX_CEILING, SieveConfig
-from .primes import primes_up_to
+from .base import (
+    DEFAULT_SEGMENT,
+    FOLD_BINS,
+    MAX_THREADS,
+    OMEGA_CAP,
+    W_CEILING,
+    X_MAX_CEILING,
+    SieveConfig,
+    primes_up_to,
+)
 
 LOG_SCALE = 8  # prime p adds floor(LOG_SCALE * ln p) to the log accumulator
 LOG_TEST_MIN_X = 13  # smallest x_max whose log test separates by a unit; below, sieve all p
@@ -54,7 +67,7 @@ LOG_TEST_MIN_X = 13  # smallest x_max whose log test separates by a unit; below,
 def _max_omega(limit: int) -> int:
     """Largest omega(n) over n <= limit: how many leading primes multiply to <= limit."""
     count, product = 0, 1
-    for p in primes_up_to(100).tolist():
+    for p in primes_up_to(100):
         if product * p > limit:
             break
         count, product = count + 1, product * p
@@ -81,7 +94,8 @@ if _log_gap(LOG_TEST_MIN_X) <= 1:
 
 @dataclass
 class OmegaTable:
-    """Byte tables of factor counts, indexed directly by n (entries 0,1 unused)."""
+    """Byte tables of factor counts, indexed directly by n (entries 0,1 unused),
+    as numpy uint8 arrays."""
 
     x_max: int
     w: int
@@ -89,6 +103,8 @@ class OmegaTable:
     omega_small: np.ndarray = field(repr=False)
 
     def __eq__(self, other):
+        import numpy as np
+
         return (
             isinstance(other, OmegaTable)
             and self.x_max == other.x_max
@@ -134,8 +150,8 @@ def segment_pass(x_max: int, ws=()) -> kernel.SegmentPass:
             upper = LOG_SCALE * math.log(2 * a) - LOG_SCALE / 2 * math.log(x_max)  # B
             lower = LOG_SCALE * math.log(a) - math.log2(x_max)  # A
             bounds.append(max(round((lower + upper) / 2), 0) << 8)
-    steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes.tolist()]
-    plan = kernel.SegmentPass(primes, np.array(steps, dtype=np.int64), bounds)
+    steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes]
+    plan = kernel.SegmentPass(array("q", primes), array("q", steps), bounds)
     # Load the kernel now, in the calling thread and before any segment
     # buffer exists.  Loaded by whichever worker reaches it first, or with a
     # pass's buffers live, it raised peak RSS: by 0.1 MB for a 2-thread 1e8
@@ -150,12 +166,14 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     Segments are independent and write disjoint slices, so the table is
     bit-identical for every segment_length and thread count.
     """
+    import numpy as np
+
     x_max, w = config.x_max, config.w
     ws = (w,) if w < x_max else ()  # w = x_max: omega_small is omega
     omega = np.zeros(x_max + 1, dtype=np.uint8)
     omega_small = np.zeros(x_max + 1, dtype=np.uint8)
     plan = segment_pass(x_max, ws)
-    splits = np.searchsorted(plan.primes, ws, side="right").tolist()
+    splits = [bisect_right(plan.primes, w) for w in ws]
 
     def fill(spans):
         cell = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
@@ -170,17 +188,21 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
 
 def grid_histograms(
     pairs, threads: int = 1, segment_length: int = DEFAULT_SEGMENT
-) -> dict[tuple[int, int], np.ndarray]:
-    """{(x, w): H} for each distinct pair, from one sieve pass over [2, max x].
+) -> dict[tuple[int, int], list[list[list[int]]]]:
+    """{(x, w): H} for each distinct pair, from one sieve pass over [2, max x];
+    each H is nested lists of ints, H[k][v][u], as experiment.load_histogram
+    returns it.
 
     No table is built.  Each segment [lo, hi) sieves [lo - 1, hi), so it
     holds omega(n - 1) of its first n (omega(1) = 0), copies omega(n, w) out
     once per distinct w < x that some x >= lo still needs (a pair with
     w = x reads omega itself), and folds the n in [lo, min(hi, x + 1)) into
-    the partial H of every pair with kernel.fold.  Pairs that share a u
-    share one running fold.  Segments are independent and partial
-    histograms add as exact integers, so H is identical for every
-    segment_length and thread count; working memory is O(segment) per worker.
+    the counts of every pair with kernel.fold.  Pairs that share a u fold
+    disjoint ranges: each x its n above the x before it, and their counts
+    are summed in order of x once, at the end.  Segments are independent
+    and counts add as exact integers, so H is identical for every
+    segment_length and thread count; working memory is O(segment) per
+    worker, in plain buffers.
     """
     pairs = sorted(set(pairs))
     if not pairs:
@@ -193,15 +215,15 @@ def grid_histograms(
         xs_by_u.setdefault(w if w < x else None, []).append(x)
     ws = sorted(w for w in xs_by_u if w is not None)
     plan = segment_pass(x_top, ws)
-    split_of = dict(zip(ws, np.searchsorted(plan.primes, ws, side="right").tolist()))
+    split_of = {w: bisect_right(plan.primes, w) for w in ws}
 
     def sieve_spans(spans):
-        """Summed partial histograms of spans, in buffers reused across them."""
+        """Each pair's counts over spans, in buffers reused across them."""
         size = min(segment_length, x_top) + 1
-        om_buf = np.empty(size, dtype=np.uint8)  # position i holds n = lo - 1 + i
-        osm_bufs = {w: np.empty(size, dtype=np.uint8) for w in ws}
-        cell = np.empty(size, dtype=np.uint16)
-        totals = {pair: np.zeros((kernel.OMEGA_CAP,) * 3, dtype=np.int64) for pair in pairs}
+        om_buf = memoryview(bytearray(size))  # position i holds n = lo - 1 + i
+        osm_bufs = {w: memoryview(bytearray(size)) for w in ws}
+        cell = memoryview(array("H", [0]) * size)
+        counts = {pair: array("q", [0]) * FOLD_BINS for pair in pairs}
         for lo, hi in spans:
             live = tuple(w for w in ws if xs_by_u[w][-1] >= lo)
             om = om_buf[: hi - lo + 1]
@@ -210,17 +232,24 @@ def grid_histograms(
                       [split_of[w] for w in live])
             us[None] = om
             for w, u in us.items():
-                running, start = 0, 1
+                start = 1
                 for x in xs_by_u.get(w, ()):
                     if x >= lo:
                         stop = min(x + 1, hi) - (lo - 1)
-                        running = running + kernel.fold(om, u, start, stop)
-                        totals[x, x if w is None else w] += running
+                        kernel.fold(counts[x, x if w is None else w], om, u, start, stop)
                         start = stop
-        return totals
+        return counts
 
     parts = _map_segments(sieve_spans, x_top, segment_length, threads)
-    return {pair: sum(part[pair] for part in parts) for pair in pairs}
+    hists = {}
+    for u, xs in xs_by_u.items():
+        flat = [0] * FOLD_BINS
+        for x in xs:  # each x adds its own range to the counts of the xs below it
+            pair = (x, x if u is None else u)
+            flat = [sum(bins) for bins in zip(flat, *(part[pair] for part in parts))]
+            hists[pair] = [[flat[i : i + OMEGA_CAP] for i in range(j, j + OMEGA_CAP**2, OMEGA_CAP)]
+                           for j in range(0, FOLD_BINS, OMEGA_CAP**2)]
+    return {pair: hists[pair] for pair in pairs}
 
 
 def _map_segments(work, x_max, segment_length, threads):

@@ -11,8 +11,8 @@ the statistics of H and their predictions.
 The k-level statistics take the plane J = H[k] (the joint histogram of the
 level set), a 16 x 16 nested sequence of ints, plus x where a threshold or
 normalization needs it; the classical baseline takes H itself, 16 x 16 x 16.
-Nested lists, as a run reads them from its cache, and numpy arrays give
-the same values.  Weighted masses, thresholded and slice masses and
+Nested lists, as the grid pass returns them and a run reads them from its
+cache, and numpy arrays give the same values.  Weighted masses, thresholded and slice masses and
 baseline counts are exact Python integers, and every float statistic is
 computed from them in a fixed order, so all of them are bit-reproducible
 for every sieve segmentation and thread count.

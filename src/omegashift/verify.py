@@ -93,8 +93,8 @@ class VerifySummary:
 
 
 def _histogram(x: int, w: int, **opts) -> np.ndarray:
-    """H of the one pair (x, w), from grid_histograms."""
-    return grid_histograms([(x, w)], **opts)[x, w]
+    """H of the one pair (x, w), from grid_histograms, as a numpy array."""
+    return np.array(grid_histograms([(x, w)], **opts)[x, w])
 
 
 def _check_sieve_known_values():
@@ -374,7 +374,7 @@ def trend_pairs(x_top: int = FULL_SCALES[-1]) -> list[tuple[int, int]]:
     return [(x, resolve_w("loglog_sq", x)) for x in FULL_SCALES if x <= x_top]
 
 
-def trend_planes(hists: dict) -> dict[int, tuple[int, np.ndarray]]:
+def trend_planes(hists: dict) -> dict[int, tuple[int, list[list[int]]]]:
     """{x: (w, J = H[TREND_K])} from grid_histograms(trend_pairs(...)), ascending in x."""
     return {x: (w, hists[x, w][TREND_K]) for x, w in sorted(hists)}
 

@@ -12,7 +12,9 @@ a discrete Fourier transform; the Euler-product oracle uses mpmath with a
 prime-zeta tail so its error is far below the tolerances it is used to
 check, and the truncated-product oracle sums the exact logs of every factor
 up to the truncation prime, carrying the sign of negative factors
-separately.  Frozen constants in the test files were produced by running
+separately.  The prime-sums oracle is the library's numpy code of
+SUMS_VERSION 1: a numpy block sieve and ndarray.sum over each block,
+joined with math.fsum.  Frozen constants in the test files were produced by running
 this module directly (python3 tests/oracles.py).
 """
 
@@ -203,6 +205,49 @@ def _small_primes(limit: int) -> tuple[int, ...]:
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
     return tuple(i for i in range(2, limit + 1) if flags[i])
+
+
+def block_prime_sums(primes, above: int, powers: int) -> tuple[int, float, tuple[float, ...]]:
+    """(count, sum p^-2, (S_2, ..., S_{powers+1})) of a block's ascending
+    primes, S_j over those above `above`, each an ndarray.sum of the terms
+    1/p * 1/p, times 1/p per further power (numpy's pairwise order)."""
+    ps = np.array(primes, dtype=np.int64)
+    head = int(np.searchsorted(ps, above, side="right"))
+    inv = np.divide(1.0, ps)
+    term = inv * inv
+    inv_sq = float(term.sum())
+    inv, term = inv[head:], term[head:]
+    sums = []
+    for _ in range(powers):
+        sums.append(float(term.sum()))
+        term *= inv
+    return len(ps), inv_sq, tuple(sums)
+
+
+def prime_sums(P: int, block: int, above: int, terms: int) -> tuple[int, float, tuple[float, ...]]:
+    """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_terms) over P >= p > above): the
+    primes of each block [lo, lo + block) of [2, P] from a numpy sieve by
+    the primes up to sqrt(P), their block_prime_sums joined with math.fsum."""
+    base = np.array(_small_primes(math.isqrt(P)), dtype=np.int64)
+    count, inv_sq_parts, power_parts = 0, [], [[] for _ in range(terms - 1)]
+    for lo in range(2, P + 1, block):
+        hi = min(lo + block, P + 1)
+        mask = np.ones(hi - lo, dtype=bool)
+        for p in base.tolist():
+            start = max(p * p, -(-lo // p) * p)
+            mask[start - lo :: p] = False
+        n, inv_sq, powers = block_prime_sums(np.flatnonzero(mask) + lo, above, terms - 1)
+        count += n
+        inv_sq_parts.append(inv_sq)
+        for parts, value in zip(power_parts, powers):
+            parts.append(value)
+    return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
+
+
+def sums_bits(sums) -> tuple:
+    """(count, sum p^-2, power sums) with every float as its hex: equal bits, signed zeros too."""
+    count, inv_sq, powers = sums
+    return count, inv_sq.hex(), tuple(value.hex() for value in powers)
 
 
 def euler_product_mp(a, s, P0: int = 10_000, terms: int = 16, dps: int = 60):

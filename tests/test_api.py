@@ -10,9 +10,11 @@ import omegashift
 # cache, the thread override, the uncalled second derivative, the Python
 # wrapper of the old strided-add kernel, the API that no command, report
 # row or check read, the second segment pass and fill entry point, the
-# pre-sieve pattern handed to the pass from outside, and the bound of the
-# deleted numpy cofactor route (now LOG_TEST_MIN_X); and, from stats only,
-# the run cache, atomic writer and report row, which moved to experiment.
+# pre-sieve pattern handed to the pass from outside, the bound of the
+# deleted numpy cofactor route (now LOG_TEST_MIN_X) and the numpy prime
+# sieves that base.primes_up_to and kernel.prime_sums replaced; and, from
+# stats only, the run cache, atomic writer and report row, which moved to
+# experiment.
 # A half-finished removal or move leaves one behind.  "module.name" is removed from
 # that module only.
 REMOVED = (
@@ -71,6 +73,8 @@ REMOVED = (
     "sieve._prime_after",
     "sieve.base_primes",
     "sieve._sieve_bound",
+    "primes.primes_up_to",
+    "primes.iter_prime_blocks",
 )
 
 

@@ -8,6 +8,7 @@ makes the bound itself part of what is being tested.
 
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from omegashift.constants import (
     EULER_GAMMA,
     MIN_TRUNCATION,
     PRIME_ZETA_2,
+    SERIES_TERMS,
     EulerProductResult,
     PoleError,
     coprimality_density,
@@ -31,7 +33,7 @@ from omegashift.constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from omegashift.constants import _log_core, _prime_sums, _series_remainder
+from omegashift.constants import _BLOCK, _log_core, _prime_sums, _series_remainder
 
 P_TEST = 1_000_000
 
@@ -326,6 +328,21 @@ PRIME_SUMS_BITS = {
 def test_prime_sums_bits_are_pinned(P):
     count, inv_sq, powers = _prime_sums(P)
     assert (count, inv_sq.hex(), tuple(v.hex() for v in powers)) == PRIME_SUMS_BITS[P]
+
+
+# The edges of the blocks of _BLOCK = 2^20 integers: a last block of one
+# integer (2^20 + 2 is [2^20 + 2, 2^20 + 3)) holds no prime, and three
+# seeded P up to 4e6 fall anywhere.
+ORACLE_PS = [1000, 1009, (1 << 20) + 1, (1 << 20) + 2, 3 * (1 << 20) + 2,
+             *random.Random(20_241).sample(range(MIN_TRUNCATION, 4_000_001), 3)]
+
+
+@pytest.mark.parametrize("P", ORACLE_PS)
+def test_prime_sums_match_the_numpy_oracle(P):
+    got = _prime_sums(P)
+    want = oracles.prime_sums(P, _BLOCK, MIN_TRUNCATION, SERIES_TERMS)
+    assert oracles.sums_bits(got) == oracles.sums_bits(want)
+    assert type(got[0]) is int and all(type(v) is float for v in (got[1], *got[2]))
 
 
 def _has_avx512() -> bool:

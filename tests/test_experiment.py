@@ -332,7 +332,7 @@ X, W = 10_000, 50
 
 @pytest.fixture(scope="module")
 def H():
-    return grid_histograms([(X, W)])[X, W]
+    return np.array(grid_histograms([(X, W)])[X, W])
 
 
 def test_histogram_cache_roundtrip(tmp_path, H):
@@ -475,20 +475,35 @@ def test_cache_reused_between_runs(tmp_path):
 
 def test_warm_run_computes_no_prime_sums(tmp_path, monkeypatch):
     cold = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "cold")))
-    limits = []
-    real = primes.iter_prime_blocks
+    blocks = []
+    real = kernel.prime_sums
 
-    def recorded(limit, *args):
-        limits.append(limit)
-        return real(limit, *args)
+    def recorded(lo, hi, *args):
+        blocks.append((lo, hi))
+        return real(lo, hi, *args)
 
     monkeypatch.setattr(constants, "_SUMS", {})  # the memo of a fresh process
     monkeypatch.setattr(constants, "_prime_sums", lambda P: pytest.fail(f"summed P={P}"))
-    monkeypatch.setattr(primes, "iter_prime_blocks", recorded)
+    monkeypatch.setattr(kernel, "prime_sums", recorded)
     constants._head_primes.cache_clear()
     warm = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "warm")))
-    assert limits == []  # the head primes come from constants' own small sieve
+    assert blocks == []  # the head primes come from the plain sieve, not a prime block
     assert _strip_runtime(warm.csv_path) == _strip_runtime(cold.csv_path)
+
+
+def test_a_prime_sums_file_of_sums_version_1_still_loads(tmp_path):
+    # Written by the numpy prime sums that preceded kernel.prime_sums; the
+    # C sums must have its bits, and a run must take it as its cache.
+    P = 2_000_003
+    written = Path(__file__).parent / "data" / f"prime_sums_P{P}.bin"
+    loaded = load_prime_sums(str(written), P)
+    assert oracles.sums_bits(loaded) == oracles.sums_bits(_prime_sums(P))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / written.name).write_bytes(written.read_bytes())
+    cfg = _tiny_config(tmp_path, truncation_prime=P)
+    run_experiment(cfg)
+    assert (cache / written.name).read_bytes() == written.read_bytes()
 
 
 def test_prime_sums_cache_only_with_a_cache_dir_and_one_file_per_P(tmp_path):
@@ -542,7 +557,7 @@ kernel.library()
 print(sorted(m for m in ("_hashlib", "concurrent.futures") if m in sys.modules))
 pairs = [(10000, 50), (30000, 50), (30000, 30000)]
 one, two = (grid_histograms(pairs, threads=t, segment_length=1024) for t in (1, 2))
-print(all((one[p] == two[p]).all() for p in pairs), "concurrent.futures" in sys.modules)
+print(all(one[p] == two[p] for p in pairs), "concurrent.futures" in sys.modules)
 import hashlib
 payloads = [b"", b"abc", bytes(range(256)) * 1000]
 print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in payloads))
@@ -557,11 +572,13 @@ print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in paylo
 
 
 def test_a_warm_run_imports_no_numpy(tmp_path):
-    """A cold and then a warm `python -m omegashift.cli run`, each in a child
-    process: at the warm one's exit numpy is not loaded and none of the sieve,
-    kernel, prime, genfun or verify modules has run (the package binds each
-    lazily, and a lazy module that never ran is not a plain ModuleType), and
-    its report equals the cold one's but for runtime_ms.  Importing the
+    """`omegashift constants` and a cold and then a warm `python -m
+    omegashift.cli run`, each in a child process: at the exit of each, numpy
+    is not loaded; the warm run has run none of the sieve, kernel, prime,
+    genfun or verify modules (the package binds each lazily, and a lazy
+    module that never ran is not a plain ModuleType), the cold run only the
+    sieve and the kernel, and constants only the kernel, for its prime sums;
+    the warm run's report equals the cold one's but for runtime_ms.  Importing the
     package and its command line loads no numpy either, and every name of
     __all__ still resolves."""
     config = (
@@ -581,6 +598,10 @@ sys.argv = ["omegashift", *sys.argv[1:]]
 runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe, "constants"],  # real z = 1, P = 1e7
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False ['omegashift.kernel']"
     reports = {}
     for phase in ("cold", "warm"):
         cfg = tmp_path / f"{phase}.cfg"
@@ -591,7 +612,8 @@ runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
         )
         assert done.returncode == 0, done.stderr
         reports[phase] = done.stdout.splitlines()[-1]
-    assert reports["cold"].startswith("True ")  # the cold run sieved
+    # the cold run sieved and summed its primes in the kernel, without numpy
+    assert reports["cold"] == "False ['omegashift.sieve', 'omegashift.kernel']"
     assert reports["warm"] == "False []"
     (cold_csv,), (warm_csv,) = ((tmp_path / p).glob("*.csv") for p in ("cold", "warm"))
     assert _strip_runtime(warm_csv) == _strip_runtime(cold_csv)
@@ -793,6 +815,21 @@ def test_cli_constants_rejects_a_non_finite_z(capsys, z):
     assert captured.err.startswith("error: |z|=nan exceeds ceiling")
 
 
+def test_cli_stops_quietly_when_its_reader_is_gone():
+    # `omegashift verify | head -1`: stdout is a pipe whose read end is
+    # closed.  Exit 1 with nothing on stderr, not exit 2, a bad config's code.
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "omegashift.cli", "verify", "--level", "fast"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -881,8 +918,8 @@ def test_verify_coefficients_catch_one_moved_count(monkeypatch):
         for (x, _), H in hists.items():
             if x == 10_000:
                 v, u = np.argwhere(H[2])[0]
-                H[2, v, u] -= 1
-                H[2, v, u + 1] += 1
+                H[2][v][u] -= 1
+                H[2][v][u + 1] += 1
         return hists
 
     monkeypatch.setattr(verify, "grid_histograms", moved)

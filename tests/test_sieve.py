@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 import oracles
 from omegashift import kernel, verify
 from omegashift.cli import main
-from omegashift.primes import factor_table, iter_prime_blocks, primes_up_to
+from omegashift.base import FOLD_BINS, OMEGA_CAP, primes_up_to
+from omegashift.constants import MIN_TRUNCATION
+from omegashift.primes import factor_table
 from omegashift.sieve import (
     LOG_TEST_MIN_X,
     LOG_SCALE,
@@ -235,46 +238,58 @@ def test_primes_up_to_every_small_limit():
     want = [n for n in range(2, 301) if _is_prime(n)]
     for limit in range(301):
         got = primes_up_to(limit)
-        assert got.dtype == np.int64
-        assert got.tolist() == [p for p in want if p <= limit], limit
+        assert all(type(p) is int for p in got)
+        assert got == [p for p in want if p <= limit], limit
 
 
 def test_primes_up_to_around_prime_squares():
-    # The limit p^2 is the first whose base primes hold p, and p^2 the first
-    # number that only p strikes: the window below it is checked by trial
-    # division, and each list must be the head of one longer list.
+    # The limit p^2 is the first whose sieve strikes with p, and p^2 the
+    # first number that only p strikes: the window below it is checked by
+    # trial division, and each list must be the head of one longer list.
     longest = primes_up_to(997**2 + 1)
-    for p in primes_up_to(1000).tolist():
+    for p in primes_up_to(1000):
         start = max(2, p * p - 40)
         window = [n for n in range(start, p * p + 2) if _is_prime(n)]
         for limit in (p * p - 1, p * p, p * p + 1):
             got = primes_up_to(limit)
-            assert got[got >= start].tolist() == [n for n in window if n <= limit], limit
-            assert np.array_equal(got, longest[longest <= limit]), limit
+            assert [q for q in got if q >= start] == [n for n in window if n <= limit], limit
+            assert got == [q for q in longest if q <= limit], limit
+
+
+def _block_sums(limit, block_len, above=MIN_TRUNCATION, powers=11):
+    """kernel.prime_sums of each block [lo, lo + block_len) of [2, limit]."""
+    odd_base = array("q", primes_up_to(math.isqrt(limit))[1:])
+    return [kernel.prime_sums(lo, min(lo + block_len, limit + 1), odd_base, above, powers)
+            for lo in range(2, limit + 1, block_len)]
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 97, 10_007])
 def test_prime_blocks_concatenate_to_primes_up_to(limit):
+    # The C blocks of the prime sums count primes_up_to(limit) whatever
+    # their length; blocks of one integer hold at most one prime, whose
+    # p^-2 is (1/p) * (1/p), in order.
     want = primes_up_to(limit)
     for block_len in (1, 2, 7, 64, 1 << 22):
-        blocks = list(iter_prime_blocks(limit, block_len))
-        assert all(block.dtype == np.int64 for block in blocks)
-        assert np.array_equal(np.concatenate([want[:0], *blocks]), want), block_len
+        assert sum(count for count, _, _ in _block_sums(limit, block_len)) == len(want)
+    singles = [inv_sq for count, inv_sq, _ in _block_sums(limit, 1) if count]
+    assert singles == [(1.0 / p) * (1.0 / p) for p in want]
 
 
 @pytest.mark.parametrize("limit", [*range(41), 10_007])
 def test_each_prime_block_holds_the_primes_of_its_span(limit):
     # Block i is [2 + i * block_len, ...) whatever it holds, empty blocks
-    # too: the Euler products' block-ordered sums depend on it.
-    primes = {n for n in range(2, limit + 1) if _is_prime(n)}
+    # too: the Euler products' block-ordered sums depend on it.  Each
+    # block's count and sums are those of the primes of its span, summed
+    # by numpy (the primes above 10, so that small blocks have some).
+    primes = [n for n in range(2, limit + 1) if _is_prime(n)]
     for block_len in (1, 2, 7, 64, 1000):
-        blocks = list(iter_prime_blocks(limit, block_len))
+        blocks = _block_sums(limit, block_len, above=10, powers=3)
         los = range(2, limit + 1, block_len)
         assert len(blocks) == len(los), block_len
         for lo, block in zip(los, blocks):
-            assert block.dtype == np.int64
-            span = range(lo, min(lo + block_len, limit + 1))
-            assert block.tolist() == [n for n in span if n in primes], (block_len, lo)
+            span = [p for p in primes if lo <= p < lo + block_len]
+            want = oracles.block_prime_sums(span, 10, 3)
+            assert oracles.sums_bits(block) == oracles.sums_bits(want), (block_len, lo)
 
 
 def _oracle_factor_rows(n_max):
@@ -302,8 +317,9 @@ def test_factor_table_and_verify_trial_division_call_no_sieve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a sieve was called")
 
-    for name in ("primes.iter_prime_blocks", "primes.primes_up_to", "kernel.SegmentPass",
-                 "sieve.build_omega_table", "verify.build_omega_table"):
+    for name in ("base.primes_up_to", "sieve.primes_up_to", "constants.primes_up_to",
+                 "kernel.SegmentPass", "kernel.prime_sums", "sieve.build_omega_table",
+                 "verify.build_omega_table"):
         monkeypatch.setattr(f"omegashift.{name}", refuse)
     x, ws = 3000, (13, 3000)
     rows = _oracle_factor_rows(x)
@@ -386,7 +402,7 @@ def test_truncated_kernel_library_is_rebuilt(kernel_dir):
     assert os.path.getsize(path) > 0
     omega, omega_small = _trial_division_tables(5000, 13)
     assert np.array_equal(t.omega, omega) and np.array_equal(t.omega_small, omega_small)
-    assert kernel.fold(t.omega, t.omega_small, 2, 5001).sum() == 4999
+    assert _fold(t.omega, t.omega_small, 2, 5001).sum() == 4999
     assert [f.name for f in kernel_dir.iterdir()] == [os.path.basename(path)]
 
 
@@ -427,7 +443,7 @@ def test_a_link_to_the_interpreter_names_the_same_library(tmp_path, monkeypatch)
 
 def test_fold_refuses_a_corrupt_table():
     t = small_table(1000, 10)
-    fold = lambda: kernel.fold(t.omega, t.omega_small, 2, 1001)
+    fold = lambda: _fold(t.omega, t.omega_small, 2, 1001)
     good = fold()
     assert good.shape == (16, 16, 16) and good.dtype == np.int64
     assert np.array_equal(good, oracles.histogram(t.omega, t.omega_small, 1000))
@@ -443,15 +459,48 @@ def test_fold_refuses_a_corrupt_table():
     assert np.array_equal(fold(), good)
 
 
+def _fold(om, osm, start, stop):
+    """kernel.fold of [start, stop) into zeroed counts, shaped as H."""
+    counts = np.zeros(FOLD_BINS, dtype=np.int64)
+    kernel.fold(counts, om, osm, start, stop)
+    return counts.reshape((OMEGA_CAP,) * 3)
+
+
 def test_kernel_rejects_bad_arguments():
     om = np.zeros(100, dtype=np.uint8)
+    counts = np.zeros(FOLD_BINS, dtype=np.int64)
     for start, stop in ((0, 10), (5, 101), (10, 5)):
         with pytest.raises(ValueError, match="fold range"):
-            kernel.fold(om, om, start, stop)
+            kernel.fold(counts, om, om, start, stop)
     with pytest.raises(TypeError):
-        kernel.fold(om.astype(np.int64), om, 1, 10)
+        kernel.fold(counts, om.astype(np.int64), om, 1, 10)
     with pytest.raises(TypeError):
-        kernel.fold(om[::2], om, 1, 10)
+        kernel.fold(counts, om[::2], om, 1, 10)
+    with pytest.raises(TypeError, match="counts"):
+        kernel.fold(counts.astype(np.int32), om, om, 1, 10)
+    with pytest.raises(ValueError, match="4096 bins"):
+        kernel.fold(counts[1:], om, om, 1, 10)
+    counts.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.fold(counts, om, om, 1, 10)
+    base = array("q", [1, 0, 0])
+    for bad in ((4, 0, base, 1, 0), (2, 2 << 53, base, 1, 0), (2, 100, array("q", [2]), 1, 0),
+                (2, 100, base, 1, kernel.MAX_POWERS + 1)):
+        with pytest.raises(ValueError):
+            kernel.prime_sums(*bad[:3], *bad[3:])
+    with pytest.raises(TypeError, match="odd_base"):
+        kernel.prime_sums(2, 100, array("i", [3]), 1, 0)
+
+
+def test_fold_adds_into_the_counts_it_is_given():
+    # The caller owns the counts: two folds of adjacent ranges add up to one
+    # fold of both, and a plain array.array takes them as well as numpy.
+    t = small_table(1000, 10)
+    counts = array("q", bytes(8 * FOLD_BINS))
+    kernel.fold(counts, bytes(t.omega), bytearray(t.omega_small), 2, 600)
+    kernel.fold(counts, t.omega, memoryview(t.omega_small), 600, 1001)
+    assert np.array_equal(np.array(counts).reshape((OMEGA_CAP,) * 3),
+                          oracles.histogram(t.omega, t.omega_small, 1000))
 
 
 def _segment(size=64, nosm=1):
@@ -540,7 +589,7 @@ def test_fill_segment_pattern_matches_the_zero_start(lo):
     # the primes after it, and wrap the start at each period.  5200 words
     # from lo < 5040 cross every period; the last segment ends at 2^40.
     primes, steps = np.array([2, 3, 5, 7]), np.array([5 << 8, 8 << 8, 12 << 8, 15 << 8])
-    assert [s.size for s in kernel.SegmentPass(primes, steps).starts] == [1, 16, 144, 720, 5040]
+    assert [len(s) for s in kernel.SegmentPass(primes, steps).starts] == [1, 16, 144, 720, 5040]
     size = min(5200, X_MAX_CEILING + 1 - lo)
     _assert_segment_matches_oracle(lo, size, primes, steps, [4], ALTERNATING_BOUNDS, range(5))
 
@@ -574,7 +623,7 @@ def _assert_segment_matches_oracle(lo, size, primes, steps, splits, bounds, lead
 def _small_split(primes):
     """How many primes kernel.c sieves chunk by chunk, when it has room."""
     small = int(np.searchsorted(primes, SMALL_BOUND))
-    assert 0 < small < primes.size
+    assert 0 < small < len(primes)
     return small
 
 
@@ -586,7 +635,7 @@ def test_fill_segment_chunks_match_the_whole_segment_oracle(size, lo, cut):
     # the end, from each start, with ALTERNATING_BOUNDS (none from lo = 0).
     plan = segment_pass(10**8)
     small = _small_split(plan.primes)
-    splits = [cut, small, small + cut, plan.primes.size]
+    splits = [cut, small, small + cut, len(plan.primes)]
     bounds = ALTERNATING_BOUNDS if lo else ()
     _assert_segment_matches_oracle(lo, size, plan.primes, plan.steps, splits, bounds, range(6))
 
@@ -597,7 +646,7 @@ def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
     # primes have the most powers past CHUNK, with the ceiling's bounds.
     plan = segment_pass(X_MAX_CEILING)
     small = _small_split(plan.primes)
-    splits = [5, small - 1, small, plan.primes.size // 2, plan.primes.size]
+    splits = [5, small - 1, small, len(plan.primes) // 2, len(plan.primes)]
     _assert_segment_matches_oracle(hi - 1024, 1024, plan.primes, plan.steps, splits,
                                    plan.bounds, range(6))
 
@@ -619,7 +668,7 @@ def test_w_above_sqrt_x_at_the_ceiling_matches_trial_division(hi):
 
 def _splits(plan, ws):
     """How many of the pass's primes are <= each w of ws."""
-    return [int(np.count_nonzero(plan.primes <= w)) for w in ws]
+    return [sum(p <= w for p in plan.primes) for w in ws]
 
 
 def test_segment_pass_sieves_every_prime_its_thresholds_need():
@@ -709,7 +758,7 @@ def _oracle_fold(t, start, stop):
 def test_fold_matches_the_oracle_at_its_block_edges(start, size):
     assert _kernel_define("FOLD_BINS") == kernel.FOLD_BINS
     t = _fold_table()
-    got = kernel.fold(t.omega, t.omega_small, start, start + size)
+    got = _fold(t.omega, t.omega_small, start, start + size)
     assert np.array_equal(got, _oracle_fold(t, start, start + size))
 
 
@@ -720,7 +769,7 @@ def test_fold_refuses_a_corrupt_byte_in_any_block(bad):
     # the range are never read.
     t = small_table(4 * FOLD_BLOCK, 100)
     start, stop = 3, 3 + 3 * FOLD_BLOCK + 17
-    fold = lambda: kernel.fold(t.omega, t.omega_small, start, stop)
+    fold = lambda: _fold(t.omega, t.omega_small, start, stop)
     good = fold()
     assert np.array_equal(good, _oracle_fold(t, start, stop))
     inside = ((t.omega, stop - 1), (t.omega_small, stop - 2), (t.omega, start),
@@ -743,7 +792,7 @@ def test_fold_refuses_a_corrupt_byte_in_any_block(bad):
         om = zeros.copy()
         om[i] = bad
         with pytest.raises(ValueError, match="corrupt"):
-            kernel.fold(om, zeros, 1, 100)
+            _fold(om, zeros, 1, 100)
 
 
 @pytest.mark.parametrize("flush", [1000, FOLD_BLOCK + FOLD_BLOCK // 2 + 1])
@@ -790,7 +839,7 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
     with open(kernel.SOURCE) as fh:
         source = fh.read()
     lib = kernel.library()
-    for name in ("fill_segment", "fold"):
+    for name in ("fill_segment", "fold", "prime_sums"):
         params = re.search(rf"^\w+ {name}\(([^)]*)\)", source, re.M).group(1).split(",")
         want = [ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params]
         assert list(getattr(lib, name).argtypes) == want, name
@@ -801,7 +850,7 @@ def test_presieve_pattern_against_its_definition():
     # 13 would take the period past 2^16 words.
     plan = segment_pass(10**8)
     primes, starts = plan.primes, plan.starts
-    assert [s.size for s in starts] == [1, 16, 144, 720, 5040, 55_440]
+    assert [len(s) for s in starts] == [1, 16, 144, 720, 5040, 55_440]
     assert starts[-1].nbytes == 110_880  # at most 128 KB
     words, powers = [], []  # each prime's word and largest power, for n < 55 440
     for p in primes[:5].tolist():
@@ -811,9 +860,9 @@ def test_presieve_pattern_against_its_definition():
         words.append(np.array([e and e * step + 1 for e in mults], dtype=np.int64))
         powers.append(p**cap)
     for lead, start in enumerate(starts):
-        assert not start.flags.writeable
-        assert start.size == math.prod(powers[:lead])
-        assert np.array_equal(start, sum(words[:lead], np.zeros(55_440))[: start.size])
+        assert start.readonly and start.format == "H"
+        assert len(start) == math.prod(powers[:lead])
+        assert np.array_equal(start, sum(words[:lead], np.zeros(55_440))[: len(start)])
 
 
 def _multiplicity(n, p):
