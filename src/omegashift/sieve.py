@@ -43,6 +43,7 @@ tables are numpy arrays, import it.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from array import array
 from bisect import bisect_right
@@ -246,7 +247,8 @@ def grid_histograms(
         flat = [0] * FOLD_BINS
         for x in xs:  # each x adds its own range to the counts of the xs below it
             pair = (x, x if u is None else u)
-            flat = [sum(bins) for bins in zip(flat, *(part[pair] for part in parts))]
+            for part in parts:
+                flat = list(map(operator.add, flat, part[pair]))
             hists[pair] = [[flat[i : i + OMEGA_CAP] for i in range(j, j + OMEGA_CAP**2, OMEGA_CAP)]
                            for j in range(0, FOLD_BINS, OMEGA_CAP**2)]
     return {pair: hists[pair] for pair in pairs}
