@@ -234,7 +234,7 @@ class SegmentPass:
                     start[j] = (start[j] + add) & 0xFFFF  # a word wraps, as in kernel.c
                 q, add = q * p, step
             starts.append(start)
-        self.starts = [memoryview(start).toreadonly() for start in starts]
+        self.starts = [memoryview(start.tobytes()).cast("H") for start in starts]
         self._args = (_address(prime_view), _address(step_view), len(prime_view))
         self._start_args = [(_address(start), len(start), lead)
                             for lead, start in enumerate(self.starts)]

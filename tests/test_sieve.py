@@ -43,6 +43,13 @@ def small_table(x=1000, w=10, **kw):
     return build_omega_table(SieveConfig(x_max=x, w=w, **kw))
 
 
+def _fold(om, osm, start, stop):
+    """kernel.fold of [start, stop) into zeroed counts, shaped as H."""
+    counts = np.zeros(FOLD_BINS, dtype=np.int64)
+    kernel.fold(counts, om, osm, start, stop)
+    return counts.reshape((OMEGA_CAP,) * 3)
+
+
 def test_known_factor_counts():
     t = small_table(100, 100)
     # 12 = 2^2*3, 30 = 2*3*5, 64 = 2^6, 97 prime, 1 has no factors
@@ -459,13 +466,6 @@ def test_fold_refuses_a_corrupt_table():
     assert np.array_equal(fold(), good)
 
 
-def _fold(om, osm, start, stop):
-    """kernel.fold of [start, stop) into zeroed counts, shaped as H."""
-    counts = np.zeros(FOLD_BINS, dtype=np.int64)
-    kernel.fold(counts, om, osm, start, stop)
-    return counts.reshape((OMEGA_CAP,) * 3)
-
-
 def test_kernel_rejects_bad_arguments():
     om = np.zeros(100, dtype=np.uint8)
     counts = np.zeros(FOLD_BINS, dtype=np.int64)
@@ -483,11 +483,12 @@ def test_kernel_rejects_bad_arguments():
     counts.flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
         kernel.fold(counts, om, om, 1, 10)
-    base = array("q", [1, 0, 0])
-    for bad in ((4, 0, base, 1, 0), (2, 2 << 53, base, 1, 0), (2, 100, array("q", [2]), 1, 0),
-                (2, 100, base, 1, kernel.MAX_POWERS + 1)):
-        with pytest.raises(ValueError):
-            kernel.prime_sums(*bad[:3], *bad[3:])
+    odd = array("q", [3, 5, 7])
+    for args, match in (((4, 3, odd, 1, 0), "block"), ((2, (1 << 53) + 1, odd, 1, 0), "block"),
+                        ((2, 100, array("q", [2, 3]), 1, 0), "odd base prime"),
+                        ((2, 100, odd, 1, kernel.MAX_POWERS + 1), "powers")):
+        with pytest.raises(ValueError, match=match):
+            kernel.prime_sums(*args)
     with pytest.raises(TypeError, match="odd_base"):
         kernel.prime_sums(2, 100, array("i", [3]), 1, 0)
 
