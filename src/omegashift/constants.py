@@ -148,11 +148,9 @@ def _prime_sums(P: int) -> PrimeSums:
     sums of SUMS_VERSION 1, kept as the tests' oracle.  The kernel loads
     here, on a prime-sums cache miss only; numpy never.
     """
-    from array import array
-
     from . import kernel
 
-    odd_base = array("q", primes_up_to(math.isqrt(P))[1:])
+    odd_base = kernel.int64_buffer(primes_up_to(math.isqrt(P))[1:])
     count = 0
     inv_sq_parts: list[float] = []
     power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]

@@ -267,6 +267,34 @@ int fold(int64_t *flat, const uint8_t *om, const uint8_t *osm,
 /* Terms per block of pairwise_powers' accumulators: numpy's PW_BLOCKSIZE. */
 #define PW_BLOCK 128
 
+/* The primes of one block, read once in ascending order: 2 first if the
+ * block holds it, then each odd n = first + 2 j whose bit j is set. */
+struct prime_stream {
+    const uint64_t *bits;
+    int64_t first, word;
+    uint64_t left; /* the bits of bits[word] not yet read */
+    int two;
+};
+
+static struct prime_stream prime_stream(const uint64_t *bits, int64_t first, int two)
+{
+    return (struct prime_stream){bits, first, 0, bits[0], two};
+}
+
+/* The next prime; the caller reads no more primes than the block holds. */
+static int64_t next_prime(struct prime_stream *s)
+{
+    if (s->two) {
+        s->two = 0;
+        return 2;
+    }
+    while (!s->left)
+        s->left = s->bits[++s->word];
+    const int b = __builtin_ctzll(s->left);
+    s->left &= s->left - 1;
+    return s->first + 2 * (64 * s->word + b);
+}
+
 /* t[j] = inv^(j + 2), j < npow, each the product of the one before and inv. */
 static void power_term(double inv, int64_t npow, double *t)
 {
@@ -275,17 +303,29 @@ static void power_term(double inv, int64_t npow, double *t)
         t[j] = t[j - 1] * inv;
 }
 
-/* out[j] = the sum over i < n of inv[i]^(j + 2), j < npow, in numpy's
- * pairwise order for ndarray.sum: below 8 terms, in order from +0.0; up to
- * PW_BLOCK terms, 8 accumulators striding by 8, combined as
+/* out[j] = the sum of 1/p^(j + 2), j < npow, over the next n primes of s,
+ * in numpy's pairwise order for ndarray.sum: below 8 terms, in order from
+ * +0.0; up to PW_BLOCK terms, 8 accumulators striding by 8, combined as
  * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the n % 8 last
  * terms in order; above, the sums of the two halves split at n / 2 rounded
- * down to a multiple of 8.  The terms are power_term's, as numpy's
- * term = inv * inv and term *= inv take them, so each sum has the bits
- * numpy's would, as long as no multiply and add are contracted. */
-static void pairwise_powers(const double *inv, int64_t n, int64_t npow, double *out)
+ * down to a multiple of 8.  The halves read the primes in order, so only
+ * PW_BLOCK inverses are ever held.  The terms are power_term's of
+ * 1.0 / p, as numpy's inv = 1.0 / p, term = inv * inv and term *= inv
+ * take them, so each sum has the bits numpy's would, as long as no
+ * multiply and add are contracted. */
+static void pairwise_powers(struct prime_stream *s, int64_t n, int64_t npow, double *out)
 {
-    double t[MAX_POWERS];
+    double inv[PW_BLOCK], t[MAX_POWERS];
+    if (n > PW_BLOCK) {
+        const int64_t half = n / 2 - n / 2 % 8;
+        pairwise_powers(s, half, npow, out);
+        pairwise_powers(s, n - half, npow, t);
+        for (int64_t j = 0; j < npow; j++)
+            out[j] += t[j];
+        return;
+    }
+    for (int64_t i = 0; i < n; i++)
+        inv[i] = 1.0 / (double)next_prime(s);
     if (n < 8) {
         for (int64_t j = 0; j < npow; j++)
             out[j] = 0.0;
@@ -294,29 +334,23 @@ static void pairwise_powers(const double *inv, int64_t n, int64_t npow, double *
             for (int64_t j = 0; j < npow; j++)
                 out[j] += t[j];
         }
-    } else if (n <= PW_BLOCK) {
-        double r[8][MAX_POWERS];
-        int64_t i;
-        for (int k = 0; k < 8; k++)
-            power_term(inv[k], npow, r[k]);
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++) {
-                power_term(inv[i + k], npow, t);
-                for (int64_t j = 0; j < npow; j++)
-                    r[k][j] += t[j];
-            }
-        for (int64_t j = 0; j < npow; j++)
-            out[j] = ((r[0][j] + r[1][j]) + (r[2][j] + r[3][j])) +
-                     ((r[4][j] + r[5][j]) + (r[6][j] + r[7][j]));
-        for (; i < n; i++) {
-            power_term(inv[i], npow, t);
+        return;
+    }
+    double r[8][MAX_POWERS];
+    int64_t i;
+    for (int k = 0; k < 8; k++)
+        power_term(inv[k], npow, r[k]);
+    for (i = 8; i < n - n % 8; i += 8)
+        for (int k = 0; k < 8; k++) {
+            power_term(inv[i + k], npow, t);
             for (int64_t j = 0; j < npow; j++)
-                out[j] += t[j];
+                r[k][j] += t[j];
         }
-    } else {
-        const int64_t half = n / 2 - n / 2 % 8;
-        pairwise_powers(inv, half, npow, out);
-        pairwise_powers(inv + half, n - half, npow, t);
+    for (int64_t j = 0; j < npow; j++)
+        out[j] = ((r[0][j] + r[1][j]) + (r[2][j] + r[3][j])) +
+                 ((r[4][j] + r[5][j]) + (r[6][j] + r[7][j]));
+    for (; i < n; i++) {
+        power_term(inv[i], npow, t);
         for (int64_t j = 0; j < npow; j++)
             out[j] += t[j];
     }
@@ -325,53 +359,41 @@ static void pairwise_powers(const double *inv, int64_t n, int64_t npow, double *
 /* The primes p of [lo, hi), lo >= 2: returns their count, sets out[0] to
  * the sum of p^-2 over all of them and out[1 + j], j < npow, to the sum of
  * p^-(j + 2) over those above `above`; -1 if memory runs out.  The block
- * sieves its odd numbers with odd_base[0..nbase), which must hold every
- * odd prime up to sqrt(hi - 1), each from p * p or its first odd multiple
- * at or above lo; lo = 2 adds the prime 2.  Each 1 / p is taken once, and
- * the sums are pairwise_powers' over the primes in ascending order. */
+ * sieves its odd numbers, one bit each, with odd_base[0..nbase), which
+ * must hold every odd prime up to sqrt(hi - 1), each from p * p or its
+ * first odd multiple at or above lo; lo = 2 adds the prime 2.  The sums
+ * are pairwise_powers' over the primes in ascending order. */
 int64_t prime_sums(int64_t lo, int64_t hi, const int64_t *odd_base, int64_t nbase,
                    int64_t above, int64_t npow, double *out)
 {
-    const int64_t first = lo | 1; /* mask[j] stands for the odd n = first + 2 j < hi */
+    const int64_t first = lo | 1; /* bit j stands for the odd n = first + 2 j < hi */
     const int64_t nodd = hi > first ? (hi - first + 1) / 2 : 0;
-    uint8_t *mask = malloc(nodd ? (size_t)nodd : 1);
-    if (!mask)
+    const int64_t nwords = nodd / 64 + 1;
+    uint64_t *bits = malloc((size_t)nwords * sizeof *bits);
+    if (!bits)
         return -1;
-    memset(mask, 1, (size_t)nodd);
+    memset(bits, 0xFF, (size_t)nwords * sizeof *bits);
+    bits[nodd / 64] &= (UINT64_C(1) << nodd % 64) - 1; /* no bit past the block */
     for (int64_t b = 0; b < nbase; b++) {
         const int64_t p = odd_base[b];
         int64_t m = ((lo + p - 1) / p) | 1;
         if (m < p)
             m = p;
         for (int64_t j = (p * m - first) / 2; j < nodd; j += p)
-            mask[j] = 0;
+            bits[j / 64] &= ~(UINT64_C(1) << j % 64);
     }
-    int64_t count = lo == 2;
-    for (int64_t j = 0; j < nodd; j++)
-        count += mask[j];
-    /* inv holds each prime, then its inverse.  One slot more than the
-     * primes: the gather below writes each odd n at the next slot and
-     * keeps it only if n is prime, with no branch. */
-    double *inv = malloc((size_t)(count + 1) * sizeof *inv);
-    if (!inv) {
-        free(mask);
-        return -1;
-    }
-    int64_t c = 0;
-    if (lo == 2)
-        inv[c++] = 2.0;
-    for (int64_t j = 0; j < nodd; j++) {
-        inv[c] = (double)(first + 2 * j);
-        c += mask[j];
-    }
-    free(mask);
-    int64_t head = 0; /* how many of the primes are at most above */
-    while (head < count && inv[head] <= (double)above)
+    int64_t count = lo == 2, head = 0; /* head: how many primes are at most above */
+    for (int64_t w = 0; w < nwords; w++)
+        count += __builtin_popcountll(bits[w]);
+    struct prime_stream s = prime_stream(bits, first, lo == 2);
+    while (head < count && next_prime(&s) <= above)
         head++;
-    for (int64_t i = 0; i < count; i++)
-        inv[i] = 1.0 / inv[i];
-    pairwise_powers(inv, count, 1, out);
-    pairwise_powers(inv + head, count - head, npow, out + 1);
-    free(inv);
+    s = prime_stream(bits, first, lo == 2);
+    pairwise_powers(&s, count, 1, out);
+    s = prime_stream(bits, first, lo == 2);
+    for (int64_t i = 0; i < head; i++)
+        next_prime(&s);
+    pairwise_powers(&s, count - head, npow, out + 1);
+    free(bits);
     return count;
 }

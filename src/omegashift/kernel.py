@@ -24,9 +24,9 @@ import ctypes
 import functools
 import math
 import os
+import struct
 import sys
 import threading
-from array import array
 
 from .base import FOLD_BINS, OMEGA_CAP, sha256
 
@@ -130,6 +130,20 @@ def library():
         return _library()
 
 
+def int64_buffer(values) -> memoryview:
+    """values as a new writable int64 buffer."""
+    return memoryview(bytearray(struct.pack(f"{len(values)}q", *values))).cast("q")
+
+
+def zeroed(count: int, fmt: str) -> memoryview:
+    """count zeroed items of the struct format fmt as a writable buffer.
+
+    Buffers come from bytearray and struct, which every process that runs
+    the kernel has loaded: the array module would add 72 KB to its peak RSS.
+    """
+    return memoryview(bytearray(count * struct.calcsize(fmt))).cast(fmt)
+
+
 _BYTES, _WORDS, _INT64 = ("B",), ("H",), ("q", "l")  # memoryview formats, per item size
 _SIZES = {"B": 1, "H": 2, "q": 8, "l": 8}
 
@@ -217,8 +231,8 @@ class SegmentPass:
         if not all(0 <= bound < 1 << 16 for bound in bounds):
             raise ValueError("an octave bound outside a word")
         self.primes, self.steps, self.bounds = primes, steps, tuple(bounds)
-        self._views = (prime_view, step_view)  # while held, no array can resize under kernel.c
-        start = array("H", [0])
+        self._views = (prime_view, step_view)  # while held, no buffer can resize under kernel.c
+        start = zeroed(1, "H")
         starts = [start]
         for p, step in zip(prime_view.tolist(), step_view.tolist()):
             top = p
@@ -227,14 +241,14 @@ class SegmentPass:
             period = math.lcm(len(start), top)
             if period > 1 << 16:
                 break
-            start = start * (period // len(start))
+            start = memoryview(bytearray(start) * (period // len(start))).cast("H")
             q, add = p, step + 1
             while q <= top:
                 for j in range(0, period, q):
                     start[j] = (start[j] + add) & 0xFFFF  # a word wraps, as in kernel.c
                 q, add = q * p, step
             starts.append(start)
-        self.starts = [memoryview(start.tobytes()).cast("H") for start in starts]
+        self.starts = [memoryview(bytes(start)).cast("H") for start in starts]
         self._args = (_address(prime_view), _address(step_view), len(prime_view))
         self._start_args = [(_address(start), len(start), lead)
                             for lead, start in enumerate(self.starts)]
@@ -270,8 +284,8 @@ class SegmentPass:
         nosm = len(osms)
         octaves = [v for b in bits
                    for v in (max(1 << b, lo) - lo, min(2 << b, hi) - lo, self.bounds[b])]
-        packed = array("q", [*map(_address, osms), *splits, *octaves])
-        at = _address(memoryview(packed))
+        packed = int64_buffer([*map(_address, osms), *splits, *octaves])
+        at = _address(packed)
         lead = min(len(self.starts) - 1, splits[0]) if splits else len(self.starts) - 1
         library().fill_segment(
             _address(cell), size, lo, *self._args, *self._start_args[lead],
@@ -313,9 +327,9 @@ def prime_sums(lo: int, hi: int, odd_base, above: int, powers: int):
         raise ValueError("an odd base prime outside [3, 2^26]")
     if not 0 <= powers <= MAX_POWERS:
         raise ValueError(f"powers={powers} outside [0, {MAX_POWERS}]")
-    out = array("d", [0.0]) * (1 + powers)
+    out = zeroed(1 + powers, "d")
     count = library().prime_sums(lo, hi, _address(base), len(base), above, powers,
-                                 _address(memoryview(out)))
+                                 _address(out))
     if count < 0:
         raise MemoryError(f"no memory to sieve the block [{lo}, {hi})")
     return count, out[0], tuple(out[1:])

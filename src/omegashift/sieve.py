@@ -35,7 +35,7 @@ other omega(n, w) out and applies the log test.  The order of the adds
 does not change the words.
 
 The base primes come from base.primes_up_to, and grid_histograms keeps its
-segments in plain buffers (bytearray, array) and returns nested ints, so a
+segments in bytearray buffers and returns nested ints, so a
 grid pass loads no numpy; only build_omega_table and OmegaTable, whose
 tables are numpy arrays, import it.
 """
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -152,7 +151,7 @@ def segment_pass(x_max: int, ws=()) -> kernel.SegmentPass:
             lower = LOG_SCALE * math.log(a) - math.log2(x_max)  # A
             bounds.append(max(round((lower + upper) / 2), 0) << 8)
     steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes]
-    plan = kernel.SegmentPass(array("q", primes), array("q", steps), bounds)
+    plan = kernel.SegmentPass(kernel.int64_buffer(primes), kernel.int64_buffer(steps), bounds)
     # Load the kernel now, in the calling thread and before any segment
     # buffer exists.  Loaded by whichever worker reaches it first, or with a
     # pass's buffers live, it raised peak RSS: by 0.1 MB for a 2-thread 1e8
@@ -221,10 +220,10 @@ def grid_histograms(
     def sieve_spans(spans):
         """Each pair's counts over spans, in buffers reused across them."""
         size = min(segment_length, x_top) + 1
-        om_buf = memoryview(bytearray(size))  # position i holds n = lo - 1 + i
-        osm_bufs = {w: memoryview(bytearray(size)) for w in ws}
-        cell = memoryview(array("H", [0]) * size)
-        counts = {pair: array("q", [0]) * FOLD_BINS for pair in pairs}
+        om_buf = kernel.zeroed(size, "B")  # position i holds n = lo - 1 + i
+        osm_bufs = {w: kernel.zeroed(size, "B") for w in ws}
+        cell = kernel.zeroed(size, "H")
+        counts = {pair: kernel.zeroed(FOLD_BINS, "q") for pair in pairs}
         for lo, hi in spans:
             live = tuple(w for w in ws if xs_by_u[w][-1] >= lo)
             om = om_buf[: hi - lo + 1]
