@@ -35,9 +35,9 @@ other omega(n, w) out and applies the log test.  The order of the adds
 does not change the words.
 
 The base primes come from base.primes_up_to, and grid_histograms keeps its
-segments in bytearray buffers and returns nested ints, so a
-grid pass loads no numpy; only build_omega_table and OmegaTable, whose
-tables are numpy arrays, import it.
+segments in bytearray buffers and returns nested ints, so a grid pass
+loads no numpy; only build_omega_table and OmegaTable, whose tables are
+numpy arrays, import it.
 """
 
 from __future__ import annotations
