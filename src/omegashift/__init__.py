@@ -12,9 +12,9 @@ histogram, and an experiment runner.
 Importing the package runs none of its modules.  Each is bound as a lazy
 module (importlib.util.LazyLoader) that runs on first use, and each name
 of __all__ resolves through __getattr__ (PEP 562) on first access.  So a
-process loads only what it uses: a run loads no numpy, on a warm cache or
-an empty one, because the grid pass, the kernel and the prime sums work on
-plain buffers; numpy loads for sieve tables, verify and genfun.
+process loads only what it uses.  Every module works on plain buffers and
+ints, and none loads numpy but constants, for the principal logs of an
+Euler product at a complex z: run, verify and sieve never load it.
 """
 
 __version__ = "0.1.0"

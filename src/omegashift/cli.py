@@ -7,10 +7,11 @@ Subcommands:
   constants  print the Euler-product constants with rigorous tail bounds
 
 The parser needs only constants and base, which load no numpy; each other
-module is imported by the command that uses it, when it runs, so neither
-run, on a warm cache or an empty one, nor constants with a real z loads
-numpy.  A command whose stdout is closed under it (`omegashift verify |
-head -1`) stops quietly with exit code 1; 2 stays the code of bad input.
+module is imported by the command that uses it, when it runs.  No command
+loads numpy but constants with a complex z, whose Euler products take
+numpy's complex log1p.  A command whose stdout is closed under it
+(`omegashift verify | head -1`) stops quietly with exit code 1; 2 stays
+the code of bad input.
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ def _parse_z(text: str) -> complex:
 
 
 def _cmd_sieve(args) -> int:
-    from .sieve import SieveConfig, build_omega_table
+    from .sieve import MAX_OMEGA, SieveConfig, build_omega_table
 
     t0 = time.perf_counter()
     table = build_omega_table(SieveConfig(x_max=args.x, w=args.w, threads=args.threads))
     dt = time.perf_counter() - t0
-    print(
-        f"built table: x={table.x_max} w={table.w} "
-        f"max_omega={int(table.omega.max())} in {dt:.2f}s"
-    )
+    counts = table.omega.obj  # the table's bytearray or mmap, whose find scans with memchr
+    top = next((k for k in range(MAX_OMEGA, 0, -1) if counts.find(bytes([k])) >= 0), 0)
+    print(f"built table: x={table.x_max} w={table.w} max_omega={top} in {dt:.2f}s")
     return 0
 
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .base import OMEGA_CAP
 from .constants import _check_z
@@ -72,72 +71,62 @@ def kernel_value(p: int, alpha: int, kernel: WeightKernel) -> complex:
 @functools.lru_cache(maxsize=1)
 def _divisor_structure(n_max: int):
     """What convolution_max_deviation needs of 1..n_max that no kernel changes,
-    as read-only arrays indexed by q: tau(q), primes.factor_table's p, a and
-    m = q / p^a, and the q >= 2 grouped by omega(q), so the m of a group lie
-    in the groups before it and tau(q) = (a + 1) tau(m) is built group by group."""
-    spf, alpha, cofactor, omega = factor_table(n_max)
-    levels = [np.flatnonzero(omega == k) for k in range(1, int(omega.max()) + 1)]
-    tau = np.ones(n_max + 1, dtype=np.int64)
-    for qs in levels:
-        tau[qs] = (alpha[qs] + 1) * tau[cofactor[qs]]
-    for arr in (tau, *levels):
-        arr.flags.writeable = False
-    return tau, spf, alpha, cofactor, levels
+    as tuples indexed by q: tau(q), and primes.factor_table's p, a and
+    m = q / p^a.  m < q, so tau(q) = (a + 1) tau(m) is built in ascending q."""
+    spf, alpha, cofactor, _ = factor_table(n_max)
+    tau = [1] * (n_max + 1)
+    for q in range(2, n_max + 1):
+        tau[q] = (alpha[q] + 1) * tau[cofactor[q]]
+    return tuple(tau), spf, alpha, cofactor
 
 
 @functools.lru_cache(maxsize=1)
 def _target(n_max: int, w: int):
-    """omega(n) and omega(n, w), 1 <= n <= n_max, of a sieve table, read-only int64."""
+    """omega(n) and omega(n, w), 1 <= n <= n_max, of a sieve table, as tuples."""
     table = build_omega_table(SieveConfig(x_max=n_max, w=w))
-    out = table.omega[1:].astype(np.int64), table.omega_small[1:].astype(np.int64)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return tuple(table.omega[1:].tolist()), tuple(table.omega_small[1:].tolist())
 
 
 def convolution_max_deviation(n_max: int, kernel: WeightKernel) -> float:
     """max |g * tau - 2^omega z^omega_small| over 1 <= n <= n_max.
 
-    The convolution side sums g(q) tau(n/q) over the divisors q of n with
-    numpy, from primes.factor_table; the target side reads a sieve table of
-    n <= n_max, so the two routes share no arithmetic.  The last n_max's tau
-    and factorizations q = p^a m, and the last (n_max, min(w, n_max))'s
-    target, are cached, read-only.  A call asks kernel_value for g(p^a) once
-    per prime power and builds g(q) = g(m) g(p^a) one omega(q) at a time, as
-    separate float operations in the order of a scalar complex product:
-    numpy's vectorized complex product rounds some of them differently, and
-    the deviation reported is of the order of those roundings.  Each nonzero
-    g(q), q >= 2, is added in ascending q as lhs[q::q] += g(q) tau(1..n_max // q).
+    The convolution side sums g(q) tau(n/q) over the divisors q of n, from
+    primes.factor_table; the target side reads a sieve table of n <= n_max,
+    so the two routes share no arithmetic.  The last n_max's tau and
+    factorizations q = p^a m, and the last (n_max, min(w, n_max))'s target,
+    are cached.  A call asks kernel_value for g(p^a) once per prime power
+    and builds every other g(q) = g(m) g(p^a) in ascending q, each one
+    Python complex product.  Each nonzero g(q), q >= 2, is added in
+    ascending q as lhs[q::q] += g(q) tau(1..n_max // q).  Python's complex
+    arithmetic rounds as numpy's scalar loops do (tests/oracles.py's
+    convolution_deviation_loops), and the deviation reported is of the
+    order of those roundings.
     """
     if n_max < 2:
         raise ValueError("n_max < 2")
-    tau, spf, alpha, cofactor, levels = _divisor_structure(n_max)
-    kval = np.zeros(n_max + 1, dtype=np.complex128)  # g(p^a) at q = p^a
-    for q in levels[0].tolist():
-        kval[q] = kernel_value(int(spf[q]), int(alpha[q]), kernel)
-    g = np.zeros(n_max + 1, dtype=np.complex128)
-    g[1] = 1.0
-    gr, gi, kr, ki = g.real, g.imag, kval.real, kval.imag
-    for qs in levels:
-        ms = cofactor[qs]
-        pa = qs // ms
-        ar, ai, br, bi = gr[ms], gi[ms], kr[pa], ki[pa]
-        gr[qs] = ar * br - ai * bi
-        gi[qs] = ar * bi + ai * br
-    lhs = tau.astype(np.complex128)  # the q = 1 term
-    for q in (np.flatnonzero(g[2:]) + 2).tolist():
-        lhs[q::q] += g[q] * tau[1 : n_max // q + 1]
+    tau, spf, alpha, cofactor = _divisor_structure(n_max)
+    g = [0j] * (n_max + 1)
+    g[1] = 1 + 0j
+    for q in range(2, n_max + 1):
+        m = cofactor[q]
+        if m == 1:  # q = p^a
+            g[q] = kernel_value(spf[q], alpha[q], kernel)
+        elif g[m]:
+            g[q] = g[m] * g[q // m]
+    lhs = list(map(complex, tau))  # the q = 1 term
+    for q in range(2, n_max + 1):
+        if g[q]:
+            lhs[q::q] = map(operator.add, lhs[q::q], map(g[q].__mul__, tau[1 : n_max // q + 1]))
     om, osm = _target(n_max, min(kernel.w, n_max))  # primes above n_max divide nothing below it
-    zpow = _powers(complex(kernel.z), int(osm.max()) + 1)
-    rhs = np.ldexp(1.0, om.astype(np.int32)) * zpow[osm]
-    return float(np.max(np.abs(lhs[1:] - rhs)))
+    zpow = _powers(complex(kernel.z), max(osm) + 1)
+    rhs = [math.ldexp(1.0, o) * zpow[u] for o, u in zip(om, osm)]
+    return max(abs(a - b) for a, b in zip(lhs[1:], rhs))
 
 
-def _powers(z: complex, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.complex128)
-    out[0] = 1.0  # z^0 := 1 including z = 0
-    for j in range(1, count):
-        out[j] = out[j - 1] * z
+def _powers(z: complex, count: int) -> list[complex]:
+    out = [1 + 0j]  # z^0 := 1 including z = 0
+    for _ in range(1, count):
+        out.append(out[-1] * z)
     return out
 
 
@@ -212,12 +201,12 @@ def eval_genfun(J: Plane, z: complex | float) -> GenFunValue:
     )
 
 
-def extract_coefficients(J: Plane) -> np.ndarray:
-    """Coefficients c_0..c_deg of F_k as exact int64 slice masses, where deg
-    is the largest omega(n-1, w) attained on the level set (at most 9 at desk
-    scale, and always below 32); [0] for an empty level set.  Entries are
-    >= 0 and sum to the weighted mass of J."""
-    return np.array(_coefficients(J), dtype=np.int64)
+def extract_coefficients(J: Plane) -> list[int]:
+    """Coefficients c_0..c_deg of F_k as exact integer slice masses, where
+    deg is the largest omega(n-1, w) attained on the level set (at most 9 at
+    desk scale, and always below 32); [0] for an empty level set.  Entries
+    are >= 0 and sum to the weighted mass of J."""
+    return _coefficients(J)
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,47 @@
 """Trial division for the Euler products, the generating-function layer and
-the verify battery.  The one trial division of a whole range, factor_table,
-calls no sieve, so it can check one; the one prime sieve is
-base.primes_up_to.
+the verify battery, in plain Python.  The one trial division of a whole
+range, factor_table, calls no sieve, so it can check one; the one prime
+sieve is base.primes_up_to.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 FACTOR_LIMIT = 1 << 50
 
 
-def factor_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p, a, m, omega) of each 0 <= q <= n_max as read-only int64 arrays: the
-    smallest prime p of q, its exponent a, m = q / p^a and the number omega of
-    distinct primes of q; 0, 0, 1 and 0 at q = 0 and 1.  One trial division of
-    every q at once: each d <= sqrt(n_max) in turn is divided out of what is
-    left of q wherever it divides, so only primes ever divide, and what is
-    left at the end is 1 or one prime above sqrt(n_max).  No sieve is called.
+def factor_table(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """(p, a, m, omega), each a tuple indexed by 0 <= q <= n_max: the
+    smallest prime p of q, its exponent a, m = q / p^a and the number omega
+    of distinct primes of q; 0, 0, 1 and 0 at q = 0 and 1.  One trial
+    division of every q: each d <= sqrt(n_max) in turn is divided out of
+    what is left of each multiple of d wherever it divides, so only primes
+    ever divide, and what is left at the end is 1 or one prime above
+    sqrt(n_max).  No sieve is called.
     """
-    rest = np.arange(n_max + 1, dtype=np.int64)
-    p, a, m, omega = np.zeros((4, n_max + 1), dtype=np.int64)
-    m += 1
+    rest = list(range(n_max + 1))
+    p, a, omega = [0] * (n_max + 1), [0] * (n_max + 1), [0] * (n_max + 1)
+    m = [1] * (n_max + 1)
     for d in range(2, math.isqrt(n_max) + 1):
-        n = np.arange(d, n_max + 1, d)
-        n = n[rest[n] % d == 0]
-        omega[n] += 1
-        first = n[p[n] == 0]  # d is the smallest prime of these q
-        p[first] = d
-        while n.size:
-            rest[n] //= d
-            a[n[p[n] == d]] += 1
-            n = n[rest[n] % d == 0]
-        m[first] = rest[first]
-    big = rest > 1
-    omega += big
-    lone = big & (p == 0)  # q is a prime above sqrt(n_max)
-    p[lone], a[lone] = rest[lone], 1
-    for arr in (p, a, m, omega):
-        arr.flags.writeable = False
-    return p, a, m, omega
+        for q in range(d, n_max + 1, d):
+            r = rest[q]
+            if r % d:
+                continue
+            e = 0
+            while r % d == 0:
+                r //= d
+                e += 1
+            rest[q] = r
+            omega[q] += 1
+            if not p[q]:  # d is the smallest prime of q
+                p[q], a[q], m[q] = d, e, r
+    for q, r in enumerate(rest):
+        if r > 1:  # one prime above sqrt(n_max) is left
+            omega[q] += 1
+            if not p[q]:
+                p[q], a[q] = r, 1
+    return tuple(p), tuple(a), tuple(m), tuple(omega)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -34,10 +34,9 @@ adds the remaining prime powers strided over the whole segment, copies the
 other omega(n, w) out and applies the log test.  The order of the adds
 does not change the words.
 
-The base primes come from base.primes_up_to, and grid_histograms keeps its
-segments in bytearray buffers and returns nested ints, so a grid pass
-loads no numpy; only build_omega_table and OmegaTable, whose tables are
-numpy arrays, import it.
+The base primes come from base.primes_up_to, build_omega_table's tables are
+plain buffers from kernel.zeroed, and grid_histograms keeps its segments in
+such buffers and returns nested ints, so the sieve loads no numpy.
 """
 
 from __future__ import annotations
@@ -95,22 +94,22 @@ if _log_gap(LOG_TEST_MIN_X) <= 1:
 @dataclass
 class OmegaTable:
     """Byte tables of factor counts, indexed directly by n (entries 0,1 unused),
-    as numpy uint8 arrays."""
+    as writable memoryviews of format "B" of x_max + 1 bytes from
+    kernel.zeroed (np.asarray reads them as uint8 arrays without a copy).
+    Tables are equal when x_max, w and both tables' bytes are."""
 
     x_max: int
     w: int
-    omega: np.ndarray = field(repr=False)
-    omega_small: np.ndarray = field(repr=False)
+    omega: memoryview = field(repr=False)
+    omega_small: memoryview = field(repr=False)
 
     def __eq__(self, other):
-        import numpy as np
-
         return (
             isinstance(other, OmegaTable)
             and self.x_max == other.x_max
             and self.w == other.w
-            and np.array_equal(self.omega, other.omega)
-            and np.array_equal(self.omega_small, other.omega_small)
+            and kernel.same_bytes(self.omega, other.omega)
+            and kernel.same_bytes(self.omega_small, other.omega_small)
         )
 
 
@@ -166,17 +165,14 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     Segments are independent and write disjoint slices, so the table is
     bit-identical for every segment_length and thread count.
     """
-    import numpy as np
-
     x_max, w = config.x_max, config.w
     ws = (w,) if w < x_max else ()  # w = x_max: omega_small is omega
-    omega = np.zeros(x_max + 1, dtype=np.uint8)
-    omega_small = np.zeros(x_max + 1, dtype=np.uint8)
+    omega, omega_small = kernel.zeroed(x_max + 1, "B"), kernel.zeroed(x_max + 1, "B")
     plan = segment_pass(x_max, ws)
     splits = [bisect_right(plan.primes, w) for w in ws]
 
     def fill(spans):
-        cell = np.empty(min(config.segment_length, x_max), dtype=np.uint16)
+        cell = kernel.zeroed(min(config.segment_length, x_max), "H")
         for lo, hi in spans:
             plan.fill(cell[: hi - lo], omega[lo:hi], [omega_small[lo:hi]] * len(ws), lo, splits)
 

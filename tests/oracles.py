@@ -3,9 +3,10 @@
 Nothing here imports the package under test.  The arithmetic oracles use
 plain trial division and Python integers; the convolution oracle sums
 g(q) tau(n/q) over the divisors q of one trial-divided n, for a kernel g
-that a test may pass in; the segment oracle sieves one segment with a numpy
-strided add per prime power over the whole segment, in no chunks and from
-no pattern; the histogram oracle counts a table's (k, v, u) triples with
+that a test may pass in; the factor-table oracle is the library's former
+numpy trial division of a whole range; the segment oracle sieves one
+segment with a numpy strided add per prime power over the whole segment,
+in no chunks and from no pattern; the histogram oracle counts a table's (k, v, u) triples with
 numpy bincount; the generating-function oracle gathers a table's level set
 element by element and inverts F_k from its values at the roots of unity by
 a discrete Fourier transform; the Euler-product oracle uses mpmath with a
@@ -49,6 +50,34 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, 1))
     return out
+
+
+def factor_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, a, m, omega) of each 0 <= q <= n_max as int64 arrays: the smallest
+    prime p of q, its exponent a, m = q / p^a and the number omega of
+    distinct primes of q; 0, 0, 1 and 0 at q = 0 and 1.  The library's numpy
+    trial division before primes.factor_table went to plain Python: each
+    d <= sqrt(n_max) in turn is divided out of what is left of every q at
+    once, wherever it divides."""
+    rest = np.arange(n_max + 1, dtype=np.int64)
+    p, a, m, omega = np.zeros((4, n_max + 1), dtype=np.int64)
+    m += 1
+    for d in range(2, math.isqrt(n_max) + 1):
+        n = np.arange(d, n_max + 1, d)
+        n = n[rest[n] % d == 0]
+        omega[n] += 1
+        first = n[p[n] == 0]  # d is the smallest prime of these q
+        p[first] = d
+        while n.size:
+            rest[n] //= d
+            a[n[p[n] == d]] += 1
+            n = n[rest[n] % d == 0]
+        m[first] = rest[first]
+    big = rest > 1
+    omega += big
+    lone = big & (p == 0)  # q is a prime above sqrt(n_max)
+    p[lone], a[lone] = rest[lone], 1
+    return p, a, m, omega
 
 
 def omega_pair(n: int, w: int) -> tuple[int, int]:
@@ -152,7 +181,9 @@ def segment_pass(lo: int, size: int, primes, steps, splits, bounds=()):
 def histogram(omega, omega_small, x: int, chunk: int = 1 << 20) -> np.ndarray:
     """H[k, v, u] = #{2 <= n <= x : omega[n] = k, omega[n-1] = v,
     omega_small[n-1] = u} from two byte tables indexed by n, shape (16, 16, 16),
-    by a numpy bincount over each chunk of n; a count >= 16 raises ValueError."""
+    by a numpy bincount over each chunk of n; a count >= 16 raises ValueError.
+    The tables are any byte buffers, read through np.asarray."""
+    omega, omega_small = np.asarray(omega), np.asarray(omega_small)
     counts = np.zeros(16**3, dtype=np.int64)
     for lo in range(2, x + 1, chunk):
         hi = min(lo + chunk, x + 1)
@@ -177,11 +208,12 @@ def dft_coefficients(table, k: int, x: int) -> list[float]:
     """Coefficients of F_k(z) = sum 2^omega(n-1) z^omega(n-1, w) over the
     k-level set of table, by an inverse DFT of F_k at the m-th roots of unity,
     m = 1 + the largest omega(n-1, w) on the level set; [0.0] when empty."""
-    members = np.flatnonzero(table.omega[2 : x + 1] == k) + 1  # the n - 1
+    omega, omega_small = np.asarray(table.omega), np.asarray(table.omega_small)
+    members = np.flatnonzero(omega[2 : x + 1] == k) + 1  # the n - 1
     if members.size == 0:
         return [0.0]
-    weights = np.ldexp(1.0, table.omega[members].astype(np.int32))
-    small = table.omega_small[members].astype(np.int64)
+    weights = np.ldexp(1.0, omega[members].astype(np.int32))
+    small = omega_small[members].astype(np.int64)
     m = int(small.max()) + 1
     roots = [cmath.exp(2j * cmath.pi * j / m) for j in range(m)]
     values = [complex(np.sum(weights * np.power(z, small))) for z in roots]
@@ -373,7 +405,9 @@ def convolution_deviation_loops(n_max: int, kernel, kernel_value) -> float:
     for j in range(1, zpow.size):
         zpow[j] = zpow[j - 1] * complex(kernel.z)
     rhs = np.ldexp(1.0, om.astype(np.int32)) * zpow[osm]
-    return float(np.max(np.abs(lhs[1:] - rhs)))
+    # Python's abs of a complex is libm's hypot, as in the library; np.abs
+    # takes numpy's own SIMD modulus, which rounds some values apart from it.
+    return max(abs(complex(d)) for d in lhs[1:] - rhs)
 
 
 def kernel_g_general(q: int, w: int, z) -> complex:

@@ -1,8 +1,10 @@
-"""The package's public names."""
+"""The package's public names, and where it may import numpy."""
 
+import ast
 import inspect
 import pkgutil
 from importlib import import_module
+from pathlib import Path
 
 import omegashift
 
@@ -107,3 +109,38 @@ def test_trimmed_signatures():
     # the threshold spec, counter choice and ratio ceiling are gone
     assert list(inspect.signature(omegashift.weighted_mass_below).parameters) == ["J", "x", "y"]
     assert list(inspect.signature(omegashift.level_ratio).parameters) == ["k", "x"]
+
+
+def _numpy_imports(tree):
+    """(enclosing function names, line) of each import of numpy in tree."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_numpy_is_imported_only_for_complex_euler_products():
+    # cmath has no log1p, so constants._log_core takes numpy's for a
+    # complex a; every other module works without numpy.
+    src = Path(omegashift.__file__).parent
+    found = {
+        (path.name, scope, line)
+        for path in sorted(src.glob("*.py"))
+        for scope, line in _numpy_imports(ast.parse(path.read_text(), str(path)))
+    }
+    assert {(name, scope) for name, scope, _ in found} == {("constants.py", ("_log_core",))}, found
+    assert _numpy_imports(ast.parse("import numpy.linalg as la\nfrom numpy import log1p\n")) == [
+        ((), 1), ((), 2)]

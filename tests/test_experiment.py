@@ -572,12 +572,13 @@ print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in paylo
 
 
 def test_a_warm_run_imports_no_numpy(tmp_path):
-    """`omegashift constants` and a cold and then a warm `python -m
-    omegashift.cli run`, each in a child process: at the exit of each, numpy
-    is not loaded; the warm run has run none of the sieve, kernel, prime,
-    genfun or verify modules (the package binds each lazily, and a lazy
-    module that never ran is not a plain ModuleType), the cold run only the
-    sieve and the kernel, and constants only the kernel, for its prime sums;
+    """`omegashift constants`, a cold and then a warm `python -m
+    omegashift.cli run`, `verify --level fast` and `sieve`, each in a child
+    process: at the exit of each, numpy is not loaded; the warm run has run
+    none of the sieve, kernel, prime, genfun or verify modules (the package
+    binds each lazily, and a lazy module that never ran is not a plain
+    ModuleType), the cold run only the sieve and the kernel, constants only
+    the kernel, for its prime sums, and sieve only the sieve and the kernel;
     the warm run's report equals the cold one's but for runtime_ms.  Importing the
     package and its command line loads no numpy either, and every name of
     __all__ still resolves."""
@@ -615,6 +616,16 @@ runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
     # the cold run sieved and summed its primes in the kernel, without numpy
     assert reports["cold"] == "False ['omegashift.sieve', 'omegashift.kernel']"
     assert reports["warm"] == "False []"
+    done = subprocess.run([sys.executable, "-c", probe, "verify", "--level", "fast"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2] == "fast: 15 checks, 0 failed, 0 warnings"
+    assert done.stdout.splitlines()[-1] == f"False {list(heavy)!r}"
+    done = subprocess.run([sys.executable, "-c", probe, "sieve", "--x", "100000", "--w", "10"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].startswith("built table: x=100000 w=10 max_omega=6 ")
+    assert done.stdout.splitlines()[-1] == "False ['omegashift.sieve', 'omegashift.kernel']"
     (cold_csv,), (warm_csv,) = ((tmp_path / p).glob("*.csv") for p in ("cold", "warm"))
     assert _strip_runtime(warm_csv) == _strip_runtime(cold_csv)
     (cold_json,), (warm_json,) = ((tmp_path / p).glob("*.json") for p in ("cold", "warm"))
@@ -749,6 +760,9 @@ def test_cli_sieve_and_cache(tmp_path, capsys):
     # sieve builds and prints a table; it has no table cache to load or save
     assert main(["sieve", "--x", "2000", "--w", "11", "--threads", "2"]) == 0
     assert capsys.readouterr().out.startswith("built table: x=2000 w=11 max_omega=4 ")
+    # a table of kernel.PAGED_BYTES or more is an mmap, which the max is read from too
+    assert main(["sieve", "--x", "3000000", "--w", "50"]) == 0
+    assert capsys.readouterr().out.startswith("built table: x=3000000 w=50 max_omega=7 ")
     for gone in (["--cache", str(tmp_path)], ["--segment-length", "4096"]):
         with pytest.raises(SystemExit):
             main(["sieve", "--x", "2000", "--w", "11", *gone])
@@ -883,10 +897,20 @@ def test_verify_trial_division_matches_the_oracle(x):
     ws = (2, 6, 10, 13, x)
     omega, small = verify._trial_division(x, ws)
     want_omega = [0, 0] + [len(oracles.factorize(n)) for n in range(2, x + 1)]
-    assert omega.tolist() == want_omega
+    assert list(omega) == want_omega
     for w in ws:
         want = [0, 0] + [sum(p <= w for p, _ in oracles.factorize(n)) for n in range(2, x + 1)]
-        assert small[w].tolist() == want, w
+        assert small[w] == want, w
+
+
+def test_verify_pearson_agrees_with_numpy():
+    rng = np.random.default_rng(7)
+    for n in (2, 7, 30):
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        assert verify._pearson(a.tolist(), b.tolist()) == pytest.approx(
+            np.corrcoef(a, b)[0, 1], rel=1e-14, abs=1e-15)
+    assert verify._pearson([1, 2, 3, 5], [2, 4, 6, 10]) == pytest.approx(1.0)
+    assert verify._pearson([1, 2, 3, 5], [-1, -2, -3, -5]) == pytest.approx(-1.0)
 
 
 def _fast_statuses():

@@ -138,7 +138,8 @@ SEGMENTS_AND_THREADS = [(seg, th) for seg in (1024, 4096, 1 << 22) for th in (1,
 def _assert_matches_trial_division(x, w, segment_length, threads):
     t = small_table(x, w, segment_length=segment_length, threads=threads)
     omega, omega_small = _trial_division_tables(x, w)
-    bad = np.flatnonzero((t.omega != omega) | (t.omega_small != omega_small))
+    got, got_small = np.asarray(t.omega), np.asarray(t.omega_small)
+    bad = np.flatnonzero((got != omega) | (got_small != omega_small))
     assert bad.size == 0, (x, w, segment_length, threads, bad[:5].tolist())
 
 
@@ -308,15 +309,14 @@ def _oracle_factor_rows(n_max):
     return rows
 
 
-@pytest.mark.parametrize("n_max", [2, 3, 4, 8, 9, 97, 10_000, 10_007])
+@pytest.mark.parametrize("n_max", [2, 3, 4, 8, 9, 97, 2000, 10_000, 10_007])
 def test_factor_table_matches_the_oracle(n_max):
     table = factor_table(n_max)
-    for arr in table:
-        assert arr.dtype == np.int64 and arr.shape == (n_max + 1,)
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-    assert list(zip(*(arr.tolist() for arr in table))) == _oracle_factor_rows(n_max)
+    for seq in table:
+        assert type(seq) is tuple and len(seq) == n_max + 1
+        assert all(type(v) is int for v in seq)
+    assert list(zip(*table)) == _oracle_factor_rows(n_max)
+    assert table == tuple(tuple(arr.tolist()) for arr in oracles.factor_table(n_max))
 
 
 def test_factor_table_and_verify_trial_division_call_no_sieve(monkeypatch):
@@ -330,29 +330,29 @@ def test_factor_table_and_verify_trial_division_call_no_sieve(monkeypatch):
         monkeypatch.setattr(f"omegashift.{name}", refuse)
     x, ws = 3000, (13, 3000)
     rows = _oracle_factor_rows(x)
-    assert list(zip(*(arr.tolist() for arr in factor_table(x)))) == rows
+    assert list(zip(*factor_table(x))) == rows
     omega, small = verify._trial_division(x, ws)
-    assert omega.tolist() == [row[3] for row in rows]
+    assert list(omega) == [row[3] for row in rows]
     for w in ws:
-        assert small[w].tolist() == [0, 0] + [
+        assert small[w] == [0, 0] + [
             sum(p <= w for p in _prime_divisors(n)) for n in range(2, x + 1)], w
 
 
 def test_level_set_iteration():
-    t = small_table(30, 30)
-    assert np.flatnonzero(t.omega == 1).tolist() == [
+    omega = np.asarray(small_table(30, 30).omega)
+    assert np.flatnonzero(omega == 1).tolist() == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
     ]
-    assert np.flatnonzero(t.omega == 3).tolist() == [30]
-    assert np.count_nonzero(t.omega[2:31] == 2) == 12
-    assert np.count_nonzero(t.omega[2:31] == 0) == 0
-    assert np.count_nonzero(t.omega[2:31] == 9) == 0
+    assert np.flatnonzero(omega == 3).tolist() == [30]
+    assert np.count_nonzero(omega[2:31] == 2) == 12
+    assert np.count_nonzero(omega[2:31] == 0) == 0
+    assert np.count_nonzero(omega[2:31] == 9) == 0
 
 
 def test_partition_of_range():
     x = 20_000
     t = small_table(x, 10)
-    assert np.bincount(t.omega[2 : x + 1])[1:].sum() == x - 1
+    assert np.bincount(np.asarray(t.omega)[2 : x + 1])[1:].sum() == x - 1
 
 
 def test_table_equality_semantics():
@@ -362,11 +362,32 @@ def test_table_equality_semantics():
     assert a == b
     assert a != c
     assert a != "not a table"
-    mutated = OmegaTable(
-        x_max=a.x_max, w=a.w, omega=a.omega.copy(), omega_small=a.omega_small.copy()
-    )
+    mutated = OmegaTable(x_max=a.x_max, w=a.w, omega=memoryview(bytearray(a.omega)),
+                         omega_small=memoryview(bytearray(a.omega_small)))
+    assert a == mutated
     mutated.omega[250] += 1
     assert a != mutated
+
+
+@pytest.mark.parametrize("x", [10**6, 3 * 10**6])
+def test_table_equality_compares_every_byte_and_w(x):
+    # Equality is one memcmp per table, not an item-by-item comparison, and
+    # still sees a change in the last byte alone; tables below
+    # kernel.PAGED_BYTES are bytearrays, and mmaps from there on.
+    a, b = small_table(x, 50), small_table(x, 50)
+    assert a.omega.format == "B" and not a.omega.readonly and a.omega.nbytes == x + 1
+    assert isinstance(a.omega.obj, bytearray) == (x + 1 < kernel.PAGED_BYTES)
+    assert a == b and not a != b
+    for table in (b.omega, b.omega_small):
+        table[-1] ^= 1
+        assert a != b
+        table[-1] ^= 1
+        assert a == b
+    same_bytes_other_w = OmegaTable(x_max=a.x_max, w=51, omega=a.omega,
+                                    omega_small=a.omega_small)
+    assert a != same_bytes_other_w
+    shorter = OmegaTable(x_max=a.x_max, w=a.w, omega=a.omega[:-1], omega_small=a.omega_small)
+    assert a != shorter
 
 
 def test_agrees_with_session_oracle(table_1e5, oracle_triples, oracle_w):
@@ -374,9 +395,10 @@ def test_agrees_with_session_oracle(table_1e5, oracle_triples, oracle_w):
     kk = np.array([k for k, _, _ in oracle_triples], dtype=np.int64)
     vv = np.array([v for _, v, _ in oracle_triples], dtype=np.int64)
     uu = np.array([u for _, _, u in oracle_triples], dtype=np.int64)
-    assert np.array_equal(table_1e5.omega[idx], kk)
-    assert np.array_equal(table_1e5.omega[idx - 1], vv)
-    assert np.array_equal(table_1e5.omega_small[idx - 1], uu)
+    omega, omega_small = np.asarray(table_1e5.omega), np.asarray(table_1e5.omega_small)
+    assert np.array_equal(omega[idx], kk)
+    assert np.array_equal(omega[idx - 1], vv)
+    assert np.array_equal(omega_small[idx - 1], uu)
 
 
 @pytest.fixture
@@ -742,8 +764,7 @@ def test_fill_segment_past_a_full_stream_table():
 def _fold_table():
     """A sieved table long enough for four fold blocks; read-only."""
     t = small_table(4 * FOLD_BLOCK + 100, 100)
-    t.omega.flags.writeable = t.omega_small.flags.writeable = False
-    return t
+    return OmegaTable(t.x_max, t.w, t.omega.toreadonly(), t.omega_small.toreadonly())
 
 
 def _oracle_fold(t, start, stop):
@@ -817,7 +838,8 @@ def test_fold_flushes_its_table_between_windows(tmp_path, flush):
     t = _fold_table()
     start, stop = 3, 3 + 3 * FOLD_BLOCK + 17
     H = np.zeros((16, 16, 16), dtype=np.int64)
-    assert fold(H.ctypes.data, t.omega.ctypes.data, t.omega_small.ctypes.data, start, stop) == 0
+    om, osm = np.asarray(t.omega), np.asarray(t.omega_small)
+    assert fold(H.ctypes.data, om.ctypes.data, osm.ctypes.data, start, stop) == 0
     assert np.array_equal(H, _oracle_fold(t, start, stop))
 
 
@@ -864,6 +886,22 @@ def test_presieve_pattern_against_its_definition():
         assert start.readonly and start.format == "H"
         assert len(start) == math.prod(powers[:lead])
         assert np.array_equal(start, sum(words[:lead], np.zeros(55_440))[: len(start)])
+
+
+def test_passes_share_their_presieve_starts():
+    # The starts are built once per process for each set of leading primes
+    # and steps: every pass with x >= 121 leads with 2..11, and x = 120 with
+    # 2..7 (its base primes stop at 7), whose starts are the first five.
+    a, b, c = segment_pass(10**6, (50,)), segment_pass(121), segment_pass(120)
+    assert a.starts is b.starts and len(a.starts) == 6
+    assert c.starts is not a.starts
+    assert [s.tolist() for s in c.starts] == [s.tolist() for s in a.starts[:5]]
+    for start in a.starts:
+        assert start.readonly
+        with pytest.raises(TypeError, match="read-only"):
+            start[0] = 1
+    with pytest.raises(TypeError):
+        a.starts[0] = kernel.zeroed(1, "H")
 
 
 def _multiplicity(n, p):
