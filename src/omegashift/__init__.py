@@ -13,8 +13,7 @@ Importing the package runs none of its modules.  Each is bound as a lazy
 module (importlib.util.LazyLoader) that runs on first use, and each name
 of __all__ resolves through __getattr__ (PEP 562) on first access.  So a
 process loads only what it uses.  Every module works on plain buffers and
-ints, and none loads numpy but constants, for the principal logs of an
-Euler product at a complex z: run, verify and sieve never load it.
+ints with the standard library alone.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
-"""What the layers share that needs no numpy: the level histogram's shape,
-the package's SHA-256, the one prime sieve in plain Python, the sieve's
-parameter checks and verify's scales.
+"""What the layers share: the level histogram's shape, the package's
+SHA-256, the one prime sieve in plain Python, the sieve's parameter checks
+and verify's scales.
 
 A warm run reads each H from its cache and computes every report row from
-it without numpy; this module holds what that path needs of the sieve, the
-kernel and verify, so that it loads none of them.
+it; this module holds what that path needs of the sieve, the kernel and
+verify, so that it loads none of them.
 """
 
 from __future__ import annotations

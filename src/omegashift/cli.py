@@ -6,12 +6,10 @@ Subcommands:
   verify     run the built-in invariant battery
   constants  print the Euler-product constants with rigorous tail bounds
 
-The parser needs only constants and base, which load no numpy; each other
-module is imported by the command that uses it, when it runs.  No command
-loads numpy but constants with a complex z, whose Euler products take
-numpy's complex log1p.  A command whose stdout is closed under it
-(`omegashift verify | head -1`) stops quietly with exit code 1; 2 stays
-the code of bad input.
+The parser needs only constants and base; each other module is imported
+by the command that uses it, when it runs.  A command whose stdout is
+closed under it (`omegashift verify | head -1`) stops quietly with exit
+code 1; 2 stays the code of bad input.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ F_p = (1 - (b-a)/p) / (1 - b/p) * (1 - 1/p)**a, so
     log F_p = sum_{j>=2} c_j / p^j,    c_j = (b^j - (b-a)^j - a) / j,
 
 the j = 1 term being exactly zero.  The primes p <= Q = MIN_TRUNCATION (the
-head) are summed term by term as exact log1p values.  For real a a head
+head) are summed term by term as exact logs: math.log1p(u) for real a,
+cmath.log(1 + u) for complex a, with u = a/(p-1+s).  For real a a head
 factor can be negative (possible only for p <= 7): it enters as log|F_p|
 and flips the product's sign.  A factor that vanishes (1 + a/(p-1+s) == 0,
 possible only for p <= 11) marks the product exactly zero.  The primes
@@ -116,18 +117,12 @@ def _series_remainder(a: complex | float, s: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _head_primes() -> tuple[float, ...]:
-    """The primes p <= MIN_TRUNCATION, ascending, as floats, from the plain
-    Python sieve, so a run that reads its prime sums from the cache loads no
-    numpy."""
-    return tuple(map(float, primes_up_to(MIN_TRUNCATION)))
-
-
-@lru_cache(maxsize=1)
 def _head_shifts_and_logs() -> tuple[tuple[float, float], ...]:
-    """(p - 1, log1p(-1/p)) for each head prime p, the parts of a real head
-    term that do not depend on a or s, taken once."""
-    return tuple((p - 1.0, math.log1p(-1.0 / p)) for p in _head_primes())
+    """(p - 1, log1p(-1/p)) for each head prime p <= MIN_TRUNCATION, ascending:
+    the parts of a head term that do not depend on a or s, taken once from
+    the plain Python sieve, so a run that reads its prime sums from the
+    cache loads no kernel."""
+    return tuple((p - 1.0, math.log1p(-1.0 / p)) for p in primes_up_to(MIN_TRUNCATION))
 
 
 PrimeSums = tuple[int, float, tuple[float, ...]]
@@ -146,7 +141,7 @@ def _prime_sums(P: int) -> PrimeSums:
     further power.  The blocks' sums are joined with math.fsum, so the bits
     depend on _BLOCK (a key of the cache file), and equal those of the numpy
     sums of SUMS_VERSION 1, kept as the tests' oracle.  The kernel loads
-    here, on a prime-sums cache miss only; numpy never.
+    here, on a prime-sums cache miss only.
     """
     from . import kernel
 
@@ -181,7 +176,8 @@ def _log_core(a: complex | float, s: float, P: int):
     head factor may be negative (1 + a/(p-1+s) < 0, possible only for
     p <= 7): its log|factor| enters the sum and it flips sign.  A factor
     that vanishes exactly marks the whole product as exactly zero (sign 0)
-    and is left out of the log sum.  Complex a takes principal logs, sign 1.
+    and is left out of the log sum.  Complex a takes principal logs,
+    cmath.log(1 + u), in the same loop, sign 1.
     """
     if P < MIN_TRUNCATION:
         raise ValueError(f"truncation P={P} < {MIN_TRUNCATION}")
@@ -194,27 +190,20 @@ def _log_core(a: complex | float, s: float, P: int):
     a_val = complex(a) if is_complex else float(a.real)
     count, inv_sq, power_sums = prime_sums(P)
     sign = 1
-    if is_complex:  # numpy's complex log1p; no report row takes a complex a
-        import numpy as np
-
-        pf = np.array(_head_primes())
-        u = a_val / (pf - 1.0 + s)
-        keep = 1.0 + u != 0
-        if not keep.all():
+    terms = []
+    for shift, log_q in _head_shifts_and_logs():
+        u = a_val / (shift + s)
+        if 1.0 + u == 0:
             sign = 0
-        pf, u = pf[keep], u[keep]
-        terms = (np.log1p(u) + a_val * np.log1p(-1.0 / pf)).tolist()
-    else:  # through libm, whose bits do not depend on numpy's SIMD dispatch
-        terms = []
-        for shift, log_q in _head_shifts_and_logs():
-            u = a_val / (shift + s)
-            if 1.0 + u == 0:
-                sign = 0
-                continue
-            if u < -1.0:
-                sign = -sign
-                u = -2.0 - u  # log1p(-2 - u) = log|1 + u|
-            terms.append(math.log1p(u) + a_val * log_q)
+            continue
+        if is_complex:
+            head = cmath.log(1.0 + u)
+        elif u < -1.0:
+            sign = -sign
+            head = math.log1p(-2.0 - u)  # log|1 + u|
+        else:
+            head = math.log1p(u)
+        terms.append(head + a_val * log_q)
     b = 1.0 - s
     terms += [
         (b**j - (b - a_val) ** j - a_val) / j * S_j

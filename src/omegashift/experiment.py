@@ -373,7 +373,7 @@ def load_prime_sums(path: str, P: int) -> PrimeSums:
 def _histograms(config: ExperimentConfig, pairs) -> dict:
     """{(x, w): H} as nested lists of ints: cached pairs are loaded, the rest
     come from one grid pass up to their own largest x and are cached.  The
-    sieve and its kernel load only when a pair is missing; numpy never."""
+    sieve and its kernel load only when a pair is missing."""
     hists = {}
     if config.cache_dir:
         for x, w in pairs:

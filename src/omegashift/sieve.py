@@ -36,7 +36,7 @@ does not change the words.
 
 The base primes come from base.primes_up_to, build_omega_table's tables are
 plain buffers from kernel.zeroed, and grid_histograms keeps its segments in
-such buffers and returns nested ints, so the sieve loads no numpy.
+such buffers and returns nested ints.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ if _log_gap(LOG_TEST_MIN_X) <= 1:
 class OmegaTable:
     """Byte tables of factor counts, indexed directly by n (entries 0,1 unused),
     as writable memoryviews of format "B" of x_max + 1 bytes from
-    kernel.zeroed (np.asarray reads them as uint8 arrays without a copy).
+    kernel.zeroed.  At w = x_max, omega_small is omega, one buffer.
     Tables are equal when x_max, w and both tables' bytes are."""
 
     x_max: int
@@ -167,7 +167,8 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     """
     x_max, w = config.x_max, config.w
     ws = (w,) if w < x_max else ()  # w = x_max: omega_small is omega
-    omega, omega_small = kernel.zeroed(x_max + 1, "B"), kernel.zeroed(x_max + 1, "B")
+    omega = kernel.zeroed(x_max + 1, "B")
+    omega_small = kernel.zeroed(x_max + 1, "B") if ws else omega
     plan = segment_pass(x_max, ws)
     splits = [bisect_right(plan.primes, w) for w in ws]
 
@@ -177,8 +178,6 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
             plan.fill(cell[: hi - lo], omega[lo:hi], [omega_small[lo:hi]] * len(ws), lo, splits)
 
     _map_segments(fill, x_max, config.segment_length, config.threads)
-    if not ws:
-        omega_small[:] = omega
     return OmegaTable(x_max=x_max, w=w, omega=omega, omega_small=omega_small)
 
 

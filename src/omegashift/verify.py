@@ -11,7 +11,7 @@ tests/test_acceptance.py asserts too; the first makes the one table-free
 sieve pass (sieve.grid_histograms) for the k = 2 planes at 1e5..x_top.  Each
 trend check ANDs its gates; a miss is a warning when x_top is below 1e7.
 The battery computes in plain Python on tables, histograms and oracles of
-ints, and loads no numpy.
+ints.
 """
 
 from __future__ import annotations

@@ -132,15 +132,15 @@ def _numpy_imports(tree):
     return found
 
 
-def test_numpy_is_imported_only_for_complex_euler_products():
-    # cmath has no log1p, so constants._log_core takes numpy's for a
-    # complex a; every other module works without numpy.
+def test_the_package_imports_no_numpy():
+    # numpy is a test-only dependency: no module of the package imports it,
+    # at module level or inside a function.
     src = Path(omegashift.__file__).parent
-    found = {
+    found = [
         (path.name, scope, line)
         for path in sorted(src.glob("*.py"))
         for scope, line in _numpy_imports(ast.parse(path.read_text(), str(path)))
-    }
-    assert {(name, scope) for name, scope, _ in found} == {("constants.py", ("_log_core",))}, found
+    ]
+    assert found == []
     assert _numpy_imports(ast.parse("import numpy.linalg as la\nfrom numpy import log1p\n")) == [
         ((), 1), ((), 2)]

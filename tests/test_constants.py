@@ -183,7 +183,7 @@ def test_coprimality_pole_rejected():
 # tilt_product's a at z = 0.8+0.3i, and a point whose p = 2 factor vanishes.
 # Real a = -10 has a negative factor at every s in range: (-10, 5), which
 # tilt_profile(4, -4) reaches, has three (a negative product), and (-8, 0)
-# has four.  -10 + 1e-6i takes the complex branch there instead.
+# has four.  -10 + 1e-6i takes principal complex logs there instead.
 TRUNCATED_POINTS = [
     (10.0, 0.0),
     (10.0, 5.0),

@@ -485,7 +485,7 @@ def test_warm_run_computes_no_prime_sums(tmp_path, monkeypatch):
     monkeypatch.setattr(constants, "_SUMS", {})  # the memo of a fresh process
     monkeypatch.setattr(constants, "_prime_sums", lambda P: pytest.fail(f"summed P={P}"))
     monkeypatch.setattr(kernel, "prime_sums", recorded)
-    constants._head_primes.cache_clear()
+    constants._head_shifts_and_logs.cache_clear()
     warm = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "warm")))
     assert blocks == []  # the head primes come from the plain sieve, not a prime block
     assert _strip_runtime(warm.csv_path) == _strip_runtime(cold.csv_path)
@@ -572,16 +572,16 @@ print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in paylo
 
 
 def test_a_warm_run_imports_no_numpy(tmp_path):
-    """`omegashift constants`, a cold and then a warm `python -m
-    omegashift.cli run`, `verify --level fast` and `sieve`, each in a child
-    process: at the exit of each, numpy is not loaded; the warm run has run
-    none of the sieve, kernel, prime, genfun or verify modules (the package
-    binds each lazily, and a lazy module that never ran is not a plain
-    ModuleType), the cold run only the sieve and the kernel, constants only
-    the kernel, for its prime sums, and sieve only the sieve and the kernel;
-    the warm run's report equals the cold one's but for runtime_ms.  Importing the
-    package and its command line loads no numpy either, and every name of
-    __all__ still resolves."""
+    """`omegashift constants` at a real and at a complex z, a cold and then
+    a warm `python -m omegashift.cli run`, `verify --level fast` and `sieve`,
+    each in a child process: at the exit of each, numpy is not loaded; the
+    warm run has run none of the sieve, kernel, prime, genfun or verify
+    modules (the package binds each lazily, and a lazy module that never ran
+    is not a plain ModuleType), the cold run only the sieve and the kernel,
+    constants only the kernel, for its prime sums, at either z, and sieve
+    only the sieve and the kernel; the warm run's report equals the cold
+    one's but for runtime_ms.  Importing the package and its command line
+    loads no numpy either, and every name of __all__ still resolves."""
     config = (
         "x_list = 10000 100000\nk_list = 1 2 3\nw_rule = loglog_sq\nell_max = 4\n"
         "moments = 2 4\nbaseline = true\nlarge_factor_c = 4.0\n"
@@ -599,10 +599,11 @@ sys.argv = ["omegashift", *sys.argv[1:]]
 runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", probe, "constants"],  # real z = 1, P = 1e7
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False ['omegashift.kernel']"
+    for z in ([], ["--z", "0.8,0.3"]):  # real z = 1, then a complex z; P = 1e7
+        done = subprocess.run([sys.executable, "-c", probe, "constants", *z],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False ['omegashift.kernel']", z
     reports = {}
     for phase in ("cold", "warm"):
         cfg = tmp_path / f"{phase}.cfg"
@@ -644,7 +645,7 @@ print(all(hasattr(omegashift, n) for n in omegashift.__all__))
     done = subprocess.run([sys.executable, "-c", imports], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]  # numpy loads only once a name needs it
+    assert done.stdout.split() == ["False", "True"]
 
 
 def _strip_runtime(path):

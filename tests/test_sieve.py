@@ -1,6 +1,7 @@
 """Sieve correctness and determinism, and the compiled kernel."""
 
 import ctypes
+import hashlib
 import itertools
 import math
 import os
@@ -236,6 +237,25 @@ def test_w_equal_to_x_counts_every_prime():
     for x, w in pairs:
         t = small_table(x, w)
         assert np.array_equal(got[x, w], oracles.histogram(t.omega, t.omega_small, x)), (x, w)
+
+
+# SHA-256 of the omega table at w = x_max, written when omega_small was a
+# second buffer filled as a copy of it.
+W_IS_X_DIGESTS = {
+    5000: "5cca1b7e9028d0325080b4eb09bba6574e217c8cb32c071388dcd53134d184b9",
+    10**6: "a3673d761df05c954a88f6040cc904fb4e26f67ed04b4255b5ca2a525de8a11d",
+}
+
+
+@pytest.mark.parametrize("x", sorted(W_IS_X_DIGESTS))
+def test_w_equal_to_x_keeps_one_buffer(x):
+    # Either side of kernel.PAGED_BYTES: a bytearray, then an mmap.
+    for threads in (1, 2):
+        t = small_table(x, x, threads=threads)
+        assert t.omega_small is t.omega
+        assert hashlib.sha256(t.omega).hexdigest() == W_IS_X_DIGESTS[x], threads
+    below = small_table(x, x - 1)
+    assert below.omega_small.obj is not below.omega.obj
 
 
 def _is_prime(n):
