@@ -1,19 +1,25 @@
-/* The three inner loops of omegashift: one sieve pass over a segment, the
- * (k, v, u) histogram fold and the prime sums of one block of integers.
+/* The inner loops of omegashift: the sieve's walk over a run of segments,
+ * the (k, v, u) histogram fold and the prime sums of one block of integers.
  * Built with -O3 and -ffp-contract=off and loaded by kernel.py; every
  * pointer and range is checked there before a call.
  *
- * A segment pass has two phases.  Phase 1 walks the segment in chunks of
- * CHUNK words that stay in L1: each chunk gets its pre-sieve pattern,
- * every power below CHUNK of the base primes below SMALL_BOUND, and
- * the copy-outs of the splits that fall among those primes.  Phase 2 adds
- * the other powers strided over the whole segment, then makes the other
- * splits' copy-outs and the octave cofactor test.
+ * A walk sieves a worker's whole run of consecutive segments in one call.
+ * Each power q of a base prime below the walk's end is one struct power,
+ * which carries the offset of q's next multiple from one segment to the
+ * next (Bays and Hudson, BIT 17, 1977): a segment costs one visit per
+ * power, with no division, and so a short segment costs little more per n
+ * than a long one.  Each segment has two phases.  Phase 1 walks it in
+ * chunks of CHUNK words that stay in L1: each chunk gets its pre-sieve
+ * pattern, every power below CHUNK of the base primes below SMALL_BOUND,
+ * and the copy-outs of the splits that fall among those primes.  Phase 2
+ * adds the other powers over the whole segment, then makes the other
+ * splits' copy-outs and the octave cofactor test.  Last, the walk may fold
+ * the segment's bytes into counts for each of its ranges.
  *
- * The fold also works in L1-sized blocks: it packs FOLD_BLOCK positions'
- * keys at a time, checking their bytes, then counts them in a uint32
- * table on the stack that it adds into the caller's int64 counts every
- * FOLD_FLUSH positions and at the end. */
+ * The fold works in L1-sized blocks: it packs FOLD_BLOCK positions' keys
+ * at a time, checking their bytes, then counts them in a uint32 table that
+ * it adds into the caller's int64 counts every FOLD_FLUSH positions and at
+ * the end. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -37,76 +43,71 @@
 #error "a phase-1 prime must be below CHUNK"
 #endif
 
-/* The stream table's size: the 309 primes below 2048 have 358 powers below
- * 2^13 (12 of 2, 8 of 3, ..., 1 of 2039), a pre-sieved prime fewer; 8.6 KB
- * of stack.  Should a caller pass repeated primes, the table stops at the
- * first prime that does not fit, and that prime and every later one are
- * sieved in phase 2. */
-#define MAX_STREAMS 358
-
 /* The fold's bins, 16^3 (kernel.py's FOLD_BINS), and the positions whose
  * keys it packs at a time: 8192 uint16 keys and the 4096 uint32 counts take
- * 16 KB of stack each, 32 KB together. */
+ * 16 KB each, 32 KB together. */
 #define FOLD_BINS 4096
 #define FOLD_BLOCK 8192
 
-/* Positions the fold counts into its uint32 table between flushes: a count
+/* Positions the fold counts into a uint32 table between flushes: a count
  * grows by at most 1 per position, so none can pass 2^32 - 1. */
 #define FOLD_FLUSH (INT64_C(1) << 30)
 #if FOLD_FLUSH > UINT32_MAX
 #error "a fold count could wrap its uint32 between flushes"
 #endif
 
-/* One power q of a phase-1 prime: add goes to each n = lo + j that q
- * divides, and next is the offset j of the first one not yet added. */
-struct stream {
+/* One power q of the base prime primes[prime]: it adds add at each n that
+ * q divides (step + 1 for the prime itself, whose low byte counts it, and
+ * step for a higher power), and next is the offset, from the segment's
+ * first n, of the first such n not yet passed.  off marks a power whose
+ * adds the segment's pre-sieve pattern holds. */
+struct power {
     int64_t q, next;
+    int32_t prime;
     uint16_t add;
-    int32_t prime; /* index of p in primes */
+    uint8_t off;
 };
 
-/* Add add at each multiple of q among n = lo + j, j < len. */
-static void add_strided(uint16_t *cell, int64_t len, int64_t lo, int64_t q, uint16_t add)
+/* Add a power up to offset stop, and keep where it stopped. */
+static void add_power(uint16_t *cell, int64_t stop, struct power *pw)
 {
-    for (int64_t j = (q - lo % q) % q; j < len; j += q)
-        cell[j] += add;
-}
-
-/* Add a stream up to offset stop, and keep where it stopped. */
-static void add_stream(uint16_t *cell, int64_t stop, struct stream *st)
-{
-    const int64_t q = st->q;
-    const uint16_t add = st->add;
-    int64_t j = st->next;
+    const int64_t q = pw->q;
+    const uint16_t add = pw->add;
+    int64_t j = pw->next;
     for (; j < stop; j += q)
         cell[j] += add;
-    st->next = j;
+    pw->next = j;
 }
 
-/* The first power of base prime p that the pass adds, with its add in *add:
- * p itself with step + 1 (the low byte counts p, the high byte gains L(p)),
- * or for a pre-sieved prime its first power not dividing period, with step
- * (the pattern holds the rest).  Every later power p^j < hi adds step. */
-static int64_t first_power(int64_t p, int presieved, int64_t period, uint16_t step, uint16_t *add)
+/* Carry a power from a segment of len words to the next: past the
+ * multiples it has not added (an off power's), then by len. */
+static void carry_power(struct power *pw, int64_t len)
 {
-    int64_t q = p;
-    *add = (uint16_t)(step + 1);
-    if (presieved) {
-        while (period % q == 0)
-            q *= p;
-        *add = step;
-    }
-    return q;
+    if (pw->next < len)
+        pw->next += (len - pw->next + pw->q - 1) / pw->q * pw->q;
+    pw->next -= len;
 }
 
-/* Add the powers q, q p, q p^2, ... < lo + len of p: add at the first,
- * step at the rest.  kernel.py keeps every base prime at most 2^20 and
- * q < hi <= 2^40 + 1, so q * p < 2^61 never overflows. */
-static void sieve_prime(uint16_t *cell, int64_t len, int64_t lo, int64_t p, int64_t q,
-                        uint16_t add, uint16_t step)
+/* How many powers of p lie below hi.  kernel.py keeps every base prime at
+ * most 2^20 and hi <= 2^40 + 1, so q * p < 2^61 never overflows. */
+static int64_t count_powers(int64_t p, int64_t hi)
 {
-    for (; q < lo + len; q *= p, add = step)
-        add_strided(cell, len, lo, q, add);
+    int64_t n = 0;
+    for (int64_t q = p; q < hi; q *= p)
+        n++;
+    return n;
+}
+
+/* Write the powers from <= q < below of primes[i] = p at pw, each with its
+ * add and its next from lo; return the end of what was written. */
+static struct power *put_powers(struct power *pw, int64_t i, int64_t p, int64_t step,
+                                int64_t from, int64_t below, int64_t lo)
+{
+    for (int64_t q = p; q < below; q *= p)
+        if (q >= from)
+            *pw++ = (struct power){q, (q - lo % q) % q, (int32_t)i,
+                                   (uint16_t)(q == p ? step + 1 : step), 0};
+    return pw;
 }
 
 /* cell[j] = pattern[(lo + j) % period] for start <= j < stop. */
@@ -139,126 +140,230 @@ static uint8_t *osm_at(const int64_t *osms, int64_t s)
     return (uint8_t *)(uintptr_t)osms[s];
 }
 
-/* One segment n = lo + j, j < len, into the words cell[0..len).
- *
- * The cell starts as the pre-sieve pattern[(lo + j) % period], which
- * kernel.py's SegmentPass builds: the words of the lead leading base
- * primes and of their powers that divide period, so those primes add only
- * their higher powers here (2^5, 3^3, ... for period 2^4 3^2 5 7 11);
- * every later prime is sieved in full.  lead = 0 takes a period-1 pattern
- * of one zero word.  After the primes
- * primes[0..splits[s]) the low byte is copied into the bytes at the
- * address osms[s], for each s < nsplits in turn (kernel.py packs the osm
- * addresses, the splits and the octaves into one int64 array).  Last,
- * om[j] gets the low byte, plus 1 where the word is below the octave's
- * bound, for each octave
- * (start, stop, bound) = octaves[3 o .. 3 o + 3) of the noct given; with
- * noct == 0, om gets the low byte alone.
- *
- * The powers below CHUNK of the primes below SMALL_BOUND become streams,
- * each offset found with one modulo, and phase 1 runs them chunk by chunk,
- * starting each chunk from its pattern and making the copy-outs
- * of the splits at or below those primes.  Phase 2 adds the other powers
- * strided over the whole segment and makes the rest of the copy-outs and
- * the cofactor test.  The words are sums, so the order of the adds does
- * not change them. */
-void fill_segment(uint16_t *cell, int64_t len, int64_t lo,
-                  const int64_t *primes, const int64_t *steps, int64_t count,
-                  const uint16_t *pattern, int64_t period, int64_t lead,
-                  const int64_t *osms, const int64_t *splits, int64_t nsplits,
-                  uint8_t *om, const int64_t *octaves, int64_t noct)
+/* A uint32 count of each fold key, and how many positions it has counted
+ * since it was last added into the caller's int64 counts. */
+struct tally {
+    int64_t since;
+    uint32_t t[FOLD_BINS];
+};
+
+static void flush(int64_t *flat, struct tally *ta)
 {
-    struct stream streams[MAX_STREAMS];
-    const int64_t hi = lo + len;
-    int64_t i = 0, n = 0, s = 0;
-    uint16_t add;
-    for (; i < count && primes[i] < SMALL_BOUND; i++) {
-        const int64_t p = primes[i], first = n;
-        int64_t q = first_power(p, i < lead, period, (uint16_t)steps[i], &add);
-        for (; q < CHUNK && q < hi && n < MAX_STREAMS; q *= p, add = (uint16_t)steps[i])
-            streams[n++] = (struct stream){q, (q - lo % q) % q, add, (int32_t)i};
-        if (q < CHUNK && q < hi) { /* the table is full */
-            n = first;
-            break;
-        }
-    }
-    const int64_t nsmall = i;
-
-    for (int64_t c0 = 0; c0 < len; c0 += CHUNK) {
-        const int64_t c1 = len - c0 < CHUNK ? len : c0 + CHUNK;
-        copy_pattern(cell, c0, c1, lo, pattern, period);
-        int64_t t = 0;
-        for (s = 0; s < nsplits && splits[s] <= nsmall; s++) {
-            for (; t < n && streams[t].prime < splits[s]; t++)
-                add_stream(cell, c1, &streams[t]);
-            copy_low(osm_at(osms, s) + c0, cell + c0, c1 - c0);
-        }
-        for (; t < n; t++)
-            add_stream(cell, c1, &streams[t]);
-    }
-
-    /* A power from CHUNK up hits a chunk at most once: it costs one modulo
-     * here instead of a visit per chunk. */
-    for (int64_t k = 0; k < nsmall; k++) {
-        const int64_t step = steps[k];
-        int64_t q = first_power(primes[k], k < lead, period, (uint16_t)step, &add);
-        while (q < CHUNK)
-            q *= primes[k];
-        sieve_prime(cell, len, lo, primes[k], q, (uint16_t)step, (uint16_t)step);
-    }
-    for (; i < count; i++) {
-        for (; s < nsplits && splits[s] <= i; s++)
-            copy_low(osm_at(osms, s), cell, len);
-        int64_t q = first_power(primes[i], i < lead, period, (uint16_t)steps[i], &add);
-        sieve_prime(cell, len, lo, primes[i], q, add, (uint16_t)steps[i]);
-    }
-    for (; s < nsplits; s++)
-        copy_low(osm_at(osms, s), cell, len);
-    if (noct == 0)
-        copy_low(om, cell, len);
-    for (int64_t o = 0; o < noct; o++)
-        add_cofactor(om, cell, octaves[3 * o], octaves[3 * o + 1], (uint16_t)octaves[3 * o + 2]);
+    for (int j = 0; j < FOLD_BINS; j++)
+        flat[j] += ta->t[j];
+    memset(ta->t, 0, sizeof ta->t);
+    ta->since = 0;
 }
 
-/* Add the packed triple k << 8 | v << 4 | u of each position start <= i < stop
- * to the 16^3 counts in flat, where k = om[i], v = om[i - 1] and
- * u = osm[i - 1].  A byte >= 16 would index outside flat: the fold returns
- * -1 before it counts the block holding it, leaving flat untouched or
- * partly counted; otherwise it returns 0.
+/* Count the packed triple k << 8 | v << 4 | u of each position
+ * start <= i < stop in t, where k = om[i], v = om[i - 1] and
+ * u = osm[i - 1]; return -1 before counting a block that holds a
+ * byte >= 16, which would index outside t, else 0.
  *
  * Each block of FOLD_BLOCK positions is two loops.  The first packs the
  * keys into key[] and ORs the bytes into a mask; it has no branch, so
- * GCC vectorizes it at -O3.  The second counts the keys in the uint32
- * table t, which stays in L1 beside key[], and only it carries the
- * increments' store-to-load chain.  t is added into flat every FOLD_FLUSH
- * positions and at the end.  On one 2^18-position segment at x = 1e8,
- * w = 4858 (2-core Xeon, 48 KB L1d), this took about half the time of one
- * loop that checks, packs and adds each position into flat in turn. */
+ * GCC vectorizes it at -O3.  The second counts the keys in t, which stays
+ * in L1 beside key[], and only it carries the increments' store-to-load
+ * chain.  On one 2^18-position segment at x = 1e8, w = 4858 (2-core Xeon,
+ * 48 KB L1d), this took about half the time of one loop that checks,
+ * packs and adds each position into int64 counts in turn. */
+static int count_keys(uint32_t *t, const uint8_t *om, const uint8_t *osm,
+                      int64_t start, int64_t stop)
+{
+    uint16_t key[FOLD_BLOCK];
+    for (int64_t b = start; b < stop; b += FOLD_BLOCK) {
+        const int64_t len = stop - b < FOLD_BLOCK ? stop - b : FOLD_BLOCK;
+        const uint8_t *k = om + b, *v = om + b - 1, *u = osm + b - 1;
+        uint8_t mask = 0;
+        for (int64_t j = 0; j < len; j++) {
+            key[j] = (uint16_t)(k[j] << 8 | v[j] << 4 | u[j]);
+            mask |= k[j] | v[j] | u[j];
+        }
+        if (mask >= 16)
+            return -1;
+        for (int64_t j = 0; j < len; j++)
+            t[key[j]]++;
+    }
+    return 0;
+}
+
+/* count_keys over start <= i < stop into ta, adding ta into flat each
+ * time it has counted FOLD_FLUSH positions. */
+static int tally_range(struct tally *ta, int64_t *flat, const uint8_t *om,
+                       const uint8_t *osm, int64_t start, int64_t stop)
+{
+    while (start < stop) {
+        const int64_t room = FOLD_FLUSH - ta->since;
+        const int64_t end = stop - start < room ? stop : start + room;
+        if (count_keys(ta->t, om, osm, start, end))
+            return -1;
+        ta->since += end - start;
+        start = end;
+        if (ta->since == FOLD_FLUSH)
+            flush(flat, ta);
+    }
+    return 0;
+}
+
+/* Add the count of each triple (om[i], om[i - 1], osm[i - 1]),
+ * start <= i < stop, to the 16^3 counts in flat, at k << 8 | v << 4 | u.
+ * A byte >= 16 returns -1, leaving flat untouched or partly counted;
+ * otherwise the fold returns 0. */
 int fold(int64_t *flat, const uint8_t *om, const uint8_t *osm,
          int64_t start, int64_t stop)
 {
-    uint16_t key[FOLD_BLOCK];
-    uint32_t t[FOLD_BINS];
-    for (int64_t w0 = start; w0 < stop; w0 += FOLD_FLUSH) {
-        const int64_t w1 = stop - w0 < FOLD_FLUSH ? stop : w0 + FOLD_FLUSH;
-        memset(t, 0, sizeof t);
-        for (int64_t b = w0; b < w1; b += FOLD_BLOCK) {
-            const int64_t len = w1 - b < FOLD_BLOCK ? w1 - b : FOLD_BLOCK;
-            const uint8_t *k = om + b, *v = om + b - 1, *u = osm + b - 1;
-            uint8_t mask = 0;
-            for (int64_t j = 0; j < len; j++) {
-                key[j] = (uint16_t)(k[j] << 8 | v[j] << 4 | u[j]);
-                mask |= k[j] | v[j] | u[j];
-            }
-            if (mask >= 16)
-                return -1;
-            for (int64_t j = 0; j < len; j++)
-                t[key[j]]++;
-        }
-        for (int j = 0; j < FOLD_BINS; j++)
-            flat[j] += t[j];
-    }
+    struct tally ta;
+    memset(&ta, 0, sizeof ta);
+    if (tally_range(&ta, flat, om, osm, start, stop))
+        return -1;
+    flush(flat, &ta);
     return 0;
+}
+
+/* Sieve n = lo + j, j < hi - lo, in segments of seglen words, each in
+ * turn in the words cell[0..seglen); return 0, -1 if a fold meets a
+ * byte >= 16, or -2 if memory runs out.
+ *
+ * Each prime p = primes[i] adds steps[i] + 1 at each multiple of p and
+ * steps[i] at each multiple of each power p^j < hi.  A segment's cell
+ * starts as a pre-sieve pattern: starts[2 l] is the address of the
+ * uint16 words of n = 0..period - 1 sieved by the l leading primes, at
+ * their powers dividing period = starts[2 l + 1], for each l < nstarts,
+ * and those powers add nothing more here (kernel.py's SegmentPass builds
+ * the starts).  After the primes primes[0..splits[s]) the low byte is
+ * copied into the bytes at the address osms[s], for each s < nsplits in
+ * turn; a split is live in a segment that starts below untils[s], and
+ * a segment takes the pattern of the largest l <= its first live split.
+ * Last, om gets the low byte, plus 1 where the word is below bounds[b],
+ * the cofactor test's bound for the octave [2^b, 2^(b + 1)) that holds
+ * n; with nbounds == 0, om gets the low byte alone.
+ *
+ * With carry == 0, om and each osm hold the byte of n at n - lo.  With
+ * carry == 1 they hold seglen + 1 bytes: the byte of a segment's n at
+ * 1 + n - its first n, and at 0 its n - 1's, carried from the segment
+ * before.  Each range r, (u, start, stop) = ranges[3 r .. 3 r + 3),
+ * folds its n in [max(start, lo + 1), min(stop, hi)) into the 16^3
+ * counts at counts + FOLD_BINS r, as fold does with om, osm = om for
+ * u = -1 and osms[u] otherwise: k is the byte of n, v and u those of
+ * n - 1.  Each range counts into a uint32 tally of its own, flushed
+ * every FOLD_FLUSH positions and once at the end.
+ *
+ * The powers below CHUNK of the primes below SMALL_BOUND run chunk by
+ * chunk in phase 1, starting each chunk from its pattern and making the
+ * copy-outs of the splits at or below those primes.  Phase 2 adds the
+ * other powers over the whole segment and makes the rest of the copy-outs
+ * and the cofactor test.  The words are sums, so the order of the adds
+ * does not change them. */
+int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
+             const int64_t *primes, const int64_t *steps, int64_t count,
+             const int64_t *starts, int64_t nstarts, const int64_t *bounds, int64_t nbounds,
+             const int64_t *osms, const int64_t *splits, const int64_t *untils, int64_t nsplits,
+             uint8_t *om, int64_t carry, const int64_t *ranges, int64_t nranges,
+             int64_t *counts)
+{
+    int64_t npow = 0, nsmall = 0, nearly = 0;
+    for (int64_t i = 0; i < count; i++)
+        npow += count_powers(primes[i], hi);
+    while (nsmall < count && primes[nsmall] < SMALL_BOUND)
+        nsmall++;
+    while (nearly < nsplits && splits[nearly] <= nsmall)
+        nearly++; /* the splits that phase 1 copies out */
+    struct power *pw = malloc((size_t)npow * sizeof *pw + 1);
+    struct tally *tallies = calloc((size_t)nranges + 1, sizeof *tallies);
+    if (!pw || !tallies) {
+        free(pw);
+        free(tallies);
+        return -2;
+    }
+    struct power *end = pw;
+    for (int64_t i = 0; i < nsmall; i++)
+        end = put_powers(end, i, primes[i], steps[i], 0, hi < CHUNK ? hi : CHUNK, lo);
+    const int64_t nstream = end - pw; /* phase 1's powers */
+    for (int64_t i = 0; i < nsmall; i++)
+        end = put_powers(end, i, primes[i], steps[i], CHUNK, hi, lo);
+    for (int64_t i = nsmall; i < count; i++)
+        end = put_powers(end, i, primes[i], steps[i], 0, hi, lo);
+
+    int64_t lead = -1, period = 1, err = 0;
+    const uint16_t *pattern = NULL;
+    for (int64_t first = lo; first < hi && !err; first += seglen) {
+        const int64_t len = hi - first < seglen ? hi - first : seglen;
+        const int64_t at = carry ? 1 : first - lo; /* where the segment's bytes start */
+        uint8_t *const seg = om + at;
+        int64_t l = nstarts - 1, s = 0, t = 0;
+        while (s < nsplits && untils[s] <= first)
+            s++;
+        if (s < nsplits && splits[s] < l)
+            l = splits[s];
+        if (l != lead) {
+            lead = l;
+            pattern = (const uint16_t *)(uintptr_t)starts[2 * lead];
+            period = starts[2 * lead + 1];
+            for (int64_t k = 0; k < npow; k++)
+                pw[k].off = pw[k].prime < lead && period % pw[k].q == 0;
+        }
+
+        for (int64_t c0 = 0; c0 < len; c0 += CHUNK) {
+            const int64_t c1 = len - c0 < CHUNK ? len : c0 + CHUNK;
+            copy_pattern(cell, c0, c1, first, pattern, period);
+            for (s = 0, t = 0; s < nearly; s++) {
+                for (; t < nstream && pw[t].prime < splits[s]; t++)
+                    if (!pw[t].off)
+                        add_power(cell, c1, &pw[t]);
+                if (untils[s] > first)
+                    copy_low(osm_at(osms, s) + at + c0, cell + c0, c1 - c0);
+            }
+            for (; t < nstream; t++)
+                if (!pw[t].off)
+                    add_power(cell, c1, &pw[t]);
+        }
+        for (t = 0; t < nstream; t++)
+            carry_power(&pw[t], len);
+
+        for (s = nearly; t < npow; t++) {
+            for (; s < nsplits && splits[s] <= pw[t].prime; s++)
+                if (untils[s] > first)
+                    copy_low(osm_at(osms, s) + at, cell, len);
+            if (!pw[t].off)
+                add_power(cell, len, &pw[t]);
+            carry_power(&pw[t], len);
+        }
+        for (; s < nsplits; s++)
+            if (untils[s] > first)
+                copy_low(osm_at(osms, s) + at, cell, len);
+        if (nbounds == 0)
+            copy_low(seg, cell, len);
+        else /* each octave [a, 2a), a = 2^b, that meets the segment */
+            for (int b = 63 - __builtin_clzll((uint64_t)first); INT64_C(1) << b < first + len; b++) {
+                const int64_t a = INT64_C(1) << b;
+                add_cofactor(seg, cell, (a > first ? a : first) - first,
+                             (2 * a < first + len ? 2 * a : first + len) - first,
+                             (uint16_t)bounds[b]);
+            }
+
+        for (int64_t r = 0; r < nranges && !err; r++) {
+            const int64_t *range = ranges + 3 * r;
+            int64_t n0 = range[1] > first ? range[1] : first;
+            const int64_t n1 = range[2] < first + len ? range[2] : first + len;
+            if (n0 <= lo)
+                n0 = lo + 1;
+            if (n0 < n1)
+                err = tally_range(&tallies[r], counts + FOLD_BINS * r, seg,
+                                  range[0] < 0 ? seg : osm_at(osms, range[0]) + at,
+                                  n0 - first, n1 - first);
+        }
+        if (carry) {
+            om[0] = om[len];
+            for (s = 0; s < nsplits; s++)
+                if (untils[s] > first)
+                    osm_at(osms, s)[0] = osm_at(osms, s)[len];
+        }
+    }
+    for (int64_t r = 0; r < nranges && !err; r++)
+        flush(counts + FOLD_BINS * r, &tallies[r]);
+    free(pw);
+    free(tallies);
+    return err;
 }
 
 /* The most power sums prime_sums takes at once (kernel.py's MAX_POWERS). */

@@ -1,7 +1,14 @@
-"""The sieve's segment pass, the histogram fold and the prime sums of a
-block, compiled from kernel.c: SegmentPass.fill, fold and prime_sums are
-their one way in, and check every argument.  same_bytes compares two byte
-buffers with the C library's memcmp.
+"""The sieve's walk over a run of segments, the histogram fold and the prime
+sums of a block, compiled from kernel.c.  SegmentPass.fill and
+SegmentPass.tally (one walk each), fold and prime_sums are their one way
+in, and check every argument.  same_bytes compares two byte buffers with
+the C library's memcmp.
+
+A walk is one C call for a worker's whole run of segments: it carries
+each base-prime power's next multiple from one segment to the next, so a
+segment's fixed cost is one visit per power, with no Python and no
+division (9 us at x = 1e8 on a 2-core Xeon), and segments can be short
+(base.default_segment picks their length).
 
 They take plain buffers and load no numpy: any 1-d C-contiguous buffer of
 the right item size, checked through memoryview, as bytes ("B"), uint16
@@ -16,7 +23,7 @@ file.  It is written to a temporary file and moved into place with
 os.replace, and a cached file that fails to load, or is removed before it
 loads, is rebuilt once.  A build removes the other builds in that directory; a process that
 has one loaded keeps it mapped.  ctypes releases the interpreter lock
-during each call, so threads run the loops in parallel.
+during each call, so threads run the walks in parallel.
 """
 
 from __future__ import annotations
@@ -115,10 +122,11 @@ def _library():
         except OSError as exc:
             raise KernelBuildError(f"cannot load the rebuilt {path}: {exc}") from exc
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.fill_segment.argtypes = [
-        ptr, i64, i64, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64
+    lib.walk.argtypes = [
+        ptr, i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, i64,
+        ptr, i64, ptr
     ]
-    lib.fill_segment.restype = None
+    lib.walk.restype = i64
     lib.fold.argtypes = [ptr, ptr, ptr, i64, i64]
     lib.fold.restype = ctypes.c_int
     lib.prime_sums.argtypes = [i64, i64, ptr, i64, i64, i64, ptr]
@@ -246,7 +254,7 @@ def _presieve_starts(leads: tuple[tuple[int, int], ...]) -> tuple[memoryview, ..
 
 
 class SegmentPass:
-    """kernel.c's fill_segment over many segments, its pass-wide arguments
+    """kernel.c's walk over runs of segments, its pass-wide arguments
     checked, its pre-sieved starts built and their C pointers taken once,
     and kept alive by the pass.
 
@@ -261,21 +269,21 @@ class SegmentPass:
     one before it and adds only the new prime's multiples; passes that lead
     with the same primes and steps share one tuple of starts.
 
-    fill sieves n = lo + j, j < len(om), in one pass over cell (uint16
-    scratch); om and each osm are byte buffers of that length.  cell starts
-    as starts[lead][(lo + j) % period], the largest start the first split
-    allows: lead = min(L, splits[0]), or L without splits, for
+    A walk sieves n in [lo, hi) in segments, each in one pass over the
+    same uint16 scratch words.  A segment's words start as
+    starts[lead][n % period], the largest start its first live split
+    allows: lead = min(L, that split), or L without one, for
     L = len(starts) - 1.  Each prime p = primes[i] adds steps[i] + 1 at
     each multiple of p and steps[i] at each multiple of every power
-    p^j < lo + len(om), but the lead primes only at their powers not
-    dividing the period.  After primes[:splits[s]] the low byte is copied
-    into osms[s].  Last, om gets the low byte, plus 1 where the word is
-    below bounds[b], the cofactor test's threshold for the octave
-    [2^b, 2^(b+1)) that holds n (see sieve.segment_pass); each bound is in
-    [0, 2^16), and 0 adds nothing.  With bounds the segment must lie in
-    [1, 2^len(bounds)); with none, om is the low byte alone and lo may be
-    0.  lo + len(om) <= 2^40 + 1 keeps the powers in int64.  The order of
-    kernel.c's adds does not change the words.
+    p^j < hi, but the lead primes only at their powers not dividing the
+    period.  After primes[:splits[s]] the low byte is copied into osms[s].
+    Last, om gets the low byte, plus 1 where the word is below bounds[b],
+    the cofactor test's threshold for the octave [2^b, 2^(b+1)) that holds
+    n (see sieve.segment_pass); each bound is in [0, 2^16), and 0 adds
+    nothing.  With bounds the walk must lie in [1, 2^len(bounds)); with
+    none, om is the low byte alone and lo may be 0.  hi <= 2^40 + 1 keeps
+    the powers in int64.  The order of kernel.c's adds does not change the
+    words, and the segment length changes no byte.
     """
 
     def __init__(self, primes, steps, bounds=()):
@@ -290,7 +298,6 @@ class SegmentPass:
         if not all(0 <= bound < 1 << 16 for bound in bounds):
             raise ValueError("an octave bound outside a word")
         self.primes, self.steps, self.bounds = primes, steps, tuple(bounds)
-        self._views = (prime_view, step_view)  # while held, no buffer can resize under kernel.c
         leads, period = [], 1
         for p, step in zip(prime_view, step_view):
             period = math.lcm(period, _top_power(p))
@@ -298,48 +305,80 @@ class SegmentPass:
                 break
             leads.append((p, step))
         self.starts = _presieve_starts(tuple(leads))
-        self._args = (_address(prime_view), _address(step_view), len(prime_view))
-        self._start_args = [(_address(start), len(start), lead)
-                            for lead, start in enumerate(self.starts)]
+        starts = int64_buffer([v for start in self.starts for v in (_address(start), len(start))])
+        bounds = int64_buffer(self.bounds)
+        # While held, no buffer can resize under kernel.c.
+        self._views = (prime_view, step_view, starts, bounds)
+        self._args = (_address(prime_view), _address(step_view), len(prime_view),
+                      _address(starts), len(self.starts), _address(bounds), len(self.bounds))
 
     def fill(self, cell, om, osms, lo, splits) -> None:
-        """Sieve one segment with this pass's primes, steps, starts and bounds."""
+        """Sieve n = lo + j, j < len(om), into om and osms, each osm after
+        its split, in one walk of segments of len(cell) words."""
         cell = _view(cell, _WORDS, "cell", written=True)
         om = _view(om, _BYTES, "om", written=True)
         osms = [_view(osm, _BYTES, "osm", written=True) for osm in osms]
-        size = len(om)
-        hi = lo + size
-        if len(cell) != size or any(len(osm) != size for osm in osms):
-            raise ValueError("cell, om and the osms differ in length")
+        if any(len(osm) != len(om) for osm in osms):
+            raise ValueError("om and the osms differ in length")
+        if len(om) and not len(cell):
+            raise ValueError("cell: no words to sieve a segment in")
+        hi = lo + len(om)
+        self._walk(cell, lo, hi, om, osms, splits, [hi] * len(splits), carry=0)
+
+    def tally(self, lo, hi, segment, splits, untils, ranges):
+        """Fold each range's n of [lo, hi), 2 <= lo, into counts: one walk of
+        segments of up to segment words over [lo - 1, hi) with an osm for
+        each split, live in a segment that starts below its until.  Range
+        r, (u, start, stop), counts the (k, v, u) of each n in
+        [start, stop) of the walk, with k and v from om, the bytes of n
+        and n - 1, and u from the osm of split u, or from om for u = -1,
+        at counts[r * FOLD_BINS:(r + 1) * FOLD_BINS], as fold does.  A
+        segment's bytes of n - 1 carry over from the segment before.
+        Returns counts, an int64 buffer."""
+        if lo < 2 or segment < 1:
+            raise ValueError(f"a fold from {lo} in segments of {segment}: want 2 and 1 at least")
+        if len(untils) != len(splits):
+            raise ValueError(f"{len(untils)} untils for {len(splits)} splits")
+        if not all(-1 <= u < len(splits) for u, _, _ in ranges):
+            raise ValueError("a range folds the osm of no split")
+        size = max(min(segment, hi - lo + 1), 0)
+        cell = zeroed(size, "H")
+        om, osms = zeroed(size + 1, "B"), [zeroed(size + 1, "B") for _ in splits]
+        counts = zeroed(FOLD_BINS * len(ranges), "q")
+        self._walk(cell, lo - 1, hi, om, osms, splits, untils, carry=1,
+                   ranges=[v for range_ in ranges for v in range_], counts=counts)
+        return counts
+
+    def _walk(self, cell, lo, hi, om, osms, splits, untils, carry, ranges=(), counts=None):
+        """Check the span and the splits, and run kernel.c's walk."""
         if not 0 <= lo <= hi <= (1 << 40) + 1:
-            raise ValueError(f"segment [{lo}, {hi}) outside [0, 2^40]")
+            raise ValueError(f"segments over [{lo}, {hi}) outside [0, 2^40]")
         if len(osms) != len(splits):
             raise ValueError(f"{len(osms)} osm arrays for {len(splits)} splits")
         count = len(self._views[0])
         if list(splits) != sorted(splits) or not all(0 <= s <= count for s in splits):
             raise ValueError(f"splits {list(splits)} not ascending within [0, {count}]")
-        bits = ()
-        if self.bounds:
+        if self.bounds and lo < hi:
             if lo < 1:
                 raise ValueError(f"segment start {lo} below 1, the start of the octaves "
                                  f"its bounds tile")
             if (hi - 1).bit_length() > len(self.bounds):
                 raise ValueError(f"segment end {hi} past 2^{len(self.bounds)}, the end of "
                                  f"the octaves its bounds tile")
-            bits = range(lo.bit_length() - 1, (hi - 1).bit_length())
-        # The osm pointers, the splits and (start, stop, bound) of each octave
-        # meeting the segment, as offsets from lo, in one array held in a
-        # local so it outlives the call that reads it.
+        # The osm pointers, the splits, their untils and the ranges in one
+        # array held in a local, so that it outlives the call that reads it.
         nosm = len(osms)
-        octaves = [v for b in bits
-                   for v in (max(1 << b, lo) - lo, min(2 << b, hi) - lo, self.bounds[b])]
-        packed = int64_buffer([*map(_address, osms), *splits, *octaves])
+        packed = int64_buffer([*map(_address, osms), *splits, *untils, *ranges])
         at = _address(packed)
-        lead = min(len(self.starts) - 1, splits[0]) if splits else len(self.starts) - 1
-        library().fill_segment(
-            _address(cell), size, lo, *self._args, *self._start_args[lead],
-            at, at + 8 * nosm, nosm, _address(om), at + 16 * nosm, len(octaves) // 3,
+        err = library().walk(
+            _address(cell), len(cell), lo, hi, *self._args, at, at + 8 * nosm,
+            at + 16 * nosm, nosm, _address(om), carry, at + 24 * nosm, len(ranges) // 3,
+            _address(counts) if counts is not None else None,
         )
+        if err == -1:
+            raise ValueError(f"a factor count >= {OMEGA_CAP} in [{lo}, {hi}): the sieve is corrupt")
+        if err:
+            raise MemoryError(f"no memory to walk [{lo}, {hi})")
 
 
 def fold(counts, om, osm, start: int, stop: int) -> None:

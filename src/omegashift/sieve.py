@@ -11,8 +11,9 @@ build_omega_table with one w, keeping the result as two byte tables, omega
 and omega_small, indexed by n (omegashift sieve, tests, small verify
 tables); and grid_histograms over a grid's whole range with every w of the
 grid, folding each segment into the level histograms H (see stats) and
-keeping no table.  Both hand their segments to worker threads through one
-helper, _map_segments; at most MAX_THREADS of them.
+keeping no table.  Both cut [2, x_max] into segments through one helper,
+_map_segments, which gives each worker thread, at most MAX_THREADS of
+them, one contiguous run of segments.
 
 Each segment sieves every prime up to sqrt(x_max) and up to each w below
 its x.  What they leave of n, its cofactor c, is 1 or one prime above them
@@ -22,17 +23,24 @@ and a byte of scaled logarithms decides "c > 1" exactly, with no division
 omega(n, w) = omega(n), n <= x, and adds no base prime.  Base primes stop
 at 2^20, so SieveConfig rejects a w in [W_CEILING, x).
 
-A segment is one call of the compiled pass (kernel.SegmentPass.fill, built
-when the first pass is planned) in two phases.  Phase 1 walks the segment
-in chunks of 8192 words (16 KB, inside any L1 data cache).  Each chunk
+A worker's run is one call of the compiled walk (kernel.SegmentPass.fill
+for a table, SegmentPass.tally for a grid; the kernel is built when the
+first pass is planned).  The walk keeps each base-prime power's next
+multiple from one segment to the next, so a segment costs one visit per
+power and no division or Python, and segments can be short:
+base.default_segment takes 2^16 numbers below x_max = 2^28, whose 128 KB
+of words and 64 KB per byte buffer stay in the L2 cache, and grows with
+sqrt(x_max), which sets how many powers there are, to 2^18 from 2^30
+on.  Each segment has two phases.  Phase 1 walks
+it in chunks of 8192 words (16 KB, inside any L1 data cache).  Each chunk
 starts from a pre-sieve pattern that holds the leading base primes up to
 the smallest w and their powers dividing its period: 2..11 and the period
 55 440 = 2^4 3^2 5 7 11 when every w >= 11, fewer below (the pass builds
 one start per count of primes).  It gains every other power below 8192 of the base primes below
 2048, and each omega(n, w) with w below 2048 is copied out of it.  Phase 2
-adds the remaining prime powers strided over the whole segment, copies the
-other omega(n, w) out and applies the log test.  The order of the adds
-does not change the words.
+adds the remaining prime powers over the whole segment, copies the other
+omega(n, w) out and applies the log test.  The order of the adds does
+not change the words.
 
 The base primes come from base.primes_up_to, build_omega_table's tables are
 plain buffers from kernel.zeroed, and grid_histograms keeps its segments in
@@ -49,13 +57,13 @@ from dataclasses import dataclass, field
 
 from . import kernel
 from .base import (
-    DEFAULT_SEGMENT,
     FOLD_BINS,
     MAX_THREADS,
     OMEGA_CAP,
     W_CEILING,
     X_MAX_CEILING,
     SieveConfig,
+    default_segment,
     primes_up_to,
 )
 
@@ -162,8 +170,9 @@ def segment_pass(x_max: int, ws=()) -> kernel.SegmentPass:
 def build_omega_table(config: SieveConfig) -> OmegaTable:
     """Build the omega/omega_small tables for config.
 
-    Segments are independent and write disjoint slices, so the table is
-    bit-identical for every segment_length and thread count.
+    Each worker walks its run of segments straight into its slices of the
+    tables, so the table is bit-identical for every segment_length and
+    thread count.
     """
     x_max, w = config.x_max, config.w
     ws = (w,) if w < x_max else ()  # w = x_max: omega_small is omega
@@ -172,32 +181,33 @@ def build_omega_table(config: SieveConfig) -> OmegaTable:
     plan = segment_pass(x_max, ws)
     splits = [bisect_right(plan.primes, w) for w in ws]
 
-    def fill(spans):
-        cell = kernel.zeroed(min(config.segment_length, x_max), "H")
-        for lo, hi in spans:
-            plan.fill(cell[: hi - lo], omega[lo:hi], [omega_small[lo:hi]] * len(ws), lo, splits)
+    segment = config.segment_length or default_segment(x_max)
 
-    _map_segments(fill, x_max, config.segment_length, config.threads)
+    def fill(lo, hi):
+        cell = kernel.zeroed(min(segment, hi - lo), "H")
+        plan.fill(cell, omega[lo:hi], [omega_small[lo:hi]] * len(ws), lo, splits)
+
+    _map_segments(fill, x_max, segment, config.threads)
     return OmegaTable(x_max=x_max, w=w, omega=omega, omega_small=omega_small)
 
 
 def grid_histograms(
-    pairs, threads: int = 1, segment_length: int = DEFAULT_SEGMENT
+    pairs, threads: int = 1, segment_length: int | None = None
 ) -> dict[tuple[int, int], list[list[list[int]]]]:
     """{(x, w): H} for each distinct pair, from one sieve pass over [2, max x];
     each H is nested lists of ints, H[k][v][u], as experiment.load_histogram
     returns it.
 
-    No table is built.  Each segment [lo, hi) sieves [lo - 1, hi), so it
-    holds omega(n - 1) of its first n (omega(1) = 0), copies omega(n, w) out
+    No table is built.  Each worker's walk (kernel.SegmentPass.tally)
+    sieves [lo - 1, hi) for its n in [lo, hi), carrying omega(n - 1) of a
+    segment's first n from the segment before; it copies omega(n, w) out
     once per distinct w < x that some x >= lo still needs (a pair with
-    w = x reads omega itself), and folds the n in [lo, min(hi, x + 1)) into
-    the counts of every pair with kernel.fold.  Pairs that share a u fold
-    disjoint ranges: each x its n above the x before it, and their counts
-    are summed in order of x once, at the end.  Segments are independent
-    and counts add as exact integers, so H is identical for every
-    segment_length and thread count; working memory is O(segment) per
-    worker, in plain buffers.
+    w = x reads omega itself), and folds each pair's range into counts of
+    its own.  Pairs that share a u fold disjoint ranges: each x its n above
+    the x before it, and their counts are summed in order of x once, at
+    the end.  Counts add as exact integers, so H is identical for every
+    segment_length (base.default_segment(max x) if None) and thread count;
+    working memory is O(segment) per worker, in plain buffers.
     """
     pairs = sorted(set(pairs))
     if not pairs:
@@ -205,70 +215,58 @@ def grid_histograms(
     for x, w in pairs:
         SieveConfig(x_max=x, w=w, segment_length=segment_length, threads=threads)
     x_top = pairs[-1][0]
+    segment_length = segment_length or default_segment(x_top)
     xs_by_u = {}  # the ascending xs folding each u: omega(n - 1, w) for w < x, None for w = x
     for x, w in pairs:
         xs_by_u.setdefault(w if w < x else None, []).append(x)
     ws = sorted(w for w in xs_by_u if w is not None)
     plan = segment_pass(x_top, ws)
-    split_of = {w: bisect_right(plan.primes, w) for w in ws}
+    splits = [bisect_right(plan.primes, w) for w in ws]
+    untils = [xs_by_u[w][-1] for w in ws]  # omega(n - 1, w) is needed for n - 1 < max x
+    ranges = []  # (u, start, stop) of each pair, in the order of xs_by_u
+    for u, xs in xs_by_u.items():
+        for x, start in zip(xs, [2, *(x + 1 for x in xs)]):
+            ranges.append((-1 if u is None else ws.index(u), start, x + 1))
 
-    def sieve_spans(spans):
-        """Each pair's counts over spans, in buffers reused across them."""
-        size = min(segment_length, x_top) + 1
-        om_buf = kernel.zeroed(size, "B")  # position i holds n = lo - 1 + i
-        osm_bufs = {w: kernel.zeroed(size, "B") for w in ws}
-        cell = kernel.zeroed(size, "H")
-        counts = {pair: kernel.zeroed(FOLD_BINS, "q") for pair in pairs}
-        for lo, hi in spans:
-            live = tuple(w for w in ws if xs_by_u[w][-1] >= lo)
-            om = om_buf[: hi - lo + 1]
-            us = {w: osm_bufs[w][: hi - lo + 1] for w in live}
-            plan.fill(cell[: hi - lo + 1], om, list(us.values()), lo - 1,
-                      [split_of[w] for w in live])
-            us[None] = om
-            for w, u in us.items():
-                start = 1
-                for x in xs_by_u.get(w, ()):
-                    if x >= lo:
-                        stop = min(x + 1, hi) - (lo - 1)
-                        kernel.fold(counts[x, x if w is None else w], om, u, start, stop)
-                        start = stop
-        return counts
-
-    parts = _map_segments(sieve_spans, x_top, segment_length, threads)
-    hists = {}
+    parts = _map_segments(
+        lambda lo, hi: plan.tally(lo, hi, segment_length, splits, untils, ranges),
+        x_top, segment_length, threads,
+    )
+    hists, r = {}, 0
     for u, xs in xs_by_u.items():
         flat = [0] * FOLD_BINS
         for x in xs:  # each x adds its own range to the counts of the xs below it
-            pair = (x, x if u is None else u)
             for part in parts:
-                flat = list(map(operator.add, flat, part[pair]))
-            hists[pair] = [[flat[i : i + OMEGA_CAP] for i in range(j, j + OMEGA_CAP**2, OMEGA_CAP)]
-                           for j in range(0, FOLD_BINS, OMEGA_CAP**2)]
+                flat = list(map(operator.add, flat, part[r * FOLD_BINS : (r + 1) * FOLD_BINS]))
+            hists[x, x if u is None else u] = [
+                [flat[i : i + OMEGA_CAP] for i in range(j, j + OMEGA_CAP**2, OMEGA_CAP)]
+                for j in range(0, FOLD_BINS, OMEGA_CAP**2)]
+            r += 1
     return {pair: hists[pair] for pair in pairs}
 
 
 def _map_segments(work, x_max, segment_length, threads):
-    """Cut [2, x_max] into [lo, hi) segments of segment_length and give each of
-    min(threads, segments) workers every workers-th of them: [work(spans), ...]
-    in worker order.  Each worker runs its spans in ascending order; the first
-    runs in the calling thread, the others in threads of their own.  A worker's
-    exception is raised here once every worker has ended, the first worker's first.
+    """Cut [2, x_max] into segments of segment_length and give each of
+    min(threads, segments) workers one contiguous run of them, the first
+    workers one segment more where they do not divide evenly:
+    [work(lo, hi), ...] for each worker's run [lo, hi), in worker order.
+    The first runs in the calling thread, the others in threads of their
+    own.  A worker's exception is raised here once every worker has ended,
+    the first worker's first.
 
     Plain threads: concurrent.futures would load logging with it, 0.65 MB of
     a process's peak RSS.
     """
-    los = range(2, x_max + 1, segment_length)
-    workers = min(threads, len(los))
-    parts = [  # lazy: near 2^40 a list of every span would take about 0.5 GB
-        ((lo, min(lo + segment_length, x_max + 1)) for lo in los[i::workers])
-        for i in range(workers)
-    ]
+    count = -(-(x_max - 1) // segment_length)  # segments of [2, x_max]
+    workers = min(threads, count)
+    share, extra = divmod(count, workers)
+    cuts = [min(2 + segment_length * (i * share + min(i, extra)), x_max + 1)
+            for i in range(workers + 1)]
     outcomes = [None] * workers  # (result, exception) of each worker
 
     def run(i):
         try:
-            outcomes[i] = (work(parts[i]), None)
+            outcomes[i] = (work(cuts[i], cuts[i + 1]), None)
         except BaseException as exc:  # raised again in the calling thread
             outcomes[i] = (None, exc)
 

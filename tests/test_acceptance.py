@@ -16,9 +16,10 @@ import pytest
 
 import oracles
 from omegashift import verify
+from omegashift.base import default_segment
 from omegashift.experiment import resolve_w
 from omegashift.genfun import WeightKernel, eval_genfun, extract_coefficients, phi_prime_power
-from omegashift.sieve import DEFAULT_SEGMENT, SieveConfig, build_omega_table, grid_histograms
+from omegashift.sieve import SieveConfig, build_omega_table, grid_histograms
 from omegashift.stats import (
     gaussian_spec,
     weighted_mass,
@@ -172,7 +173,8 @@ def test_table_1e8_matches_trial_division_at_sampled_n(big):
     table = big["table"]
     x = table.x_max
     edges = [1 << j for j in range(1, x.bit_length())]
-    edges += range(2 + DEFAULT_SEGMENT, x + 1, DEFAULT_SEGMENT)
+    seg = default_segment(x)  # the table's segment length
+    edges += range(2 + seg, x + 1, seg)
     ns = {e + d for e in edges for d in range(-2, 3)}
     ns |= set(range(x - 999, x + 1))
     ns |= set(np.random.default_rng(20_240_101).integers(2, x + 1, size=3000).tolist())

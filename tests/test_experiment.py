@@ -556,8 +556,9 @@ assert main(["run", "--config", {str(cfg)!r}]) == 0  # warm: reads the cache
 kernel.library()
 print(sorted(m for m in ("_hashlib", "concurrent.futures") if m in sys.modules))
 pairs = [(10000, 50), (30000, 50), (30000, 30000)]
-one, two = (grid_histograms(pairs, threads=t, segment_length=1024) for t in (1, 2))
-print(all(one[p] == two[p] for p in pairs), "concurrent.futures" in sys.modules)
+one, *others = (grid_histograms(pairs, threads=t, segment_length=seg)
+                for t in (1, 2) for seg in (1024, 1 << 16))
+print(all(h[p] == one[p] for h in others for p in pairs), "concurrent.futures" in sys.modules)
 import hashlib
 payloads = [b"", b"abc", bytes(range(256)) * 1000]
 print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in payloads))

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +21,13 @@ from hypothesis import strategies as st
 import oracles
 from omegashift import kernel, verify
 from omegashift.cli import main
-from omegashift.base import FOLD_BINS, OMEGA_CAP, primes_up_to
+from omegashift.base import (
+    DEFAULT_SEGMENT,
+    FOLD_BINS,
+    OMEGA_CAP,
+    default_segment,
+    primes_up_to,
+)
 from omegashift.constants import MIN_TRUNCATION
 from omegashift.primes import factor_table
 from omegashift.sieve import (
@@ -93,7 +100,7 @@ def test_large_leftover_prime_counts_once():
 def test_deterministic_across_segments_and_threads():
     for w in (300, 200):  # base primes up to w = 300, then up to sqrt(60000) = 244.9
         ref = small_table(60_000, w, segment_length=1 << 15)
-        for seg in (1024, 4096, 1 << 22):
+        for seg in (1024, 4096, 1 << 16, 1 << 22):
             for th in (1, 2, 5):
                 assert small_table(60_000, w, segment_length=seg, threads=th) == ref
 
@@ -101,17 +108,61 @@ def test_deterministic_across_segments_and_threads():
 def test_map_segments_raises_a_worker_error_once_every_worker_has_ended():
     ended = []
 
-    def work(spans):
-        spans = list(spans)
-        ended.append(spans[0][0])
-        if spans[0][0] > 2:  # workers 1 and 2 fail
-            raise ValueError(f"worker at {spans[0][0]}")
-        return len(spans)
+    def work(lo, hi):
+        ended.append(lo)
+        if lo > 2:  # workers 1 and 2 fail
+            raise ValueError(f"worker at {lo}")
+        return hi
 
-    with pytest.raises(ValueError, match="worker at 1026"):  # worker 1's, in worker order
+    with pytest.raises(ValueError, match="worker at 4098"):  # worker 1's, in worker order
         _map_segments(work, 10_000, 1024, 3)
-    assert sorted(ended) == [2, 1026, 2050]
-    assert _map_segments(lambda spans: len(list(spans)), 10_000, 1024, 3) == [4, 3, 3]
+    assert sorted(ended) == [2, 4098, 7170]
+    # 10 segments: one contiguous run of 4, 3 and 3 for each worker
+    assert _map_segments(lambda lo, hi: (lo, hi), 10_000, 1024, 3) == [
+        (2, 4098), (4098, 7170), (7170, 10_001)]
+    assert _map_segments(lambda lo, hi: (lo, hi), 10_000, 1024, 20) == [
+        (lo, min(lo + 1024, 10_001)) for lo in range(2, 10_001, 1024)]
+    assert _map_segments(lambda lo, hi: (lo, hi), 3, 1024, 2) == [(2, 4)]
+
+
+def test_default_segment_grows_with_sqrt_x():
+    # 2^k for the k bits of 4 sqrt(x), from 2^16 to 2^18.
+    assert [default_segment(x) for x in (2, 10**8, (1 << 28) - 1, 1 << 28, 10**9,
+                                          (1 << 30) - 1, 1 << 30, 10**10, X_MAX_CEILING)] == [
+        1 << 16, 1 << 16, 1 << 16, 1 << 17, 1 << 17, 1 << 17, 1 << 18, 1 << 18, 1 << 18]
+    assert default_segment(10**8) == DEFAULT_SEGMENT == 1 << 16
+    assert SieveConfig(x_max=10**8, w=10).segment_length is None
+
+
+class _CountingLibrary:
+    """The loaded kernel, counting the calls of each function it is asked for."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, Counter()
+
+    def __getattr__(self, name):
+        function = getattr(self.lib, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_each_worker_makes_one_kernel_walk(monkeypatch, threads):
+    # 12 segments of 1024: each producer walks each worker's run in one
+    # call, and the grid pass folds in that call too.
+    counting = _CountingLibrary(kernel.library())
+    monkeypatch.setattr(kernel, "library", lambda: counting)
+    x = 12 * 1024 + 1
+    table = small_table(x, 13, segment_length=1024, threads=threads)
+    assert +counting.calls == {"walk": threads}
+    got = grid_histograms([(x // 2, 13), (x, 13), (x, 200)], threads=threads,
+                          segment_length=1024)
+    assert +counting.calls == {"walk": 2 * threads}
+    assert np.array_equal(got[x, 13], oracles.histogram(table.omega, table.omega_small, x))
 
 
 @lru_cache(maxsize=None)
@@ -567,7 +618,7 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
         (dict(splits=[1, 2]), ValueError, "osm arrays"),
         (dict(nosm=0), ValueError, "osm arrays"),
         (dict(osm_size=63), ValueError, "differ in length"),
-        (dict(cell_size=65), ValueError, "differ in length"),
+        (dict(osm_size=65), ValueError, "differ in length"),
         (dict(steps=PRIMES_23[1][:1]), ValueError, "differ in length"),
         (dict(bounds=[0] * 7, lo=0), ValueError, "tile"),
         (dict(bounds=[0] * 6), ValueError, "tile"),  # [10, 74) ends past 2^6
@@ -605,6 +656,21 @@ def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, chang
             cell, om, osms, arg["lo"], arg["splits"])
 
 
+@pytest.mark.parametrize("args, match", [
+    ((1, 100, 64, [1], [100], [(0, 2, 100)]), "fold from 1"),
+    ((2, 100, 0, [1], [100], [(0, 2, 100)]), "segments of 0"),
+    ((2, 100, 64, [1], [], [(0, 2, 100)]), "untils"),
+    ((2, 100, 64, [1], [100], [(1, 2, 100)]), "no split"),
+    ((2, 100, 64, [2, 1], [100, 100], [(0, 2, 100)]), "not ascending"),
+    ((2, 1 << 41, 64, [1], [100], [(0, 2, 100)]), "outside"),
+])
+def test_tally_rejects_bad_arguments_before_any_c_call(monkeypatch, args, match):
+    plan = kernel.SegmentPass(*PRIMES_23)
+    monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
+    with pytest.raises(ValueError, match=match):
+        plan.tally(*args)
+
+
 def test_fill_segment_words_copy_outs_and_cofactor_test():
     cell, om, (osm,) = _segment()
     primes, steps = PRIMES_23
@@ -625,12 +691,14 @@ def test_fill_segment_words_copy_outs_and_cofactor_test():
     assert om[54] == 2  # 64 = 2^6: its word 6 * (5 << 8) + 1 is below 31 << 8
 
 
-@pytest.mark.parametrize("lo", [1, 10, 127, 1000, (1 << 40) - 63])
+@pytest.mark.parametrize("lo", [1, 10, 127, 1000, (1 << 40) - 63, (1 << 20) - 4000])
 def test_fill_segment_pattern_matches_the_zero_start(lo):
     # The primes 2, 3, 5, 7 get starts of periods 1 (one zero word), 16,
     # 144, 720 and 5040: the pass must add only the powers a start lacks and
     # the primes after it, and wrap the start at each period.  5200 words
-    # from lo < 5040 cross every period; the last segment ends at 2^40.
+    # from lo < 5040 cross every period; one walk ends at 2^40, and in the
+    # walk from 2^20 - 4000 the power 2^20 falls in the last of its three
+    # segments, whose words the test compares.
     primes, steps = np.array([2, 3, 5, 7]), np.array([5 << 8, 8 << 8, 12 << 8, 15 << 8])
     assert [len(s) for s in kernel.SegmentPass(primes, steps).starts] == [1, 16, 144, 720, 5040]
     size = min(5200, X_MAX_CEILING + 1 - lo)
@@ -649,15 +717,21 @@ CHUNK, SMALL_BOUND, FOLD_BLOCK = map(_kernel_define, ("CHUNK", "SMALL_BOUND", "F
 ALTERNATING_BOUNDS = tuple((3 + 6 * (b % 2)) << 8 for b in range(41))
 
 
-def _assert_segment_matches_oracle(lo, size, primes, steps, splits, bounds, leads):
-    """One fill from each start in leads, each forced by a first split at
-    its lead, against one oracle run with every split."""
+def _assert_segment_matches_oracle(lo, size, primes, steps, splits, bounds, leads,
+                                   segment=None):
+    """One walk over n = lo + j, j < size, in segments of segment words (by
+    default three, the last the shortest) from each start in leads, each
+    forced by a first split at its lead, against one oracle run over the
+    whole span with every split.  The cell holds the last segment's words."""
+    segment = segment or -(-size // 3)
+    assert size >= 3 * segment or size > 2 * segment
     want = oracles.segment_pass(lo, size, primes, steps, [*leads, *splits], bounds)
     plan = kernel.SegmentPass(primes, steps, bounds)
+    last = (size - 1) // segment * segment  # the last segment's offset
     for i, lead in enumerate(leads):
-        cell, om, osms = _segment(size, 1 + len(splits))
+        cell, (_, om, osms) = _segment(segment)[0], _segment(size, 1 + len(splits))
         plan.fill(cell, om, osms, lo, [lead, *splits])
-        assert np.array_equal(cell, want[0]), lead
+        assert np.array_equal(cell[: size - last], want[0][last:]), lead
         assert np.array_equal(om, want[1]), lead
         for s, (got, osm) in enumerate(zip(osms, [want[2][i], *want[2][len(leads):]])):
             assert np.array_equal(got, osm), (lead, s)
@@ -670,38 +744,50 @@ def _small_split(primes):
     return small
 
 
-@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 1024, 3000])
 @settings(max_examples=12, deadline=None, database=None)
-@given(lo=st.integers(0, X_MAX_CEILING + 1 - (3 * CHUNK + 17)), cut=st.integers(5, 300))
+@given(lo=st.integers(0, X_MAX_CEILING + 1 - 4 * (3 * CHUNK + 17)), cut=st.integers(5, 300))
 def test_fill_segment_chunks_match_the_whole_segment_oracle(size, lo, cut):
-    # The primes up to 10^4, split before, at and after SMALL_BOUND and at
-    # the end, from each start, with ALTERNATING_BOUNDS (none from lo = 0).
+    # A walk of three segments of size words and 17 more, chunked in phase
+    # 1 and whole in phase 2, against the oracle over the whole span: the
+    # primes up to 10^4, split before, at and after SMALL_BOUND and at the
+    # end, from each start, with ALTERNATING_BOUNDS (none from lo = 0).
     plan = segment_pass(10**8)
     small = _small_split(plan.primes)
     splits = [cut, small, small + cut, len(plan.primes)]
     bounds = ALTERNATING_BOUNDS if lo else ()
-    _assert_segment_matches_oracle(lo, size, plan.primes, plan.steps, splits, bounds, range(6))
+    _assert_segment_matches_oracle(lo, 3 * size + 17, plan.primes, plan.steps, splits, bounds,
+                                   range(6), segment=size)
 
 
-@pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
+# The square of 1 048 573, the largest prime below 2^20, is the largest
+# power of a base prime below 2^40.
+TOP_SQUARE = 1_048_573**2
+
+
+@pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1, TOP_SQUARE + 512])
 def test_fill_segment_at_the_ceiling_with_every_base_prime(hi):
     # Every prime up to 2^20 and every power up to 2^40, where the phase-1
-    # primes have the most powers past CHUNK, with the ceiling's bounds.
+    # primes have the most powers past CHUNK, with the ceiling's bounds,
+    # walked in three segments of 1024 words; in the walk to TOP_SQUARE +
+    # 512 that power falls in the last segment, whose words the test
+    # compares.
     plan = segment_pass(X_MAX_CEILING)
     small = _small_split(plan.primes)
     splits = [5, small - 1, small, len(plan.primes) // 2, len(plan.primes)]
-    _assert_segment_matches_oracle(hi - 1024, 1024, plan.primes, plan.steps, splits,
+    _assert_segment_matches_oracle(hi - 3072, 3072, plan.primes, plan.steps, splits,
                                    plan.bounds, range(6))
 
 
 @pytest.mark.parametrize("hi", [X_MAX_CEILING, X_MAX_CEILING + 1])
 def test_w_above_sqrt_x_at_the_ceiling_matches_trial_division(hi):
     # w = 2^20 + 1 = 17 * 61 681 is above sqrt(2^40) but adds no base prime:
-    # the primes up to 2^20 leave each n a cofactor above every w.
+    # the primes up to 2^20 leave each n a cofactor above every w.  One
+    # walk of three segments of 22, 22 and 20 words.
     size, ws = 64, (13, 1 << 20, (1 << 20) + 1)
     plan = segment_pass(X_MAX_CEILING, ws)
-    cell, om, osms = _segment(size, len(ws))
-    plan.fill(cell, om, osms, hi - size, _splits(plan, ws))
+    _, om, osms = _segment(size, len(ws))
+    plan.fill(_segment(22)[0], om, osms, hi - size, _splits(plan, ws))
     for j, n in enumerate(range(hi - size, hi)):
         divisors = _prime_divisors(n)
         assert om[j] == len(divisors), n
@@ -768,10 +854,10 @@ def test_a_pass_through_every_prime_up_to_x_matches_trial_division(x, w):
 
 
 def test_fill_segment_past_a_full_stream_table():
-    # A base prime list never repeats a prime, but the kernel must not overrun
-    # its stream table on one that does: 100 copies of 2 have 12 powers each
-    # below CHUNK, and the copies that do not fit are sieved in phase 2.
-    # Every copy shares the period 16, so each start holds lead copies.
+    # A base prime list never repeats a prime, but the kernel takes one that
+    # does: 100 copies of 2 have 12 powers each below CHUNK, 1200 phase-1
+    # powers against the 358 of the base primes up to 2^20.  Every copy
+    # shares the period 16, so each start holds lead copies.
     primes = np.full(100, 2, dtype=np.int64)
     steps = (np.arange(100, dtype=np.int64) % 7) << 8
     size = 3 * CHUNK + 17
@@ -838,10 +924,11 @@ def test_fold_refuses_a_corrupt_byte_in_any_block(bad):
 
 
 @pytest.mark.parametrize("flush", [1000, FOLD_BLOCK + FOLD_BLOCK // 2 + 1])
-def test_fold_flushes_its_table_between_windows(tmp_path, flush):
+def test_fold_flushes_its_table_between_windows(tmp_path, monkeypatch, flush):
     # FOLD_FLUSH is 2^30 positions, past any test table: a copy of kernel.c
     # flushing every few thousand positions, some windows ending inside a
-    # block, must fold the same H.
+    # block, must fold the same H, and so must a grid pass whose walks
+    # flush each range's tally inside and across their segments.
     cc = kernel._compiler()
     if shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler {cc[0]!r}")
@@ -853,14 +940,21 @@ def test_fold_flushes_its_table_between_windows(tmp_path, flush):
     argv = [*cc, *kernel.FLAGS, "-o", str(tmp_path / "k.so"), str(tmp_path / "k.c")]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    fold = ctypes.CDLL(str(tmp_path / "k.so")).fold
-    fold.argtypes = kernel.library().fold.argtypes
+    lib = ctypes.CDLL(str(tmp_path / "k.so"))
+    for name in ("fold", "walk"):
+        built = getattr(kernel.library(), name)
+        getattr(lib, name).argtypes, getattr(lib, name).restype = built.argtypes, built.restype
     t = _fold_table()
     start, stop = 3, 3 + 3 * FOLD_BLOCK + 17
     H = np.zeros((16, 16, 16), dtype=np.int64)
     om, osm = np.asarray(t.omega), np.asarray(t.omega_small)
-    assert fold(H.ctypes.data, om.ctypes.data, osm.ctypes.data, start, stop) == 0
+    assert lib.fold(H.ctypes.data, om.ctypes.data, osm.ctypes.data, start, stop) == 0
     assert np.array_equal(H, _oracle_fold(t, start, stop))
+    monkeypatch.setattr(kernel, "library", lambda: lib)
+    x = t.x_max
+    got = grid_histograms([(x // 2, 100), (x, 100), (x, x)], threads=2, segment_length=1024)
+    assert np.array_equal(got[x, 100], oracles.histogram(t.omega, t.omega_small, x))
+    assert np.array_equal(got[x, x], oracles.histogram(t.omega, t.omega, x))
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -882,7 +976,7 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
     with open(kernel.SOURCE) as fh:
         source = fh.read()
     lib = kernel.library()
-    for name in ("fill_segment", "fold", "prime_sums"):
+    for name in ("walk", "fold", "prime_sums"):
         params = re.search(rf"^\w+ {name}\(([^)]*)\)", source, re.M).group(1).split(",")
         want = [ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params]
         assert list(getattr(lib, name).argtypes) == want, name
@@ -951,14 +1045,15 @@ def test_presieve_bound_on_x_matches_trial_division(x):
 
 
 def test_segments_across_pattern_periods():
-    # 1024-word segments start at 2 + 1024 i, so each multiple of 55 440
-    # falls inside one, and the pattern wraps there.
-    x, seg = 200_000, 1024
-    for w in (13, 447, 448):  # base primes up to isqrt(x) = 447; 448 adds none
-        t = small_table(x, w, segment_length=seg, threads=2)
-        for m in range(1, x // 55_440 + 1):  # the period of 2..11
-            for n in range(55_440 * m - seg, 55_440 * m + seg):
-                assert (t.omega[n], t.omega_small[n]) == oracles.omega_pair(n, w), (w, n)
+    # 1024- and 2^16-word segments start at 2 + 1024 i and 2 + 2^16 i, so
+    # each multiple of 55 440 falls inside one, and the pattern wraps there.
+    x = 200_000
+    for seg in (1024, 1 << 16):
+        for w in (13, 447, 448):  # base primes up to isqrt(x) = 447; 448 adds none
+            t = small_table(x, w, segment_length=seg, threads=2)
+            for m in range(1, x // 55_440 + 1):  # the period of 2..11
+                for n in range(55_440 * m - 1024, 55_440 * m + 1024):
+                    assert (t.omega[n], t.omega_small[n]) == oracles.omega_pair(n, w), (w, n)
 
 
 def test_grid_pass_switches_the_pattern_on_between_segments():

@@ -91,7 +91,8 @@ def test_level_histogram_matches_oracle(H, triples):
 def _sieve_inputs(draw):
     x = draw(st.integers(2, 3000))
     w = draw(st.integers(2, x))
-    return x, w, draw(st.integers(1024, 4096)), draw(st.sampled_from((1, 2, 3)))
+    segment = draw(st.one_of(st.integers(1024, 4096), st.just(1 << 16)))
+    return x, w, segment, draw(st.sampled_from((1, 2, 3)))
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -107,7 +108,7 @@ def test_table_and_level_histogram_match_trial_division(inputs):
     assert _nonzero_cells(H) == Counter(oracles.level_triples(x, w))
 
 
-GRID_SEGMENTS = (1024, 4096, 1 << 22)
+GRID_SEGMENTS = (1024, 4096, 1 << 22, 1 << 16)
 # x at the edges 2 + m * L of the 1024 and 4096 segments, and one either side
 SEGMENT_EDGES = sorted(
     {e + d for L in GRID_SEGMENTS[:2] for e in range(2 + L, 5001, L) for d in (-1, 0, 1)}
