@@ -20,9 +20,9 @@ and flips the product's sign.  A factor that vanishes (1 + a/(p-1+s) == 0,
 possible only for p <= 11) marks the product exactly zero.  The primes
 Q < p <= P (the series) contribute sum_{j=2..J} c_j * S_j(P), where
 S_j(P) = sum_{Q<p<=P} p^(-j) comes from one streamed pass over the primes
-up to P, sieved and summed in C in blocks (_prime_sums has the summation
-order), kept in one memo per P that a run may fill from its cache.  A
-call therefore costs pi(Q) = 168 log terms and J products, whatever P is.
+up to P, sieved and summed in C in blocks, kept in one memo per P that a
+run may fill from its cache.  A call therefore costs pi(Q) = 168 log
+terms and J products, whatever P is.
 
 Series remainder, J = SERIES_TERMS.  For j > J, |c_j| <= (|b|^j + |b-a|^j +
 |a|)/(J+1).  For t < Q and p > Q, sum_{j>J} (t/p)^j <= t^(J+1) p^-(J+1) /
@@ -133,15 +133,9 @@ def _prime_sums(P: int) -> PrimeSums:
     """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) from one streamed pass over the
     primes <= P in blocks of _BLOCK integers; the only code that computes them.
 
-    kernel.prime_sums sieves each block in C and sums its primes' terms in
-    ndarray.sum's pairwise order: below 8 terms in order; up to 128 in 8
-    accumulators striding by 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the rest in order; above 128, the two halves split at n/2 rounded
-    down to a multiple of 8.  Each term is 1/p squared, times 1/p for each
-    further power.  The blocks' sums are joined with math.fsum, so the bits
-    depend on _BLOCK (a key of the cache file), and equal those of the numpy
-    sums of SUMS_VERSION 1, kept as the tests' oracle.  The kernel loads
-    here, on a prime-sums cache miss only.
+    kernel.prime_sums sieves each block in C and returns a (sum,
+    compensation) pair per sum; math.fsum joins every block's pairs.
+    The kernel loads here, on a prime-sums cache miss only.
     """
     from . import kernel
 
@@ -153,9 +147,9 @@ def _prime_sums(P: int) -> PrimeSums:
         n, inv_sq, powers = kernel.prime_sums(lo, min(lo + _BLOCK, P + 1), odd_base,
                                               MIN_TRUNCATION, SERIES_TERMS - 1)
         count += n
-        inv_sq_parts.append(inv_sq)
-        for parts, power_sum in zip(power_parts, powers):
-            parts.append(power_sum)
+        inv_sq_parts += inv_sq
+        for parts, pair in zip(power_parts, powers):
+            parts += pair
     return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
 
 

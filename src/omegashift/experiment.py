@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .base import FOLD_BINS, OMEGA_CAP, SieveConfig, sha256
 from .constants import (
-    _BLOCK,
     DEFAULT_TRUNCATION,
     MIN_TRUNCATION,
     R_CEILING,
@@ -246,8 +245,8 @@ HIST_MAGIC = b"OMGH"
 HIST_VERSION = 2  # bump when the format or the numbers H holds change
 _HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
 SUMS_MAGIC = b"OMGS"
-SUMS_VERSION = 1  # bump when the format or the way _prime_sums sums changes
-_SUMS_HEADER = struct.Struct("<4sIQIII32s")  # the fields of _sums_key, SHA-256 of the payload
+SUMS_VERSION = 2  # bump when the format or the way _prime_sums sums changes
+_SUMS_HEADER = struct.Struct("<4sIQII32s")  # the fields of _sums_key, SHA-256 of the payload
 _SUMS_PAYLOAD = struct.Struct(f"<q{SERIES_TERMS}d")  # pi(P), sum p^-2, S_2..S_J
 
 
@@ -344,13 +343,14 @@ def load_histogram(path: str, x: int, w: int) -> list[list[list[int]]]:
 
 
 def prime_sums_path(cache_dir: str, P: int) -> str:
-    return os.path.join(cache_dir, f"prime_sums_P{P}.bin")
+    """The file of P's sums in this SUMS_VERSION: a run ignores other versions'."""
+    return os.path.join(cache_dir, f"prime_sums_v{SUMS_VERSION}_P{P}.bin")
 
 
 def _sums_key(P: int) -> dict:
     """The header fields, with the constants that fix the sums' bits."""
     return {"magic": SUMS_MAGIC, "version": SUMS_VERSION, "P": P,
-            "MIN_TRUNCATION": MIN_TRUNCATION, "SERIES_TERMS": SERIES_TERMS, "_BLOCK": _BLOCK}
+            "MIN_TRUNCATION": MIN_TRUNCATION, "SERIES_TERMS": SERIES_TERMS}
 
 
 def save_prime_sums(sums: PrimeSums, path: str, P: int) -> None:

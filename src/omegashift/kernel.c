@@ -366,108 +366,43 @@ int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
     return err;
 }
 
-/* The most power sums prime_sums takes at once (kernel.py's MAX_POWERS). */
-#define MAX_POWERS 16
-
-/* Terms per block of pairwise_powers' accumulators: numpy's PW_BLOCKSIZE. */
-#define PW_BLOCK 128
-
-/* The primes of one block, read once in ascending order: 2 first if the
- * block holds it, then each odd n = first + 2 j whose bit j is set. */
-struct prime_stream {
-    const uint64_t *bits;
-    int64_t first, word;
-    uint64_t left; /* the bits of bits[word] not yet read */
-    int two;
-};
-
-static struct prime_stream prime_stream(const uint64_t *bits, int64_t first, int two)
+/* Adds t into the pair (sum, compensation) at pair: Dekker's Fast2Sum,
+ * whose (s - s') + t is the exact rounding error of s + t when s >= t. */
+static void add_term(double *pair, double t)
 {
-    return (struct prime_stream){bits, first, 0, bits[0], two};
+    const double s = pair[0] + t;
+    pair[1] += (pair[0] - s) + t;
+    pair[0] = s;
 }
 
-/* The next prime; the caller reads no more primes than the block holds. */
-static int64_t next_prime(struct prime_stream *s)
+/* Adds prime p's terms into the pairs of out: 1/p^2 into out[0..1], and,
+ * if p > above, 1/p^(j + 2) into out[2 + 2 j..3 + 2 j], j < npow.  Each
+ * term is 1.0 / p squared, times 1.0 / p for each further power. */
+static void add_prime(int64_t p, int64_t above, int64_t npow, double *out)
 {
-    if (s->two) {
-        s->two = 0;
-        return 2;
-    }
-    while (!s->left)
-        s->left = s->bits[++s->word];
-    const int b = __builtin_ctzll(s->left);
-    s->left &= s->left - 1;
-    return s->first + 2 * (64 * s->word + b);
+    const double inv = 1.0 / (double)p;
+    double t = inv * inv;
+    add_term(out, t);
+    if (p > above)
+        for (int64_t j = 0; j < npow; j++, t *= inv)
+            add_term(out + 2 * (j + 1), t);
 }
 
-/* t[j] = inv^(j + 2), j < npow, each the product of the one before and inv. */
-static void power_term(double inv, int64_t npow, double *t)
-{
-    t[0] = inv * inv;
-    for (int64_t j = 1; j < npow; j++)
-        t[j] = t[j - 1] * inv;
-}
-
-/* out[j] = the sum of 1/p^(j + 2), j < npow, over the next n primes of s,
- * in numpy's pairwise order for ndarray.sum: below 8 terms, in order from
- * +0.0; up to PW_BLOCK terms, 8 accumulators striding by 8, combined as
- * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the n % 8 last
- * terms in order; above, the sums of the two halves split at n / 2 rounded
- * down to a multiple of 8.  The halves read the primes in order, so only
- * PW_BLOCK inverses are ever held.  The terms are power_term's of
- * 1.0 / p, as numpy's inv = 1.0 / p, term = inv * inv and term *= inv
- * take them, so each sum has the bits numpy's would, as long as no
- * multiply and add are contracted. */
-static void pairwise_powers(struct prime_stream *s, int64_t n, int64_t npow, double *out)
-{
-    double inv[PW_BLOCK], t[MAX_POWERS];
-    if (n > PW_BLOCK) {
-        const int64_t half = n / 2 - n / 2 % 8;
-        pairwise_powers(s, half, npow, out);
-        pairwise_powers(s, n - half, npow, t);
-        for (int64_t j = 0; j < npow; j++)
-            out[j] += t[j];
-        return;
-    }
-    for (int64_t i = 0; i < n; i++)
-        inv[i] = 1.0 / (double)next_prime(s);
-    if (n < 8) {
-        for (int64_t j = 0; j < npow; j++)
-            out[j] = 0.0;
-        for (int64_t i = 0; i < n; i++) {
-            power_term(inv[i], npow, t);
-            for (int64_t j = 0; j < npow; j++)
-                out[j] += t[j];
-        }
-        return;
-    }
-    double r[8][MAX_POWERS];
-    int64_t i;
-    for (int k = 0; k < 8; k++)
-        power_term(inv[k], npow, r[k]);
-    for (i = 8; i < n - n % 8; i += 8)
-        for (int k = 0; k < 8; k++) {
-            power_term(inv[i + k], npow, t);
-            for (int64_t j = 0; j < npow; j++)
-                r[k][j] += t[j];
-        }
-    for (int64_t j = 0; j < npow; j++)
-        out[j] = ((r[0][j] + r[1][j]) + (r[2][j] + r[3][j])) +
-                 ((r[4][j] + r[5][j]) + (r[6][j] + r[7][j]));
-    for (; i < n; i++) {
-        power_term(inv[i], npow, t);
-        for (int64_t j = 0; j < npow; j++)
-            out[j] += t[j];
-    }
-}
-
-/* The primes p of [lo, hi), lo >= 2: returns their count, sets out[0] to
- * the sum of p^-2 over all of them and out[1 + j], j < npow, to the sum of
- * p^-(j + 2) over those above `above`; -1 if memory runs out.  The block
- * sieves its odd numbers, one bit each, with odd_base[0..nbase), which
- * must hold every odd prime up to sqrt(hi - 1), each from p * p or its
- * first odd multiple at or above lo; lo = 2 adds the prime 2.  The sums
- * are pairwise_powers' over the primes in ascending order. */
+/* The primes p of [lo, hi), lo >= 2: returns their count and sets out to
+ * 1 + npow (sum, compensation) pairs, the first of p^-2 over all of them,
+ * pair 1 + j, j < npow, of p^-(j + 2) over those above `above`; -1 if
+ * memory runs out.  The block sieves its odd numbers, one bit each, with
+ * odd_base[0..nbase), which must hold every odd prime up to sqrt(hi - 1),
+ * each from p * p or its first odd multiple at or above lo; lo = 2 adds
+ * the prime 2.
+ *
+ * The sums take one pass over the primes in ascending order, from pairs
+ * of +0.0, and add each term by add_term.  Fast2Sum is exact there: the
+ * terms are positive and fall as p rises, so a running sum is never below
+ * the next term, and the first add, onto +0.0, is exact.  constants joins
+ * the pairs of all blocks with math.fsum.  Built with -ffp-contract=off,
+ * each term is the rounded product of the one before and 1.0 / p, and no
+ * multiply is fused into an add. */
 int64_t prime_sums(int64_t lo, int64_t hi, const int64_t *odd_base, int64_t nbase,
                    int64_t above, int64_t npow, double *out)
 {
@@ -487,18 +422,13 @@ int64_t prime_sums(int64_t lo, int64_t hi, const int64_t *odd_base, int64_t nbas
         for (int64_t j = (p * m - first) / 2; j < nodd; j += p)
             bits[j / 64] &= ~(UINT64_C(1) << j % 64);
     }
-    int64_t count = lo == 2, head = 0; /* head: how many primes are at most above */
+    memset(out, 0, (size_t)(2 + 2 * npow) * sizeof *out);
+    int64_t count = lo == 2;
+    if (count)
+        add_prime(2, above, npow, out);
     for (int64_t w = 0; w < nwords; w++)
-        count += __builtin_popcountll(bits[w]);
-    struct prime_stream s = prime_stream(bits, first, lo == 2);
-    while (head < count && next_prime(&s) <= above)
-        head++;
-    s = prime_stream(bits, first, lo == 2);
-    pairwise_powers(&s, count, 1, out);
-    s = prime_stream(bits, first, lo == 2);
-    for (int64_t i = 0; i < head; i++)
-        next_prime(&s);
-    pairwise_powers(&s, count - head, npow, out + 1);
+        for (uint64_t left = bits[w]; left; left &= left - 1, count++)
+            add_prime(first + 2 * (64 * w + __builtin_ctzll(left)), above, npow, out);
     free(bits);
     return count;
 }

@@ -43,10 +43,11 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # -O2 leaves the byte copy-outs scalar.  -falign-loops=32 keeps fold's
 # 20-byte counting loop inside one 64-byte line whatever code comes before
 # it: crossing one, it took 1.7 instead of 1.15 ns per n (2-core Xeon).
-# -ffp-contract=off keeps every multiply and add of the prime sums apart, so
-# that no fused multiply-add moves a bit.
+# -ffp-contract=off keeps each prime-sum term the rounded product that the
+# tests' math.fsum oracle takes, and keeps a fused multiply-add from merging
+# a term's product into its compensated add.
 FLAGS = ("-O3", "-falign-loops=32", "-ffp-contract=off", "-shared", "-fPIC")
-MAX_POWERS = 16  # kernel.c's: the most power sums prime_sums takes at once
+MAX_POWERS = 16  # the most power sums prime_sums takes at once
 PAGED_BYTES = 1 << 20  # zeroed maps buffers of this size and above as fresh pages
 
 _LOCK = threading.Lock()
@@ -400,13 +401,13 @@ def fold(counts, om, osm, start: int, stop: int) -> None:
 
 
 def prime_sums(lo: int, hi: int, odd_base, above: int, powers: int):
-    """(count, sum p^-2, (S_2, ..., S_{powers+1})) over the primes p of
-    [lo, hi): their count, the sum of p^-2 over all of them, and each
-    S_j = sum of p^-j over those above `above`, from one C sieve of the
-    block.  odd_base is an int64 buffer that must hold every odd prime up
-    to sqrt(hi - 1), and may hold more.  Each sum is ndarray.sum's pairwise
-    sum of the terms 1/p * 1/p, times 1/p for each further power, so it has
-    numpy's bits (kernel.c's pairwise_powers); an empty sum is +0.0.
+    """(count, p^-2 pair, (S_2 pair, ..., S_{powers+1} pair)) over the primes
+    p of [lo, hi): their count, and (sum, compensation) pairs, one of p^-2
+    over all of them and one of each S_j = sum of p^-j over those above
+    `above`, from one C sieve of the block.  A pair's two floats add up to
+    the sum; math.fsum of the pairs of adjacent blocks joins them.  odd_base
+    is an int64 buffer that must hold every odd prime up to sqrt(hi - 1),
+    and may hold more.  An empty sum is (0.0, 0.0).
     """
     base = _view(odd_base, _INT64, "odd_base")
     if not 2 <= lo <= hi <= 1 << 53:
@@ -415,9 +416,10 @@ def prime_sums(lo: int, hi: int, odd_base, above: int, powers: int):
         raise ValueError("an odd base prime outside [3, 2^26]")
     if not 0 <= powers <= MAX_POWERS:
         raise ValueError(f"powers={powers} outside [0, {MAX_POWERS}]")
-    out = zeroed(1 + powers, "d")
+    out = zeroed(2 + 2 * powers, "d")
     count = library().prime_sums(lo, hi, _address(base), len(base), above, powers,
                                  _address(out))
     if count < 0:
         raise MemoryError(f"no memory to sieve the block [{lo}, {hi})")
-    return count, out[0], tuple(out[1:])
+    pairs = [tuple(out[i : i + 2]) for i in range(0, len(out), 2)]
+    return count, pairs[0], tuple(pairs[1:])

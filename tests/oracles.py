@@ -13,14 +13,15 @@ a discrete Fourier transform; the Euler-product oracle uses mpmath with a
 prime-zeta tail so its error is far below the tolerances it is used to
 check, and the truncated-product oracle sums the exact logs of every factor
 up to the truncation prime, carrying the sign of negative factors
-separately.  The prime-sums oracle is the library's numpy code of
-SUMS_VERSION 1: a numpy block sieve and ndarray.sum over each block,
-joined with math.fsum.  Frozen constants in the test files were produced by running
-this module directly (python3 tests/oracles.py).
+separately.  The prime-sums oracle takes math.fsum, correctly rounded, of
+each sum's double terms over the primes of a sieve of Eratosthenes.  Frozen
+constants in the test files were produced by running this module directly
+(python3 tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -229,51 +230,39 @@ def dft_coefficients(table, k: int, x: int) -> list[float]:
 # is a short combination of prime zeta values.
 
 
-@lru_cache(maxsize=None)
-def _small_primes(limit: int) -> tuple[int, ...]:
+def _primes_up_to(limit: int) -> tuple[int, ...]:
+    """The primes up to limit, from a bytearray sieve of Eratosthenes."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return tuple(i for i in range(2, limit + 1) if flags[i])
+    return tuple(itertools.compress(range(limit + 1), flags))
 
 
-def block_prime_sums(primes, above: int, powers: int) -> tuple[int, float, tuple[float, ...]]:
-    """(count, sum p^-2, (S_2, ..., S_{powers+1})) of a block's ascending
-    primes, S_j over those above `above`, each an ndarray.sum of the terms
-    1/p * 1/p, times 1/p per further power (numpy's pairwise order)."""
-    ps = np.array(primes, dtype=np.int64)
-    head = int(np.searchsorted(ps, above, side="right"))
-    inv = np.divide(1.0, ps)
-    term = inv * inv
-    inv_sq = float(term.sum())
-    inv, term = inv[head:], term[head:]
+_small_primes = lru_cache(maxsize=None)(_primes_up_to)
+
+
+def span_prime_sums(primes, above: int, powers: int) -> tuple[int, float, tuple[float, ...]]:
+    """(count, sum p^-2, (S_2, ..., S_{powers+1})) of ascending primes, S_j
+    over those above `above`, each the math.fsum of its double terms: 1.0 / p
+    squared, times 1.0 / p per further power."""
+    invs = [1.0 / p for p in primes]
+    terms = [inv * inv for inv in invs]
+    inv_sq = math.fsum(terms)
+    head = bisect.bisect_right(primes, above)
+    invs, terms = invs[head:], terms[head:]
     sums = []
     for _ in range(powers):
-        sums.append(float(term.sum()))
-        term *= inv
-    return len(ps), inv_sq, tuple(sums)
+        sums.append(math.fsum(terms))
+        terms = [t * inv for t, inv in zip(terms, invs)]
+    return len(primes), inv_sq, tuple(sums)
 
 
-def prime_sums(P: int, block: int, above: int, terms: int) -> tuple[int, float, tuple[float, ...]]:
-    """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_terms) over P >= p > above): the
-    primes of each block [lo, lo + block) of [2, P] from a numpy sieve by
-    the primes up to sqrt(P), their block_prime_sums joined with math.fsum."""
-    base = np.array(_small_primes(math.isqrt(P)), dtype=np.int64)
-    count, inv_sq_parts, power_parts = 0, [], [[] for _ in range(terms - 1)]
-    for lo in range(2, P + 1, block):
-        hi = min(lo + block, P + 1)
-        mask = np.ones(hi - lo, dtype=bool)
-        for p in base.tolist():
-            start = max(p * p, -(-lo // p) * p)
-            mask[start - lo :: p] = False
-        n, inv_sq, powers = block_prime_sums(np.flatnonzero(mask) + lo, above, terms - 1)
-        count += n
-        inv_sq_parts.append(inv_sq)
-        for parts, value in zip(power_parts, powers):
-            parts.append(value)
-    return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
+def prime_sums(P: int, above: int, terms: int) -> tuple[int, float, tuple[float, ...]]:
+    """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_terms) over P >= p > above), the
+    span_prime_sums of the primes up to P from a sieve of Eratosthenes."""
+    return span_prime_sums(_primes_up_to(P), above, terms - 1)
 
 
 def sums_bits(sums) -> tuple:
@@ -450,3 +439,6 @@ if __name__ == "__main__":
     # identity sanity for the oracle itself
     print("# h(1/2) - e^-gamma =", mp.nstr(tilt_product_mp(mp.mpf(0.5), mp.mpf(0.5)) - mp.exp(-mp.euler), 8))
     print("# H(0.7,1) - 1     =", mp.nstr(tilt_profile_mp(mp.mpf(0.7), mp.mpf(1)) - 1, 8))
+    print("# PRIME_SUMS_BITS: (pi(P), sum p^-2, S_2..S_12) as float.hex, S_j over p > 1000")
+    for P in (1_000, 10_000, 1_048_577, 2_000_003, 10_000_000):
+        print(f"    {P:_}: {sums_bits(prime_sums(P, 1000, 12))},")

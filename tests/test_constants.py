@@ -18,6 +18,7 @@ import mpmath as mp
 import pytest
 
 import oracles
+from omegashift import constants
 from omegashift.constants import (
     EULER_GAMMA,
     MIN_TRUNCATION,
@@ -33,7 +34,7 @@ from omegashift.constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from omegashift.constants import _BLOCK, _log_core, _prime_sums, _series_remainder
+from omegashift.constants import _log_core, _prime_sums, _series_remainder
 
 P_TEST = 1_000_000
 
@@ -292,33 +293,34 @@ def test_module_constants_match_references():
 
 
 # (pi(P), sum_{p<=P} p^-2, S_2..S_12) with the sums as float.hex: the bits a
-# prime-sums cache file of SUMS_VERSION 1 holds.  The cache round-trip tests
-# compare _prime_sums only with itself, so a change to how it sums that moves
-# one bit must bump SUMS_VERSION and refreeze these.
+# prime-sums cache file of SUMS_VERSION 2 holds, each the math.fsum of its
+# terms (python3 tests/oracles.py).  The cache round-trip tests compare
+# _prime_sums only with itself, so a change to how it sums that moves one
+# bit must bump SUMS_VERSION and refreeze these.
 PRIME_SUMS_BITS = {
     1_000: (168, "0x1.cef8a87718cb2p-2", ("0x0.0p+0",) * 11),
     10_000: (1229, "0x1.cf175fe2a5598p-2", (
-        "0x1.eb76b8c8e698dp-14", "0x1.1ee5d97458ad6p-24", "0x1.943944ad00be6p-35",
-        "0x1.3b6cb9a4dc7dbp-45", "0x1.0556e9d225e44p-55", "0x1.c21a6633426d4p-66",
-        "0x1.8e20a14fbb9a2p-76", "0x1.6720dd6f5c799p-86", "0x1.48d327b6d23a7p-96",
+        "0x1.eb76b8c8e698ep-14", "0x1.1ee5d97458ad7p-24", "0x1.943944ad00be5p-35",
+        "0x1.3b6cb9a4dc7dbp-45", "0x1.0556e9d225e45p-55", "0x1.c21a6633426d5p-66",
+        "0x1.8e20a14fbb9a2p-76", "0x1.6720dd6f5c799p-86", "0x1.48d327b6d23a8p-96",
         "0x1.30a0fd6341ca2p-106", "0x1.1ce291a4ed122p-116",
     )),
-    1_048_577: (82025, "0x1.cf19ee488abacp-2", (
-        "0x1.0a2e8b8f7d802p-13", "0x1.21187cae541eap-24", "0x1.94872d75718f5p-35",
-        "0x1.3b72bf9b419b5p-45", "0x1.0557689be0d00p-55", "0x1.c21a7be3c2739p-66",
-        "0x1.8e20a337e5467p-76", "0x1.6720dd9b286f5p-86", "0x1.48d327bacfebcp-96",
+    1_048_577: (82025, "0x1.cf19ee488abadp-2", (
+        "0x1.0a2e8b8f7d801p-13", "0x1.21187cae541e9p-24", "0x1.94872d75718f6p-35",
+        "0x1.3b72bf9b419b5p-45", "0x1.0557689be0d00p-55", "0x1.c21a7be3c2738p-66",
+        "0x1.8e20a337e5468p-76", "0x1.6720dd9b286f4p-86", "0x1.48d327bacfebcp-96",
         "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
     )),
     2_000_003: (148934, "0x1.cf19f06f5512dp-2", (
-        "0x1.0a3fc1e23ddb7p-13", "0x1.211883416880ap-24", "0x1.94872d7809334p-35",
-        "0x1.3b72bf9b42220p-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2739p-66",
-        "0x1.8e20a337e5467p-76", "0x1.6720dd9b286f5p-86", "0x1.48d327bacfebcp-96",
+        "0x1.0a3fc1e23ddb6p-13", "0x1.2118834168809p-24", "0x1.94872d7809336p-35",
+        "0x1.3b72bf9b4221fp-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2738p-66",
+        "0x1.8e20a337e5468p-76", "0x1.6720dd9b286f4p-86", "0x1.48d327bacfebcp-96",
         "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
     )),
-    10_000_000: (664579, "0x1.cf19f2366e97ap-2", (
-        "0x1.0a4dfaae6483ep-13", "0x1.2118858438862p-24", "0x1.94872d78727f0p-35",
-        "0x1.3b72bf9b422c7p-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2739p-66",
-        "0x1.8e20a337e5467p-76", "0x1.6720dd9b286f5p-86", "0x1.48d327bacfebcp-96",
+    10_000_000: (664579, "0x1.cf19f2366e97bp-2", (
+        "0x1.0a4dfaae6483dp-13", "0x1.2118858438862p-24", "0x1.94872d78727f1p-35",
+        "0x1.3b72bf9b422c7p-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2738p-66",
+        "0x1.8e20a337e5468p-76", "0x1.6720dd9b286f4p-86", "0x1.48d327bacfebcp-96",
         "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
     )),
 }
@@ -337,12 +339,18 @@ ORACLE_PS = [1000, 1009, (1 << 20) + 1, (1 << 20) + 2, 3 * (1 << 20) + 2,
              *random.Random(20_241).sample(range(MIN_TRUNCATION, 4_000_001), 3)]
 
 
-@pytest.mark.parametrize("P", ORACLE_PS)
-def test_prime_sums_match_the_numpy_oracle(P):
+@pytest.mark.parametrize("P", sorted({*ORACLE_PS, *PRIME_SUMS_BITS}))
+def test_prime_sums_equal_math_fsum(P):
     got = _prime_sums(P)
-    want = oracles.prime_sums(P, _BLOCK, MIN_TRUNCATION, SERIES_TERMS)
+    want = oracles.prime_sums(P, MIN_TRUNCATION, SERIES_TERMS)
     assert oracles.sums_bits(got) == oracles.sums_bits(want)
     assert type(got[0]) is int and all(type(v) is float for v in (got[1], *got[2]))
+
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 16, 1 << 22])
+def test_prime_sums_do_not_depend_on_the_block_length(monkeypatch, block):
+    monkeypatch.setattr(constants, "_BLOCK", block)
+    assert oracles.sums_bits(_prime_sums(2_000_003)) == PRIME_SUMS_BITS[2_000_003]
 
 
 def _has_avx512() -> bool:

@@ -21,7 +21,7 @@ import omegashift.kernel as kernel
 import omegashift.primes as primes
 import omegashift.verify as verify
 from omegashift.cli import main
-from omegashift.constants import _BLOCK, MIN_TRUNCATION, SERIES_TERMS, _prime_sums
+from omegashift.constants import MIN_TRUNCATION, SERIES_TERMS, _prime_sums
 from omegashift.experiment import (
     CSV_HEADER,
     HIST_VERSION,
@@ -402,25 +402,25 @@ def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
 
 
 def _sums_file(P, sums, magic=b"OMGS", version=SUMS_VERSION, file_P=None,
-               min_truncation=MIN_TRUNCATION, series_terms=SERIES_TERMS, block=_BLOCK):
+               min_truncation=MIN_TRUNCATION, series_terms=SERIES_TERMS):
     """A prime-sums cache file, spelled out: the header (magic, version, P,
-    MIN_TRUNCATION, SERIES_TERMS, _BLOCK, SHA-256 of the payload), then
-    pi(P) as int64 and sum p^-2, S_2..S_J as float64, little-endian."""
+    MIN_TRUNCATION, SERIES_TERMS, SHA-256 of the payload), then pi(P) as
+    int64 and sum p^-2, S_2..S_J as float64, little-endian."""
     count, inv_sq, powers = sums
     payload = struct.pack(f"<q{1 + len(powers)}d", count, inv_sq, *powers)
-    header = struct.pack("<4sIQIII", magic, version, P if file_P is None else file_P,
-                         min_truncation, series_terms, block)
+    header = struct.pack("<4sIQII", magic, version, P if file_P is None else file_P,
+                         min_truncation, series_terms)
     return header + hashlib.sha256(payload).digest() + payload
 
 
 @pytest.mark.parametrize("P", [1000, 10_000, 2_000_003])
 def test_prime_sums_cache_roundtrip_is_bit_exact(tmp_path, P):
     path = prime_sums_path(str(tmp_path / "cache"), P)
-    assert path.endswith(f"prime_sums_P{P}.bin")
+    assert path.endswith(f"prime_sums_v2_P{P}.bin")
     fresh = _prime_sums(P)
     save_prime_sums(fresh, path, P)  # parent directories are created on demand
     raw = open(path, "rb").read()
-    assert len(raw) == 60 + 8 * (1 + SERIES_TERMS) == 164 and raw == _sums_file(P, fresh)
+    assert len(raw) == 56 + 8 * (1 + SERIES_TERMS) == 160 and raw == _sums_file(P, fresh)
     count, inv_sq, powers = load_prime_sums(path, P)
     assert count == fresh[0] and type(count) is int
     assert inv_sq == fresh[1]
@@ -434,7 +434,7 @@ def test_prime_sums_cache_rejects_mismatch_and_corruption(tmp_path):
     sums = _prime_sums(P)
     good = _sums_file(P, sums)
     flipped = bytearray(good)
-    flipped[60 + 8 * 3 + 2] ^= 1  # a byte of S_3
+    flipped[56 + 8 * 3 + 2] ^= 1  # a byte of S_3
     # each bad file, and a word its error must hold besides the path
     cases = [
         (_sums_file(P, sums, magic=b"OMGH"), "magic/version"),
@@ -442,13 +442,12 @@ def test_prime_sums_cache_rejects_mismatch_and_corruption(tmp_path):
         (_sums_file(P, sums, file_P=P + 1), "has P=10001, wanted P=10000"),
         (_sums_file(P, sums, min_truncation=MIN_TRUNCATION + 1), "MIN_TRUNCATION"),
         (_sums_file(P, sums, series_terms=SERIES_TERMS + 1), "SERIES_TERMS"),
-        (_sums_file(P, sums, block=_BLOCK // 2), "_BLOCK"),
         (good[:-1], "payload is not 104 bytes"),
         (good[:40], "truncated header"),
         (good + b"\0", "payload is not 104 bytes"),
         (bytes(flipped), "SHA-256"),
     ]
-    path = tmp_path / "prime_sums_P10000.bin"
+    path = tmp_path / "prime_sums_v2_P10000.bin"
     for bad, word in cases:
         path.write_bytes(bad)
         with pytest.raises(CacheMismatchError) as err:
@@ -465,7 +464,7 @@ def test_cache_reused_between_runs(tmp_path):
     run_experiment(cfg)
     cache = tmp_path / "cache"
     # a histogram and the prime sums of P = 10 000, no sieve table
-    files = [cache / "hist_x10000_w50.bin", cache / "prime_sums_P10000.bin"]
+    files = [cache / "hist_x10000_w50.bin", cache / "prime_sums_v2_P10000.bin"]
     assert sorted(cache.iterdir()) == files
     stamps = [f.stat().st_mtime_ns for f in files]
     run_experiment(cfg)
@@ -491,19 +490,22 @@ def test_warm_run_computes_no_prime_sums(tmp_path, monkeypatch):
     assert _strip_runtime(warm.csv_path) == _strip_runtime(cold.csv_path)
 
 
-def test_a_prime_sums_file_of_sums_version_1_still_loads(tmp_path):
-    # Written by the numpy prime sums that preceded kernel.prime_sums; the
-    # C sums must have its bits, and a run must take it as its cache.
+def test_a_prime_sums_file_of_sums_version_1_is_ignored(tmp_path):
+    # Written by the numpy prime sums of SUMS_VERSION 1, under that version's
+    # file name: a run neither reads nor removes it, and caches its own
+    # sums beside it.
     P = 2_000_003
     written = Path(__file__).parent / "data" / f"prime_sums_P{P}.bin"
-    loaded = load_prime_sums(str(written), P)
-    assert oracles.sums_bits(loaded) == oracles.sums_bits(_prime_sums(P))
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / written.name).write_bytes(written.read_bytes())
-    cfg = _tiny_config(tmp_path, truncation_prime=P)
-    run_experiment(cfg)
+    run_experiment(_tiny_config(tmp_path, truncation_prime=P))
     assert (cache / written.name).read_bytes() == written.read_bytes()
+    assert sorted(p.name for p in cache.glob("prime_sums_*.bin")) == [
+        f"prime_sums_P{P}.bin", f"prime_sums_v2_P{P}.bin"]
+    loaded = load_prime_sums(str(cache / f"prime_sums_v2_P{P}.bin"), P)
+    want = oracles.prime_sums(P, MIN_TRUNCATION, SERIES_TERMS)  # math.fsum of the terms
+    assert oracles.sums_bits(loaded) == oracles.sums_bits(want)
 
 
 def test_prime_sums_cache_only_with_a_cache_dir_and_one_file_per_P(tmp_path):
@@ -513,7 +515,7 @@ def test_prime_sums_cache_only_with_a_cache_dir_and_one_file_per_P(tmp_path):
         run_experiment(_tiny_config(tmp_path, truncation_prime=P))
     cache = tmp_path / "cache"
     assert sorted(p.name for p in cache.glob("prime_sums_*.bin")) == [
-        "prime_sums_P10000.bin", "prime_sums_P20000.bin"]
+        "prime_sums_v2_P10000.bin", "prime_sums_v2_P20000.bin"]
 
 
 def test_warm_run_never_loads_the_kernel(tmp_path):

@@ -346,20 +346,31 @@ def _block_sums(limit, block_len, above=MIN_TRUNCATION, powers=11):
 def test_prime_blocks_concatenate_to_primes_up_to(limit):
     # The C blocks of the prime sums count primes_up_to(limit) whatever
     # their length; blocks of one integer hold at most one prime, whose
-    # p^-2 is (1/p) * (1/p), in order.
+    # p^-2 pair is ((1/p) * (1/p), 0.0), and so is each power's above 1000.
     want = primes_up_to(limit)
     for block_len in (1, 2, 7, 64, 1 << 22):
         assert sum(count for count, _, _ in _block_sums(limit, block_len)) == len(want)
-    singles = [inv_sq for count, inv_sq, _ in _block_sums(limit, 1) if count]
-    assert singles == [(1.0 / p) * (1.0 / p) for p in want]
+    singles = [sums for sums in _block_sums(limit, 1) if sums[0]]
+    assert len(singles) == len(want)
+    for p, (_, inv_sq, (s2, s3, *_)) in zip(want, singles):
+        t = (1.0 / p) * (1.0 / p)
+        assert inv_sq == (t, 0.0)
+        above = ((t, 0.0), (t * (1.0 / p), 0.0))
+        assert (s2, s3) == (above if p > MIN_TRUNCATION else ((0.0, 0.0),) * 2)
+
+
+def _joined(sums):
+    """(count, sum p^-2, power sums) of a block, each pair joined with math.fsum."""
+    count, inv_sq, powers = sums
+    return count, math.fsum(inv_sq), tuple(map(math.fsum, powers))
 
 
 @pytest.mark.parametrize("limit", [*range(41), 10_007])
 def test_each_prime_block_holds_the_primes_of_its_span(limit):
     # Block i is [2 + i * block_len, ...) whatever it holds, empty blocks
-    # too: the Euler products' block-ordered sums depend on it.  Each
-    # block's count and sums are those of the primes of its span, summed
-    # by numpy (the primes above 10, so that small blocks have some).
+    # too.  Each block's count and joined pairs are those of the primes of
+    # its span, each sum the math.fsum of its terms (the primes above 10,
+    # so that small blocks have some).
     primes = [n for n in range(2, limit + 1) if _is_prime(n)]
     for block_len in (1, 2, 7, 64, 1000):
         blocks = _block_sums(limit, block_len, above=10, powers=3)
@@ -367,8 +378,8 @@ def test_each_prime_block_holds_the_primes_of_its_span(limit):
         assert len(blocks) == len(los), block_len
         for lo, block in zip(los, blocks):
             span = [p for p in primes if lo <= p < lo + block_len]
-            want = oracles.block_prime_sums(span, 10, 3)
-            assert oracles.sums_bits(block) == oracles.sums_bits(want), (block_len, lo)
+            want = oracles.span_prime_sums(span, 10, 3)
+            assert oracles.sums_bits(_joined(block)) == oracles.sums_bits(want), (block_len, lo)
 
 
 def _oracle_factor_rows(n_max):
