@@ -1,7 +1,8 @@
-/* The inner loops of omegashift: the sieve's walk over a run of segments,
- * the (k, v, u) histogram fold and the prime sums of one block of integers.
- * Built with -O3 and -ffp-contract=off and loaded by kernel.py; every
- * pointer and range is checked there before a call.
+/* The two entries of omegashift's inner loops: walk, the sieve's walk over
+ * a run of segments, which may fold them into (k, v, u) histograms, and
+ * prime_sums, the prime sums of one block of integers.  Built with -O3 and
+ * -ffp-contract=off and loaded by kernel.py, which checks every pointer
+ * and range before a call.
  *
  * A walk sieves a worker's whole run of consecutive segments in one call.
  * Each power q of a base prime below the walk's end is one struct power,
@@ -205,21 +206,6 @@ static int tally_range(struct tally *ta, int64_t *flat, const uint8_t *om,
     return 0;
 }
 
-/* Add the count of each triple (om[i], om[i - 1], osm[i - 1]),
- * start <= i < stop, to the 16^3 counts in flat, at k << 8 | v << 4 | u.
- * A byte >= 16 returns -1, leaving flat untouched or partly counted;
- * otherwise the fold returns 0. */
-int fold(int64_t *flat, const uint8_t *om, const uint8_t *osm,
-         int64_t start, int64_t stop)
-{
-    struct tally ta;
-    memset(&ta, 0, sizeof ta);
-    if (tally_range(&ta, flat, om, osm, start, stop))
-        return -1;
-    flush(flat, &ta);
-    return 0;
-}
-
 /* Sieve n = lo + j, j < hi - lo, in segments of seglen words, each in
  * turn in the words cell[0..seglen); return 0, -1 if a fold meets a
  * byte >= 16, or -2 if memory runs out.
@@ -242,11 +228,12 @@ int fold(int64_t *flat, const uint8_t *om, const uint8_t *osm,
  * carry == 1 they hold seglen + 1 bytes: the byte of a segment's n at
  * 1 + n - its first n, and at 0 its n - 1's, carried from the segment
  * before.  Each range r, (u, start, stop) = ranges[3 r .. 3 r + 3),
- * folds its n in [max(start, lo + 1), min(stop, hi)) into the 16^3
- * counts at counts + FOLD_BINS r, as fold does with om, osm = om for
- * u = -1 and osms[u] otherwise: k is the byte of n, v and u those of
- * n - 1.  Each range counts into a uint32 tally of its own, flushed
- * every FOLD_FLUSH positions and once at the end.
+ * adds the count of each (k, v, u) of its n in [max(start, lo + 1),
+ * min(stop, hi)) into the 16^3 counts at counts + FOLD_BINS r, at
+ * k << 8 | v << 4 | u: k is the byte of n in om, v that of n - 1 in om,
+ * and u that of n - 1 in om for u = -1 and in osms[u] otherwise.  Each
+ * range counts into a uint32 tally of its own, flushed every FOLD_FLUSH
+ * positions and once at the end.
  *
  * The powers below CHUNK of the primes below SMALL_BOUND run chunk by
  * chunk in phase 1, starting each chunk from its pattern and making the

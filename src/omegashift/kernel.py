@@ -1,8 +1,7 @@
-"""The sieve's walk over a run of segments, the histogram fold and the prime
-sums of a block, compiled from kernel.c.  SegmentPass.fill and
-SegmentPass.tally (one walk each), fold and prime_sums are their one way
-in, and check every argument.  same_bytes compares two byte buffers with
-the C library's memcmp.
+"""The sieve's walk over a run of segments and the prime sums of a block,
+the two functions kernel.c exports.  SegmentPass.fill and SegmentPass.tally
+(one walk each) and prime_sums are their one way in, and check every
+argument.
 
 A walk is one C call for a worker's whole run of segments: it carries
 each base-prime power's next multiple from one segment to the next, so a
@@ -10,10 +9,10 @@ segment's fixed cost is one visit per power, with no Python and no
 division (9 us at x = 1e8 on a 2-core Xeon), and segments can be short
 (base.default_segment picks their length).
 
-They take plain buffers and load no numpy: any 1-d C-contiguous buffer of
-the right item size, checked through memoryview, as bytes ("B"), uint16
-words ("H") and int64 ("q" or "l"), say an array.array, a bytearray or a
-numpy array.  A buffer the kernel writes into must be writable.
+They take plain buffers and load no numpy: any writable 1-d C-contiguous
+buffer of the right item size, checked through memoryview, as bytes ("B"),
+uint16 words ("H") and int64 ("q" or "l"), say an array.array, a bytearray
+or a numpy array.
 
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
@@ -40,7 +39,7 @@ from .base import FOLD_BINS, OMEGA_CAP, sha256
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
-# -O2 leaves the byte copy-outs scalar.  -falign-loops=32 keeps fold's
+# -O2 leaves the byte copy-outs scalar.  -falign-loops=32 keeps the fold's
 # 20-byte counting loop inside one 64-byte line whatever code comes before
 # it: crossing one, it took 1.7 instead of 1.15 ns per n (2-core Xeon).
 # -ffp-contract=off keeps each prime-sum term the rounded product that the
@@ -128,8 +127,6 @@ def _library():
         ptr, i64, ptr
     ]
     lib.walk.restype = i64
-    lib.fold.argtypes = [ptr, ptr, ptr, i64, i64]
-    lib.fold.restype = ctypes.c_int
     lib.prime_sums.argtypes = [i64, i64, ptr, i64, i64, i64, ptr]
     lib.prime_sums.restype = i64
     return lib
@@ -169,58 +166,26 @@ _BYTES, _WORDS, _INT64 = ("B",), ("H",), ("q", "l")  # memoryview formats, per i
 _SIZES = {"B": 1, "H": 2, "q": 8, "l": 8}
 
 
-def _view(buf, formats, name: str, written: bool = False) -> memoryview:
+def _view(buf, formats, name: str) -> memoryview:
     """A memoryview of buf, checked to be 1-d, C-contiguous, of one of the
-    formats at its item size and, if the pass writes into it, writable."""
+    formats at its item size, and writable: the kernel takes no read-only
+    buffer, not even one it only reads."""
     view = memoryview(buf)
     if (view.format not in formats or view.itemsize != _SIZES[view.format]
             or view.ndim != 1 or not view.c_contiguous):
         raise TypeError(f"{name}: want a contiguous 1-d buffer of format {' or '.join(formats)}")
-    if written and view.readonly:
-        raise ValueError(f"{name}: the pass writes into it, but it is read-only")
+    if view.readonly:
+        raise ValueError(f"{name}: read-only; the kernel takes writable buffers only")
     return view
-
-
-class _PyBuffer(ctypes.Structure):
-    """CPython's Py_buffer, filled by PyObject_GetBuffer."""
-
-    _fields_ = [("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
-                ("len", ctypes.c_ssize_t), ("itemsize", ctypes.c_ssize_t),
-                ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
-                ("format", ctypes.c_char_p), ("shape", ctypes.c_void_p),
-                ("strides", ctypes.c_void_p), ("suboffsets", ctypes.c_void_p),
-                ("internal", ctypes.c_void_p)]
 
 
 _NO_BYTES = ctypes.c_char * 0  # a view of it fits in any buffer, even an empty one
 
 
 def _address(view: memoryview) -> int:
-    """The address of a checked buffer's first byte.  A ctypes view of a
-    writable buffer costs about 1 us; a read-only one, which only fold's
-    inputs and the pass's starts are, takes CPython's buffer protocol."""
-    if not view.readonly:
-        return ctypes.addressof(_NO_BYTES.from_buffer(view))
-    got = _PyBuffer()
-    ctypes.pythonapi.PyObject_GetBuffer(ctypes.py_object(view), ctypes.byref(got), 0)
-    ctypes.pythonapi.PyBuffer_Release(ctypes.byref(got))  # the caller keeps view alive
-    return got.buf or 0
-
-
-@functools.cache
-def _memcmp():
-    memcmp = ctypes.CDLL(None).memcmp  # the C library the interpreter links
-    memcmp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
-    memcmp.restype = ctypes.c_int
-    return memcmp
-
-
-def same_bytes(a, b) -> bool:
-    """Whether the 1-d C-contiguous byte buffers a and b hold the same bytes,
-    by one memcmp: == on two memoryviews compares them item by item (10^7
-    bytes: 37 against 0.8 ms, 2-core Xeon)."""
-    a, b = _view(a, _BYTES, "a"), _view(b, _BYTES, "b")
-    return len(a) == len(b) and (not len(a) or not _memcmp()(_address(a), _address(b), len(a)))
+    """The address of a checked buffer's first byte, by a ctypes view of it
+    (about 1 us)."""
+    return ctypes.addressof(_NO_BYTES.from_buffer(view))
 
 
 def _top_power(p: int) -> int:
@@ -233,11 +198,13 @@ def _top_power(p: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _presieve_starts(leads: tuple[tuple[int, int], ...]) -> tuple[memoryview, ...]:
-    """SegmentPass.starts of the leading (prime, step) pairs, each start a
-    read-only uint16 memoryview.  Built once per process for each lead set
-    and shared by every pass that leads with it: 2, 3, 5, 7, 11 and their
-    steps lead every pass with x_max >= 121, and building their starts takes
+def _presieve_starts(leads: tuple[tuple[int, int], ...]):
+    """(SegmentPass.starts, their addresses) of the leading (prime, step)
+    pairs: each start a read-only uint16 view of a bytearray that the cache
+    owns, and an int64 buffer of each start's address and length, as
+    kernel.c reads them.  Built once per process for each lead set and
+    shared by every pass that leads with it: 2, 3, 5, 7, 11 and their steps
+    lead every pass with x_max >= 121, and building their starts takes
     about 6000 adds, 0.9 ms a pass (2-core Xeon)."""
     start = zeroed(1, "H")
     starts = [start]
@@ -251,7 +218,8 @@ def _presieve_starts(leads: tuple[tuple[int, int], ...]) -> tuple[memoryview, ..
                 start[j] = (start[j] + add) & 0xFFFF  # a word wraps, as in kernel.c
             q, add = q * p, step
         starts.append(start)
-    return tuple(memoryview(bytes(start)).cast("H") for start in starts)
+    addresses = int64_buffer([v for start in starts for v in (_address(start), len(start))])
+    return tuple(start.toreadonly() for start in starts), addresses
 
 
 class SegmentPass:
@@ -305,8 +273,7 @@ class SegmentPass:
             if period > 1 << 16:
                 break
             leads.append((p, step))
-        self.starts = _presieve_starts(tuple(leads))
-        starts = int64_buffer([v for start in self.starts for v in (_address(start), len(start))])
+        self.starts, starts = _presieve_starts(tuple(leads))
         bounds = int64_buffer(self.bounds)
         # While held, no buffer can resize under kernel.c.
         self._views = (prime_view, step_view, starts, bounds)
@@ -316,9 +283,9 @@ class SegmentPass:
     def fill(self, cell, om, osms, lo, splits) -> None:
         """Sieve n = lo + j, j < len(om), into om and osms, each osm after
         its split, in one walk of segments of len(cell) words."""
-        cell = _view(cell, _WORDS, "cell", written=True)
-        om = _view(om, _BYTES, "om", written=True)
-        osms = [_view(osm, _BYTES, "osm", written=True) for osm in osms]
+        cell = _view(cell, _WORDS, "cell")
+        om = _view(om, _BYTES, "om")
+        osms = [_view(osm, _BYTES, "osm") for osm in osms]
         if any(len(osm) != len(om) for osm in osms):
             raise ValueError("om and the osms differ in length")
         if len(om) and not len(cell):
@@ -333,7 +300,8 @@ class SegmentPass:
         r, (u, start, stop), counts the (k, v, u) of each n in
         [start, stop) of the walk, with k and v from om, the bytes of n
         and n - 1, and u from the osm of split u, or from om for u = -1,
-        at counts[r * FOLD_BINS:(r + 1) * FOLD_BINS], as fold does.  A
+        at counts[r * FOLD_BINS:(r + 1) * FOLD_BINS], in
+        (k * OMEGA_CAP + v) * OMEGA_CAP + u: H[k, v, u] in C order.  A
         segment's bytes of n - 1 carry over from the segment before.
         Returns counts, an int64 buffer."""
         if lo < 2 or segment < 1:
@@ -380,24 +348,6 @@ class SegmentPass:
             raise ValueError(f"a factor count >= {OMEGA_CAP} in [{lo}, {hi}): the sieve is corrupt")
         if err:
             raise MemoryError(f"no memory to walk [{lo}, {hi})")
-
-
-def fold(counts, om, osm, start: int, stop: int) -> None:
-    """Add the count of each (om[i], om[i-1], osm[i-1]), start <= i < stop,
-    into counts, a writable int64 buffer of FOLD_BINS counts owned by the
-    caller, at (k * OMEGA_CAP + v) * OMEGA_CAP + u: H[k, v, u] in C order.
-
-    A byte >= OMEGA_CAP raises ValueError, and counts may then hold part of
-    the range.
-    """
-    counts = _view(counts, _INT64, "counts", written=True)
-    om, osm = _view(om, _BYTES, "om"), _view(osm, _BYTES, "osm")
-    if len(counts) != FOLD_BINS:
-        raise ValueError(f"counts: want {FOLD_BINS} bins, not {len(counts)}")
-    if not (1 <= start <= stop <= len(om) and stop - 1 <= len(osm)):
-        raise ValueError(f"fold range [{start}, {stop}) outside the arrays")
-    if library().fold(_address(counts), _address(om), _address(osm), start, stop):
-        raise ValueError(f"a factor count >= {OMEGA_CAP}: the table is corrupt")
 
 
 def prime_sums(lo: int, hi: int, odd_base, above: int, powers: int):

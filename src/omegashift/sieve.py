@@ -23,24 +23,10 @@ and a byte of scaled logarithms decides "c > 1" exactly, with no division
 omega(n, w) = omega(n), n <= x, and adds no base prime.  Base primes stop
 at 2^20, so SieveConfig rejects a w in [W_CEILING, x).
 
-A worker's run is one call of the compiled walk (kernel.SegmentPass.fill
-for a table, SegmentPass.tally for a grid; the kernel is built when the
-first pass is planned).  The walk keeps each base-prime power's next
-multiple from one segment to the next, so a segment costs one visit per
-power and no division or Python, and segments can be short:
-base.default_segment takes 2^16 numbers below x_max = 2^28, whose 128 KB
-of words and 64 KB per byte buffer stay in the L2 cache, and grows with
-sqrt(x_max), which sets how many powers there are, to 2^18 from 2^30
-on.  Each segment has two phases.  Phase 1 walks
-it in chunks of 8192 words (16 KB, inside any L1 data cache).  Each chunk
-starts from a pre-sieve pattern that holds the leading base primes up to
-the smallest w and their powers dividing its period: 2..11 and the period
-55 440 = 2^4 3^2 5 7 11 when every w >= 11, fewer below (the pass builds
-one start per count of primes).  It gains every other power below 8192 of the base primes below
-2048, and each omega(n, w) with w below 2048 is copied out of it.  Phase 2
-adds the remaining prime powers over the whole segment, copies the other
-omega(n, w) out and applies the log test.  The order of the adds does
-not change the words.
+A worker's run is one call of kernel.c's walk, whose header describes it
+(kernel.SegmentPass.fill for a table, SegmentPass.tally for a grid; the
+kernel is built when the first pass is planned), in segments of
+base.default_segment(x_max) numbers unless the caller gives a length.
 
 The base primes come from base.primes_up_to, build_omega_table's tables are
 plain buffers from kernel.zeroed, and grid_histograms keeps its segments in
@@ -110,15 +96,6 @@ class OmegaTable:
     w: int
     omega: memoryview = field(repr=False)
     omega_small: memoryview = field(repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OmegaTable)
-            and self.x_max == other.x_max
-            and self.w == other.w
-            and kernel.same_bytes(self.omega, other.omega)
-            and kernel.same_bytes(self.omega_small, other.omega_small)
-        )
 
 
 def segment_pass(x_max: int, ws=()) -> kernel.SegmentPass:

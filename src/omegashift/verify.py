@@ -25,9 +25,11 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from . import genfun
-from .base import FULL_SCALES, OMEGA_CAP
+from .base import FULL_SCALES, OMEGA_CAP, primes_up_to
 from .constants import (
     EULER_GAMMA,
+    MIN_TRUNCATION,
+    _prime_sums,
     coprimality_density,
     level_density_constant,
     normal_cdf,
@@ -239,6 +241,31 @@ def _check_phi_kernel_multiplicative():
     return worst < 1e-12, f"max |f(ab) - f(a)f(b)| = {worst:.2e} ({len(pairs)} pairs)"
 
 
+def _power_term(p: int, j: int) -> float:
+    """p^-j as the prime sums take it: 1.0/p squared, times 1.0/p for each
+    further power."""
+    inv = 1.0 / p
+    term = inv * inv
+    for _ in range(j - 2):
+        term *= inv
+    return term
+
+
+def _prime_sums_off_fsum(P: int) -> list[str]:
+    """Which of constants._prime_sums(P) differ in any bit from math.fsum of
+    their terms over base.primes_up_to(P).  Each sum takes its terms from a
+    generator, so that no list of terms raises the battery's peak RSS."""
+    primes = primes_up_to(P)
+    count, inv_sq, powers = _prime_sums(P)
+    off = [] if count == len(primes) else ["pi"]
+    if math.fsum(_power_term(p, 2) for p in primes) != inv_sq:
+        off.append("p^-2")
+    for j, got in enumerate(powers, 2):
+        if math.fsum(_power_term(p, j) for p in primes if p > MIN_TRUNCATION) != got:
+            off.append(f"S_{j}")
+    return off
+
+
 def _check_euler_identities(P: int = 100_000):
     msgs = []
     ok = True
@@ -267,6 +294,10 @@ def _check_euler_identities(P: int = 100_000):
     t2 = tilted_level_constant(1.0, 2 * P).tail_bound
     ok &= 0 < t2 < t1
     msgs.append("tail bound decreasing")
+    off = _prime_sums_off_fsum(10_000)
+    ok &= not off
+    msgs.append(f"prime sums to 1e4 != fsum at {', '.join(off)}" if off
+                else "prime sums to 1e4 = fsum")
     return bool(ok), "; ".join(msgs)
 
 

@@ -77,6 +77,10 @@ REMOVED = (
     "sieve._sieve_bound",
     "primes.primes_up_to",
     "primes.iter_prime_blocks",
+    "kernel.fold",
+    "same_bytes",
+    "_memcmp",
+    "_PyBuffer",
 )
 
 

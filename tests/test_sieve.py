@@ -23,7 +23,6 @@ from omegashift import kernel, verify
 from omegashift.cli import main
 from omegashift.base import (
     DEFAULT_SEGMENT,
-    FOLD_BINS,
     OMEGA_CAP,
     default_segment,
     primes_up_to,
@@ -49,13 +48,6 @@ from omegashift.sieve import (
 
 def small_table(x=1000, w=10, **kw):
     return build_omega_table(SieveConfig(x_max=x, w=w, **kw))
-
-
-def _fold(om, osm, start, stop):
-    """kernel.fold of [start, stop) into zeroed counts, shaped as H."""
-    counts = np.zeros(FOLD_BINS, dtype=np.int64)
-    kernel.fold(counts, om, osm, start, stop)
-    return counts.reshape((OMEGA_CAP,) * 3)
 
 
 def test_known_factor_counts():
@@ -453,9 +445,9 @@ def test_table_equality_semantics():
 
 @pytest.mark.parametrize("x", [10**6, 3 * 10**6])
 def test_table_equality_compares_every_byte_and_w(x):
-    # Equality is one memcmp per table, not an item-by-item comparison, and
-    # still sees a change in the last byte alone; tables below
-    # kernel.PAGED_BYTES are bytearrays, and mmaps from there on.
+    # Equality compares every byte of both tables, and sees a change in the
+    # last byte alone; tables below kernel.PAGED_BYTES are bytearrays, and
+    # mmaps from there on.
     a, b = small_table(x, 50), small_table(x, 50)
     assert a.omega.format == "B" and not a.omega.readonly and a.omega.nbytes == x + 1
     assert isinstance(a.omega.obj, bytearray) == (x + 1 < kernel.PAGED_BYTES)
@@ -513,7 +505,6 @@ def test_truncated_kernel_library_is_rebuilt(kernel_dir):
     assert os.path.getsize(path) > 0
     omega, omega_small = _trial_division_tables(5000, 13)
     assert np.array_equal(t.omega, omega) and np.array_equal(t.omega_small, omega_small)
-    assert _fold(t.omega, t.omega_small, 2, 5001).sum() == 4999
     assert [f.name for f in kernel_dir.iterdir()] == [os.path.basename(path)]
 
 
@@ -552,60 +543,18 @@ def test_a_link_to_the_interpreter_names_the_same_library(tmp_path, monkeypatch)
     assert kernel.library_path() == path
 
 
-def test_fold_refuses_a_corrupt_table():
-    t = small_table(1000, 10)
-    fold = lambda: _fold(t.omega, t.omega_small, 2, 1001)
-    good = fold()
-    assert good.shape == (16, 16, 16) and good.dtype == np.int64
-    assert np.array_equal(good, oracles.histogram(t.omega, t.omega_small, 1000))
-    for array, n in ((t.omega, 500), (t.omega, 1), (t.omega_small, 999)):
-        saved = array[n]
-        array[n] = 200  # its packed index would fall far outside the fold's bins
-        with pytest.raises(ValueError, match="corrupt"):
-            fold()
-        array[n] = 16  # the first byte outside a base-16 digit
-        with pytest.raises(ValueError, match="corrupt"):
-            fold()
-        array[n] = saved
-    assert np.array_equal(fold(), good)
-
-
-def test_kernel_rejects_bad_arguments():
-    om = np.zeros(100, dtype=np.uint8)
-    counts = np.zeros(FOLD_BINS, dtype=np.int64)
-    for start, stop in ((0, 10), (5, 101), (10, 5)):
-        with pytest.raises(ValueError, match="fold range"):
-            kernel.fold(counts, om, om, start, stop)
-    with pytest.raises(TypeError):
-        kernel.fold(counts, om.astype(np.int64), om, 1, 10)
-    with pytest.raises(TypeError):
-        kernel.fold(counts, om[::2], om, 1, 10)
-    with pytest.raises(TypeError, match="counts"):
-        kernel.fold(counts.astype(np.int32), om, om, 1, 10)
-    with pytest.raises(ValueError, match="4096 bins"):
-        kernel.fold(counts[1:], om, om, 1, 10)
-    counts.flags.writeable = False
-    with pytest.raises(ValueError, match="read-only"):
-        kernel.fold(counts, om, om, 1, 10)
+def test_kernel_rejects_bad_arguments(monkeypatch):
+    monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
     odd = array("q", [3, 5, 7])
+    frozen = memoryview(odd).toreadonly()
     for args, match in (((4, 3, odd, 1, 0), "block"), ((2, (1 << 53) + 1, odd, 1, 0), "block"),
                         ((2, 100, array("q", [2, 3]), 1, 0), "odd base prime"),
-                        ((2, 100, odd, 1, kernel.MAX_POWERS + 1), "powers")):
+                        ((2, 100, odd, 1, kernel.MAX_POWERS + 1), "powers"),
+                        ((2, 100, frozen, 1, 0), "odd_base: read-only")):
         with pytest.raises(ValueError, match=match):
             kernel.prime_sums(*args)
     with pytest.raises(TypeError, match="odd_base"):
         kernel.prime_sums(2, 100, array("i", [3]), 1, 0)
-
-
-def test_fold_adds_into_the_counts_it_is_given():
-    # The caller owns the counts: two folds of adjacent ranges add up to one
-    # fold of both, and a plain array.array takes them as well as numpy.
-    t = small_table(1000, 10)
-    counts = array("q", bytes(8 * FOLD_BINS))
-    kernel.fold(counts, bytes(t.omega), bytearray(t.omega_small), 2, 600)
-    kernel.fold(counts, t.omega, memoryview(t.omega_small), 600, 1001)
-    assert np.array_equal(np.array(counts).reshape((OMEGA_CAP,) * 3),
-                          oracles.histogram(t.omega, t.omega_small, 1000))
 
 
 def _segment(size=64, nosm=1):
@@ -648,6 +597,8 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
         (dict(steps=np.array([5 << 8, 1 << 16])), ValueError, "high byte"),
         (dict(steps=np.array([5 << 8, -(8 << 8)])), ValueError, "high byte"),
         (dict(bounds=[0, -1, 0, 0, 0, 0, 0]), ValueError, "outside a word"),
+        (dict(frozen=("primes",)), ValueError, "primes: read-only"),
+        (dict(frozen=("steps",)), ValueError, "steps: read-only"),
     ],
 )
 def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, change, error, match):
@@ -658,12 +609,14 @@ def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, chang
     cell = np.zeros(arg["cell_size"], dtype=arg["cell_dtype"])
     om = np.zeros(64 * arg["om_stride"], dtype=np.uint8)[:: arg["om_stride"]]
     osms = [np.zeros(arg["osm_size"], dtype=np.uint8) for _ in range(arg["nosm"])]
-    outputs = {"cell": cell, "om": om, **{f"osm{s}": osm for s, osm in enumerate(osms)}}
-    for name in arg["frozen"]:  # the pass would write into it
-        outputs[name].flags.writeable = False
+    primes, steps = arg["primes"].copy(), arg["steps"].copy()
+    buffers = {"cell": cell, "om": om, "primes": primes, "steps": steps,
+               **{f"osm{s}": osm for s, osm in enumerate(osms)}}
+    for name in arg["frozen"]:  # the kernel takes no read-only buffer
+        buffers[name].flags.writeable = False
     monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
     with pytest.raises(error, match=match):
-        kernel.SegmentPass(arg["primes"], arg["steps"], arg["bounds"]).fill(
+        kernel.SegmentPass(primes, steps, arg["bounds"]).fill(
             cell, om, osms, arg["lo"], arg["splits"])
 
 
@@ -879,89 +832,75 @@ def test_fill_segment_past_a_full_stream_table():
 
 @lru_cache(maxsize=1)
 def _fold_table():
-    """A sieved table long enough for four fold blocks; read-only."""
-    t = small_table(4 * FOLD_BLOCK + 100, 100)
-    return OmegaTable(t.x_max, t.w, t.omega.toreadonly(), t.omega_small.toreadonly())
+    """A sieved table long enough for four fold blocks."""
+    return small_table(4 * FOLD_BLOCK + 100, 100)
 
 
-def _oracle_fold(t, start, stop):
-    """oracles.histogram over the positions start <= i < stop, start >= 2:
-    shifted by start - 2, its n = 2..stop - start + 1 are those positions."""
+def _oracle_fold(omega, omega_small, start, stop):
+    """oracles.histogram over n in [start, stop), start >= 2: shifted by
+    start - 2, its n = 2..stop - start + 1 are those n."""
     shift = start - 2
-    return oracles.histogram(t.omega[shift:], t.omega_small[shift:], stop - shift - 1)
+    return oracles.histogram(omega[shift:], omega_small[shift:], stop - shift - 1)
+
+
+def _tally(plan, hi, segment, splits, ranges):
+    """plan.tally of [2, hi) with each split live to hi, shaped (range, k, v, u)."""
+    counts = plan.tally(2, hi, segment, splits, [hi] * len(splits), ranges)
+    return np.asarray(counts).reshape(len(ranges), *(OMEGA_CAP,) * 3)
 
 
 @pytest.mark.parametrize("size", [1, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1,
                                   3 * FOLD_BLOCK + 17])
 @pytest.mark.parametrize("start", [2, FOLD_BLOCK - 1])
 def test_fold_matches_the_oracle_at_its_block_edges(start, size):
+    # The walk folds a range in blocks of FOLD_BLOCK positions from its
+    # start: ranges of u = omega(n - 1, 100) and u = omega(n - 1) that stop
+    # at and beside a block's edge, in one segment and across segments.
     assert _kernel_define("FOLD_BINS") == kernel.FOLD_BINS
     t = _fold_table()
-    got = _fold(t.omega, t.omega_small, start, start + size)
-    assert np.array_equal(got, _oracle_fold(t, start, start + size))
+    stop, ws = start + size, (t.w,)
+    plan = segment_pass(t.x_max, ws)
+    want = (_oracle_fold(t.omega, t.omega_small, start, stop),
+            _oracle_fold(t.omega, t.omega, start, stop))
+    for segment in (t.x_max, FOLD_BLOCK + 1):
+        got = _tally(plan, t.x_max + 1, segment, _splits(plan, ws),
+                     [(0, start, stop), (-1, start, stop)])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), segment
 
 
 @pytest.mark.parametrize("bad", [16, 200])
 def test_fold_refuses_a_corrupt_byte_in_any_block(bad):
-    # Four blocks: a byte is caught in the last one, after three were
-    # counted, and at the first position, before any; bytes just outside
-    # the range are never read.
-    t = small_table(4 * FOLD_BLOCK, 100)
-    start, stop = 3, 3 + 3 * FOLD_BLOCK + 17
-    fold = lambda: _fold(t.omega, t.omega_small, start, stop)
-    good = fold()
-    assert np.array_equal(good, _oracle_fold(t, start, stop))
-    inside = ((t.omega, stop - 1), (t.omega_small, stop - 2), (t.omega, start),
-              (t.omega, start - 1), (t.omega_small, start - 1))
-    outside = ((t.omega, stop), (t.omega_small, stop - 1), (t.omega, start - 2),
-               (t.omega_small, start - 2))
-    for cells, raises in ((inside, True), (outside, False)):
-        for array, i in cells:
-            saved = array[i]
-            array[i] = bad
-            if raises:
-                with pytest.raises(ValueError, match="corrupt"):
-                    fold()
-            else:
-                assert np.array_equal(fold(), good)
-            array[i] = saved
-    assert np.array_equal(fold(), good)
-    zeros = np.zeros(100, dtype=np.uint8)  # the bad byte alone sets the mask
-    for i in (0, 50, 99):
-        om = zeros.copy()
-        om[i] = bad
-        with pytest.raises(ValueError, match="corrupt"):
-            _fold(om, zeros, 1, 100)
+    # bad copies of one prime p give each multiple of p the byte bad, a
+    # factor count past every fold digit: a range of four blocks must refuse
+    # it in its first block, before counting any, and in its fourth, after
+    # three; at n = stop, just past the range, the walk sieves it but the
+    # fold never reads it.  With 15 copies, the largest digit, it folds.
+    start = 3
+    stop = next(p for p in primes_up_to(4 * FOLD_BLOCK) if p > start + 3 * FOLD_BLOCK + 16)
+    fourth = next(p for p in primes_up_to(stop) if p >= start + 3 * FOLD_BLOCK)
+    for p, raises in ((5, True), (fourth, True), (stop, False)):
+        plan = kernel.SegmentPass(np.full(bad, p), np.zeros(bad, dtype=np.int64))
+        fold = lambda: _tally(plan, stop + 1, stop + 1, [], [(-1, start, stop)])[0]
+        if raises:
+            with pytest.raises(ValueError, match="corrupt"):
+                fold()
+        else:
+            assert fold()[0, 0, 0] == stop - start, p
+    om = np.zeros(stop + 1, dtype=np.uint8)
+    om[fourth::fourth] = 15
+    plan = kernel.SegmentPass(np.full(15, fourth), np.zeros(15, dtype=np.int64))
+    assert np.array_equal(_tally(plan, stop + 1, stop + 1, [], [(-1, start, stop)])[0],
+                          _oracle_fold(om, om, start, stop))
 
 
 @pytest.mark.parametrize("flush", [1000, FOLD_BLOCK + FOLD_BLOCK // 2 + 1])
-def test_fold_flushes_its_table_between_windows(tmp_path, monkeypatch, flush):
-    # FOLD_FLUSH is 2^30 positions, past any test table: a copy of kernel.c
-    # flushing every few thousand positions, some windows ending inside a
-    # block, must fold the same H, and so must a grid pass whose walks
-    # flush each range's tally inside and across their segments.
-    cc = kernel._compiler()
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler {cc[0]!r}")
-    with open(kernel.SOURCE) as fh:
-        source, count = re.subn(r"^#define FOLD_FLUSH .*$", f"#define FOLD_FLUSH INT64_C({flush})",
-                                fh.read(), flags=re.M)
-    assert count == 1
-    (tmp_path / "k.c").write_text(source)
-    argv = [*cc, *kernel.FLAGS, "-o", str(tmp_path / "k.so"), str(tmp_path / "k.c")]
-    done = subprocess.run(argv, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    lib = ctypes.CDLL(str(tmp_path / "k.so"))
-    for name in ("fold", "walk"):
-        built = getattr(kernel.library(), name)
-        getattr(lib, name).argtypes, getattr(lib, name).restype = built.argtypes, built.restype
+def test_fold_flushes_its_table_between_windows(kernel_copy, flush):
+    # FOLD_FLUSH is 2^30 positions, past any test table: a grid pass through
+    # a copy of kernel.c flushing every few thousand positions, some windows
+    # ending inside a block, must flush each range's tally inside and
+    # across its segments and fold the same H.
+    kernel_copy(r"^#define FOLD_FLUSH .*$", f"#define FOLD_FLUSH INT64_C({flush})")
     t = _fold_table()
-    start, stop = 3, 3 + 3 * FOLD_BLOCK + 17
-    H = np.zeros((16, 16, 16), dtype=np.int64)
-    om, osm = np.asarray(t.omega), np.asarray(t.omega_small)
-    assert lib.fold(H.ctypes.data, om.ctypes.data, osm.ctypes.data, start, stop) == 0
-    assert np.array_equal(H, _oracle_fold(t, start, stop))
-    monkeypatch.setattr(kernel, "library", lambda: lib)
     x = t.x_max
     got = grid_histograms([(x // 2, 100), (x, 100), (x, x)], threads=2, segment_length=1024)
     assert np.array_equal(got[x, 100], oracles.histogram(t.omega, t.omega_small, x))
@@ -986,10 +925,12 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
         pytest.skip(f"no C compiler {cc[0]!r}")
     with open(kernel.SOURCE) as fh:
         source = fh.read()
+    # Each definition that starts a line and is not static: kernel.c's exports.
+    exported = dict(re.findall(r"^(?!static\b)\w+ (\w+)\(([^)]*)\)\s*\{", source, re.M))
+    assert sorted(exported) == ["prime_sums", "walk"]
     lib = kernel.library()
-    for name in ("walk", "fold", "prime_sums"):
-        params = re.search(rf"^\w+ {name}\(([^)]*)\)", source, re.M).group(1).split(",")
-        want = [ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params]
+    for name, params in exported.items():
+        want = [ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params.split(",")]
         assert list(getattr(lib, name).argtypes) == want, name
 
 
