@@ -30,13 +30,7 @@ OMEGA_CAP = 16  # bins per axis of H: kernel.c's fold packs (k, v, u) as base-16
 FOLD_BINS = OMEGA_CAP**3
 
 X_MAX_CEILING = 1 << 40
-# The shortest default segment, in words (see default_segment).  A walk
-# carries each base-prime power's next multiple from one segment to the
-# next, so a segment costs 9 us at x = 1e8, against 35 us for a per-segment
-# pass that found each offset by a modulo, and its 128 KB of words and
-# 64 KB per byte buffer cut a grid worker at verify's four w from 1.8 MB
-# (2^18) to 0.45 MB.
-DEFAULT_SEGMENT = 1 << 16
+DEFAULT_SEGMENT = 1 << 16  # the shortest default segment, in words (see default_segment)
 W_CEILING = 1_048_583  # smallest prime above kernel.SegmentPass's 2^20 base-prime ceiling
 # Each worker thread holds one segment's buffers, 0.2 MB for a table and
 # 0.45 MB for a grid with four w in 2^16-word segments, a 24-byte record
@@ -63,11 +57,16 @@ def primes_up_to(limit: int) -> list[int]:
 def default_segment(x_max: int) -> int:
     """The segment length of a pass over [2, x_max] not given one: 2^k for
     the k bits of 4 sqrt(x_max), within [DEFAULT_SEGMENT, 2^18]; 2^16 up to
-    x_max = 2^28 - 1, 2^18 from 2^30.  Each segment visits every base-prime
-    power, about 2 pi(sqrt(x_max)) of them, so a segment growing with
-    sqrt(x_max) keeps those visits a small share of its work: on one 2-core
-    Xeon thread a grid walk near 1e10 took 2.83 ns per n in 2^16-word
-    segments and 2.47 in 2^18, and near 1e8 1.96 and 2.26."""
+    x_max = 2^28 - 1, 2^18 from 2^30.
+
+    The length trades a worker's memory against its visits to the base
+    primes.  A worker holds one segment's buffers, which grow with it (see
+    MAX_THREADS).  Each segment visits every base-prime power, about
+    2 pi(sqrt(x_max)) of them, at a fixed cost per visit (kernel.c's
+    header), so a segment growing with sqrt(x_max) keeps those visits a
+    small share of its work: on one 2-core Xeon thread a grid walk near
+    1e10 took 2.83 ns per n in 2^16-word segments and 2.47 in 2^18, and
+    near 1e8 1.96 and 2.26."""
     return 1 << min(max((4 * math.isqrt(x_max)).bit_length(), 16), 18)
 
 
@@ -79,9 +78,7 @@ class SieveConfig:
     w     : small-prime threshold for omega_small, 2 <= w <= x_max, and
         below W_CEILING unless w = x_max (the base primes reach w < x_max)
     segment_length : numbers processed per segment, default_segment(x_max)
-        if None; any value >= 1024 produces the identical table, it only
-        trades a worker's memory for its walk's visits to each base-prime
-        power, one per segment
+        if None; any value >= 1024 produces the identical table
     threads : worker threads mapped over segments, 1 <= threads <= MAX_THREADS
         (disjoint output slices, so the result is independent of the count)
     """

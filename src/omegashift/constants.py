@@ -14,7 +14,10 @@ F_p = (1 - (b-a)/p) / (1 - b/p) * (1 - 1/p)**a, so
 
 the j = 1 term being exactly zero.  The primes p <= Q = MIN_TRUNCATION (the
 head) are summed term by term as exact logs: math.log1p(u) for real a,
-cmath.log(1 + u) for complex a, with u = a/(p-1+s).  For real a a head
+cmath.log(1 + u) for complex a, with u = a/(p-1+s).  These logs and the
+product's exponential come from libm, one call per value, not from an
+array library's SIMD loops, which may round differently from one CPU to
+another: so a report's bits do not depend on the CPU.  For real a a head
 factor can be negative (possible only for p <= 7): it enters as log|F_p|
 and flips the product's sign.  A factor that vanishes (1 + a/(p-1+s) == 0,
 possible only for p <= 11) marks the product exactly zero.  The primes
@@ -213,7 +216,7 @@ def _log_core(a: complex | float, s: float, P: int):
 
 
 def _exp(v: complex | float) -> complex | float:
-    """exp through libm: cmath for a complex argument, math otherwise."""
+    """exp by cmath for a complex argument, by math otherwise."""
     return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
 
 

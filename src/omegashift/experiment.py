@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("x_list is empty")
         if not self.k_list:
             raise ValueError("k_list is empty")
+        if not self.output_dir:
+            raise ValueError("output_dir is empty: the reports need a directory")
         for name in ("x_list", "k_list", "moments", "y_grid"):  # a repeat writes its rows again
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -164,8 +166,10 @@ def _parse_w_rule(rule: str):
 def resolve_w(rule: str, x: int) -> int:
     """Small-prime threshold for scale x.
 
-    auto      exp(log x / (loglog x)^2)   (slowly growing, the default)
-    loglog_sq exp((loglog x)^2)           (wide small-prime window)
+    auto      exp(log x / (loglog x)^2)   (slowly growing, the default:
+                                           6 at x = 1e3, 10 at 1e10)
+    loglog_sq exp((loglog x)^2)           (wide small-prime window:
+                                           987 at x = 1e6, 4858 at 1e8)
     fixed:N   N (N >= 2 enforced at parse time), clamped down to x
     """
     kind, n = _parse_w_rule(rule)

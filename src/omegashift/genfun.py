@@ -175,9 +175,12 @@ class GenFunValue:
     terms: int
 
 
-def _coefficients(J: Plane) -> list[int]:
-    """c_0..c_deg with c_u = sum_v J[v, u] 2^v exact integers and deg the
-    largest omega(n-1, w) attained (0 for an empty level set)."""
+def extract_coefficients(J: Plane) -> list[int]:
+    """Coefficients c_0..c_deg of F_k as exact integer slice masses,
+    c_u = sum_v J[v][u] 2^v, where deg is the largest omega(n-1, w) attained
+    on the level set (at most 9 at desk scale, and always below 16); [0]
+    for an empty level set.  Entries are >= 0 and sum to the weighted mass
+    of J."""
     coeffs = [weighted_mass_at(J, u) for u in range(OMEGA_CAP)]
     degree = max((u for u, c in enumerate(coeffs) if c), default=0)
     return coeffs[: degree + 1]
@@ -194,19 +197,11 @@ def eval_genfun(J: Plane, z: complex | float) -> GenFunValue:
     table that gives the same J gives the identical value.
     """
     _check_z(z)
-    coeffs = _coefficients(J)
+    coeffs = extract_coefficients(J)
     return GenFunValue(
         z=complex(z), value=_polynomial(coeffs, complex(z)),
         weight_total=sum(coeffs), terms=int(sum(map(sum, J))),
     )
-
-
-def extract_coefficients(J: Plane) -> list[int]:
-    """Coefficients c_0..c_deg of F_k as exact integer slice masses, where
-    deg is the largest omega(n-1, w) attained on the level set (at most 9 at
-    desk scale, and always below 32); [0] for an empty level set.  Entries
-    are >= 0 and sum to the weighted mass of J."""
-    return _coefficients(J)
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,7 @@ def characteristic_profile(J: Plane, w: int, t_grid) -> list[ProfilePoint]:
     T = 2.0 * math.log(math.log(w)) if w > 2 else 0.0
     if T <= 0.0:
         raise ValueError(f"w={w} too small: 2*loglog(w) must be positive")
-    coeffs = _coefficients(J)
+    coeffs = extract_coefficients(J)
     total = float(sum(coeffs))
     if total == 0.0:
         raise ValueError("empty level set")

@@ -1,8 +1,8 @@
 /* The two entries of omegashift's inner loops: walk, the sieve's walk over
  * a run of segments, which may fold them into (k, v, u) histograms, and
- * prime_sums, the prime sums of one block of integers.  Built with -O3 and
- * -ffp-contract=off and loaded by kernel.py, which checks every pointer
- * and range before a call.
+ * prime_sums, the prime sums of one block of integers.  Built with
+ * kernel.FLAGS and loaded by kernel.py, which checks every pointer and
+ * range before a call.
  *
  * A walk sieves a worker's whole run of consecutive segments in one call.
  * Each power q of a base prime below the walk's end is one struct power,
@@ -163,7 +163,7 @@ static void flush(int64_t *flat, struct tally *ta)
  *
  * Each block of FOLD_BLOCK positions is two loops.  The first packs the
  * keys into key[] and ORs the bytes into a mask; it has no branch, so
- * GCC vectorizes it at -O3.  The second counts the keys in t, which stays
+ * GCC vectorizes it.  The second counts the keys in t, which stays
  * in L1 beside key[], and only it carries the increments' store-to-load
  * chain.  On one 2^18-position segment at x = 1e8, w = 4858 (2-core Xeon,
  * 48 KB L1d), this took about half the time of one loop that checks,
@@ -233,14 +233,8 @@ static int tally_range(struct tally *ta, int64_t *flat, const uint8_t *om,
  * k << 8 | v << 4 | u: k is the byte of n in om, v that of n - 1 in om,
  * and u that of n - 1 in om for u = -1 and in osms[u] otherwise.  Each
  * range counts into a uint32 tally of its own, flushed every FOLD_FLUSH
- * positions and once at the end.
- *
- * The powers below CHUNK of the primes below SMALL_BOUND run chunk by
- * chunk in phase 1, starting each chunk from its pattern and making the
- * copy-outs of the splits at or below those primes.  Phase 2 adds the
- * other powers over the whole segment and makes the rest of the copy-outs
- * and the cofactor test.  The words are sums, so the order of the adds
- * does not change them. */
+ * positions and once at the end.  The words are sums, so the order of the
+ * adds (the two phases of this file's header) does not change them. */
 int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
              const int64_t *primes, const int64_t *steps, int64_t count,
              const int64_t *starts, int64_t nstarts, const int64_t *bounds, int64_t nbounds,
@@ -387,9 +381,9 @@ static void add_prime(int64_t p, int64_t above, int64_t npow, double *out)
  * of +0.0, and add each term by add_term.  Fast2Sum is exact there: the
  * terms are positive and fall as p rises, so a running sum is never below
  * the next term, and the first add, onto +0.0, is exact.  constants joins
- * the pairs of all blocks with math.fsum.  Built with -ffp-contract=off,
- * each term is the rounded product of the one before and 1.0 / p, and no
- * multiply is fused into an add. */
+ * the pairs of all blocks with math.fsum.  Each term is the rounded
+ * product of the one before and 1.0 / p, and no multiply is fused into an
+ * add (kernel.FLAGS says why). */
 int64_t prime_sums(int64_t lo, int64_t hi, const int64_t *odd_base, int64_t nbase,
                    int64_t above, int64_t npow, double *out)
 {

@@ -1,13 +1,8 @@
 """The sieve's walk over a run of segments and the prime sums of a block,
 the two functions kernel.c exports.  SegmentPass.fill and SegmentPass.tally
 (one walk each) and prime_sums are their one way in, and check every
-argument.
-
-A walk is one C call for a worker's whole run of segments: it carries
-each base-prime power's next multiple from one segment to the next, so a
-segment's fixed cost is one visit per power, with no Python and no
-division (9 us at x = 1e8 on a 2-core Xeon), and segments can be short
-(base.default_segment picks their length).
+argument.  A walk is one C call for a worker's whole run of segments;
+kernel.c's header describes it.
 
 They take plain buffers and load no numpy: any writable 1-d C-contiguous
 buffer of the right item size, checked through memoryview, as bytes ("B"),
@@ -16,13 +11,14 @@ or a numpy array.
 
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
-__pycache__, under a name made from the SHA-256 of the source, the flags
-and the interpreter build, so an edit or a new interpreter gets a new
-file.  It is written to a temporary file and moved into place with
-os.replace, and a cached file that fails to load, or is removed before it
-loads, is rebuilt once.  A build removes the other builds in that directory; a process that
-has one loaded keeps it mapped.  ctypes releases the interpreter lock
-during each call, so threads run the walks in parallel.
+__pycache__, which must then be writable, under a name made from the
+SHA-256 of the source, the flags and the interpreter build, so an edit or
+a new interpreter gets a new file.  It is written to a temporary file and
+moved into place with os.replace, and a cached file that fails to load,
+or is removed before it loads, is rebuilt once.  A build removes the
+other builds in that directory; a process that has one loaded keeps it
+mapped.  ctypes releases the interpreter lock during each call, so
+threads run the walks in parallel.
 """
 
 from __future__ import annotations
@@ -39,9 +35,10 @@ from .base import FOLD_BINS, OMEGA_CAP, sha256
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
-# -O2 leaves the byte copy-outs scalar.  -falign-loops=32 keeps the fold's
-# 20-byte counting loop inside one 64-byte line whatever code comes before
-# it: crossing one, it took 1.7 instead of 1.15 ns per n (2-core Xeon).
+# At -O2, GCC 12 leaves the byte copy-outs scalar.  -falign-loops=32 keeps
+# the fold's 20-byte counting loop inside one 64-byte line whatever code
+# comes before it: crossing one, it took 1.7 instead of 1.15 ns per n
+# (2-core Xeon).
 # -ffp-contract=off keeps each prime-sum term the rounded product that the
 # tests' math.fsum oracle takes, and keeps a fused multiply-add from merging
 # a term's product into its compensated add.
@@ -234,25 +231,27 @@ class SegmentPass:
     power <= 16 (p itself above 16), as a read-only uint16 memoryview;
     period is the lcm of those p^e, and starts holds every lead whose
     period stays <= 2^16 words: 0..5, periods 1, 16, 144, 720, 5040 and
-    55 440, when the primes start 2, 3, 5, 7, 11.  Each start repeats the
-    one before it and adds only the new prime's multiples; passes that lead
-    with the same primes and steps share one tuple of starts.
+    55 440, 122 KB together, when the primes start 2, 3, 5, 7, 11.  Each
+    start repeats the one before it and adds only the new prime's
+    multiples; passes that lead with the same primes and steps share one
+    tuple of starts.
 
     A walk sieves n in [lo, hi) in segments, each in one pass over the
     same uint16 scratch words.  A segment's words start as
     starts[lead][n % period], the largest start its first live split
     allows: lead = min(L, that split), or L without one, for
-    L = len(starts) - 1.  Each prime p = primes[i] adds steps[i] + 1 at
-    each multiple of p and steps[i] at each multiple of every power
-    p^j < hi, but the lead primes only at their powers not dividing the
-    period.  After primes[:splits[s]] the low byte is copied into osms[s].
-    Last, om gets the low byte, plus 1 where the word is below bounds[b],
-    the cofactor test's threshold for the octave [2^b, 2^(b+1)) that holds
-    n (see sieve.segment_pass); each bound is in [0, 2^16), and 0 adds
-    nothing.  With bounds the walk must lie in [1, 2^len(bounds)); with
-    none, om is the low byte alone and lo may be 0.  hi <= 2^40 + 1 keeps
-    the powers in int64.  The order of kernel.c's adds does not change the
-    words, and the segment length changes no byte.
+    L = len(starts) - 1, so a w below 11 leads with the primes up to w.
+    Each prime p = primes[i] adds steps[i] + 1 at each multiple of p and
+    steps[i] at each multiple of every power p^j < hi, but the lead primes
+    only at their powers not dividing the period.  After primes[:splits[s]]
+    the low byte is copied into osms[s].  Last, om gets the low byte, plus
+    1 where the word is below bounds[b], the cofactor test's threshold for
+    the octave [2^b, 2^(b+1)) that holds n (see sieve.segment_pass); each
+    bound is in [0, 2^16), and 0 adds nothing.  With bounds the walk must
+    lie in [1, 2^len(bounds)); with none, om is the low byte alone and lo
+    may be 0.  hi <= 2^40 + 1 keeps the powers in int64.  The order of
+    kernel.c's adds does not change the words, and the segment length
+    changes no byte.
     """
 
     def __init__(self, primes, steps, bounds=()):

@@ -205,6 +205,19 @@ def test_cli_run_rejects_bad_config_input(tmp_path, capsys, line, message):
     assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no report
 
 
+def test_an_empty_output_dir_is_rejected_before_any_sieving(tmp_path, monkeypatch, capsys):
+    text = f"x_list = 100000\nk_list = 2\noutput_dir =\ncache_dir = {tmp_path / 'cache'}\n"
+    with pytest.raises(ValueError, match="output_dir"):
+        parse_config(text)
+    monkeypatch.setattr("omegashift.sieve.grid_histograms",
+                        lambda *args, **kwargs: pytest.fail("sieved"))
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: output_dir is empty: the reports need a directory\n"
+    assert list(tmp_path.iterdir()) == [cfg]  # no histogram, no prime sums, no report
+
+
 @pytest.mark.parametrize(
     "key, value, reason",
     [
