@@ -1,6 +1,11 @@
 """What the layers share: the level histogram's shape, the package's
-SHA-256, the one prime sieve in plain Python, the sieve's parameter checks
-and verify's scales.
+SHA-256, the one prime sieve in plain Python, the sieve's parameter checks,
+verify's scales and the _make of a record that checks its fields.
+
+Every record of the package is a collections.namedtuple subclass with
+__slots__ = (): immutable, equal and hashed by value, and built without
+the dataclasses module, which would load inspect, ast and dis into every
+process, about 1 MB of peak RSS on CPython 3.11.
 
 A warm run reads each H from its cache and computes every report row from
 it; this module holds what that path needs of the sieve, the kernel and
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # The one SHA-256 of the package (the kernel library's name, the cache files,
 # the report's digests and name): CPython's built-in module, _sha256 up to
@@ -70,8 +75,14 @@ def default_segment(x_max: int) -> int:
     return 1 << min(max((4 * math.isqrt(x_max)).bit_length(), 16), 18)
 
 
-@dataclass(frozen=True)
-class SieveConfig:
+def checked_make(cls, iterable):
+    """_make of a record that checks its fields in __new__: namedtuple's
+    _replace builds through _make, which would skip them."""
+    return cls(*iterable)
+
+
+class SieveConfig(namedtuple("SieveConfig", "x_max w segment_length threads",
+                             defaults=(None, 1))):
     """Parameters of one table build.
 
     x_max : largest argument tabulated (inclusive), 2 <= x_max <= 2**40
@@ -83,12 +94,10 @@ class SieveConfig:
         (disjoint output slices, so the result is independent of the count)
     """
 
-    x_max: int
-    w: int
-    segment_length: int | None = None
-    threads: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (2 <= self.x_max <= X_MAX_CEILING):
             raise ValueError(f"x_max={self.x_max} outside [2, 2^40]")
         if not (2 <= self.w <= self.x_max):
@@ -100,3 +109,6 @@ class SieveConfig:
             raise ValueError("segment_length < 1024")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"threads={self.threads} outside [1, {MAX_THREADS}]")
+        return self
+
+    _make = classmethod(checked_make)

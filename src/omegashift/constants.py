@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .base import primes_up_to
@@ -78,14 +78,12 @@ class PoleError(ValueError):
     """Evaluation point within 1e-6 of a pole of the product."""
 
 
-@dataclass(frozen=True)
-class EulerProductResult:
-    """Truncated product value plus a rigorous bound on |log full - log truncated|."""
+class EulerProductResult(namedtuple("EulerProductResult",
+                                    "value truncation_prime tail_bound primes_used")):
+    """Truncated product value (complex or float) plus a rigorous bound on
+    |log full - log truncated|."""
 
-    value: complex | float
-    truncation_prime: int
-    tail_bound: float
-    primes_used: int
+    __slots__ = ()
 
 
 def level_ratio(k: int, x: float) -> float:

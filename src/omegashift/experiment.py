@@ -26,10 +26,10 @@ import os
 import struct
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 from . import __version__
-from .base import FOLD_BINS, OMEGA_CAP, SieveConfig, sha256
+from .base import FOLD_BINS, OMEGA_CAP, SieveConfig, checked_make, sha256
 from .constants import (
     DEFAULT_TRUNCATION,
     MIN_TRUNCATION,
@@ -57,20 +57,14 @@ from .stats import (
 )
 
 
-@dataclass(frozen=True)
-class PredictionReport:
-    """One empirical-vs-theoretical comparison row."""
+class PredictionReport(namedtuple(
+        "PredictionReport",
+        "statistic x k w param empirical theoretical rel_dev error_scale runtime_ms")):
+    """One empirical-vs-theoretical comparison row: statistic, x and the
+    level k, threshold w and parameter of the row (each None where the row
+    has none), then floats."""
 
-    statistic: str
-    x: int
-    k: int | None
-    w: int | None
-    param: float | None
-    empirical: float
-    theoretical: float
-    rel_dev: float
-    error_scale: float
-    runtime_ms: float
+    __slots__ = ()
 
 
 def make_report(
@@ -85,26 +79,49 @@ def make_report(
     )
 
 
-_COLUMNS = [f.name for f in fields(PredictionReport)]
+_COLUMNS = PredictionReport._fields
 CSV_HEADER = ",".join(_COLUMNS)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    x_list: tuple[int, ...]
-    k_list: tuple[int, ...]
-    w_rule: str = "auto"
-    y_grid: tuple[float, ...] = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    ell_max: int = -1
-    moments: tuple[int, ...] = ()
-    truncation_prime: int = DEFAULT_TRUNCATION
-    output_dir: str = "reports"
-    cache_dir: str = ""
-    threads: int = 1
-    baseline: bool = False
-    large_factor_c: float = -1.0
+def _numbers(kind):
+    return lambda val: tuple(kind(v) for v in val.replace(",", " ").split())
 
-    def __post_init__(self):
+
+def _boolean(val: str) -> bool:
+    if val.lower() not in ("true", "1", "false", "0"):
+        raise ValueError("bad boolean (expected true, false, 1 or 0)")
+    return val.lower() in ("true", "1")
+
+
+# Each key of the config format, in ExperimentConfig's field order: its
+# parser and, after the two required keys, its default.
+_KEYS = (
+    ("x_list", _numbers(int)),
+    ("k_list", _numbers(int)),
+    ("w_rule", str, "auto"),
+    ("y_grid", _numbers(float), (-2.0, -1.0, 0.0, 1.0, 2.0)),
+    ("ell_max", int, -1),
+    ("moments", _numbers(int), ()),
+    ("truncation_prime", int, DEFAULT_TRUNCATION),
+    ("output_dir", str, "reports"),
+    ("cache_dir", str, ""),
+    ("threads", int, 1),
+    ("baseline", _boolean, False),
+    ("large_factor_c", float, -1.0),
+)
+_PARSERS = {key: parse for key, parse, *_ in _KEYS}
+
+
+class ExperimentConfig(namedtuple("ExperimentConfig", [key for key, *_ in _KEYS],
+                                  defaults=[entry[2] for entry in _KEYS if len(entry) > 2])):
+    """One run: the x and k grids, the w rule, which rows the report holds,
+    where the run reads and writes, and on how many threads.  Each field is
+    a key of the config format, parsed and defaulted as _KEYS says."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.x_list:
             raise ValueError("x_list is empty")
         if not self.k_list:
@@ -147,6 +164,9 @@ class ExperimentConfig:
             raise ValueError(f"y_grid {self.y_grid} holds a non-finite value")
         if not math.isfinite(self.large_factor_c):
             raise ValueError(f"large_factor_c={self.large_factor_c} is not finite")
+        return self
+
+    _make = classmethod(checked_make)
 
 
 def _parse_w_rule(rule: str):
@@ -183,29 +203,6 @@ def resolve_w(rule: str, x: int) -> int:
     return max(2, min(int(round(w)), x))
 
 
-def _numbers(kind):
-    return lambda val: tuple(kind(v) for v in val.replace(",", " ").split())
-
-
-def _boolean(val: str) -> bool:
-    if val.lower() not in ("true", "1", "false", "0"):
-        raise ValueError("bad boolean (expected true, false, 1 or 0)")
-    return val.lower() in ("true", "1")
-
-
-_TYPE_PARSERS = {
-    "tuple[int, ...]": _numbers(int),
-    "tuple[float, ...]": _numbers(float),
-    "int": int,
-    "float": float,
-    "bool": _boolean,
-    "str": str,
-}
-# Each key's parser from its field's annotation; a field of a type with no
-# parser fails here, at import.
-_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value format ('#' starts a comment)."""
     values: dict = {}
@@ -239,7 +236,7 @@ def config_hash(config: ExperimentConfig) -> str:
     """12 hex digits of the SHA-256 of the fields that change a report row."""
     canon = "\n".join(
         f"{k}={getattr(config, k)!r}"
-        for k in sorted(ExperimentConfig.__dataclass_fields__)
+        for k in sorted(ExperimentConfig._fields)
         if k not in _UNHASHED
     )
     return sha256(canon.encode()).hexdigest()[:12]
@@ -406,11 +403,14 @@ def _cache_prime_sums(config: ExperimentConfig) -> None:
         save_prime_sums(prime_sums(P), path, P)
 
 
-@dataclass
-class ExperimentResult:
-    csv_path: str
-    json_path: str
-    rows: list[PredictionReport] = field(default_factory=list)
+class ExperimentResult(namedtuple("ExperimentResult", "csv_path json_path rows")):
+    """Where run_experiment wrote its reports, and their rows, a list of
+    PredictionReport (a new empty list by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, csv_path, json_path, rows=None):
+        return super().__new__(cls, csv_path, json_path, [] if rows is None else rows)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -482,7 +482,7 @@ def _cell(v) -> str:
 
 
 def _write_csv(path: str, rows: list[PredictionReport]) -> None:
-    lines = [CSV_HEADER] + [",".join(_cell(getattr(r, c)) for c in _COLUMNS) for r in rows]
+    lines = [CSV_HEADER] + [",".join(map(_cell, r)) for r in rows]
     write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -500,6 +500,6 @@ def _write_json(path, rows, config: ExperimentConfig, tag: str, hists: dict) -> 
                 for (x, w), H in sorted(hists.items())
             ],
         },
-        "rows": [{c: getattr(r, c) for c in _COLUMNS} for r in rows],
+        "rows": [r._asdict() for r in rows],
     }
     write_atomic(path, (json.dumps(doc, indent=1) + "\n").encode())

@@ -27,26 +27,28 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .base import OMEGA_CAP
+from .base import OMEGA_CAP, checked_make
 from .constants import _check_z
 from .primes import factor_table, factorize
 from .sieve import SieveConfig, build_omega_table
 from .stats import Plane, weighted_mass_at
 
 
-@dataclass(frozen=True)
-class WeightKernel:
+class WeightKernel(namedtuple("WeightKernel", "w z")):
     """Kernel parameters: small-prime threshold w >= 2 and tilt point |z| <= 4."""
 
-    w: int
-    z: complex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.w < 2:
             raise ValueError("w < 2")
         _check_z(self.z)
+        return self
+
+    _make = classmethod(checked_make)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -165,14 +167,12 @@ def phi_weighted_kernel(ell: int, kernel: WeightKernel) -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class GenFunValue:
-    """One evaluation of the weighted generating function."""
+class GenFunValue(namedtuple("GenFunValue", "z value weight_total terms")):
+    """One evaluation of the weighted generating function at z: value is
+    F_k(z), weight_total its unweighted-by-z mass, which bounds |value| at
+    |z| <= 1, and terms the number of n in the level set."""
 
-    z: complex
-    value: complex
-    weight_total: int  # unweighted-by-z mass, bounds |value| at |z| <= 1
-    terms: int
+    __slots__ = ()
 
 
 def extract_coefficients(J: Plane) -> list[int]:
@@ -204,11 +204,10 @@ def eval_genfun(J: Plane, z: complex | float) -> GenFunValue:
     )
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
-    t: float
-    psi: complex
-    gaussian_gap: float  # |psi - exp(-t^2/2)|
+class ProfilePoint(namedtuple("ProfilePoint", "t psi gaussian_gap")):
+    """psi(t) of characteristic_profile, and gaussian_gap = |psi - exp(-t^2/2)|."""
+
+    __slots__ = ()
 
 
 def characteristic_profile(J: Plane, w: int, t_grid) -> list[ProfilePoint]:

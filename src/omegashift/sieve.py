@@ -39,7 +39,7 @@ import math
 import operator
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import kernel
 from .base import (
@@ -85,17 +85,17 @@ if _log_gap(LOG_TEST_MIN_X) <= 1:
     raise RuntimeError("log test does not separate its bands at LOG_TEST_MIN_X")
 
 
-@dataclass
-class OmegaTable:
+class OmegaTable(namedtuple("OmegaTable", "x_max w omega omega_small")):
     """Byte tables of factor counts, indexed directly by n (entries 0,1 unused),
     as writable memoryviews of format "B" of x_max + 1 bytes from
     kernel.zeroed.  At w = x_max, omega_small is omega, one buffer.
-    Tables are equal when x_max, w and both tables' bytes are."""
+    Tables are equal when x_max, w and both tables' bytes are (memoryviews
+    compare by content); the repr leaves the tables out."""
 
-    x_max: int
-    w: int
-    omega: memoryview = field(repr=False)
-    omega_small: memoryview = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"OmegaTable(x_max={self.x_max!r}, w={self.w!r})"
 
 
 def segment_pass(x_max: int, ws=()) -> kernel.SegmentPass:

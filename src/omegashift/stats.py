@@ -21,10 +21,10 @@ for every sieve segmentation and thread count.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .base import OMEGA_CAP
+from .base import OMEGA_CAP, checked_make
 from .constants import (
     DEFAULT_TRUNCATION,
     level_ratio,
@@ -50,18 +50,20 @@ def logloglog(x: float) -> float:
     return math.log(math.log(math.log(x)))
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
+class ThresholdSpec(namedtuple("ThresholdSpec", "center scale")):
     """Affine threshold center + y * scale for a counting statistic."""
 
-    center: float
-    scale: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.center) and math.isfinite(self.scale)):
             raise ValueError("non-finite threshold")
         if self.scale <= 0:
             raise ValueError("scale <= 0")
+        return self
+
+    _make = classmethod(checked_make)
 
 
 def gaussian_spec(x: int) -> ThresholdSpec:

@@ -21,8 +21,8 @@ import itertools
 import math
 import operator
 import time
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 
 from . import genfun
 from .base import FULL_SCALES, OMEGA_CAP, primes_up_to
@@ -58,21 +58,18 @@ W_GRID = (2, 10, 97)
 TREND_K = 2  # the level whose plane the trend gates read
 
 
-@dataclass
-class CheckResult:
-    """One check's outcome.  seconds is the check's own wall time; the first
-    full-level check's includes the shared grid pass."""
+class CheckResult(namedtuple("CheckResult", "name status detail seconds")):
+    """One check's outcome: status is PASS, FAIL or WARN, and seconds the
+    check's own wall time; the first full-level check's includes the shared
+    grid pass."""
 
-    name: str
-    status: str  # PASS | FAIL | WARN
-    detail: str
-    seconds: float
+    __slots__ = ()
 
 
-@dataclass
-class VerifySummary:
-    level: str
-    results: list[CheckResult]
+class VerifySummary(namedtuple("VerifySummary", "level results")):
+    """The level run and the list of its CheckResults, in battery order."""
+
+    __slots__ = ()
 
     @property
     def failures(self) -> int:
@@ -86,7 +83,7 @@ class VerifySummary:
         """One object per check plus the summary counts, for verify --json."""
         return {
             "level": self.level,
-            "checks": [asdict(r) for r in self.results],
+            "checks": [r._asdict() for r in self.results],
             "summary": {
                 "checks": len(self.results),
                 "failures": self.failures,
@@ -512,14 +509,11 @@ def _psi_trend(planes):
     return ok, "psi gap " + "; ".join(f"t={t}: {g[0]:.4f}->{g[-1]:.4f}" for t, g in gaps.items())
 
 
-@dataclass(frozen=True)
-class TrendGate:
+class TrendGate(namedtuple("TrendGate", "label check predicate")):
     """An acceptance criterion's label, the full-level check it belongs to, and
     predicate(planes) -> (ok, detail), which holds the gate's bounds and inputs."""
 
-    label: str
-    check: str
-    predicate: Callable[[dict], tuple[bool, str]]
+    __slots__ = ()
 
 
 # The only definition of the trend gates.  verify --level full ANDs each

@@ -1,4 +1,4 @@
-"""The package's public names, and where it may import numpy."""
+"""The package's public names, and the modules it never imports."""
 
 import ast
 import inspect
@@ -6,7 +6,16 @@ import pkgutil
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import omegashift
+from omegashift.base import SieveConfig
+from omegashift.constants import EulerProductResult
+from omegashift.experiment import ExperimentConfig, ExperimentResult, PredictionReport
+from omegashift.genfun import GenFunValue, ProfilePoint, WeightKernel
+from omegashift.sieve import OmegaTable
+from omegashift.stats import ThresholdSpec
+from omegashift.verify import TREND_GATES, CheckResult, TrendGate, VerifySummary
 
 # Names removed from the package, with the table route to H, the table
 # cache, the thread override, the uncalled second derivative, the Python
@@ -115,8 +124,9 @@ def test_trimmed_signatures():
     assert list(inspect.signature(omegashift.level_ratio).parameters) == ["k", "x"]
 
 
-def _numpy_imports(tree):
-    """(enclosing function names, line) of each import of numpy in tree."""
+def _imports_of(tree, module):
+    """(enclosing function names, line) of each import of module, or of one of
+    its submodules, in tree."""
     found = []
 
     def visit(node, scope):
@@ -127,7 +137,7 @@ def _numpy_imports(tree):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names = [node.module or ""]
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        if any(name == module or name.startswith(f"{module}.") for name in names):
             found.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -136,15 +146,84 @@ def _numpy_imports(tree):
     return found
 
 
-def test_the_package_imports_no_numpy():
-    # numpy is a test-only dependency: no module of the package imports it,
-    # at module level or inside a function.
+# numpy is a test-only dependency.  dataclasses would load inspect, ast and
+# dis, about 1 MB of a process's peak RSS: the records are namedtuples.
+# typing costs more still where the interpreter has not loaded it at start.
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "typing"])
+def test_the_package_never_imports(module):
+    # no module of the package imports it, at module level or inside a function
     src = Path(omegashift.__file__).parent
     found = [
         (path.name, scope, line)
         for path in sorted(src.glob("*.py"))
-        for scope, line in _numpy_imports(ast.parse(path.read_text(), str(path)))
+        for scope, line in _imports_of(ast.parse(path.read_text(), str(path)), module)
     ]
     assert found == []
-    assert _numpy_imports(ast.parse("import numpy.linalg as la\nfrom numpy import log1p\n")) == [
-        ((), 1), ((), 2)]
+    tree = ast.parse(f"import {module}.x as la\nfrom {module} import y\nimport {module}z\n"
+                     f"def f():\n    from {module}.x import y\n")
+    assert _imports_of(tree, module) == [((), 1), ((), 2), (("f",), 5)]
+
+
+def _check():
+    return CheckResult(name="partition", status="PASS", detail="ok", seconds=0.25)
+
+
+# Each record type of the package, by name: each call builds a new instance,
+# with new buffers and lists, from equal values.
+RECORDS = {
+    "SieveConfig": lambda: SieveConfig(x_max=1000, w=10, threads=2),
+    "EulerProductResult": lambda: EulerProductResult(
+        value=0.5 + 0.25j, truncation_prime=1000, tail_bound=1e-9, primes_used=168),
+    "ThresholdSpec": lambda: ThresholdSpec(center=1.5, scale=2.0),
+    "WeightKernel": lambda: WeightKernel(w=10, z=0.5 + 0.5j),
+    "GenFunValue": lambda: GenFunValue(z=1j, value=2 + 1j, weight_total=7, terms=3),
+    "ProfilePoint": lambda: ProfilePoint(t=0.5, psi=0.75 + 0.125j, gaussian_gap=0.0625),
+    "OmegaTable": lambda: OmegaTable(x_max=10, w=3, omega=memoryview(bytearray(b"\0\0\1\1\1")),
+                                     omega_small=memoryview(bytearray(b"\0\0\1\1\0"))),
+    "PredictionReport": lambda: PredictionReport(
+        statistic="weighted_total", x=10_000, k=2, w=None, param=None, empirical=3.0,
+        theoretical=2.0, rel_dev=0.5, error_scale=0.25, runtime_ms=0.125),
+    "ExperimentConfig": lambda: ExperimentConfig(x_list=(10_000,), k_list=(2,)),
+    "ExperimentResult": lambda: ExperimentResult(csv_path="r.csv", json_path="r.json",
+                                                 rows=[]),
+    "CheckResult": _check,
+    "VerifySummary": lambda: VerifySummary(level="fast", results=[_check()]),
+    "TrendGate": lambda: TrendGate("6a", "ks_trend", TREND_GATES[0].predicate),
+}
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except (TypeError, ValueError):  # a list; a writable memoryview
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_frozen_values_with_a_named_repr(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b  # by value, with buffers and lists by content
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1  # __slots__ = (): no instance dict
+    if all(map(_hashable, a)):
+        assert hash(a) == hash(b)
+    shown = [field for field in a._fields if f"{field}=" in repr(a)]
+    assert repr(a).startswith(f"{name}(")
+    assert shown == (["x_max", "w"] if name == "OmegaTable" else list(a._fields))
+
+
+def test_replace_checks_a_record_as_a_new_one_is():
+    assert SieveConfig(1000, 10)._replace(threads=2) == SieveConfig(1000, 10, threads=2)
+    with pytest.raises(ValueError, match="threads=0"):
+        SieveConfig(1000, 10)._replace(threads=0)
+    with pytest.raises(ValueError, match="scale <= 0"):
+        ThresholdSpec(0.0, 1.0)._replace(scale=0.0)
+    with pytest.raises(ValueError, match="w < 2"):
+        WeightKernel(10, 1.0)._replace(w=1)
+    with pytest.raises(ValueError, match="x_list is empty"):
+        ExperimentConfig((10_000,), (2,))._replace(x_list=())

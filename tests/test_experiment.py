@@ -1,7 +1,6 @@
 """Experiment runner, config parsing, report determinism, CLI, verify battery."""
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -76,7 +75,7 @@ def test_parse_config_happy_path():
     assert cfg.large_factor_c == 4.0
 
 
-def test_parse_config_defaults_are_the_dataclass_defaults():
+def test_parse_config_defaults_are_the_record_defaults():
     cfg = parse_config("x_list = 10000 100000\nk_list = 2 3")
     assert cfg == ExperimentConfig(x_list=(10000, 100000), k_list=(2, 3))
 
@@ -90,7 +89,7 @@ def test_parse_config_reads_every_field():
         "cache_dir = cache\nthreads = 3\nbaseline = 1\nlarge_factor_c = 4.5\n"
     )
     names = [line.partition(" =")[0] for line in text.splitlines()]
-    assert names == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert names == list(ExperimentConfig._fields)
     want = ExperimentConfig(
         x_list=(10000, 100000), k_list=(2, 3), w_rule="fixed:50", y_grid=(-1.5, 0.0, 2.0),
         ell_max=4, moments=(2, 4), truncation_prime=100000, output_dir="out",
@@ -266,10 +265,10 @@ def test_config_hash_is_stable_and_sensitive(tmp_path):
     hashed = {"x_list": (10**4, 10**5), "k_list": (3,), "w_rule": "fixed:51",
               "y_grid": (1.0,), "ell_max": 2, "moments": (4,), "truncation_prime": 20_000,
               "baseline": False, "large_factor_c": 3.0}
-    assert {*unhashed, *hashed} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {*unhashed, *hashed} == set(ExperimentConfig._fields)
     for key, value in unhashed.items():
-        assert config_hash(dataclasses.replace(base, **{key: value})) == config_hash(base), key
-    others = {config_hash(dataclasses.replace(base, **{key: value}))
+        assert config_hash(base._replace(**{key: value})) == config_hash(base), key
+    others = {config_hash(base._replace(**{key: value}))
               for key, value in hashed.items()}
     assert len(others) == len(hashed) and config_hash(base) not in others
 
@@ -587,17 +586,19 @@ print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in paylo
     assert (tmp_path / "cache" / "hist_x10000_w50.bin").exists()
 
 
-def test_a_warm_run_imports_no_numpy(tmp_path):
+def test_no_command_loads_numpy_dataclasses_or_inspect(tmp_path):
     """`omegashift constants` at a real and at a complex z, a cold and then
     a warm `python -m omegashift.cli run`, `verify --level fast` and `sieve`,
-    each in a child process: at the exit of each, numpy is not loaded; the
+    each in a child process: at the exit of each, neither numpy nor
+    dataclasses nor inspect is loaded (the records are namedtuples); the
     warm run has run none of the sieve, kernel, prime, genfun or verify
     modules (the package binds each lazily, and a lazy module that never ran
     is not a plain ModuleType), the cold run only the sieve and the kernel,
     constants only the kernel, for its prime sums, at either z, and sieve
     only the sieve and the kernel; the warm run's report equals the cold
     one's but for runtime_ms.  Importing the package and its command line
-    loads no numpy either, and every name of __all__ still resolves."""
+    loads none of the three either, and every name of __all__ still
+    resolves."""
     config = (
         "x_list = 10000 100000\nk_list = 1 2 3\nw_rule = loglog_sq\nell_max = 4\n"
         "moments = 2 4\nbaseline = true\nlarge_factor_c = 4.0\n"
@@ -605,11 +606,12 @@ def test_a_warm_run_imports_no_numpy(tmp_path):
     )
     heavy = ("omegashift.sieve", "omegashift.kernel", "omegashift.primes",
              "omegashift.genfun", "omegashift.verify")
+    unwanted = ("numpy", "dataclasses", "inspect")
     probe = f"""
 import atexit, runpy, sys, types
 def loaded():
     ran = [m for m in {heavy!r} if type(sys.modules.get(m)) is types.ModuleType]
-    print("numpy" in sys.modules, ran)
+    print([m for m in {unwanted!r} if m in sys.modules], ran)
 atexit.register(loaded)
 sys.argv = ["omegashift", *sys.argv[1:]]
 runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
@@ -619,7 +621,7 @@ runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
         done = subprocess.run([sys.executable, "-c", probe, "constants", *z],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False ['omegashift.kernel']", z
+        assert done.stdout.splitlines()[-1] == "[] ['omegashift.kernel']", z
     reports = {}
     for phase in ("cold", "warm"):
         cfg = tmp_path / f"{phase}.cfg"
@@ -631,18 +633,18 @@ runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
         assert done.returncode == 0, done.stderr
         reports[phase] = done.stdout.splitlines()[-1]
     # the cold run sieved and summed its primes in the kernel, without numpy
-    assert reports["cold"] == "False ['omegashift.sieve', 'omegashift.kernel']"
-    assert reports["warm"] == "False []"
+    assert reports["cold"] == "[] ['omegashift.sieve', 'omegashift.kernel']"
+    assert reports["warm"] == "[] []"
     done = subprocess.run([sys.executable, "-c", probe, "verify", "--level", "fast"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-2] == "fast: 15 checks, 0 failed, 0 warnings"
-    assert done.stdout.splitlines()[-1] == f"False {list(heavy)!r}"
+    assert done.stdout.splitlines()[-1] == f"[] {list(heavy)!r}"
     done = subprocess.run([sys.executable, "-c", probe, "sieve", "--x", "100000", "--w", "10"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0].startswith("built table: x=100000 w=10 max_omega=6 ")
-    assert done.stdout.splitlines()[-1] == "False ['omegashift.sieve', 'omegashift.kernel']"
+    assert done.stdout.splitlines()[-1] == "[] ['omegashift.sieve', 'omegashift.kernel']"
     (cold_csv,), (warm_csv,) = ((tmp_path / p).glob("*.csv") for p in ("cold", "warm"))
     assert _strip_runtime(warm_csv) == _strip_runtime(cold_csv)
     (cold_json,), (warm_json,) = ((tmp_path / p).glob("*.json") for p in ("cold", "warm"))
@@ -651,17 +653,17 @@ runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
         for row in doc["rows"]:
             row.pop("runtime_ms")
     assert docs[0] == docs[1]
-    imports = """
+    imports = f"""
 import sys
 import omegashift
 import omegashift.cli
-print("numpy" in sys.modules)
+print([m for m in {unwanted!r} if m in sys.modules])
 print(all(hasattr(omegashift, n) for n in omegashift.__all__))
 """
     done = subprocess.run([sys.executable, "-c", imports], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.splitlines() == ["[]", "True"]
 
 
 def _strip_runtime(path):
