@@ -1,4 +1,4 @@
-"""What the layers share: the level histogram's shape, the package's
+"""What the layers share: the level histogram's shape and layout, the package's
 SHA-256, the one prime sieve in plain Python, the sieve's parameter checks,
 verify's scales and the _make of a record that checks its fields.
 
@@ -43,6 +43,15 @@ W_CEILING = 1_048_583  # smallest prime above kernel.SegmentPass's 2^20 base-pri
 MAX_THREADS = 256
 
 FULL_SCALES = (100_000, 1_000_000, 10_000_000, 100_000_000)  # verify's full battery's x
+
+
+def nested_histogram(flat) -> list[list[list[int]]]:
+    """H[k][v][u] as nested lists of ints from its FOLD_BINS counts in C
+    order, at (k * OMEGA_CAP + v) * OMEGA_CAP + u, as kernel.c's fold and
+    the cache files lay it out."""
+    n = OMEGA_CAP
+    return [[list(flat[i : i + n]) for i in range(j, j + n * n, n)]
+            for j in range(0, FOLD_BINS, n * n)]
 
 
 def primes_up_to(limit: int) -> list[int]:

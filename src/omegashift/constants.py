@@ -140,7 +140,7 @@ def _prime_sums(P: int) -> PrimeSums:
     """
     from . import kernel
 
-    odd_base = kernel.int64_buffer(primes_up_to(math.isqrt(P))[1:])
+    odd_base = primes_up_to(math.isqrt(P))[1:]
     count = 0
     inv_sq_parts: list[float] = []
     power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]

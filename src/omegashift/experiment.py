@@ -29,7 +29,7 @@ import time
 from collections import namedtuple
 
 from . import __version__
-from .base import FOLD_BINS, OMEGA_CAP, SieveConfig, checked_make, sha256
+from .base import FOLD_BINS, OMEGA_CAP, SieveConfig, checked_make, nested_histogram, sha256
 from .constants import (
     DEFAULT_TRUNCATION,
     MIN_TRUNCATION,
@@ -337,10 +337,8 @@ def load_histogram(path: str, x: int, w: int) -> list[list[list[int]]]:
     or long file, another magic, version, x or w, or a payload that does not
     match its digest raises CacheMismatchError."""
     key = {"magic": HIST_MAGIC, "version": HIST_VERSION, "x": x, "w": w}
-    counts = _HIST_PAYLOAD.unpack(_read_cache(path, _HEADER, key, _HIST_PAYLOAD.size))
-    n = OMEGA_CAP
-    return [[list(counts[(k * n + v) * n : (k * n + v + 1) * n]) for v in range(n)]
-            for k in range(n)]
+    return nested_histogram(
+        _HIST_PAYLOAD.unpack(_read_cache(path, _HEADER, key, _HIST_PAYLOAD.size)))
 
 
 def prime_sums_path(cache_dir: str, P: int) -> str:

@@ -17,6 +17,12 @@
  * splits' copy-outs and the octave cofactor test.  Last, the walk may fold
  * the segment's bytes into counts for each of its ranges.
  *
+ * The pattern is one period of the words that the segment's leading
+ * primes add: the walk builds it, whenever a segment's lead changes, from
+ * those primes' own powers that divide the period (the off powers, which
+ * then add nothing more), so it holds exactly the adds that the walk
+ * skips.
+ *
  * The fold works in L1-sized blocks: it packs FOLD_BLOCK positions' keys
  * at a time, checking their bytes, then counts them in a uint32 table that
  * it adds into the caller's int64 counts every FOLD_FLUSH positions and at
@@ -36,6 +42,9 @@
  * segment.  In the same measurement 1024 and 4096 took 1.92 and 1.95 ns
  * per n. */
 #define SMALL_BOUND 2048
+
+/* The most words a pre-sieve pattern's period may take, 128 KB. */
+#define MAX_PERIOD 65536
 
 /* A prime's first power is the only one whose add reaches the low byte
  * (the others add a step, whose low byte is 0), so with every prime of
@@ -109,6 +118,21 @@ static struct power *put_powers(struct power *pw, int64_t i, int64_t p, int64_t 
             *pw++ = (struct power){q, (q - lo % q) % q, (int32_t)i,
                                    (uint16_t)(q == p ? step + 1 : step), 0};
     return pw;
+}
+
+/* The period of a pattern of period `period` once it also holds p: the
+ * lcm of period and p's largest power <= 16, or p itself above 16. */
+static int64_t lead_period(int64_t period, int64_t p)
+{
+    int64_t top = p, a = period, b;
+    while (top * p <= 16)
+        top *= p;
+    for (b = top; b;) { /* a = gcd(period, top) */
+        const int64_t r = a % b;
+        a = b;
+        b = r;
+    }
+    return period / a * top;
 }
 
 /* cell[j] = pattern[(lo + j) % period] for start <= j < stop. */
@@ -212,17 +236,17 @@ static int tally_range(struct tally *ta, int64_t *flat, const uint8_t *om,
  *
  * Each prime p = primes[i] adds steps[i] + 1 at each multiple of p and
  * steps[i] at each multiple of each power p^j < hi.  A segment's cell
- * starts as a pre-sieve pattern: starts[2 l] is the address of the
- * uint16 words of n = 0..period - 1 sieved by the l leading primes, at
- * their powers dividing period = starts[2 l + 1], for each l < nstarts,
- * and those powers add nothing more here (kernel.py's SegmentPass builds
- * the starts).  After the primes primes[0..splits[s]) the low byte is
- * copied into the bytes at the address osms[s], for each s < nsplits in
- * turn; a split is live in a segment that starts below untils[s], and
- * a segment takes the pattern of the largest l <= its first live split.
- * Last, om gets the low byte, plus 1 where the word is below bounds[b],
- * the cofactor test's bound for the octave [2^b, 2^(b + 1)) that holds
- * n; with nbounds == 0, om gets the low byte alone.
+ * starts as the pre-sieve pattern of its lead l, the words of n in
+ * [0, period) sieved by the l leading primes at those of their powers
+ * below hi that divide period, the lead_period of the l primes; those
+ * powers add nothing more.  The leads are the l whose period is at most
+ * MAX_PERIOD, and a segment's lead is the largest one <= its first live
+ * split.  After the primes primes[0..splits[s]) the low byte is copied
+ * into the bytes at the address osms[s], for each s < nsplits in turn; a
+ * split is live in a segment that starts below untils[s].  Last, om gets
+ * the low byte, plus 1 where the word is below bounds[b], the cofactor
+ * test's bound for the octave [2^b, 2^(b + 1)) that holds n; with
+ * nbounds == 0, om gets the low byte alone.
  *
  * With carry == 0, om and each osm hold the byte of n at n - lo.  With
  * carry == 1 they hold seglen + 1 bytes: the byte of a segment's n at
@@ -237,23 +261,28 @@ static int tally_range(struct tally *ta, int64_t *flat, const uint8_t *om,
  * adds (the two phases of this file's header) does not change them. */
 int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
              const int64_t *primes, const int64_t *steps, int64_t count,
-             const int64_t *starts, int64_t nstarts, const int64_t *bounds, int64_t nbounds,
+             const int64_t *bounds, int64_t nbounds,
              const int64_t *osms, const int64_t *splits, const int64_t *untils, int64_t nsplits,
              uint8_t *om, int64_t carry, const int64_t *ranges, int64_t nranges,
              int64_t *counts)
 {
-    int64_t npow = 0, nsmall = 0, nearly = 0;
+    int64_t npow = 0, nsmall = 0, nearly = 0, nlead = 0, widest = 1;
     for (int64_t i = 0; i < count; i++)
         npow += count_powers(primes[i], hi);
     while (nsmall < count && primes[nsmall] < SMALL_BOUND)
         nsmall++;
     while (nearly < nsplits && splits[nearly] <= nsmall)
         nearly++; /* the splits that phase 1 copies out */
+    for (int64_t next; nlead < count && (next = lead_period(widest, primes[nlead])) <= MAX_PERIOD;
+         nlead++)
+        widest = next; /* the largest lead, and its period */
     struct power *pw = malloc((size_t)npow * sizeof *pw + 1);
     struct tally *tallies = calloc((size_t)nranges + 1, sizeof *tallies);
-    if (!pw || !tallies) {
+    uint16_t *pattern = malloc((size_t)widest * sizeof *pattern);
+    if (!pw || !tallies || !pattern) {
         free(pw);
         free(tallies);
+        free(pattern);
         return -2;
     }
     struct power *end = pw;
@@ -266,22 +295,26 @@ int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
         end = put_powers(end, i, primes[i], steps[i], 0, hi, lo);
 
     int64_t lead = -1, period = 1, err = 0;
-    const uint16_t *pattern = NULL;
     for (int64_t first = lo; first < hi && !err; first += seglen) {
         const int64_t len = hi - first < seglen ? hi - first : seglen;
         const int64_t at = carry ? 1 : first - lo; /* where the segment's bytes start */
         uint8_t *const seg = om + at;
-        int64_t l = nstarts - 1, s = 0, t = 0;
+        int64_t l = nlead, s = 0, t = 0;
         while (s < nsplits && untils[s] <= first)
             s++;
         if (s < nsplits && splits[s] < l)
             l = splits[s];
         if (l != lead) {
             lead = l;
-            pattern = (const uint16_t *)(uintptr_t)starts[2 * lead];
-            period = starts[2 * lead + 1];
-            for (int64_t k = 0; k < npow; k++)
+            period = 1;
+            for (int64_t i = 0; i < lead; i++)
+                period = lead_period(period, primes[i]);
+            memset(pattern, 0, (size_t)period * sizeof *pattern);
+            for (int64_t k = 0; k < npow; k++) {
                 pw[k].off = pw[k].prime < lead && period % pw[k].q == 0;
+                for (int64_t j = 0; pw[k].off && j < period; j += pw[k].q)
+                    pattern[j] += pw[k].add;
+            }
         }
 
         for (int64_t c0 = 0; c0 < len; c0 += CHUNK) {
@@ -344,6 +377,7 @@ int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
         flush(counts + FOLD_BINS * r, &tallies[r]);
     free(pw);
     free(tallies);
+    free(pattern);
     return err;
 }
 

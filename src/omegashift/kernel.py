@@ -4,10 +4,11 @@ the two functions kernel.c exports.  SegmentPass.fill and SegmentPass.tally
 argument.  A walk is one C call for a worker's whole run of segments;
 kernel.c's header describes it.
 
-They take plain buffers and load no numpy: any writable 1-d C-contiguous
-buffer of the right item size, checked through memoryview, as bytes ("B"),
-uint16 words ("H") and int64 ("q" or "l"), say an array.array, a bytearray
-or a numpy array.
+Primes, steps, bounds and odd base primes come in as sequences of ints
+and are packed here.  fill writes into the caller's buffers: any writable
+1-d C-contiguous buffer of bytes ("B") or uint16 words ("H"), checked
+through memoryview, say a bytearray, an array.array or a numpy array;
+nothing here loads numpy.
 
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
+import operator
 import os
 import struct
 import sys
@@ -120,8 +121,7 @@ def _library():
             raise KernelBuildError(f"cannot load the rebuilt {path}: {exc}") from exc
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.walk.argtypes = [
-        ptr, i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, i64,
-        ptr, i64, ptr
+        ptr, i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr
     ]
     lib.walk.restype = i64
     lib.prime_sums.argtypes = [i64, i64, ptr, i64, i64, i64, ptr]
@@ -133,11 +133,6 @@ def library():
     """The loaded kernel, built first if needed; KernelBuildError if it cannot be."""
     with _LOCK:
         return _library()
-
-
-def int64_buffer(values) -> memoryview:
-    """values as a new writable int64 buffer."""
-    return memoryview(bytearray(struct.pack(f"{len(values)}q", *values))).cast("q")
 
 
 def zeroed(count: int, fmt: str) -> memoryview:
@@ -159,20 +154,14 @@ def zeroed(count: int, fmt: str) -> memoryview:
     return memoryview(bytearray(nbytes)).cast(fmt)
 
 
-_BYTES, _WORDS, _INT64 = ("B",), ("H",), ("q", "l")  # memoryview formats, per item size
-_SIZES = {"B": 1, "H": 2, "q": 8, "l": 8}
-
-
-def _view(buf, formats, name: str) -> memoryview:
-    """A memoryview of buf, checked to be 1-d, C-contiguous, of one of the
-    formats at its item size, and writable: the kernel takes no read-only
-    buffer, not even one it only reads."""
+def _view(buf, fmt: str, name: str) -> memoryview:
+    """A memoryview of buf, checked to be 1-d, C-contiguous, of the
+    memoryview format fmt and writable."""
     view = memoryview(buf)
-    if (view.format not in formats or view.itemsize != _SIZES[view.format]
-            or view.ndim != 1 or not view.c_contiguous):
-        raise TypeError(f"{name}: want a contiguous 1-d buffer of format {' or '.join(formats)}")
+    if view.format != fmt or view.ndim != 1 or not view.c_contiguous:
+        raise TypeError(f"{name}: want a contiguous 1-d buffer of format {fmt}")
     if view.readonly:
-        raise ValueError(f"{name}: read-only; the kernel takes writable buffers only")
+        raise ValueError(f"{name}: read-only; the kernel writes it")
     return view
 
 
@@ -185,67 +174,35 @@ def _address(view: memoryview) -> int:
     return ctypes.addressof(_NO_BYTES.from_buffer(view))
 
 
-def _top_power(p: int) -> int:
-    """The largest power of p <= 16, or p itself above 16: the power up to
-    which a start pre-sieves p."""
-    top = p
-    while top * p <= 16:
-        top *= p
-    return top
+def _ints(values, name: str) -> tuple[int, ...]:
+    """values as a tuple of ints; TypeError names the sequence of one that is not."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
 
 
-@functools.lru_cache(maxsize=8)
-def _presieve_starts(leads: tuple[tuple[int, int], ...]):
-    """(SegmentPass.starts, their addresses) of the leading (prime, step)
-    pairs: each start a read-only uint16 view of a bytearray that the cache
-    owns, and an int64 buffer of each start's address and length, as
-    kernel.c reads them.  Built once per process for each lead set and
-    shared by every pass that leads with it: 2, 3, 5, 7, 11 and their steps
-    lead every pass with x_max >= 121, and building their starts takes
-    about 6000 adds, 0.9 ms a pass (2-core Xeon)."""
-    start = zeroed(1, "H")
-    starts = [start]
-    for p, step in leads:
-        top = _top_power(p)
-        period = math.lcm(len(start), top)
-        start = memoryview(bytearray(start) * (period // len(start))).cast("H")
-        q, add = p, step + 1
-        while q <= top:
-            for j in range(0, period, q):
-                start[j] = (start[j] + add) & 0xFFFF  # a word wraps, as in kernel.c
-            q, add = q * p, step
-        starts.append(start)
-    addresses = int64_buffer([v for start in starts for v in (_address(start), len(start))])
-    return tuple(start.toreadonly() for start in starts), addresses
+def _int64_buffer(values) -> memoryview:
+    """The ints values packed as a new int64 buffer."""
+    return memoryview(bytearray(struct.pack(f"{len(values)}q", *values))).cast("q")
 
 
 class SegmentPass:
     """kernel.c's walk over runs of segments, its pass-wide arguments
-    checked, its pre-sieved starts built and their C pointers taken once,
-    and kept alive by the pass.
+    checked, packed and their C pointers taken once, and kept alive by the
+    pass.
 
-    primes and steps are int64 buffers of the same length, every prime in
-    [2, 2^20] and every step a multiple of 256 below 2^16 (it leaves the low
-    byte alone).  starts[lead] holds the words of n = 0..period - 1 sieved
-    by the lead leading primes, each p at its powers up to p^e, its largest
-    power <= 16 (p itself above 16), as a read-only uint16 memoryview;
-    period is the lcm of those p^e, and starts holds every lead whose
-    period stays <= 2^16 words: 0..5, periods 1, 16, 144, 720, 5040 and
-    55 440, 122 KB together, when the primes start 2, 3, 5, 7, 11.  Each
-    start repeats the one before it and adds only the new prime's
-    multiples; passes that lead with the same primes and steps share one
-    tuple of starts.
+    primes and steps are sequences of ints of the same length, every prime
+    in [2, 2^20] and every step a multiple of 256 below 2^16 (it leaves the
+    low byte alone), kept as the tuples .primes and .steps.
 
     A walk sieves n in [lo, hi) in segments, each in one pass over the
-    same uint16 scratch words.  A segment's words start as
-    starts[lead][n % period], the largest start its first live split
-    allows: lead = min(L, that split), or L without one, for
-    L = len(starts) - 1, so a w below 11 leads with the primes up to w.
-    Each prime p = primes[i] adds steps[i] + 1 at each multiple of p and
-    steps[i] at each multiple of every power p^j < hi, but the lead primes
-    only at their powers not dividing the period.  After primes[:splits[s]]
-    the low byte is copied into osms[s].  Last, om gets the low byte, plus
-    1 where the word is below bounds[b], the cofactor test's threshold for
+    same uint16 scratch words.  Each prime p = primes[i] adds steps[i] + 1
+    at each multiple of p and steps[i] at each multiple of every power
+    p^j < hi; kernel.c pre-sieves the leading primes, up to a segment's
+    first live split, which changes no word.  After primes[:splits[s]] the
+    low byte is copied into osms[s].  Last, om gets the low byte, plus 1
+    where the word is below bounds[b], the cofactor test's threshold for
     the octave [2^b, 2^(b+1)) that holds n (see sieve.segment_pass); each
     bound is in [0, 2^16), and 0 adds nothing.  With bounds the walk must
     lie in [1, 2^len(bounds)); with none, om is the low byte alone and lo
@@ -255,36 +212,28 @@ class SegmentPass:
     """
 
     def __init__(self, primes, steps, bounds=()):
-        prime_view, step_view = _view(primes, _INT64, "primes"), _view(steps, _INT64, "steps")
-        if len(prime_view) != len(step_view):
+        self.primes, self.steps = _ints(primes, "primes"), _ints(steps, "steps")
+        self.bounds = _ints(bounds, "bounds")
+        if len(self.primes) != len(self.steps):
             raise ValueError("primes and steps differ in length")
-        if len(prime_view) and not 2 <= prime_view[0] <= prime_view[-1] <= 1 << 20:
+        if self.primes and not 2 <= min(self.primes) <= max(self.primes) <= 1 << 20:
             raise ValueError("a base prime outside [2, 2^20]")
         # kernel.c adds large powers after copy-outs that count p.
-        if any(step & ~0xFF00 for step in step_view.tolist()):
+        if any(step & ~0xFF00 for step in self.steps):
             raise ValueError("a step outside the high byte of a word")
-        if not all(0 <= bound < 1 << 16 for bound in bounds):
+        if not all(0 <= bound < 1 << 16 for bound in self.bounds):
             raise ValueError("an octave bound outside a word")
-        self.primes, self.steps, self.bounds = primes, steps, tuple(bounds)
-        leads, period = [], 1
-        for p, step in zip(prime_view, step_view):
-            period = math.lcm(period, _top_power(p))
-            if period > 1 << 16:
-                break
-            leads.append((p, step))
-        self.starts, starts = _presieve_starts(tuple(leads))
-        bounds = int64_buffer(self.bounds)
-        # While held, no buffer can resize under kernel.c.
-        self._views = (prime_view, step_view, starts, bounds)
-        self._args = (_address(prime_view), _address(step_view), len(prime_view),
-                      _address(starts), len(self.starts), _address(bounds), len(self.bounds))
+        # Held by the pass, so that kernel.c can read them while it lives.
+        self._buffers = [_int64_buffer(v) for v in (self.primes, self.steps, self.bounds)]
+        at_primes, at_steps, at_bounds = map(_address, self._buffers)
+        self._args = (at_primes, at_steps, len(self.primes), at_bounds, len(self.bounds))
 
     def fill(self, cell, om, osms, lo, splits) -> None:
         """Sieve n = lo + j, j < len(om), into om and osms, each osm after
         its split, in one walk of segments of len(cell) words."""
-        cell = _view(cell, _WORDS, "cell")
-        om = _view(om, _BYTES, "om")
-        osms = [_view(osm, _BYTES, "osm") for osm in osms]
+        cell = _view(cell, "H", "cell")
+        om = _view(om, "B", "om")
+        osms = [_view(osm, "B", "osm") for osm in osms]
         if any(len(osm) != len(om) for osm in osms):
             raise ValueError("om and the osms differ in length")
         if len(om) and not len(cell):
@@ -323,7 +272,7 @@ class SegmentPass:
             raise ValueError(f"segments over [{lo}, {hi}) outside [0, 2^40]")
         if len(osms) != len(splits):
             raise ValueError(f"{len(osms)} osm arrays for {len(splits)} splits")
-        count = len(self._views[0])
+        count = len(self.primes)
         if list(splits) != sorted(splits) or not all(0 <= s <= count for s in splits):
             raise ValueError(f"splits {list(splits)} not ascending within [0, {count}]")
         if self.bounds and lo < hi:
@@ -336,7 +285,7 @@ class SegmentPass:
         # The osm pointers, the splits, their untils and the ranges in one
         # array held in a local, so that it outlives the call that reads it.
         nosm = len(osms)
-        packed = int64_buffer([*map(_address, osms), *splits, *untils, *ranges])
+        packed = _int64_buffer([*map(_address, osms), *splits, *untils, *ranges])
         at = _address(packed)
         err = library().walk(
             _address(cell), len(cell), lo, hi, *self._args, at, at + 8 * nosm,
@@ -355,18 +304,18 @@ def prime_sums(lo: int, hi: int, odd_base, above: int, powers: int):
     over all of them and one of each S_j = sum of p^-j over those above
     `above`, from one C sieve of the block.  A pair's two floats add up to
     the sum; math.fsum of the pairs of adjacent blocks joins them.  odd_base
-    is an int64 buffer that must hold every odd prime up to sqrt(hi - 1),
-    and may hold more.  An empty sum is (0.0, 0.0).
+    is a sequence of ints that must hold every odd prime up to
+    sqrt(hi - 1), and may hold more.  An empty sum is (0.0, 0.0).
     """
-    base = _view(odd_base, _INT64, "odd_base")
+    base = _ints(odd_base, "odd_base")
     if not 2 <= lo <= hi <= 1 << 53:
         raise ValueError(f"block [{lo}, {hi}) outside [2, 2^53]")
-    if len(base) and not 3 <= min(base) <= max(base) <= 1 << 26:
+    if base and not 3 <= min(base) <= max(base) <= 1 << 26:
         raise ValueError("an odd base prime outside [3, 2^26]")
     if not 0 <= powers <= MAX_POWERS:
         raise ValueError(f"powers={powers} outside [0, {MAX_POWERS}]")
-    out = zeroed(2 + 2 * powers, "d")
-    count = library().prime_sums(lo, hi, _address(base), len(base), above, powers,
+    packed, out = _int64_buffer(base), zeroed(2 + 2 * powers, "d")
+    count = library().prime_sums(lo, hi, _address(packed), len(base), above, powers,
                                  _address(out))
     if count < 0:
         raise MemoryError(f"no memory to sieve the block [{lo}, {hi})")

@@ -45,11 +45,11 @@ from . import kernel
 from .base import (
     FOLD_BINS,
     MAX_THREADS,
-    OMEGA_CAP,
     W_CEILING,
     X_MAX_CEILING,
     SieveConfig,
     default_segment,
+    nested_histogram,
     primes_up_to,
 )
 
@@ -135,7 +135,7 @@ def segment_pass(x_max: int, ws=()) -> kernel.SegmentPass:
             lower = LOG_SCALE * math.log(a) - math.log2(x_max)  # A
             bounds.append(max(round((lower + upper) / 2), 0) << 8)
     steps = [int(LOG_SCALE * math.log(p)) << 8 for p in primes]
-    plan = kernel.SegmentPass(kernel.int64_buffer(primes), kernel.int64_buffer(steps), bounds)
+    plan = kernel.SegmentPass(primes, steps, bounds)
     # Load the kernel now, in the calling thread and before any segment
     # buffer exists.  Loaded by whichever worker reaches it first, or with a
     # pass's buffers live, it raised peak RSS: by 0.1 MB for a 2-thread 1e8
@@ -215,9 +215,7 @@ def grid_histograms(
         for x in xs:  # each x adds its own range to the counts of the xs below it
             for part in parts:
                 flat = list(map(operator.add, flat, part[r * FOLD_BINS : (r + 1) * FOLD_BINS]))
-            hists[x, x if u is None else u] = [
-                [flat[i : i + OMEGA_CAP] for i in range(j, j + OMEGA_CAP**2, OMEGA_CAP)]
-                for j in range(0, FOLD_BINS, OMEGA_CAP**2)]
+            hists[x, x if u is None else u] = nested_histogram(flat)
             r += 1
     return {pair: hists[pair] for pair in pairs}
 

@@ -90,6 +90,9 @@ REMOVED = (
     "same_bytes",
     "_memcmp",
     "_PyBuffer",
+    "kernel._presieve_starts",
+    "kernel._top_power",
+    "kernel.int64_buffer",
 )
 
 

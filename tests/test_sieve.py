@@ -9,7 +9,6 @@ import re
 import shutil
 import subprocess
 import sys
-from array import array
 from collections import Counter
 from functools import lru_cache
 
@@ -329,7 +328,7 @@ def test_primes_up_to_around_prime_squares():
 
 def _block_sums(limit, block_len, above=MIN_TRUNCATION, powers=11):
     """kernel.prime_sums of each block [lo, lo + block_len) of [2, limit]."""
-    odd_base = array("q", primes_up_to(math.isqrt(limit))[1:])
+    odd_base = primes_up_to(math.isqrt(limit))[1:]
     return [kernel.prime_sums(lo, min(lo + block_len, limit + 1), odd_base, above, powers)
             for lo in range(2, limit + 1, block_len)]
 
@@ -545,16 +544,15 @@ def test_a_link_to_the_interpreter_names_the_same_library(tmp_path, monkeypatch)
 
 def test_kernel_rejects_bad_arguments(monkeypatch):
     monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
-    odd = array("q", [3, 5, 7])
-    frozen = memoryview(odd).toreadonly()
+    odd = [3, 5, 7]
     for args, match in (((4, 3, odd, 1, 0), "block"), ((2, (1 << 53) + 1, odd, 1, 0), "block"),
-                        ((2, 100, array("q", [2, 3]), 1, 0), "odd base prime"),
-                        ((2, 100, odd, 1, kernel.MAX_POWERS + 1), "powers"),
-                        ((2, 100, frozen, 1, 0), "odd_base: read-only")):
+                        ((2, 100, [2, 3], 1, 0), "odd base prime"),
+                        ((2, 100, [3, 5, 1 << 27], 1, 0), "odd base prime"),
+                        ((2, 100, odd, 1, kernel.MAX_POWERS + 1), "powers")):
         with pytest.raises(ValueError, match=match):
             kernel.prime_sums(*args)
     with pytest.raises(TypeError, match="odd_base"):
-        kernel.prime_sums(2, 100, array("i", [3]), 1, 0)
+        kernel.prime_sums(2, 100, [3.0], 1, 0)
 
 
 def _segment(size=64, nosm=1):
@@ -597,8 +595,9 @@ PRIMES_23 = np.array([2, 3]), np.array([5 << 8, 8 << 8])
         (dict(steps=np.array([5 << 8, 1 << 16])), ValueError, "high byte"),
         (dict(steps=np.array([5 << 8, -(8 << 8)])), ValueError, "high byte"),
         (dict(bounds=[0, -1, 0, 0, 0, 0, 0]), ValueError, "outside a word"),
-        (dict(frozen=("primes",)), ValueError, "primes: read-only"),
-        (dict(frozen=("steps",)), ValueError, "steps: read-only"),
+        (dict(primes=np.array([2, 2**40, 3]), steps=np.array([5 << 8, 8 << 8, 8 << 8])),
+         ValueError, "base prime"),
+        (dict(primes=np.array([2.0, 3.0])), TypeError, "primes"),
     ],
 )
 def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, change, error, match):
@@ -609,14 +608,12 @@ def test_fill_segment_rejects_bad_arguments_before_any_c_call(monkeypatch, chang
     cell = np.zeros(arg["cell_size"], dtype=arg["cell_dtype"])
     om = np.zeros(64 * arg["om_stride"], dtype=np.uint8)[:: arg["om_stride"]]
     osms = [np.zeros(arg["osm_size"], dtype=np.uint8) for _ in range(arg["nosm"])]
-    primes, steps = arg["primes"].copy(), arg["steps"].copy()
-    buffers = {"cell": cell, "om": om, "primes": primes, "steps": steps,
-               **{f"osm{s}": osm for s, osm in enumerate(osms)}}
-    for name in arg["frozen"]:  # the kernel takes no read-only buffer
+    buffers = {"cell": cell, "om": om, **{f"osm{s}": osm for s, osm in enumerate(osms)}}
+    for name in arg["frozen"]:  # the kernel writes these
         buffers[name].flags.writeable = False
     monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
     with pytest.raises(error, match=match):
-        kernel.SegmentPass(primes, steps, arg["bounds"]).fill(
+        kernel.SegmentPass(arg["primes"], arg["steps"], arg["bounds"]).fill(
             cell, om, osms, arg["lo"], arg["splits"])
 
 
@@ -655,18 +652,23 @@ def test_fill_segment_words_copy_outs_and_cofactor_test():
     assert om[54] == 2  # 64 = 2^6: its word 6 * (5 << 8) + 1 is below 31 << 8
 
 
-@pytest.mark.parametrize("lo", [1, 10, 127, 1000, (1 << 40) - 63, (1 << 20) - 4000])
-def test_fill_segment_pattern_matches_the_zero_start(lo):
-    # The primes 2, 3, 5, 7 get starts of periods 1 (one zero word), 16,
-    # 144, 720 and 5040: the pass must add only the powers a start lacks and
-    # the primes after it, and wrap the start at each period.  5200 words
-    # from lo < 5040 cross every period; one walk ends at 2^40, and in the
-    # walk from 2^20 - 4000 the power 2^20 falls in the last of its three
-    # segments, whose words the test compares.
+@pytest.mark.parametrize("lo, size", [
+    *(pytest.param(lo, min(5200, X_MAX_CEILING + 1 - lo), id=str(lo))
+      for lo in (1, 10, 127, 1000, (1 << 40) - 63, (1 << 20) - 4000)),
+    (0, 10), (0, 16),
+])
+def test_fill_segment_pattern_matches_the_zero_start(lo, size):
+    # The primes 2, 3, 5, 7 lead with patterns of periods 1 (one zero word),
+    # 16, 144, 720 and 5040: the pass must add only the powers a pattern
+    # lacks and the primes after it, and wrap the pattern at each period.
+    # 5200 words from lo < 5040 cross every period; one walk ends at 2^40,
+    # and in the walk from 2^20 - 4000 the power 2^20 falls in the last of
+    # its three segments, whose words the test compares.  The walks from 0,
+    # in one segment, end at and below 16, a power of 2 that they must not
+    # add at n = 0.
     primes, steps = np.array([2, 3, 5, 7]), np.array([5 << 8, 8 << 8, 12 << 8, 15 << 8])
-    assert [len(s) for s in kernel.SegmentPass(primes, steps).starts] == [1, 16, 144, 720, 5040]
-    size = min(5200, X_MAX_CEILING + 1 - lo)
-    _assert_segment_matches_oracle(lo, size, primes, steps, [4], ALTERNATING_BOUNDS, range(5))
+    _assert_segment_matches_oracle(lo, size, primes, steps, [4], ALTERNATING_BOUNDS if lo else (),
+                                   range(5), segment=None if lo else size)
 
 
 def _kernel_define(name):
@@ -684,11 +686,12 @@ ALTERNATING_BOUNDS = tuple((3 + 6 * (b % 2)) << 8 for b in range(41))
 def _assert_segment_matches_oracle(lo, size, primes, steps, splits, bounds, leads,
                                    segment=None):
     """One walk over n = lo + j, j < size, in segments of segment words (by
-    default three, the last the shortest) from each start in leads, each
-    forced by a first split at its lead, against one oracle run over the
-    whole span with every split.  The cell holds the last segment's words."""
+    default three, the last the shortest; or one, of size words) from each
+    lead in leads, each forced by a first split at it, against one oracle
+    run over the whole span with every split.  The cell holds the last
+    segment's words."""
     segment = segment or -(-size // 3)
-    assert size >= 3 * segment or size > 2 * segment
+    assert size > 2 * segment or segment == size
     want = oracles.segment_pass(lo, size, primes, steps, [*leads, *splits], bounds)
     plan = kernel.SegmentPass(primes, steps, bounds)
     last = (size - 1) // segment * segment  # the last segment's offset
@@ -715,7 +718,7 @@ def test_fill_segment_chunks_match_the_whole_segment_oracle(size, lo, cut):
     # A walk of three segments of size words and 17 more, chunked in phase
     # 1 and whole in phase 2, against the oracle over the whole span: the
     # primes up to 10^4, split before, at and after SMALL_BOUND and at the
-    # end, from each start, with ALTERNATING_BOUNDS (none from lo = 0).
+    # end, from each lead, with ALTERNATING_BOUNDS (none from lo = 0).
     plan = segment_pass(10**8)
     small = _small_split(plan.primes)
     splits = [cut, small, small + cut, len(plan.primes)]
@@ -771,9 +774,9 @@ def test_segment_pass_sieves_every_prime_its_thresholds_need():
                   (12, ()), (12, (5,)), (13, ()), (121, ()), (121, (2,))):
         plan = segment_pass(x, ws)
         top = max([math.isqrt(x), *ws]) if x >= LOG_TEST_MIN_X else x
-        assert plan.primes.tolist() == [n for n in range(2, top + 1) if _is_prime(n)], (x, ws)
-        steps = [int(LOG_SCALE * math.log(p)) << 8 for p in plan.primes.tolist()]
-        assert plan.steps.tolist() == steps, (x, ws)
+        assert plan.primes == tuple(n for n in range(2, top + 1) if _is_prime(n)), (x, ws)
+        steps = tuple(int(LOG_SCALE * math.log(p)) << 8 for p in plan.primes)
+        assert plan.steps == steps, (x, ws)
         assert len(plan.bounds) == (x.bit_length() if x >= LOG_TEST_MIN_X else 0), (x, ws)
     # The pass of x = 10 000 sieves the primes up to 97; w = 100 adds none
     # and is exact.
@@ -821,7 +824,7 @@ def test_fill_segment_past_a_full_stream_table():
     # A base prime list never repeats a prime, but the kernel takes one that
     # does: 100 copies of 2 have 12 powers each below CHUNK, 1200 phase-1
     # powers against the 358 of the base primes up to 2^20.  Every copy
-    # shares the period 16, so each start holds lead copies.
+    # shares the period 16, so each lead's pattern holds lead copies.
     primes = np.full(100, 2, dtype=np.int64)
     steps = (np.arange(100, dtype=np.int64) % 7) << 8
     size = 3 * CHUNK + 17
@@ -934,47 +937,57 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
         assert list(getattr(lib, name).argtypes) == want, name
 
 
-def test_presieve_pattern_against_its_definition():
-    # Each start holds its leading primes at their powers up to 16, and
-    # 13 would take the period past 2^16 words.
-    plan = segment_pass(10**8)
-    primes, starts = plan.primes, plan.starts
-    assert [len(s) for s in starts] == [1, 16, 144, 720, 5040, 55_440]
-    assert starts[-1].nbytes == 110_880  # at most 128 KB
-    words, powers = [], []  # each prime's word and largest power, for n < 55 440
-    for p in primes[:5].tolist():
-        step = int(LOG_SCALE * math.log(p)) << 8
-        cap = max(e for e in range(1, 5) if p**e <= 16)
-        mults = [cap if n == 0 else min(_multiplicity(n, p), cap) for n in range(55_440)]
-        words.append(np.array([e and e * step + 1 for e in mults], dtype=np.int64))
-        powers.append(p**cap)
-    for lead, start in enumerate(starts):
-        assert start.readonly and start.format == "H"
-        assert len(start) == math.prod(powers[:lead])
-        assert np.array_equal(start, sum(words[:lead], np.zeros(55_440))[: len(start)])
+# Run in a child by test_kernel_has_no_undefined_behaviour: kernel.c built
+# with UBSan (argv[1]) in place of kernel.library(), through verify's fast
+# battery, a table walk of two splits that ends at 2^40 + 1, and the prime
+# sums up to 10^6.  Exit 77: the sanitized build does not load.
+_UBSAN_CHILD = """
+import ctypes, sys
+from bisect import bisect_right
+from omegashift import constants, kernel, sieve, verify
+
+try:
+    lib = ctypes.CDLL(sys.argv[1])
+except OSError as exc:
+    print(exc)
+    sys.exit(77)
+for name in ("walk", "prime_sums"):
+    built = getattr(kernel.library(), name)
+    getattr(lib, name).argtypes, getattr(lib, name).restype = built.argtypes, built.restype
+kernel.library = lambda: lib
+failed = [r.name for r in verify.verify_suite("fast", quiet=True).results if r.status == "FAIL"]
+assert not failed, failed
+ws, size = (13, 1 << 20), 3072
+plan = sieve.segment_pass(sieve.X_MAX_CEILING, ws)
+om, osms = kernel.zeroed(size, "B"), [kernel.zeroed(size, "B") for _ in ws]
+plan.fill(kernel.zeroed(1024, "H"), om, osms, sieve.X_MAX_CEILING + 1 - size,
+          [bisect_right(plan.primes, w) for w in ws])
+constants._prime_sums(10**6)
+"""
 
 
-def test_passes_share_their_presieve_starts():
-    # The starts are built once per process for each set of leading primes
-    # and steps: every pass with x >= 121 leads with 2..11, and x = 120 with
-    # 2..7 (its base primes stop at 7), whose starts are the first five.
-    a, b, c = segment_pass(10**6, (50,)), segment_pass(121), segment_pass(120)
-    assert a.starts is b.starts and len(a.starts) == 6
-    assert c.starts is not a.starts
-    assert [s.tolist() for s in c.starts] == [s.tolist() for s in a.starts[:5]]
-    for start in a.starts:
-        assert start.readonly
-        with pytest.raises(TypeError, match="read-only"):
-            start[0] = 1
-    with pytest.raises(TypeError):
-        a.starts[0] = kernel.zeroed(1, "H")
-
-
-def _multiplicity(n, p):
-    e = 0
-    while n % p == 0:
-        n, e = n // p, e + 1
-    return e
+def test_kernel_has_no_undefined_behaviour(tmp_path):
+    # Signed overflow, a shift past the width, a misaligned or out-of-range
+    # access: UBSan stops the child at the first one.
+    cc = kernel._compiler()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    sanitize = ("-fsanitize=undefined", "-fno-sanitize-recover=undefined")
+    (tmp_path / "probe.c").write_text("int probe;\n")
+    probe = [*cc, *kernel.FLAGS, *sanitize, "-o", str(tmp_path / "probe.so"),
+             str(tmp_path / "probe.c")]
+    if subprocess.run(probe, capture_output=True).returncode != 0:
+        pytest.skip("no UBSan runtime")
+    lib = str(tmp_path / "k.so")
+    done = subprocess.run([*cc, *kernel.FLAGS, *sanitize, "-o", lib, kernel.SOURCE],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kernel.__file__)))
+    done = subprocess.run([sys.executable, "-c", _UBSAN_CHILD, lib], capture_output=True,
+                          text=True, env=env)
+    if done.returncode == 77:
+        pytest.skip(f"the UBSan build does not load: {done.stdout.strip()}")
+    assert done.returncode == 0 and "runtime error" not in done.stderr, done.stderr
 
 
 @pytest.mark.parametrize("w", [2, 3, 5, 6, 7, 10, 11, 12, 13, 300])
@@ -989,8 +1002,8 @@ def test_presieve_cut_matches_trial_division(w):
 
 @pytest.mark.parametrize("x", [8, 9, 24, 25, 48, 49, 120, 121, 168, 169])
 def test_presieve_bound_on_x_matches_trial_division(x):
-    # 3, 5, 7 and 11 join the base primes, and their starts, at x = 9, 25,
-    # 49 and 121; 13 joins at 169 with no start of its own.
+    # 3, 5, 7 and 11 join the base primes, and the leads, at x = 9, 25, 49
+    # and 121; 13 joins at 169 and leads no pattern.
     for w in (2, 3, 5, 7, 10, 11, 12, 13, x):
         if w <= x:
             _assert_matches_trial_division(x, w, 1024, 1)
