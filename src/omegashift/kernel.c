@@ -18,10 +18,16 @@
  * the segment's bytes into counts for each of its ranges.
  *
  * The pattern is one period of the words that the segment's leading
- * primes add: the walk builds it, whenever a segment's lead changes, from
- * those primes' own powers that divide the period (the off powers, which
- * then add nothing more), so it holds exactly the adds that the walk
- * skips.
+ * primes add, from those primes' own powers that divide the period (the
+ * off powers, which then add nothing more), so it holds exactly the adds
+ * that the walk skips.  Along a walk a segment's lead never falls (its
+ * first live split only moves right), so the walk grows the pattern one
+ * leading prime at a time: it tiles the period it has up to the new one
+ * and adds only the new prime's off powers.  The tiles hold the old off
+ * powers exactly: the new prime is coprime to the old ones, so an old
+ * power divides the new period just when it divided the old one.  From
+ * lead 0 to 5 at the usual primes that is about 6 000 adds, where
+ * building the 55 440-word period afresh takes about 100 000.
  *
  * The fold works in L1-sized blocks: it packs FOLD_BLOCK positions' keys
  * at a time, checking their bytes, then counts them in a uint32 table that
@@ -294,7 +300,8 @@ int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
     for (int64_t i = nsmall; i < count; i++)
         end = put_powers(end, i, primes[i], steps[i], 0, hi, lo);
 
-    int64_t lead = -1, period = 1, err = 0;
+    int64_t lead = 0, period = 1, err = 0;
+    pattern[0] = 0; /* lead 0's pattern: one word, no adds */
     for (int64_t first = lo; first < hi && !err; first += seglen) {
         const int64_t len = hi - first < seglen ? hi - first : seglen;
         const int64_t at = carry ? 1 : first - lo; /* where the segment's bytes start */
@@ -304,17 +311,17 @@ int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
             s++;
         if (s < nsplits && splits[s] < l)
             l = splits[s];
-        if (l != lead) {
-            lead = l;
-            period = 1;
-            for (int64_t i = 0; i < lead; i++)
-                period = lead_period(period, primes[i]);
-            memset(pattern, 0, (size_t)period * sizeof *pattern);
-            for (int64_t k = 0; k < npow; k++) {
-                pw[k].off = pw[k].prime < lead && period % pw[k].q == 0;
-                for (int64_t j = 0; pw[k].off && j < period; j += pw[k].q)
-                    pattern[j] += pw[k].add;
-            }
+        for (; lead < l; lead++) { /* the pattern grows by primes[lead] */
+            const int64_t grown = lead_period(period, primes[lead]);
+            for (int64_t j = period; j < grown; j += period)
+                memcpy(pattern + j, pattern, (size_t)period * sizeof *pattern);
+            period = grown;
+            for (int64_t k = 0; k < npow; k++)
+                if (pw[k].prime == lead && period % pw[k].q == 0) {
+                    pw[k].off = 1;
+                    for (int64_t j = 0; j < period; j += pw[k].q)
+                        pattern[j] += pw[k].add;
+                }
         }
 
         for (int64_t c0 = 0; c0 < len; c0 += CHUNK) {

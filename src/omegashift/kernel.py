@@ -45,7 +45,9 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # a term's product into its compensated add.
 FLAGS = ("-O3", "-falign-loops=32", "-ffp-contract=off", "-shared", "-fPIC")
 MAX_POWERS = 16  # the most power sums prime_sums takes at once
-PAGED_BYTES = 1 << 20  # zeroed maps buffers of this size and above as fresh pages
+# zeroed maps buffers of this size and above as fresh private pages, advised
+# for transparent huge pages.
+PAGED_BYTES = 1 << 20
 
 _LOCK = threading.Lock()
 
@@ -140,17 +142,35 @@ def zeroed(count: int, fmt: str) -> memoryview:
 
     Below PAGED_BYTES they come from bytearray and struct, which every
     process that runs the kernel has loaded: the array module would add
-    72 KB to its peak RSS.  From PAGED_BYTES on they are an anonymous mmap,
-    whose pages the system zeroes as each is first written, in the thread
-    that writes it: a bytearray zeroes every byte at once, in the calling
-    thread, which cost a 2-thread table build of 10^8 bytes 0.04 s of wall
-    time (2-core Xeon).
+    72 KB to its peak RSS.  From PAGED_BYTES on they are a private
+    anonymous mmap, whose pages the system zeroes as each is first
+    written, in the thread that writes it: a bytearray zeroes every byte at
+    once, in the calling thread, which cost a 2-thread table build of 10^8
+    bytes 0.04 s of wall time (2-core Xeon).
+
+    The mapping is private and advised for transparent huge pages.
+    mmap.mmap's default, a shared anonymous mapping, is shmem: it gets no
+    huge pages, and each 4 KB page takes a costlier fault.  A 2-thread
+    build of two 10^8-byte tables took 48 940 minor faults and 0.10-0.15 s
+    of system time that way, and 400-1 200 faults and 0.02-0.05 s this way
+    (2-core Xeon, THP in madvise mode).  The first build after memory churn
+    can still stall 0.08-0.14 s while the system compacts memory for huge
+    pages.  Where the advice does not exist (it is Linux's) or the kernel
+    refuses it (one built without THP answers EINVAL), the buffer stays a
+    plain private mapping.
     """
     nbytes = count * struct.calcsize(fmt)
     if nbytes >= PAGED_BYTES:
         import mmap  # here, not in every process that runs the kernel
 
-        return memoryview(mmap.mmap(-1, nbytes)).cast(fmt)
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        hugepage = getattr(mmap, "MADV_HUGEPAGE", None)
+        if hugepage is not None:
+            try:
+                buf.madvise(hugepage)
+            except OSError:
+                pass
+        return memoryview(buf).cast(fmt)
     return memoryview(bytearray(nbytes)).cast(fmt)
 
 

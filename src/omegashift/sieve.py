@@ -29,8 +29,9 @@ kernel is built when the first pass is planned), in segments of
 base.default_segment(x_max) numbers unless the caller gives a length.
 
 The base primes come from base.primes_up_to, build_omega_table's tables are
-plain buffers from kernel.zeroed, and grid_histograms keeps its segments in
-such buffers and returns nested ints.
+plain buffers from kernel.zeroed (from kernel.PAGED_BYTES on, private
+anonymous maps advised for huge pages), and grid_histograms keeps its
+segments in such buffers and returns nested ints.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ if _log_gap(LOG_TEST_MIN_X) <= 1:
 class OmegaTable(namedtuple("OmegaTable", "x_max w omega omega_small")):
     """Byte tables of factor counts, indexed directly by n (entries 0,1 unused),
     as writable memoryviews of format "B" of x_max + 1 bytes from
-    kernel.zeroed.  At w = x_max, omega_small is omega, one buffer.
+    kernel.zeroed: from 2^20 bytes on, private anonymous maps advised for
+    huge pages.  At w = x_max, omega_small is omega, one buffer.
     Tables are equal when x_max, w and both tables' bytes are (memoryviews
     compare by content); the repr leaves the tables out."""
 

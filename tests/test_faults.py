@@ -23,7 +23,7 @@ KERNEL_FAULTS = {
     "pattern_read_one_residue_on": (
         r"r = \(lo \+ start\) % period", "r = (lo + start + 1) % period"),
     "pattern_misses_each_power_at_zero": (
-        r"for \(int64_t j = 0; pw\[k\]\.off", "for (int64_t j = pw[k].q; pw[k].off"),
+        r"for \(int64_t j = 0; j < period;", "for (int64_t j = pw[k].q; j < period;"),
     "prime_sums_uncompensated": (r"^\s*pair\[1\] \+= \(pair\[0\] - s\) \+ t;\n", ""),
     "head_primes_in_the_power_sums": (r"if \(p > above\)", "if (p > 0)"),
 }

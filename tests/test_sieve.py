@@ -1,9 +1,11 @@
 """Sieve correctness and determinism, and the compiled kernel."""
 
 import ctypes
+import errno
 import hashlib
 import itertools
 import math
+import mmap
 import os
 import re
 import shutil
@@ -461,6 +463,59 @@ def test_table_equality_compares_every_byte_and_w(x):
     assert a != same_bytes_other_w
     shorter = OmegaTable(x_max=a.x_max, w=a.w, omega=a.omega[:-1], omega_small=a.omega_small)
     assert a != shorter
+
+
+class _RefusedAdvice(mmap.mmap):
+    """An mmap whose madvise answers as a kernel built without THP does."""
+
+    advised = []
+
+    def madvise(self, *args):
+        self.advised.append(args)
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@pytest.mark.parametrize("constant", ["kept", "removed"])
+def test_a_paged_buffer_without_huge_page_advice_is_still_zeroed(monkeypatch, constant):
+    # Refused advice, or none to give, leaves a plain private mapping.
+    monkeypatch.setattr(_RefusedAdvice, "advised", [])
+    monkeypatch.setattr(mmap, "mmap", _RefusedAdvice)
+    if constant == "removed":
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    buf = kernel.zeroed(kernel.PAGED_BYTES, "B")
+    assert isinstance(buf.obj, _RefusedAdvice)
+    assert _RefusedAdvice.advised == (
+        [(mmap.MADV_HUGEPAGE,)] if hasattr(mmap, "MADV_HUGEPAGE") else [])
+    assert buf.format == "B" and not buf.readonly and len(buf) == kernel.PAGED_BYTES
+    assert buf.tobytes() == bytes(kernel.PAGED_BYTES)
+    buf[0] = buf[-1] = 1
+    assert buf[0] == buf[-1] == 1
+
+
+def _mapping_of(address):
+    """The permissions and VmFlags of the mapping in /proc/self/smaps that
+    holds address."""
+    perms = None
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split()
+            if not fields[0].endswith(":"):  # a mapping's header: start-end perms ...
+                start, end = (int(v, 16) for v in fields[0].split("-"))
+                perms = fields[1] if start <= address < end else None
+            elif perms and fields[0] == "VmFlags:":
+                return perms, fields[1:]
+    raise AssertionError(f"no mapping holds {address:#x}")
+
+
+def test_a_paged_buffer_is_private_and_advised_for_huge_pages():
+    # A shared anonymous mapping would read rw-s, /dev/zero (deleted): shmem.
+    if not os.path.exists("/proc/self/smaps"):
+        pytest.skip("no /proc/self/smaps")
+    buf = kernel.zeroed(kernel.PAGED_BYTES, "B")
+    perms, flags = _mapping_of(ctypes.addressof(ctypes.c_char.from_buffer(buf)))
+    assert perms == "rw-p"
+    if hasattr(mmap, "MADV_HUGEPAGE") and os.path.exists("/sys/kernel/mm/transparent_hugepage"):
+        assert "hg" in flags
 
 
 def test_agrees_with_session_oracle(table_1e5, oracle_triples, oracle_w):
