@@ -56,8 +56,8 @@ def nested_histogram(flat) -> list[list[list[int]]]:
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending: a sieve of Eratosthenes on a bytearray.
-    The base primes of the sieve's passes and of the prime sums, and the
-    Euler products' head primes, all come from here."""
+    The base primes of the sieve's passes, the Euler products' head primes
+    and verify's check of the frozen prime sums all come from here."""
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)

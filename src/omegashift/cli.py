@@ -23,7 +23,7 @@ import time
 from . import __version__
 from .base import FULL_SCALES
 from .constants import (
-    DEFAULT_TRUNCATION,
+    TRUNCATION_PRIME,
     level_density_constant,
     tilt_product,
     tilt_profile,
@@ -75,12 +75,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_constants(args) -> int:
     rows = [
-        ("level_density", level_density_constant(args.r, args.P)),
-        ("tilted_level", tilted_level_constant(args.r, args.P)),
-        ("tilt_product", tilt_product(args.r, args.z, args.P)),
-        ("tilt_profile", tilt_profile(args.r, args.z, args.P)),
+        ("level_density", level_density_constant(args.r)),
+        ("tilted_level", tilted_level_constant(args.r)),
+        ("tilt_product", tilt_product(args.r, args.z)),
+        ("tilt_profile", tilt_profile(args.r, args.z)),
     ]
-    print(f"r={args.r} z={args.z} truncation={args.P}")
+    print(f"r={args.r} z={args.z} truncation={TRUNCATION_PRIME}")
     for name, res in rows:
         val = res.value
         if isinstance(val, complex):
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="print Euler-product constants")
     p.add_argument("--r", type=float, default=0.0, help="tilt exponent")
     p.add_argument("--z", type=_parse_z, default=complex(1.0), help="RE or RE,IM")
-    p.add_argument("--P", type=int, default=DEFAULT_TRUNCATION, help="truncation prime")
     p.set_defaults(fn=_cmd_constants)
     return parser
 

@@ -1,4 +1,4 @@
-"""High-precision constants from truncated Euler products.
+"""High-precision constants from Euler products truncated at one prime.
 
 Every product evaluated here has per-prime factors of the shape
 
@@ -21,11 +21,12 @@ another: so a report's bits do not depend on the CPU.  For real a a head
 factor can be negative (possible only for p <= 7): it enters as log|F_p|
 and flips the product's sign.  A factor that vanishes (1 + a/(p-1+s) == 0,
 possible only for p <= 11) marks the product exactly zero.  The primes
-Q < p <= P (the series) contribute sum_{j=2..J} c_j * S_j(P), where
-S_j(P) = sum_{Q<p<=P} p^(-j) comes from one streamed pass over the primes
-up to P, sieved and summed in C in blocks, kept in one memo per P that a
-run may fill from its cache.  A call therefore costs pi(Q) = 168 log
-terms and J products, whatever P is.
+Q < p <= P = TRUNCATION_PRIME (the series) contribute sum_{j=2..J} c_j *
+S_j(P), where S_j(P) = sum_{Q<p<=P} p^(-j).  Those sums, with pi(P) and
+sum_{p<=P} p^(-2), are frozen in _PRIME_SUMS, each the math.fsum of its
+double terms (1.0/p squared, times 1.0/p per further power) over the
+primes up to P: nothing computes them at run time.  A call therefore
+costs pi(Q) = 168 log terms and J products.
 
 Series remainder, J = SERIES_TERMS.  For j > J, |c_j| <= (|b|^j + |b-a|^j +
 |a|)/(J+1).  For t < Q and p > Q, sum_{j>J} (t/p)^j <= t^(J+1) p^-(J+1) /
@@ -40,9 +41,9 @@ E_12 <= 5.2e-24.
 
 Truncation tail.  Dropping p > P costs an explicit constant c(a, s) times
 the exact remainder sum_{p > P} p^(-2), the latter obtained from the prime
-zeta value at 2 minus the partial sum over every p <= P taken in the same
-pass.  Derivation of c(a, s), valid for p >= 1000, |a| <= 10, 0 <= s <= 5:
-with u = a/(p-1+s),
+zeta value at 2 minus the frozen partial sum over every p <= P.
+Derivation of c(a, s), valid for p >= 1000, |a| <= 10, 0 <= s <= 5: with
+u = a/(p-1+s),
 
     log F_p = a*(1-s)/(p*(p-1+s)) - u^2/2 - a/(2 p^2) + R,
 
@@ -68,10 +69,19 @@ EULER_GAMMA = 0.577215664901532860606512090082
 PRIME_ZETA_2 = 0.452247420041065498506543364832
 
 R_CEILING = 4.0
-DEFAULT_TRUNCATION = 10_000_000
+TRUNCATION_PRIME = 10_000_000
 MIN_TRUNCATION = 1000
 SERIES_TERMS = 12
-_BLOCK = 1 << 20
+
+# (pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) at P = TRUNCATION_PRIME, S_j over
+# MIN_TRUNCATION < p <= P (module docstring), as python3 tests/oracles.py
+# prints them.
+_PRIME_SUMS = (664579, float.fromhex("0x1.cf19f2366e97bp-2"), tuple(map(float.fromhex, (
+    "0x1.0a4dfaae6483dp-13", "0x1.2118858438862p-24", "0x1.94872d78727f1p-35",
+    "0x1.3b72bf9b422c7p-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2738p-66",
+    "0x1.8e20a337e5468p-76", "0x1.6720dd9b286f4p-86", "0x1.48d327bacfebcp-96",
+    "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
+))))
 
 
 class PoleError(ValueError):
@@ -81,7 +91,8 @@ class PoleError(ValueError):
 class EulerProductResult(namedtuple("EulerProductResult",
                                     "value truncation_prime tail_bound primes_used")):
     """Truncated product value (complex or float) plus a rigorous bound on
-    |log full - log truncated|."""
+    |log full - log truncated|; the truncation is TRUNCATION_PRIME, and
+    primes_used is pi of it."""
 
     __slots__ = ()
 
@@ -121,61 +132,21 @@ def _series_remainder(a: complex | float, s: float) -> float:
 def _head_shifts_and_logs() -> tuple[tuple[float, float], ...]:
     """(p - 1, log1p(-1/p)) for each head prime p <= MIN_TRUNCATION, ascending:
     the parts of a head term that do not depend on a or s, taken once from
-    the plain Python sieve, so a run that reads its prime sums from the
-    cache loads no kernel."""
+    the plain Python sieve, so the constants load no kernel."""
     return tuple((p - 1.0, math.log1p(-1.0 / p)) for p in primes_up_to(MIN_TRUNCATION))
 
 
-PrimeSums = tuple[int, float, tuple[float, ...]]
-_SUMS: dict[int, PrimeSums] = {}
-
-
-def _prime_sums(P: int) -> PrimeSums:
-    """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_J)) from one streamed pass over the
-    primes <= P in blocks of _BLOCK integers; the only code that computes them.
-
-    kernel.prime_sums sieves each block in C and returns a (sum,
-    compensation) pair per sum; math.fsum joins every block's pairs.
-    The kernel loads here, on a prime-sums cache miss only.
-    """
-    from . import kernel
-
-    odd_base = primes_up_to(math.isqrt(P))[1:]
-    count = 0
-    inv_sq_parts: list[float] = []
-    power_parts: list[list[float]] = [[] for _ in range(SERIES_TERMS - 1)]
-    for lo in range(2, P + 1, _BLOCK):
-        n, inv_sq, powers = kernel.prime_sums(lo, min(lo + _BLOCK, P + 1), odd_base,
-                                              MIN_TRUNCATION, SERIES_TERMS - 1)
-        count += n
-        inv_sq_parts += inv_sq
-        for parts, pair in zip(power_parts, powers):
-            parts += pair
-    return count, math.fsum(inv_sq_parts), tuple(math.fsum(parts) for parts in power_parts)
-
-
-def prime_sums(P: int, loaded: PrimeSums | None = None) -> PrimeSums:
-    """The one memo of prime sums the Euler products read, keyed by P.  loaded
-    (sums read back from a cache file) becomes P's entry; otherwise the first
-    call for P computes them with _prime_sums."""
-    if loaded or P not in _SUMS:
-        _SUMS[P] = loaded or _prime_sums(P)
-    return _SUMS[P]
-
-
-def _log_core(a: complex | float, s: float, P: int):
+def _log_core(a: complex | float, s: float):
     """(log |product|, tail_bound, primes_used, sign) for the shared factor shape.
 
     Exact log terms over the head primes p <= MIN_TRUNCATION plus the power
-    series over MIN_TRUNCATION < p <= P (module docstring).  For real a a
+    series over the sums of _PRIME_SUMS (module docstring).  For real a a
     head factor may be negative (1 + a/(p-1+s) < 0, possible only for
     p <= 7): its log|factor| enters the sum and it flips sign.  A factor
     that vanishes exactly marks the whole product as exactly zero (sign 0)
     and is left out of the log sum.  Complex a takes principal logs,
     cmath.log(1 + u), in the same loop, sign 1.
     """
-    if P < MIN_TRUNCATION:
-        raise ValueError(f"truncation P={P} < {MIN_TRUNCATION}")
     m = abs(a)
     if m > 2.0 * R_CEILING + 2.0 + 1e-9:
         raise ValueError(f"|a|={m:.3f} outside tail-bound derivation range")
@@ -183,7 +154,7 @@ def _log_core(a: complex | float, s: float, P: int):
         raise ValueError(f"shift s={s} outside [0, {R_CEILING + 1}]")
     is_complex = isinstance(a, complex) and a.imag != 0.0
     a_val = complex(a) if is_complex else float(a.real)
-    count, inv_sq, power_sums = prime_sums(P)
+    count, inv_sq, power_sums = _PRIME_SUMS
     sign = 1
     terms = []
     for shift, log_q in _head_shifts_and_logs():
@@ -218,13 +189,13 @@ def _exp(v: complex | float) -> complex | float:
     return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
 
 
-def _assemble(prefactor, core, P: int) -> EulerProductResult:
+def _assemble(prefactor, core) -> EulerProductResult:
     log_value, tail, count, sign = core
     value = complex(0.0 if sign == 0 else sign * prefactor * _exp(log_value))
     if value.imag == 0.0:
         value = value.real
     return EulerProductResult(
-        value=value, truncation_prime=P, tail_bound=tail, primes_used=count
+        value=value, truncation_prime=TRUNCATION_PRIME, tail_bound=tail, primes_used=count
     )
 
 
@@ -238,26 +209,26 @@ def _check_r(r: float):
         raise ValueError(f"r={r} outside [0, {R_CEILING}]")
 
 
-def level_density_constant(r: float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
+def level_density_constant(r: float) -> EulerProductResult:
     """prod_p (1 + r/(p-1)) (1 - 1/p)^r / Gamma(r+1).
 
     Mean-value density constant of the k-factor level set; equals 1 at r = 0.
     """
     _check_r(r)
-    return _assemble(1.0 / math.gamma(r + 1.0), _log_core(float(r), 0.0, P), P)
+    return _assemble(1.0 / math.gamma(r + 1.0), _log_core(float(r), 0.0))
 
 
-def tilted_level_constant(r: float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
+def tilted_level_constant(r: float) -> EulerProductResult:
     """prod_p (1 + (r+1)/(p-1)) (1 - 1/p)^(r+1) / Gamma(r+1).
 
     Leading constant of the weighted level-set mass; equals 1 at r = 0, and
     factors exactly as level_density_constant(r) * tilt_product(r, 1).
     """
     _check_r(r)
-    return _assemble(1.0 / math.gamma(r + 1.0), _log_core(float(r) + 1.0, 0.0, P), P)
+    return _assemble(1.0 / math.gamma(r + 1.0), _log_core(float(r) + 1.0, 0.0))
 
 
-def tilt_product(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
+def tilt_product(r: float, z: complex | float) -> EulerProductResult:
     """exp(gamma (2z-2)) prod_p (1 + (2z-1)/(p-1+r)) (1 - 1/p)^(2z-1).
 
     Euler factor of the weighted generating function; equals exp(-gamma)
@@ -267,10 +238,10 @@ def tilt_product(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> E
     _check_z(z)
     a = 2.0 * z - 1.0
     pre = _exp(EULER_GAMMA * (2.0 * z - 2.0))
-    return _assemble(pre, _log_core(a, float(r), P), P)
+    return _assemble(pre, _log_core(a, float(r)))
 
 
-def tilt_profile(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
+def tilt_profile(r: float, z: complex | float) -> EulerProductResult:
     """exp(gamma (2z-2)) prod_p (1 + (2z-2)/(p+r)) (1 - 1/p)^(2z-2).
 
     Normalized profile tilt_product(r, z)/tilt_product(r, 1): identically 1 at
@@ -280,10 +251,10 @@ def tilt_profile(r: float, z: complex | float, P: int = DEFAULT_TRUNCATION) -> E
     _check_z(z)
     a = 2.0 * z - 2.0
     pre = _exp(EULER_GAMMA * a)
-    return _assemble(pre, _log_core(a, float(r) + 1.0, P), P)
+    return _assemble(pre, _log_core(a, float(r) + 1.0))
 
 
-def coprimality_density(ell: int, y: float, P: int = DEFAULT_TRUNCATION) -> EulerProductResult:
+def coprimality_density(ell: int, y: float) -> EulerProductResult:
     """Density constant of the level set restricted to n coprime to ell:
 
         prod_p (1 + y/(p-1)) (1 - 1/p)^y / Gamma(y+1)
@@ -312,4 +283,4 @@ def coprimality_density(ell: int, y: float, P: int = DEFAULT_TRUNCATION) -> Eule
         pre = 0.0  # 1/Gamma vanishes at its poles
     else:
         pre = correction / math.gamma(y + 1.0)
-    return _assemble(pre, _log_core(y, 0.0, P), P)
+    return _assemble(pre, _log_core(y, 0.0))

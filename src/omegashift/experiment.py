@@ -4,12 +4,11 @@ A run is described by a flat key = value text file, executed over a grid of
 (x, k) pairs, and written as a CSV plus a JSON mirror.  The level histogram
 H of each (x, w) comes from the histogram cache when cache_dir holds it;
 the missing ones come from one table-free sieve pass over the grid
-(sieve.grid_histograms) and are then cached.  No sieve table is built.
-The Euler products' prime sums are cached too, one file per truncation P,
-so a warm run sieves no primes.
+(sieve.grid_histograms) and are then cached.  No sieve table is built,
+and a warm run sieves nothing: the Euler products read frozen prime sums.
 
-This module is the one that knows what run reads and writes: both cache
-formats (a header holding the file's key and the SHA-256 of its payload,
+This module is the one that knows what run reads and writes: the cache
+format (a header holding the file's key and the SHA-256 of its payload,
 then the payload), write_atomic, which every file goes through, and the
 report row.  Reruns of the same config produce byte-identical files
 except for the runtime_ms column, which is deliberately last in the
@@ -30,15 +29,7 @@ from collections import namedtuple
 
 from . import __version__
 from .base import FOLD_BINS, OMEGA_CAP, SieveConfig, checked_make, nested_histogram, sha256
-from .constants import (
-    DEFAULT_TRUNCATION,
-    MIN_TRUNCATION,
-    R_CEILING,
-    SERIES_TERMS,
-    PrimeSums,
-    normal_cdf,
-    prime_sums,
-)
+from .constants import R_CEILING, TRUNCATION_PRIME, normal_cdf
 from .stats import (
     MAX_MOMENT,
     classical_baseline,
@@ -102,7 +93,6 @@ _KEYS = (
     ("y_grid", _numbers(float), (-2.0, -1.0, 0.0, 1.0, 2.0)),
     ("ell_max", int, -1),
     ("moments", _numbers(int), ()),
-    ("truncation_prime", int, DEFAULT_TRUNCATION),
     ("output_dir", str, "reports"),
     ("cache_dir", str, ""),
     ("threads", int, 1),
@@ -155,8 +145,6 @@ class ExperimentConfig(namedtuple("ExperimentConfig", [key for key, *_ in _KEYS]
                     f"ell_max={self.ell_max} too deep for x={x} (w={w}): "
                     f"ell_max / loglog w = {z:.3f} exceeds {R_CEILING}"
                 )
-        if self.truncation_prime < 1000:
-            raise ValueError("truncation_prime < 1000")
         for m in self.moments:
             if not 0 <= m <= MAX_MOMENT:
                 raise ValueError(f"moment order {m} outside [0, {MAX_MOMENT}]")
@@ -245,10 +233,6 @@ def config_hash(config: ExperimentConfig) -> str:
 HIST_MAGIC = b"OMGH"
 HIST_VERSION = 2  # bump when the format or the numbers H holds change
 _HEADER = struct.Struct("<4sIQQ32s")  # magic, version, x, w, SHA-256 of the payload
-SUMS_MAGIC = b"OMGS"
-SUMS_VERSION = 2  # bump when the format or the way _prime_sums sums changes
-_SUMS_HEADER = struct.Struct("<4sIQII32s")  # the fields of _sums_key, SHA-256 of the payload
-_SUMS_PAYLOAD = struct.Struct(f"<q{SERIES_TERMS}d")  # pi(P), sum p^-2, S_2..S_J
 
 
 class CacheMismatchError(ValueError):
@@ -299,74 +283,35 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _write_cache(path: str, header: struct.Struct, key: tuple, payload: bytes) -> None:
-    write_atomic(path, header.pack(*key, sha256(payload).digest()) + payload)
-
-
-def _read_cache(path: str, header: struct.Struct, key: dict, size: int) -> bytes:
-    """The payload of a cache file whose header holds the values of key (magic
-    and version first) and whose payload is size bytes matching its SHA-256;
-    anything else raises CacheMismatchError naming path and the field."""
-    with open(path, "rb") as fh:
-        raw = fh.read(header.size + size + 1)  # a byte too many shows a long file
-    if len(raw) < header.size:
-        raise CacheMismatchError(f"{path}: truncated header")
-    magic, version, *found, digest = header.unpack_from(raw)
-    names, want = list(key), list(key.values())
-    if [magic, version] != want[:2]:
-        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
-    for name, got, wanted in zip(names[2:], found, want[2:]):
-        if got != wanted:
-            raise CacheMismatchError(f"{path}: has {name}={got}, wanted {name}={wanted}")
-    payload = raw[header.size :]
-    if len(payload) != size:
-        raise CacheMismatchError(f"{path}: payload is not {size} bytes")
-    if sha256(payload).digest() != digest:
-        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
-    return payload
-
-
 def save_histogram(H, path: str, x: int, w: int) -> None:
     """Write H as a cache file: the header (magic, version, x, w, SHA-256
     of the payload), then the payload, H as little-endian int64 in C order."""
-    _write_cache(path, _HEADER, (HIST_MAGIC, HIST_VERSION, x, w), _payload(H))
+    payload = _payload(H)
+    write_atomic(path, _HEADER.pack(HIST_MAGIC, HIST_VERSION, x, w, sha256(payload).digest())
+                 + payload)
 
 
 def load_histogram(path: str, x: int, w: int) -> list[list[list[int]]]:
     """Read a cached H for (x, w) as nested lists of ints, H[k][v][u]; a short
     or long file, another magic, version, x or w, or a payload that does not
-    match its digest raises CacheMismatchError."""
-    key = {"magic": HIST_MAGIC, "version": HIST_VERSION, "x": x, "w": w}
-    return nested_histogram(
-        _HIST_PAYLOAD.unpack(_read_cache(path, _HEADER, key, _HIST_PAYLOAD.size)))
-
-
-def prime_sums_path(cache_dir: str, P: int) -> str:
-    """The file of P's sums in this SUMS_VERSION: a run ignores other versions'."""
-    return os.path.join(cache_dir, f"prime_sums_v{SUMS_VERSION}_P{P}.bin")
-
-
-def _sums_key(P: int) -> dict:
-    """The header fields, with the constants that fix the sums' bits."""
-    return {"magic": SUMS_MAGIC, "version": SUMS_VERSION, "P": P,
-            "MIN_TRUNCATION": MIN_TRUNCATION, "SERIES_TERMS": SERIES_TERMS}
-
-
-def save_prime_sums(sums: PrimeSums, path: str, P: int) -> None:
-    """Write constants.prime_sums(P) as a cache file: the header (_sums_key,
-    SHA-256 of the payload), then pi(P) as int64 and the sums as float64."""
-    count, inv_sq, powers = sums
-    payload = _SUMS_PAYLOAD.pack(count, inv_sq, *powers)
-    _write_cache(path, _SUMS_HEADER, tuple(_sums_key(P).values()), payload)
-
-
-def load_prime_sums(path: str, P: int) -> PrimeSums:
-    """Read the prime sums save_prime_sums wrote for P, bit for bit; a short
-    or long file, another header field or a payload that does not match its
-    digest raises CacheMismatchError."""
-    payload = _read_cache(path, _SUMS_HEADER, _sums_key(P), _SUMS_PAYLOAD.size)
-    count, inv_sq, *powers = _SUMS_PAYLOAD.unpack(payload)
-    return count, inv_sq, tuple(powers)
+    match its digest raises CacheMismatchError naming path and the field."""
+    size = _HIST_PAYLOAD.size
+    with open(path, "rb") as fh:
+        raw = fh.read(_HEADER.size + size + 1)  # a byte too many shows a long file
+    if len(raw) < _HEADER.size:
+        raise CacheMismatchError(f"{path}: truncated header")
+    magic, version, *found, digest = _HEADER.unpack_from(raw)
+    if (magic, version) != (HIST_MAGIC, HIST_VERSION):
+        raise CacheMismatchError(f"{path}: bad magic/version {magic!r} v{version}")
+    for name, got, wanted in zip("xw", found, (x, w)):
+        if got != wanted:
+            raise CacheMismatchError(f"{path}: has {name}={got}, wanted {name}={wanted}")
+    payload = raw[_HEADER.size :]
+    if len(payload) != size:
+        raise CacheMismatchError(f"{path}: payload is not {size} bytes")
+    if sha256(payload).digest() != digest:
+        raise CacheMismatchError(f"{path}: payload does not match its SHA-256")
+    return nested_histogram(_HIST_PAYLOAD.unpack(payload))
 
 
 def _histograms(config: ExperimentConfig, pairs) -> dict:
@@ -391,16 +336,6 @@ def _histograms(config: ExperimentConfig, pairs) -> dict:
     return hists
 
 
-def _cache_prime_sums(config: ExperimentConfig) -> None:
-    """Fill the prime-sums memo for truncation_prime from cache_dir, or sum and cache them."""
-    P = config.truncation_prime
-    path = prime_sums_path(config.cache_dir, P)
-    if os.path.exists(path):
-        prime_sums(P, loaded=load_prime_sums(path, P))
-    else:
-        save_prime_sums(prime_sums(P), path, P)
-
-
 class ExperimentResult(namedtuple("ExperimentResult", "csv_path json_path rows")):
     """Where run_experiment wrote its reports, and their rows, a list of
     PredictionReport (a new empty list by default)."""
@@ -423,10 +358,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         rows.append(make_report(statistic, x, k, w, param, emp, theoretical, error_scale, ms))
         return emp
 
-    P = config.truncation_prime
     w_of = {x: resolve_w(config.w_rule, x) for x in config.x_list}
-    if config.cache_dir:
-        _cache_prime_sums(config)
     hists = _histograms(config, sorted(set(w_of.items())))
     for x in config.x_list:
         w = w_of[x]
@@ -436,7 +368,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         base_err = 1.0 / math.sqrt(l2x)
         for k in config.k_list:
             J = H[k]
-            mass = row("weighted_total", x, k, w, None, weighted_mass_theoretical(k, x, P),
+            mass = row("weighted_total", x, k, w, None, weighted_mass_theoretical(k, x),
                        1.0 / l2x, weighted_mass, J)
             if mass == 0:
                 continue
@@ -449,7 +381,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 l2w = loglog(w)
                 for ell in range(config.ell_max + 1):
                     row("small_factor_profile", x, k, w, ell,
-                        small_factor_prediction(k, x, ell, w, P, mass=mass),
+                        small_factor_prediction(k, x, ell, w, mass=mass),
                         k / l2x**2 + (ell + 1) / l2w**2, weighted_mass_at, J, ell)
             for m in config.moments:
                 row(f"moment_m{m}", x, k, w, m, gaussian_moment(m), gauss_err,
@@ -492,7 +424,7 @@ def _write_json(path, rows, config: ExperimentConfig, tag: str, hists: dict) -> 
             "r_definition": "(k-1)/loglog(x)",
             "r_definition_rejected": "(k-1)*loglog(x)",
             "w_rule": config.w_rule,
-            "truncation_prime": config.truncation_prime,
+            "truncation_prime": TRUNCATION_PRIME,
             "histograms": [
                 {"x": x, "w": w, "sha256": histogram_digest(H)}
                 for (x, w), H in sorted(hists.items())

@@ -1,8 +1,7 @@
-/* The two entries of omegashift's inner loops: walk, the sieve's walk over
- * a run of segments, which may fold them into (k, v, u) histograms, and
- * prime_sums, the prime sums of one block of integers.  Built with
- * kernel.FLAGS and loaded by kernel.py, which checks every pointer and
- * range before a call.
+/* omegashift's inner loop, its one entry: walk, the sieve's walk over a
+ * run of segments, which may fold them into (k, v, u) histograms.  Built
+ * with kernel.FLAGS and loaded by kernel.py, which checks every pointer
+ * and range before a call.
  *
  * A walk sieves a worker's whole run of consecutive segments in one call.
  * Each power q of a base prime below the walk's end is one struct power,
@@ -386,71 +385,4 @@ int64_t walk(uint16_t *cell, int64_t seglen, int64_t lo, int64_t hi,
     free(tallies);
     free(pattern);
     return err;
-}
-
-/* Adds t into the pair (sum, compensation) at pair: Dekker's Fast2Sum,
- * whose (s - s') + t is the exact rounding error of s + t when s >= t. */
-static void add_term(double *pair, double t)
-{
-    const double s = pair[0] + t;
-    pair[1] += (pair[0] - s) + t;
-    pair[0] = s;
-}
-
-/* Adds prime p's terms into the pairs of out: 1/p^2 into out[0..1], and,
- * if p > above, 1/p^(j + 2) into out[2 + 2 j..3 + 2 j], j < npow.  Each
- * term is 1.0 / p squared, times 1.0 / p for each further power. */
-static void add_prime(int64_t p, int64_t above, int64_t npow, double *out)
-{
-    const double inv = 1.0 / (double)p;
-    double t = inv * inv;
-    add_term(out, t);
-    if (p > above)
-        for (int64_t j = 0; j < npow; j++, t *= inv)
-            add_term(out + 2 * (j + 1), t);
-}
-
-/* The primes p of [lo, hi), lo >= 2: returns their count and sets out to
- * 1 + npow (sum, compensation) pairs, the first of p^-2 over all of them,
- * pair 1 + j, j < npow, of p^-(j + 2) over those above `above`; -1 if
- * memory runs out.  The block sieves its odd numbers, one bit each, with
- * odd_base[0..nbase), which must hold every odd prime up to sqrt(hi - 1),
- * each from p * p or its first odd multiple at or above lo; lo = 2 adds
- * the prime 2.
- *
- * The sums take one pass over the primes in ascending order, from pairs
- * of +0.0, and add each term by add_term.  Fast2Sum is exact there: the
- * terms are positive and fall as p rises, so a running sum is never below
- * the next term, and the first add, onto +0.0, is exact.  constants joins
- * the pairs of all blocks with math.fsum.  Each term is the rounded
- * product of the one before and 1.0 / p, and no multiply is fused into an
- * add (kernel.FLAGS says why). */
-int64_t prime_sums(int64_t lo, int64_t hi, const int64_t *odd_base, int64_t nbase,
-                   int64_t above, int64_t npow, double *out)
-{
-    const int64_t first = lo | 1; /* bit j stands for the odd n = first + 2 j < hi */
-    const int64_t nodd = hi > first ? (hi - first + 1) / 2 : 0;
-    const int64_t nwords = nodd / 64 + 1;
-    uint64_t *bits = malloc((size_t)nwords * sizeof *bits);
-    if (!bits)
-        return -1;
-    memset(bits, 0xFF, (size_t)nwords * sizeof *bits);
-    bits[nodd / 64] &= (UINT64_C(1) << nodd % 64) - 1; /* no bit past the block */
-    for (int64_t b = 0; b < nbase; b++) {
-        const int64_t p = odd_base[b];
-        int64_t m = ((lo + p - 1) / p) | 1;
-        if (m < p)
-            m = p;
-        for (int64_t j = (p * m - first) / 2; j < nodd; j += p)
-            bits[j / 64] &= ~(UINT64_C(1) << j % 64);
-    }
-    memset(out, 0, (size_t)(2 + 2 * npow) * sizeof *out);
-    int64_t count = lo == 2;
-    if (count)
-        add_prime(2, above, npow, out);
-    for (int64_t w = 0; w < nwords; w++)
-        for (uint64_t left = bits[w]; left; left &= left - 1, count++)
-            add_prime(first + 2 * (64 * w + __builtin_ctzll(left)), above, npow, out);
-    free(bits);
-    return count;
 }

@@ -1,14 +1,13 @@
-"""The sieve's walk over a run of segments and the prime sums of a block,
-the two functions kernel.c exports.  SegmentPass.fill and SegmentPass.tally
-(one walk each) and prime_sums are their one way in, and check every
-argument.  A walk is one C call for a worker's whole run of segments;
-kernel.c's header describes it.
+"""The sieve's walk over a run of segments, the one function kernel.c
+exports.  SegmentPass.fill and SegmentPass.tally (one walk each) are its
+one way in, and check every argument.  A walk is one C call for a
+worker's whole run of segments; kernel.c's header describes it.
 
-Primes, steps, bounds and odd base primes come in as sequences of ints
-and are packed here.  fill writes into the caller's buffers: any writable
-1-d C-contiguous buffer of bytes ("B") or uint16 words ("H"), checked
-through memoryview, say a bytearray, an array.array or a numpy array;
-nothing here loads numpy.
+Primes, steps and bounds come in as sequences of ints and are packed
+here.  fill writes into the caller's buffers: any writable 1-d
+C-contiguous buffer of bytes ("B") or uint16 words ("H"), checked through
+memoryview, say a bytearray, an array.array or a numpy array; nothing here
+loads numpy.
 
 The library is built on the first call, not at import: the C compiler of
 sysconfig (CC, else cc) compiles kernel.c with FLAGS into the package's
@@ -40,11 +39,7 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 # the fold's 20-byte counting loop inside one 64-byte line whatever code
 # comes before it: crossing one, it took 1.7 instead of 1.15 ns per n
 # (2-core Xeon).
-# -ffp-contract=off keeps each prime-sum term the rounded product that the
-# tests' math.fsum oracle takes, and keeps a fused multiply-add from merging
-# a term's product into its compensated add.
-FLAGS = ("-O3", "-falign-loops=32", "-ffp-contract=off", "-shared", "-fPIC")
-MAX_POWERS = 16  # the most power sums prime_sums takes at once
+FLAGS = ("-O3", "-falign-loops=32", "-shared", "-fPIC")
 # zeroed maps buffers of this size and above as fresh private pages, advised
 # for transparent huge pages.
 PAGED_BYTES = 1 << 20
@@ -126,8 +121,6 @@ def _library():
         ptr, i64, i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr
     ]
     lib.walk.restype = i64
-    lib.prime_sums.argtypes = [i64, i64, ptr, i64, i64, i64, ptr]
-    lib.prime_sums.restype = i64
     return lib
 
 
@@ -317,27 +310,3 @@ class SegmentPass:
         if err:
             raise MemoryError(f"no memory to walk [{lo}, {hi})")
 
-
-def prime_sums(lo: int, hi: int, odd_base, above: int, powers: int):
-    """(count, p^-2 pair, (S_2 pair, ..., S_{powers+1} pair)) over the primes
-    p of [lo, hi): their count, and (sum, compensation) pairs, one of p^-2
-    over all of them and one of each S_j = sum of p^-j over those above
-    `above`, from one C sieve of the block.  A pair's two floats add up to
-    the sum; math.fsum of the pairs of adjacent blocks joins them.  odd_base
-    is a sequence of ints that must hold every odd prime up to
-    sqrt(hi - 1), and may hold more.  An empty sum is (0.0, 0.0).
-    """
-    base = _ints(odd_base, "odd_base")
-    if not 2 <= lo <= hi <= 1 << 53:
-        raise ValueError(f"block [{lo}, {hi}) outside [2, 2^53]")
-    if base and not 3 <= min(base) <= max(base) <= 1 << 26:
-        raise ValueError("an odd base prime outside [3, 2^26]")
-    if not 0 <= powers <= MAX_POWERS:
-        raise ValueError(f"powers={powers} outside [0, {MAX_POWERS}]")
-    packed, out = _int64_buffer(base), zeroed(2 + 2 * powers, "d")
-    count = library().prime_sums(lo, hi, _address(packed), len(base), above, powers,
-                                 _address(out))
-    if count < 0:
-        raise MemoryError(f"no memory to sieve the block [{lo}, {hi})")
-    pairs = [tuple(out[i : i + 2]) for i in range(0, len(out), 2)]
-    return count, pairs[0], tuple(pairs[1:])

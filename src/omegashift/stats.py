@@ -26,13 +26,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .base import OMEGA_CAP, checked_make
-from .constants import (
-    DEFAULT_TRUNCATION,
-    level_ratio,
-    normal_cdf,
-    tilt_profile,
-    tilted_level_constant,
-)
+from .constants import level_ratio, normal_cdf, tilt_profile, tilted_level_constant
 
 Plane = Sequence[Sequence[int]]  # J[v][u]
 
@@ -98,13 +92,13 @@ def weighted_mass(J: Plane) -> int:
     return sum(_row_masses(J))
 
 
-def weighted_mass_theoretical(k: int, x: int, P: int = DEFAULT_TRUNCATION) -> float:
+def weighted_mass_theoretical(k: int, x: int) -> float:
     """Leading-order prediction x (loglog x)^(k-1) / (k-1)! times the tilted
     level constant at r = (k-1)/loglog x."""
     if x < 16:
         raise ValueError("x < 16")
     r = level_ratio(k, x)
-    const = tilted_level_constant(r, P).value
+    const = tilted_level_constant(r).value
     return x * loglog(x) ** (k - 1) / math.factorial(k - 1) * const
 
 
@@ -131,14 +125,8 @@ def weighted_mass_at(J: Plane, ell: int) -> int:
     return sum(int(row[ell]) << v for v, row in enumerate(J))
 
 
-def small_factor_prediction(
-    k: int,
-    x: int,
-    ell: int,
-    w: int,
-    P: int = DEFAULT_TRUNCATION,
-    mass: float | None = None,
-) -> float:
+def small_factor_prediction(k: int, x: int, ell: int, w: int,
+                            mass: float | None = None) -> float:
     """Poisson-type prediction for the omega(n-1, w) = ell slice:
 
         mass * (2 loglog w)^ell / (ell! (log w)^2) * profile(r, ell / loglog w),
@@ -150,9 +138,9 @@ def small_factor_prediction(
         raise ValueError("ell < 0")
     t = loglog(w)
     if mass is None:
-        mass = weighted_mass_theoretical(k, x, P)
+        mass = weighted_mass_theoretical(k, x)
     r = level_ratio(k, x)
-    prof = tilt_profile(r, ell / t, P).value
+    prof = tilt_profile(r, ell / t).value
     return float(
         mass * (2.0 * t) ** ell / (math.factorial(ell) * math.log(w) ** 2) * prof
     )

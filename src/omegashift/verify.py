@@ -24,12 +24,12 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 
-from . import genfun
+from . import constants, genfun
 from .base import FULL_SCALES, OMEGA_CAP, primes_up_to
 from .constants import (
     EULER_GAMMA,
     MIN_TRUNCATION,
-    _prime_sums,
+    PRIME_ZETA_2,
     coprimality_density,
     level_density_constant,
     normal_cdf,
@@ -238,63 +238,52 @@ def _check_phi_kernel_multiplicative():
     return worst < 1e-12, f"max |f(ab) - f(a)f(b)| = {worst:.2e} ({len(pairs)} pairs)"
 
 
-def _power_term(p: int, j: int) -> float:
-    """p^-j as the prime sums take it: 1.0/p squared, times 1.0/p for each
-    further power."""
-    inv = 1.0 / p
-    term = inv * inv
-    for _ in range(j - 2):
-        term *= inv
-    return term
-
-
-def _prime_sums_off_fsum(P: int) -> list[str]:
-    """Which of constants._prime_sums(P) differ in any bit from math.fsum of
-    their terms over base.primes_up_to(P).  Each sum takes its terms from a
-    generator, so that no list of terms raises the battery's peak RSS."""
-    primes = primes_up_to(P)
-    count, inv_sq, powers = _prime_sums(P)
-    off = [] if count == len(primes) else ["pi"]
-    if math.fsum(_power_term(p, 2) for p in primes) != inv_sq:
+def _frozen_sums_off() -> list[str]:
+    """Which of the frozen prime sums the Euler products read
+    (constants._PRIME_SUMS, at the truncation 10^7) fail a cheap check:
+    pi(10^7) = 664579; sum p^-2 below its limit PRIME_ZETA_2; and each S_j
+    at least its partial sum over MIN_TRUNCATION < p <= n, and above it by at
+    most the integral bound n^(1-j) / (j-1) on the sum over p > n."""
+    n = 10_000
+    count, inv_sq, powers = constants._PRIME_SUMS
+    off = [] if count == 664_579 else ["pi"]
+    if not inv_sq < PRIME_ZETA_2:
         off.append("p^-2")
+    primes = [p for p in primes_up_to(n) if p > MIN_TRUNCATION]
     for j, got in enumerate(powers, 2):
-        if math.fsum(_power_term(p, j) for p in primes if p > MIN_TRUNCATION) != got:
+        if not 0.0 <= got - math.fsum(1.0 / p**j for p in primes) <= n ** (1 - j) / (j - 1):
             off.append(f"S_{j}")
     return off
 
 
-def _check_euler_identities(P: int = 100_000):
+def _check_euler_identities():
     msgs = []
     ok = True
-    dev0 = abs(tilted_level_constant(0.0, P).value - 1.0)
+    dev0 = abs(tilted_level_constant(0.0).value - 1.0)
     ok &= dev0 < 1e-9
     msgs.append(f"|A(0)-1|={dev0:.1e}")
     for r in (0.0, 0.25, 0.5, 1.0, 2.0):
-        a = tilted_level_constant(r, P).value
-        c = level_density_constant(r, P).value
-        h1 = tilt_product(r, 1.0, P).value
+        a = tilted_level_constant(r).value
+        c = level_density_constant(r).value
+        h1 = tilt_product(r, 1.0).value
         dev = abs(a - c * h1)
         ok &= dev < 1e-9
-        devh = abs(tilt_profile(r, 1.0, P).value - 1.0)
+        devh = abs(tilt_profile(r, 1.0).value - 1.0)
         ok &= devh < 1e-12
     msgs.append("A=C*h(1), H(r,1)=1")
-    devg = abs(tilt_product(0.5, 0.5, P).value - math.exp(-EULER_GAMMA))
+    devg = abs(tilt_product(0.5, 0.5).value - math.exp(-EULER_GAMMA))
     ok &= devg < 1e-12
     msgs.append(f"|h(1/2)-e^-gamma|={devg:.1e}")
-    l1 = coprimality_density(1, 1.0, P).value
-    l6 = coprimality_density(6, 1.0, P).value
+    l1 = coprimality_density(1, 1.0).value
+    l6 = coprimality_density(6, 1.0).value
     ok &= abs(l6 - l1 / 3.0) < 1e-12
     msgs.append("lambda_6(1)=lambda_1(1)/3")
-    ok &= tilt_profile(0.0, 0.0, P).value == 0.0
+    ok &= tilt_profile(0.0, 0.0).value == 0.0
     msgs.append("H(0,0)=0")
-    t1 = tilted_level_constant(1.0, P).tail_bound
-    t2 = tilted_level_constant(1.0, 2 * P).tail_bound
-    ok &= 0 < t2 < t1
-    msgs.append("tail bound decreasing")
-    off = _prime_sums_off_fsum(10_000)
+    off = _frozen_sums_off()
     ok &= not off
-    msgs.append(f"prime sums to 1e4 != fsum at {', '.join(off)}" if off
-                else "prime sums to 1e4 = fsum")
+    msgs.append(f"prime sums to 1e7 off at {', '.join(off)}" if off
+                else "prime sums to 1e7 within their tail past 1e4")
     return bool(ok), "; ".join(msgs)
 
 
@@ -466,7 +455,7 @@ def _slice_profiles(planes):
     ell_top = int(3 * loglog(w))
     mass = weighted_mass(J)
     emp = [weighted_mass_at(J, l) for l in range(ell_top + 1)]
-    theo = [small_factor_prediction(TREND_K, x, l, w, P=10_000_000, mass=mass)
+    theo = [small_factor_prediction(TREND_K, x, l, w, mass=mass)
             for l in range(ell_top + 1)]
     return emp, theo, f"ell <= {ell_top}, w={w}, x={x:.0e}"
 

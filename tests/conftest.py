@@ -63,7 +63,7 @@ def table_1e5(oracle_w):
 def kernel_copy(tmp_path, monkeypatch):
     """kernel_copy(pattern, repl) builds a copy of kernel.c whose one match
     of pattern (re.M) is replaced by repl, with kernel.FLAGS in tmp_path,
-    binds its entries as kernel.library() binds them, and makes it what
+    binds its walk as kernel.library() binds it, and makes it what
     kernel.library() returns for the rest of the test."""
     cc = kernel._compiler()
     if shutil.which(cc[0]) is None:
@@ -78,9 +78,8 @@ def kernel_copy(tmp_path, monkeypatch):
         done = subprocess.run(argv, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         lib = ctypes.CDLL(str(tmp_path / "k.so"))
-        for name in ("walk", "prime_sums"):
-            built = getattr(kernel.library(), name)
-            getattr(lib, name).argtypes, getattr(lib, name).restype = built.argtypes, built.restype
+        built = kernel.library().walk
+        lib.walk.argtypes, lib.walk.restype = built.argtypes, built.restype
         monkeypatch.setattr(kernel, "library", lambda: lib)
 
     return build

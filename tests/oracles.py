@@ -15,7 +15,8 @@ check, and the truncated-product oracle sums the exact logs of every factor
 up to the truncation prime, carrying the sign of negative factors
 separately.  The prime-sums oracle takes math.fsum, correctly rounded, of
 each sum's double terms over the primes of a sieve of Eratosthenes.  Frozen
-constants in the test files were produced by running this module directly
+constants in the test files, and the prime sums frozen in
+omegashift.constants, were produced by running this module directly
 (python3 tests/oracles.py).
 """
 
@@ -259,10 +260,22 @@ def span_prime_sums(primes, above: int, powers: int) -> tuple[int, float, tuple[
     return len(primes), inv_sq, tuple(sums)
 
 
+@lru_cache(maxsize=None)
 def prime_sums(P: int, above: int, terms: int) -> tuple[int, float, tuple[float, ...]]:
     """(pi(P), sum_{p<=P} p^-2, (S_2, ..., S_terms) over P >= p > above), the
     span_prime_sums of the primes up to P from a sieve of Eratosthenes."""
     return span_prime_sums(_primes_up_to(P), above, terms - 1)
+
+
+def prime_sums_literal(sums) -> str:
+    """sums as the source of omegashift.constants._PRIME_SUMS spells them:
+    the count, then each float as float.fromhex of its hex, three power
+    sums a line."""
+    count, inv_sq, powers = sums
+    hexes = [f'"{value.hex()}"' for value in powers]
+    rows = ["    " + ", ".join(hexes[i : i + 3]) + ",\n" for i in range(0, len(hexes), 3)]
+    return (f'_PRIME_SUMS = ({count}, float.fromhex("{inv_sq.hex()}"), '
+            f"tuple(map(float.fromhex, (\n{''.join(rows)}))))\n")
 
 
 def sums_bits(sums) -> tuple:
@@ -439,6 +452,6 @@ if __name__ == "__main__":
     # identity sanity for the oracle itself
     print("# h(1/2) - e^-gamma =", mp.nstr(tilt_product_mp(mp.mpf(0.5), mp.mpf(0.5)) - mp.exp(-mp.euler), 8))
     print("# H(0.7,1) - 1     =", mp.nstr(tilt_profile_mp(mp.mpf(0.7), mp.mpf(1)) - 1, 8))
-    print("# PRIME_SUMS_BITS: (pi(P), sum p^-2, S_2..S_12) as float.hex, S_j over p > 1000")
-    for P in (1_000, 10_000, 1_048_577, 2_000_003, 10_000_000):
-        print(f"    {P:_}: {sums_bits(prime_sums(P, 1000, 12))},")
+    print("# omegashift.constants._PRIME_SUMS: (pi(P), sum p^-2, S_2..S_12) at P = 10^7,")
+    print("# S_j over 1000 < p <= P, each the math.fsum of its terms")
+    print(prime_sums_literal(prime_sums(10_000_000, 1000, 12)), end="")

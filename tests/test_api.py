@@ -22,10 +22,11 @@ from omegashift.verify import TREND_GATES, CheckResult, TrendGate, VerifySummary
 # wrapper of the old strided-add kernel, the API that no command, report
 # row or check read, the second segment pass and fill entry point, the
 # pre-sieve pattern handed to the pass from outside, the bound of the
-# deleted numpy cofactor route (now LOG_TEST_MIN_X) and the numpy prime
-# sieves that base.primes_up_to and kernel.prime_sums replaced; and, from
-# stats only, the run cache, atomic writer and report row, which moved to
-# experiment.
+# deleted numpy cofactor route (now LOG_TEST_MIN_X), the numpy prime
+# sieves that base.primes_up_to and a C prime-sums sieve replaced, and that
+# sieve, its binding, its memo, its cache and the truncation knob, which
+# frozen prime sums at one truncation replaced; and, from stats only, the
+# run cache, atomic writer and report row, which moved to experiment.
 # A half-finished removal or move leaves one behind.  "module.name" is removed from
 # that module only.
 REMOVED = (
@@ -60,10 +61,6 @@ REMOVED = (
     "stats.HIST_VERSION",
     "stats._HEADER",
     "stats._HIST_BYTES",
-    "stats.SUMS_MAGIC",
-    "stats.SUMS_VERSION",
-    "stats._SUMS_HEADER",
-    "stats._SUMS_PAYLOAD",
     "stats.CacheMismatchError",
     "stats.PredictionReport",
     "stats.make_report",
@@ -71,14 +68,8 @@ REMOVED = (
     "stats._payload",
     "stats.histogram_digest",
     "stats.write_atomic",
-    "stats._write_cache",
-    "stats._read_cache",
     "stats.save_histogram",
     "stats.load_histogram",
-    "stats.prime_sums_path",
-    "stats._sums_key",
-    "stats.save_prime_sums",
-    "stats.load_prime_sums",
     "sieve._fill_segment",
     "sieve._octave_bounds",
     "sieve._prime_after",
@@ -93,6 +84,26 @@ REMOVED = (
     "kernel._presieve_starts",
     "kernel._top_power",
     "kernel.int64_buffer",
+    "prime_sums",
+    "_prime_sums",
+    "_SUMS",
+    "_BLOCK",
+    "PrimeSums",
+    "DEFAULT_TRUNCATION",
+    "MAX_POWERS",
+    "SUMS_MAGIC",
+    "SUMS_VERSION",
+    "_SUMS_HEADER",
+    "_SUMS_PAYLOAD",
+    "_write_cache",
+    "_read_cache",
+    "prime_sums_path",
+    "_sums_key",
+    "save_prime_sums",
+    "load_prime_sums",
+    "_cache_prime_sums",
+    "_prime_sums_off_fsum",
+    "_power_term",
 )
 
 
@@ -176,7 +187,7 @@ def _check():
 RECORDS = {
     "SieveConfig": lambda: SieveConfig(x_max=1000, w=10, threads=2),
     "EulerProductResult": lambda: EulerProductResult(
-        value=0.5 + 0.25j, truncation_prime=1000, tail_bound=1e-9, primes_used=168),
+        value=0.5 + 0.25j, truncation_prime=10**7, tail_bound=1e-9, primes_used=664_579),
     "ThresholdSpec": lambda: ThresholdSpec(center=1.5, scale=2.0),
     "WeightKernel": lambda: WeightKernel(w=10, z=0.5 + 0.5j),
     "GenFunValue": lambda: GenFunValue(z=1j, value=2 + 1j, weight_total=7, terms=3),

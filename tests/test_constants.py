@@ -8,7 +8,6 @@ makes the bound itself part of what is being tested.
 
 import math
 import os
-import random
 import subprocess
 import sys
 import warnings
@@ -24,6 +23,7 @@ from omegashift.constants import (
     MIN_TRUNCATION,
     PRIME_ZETA_2,
     SERIES_TERMS,
+    TRUNCATION_PRIME,
     EulerProductResult,
     PoleError,
     coprimality_density,
@@ -34,9 +34,7 @@ from omegashift.constants import (
     tilt_profile,
     tilted_level_constant,
 )
-from omegashift.constants import _log_core, _prime_sums, _series_remainder
-
-P_TEST = 1_000_000
+from omegashift.constants import _log_core, _series_remainder
 
 # 30-digit values from the independent mpmath oracle (python3 tests/oracles.py)
 FROZEN = {
@@ -71,33 +69,33 @@ def _want(key) -> float:
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0])
 def test_level_density_frozen(r):
-    got = level_density_constant(r, P_TEST)
+    got = level_density_constant(r)
     assert abs(got.value - _want(("level_density", r))) <= got.tail_bound
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0])
 def test_tilted_level_frozen(r):
-    got = tilted_level_constant(r, P_TEST)
+    got = tilted_level_constant(r)
     assert abs(got.value - _want(("tilted_level", r))) <= got.tail_bound
 
 
 def test_tilt_product_frozen():
-    got = tilt_product(1.0, 2.0, P_TEST)
+    got = tilt_product(1.0, 2.0)
     assert abs(got.value - _want(("tilt_product", 1.0, 2.0))) <= got.tail_bound
-    gc = tilt_product(0.5, Z_COMPLEX, P_TEST)
+    gc = tilt_product(0.5, Z_COMPLEX)
     assert abs(gc.value - FROZEN_COMPLEX[("tilt_product", 0.5)]) <= gc.tail_bound
 
 
 def test_tilt_profile_frozen():
-    got = tilt_profile(0.25, 2.338, P_TEST)
+    got = tilt_profile(0.25, 2.338)
     assert abs(got.value - _want(("tilt_profile", 0.25, 2.338))) <= got.tail_bound
-    gc = tilt_profile(0.5, Z_COMPLEX, P_TEST)
+    gc = tilt_profile(0.5, Z_COMPLEX)
     assert abs(gc.value - FROZEN_COMPLEX[("tilt_profile", 0.5)]) <= gc.tail_bound
 
 
 @pytest.mark.parametrize("ell,y", [(1, 1.0), (6, 1.0), (12, 1.5)])
 def test_coprimality_frozen(ell, y):
-    got = coprimality_density(ell, y, P_TEST)
+    got = coprimality_density(ell, y)
     assert abs(got.value - _want(("coprimality", ell, y))) <= got.tail_bound
 
 
@@ -108,60 +106,58 @@ def test_oracle_machinery_reproduces_a_frozen_value():
 
 
 def test_exact_identities():
-    assert tilted_level_constant(0.0, P_TEST).value == 1.0
-    assert level_density_constant(0.0, P_TEST).value == 1.0
+    assert tilted_level_constant(0.0).value == 1.0
+    assert level_density_constant(0.0).value == 1.0
     # h(1/2) = e^-gamma holds per prime, so truncation does not matter
-    got = tilt_product(0.5, 0.5, P_TEST)
+    got = tilt_product(0.5, 0.5)
     assert abs(got.value - math.exp(-EULER_GAMMA)) < 1e-12
     for r in (0.0, 0.25, 1.0, 2.0):
-        assert abs(tilt_profile(r, 1.0, P_TEST).value - 1.0) < 1e-12
+        assert abs(tilt_profile(r, 1.0).value - 1.0) < 1e-12
     # the p=2 factor of the profile vanishes at r=0, z=0; its prime still
     # counts toward the truncation tail
-    zero = tilt_profile(0.0, 0.0, P_TEST)
+    zero = tilt_profile(0.0, 0.0)
     assert zero.value == 0.0
     assert zero.tail_bound < 1e-6
 
 
 def test_tilted_equals_density_times_product():
     for r in (0.0, 0.25, 0.5, 1.0, 2.0):
-        a = tilted_level_constant(r, P_TEST).value
-        c = level_density_constant(r, P_TEST).value
-        h = tilt_product(r, 1.0, P_TEST).value
+        a = tilted_level_constant(r).value
+        c = level_density_constant(r).value
+        h = tilt_product(r, 1.0).value
         assert abs(a - c * h) < 1e-9
 
 
 def test_profile_is_product_ratio():
     for r in (0.25, 1.0):
         for z in (0.5, 1.5, Z_COMPLEX):
-            h_z = tilt_product(r, z, P_TEST).value
-            h_1 = tilt_product(r, 1.0, P_TEST).value
-            prof = tilt_profile(r, z, P_TEST).value
+            h_z = tilt_product(r, z).value
+            h_1 = tilt_product(r, 1.0).value
+            prof = tilt_profile(r, z).value
             assert abs(prof - h_z / h_1) < 5e-7
 
 
 def test_coprimality_strips_prime_factors():
-    base = coprimality_density(1, 1.5, P_TEST).value
-    l10 = coprimality_density(10, 1.5, P_TEST).value
+    base = coprimality_density(1, 1.5).value
+    l10 = coprimality_density(10, 1.5).value
     expect = base / ((1 + 1.5 / 1) * (1 + 1.5 / 4))
     assert abs(l10 - expect) < 1e-12
     # ell = 20 has the same prime support as 10
-    assert coprimality_density(20, 1.5, P_TEST).value == l10
+    assert coprimality_density(20, 1.5).value == l10
 
 
 @pytest.mark.parametrize("ell,y", [(1, 0.5 + 0.3j), (6, -0.4 + 0.7j)])
 def test_coprimality_rejects_complex_y(ell, y):
     with pytest.raises(ValueError, match="complex"):
-        coprimality_density(ell, y, P_TEST)
+        coprimality_density(ell, y)
     # a complex y on the real axis is the real y
-    assert coprimality_density(ell, complex(y.real), P_TEST) == coprimality_density(
-        ell, y.real, P_TEST
-    )
+    assert coprimality_density(ell, complex(y.real)) == coprimality_density(ell, y.real)
 
 
 def test_coprimality_vanishes_at_the_poles_of_gamma():
     # 1/Gamma(y + 1) = 0 at y = -1, -2, -3 when no p | ell puts a pole there
     for ell, y in ((1, -1.0), (1, -3.0), (5, -2.0)):
-        assert coprimality_density(ell, y, P_TEST).value == 0.0
+        assert coprimality_density(ell, y).value == 0.0
 
 
 def test_import_does_not_load_scipy():
@@ -173,11 +169,11 @@ def test_import_does_not_load_scipy():
 
 def test_coprimality_pole_rejected():
     with pytest.raises(PoleError):
-        coprimality_density(2, -1.0, P_TEST)
+        coprimality_density(2, -1.0)
     with pytest.raises(PoleError):
-        coprimality_density(6, -2.0, P_TEST)
+        coprimality_density(6, -2.0)
     # fine when the offending prime does not divide ell
-    assert coprimality_density(3, -1.0 + 1e-3, P_TEST).value != 0
+    assert coprimality_density(3, -1.0 + 1e-3).value != 0
 
 
 # (a, s): |a| = 10 at both ends of the shift range, tilt_profile's and
@@ -198,27 +194,36 @@ TRUNCATED_POINTS = [
 ]
 
 
+def _truncate_at(monkeypatch, P):
+    """Make the Euler products read the prime sums of the truncation P, from
+    the oracle, in place of the frozen ones of TRUNCATION_PRIME."""
+    monkeypatch.setattr(constants, "_PRIME_SUMS",
+                        oracles.prime_sums(P, MIN_TRUNCATION, SERIES_TERMS))
+
+
 @pytest.mark.parametrize("a,s", TRUNCATED_POINTS)
-def test_log_core_matches_truncated_product(a, s):
+def test_log_core_matches_truncated_product(monkeypatch, a, s):
     # the exact log sum over every p <= P, independent of the head/series split
     for P in (MIN_TRUNCATION, 1009, 10**4, 10**5):
         want, want_sign = oracles.truncated_log_product_mp(a, s, P)
-        log_value, _, count, sign = _log_core(a, s, P)
+        _truncate_at(monkeypatch, P)
+        log_value, _, count, sign = _log_core(a, s)
         assert abs(complex(log_value) - complex(want)) <= 1e-13
         assert sign == want_sign
         assert count == len(oracles._small_primes(P))
         assert isinstance(log_value, complex) == isinstance(a, complex)
 
 
-def test_negative_head_factors_give_a_finite_signed_product():
+def test_negative_head_factors_give_a_finite_signed_product(monkeypatch):
     # tilt_profile(4, -4) is the product at a = -10, s = 5, negative there
     log_abs, sign = oracles.truncated_log_product_mp(-10.0, 5.0, 10**4)
     want = sign * math.exp(-10.0 * EULER_GAMMA + float(log_abs))
     assert want < 0
+    _truncate_at(monkeypatch, 10**4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for z in (-4.0, complex(-4.0, 0.0)):
-            got = tilt_profile(4.0, z, 10**4).value
+            got = tilt_profile(4.0, z).value
             assert got == pytest.approx(want, rel=1e-12, abs=0), z
 
 
@@ -231,36 +236,38 @@ def test_series_remainder_at_the_ceiling():
     assert 0.0 < worst <= 1e-18
 
 
-def test_tail_bound_shrinks_with_truncation():
-    bounds = [tilted_level_constant(1.0, P).tail_bound for P in (10**4, 10**5, 10**6)]
-    assert bounds[0] > bounds[1] > bounds[2] > 0
-    values = [tilted_level_constant(1.0, P).value for P in (10**4, 10**5, 10**6)]
-    # successive truncations must stay within the coarser bound of each other
-    assert abs(values[0] - values[2]) <= bounds[0]
-    assert abs(values[1] - values[2]) <= bounds[1]
+def test_tail_bound_shrinks_with_truncation(monkeypatch):
+    frozen = tilted_level_constant(1.0)
+    coarser = []
+    for P in (10**4, 10**5, 10**6):
+        _truncate_at(monkeypatch, P)
+        coarser.append(tilted_level_constant(1.0))
+    bounds = [res.tail_bound for res in (*coarser, frozen)]
+    assert bounds[0] > bounds[1] > bounds[2] > bounds[3] > 0
+    # each coarser truncation stays within its own bound of the frozen one
+    for res in coarser:
+        assert abs(res.value - frozen.value) <= res.tail_bound
 
 
 def test_result_metadata():
-    res = level_density_constant(0.5, P_TEST)
+    res = level_density_constant(0.5)
     assert isinstance(res, EulerProductResult)
-    assert res.truncation_prime == P_TEST
-    assert res.primes_used == 78498
+    assert res.truncation_prime == TRUNCATION_PRIME == 10**7
+    assert res.primes_used == 664_579
     assert isinstance(res.value, float)
-    cres = tilt_product(0.5, Z_COMPLEX, P_TEST)
+    cres = tilt_product(0.5, Z_COMPLEX)
     assert isinstance(cres.value, complex)
 
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        level_density_constant(-0.1, P_TEST)
+        level_density_constant(-0.1)
     with pytest.raises(ValueError):
-        level_density_constant(4.5, P_TEST)
+        level_density_constant(4.5)
     with pytest.raises(ValueError):
-        level_density_constant(0.5, 100)  # truncation below the supported floor
+        tilt_product(0.5, 4.0 + 1.5j)  # |z| beyond the validated disc
     with pytest.raises(ValueError):
-        tilt_product(0.5, 4.0 + 1.5j, P_TEST)  # |z| beyond the validated disc
-    with pytest.raises(ValueError):
-        coprimality_density(0, 1.0, P_TEST)
+        coprimality_density(0, 1.0)
 
 
 def test_level_ratio():
@@ -292,65 +299,21 @@ def test_module_constants_match_references():
     assert abs(PRIME_ZETA_2 - 0.4522474200410654985) < 1e-15
 
 
-# (pi(P), sum_{p<=P} p^-2, S_2..S_12) with the sums as float.hex: the bits a
-# prime-sums cache file of SUMS_VERSION 2 holds, each the math.fsum of its
-# terms (python3 tests/oracles.py).  The cache round-trip tests compare
-# _prime_sums only with itself, so a change to how it sums that moves one
-# bit must bump SUMS_VERSION and refreeze these.
-PRIME_SUMS_BITS = {
-    1_000: (168, "0x1.cef8a87718cb2p-2", ("0x0.0p+0",) * 11),
-    10_000: (1229, "0x1.cf175fe2a5598p-2", (
-        "0x1.eb76b8c8e698ep-14", "0x1.1ee5d97458ad7p-24", "0x1.943944ad00be5p-35",
-        "0x1.3b6cb9a4dc7dbp-45", "0x1.0556e9d225e45p-55", "0x1.c21a6633426d5p-66",
-        "0x1.8e20a14fbb9a2p-76", "0x1.6720dd6f5c799p-86", "0x1.48d327b6d23a8p-96",
-        "0x1.30a0fd6341ca2p-106", "0x1.1ce291a4ed122p-116",
-    )),
-    1_048_577: (82025, "0x1.cf19ee488abadp-2", (
-        "0x1.0a2e8b8f7d801p-13", "0x1.21187cae541e9p-24", "0x1.94872d75718f6p-35",
-        "0x1.3b72bf9b419b5p-45", "0x1.0557689be0d00p-55", "0x1.c21a7be3c2738p-66",
-        "0x1.8e20a337e5468p-76", "0x1.6720dd9b286f4p-86", "0x1.48d327bacfebcp-96",
-        "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
-    )),
-    2_000_003: (148934, "0x1.cf19f06f5512dp-2", (
-        "0x1.0a3fc1e23ddb6p-13", "0x1.2118834168809p-24", "0x1.94872d7809336p-35",
-        "0x1.3b72bf9b4221fp-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2738p-66",
-        "0x1.8e20a337e5468p-76", "0x1.6720dd9b286f4p-86", "0x1.48d327bacfebcp-96",
-        "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
-    )),
-    10_000_000: (664579, "0x1.cf19f2366e97bp-2", (
-        "0x1.0a4dfaae6483dp-13", "0x1.2118858438862p-24", "0x1.94872d78727f1p-35",
-        "0x1.3b72bf9b422c7p-45", "0x1.0557689be0d02p-55", "0x1.c21a7be3c2738p-66",
-        "0x1.8e20a337e5468p-76", "0x1.6720dd9b286f4p-86", "0x1.48d327bacfebcp-96",
-        "0x1.30a0fd63a00c3p-106", "0x1.1ce291a4f5dabp-116",
-    )),
-}
-
-
-@pytest.mark.parametrize("P", sorted(PRIME_SUMS_BITS))
-def test_prime_sums_bits_are_pinned(P):
-    count, inv_sq, powers = _prime_sums(P)
-    assert (count, inv_sq.hex(), tuple(v.hex() for v in powers)) == PRIME_SUMS_BITS[P]
-
-
-# The edges of the blocks of _BLOCK = 2^20 integers: a last block of one
-# integer (2^20 + 2 is [2^20 + 2, 2^20 + 3)) holds no prime, and three
-# seeded P up to 4e6 fall anywhere.
-ORACLE_PS = [1000, 1009, (1 << 20) + 1, (1 << 20) + 2, 3 * (1 << 20) + 2,
-             *random.Random(20_241).sample(range(MIN_TRUNCATION, 4_000_001), 3)]
-
-
-@pytest.mark.parametrize("P", sorted({*ORACLE_PS, *PRIME_SUMS_BITS}))
+# The frozen prime sums are the oracle's, bit for bit, and python3
+# tests/oracles.py prints them as constants.py spells them, so that a
+# re-freeze goes through the oracle.
+@pytest.mark.parametrize("P", [TRUNCATION_PRIME])
 def test_prime_sums_equal_math_fsum(P):
-    got = _prime_sums(P)
+    got = constants._PRIME_SUMS
     want = oracles.prime_sums(P, MIN_TRUNCATION, SERIES_TERMS)
     assert oracles.sums_bits(got) == oracles.sums_bits(want)
     assert type(got[0]) is int and all(type(v) is float for v in (got[1], *got[2]))
 
 
-@pytest.mark.parametrize("block", [1 << 10, 1 << 16, 1 << 22])
-def test_prime_sums_do_not_depend_on_the_block_length(monkeypatch, block):
-    monkeypatch.setattr(constants, "_BLOCK", block)
-    assert oracles.sums_bits(_prime_sums(2_000_003)) == PRIME_SUMS_BITS[2_000_003]
+@pytest.mark.parametrize("P", [TRUNCATION_PRIME])
+def test_prime_sums_bits_are_pinned(P):
+    source = Path(constants.__file__).read_text(encoding="utf-8")
+    assert oracles.prime_sums_literal(oracles.prime_sums(P, MIN_TRUNCATION, SERIES_TERMS)) in source
 
 
 def _has_avx512() -> bool:

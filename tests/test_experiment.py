@@ -14,17 +14,14 @@ import numpy as np
 import pytest
 
 import oracles
-import omegashift.constants as constants
 import omegashift.genfun as genfun
 import omegashift.kernel as kernel
 import omegashift.primes as primes
 import omegashift.verify as verify
 from omegashift.cli import main
-from omegashift.constants import MIN_TRUNCATION, SERIES_TERMS, _prime_sums
 from omegashift.experiment import (
     CSV_HEADER,
     HIST_VERSION,
-    SUMS_VERSION,
     CacheMismatchError,
     ExperimentConfig,
     _write_csv,
@@ -33,14 +30,11 @@ from omegashift.experiment import (
     histogram_digest,
     histogram_path,
     load_histogram,
-    load_prime_sums,
     make_report,
     parse_config,
-    prime_sums_path,
     resolve_w,
     run_experiment,
     save_histogram,
-    save_prime_sums,
 )
 from omegashift.kernel import OMEGA_CAP
 from omegashift.sieve import grid_histograms
@@ -57,7 +51,6 @@ w_rule = fixed:50
 y_grid = -1 0 1
 ell_max = 4
 moments = 2 4
-truncation_prime = 100000
 baseline = true
 large_factor_c = 4.0
 """
@@ -85,14 +78,14 @@ def test_parse_config_reads_every_field():
     # tells 4 from 4.0, so each value must also come out as its field's type.
     text = (
         "x_list = 10000, 100000\nk_list = 2 3\nw_rule = fixed:50\ny_grid = -1.5 0 2\n"
-        "ell_max = 4\nmoments = 2 4\ntruncation_prime = 100000\noutput_dir = out\n"
+        "ell_max = 4\nmoments = 2 4\noutput_dir = out\n"
         "cache_dir = cache\nthreads = 3\nbaseline = 1\nlarge_factor_c = 4.5\n"
     )
     names = [line.partition(" =")[0] for line in text.splitlines()]
     assert names == list(ExperimentConfig._fields)
     want = ExperimentConfig(
         x_list=(10000, 100000), k_list=(2, 3), w_rule="fixed:50", y_grid=(-1.5, 0.0, 2.0),
-        ell_max=4, moments=(2, 4), truncation_prime=100000, output_dir="out",
+        ell_max=4, moments=(2, 4), output_dir="out",
         cache_dir="cache", threads=3, baseline=True, large_factor_c=4.5,
     )
     assert repr(parse_config(text)) == repr(want)
@@ -103,6 +96,9 @@ def test_parse_config_reads_every_field():
 def test_parse_config_rejects_unknown_and_malformed():
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("x_list = 100\nk_list = 1\nbogus = 3")
+    # the Euler products' truncation is fixed, no longer a key
+    with pytest.raises(ValueError, match="line 3: unknown key 'truncation_prime'"):
+        parse_config("x_list = 100\nk_list = 1\ntruncation_prime = 10000000")
     with pytest.raises(ValueError, match="expected key"):
         parse_config("x_list 100")
     with pytest.raises(ValueError, match="missing required"):
@@ -131,8 +127,6 @@ def test_config_validation_bounds():
         ExperimentConfig(x_list=(10**4,), k_list=(2,), w_rule="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(x_list=(10**4,), k_list=(2,), moments=(13,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(x_list=(10**4,), k_list=(2,), truncation_prime=10)
     with pytest.raises(ValueError, match="non-finite"):
         ExperimentConfig(x_list=(10**4,), k_list=(2,), y_grid=(0.0, -math.inf))
     with pytest.raises(ValueError, match="not finite"):
@@ -158,10 +152,10 @@ def test_config_rejects_an_ell_max_the_run_cannot_evaluate():
     ExperimentConfig(x_list=(10**6,), k_list=(2,), w_rule="loglog_sq", ell_max=7)  # 3.625
     # loglog 15 = 0.996 and loglog 16 = 1.020 put ell = 4 on either side of the ceiling
     with pytest.raises(ValueError, match="exceeds ceiling"):
-        small_factor_prediction(2, 10**4, 4, 15, P=10_000)
+        small_factor_prediction(2, 10**4, 4, 15)
     with pytest.raises(ValueError, match="ell_max=4 too deep for x=10000 "):
         ExperimentConfig(x_list=(10**4,), k_list=(2,), w_rule="fixed:15", ell_max=4)
-    assert small_factor_prediction(2, 10**4, 4, 16, P=10_000) > 0
+    assert small_factor_prediction(2, 10**4, 4, 16) > 0
     ExperimentConfig(x_list=(10**4,), k_list=(2,), w_rule="fixed:16", ell_max=4)
     # the first x past the ceiling is named; w < 3 has no slice rows to bound
     with pytest.raises(ValueError, match="x=10000 "):
@@ -263,8 +257,8 @@ def test_config_hash_is_stable_and_sensitive(tmp_path):
                 "threads": 2}
     # every other field changes a row, so each changes the hash
     hashed = {"x_list": (10**4, 10**5), "k_list": (3,), "w_rule": "fixed:51",
-              "y_grid": (1.0,), "ell_max": 2, "moments": (4,), "truncation_prime": 20_000,
-              "baseline": False, "large_factor_c": 3.0}
+              "y_grid": (1.0,), "ell_max": 2, "moments": (4,), "baseline": False,
+              "large_factor_c": 3.0}
     assert {*unhashed, *hashed} == set(ExperimentConfig._fields)
     for key, value in unhashed.items():
         assert config_hash(base._replace(**{key: value})) == config_hash(base), key
@@ -281,7 +275,6 @@ def _tiny_config(tmp_path, **overrides):
         y_grid=(0.0,),
         ell_max=3,
         moments=(2,),
-        truncation_prime=10_000,
         output_dir=str(tmp_path / "reports"),
         cache_dir=str(tmp_path / "cache"),
         baseline=True,
@@ -413,70 +406,14 @@ def test_histogram_cache_rejects_mismatch_and_corruption(tmp_path, H):
         load_histogram(str(bad_path), X, W)
 
 
-def _sums_file(P, sums, magic=b"OMGS", version=SUMS_VERSION, file_P=None,
-               min_truncation=MIN_TRUNCATION, series_terms=SERIES_TERMS):
-    """A prime-sums cache file, spelled out: the header (magic, version, P,
-    MIN_TRUNCATION, SERIES_TERMS, SHA-256 of the payload), then pi(P) as
-    int64 and sum p^-2, S_2..S_J as float64, little-endian."""
-    count, inv_sq, powers = sums
-    payload = struct.pack(f"<q{1 + len(powers)}d", count, inv_sq, *powers)
-    header = struct.pack("<4sIQII", magic, version, P if file_P is None else file_P,
-                         min_truncation, series_terms)
-    return header + hashlib.sha256(payload).digest() + payload
-
-
-@pytest.mark.parametrize("P", [1000, 10_000, 2_000_003])
-def test_prime_sums_cache_roundtrip_is_bit_exact(tmp_path, P):
-    path = prime_sums_path(str(tmp_path / "cache"), P)
-    assert path.endswith(f"prime_sums_v2_P{P}.bin")
-    fresh = _prime_sums(P)
-    save_prime_sums(fresh, path, P)  # parent directories are created on demand
-    raw = open(path, "rb").read()
-    assert len(raw) == 56 + 8 * (1 + SERIES_TERMS) == 160 and raw == _sums_file(P, fresh)
-    count, inv_sq, powers = load_prime_sums(path, P)
-    assert count == fresh[0] and type(count) is int
-    assert inv_sq == fresh[1]
-    assert len(powers) == SERIES_TERMS - 1
-    assert all(got == want for got, want in zip(powers, fresh[2], strict=True))
-    assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]  # no temporary file
-
-
-def test_prime_sums_cache_rejects_mismatch_and_corruption(tmp_path):
-    P = 10_000
-    sums = _prime_sums(P)
-    good = _sums_file(P, sums)
-    flipped = bytearray(good)
-    flipped[56 + 8 * 3 + 2] ^= 1  # a byte of S_3
-    # each bad file, and a word its error must hold besides the path
-    cases = [
-        (_sums_file(P, sums, magic=b"OMGH"), "magic/version"),
-        (_sums_file(P, sums, version=SUMS_VERSION + 1), "magic/version"),
-        (_sums_file(P, sums, file_P=P + 1), "has P=10001, wanted P=10000"),
-        (_sums_file(P, sums, min_truncation=MIN_TRUNCATION + 1), "MIN_TRUNCATION"),
-        (_sums_file(P, sums, series_terms=SERIES_TERMS + 1), "SERIES_TERMS"),
-        (good[:-1], "payload is not 104 bytes"),
-        (good[:40], "truncated header"),
-        (good + b"\0", "payload is not 104 bytes"),
-        (bytes(flipped), "SHA-256"),
-    ]
-    path = tmp_path / "prime_sums_v2_P10000.bin"
-    for bad, word in cases:
-        path.write_bytes(bad)
-        with pytest.raises(CacheMismatchError) as err:
-            load_prime_sums(str(path), P)
-        assert str(err.value).startswith(f"{path}: ") and word in str(err.value)
-    path.write_bytes(good)
-    assert load_prime_sums(str(path), P) == sums
-    with pytest.raises(CacheMismatchError, match="has P=10000, wanted P=20000"):
-        load_prime_sums(str(path), 20_000)
-
-
 def test_cache_reused_between_runs(tmp_path):
+    run_experiment(_tiny_config(tmp_path, cache_dir=""))
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"]  # no cache_dir, no cache
     cfg = _tiny_config(tmp_path)
     run_experiment(cfg)
     cache = tmp_path / "cache"
-    # a histogram and the prime sums of P = 10 000, no sieve table
-    files = [cache / "hist_x10000_w50.bin", cache / "prime_sums_v2_P10000.bin"]
+    # a histogram, and no sieve table and no prime sums
+    files = [cache / "hist_x10000_w50.bin"]
     assert sorted(cache.iterdir()) == files
     stamps = [f.stat().st_mtime_ns for f in files]
     run_experiment(cfg)
@@ -484,50 +421,23 @@ def test_cache_reused_between_runs(tmp_path):
     assert [f.stat().st_mtime_ns for f in files] == stamps  # loaded, not rebuilt
 
 
-def test_warm_run_computes_no_prime_sums(tmp_path, monkeypatch):
-    cold = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "cold")))
-    blocks = []
-    real = kernel.prime_sums
-
-    def recorded(lo, hi, *args):
-        blocks.append((lo, hi))
-        return real(lo, hi, *args)
-
-    monkeypatch.setattr(constants, "_SUMS", {})  # the memo of a fresh process
-    monkeypatch.setattr(constants, "_prime_sums", lambda P: pytest.fail(f"summed P={P}"))
-    monkeypatch.setattr(kernel, "prime_sums", recorded)
-    constants._head_shifts_and_logs.cache_clear()
-    warm = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "warm")))
-    assert blocks == []  # the head primes come from the plain sieve, not a prime block
-    assert _strip_runtime(warm.csv_path) == _strip_runtime(cold.csv_path)
-
-
-def test_a_prime_sums_file_of_sums_version_1_is_ignored(tmp_path):
-    # Written by the numpy prime sums of SUMS_VERSION 1, under that version's
-    # file name: a run neither reads nor removes it, and caches its own
-    # sums beside it.
-    P = 2_000_003
-    written = Path(__file__).parent / "data" / f"prime_sums_P{P}.bin"
+def test_prime_sums_files_of_old_versions_are_ignored(tmp_path):
+    # Under the names that the cached prime sums of versions 1 and 2 took: a
+    # run neither reads, removes nor rewrites them, and writes the report
+    # that it writes beside an empty cache.
+    clean = run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "clean"),
+                                        cache_dir=str(tmp_path / "empty")))
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / written.name).write_bytes(written.read_bytes())
-    run_experiment(_tiny_config(tmp_path, truncation_prime=P))
-    assert (cache / written.name).read_bytes() == written.read_bytes()
-    assert sorted(p.name for p in cache.glob("prime_sums_*.bin")) == [
-        f"prime_sums_P{P}.bin", f"prime_sums_v2_P{P}.bin"]
-    loaded = load_prime_sums(str(cache / f"prime_sums_v2_P{P}.bin"), P)
-    want = oracles.prime_sums(P, MIN_TRUNCATION, SERIES_TERMS)  # math.fsum of the terms
-    assert oracles.sums_bits(loaded) == oracles.sums_bits(want)
-
-
-def test_prime_sums_cache_only_with_a_cache_dir_and_one_file_per_P(tmp_path):
-    run_experiment(_tiny_config(tmp_path, cache_dir=""))
-    assert [p.name for p in tmp_path.iterdir()] == ["reports"]  # the cache writes nothing
-    for P in (10_000, 20_000):
-        run_experiment(_tiny_config(tmp_path, truncation_prime=P))
-    cache = tmp_path / "cache"
-    assert sorted(p.name for p in cache.glob("prime_sums_*.bin")) == [
-        "prime_sums_v2_P10000.bin", "prime_sums_v2_P20000.bin"]
+    old = {cache / "prime_sums_P10000000.bin": b"OMGS" + bytes(100),
+           cache / "prime_sums_v2_P10000000.bin": b"\xff" * 160}
+    for path, data in old.items():
+        path.write_bytes(data)
+    result = run_experiment(_tiny_config(tmp_path))
+    assert {path: path.read_bytes() for path in old} == old
+    assert sorted(p.name for p in cache.iterdir()) == [
+        "hist_x10000_w50.bin", "prime_sums_P10000000.bin", "prime_sums_v2_P10000000.bin"]
+    assert _strip_runtime(result.csv_path) == _strip_runtime(clean.csv_path)
 
 
 def test_warm_run_never_loads_the_kernel(tmp_path):
@@ -594,8 +504,8 @@ def test_no_command_loads_numpy_dataclasses_or_inspect(tmp_path):
     warm run has run none of the sieve, kernel, prime, genfun or verify
     modules (the package binds each lazily, and a lazy module that never ran
     is not a plain ModuleType), the cold run only the sieve and the kernel,
-    constants only the kernel, for its prime sums, at either z, and sieve
-    only the sieve and the kernel; the warm run's report equals the cold
+    constants none of them, at either z, and sieve only the sieve and the
+    kernel; the warm run's report equals the cold
     one's but for runtime_ms.  Importing the package and its command line
     loads none of the three either, and every name of __all__ still
     resolves."""
@@ -617,11 +527,11 @@ sys.argv = ["omegashift", *sys.argv[1:]]
 runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(genfun.__file__).parents[1]))
-    for z in ([], ["--z", "0.8,0.3"]):  # real z = 1, then a complex z; P = 1e7
+    for z in ([], ["--z", "0.8,0.3"]):  # real z = 1, then a complex z
         done = subprocess.run([sys.executable, "-c", probe, "constants", *z],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[] ['omegashift.kernel']", z
+        assert done.stdout.splitlines()[-1] == "[] []", z
     reports = {}
     for phase in ("cold", "warm"):
         cfg = tmp_path / f"{phase}.cfg"
@@ -632,7 +542,7 @@ runpy.run_module("omegashift.cli", run_name="__main__", alter_sys=True)
         )
         assert done.returncode == 0, done.stderr
         reports[phase] = done.stdout.splitlines()[-1]
-    # the cold run sieved and summed its primes in the kernel, without numpy
+    # the cold run sieved in the kernel, without numpy
     assert reports["cold"] == "[] ['omegashift.sieve', 'omegashift.kernel']"
     assert reports["warm"] == "[] []"
     done = subprocess.run([sys.executable, "-c", probe, "verify", "--level", "fast"],
@@ -690,6 +600,43 @@ def test_partial_cache_run_matches_cold_run(tmp_path):
     assert stale.read_bytes() == b"an old table cache file is ignored"
     meta = [json.load(open(r.json_path))["metadata"] for r in (cold, part)]
     assert meta[0]["histograms"] == meta[1]["histograms"]
+
+
+# The reference config of perfbench/run.py, and the bits its report holds:
+# the SHA-256 of CSV columns 1-9 (all but runtime_ms, each line cut at its
+# ninth comma) and the digest of each H.  A change that moves them on
+# purpose re-freezes them here and says which moved and why.
+REFERENCE_CONFIG = """\
+x_list = 1000000 10000000 100000000
+k_list = 1 2 3 4
+w_rule = loglog_sq
+ell_max = 6
+moments = 2 4
+baseline = true
+large_factor_c = 4.0
+threads = 1
+"""
+REFERENCE_CSV_1_TO_9 = "b54daa9a25d45f44d0a04be0f34150b65f9a095fedc9972b0708bacc21bfb3c9"
+REFERENCE_HISTOGRAMS = [
+    {"x": 1000000, "w": 987,
+     "sha256": "9d738f5d3f672194f77d763d27a030287bb30e92f1882d9094fabdf8d190c5f1"},
+    {"x": 10000000, "w": 2271,
+     "sha256": "469a4bda78961cfb05814b32d5770467083513526a55fae26c7ae4f01c09eb29"},
+    {"x": 100000000, "w": 4858,
+     "sha256": "eb918a3a9466ae7dfb78c046b4cb29df20bee8321ea73153a3c6a52a1ef243b0"},
+]
+
+
+def test_reference_report_bits_are_frozen(tmp_path):
+    for phase in ("cold", "warm"):  # the warm run reads the cold run's cache
+        config = parse_config(REFERENCE_CONFIG + f"cache_dir = {tmp_path / 'cache'}\n"
+                              f"output_dir = {tmp_path / phase}\n")
+        result = run_experiment(config)
+        with open(result.csv_path, encoding="utf-8") as fh:
+            cut = "".join(",".join(line.split(",")[:9]) + "\n" for line in fh.read().splitlines())
+        assert hashlib.sha256(cut.encode()).hexdigest() == REFERENCE_CSV_1_TO_9, phase
+        with open(result.json_path, encoding="utf-8") as fh:
+            assert json.load(fh)["metadata"]["histograms"] == REFERENCE_HISTOGRAMS, phase
 
 
 def test_a_parent_format_cache_file_is_an_error(tmp_path, capsys):
@@ -833,8 +780,9 @@ def test_cli_run(tmp_path, capsys):
 
 
 def test_cli_constants(capsys):
-    assert main(["constants", "--r", "0.5", "--z", "1.5,0.25", "--P", "10000"]) == 0
+    assert main(["constants", "--r", "0.5", "--z", "1.5,0.25"]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("r=0.5 z=(1.5+0.25j) truncation=10000000\n")
     for name in ("level_density", "tilted_level", "tilt_product", "tilt_profile"):
         assert name in out
     assert "tail bound" in out
@@ -842,7 +790,7 @@ def test_cli_constants(capsys):
 
 @pytest.mark.parametrize("z", ["nan", "0,nan"])
 def test_cli_constants_rejects_a_non_finite_z(capsys, z):
-    assert main(["constants", "--r", "0.5", "--z", z, "--P", "10000"]) == 2
+    assert main(["constants", "--r", "0.5", "--z", z]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: |z|=nan exceeds ceiling")

@@ -2,7 +2,7 @@
 
 Each fault is one line of kernel.c changed (built by the kernel_copy
 fixture and loaded in place of the package's kernel) or one monkeypatch of
-the sieve.  A battery that still passes on a fault would let it through
+the sieve or of the frozen prime sums.  A battery that still passes on a fault would let it through
 (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978).
 """
@@ -24,16 +24,12 @@ KERNEL_FAULTS = {
         r"r = \(lo \+ start\) % period", "r = (lo + start + 1) % period"),
     "pattern_misses_each_power_at_zero": (
         r"for \(int64_t j = 0; j < period;", "for (int64_t j = pw[k].q; j < period;"),
-    "prime_sums_uncompensated": (r"^\s*pair\[1\] \+= \(pair\[0\] - s\) \+ t;\n", ""),
-    "head_primes_in_the_power_sums": (r"if \(p > above\)", "if (p > 0)"),
 }
 
 
 @pytest.fixture(autouse=True)
-def _no_faulty_memo(monkeypatch):
-    """Keep what a fault computes out of the package's memos: the prime sums
-    and genfun's sieve table."""
-    monkeypatch.setattr(constants, "_SUMS", {})
+def _no_faulty_memo():
+    """Keep what a fault computes out of genfun's memo of its sieve table."""
     genfun._target.cache_clear()
     yield
     genfun._target.cache_clear()
@@ -61,3 +57,9 @@ def test_verify_fails_a_pass_without_its_largest_base_prime(monkeypatch):
     monkeypatch.setattr(sieve, "segment_pass", segment_pass)
     _assert_fast_battery_fails()
 
+
+def test_verify_fails_frozen_prime_sums_with_s3_doubled(monkeypatch):
+    count, inv_sq, powers = constants._PRIME_SUMS
+    monkeypatch.setattr(constants, "_PRIME_SUMS",
+                        (count, inv_sq, (powers[0], 2 * powers[1], *powers[2:])))
+    _assert_fast_battery_fails()

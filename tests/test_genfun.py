@@ -56,7 +56,7 @@ def test_kernel_input_validation():
 def test_one_disc_check_for_kernel_genfun_and_tilt_product():
     J = grid_histograms([(1000, 10)])[1000, 10][2]
     calls = [lambda z: WeightKernel(w=10, z=z), lambda z: eval_genfun(J, z),
-             lambda z: tilt_product(0.5, z, 10_000)]
+             lambda z: tilt_product(0.5, z)]
     for call in calls:
         for z, shown in ((4 + 1e-6, "4.000"), (complex(0, -4 - 1e-6), "4.000"),
                          (math.nan, "nan"), (complex(math.nan, 0), "nan")):

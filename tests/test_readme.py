@@ -67,7 +67,7 @@ def test_readme_csv_header_is_the_reports():
 def test_readme_rows_are_the_rows_a_run_writes(tmp_path):
     config = ExperimentConfig(
         x_list=(10_000,), k_list=(1, 2), w_rule="loglog_sq", ell_max=2, moments=(2, 4),
-        truncation_prime=10_000, output_dir=str(tmp_path), baseline=True, large_factor_c=4.0,
+        output_dir=str(tmp_path), baseline=True, large_factor_c=4.0,
     )
     written = {row.statistic for row in run_experiment(config).rows}
     named = [name.split()[0].strip("`")

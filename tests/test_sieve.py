@@ -28,7 +28,6 @@ from omegashift.base import (
     default_segment,
     primes_up_to,
 )
-from omegashift.constants import MIN_TRUNCATION
 from omegashift.primes import factor_table
 from omegashift.sieve import (
     LOG_TEST_MIN_X,
@@ -328,53 +327,6 @@ def test_primes_up_to_around_prime_squares():
             assert got == [q for q in longest if q <= limit], limit
 
 
-def _block_sums(limit, block_len, above=MIN_TRUNCATION, powers=11):
-    """kernel.prime_sums of each block [lo, lo + block_len) of [2, limit]."""
-    odd_base = primes_up_to(math.isqrt(limit))[1:]
-    return [kernel.prime_sums(lo, min(lo + block_len, limit + 1), odd_base, above, powers)
-            for lo in range(2, limit + 1, block_len)]
-
-
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 97, 10_007])
-def test_prime_blocks_concatenate_to_primes_up_to(limit):
-    # The C blocks of the prime sums count primes_up_to(limit) whatever
-    # their length; blocks of one integer hold at most one prime, whose
-    # p^-2 pair is ((1/p) * (1/p), 0.0), and so is each power's above 1000.
-    want = primes_up_to(limit)
-    for block_len in (1, 2, 7, 64, 1 << 22):
-        assert sum(count for count, _, _ in _block_sums(limit, block_len)) == len(want)
-    singles = [sums for sums in _block_sums(limit, 1) if sums[0]]
-    assert len(singles) == len(want)
-    for p, (_, inv_sq, (s2, s3, *_)) in zip(want, singles):
-        t = (1.0 / p) * (1.0 / p)
-        assert inv_sq == (t, 0.0)
-        above = ((t, 0.0), (t * (1.0 / p), 0.0))
-        assert (s2, s3) == (above if p > MIN_TRUNCATION else ((0.0, 0.0),) * 2)
-
-
-def _joined(sums):
-    """(count, sum p^-2, power sums) of a block, each pair joined with math.fsum."""
-    count, inv_sq, powers = sums
-    return count, math.fsum(inv_sq), tuple(map(math.fsum, powers))
-
-
-@pytest.mark.parametrize("limit", [*range(41), 10_007])
-def test_each_prime_block_holds_the_primes_of_its_span(limit):
-    # Block i is [2 + i * block_len, ...) whatever it holds, empty blocks
-    # too.  Each block's count and joined pairs are those of the primes of
-    # its span, each sum the math.fsum of its terms (the primes above 10,
-    # so that small blocks have some).
-    primes = [n for n in range(2, limit + 1) if _is_prime(n)]
-    for block_len in (1, 2, 7, 64, 1000):
-        blocks = _block_sums(limit, block_len, above=10, powers=3)
-        los = range(2, limit + 1, block_len)
-        assert len(blocks) == len(los), block_len
-        for lo, block in zip(los, blocks):
-            span = [p for p in primes if lo <= p < lo + block_len]
-            want = oracles.span_prime_sums(span, 10, 3)
-            assert oracles.sums_bits(_joined(block)) == oracles.sums_bits(want), (block_len, lo)
-
-
 def _oracle_factor_rows(n_max):
     """(p, a, m, omega) of each q <= n_max from oracles.factorize."""
     rows = [(0, 0, 1, 0)] * min(n_max + 1, 2)
@@ -400,7 +352,7 @@ def test_factor_table_and_verify_trial_division_call_no_sieve(monkeypatch):
         raise AssertionError("a sieve was called")
 
     for name in ("base.primes_up_to", "sieve.primes_up_to", "constants.primes_up_to",
-                 "kernel.SegmentPass", "kernel.prime_sums", "sieve.build_omega_table",
+                 "kernel.SegmentPass", "sieve.build_omega_table",
                  "verify.build_omega_table"):
         monkeypatch.setattr(f"omegashift.{name}", refuse)
     x, ws = 3000, (13, 3000)
@@ -595,19 +547,6 @@ def test_a_link_to_the_interpreter_names_the_same_library(tmp_path, monkeypatch)
     path = kernel.library_path()
     monkeypatch.setattr(sys, "executable", str(link))
     assert kernel.library_path() == path
-
-
-def test_kernel_rejects_bad_arguments(monkeypatch):
-    monkeypatch.setattr(kernel, "library", lambda: pytest.fail("the C kernel was called"))
-    odd = [3, 5, 7]
-    for args, match in (((4, 3, odd, 1, 0), "block"), ((2, (1 << 53) + 1, odd, 1, 0), "block"),
-                        ((2, 100, [2, 3], 1, 0), "odd base prime"),
-                        ((2, 100, [3, 5, 1 << 27], 1, 0), "odd base prime"),
-                        ((2, 100, odd, 1, kernel.MAX_POWERS + 1), "powers")):
-        with pytest.raises(ValueError, match=match):
-            kernel.prime_sums(*args)
-    with pytest.raises(TypeError, match="odd_base"):
-        kernel.prime_sums(2, 100, [3.0], 1, 0)
 
 
 def _segment(size=64, nosm=1):
@@ -985,7 +924,7 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
         source = fh.read()
     # Each definition that starts a line and is not static: kernel.c's exports.
     exported = dict(re.findall(r"^(?!static\b)\w+ (\w+)\(([^)]*)\)\s*\{", source, re.M))
-    assert sorted(exported) == ["prime_sums", "walk"]
+    assert sorted(exported) == ["walk"]
     lib = kernel.library()
     for name, params in exported.items():
         want = [ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params.split(",")]
@@ -994,21 +933,19 @@ def test_kernel_parameters_match_their_ctypes_argtypes():
 
 # Run in a child by test_kernel_has_no_undefined_behaviour: kernel.c built
 # with UBSan (argv[1]) in place of kernel.library(), through verify's fast
-# battery, a table walk of two splits that ends at 2^40 + 1, and the prime
-# sums up to 10^6.  Exit 77: the sanitized build does not load.
+# battery and a table walk of two splits that ends at 2^40 + 1.  Exit 77: the sanitized build does not load.
 _UBSAN_CHILD = """
 import ctypes, sys
 from bisect import bisect_right
-from omegashift import constants, kernel, sieve, verify
+from omegashift import kernel, sieve, verify
 
 try:
     lib = ctypes.CDLL(sys.argv[1])
 except OSError as exc:
     print(exc)
     sys.exit(77)
-for name in ("walk", "prime_sums"):
-    built = getattr(kernel.library(), name)
-    getattr(lib, name).argtypes, getattr(lib, name).restype = built.argtypes, built.restype
+built = kernel.library().walk
+lib.walk.argtypes, lib.walk.restype = built.argtypes, built.restype
 kernel.library = lambda: lib
 failed = [r.name for r in verify.verify_suite("fast", quiet=True).results if r.status == "FAIL"]
 assert not failed, failed
@@ -1017,7 +954,6 @@ plan = sieve.segment_pass(sieve.X_MAX_CEILING, ws)
 om, osms = kernel.zeroed(size, "B"), [kernel.zeroed(size, "B") for _ in ws]
 plan.fill(kernel.zeroed(1024, "H"), om, osms, sieve.X_MAX_CEILING + 1 - size,
           [bisect_right(plan.primes, w) for w in ws])
-constants._prime_sums(10**6)
 """
 
 

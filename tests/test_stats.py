@@ -312,17 +312,15 @@ def test_ks_distance_matches_oracle(H, triples):
 def test_weighted_mass_theoretical_positive_and_trending(H):
     # pure prediction: positive, and the empirical/theoretical ratio is O(1)
     for k in (2, 3):
-        pred = weighted_mass_theoretical(k, X, P=100_000)
+        pred = weighted_mass_theoretical(k, X)
         assert pred > 0
     emp = weighted_mass(H[2])
-    assert 0.1 < emp / weighted_mass_theoretical(2, X, P=100_000) < 10.0
+    assert 0.1 < emp / weighted_mass_theoretical(2, X) < 10.0
 
 
 def test_small_factor_prediction_positive(H):
     mass = weighted_mass(H[2])
-    vals = [
-        small_factor_prediction(2, X, ell, W, P=100_000, mass=mass) for ell in range(5)
-    ]
+    vals = [small_factor_prediction(2, X, ell, W, mass=mass) for ell in range(5)]
     assert all(v > 0 for v in vals)
     # rises from ell=0 toward the bulk near 2 loglog w
     assert vals[1] > vals[0]
