@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 
@@ -325,6 +326,37 @@ def test_primes_up_to_around_prime_squares():
             got = primes_up_to(limit)
             assert [q for q in got if q >= start] == [n for n in window if n <= limit], limit
             assert got == [q for q in longest if q <= limit], limit
+
+
+def _double_term(p, j):
+    """p^-j as the frozen prime sums take it: 1.0 / p squared, times 1.0 / p
+    per further power (constants' module docstring)."""
+    inv = 1.0 / p
+    term = inv * inv
+    for _ in range(j - 2):
+        term *= inv
+    return term
+
+
+@pytest.mark.parametrize("limit", [*range(41), 10_007])
+def test_each_prime_block_holds_the_primes_of_its_span(limit):
+    # The frozen prime sums come from the oracle's sieve and sums (python3
+    # tests/oracles.py), and verify checks them over primes_up_to's primes:
+    # both sieves give the primes up to limit by trial division.  Cut into
+    # blocks [2 + i * block_len, ...) of [2, limit], empty blocks too, the
+    # oracle's sums of each block's primes are the math.fsum of their double
+    # terms (the S_j over the primes above 10, so that small blocks have some).
+    primes = [n for n in range(2, limit + 1) if _is_prime(n)]
+    assert primes_up_to(limit) == primes
+    assert list(oracles._primes_up_to(limit)) == primes
+    for block_len in (1, 2, 7, 64, 1000):
+        for lo in range(2, limit + 1, block_len):
+            span = primes[bisect_left(primes, lo) : bisect_left(primes, lo + block_len)]
+            above = [p for p in span if p > 10]
+            want = (len(span), math.fsum(_double_term(p, 2) for p in span),
+                    tuple(math.fsum(_double_term(p, j) for p in above) for j in (2, 3, 4)))
+            got = oracles.span_prime_sums(span, 10, 3)
+            assert oracles.sums_bits(got) == oracles.sums_bits(want), (block_len, lo)
 
 
 def _oracle_factor_rows(n_max):
