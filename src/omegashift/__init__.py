@@ -51,9 +51,8 @@ _EXPORTS = {
     "genfun": (
         "GenFunValue",
         "ProfilePoint",
-        "WeightKernel",
         "characteristic_profile",
-        "convolution_max_deviation",
+        "convolution_mismatch",
         "eval_genfun",
         "extract_coefficients",
         "kernel_value",

@@ -9,15 +9,18 @@ defined on prime powers by
 
 satisfies (g * tau)(n) = 2^omega(n) * z^omega(n, w), where tau is the divisor
 count and * is Dirichlet convolution.  This module exposes the kernel, the
-identity check, the totient-averaged transform f(l) = sum_{d^2 q = l}
-g(q)/phi(dq), and the weighted generating function
+identity check, the totient-weighted transform phi(l) f(l), with
+f(l) = sum_{d^2 q = l} g(q)/phi(dq), and the weighted generating function
 
-    F_k(z) = sum over n in the k-level set of 2^omega(n-1) * z^omega(n-1, w),
+    F_k(z) = sum over n in the k-level set of 2^omega(n-1) * z^omega(n-1, w).
 
-a polynomial in z whose coefficients are the small-factor masses.  Those
-coefficients are exact integers read from the plane J = H[k] of the level
-histogram (sieve.grid_histograms), so evaluation, coefficient extraction and
-the characteristic profile are small functions of J alone.  J is a 16 x 16
+g and phi f are polynomials in Z[z], held as tuples of their int
+coefficients, constant term first, so the identity check and verify's
+kernel checks are exact and hold for every z at once.  z enters only where
+F_k is evaluated.  Its coefficients are the small-factor masses, exact
+integers read from the plane J = H[k] of the level histogram
+(sieve.grid_histograms), so evaluation, coefficient extraction and the
+characteristic profile are small functions of J alone.  J is a 16 x 16
 nested sequence of ints, nested lists or a numpy array, as stats takes it.
 """
 
@@ -29,26 +32,16 @@ import math
 import operator
 from collections import namedtuple
 
-from .base import OMEGA_CAP, checked_make
+from .base import OMEGA_CAP
 from .constants import _check_z
 from .primes import factor_table, factorize
 from .sieve import SieveConfig, build_omega_table
 from .stats import Plane, weighted_mass_at
 
 
-class WeightKernel(namedtuple("WeightKernel", "w z")):
-    """Kernel parameters: small-prime threshold w >= 2 and tilt point |z| <= 4."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.w < 2:
-            raise ValueError("w < 2")
-        _check_z(self.z)
-        return self
-
-    _make = classmethod(checked_make)
+def _check_w(w: int) -> None:
+    if w < 2:
+        raise ValueError("w < 2")
 
 
 @functools.lru_cache(maxsize=2048)
@@ -57,114 +50,108 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p={p} is not prime")
 
 
-def kernel_value(p: int, alpha: int, kernel: WeightKernel) -> complex:
-    """g(p^alpha); p must be prime, alpha >= 1."""
+def kernel_value(p: int, alpha: int, w: int) -> tuple[int, ...]:
+    """g(p^alpha) as its coefficients in z, constant term first, with no
+    trailing zero: (-2, 2) and (1, -2) below w, () and (-1,) above, () for
+    alpha > 2.  p must be prime, alpha >= 1 and w >= 2."""
     _check_prime(p)
+    _check_w(w)
     if alpha < 1:
         raise ValueError("alpha < 1")
     if alpha > 2:
-        return 0.0 + 0.0j
-    z = complex(kernel.z)
-    if p <= kernel.w:
-        return 2.0 * (z - 1.0) if alpha == 1 else 1.0 - 2.0 * z
-    return complex(0.0) if alpha == 1 else complex(-1.0)
+        return ()
+    if p <= w:
+        return (-2, 2) if alpha == 1 else (1, -2)
+    return () if alpha == 1 else (-1,)
 
 
-@functools.lru_cache(maxsize=1)
-def _divisor_structure(n_max: int):
-    """What convolution_max_deviation needs of 1..n_max that no kernel changes,
-    as tuples indexed by q: tau(q), and primes.factor_table's p, a and
-    m = q / p^a.  m < q, so tau(q) = (a + 1) tau(m) is built in ascending q."""
-    spf, alpha, cofactor, _ = factor_table(n_max)
-    tau = [1] * (n_max + 1)
-    for q in range(2, n_max + 1):
-        tau[q] = (alpha[q] + 1) * tau[cofactor[q]]
-    return tuple(tau), spf, alpha, cofactor
+def _polynomial(coeffs, z):
+    return sum(c * z**u for u, c in enumerate(coeffs))
 
 
-@functools.lru_cache(maxsize=1)
-def _target(n_max: int, w: int):
-    """omega(n) and omega(n, w), 1 <= n <= n_max, of a sieve table, as tuples."""
-    table = build_omega_table(SieveConfig(x_max=n_max, w=w))
-    return tuple(table.omega[1:].tolist()), tuple(table.omega_small[1:].tolist())
-
-
-def convolution_max_deviation(n_max: int, kernel: WeightKernel) -> float:
-    """max |g * tau - 2^omega z^omega_small| over 1 <= n <= n_max.
+def convolution_mismatch(n_max: int, w: int) -> int:
+    """The first 1 <= n <= n_max where (g * tau)(n) != 2^omega(n) z^omega(n, w)
+    as polynomials in z, or 0 if the identity holds for every such n.
 
     The convolution side sums g(q) tau(n/q) over the divisors q of n, from
     primes.factor_table; the target side reads a sieve table of n <= n_max,
-    so the two routes share no arithmetic.  The last n_max's tau and
-    factorizations q = p^a m, and the last (n_max, min(w, n_max))'s target,
-    are cached.  A call asks kernel_value for g(p^a) once per prime power
-    and builds every other g(q) = g(m) g(p^a) in ascending q, each one
-    Python complex product.  Each nonzero g(q), q >= 2, is added in
-    ascending q as lhs[q::q] += g(q) tau(1..n_max // q).  Python's complex
-    arithmetic rounds as numpy's scalar loops do (tests/oracles.py's
-    convolution_deviation_loops), and the deviation reported is of the
-    order of those roundings.
+    so the two routes share no arithmetic.  Every g is evaluated at the one
+    integer Z = 2^B, B = 3 bitlen(n_max) + 2: kernel_value once per prime
+    power, every other g(q) = g(m) g(p^a) in ascending q, and each nonzero
+    g(q), q >= 2, added as lhs[q::q] += g(q) tau(1..n_max // q).
+
+    Equal integers at Z are equal polynomials, so the check holds for every
+    z at once.  A coefficient of g(q) is at most ||g(q)||_1 <= 4^omega(q)
+    <= q^2 in size, tau(n/q) <= n/q, and n has at most n divisors, so each
+    coefficient of lhs - rhs is at most n^3 + n < Z/2 in absolute value.  A
+    nonzero such difference D, with lowest nonzero coefficient d_j, has
+    D(Z) = Z^j (d_j + Z R) for an integer R, and 0 < |d_j| < Z keeps that
+    from 0.
     """
     if n_max < 2:
         raise ValueError("n_max < 2")
-    tau, spf, alpha, cofactor = _divisor_structure(n_max)
-    g = [0j] * (n_max + 1)
-    g[1] = 1 + 0j
+    _check_w(w)
+    B = 3 * n_max.bit_length() + 2
+    Z = 1 << B
+    spf, alpha, cofactor, _ = factor_table(n_max)
+    tau = [1] * (n_max + 1)
+    g = [0] * (n_max + 1)
+    g[1] = 1
     for q in range(2, n_max + 1):
         m = cofactor[q]
+        tau[q] = (alpha[q] + 1) * tau[m]
         if m == 1:  # q = p^a
-            g[q] = kernel_value(spf[q], alpha[q], kernel)
+            g[q] = _polynomial(kernel_value(spf[q], alpha[q], w), Z)
         elif g[m]:
             g[q] = g[m] * g[q // m]
-    lhs = list(map(complex, tau))  # the q = 1 term
+    lhs = tau[:]  # the q = 1 term
     for q in range(2, n_max + 1):
         if g[q]:
             lhs[q::q] = map(operator.add, lhs[q::q], map(g[q].__mul__, tau[1 : n_max // q + 1]))
-    om, osm = _target(n_max, min(kernel.w, n_max))  # primes above n_max divide nothing below it
-    zpow = _powers(complex(kernel.z), max(osm) + 1)
-    rhs = [math.ldexp(1.0, o) * zpow[u] for o, u in zip(om, osm)]
-    return max(abs(a - b) for a, b in zip(lhs[1:], rhs))
+    # primes above n_max divide nothing below it
+    table = build_omega_table(SieveConfig(x_max=n_max, w=min(w, n_max)))
+    rhs = [1 << (o + B * u) for o, u in zip(table.omega.tolist(), table.omega_small.tolist())]
+    return next((n for n in range(1, n_max + 1) if lhs[n] != rhs[n]), 0)
 
 
-def _powers(z: complex, count: int) -> list[complex]:
-    out = [1 + 0j]  # z^0 := 1 including z = 0
-    for _ in range(1, count):
-        out.append(out[-1] * z)
-    return out
+def _poly_mul(a, b) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
-def phi_prime_power(p: int, e: int, kernel: WeightKernel) -> complex:
-    """Closed form of the totient-averaged kernel on l = p^e.
+def phi_prime_power(p: int, e: int, w: int) -> tuple[int, int]:
+    """phi(p^e) f(p^e), the totient-weighted kernel on l = p^e, as the pair
+    of its coefficients in z, constant term first.
 
-    Odd e = 2a+1:  (2z-2)/(p^a (p-1)) below w, 0 above.
-    Even e = 2a+2: 1/(p^a (p-1)) + (1-2z)/(p^(a+1) (p-1)) below w,
-                   1/(p^a (p-1)) - 1/(p^(a+1) (p-1)) above.
+    Odd e = 2a+1:  p^a (2z - 2) below w, 0 above.
+    Even e = 2a+2: p^(a+1) + p^a (1 - 2z) below w, p^(a+1) - p^a above.
     """
     _check_prime(p)
+    _check_w(w)
     if e < 1:
         raise ValueError("e < 1")
-    z = complex(kernel.z)
-    if e % 2 == 1:
-        a = (e - 1) // 2
-        if p > kernel.w:
-            return 0.0 + 0.0j
-        return (2.0 * z - 2.0) / (p**a * (p - 1))
-    a = (e - 2) // 2
-    base = 1.0 / (p**a * (p - 1))
-    if p > kernel.w:
-        return base - 1.0 / (p ** (a + 1) * (p - 1))
-    return base + (1.0 - 2.0 * z) / (p ** (a + 1) * (p - 1))
+    a = (e - 1) // 2
+    if e % 2:  # e = 2a+1
+        return (-2 * p**a, 2 * p**a) if p <= w else (0, 0)
+    if p <= w:  # e = 2a+2
+        return (p ** (a + 1) + p**a, -2 * p**a)
+    return (p ** (a + 1) - p**a, 0)
 
 
-def phi_weighted_kernel(ell: int, kernel: WeightKernel) -> complex:
-    """f(l) = sum_{d^2 q = l} g(q)/phi(dq), multiplicative in l; f(1) = 1."""
+def phi_weighted_kernel(ell: int, w: int) -> tuple[int, ...]:
+    """phi(l) f(l), f(l) = sum_{d^2 q = l} g(q)/phi(dq), as the product of the
+    pairs phi_prime_power over the prime powers p^e || l: omega(l) + 1
+    coefficients in z, constant term first; (1,) at l = 1."""
     if ell < 1:
         raise ValueError("ell < 1")
-    value = 1.0 + 0.0j
-    for p, e in factorize(ell):
-        value *= phi_prime_power(p, e, kernel)
-        if value == 0:
-            break
-    return value
+    _check_w(w)
+    pairs = [phi_prime_power(p, e, w) for p, e in factorize(ell)]
+    if (0, 0) in pairs:
+        return (0,) * (len(pairs) + 1)
+    return functools.reduce(_poly_mul, pairs) if pairs else (1,)
 
 
 class GenFunValue(namedtuple("GenFunValue", "z value weight_total terms")):
@@ -184,10 +171,6 @@ def extract_coefficients(J: Plane) -> list[int]:
     coeffs = [weighted_mass_at(J, u) for u in range(OMEGA_CAP)]
     degree = max((u for u, c in enumerate(coeffs) if c), default=0)
     return coeffs[: degree + 1]
-
-
-def _polynomial(coeffs, z: complex) -> complex:
-    return complex(sum(c * z**u for u, c in enumerate(coeffs)))
 
 
 def eval_genfun(J: Plane, z: complex | float) -> GenFunValue:

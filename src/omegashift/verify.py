@@ -11,7 +11,9 @@ tests/test_acceptance.py asserts too; the first makes the one table-free
 sieve pass (sieve.grid_histograms) for the k = 2 planes at 1e5..x_top.  Each
 trend check ANDs its gates; a miss is a warning when x_top is below 1e7.
 The battery computes in plain Python on tables, histograms and oracles of
-ints.
+ints.  Its three kernel checks compare g and phi f (genfun) as polynomials
+in Z[z], tuples of ints, so each holds for every z at once, with no
+tolerance.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .stats import (
     weighted_moment,
 )
 
-Z_GRID = (0.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, 1.0j, 1.7 + 0.3j)
 W_GRID = (2, 10, 97)
 TREND_K = 2  # the level whose plane the trend gates read
 
@@ -193,49 +194,59 @@ def _check_partition_identity():
 
 
 def _check_convolution_identity(n_max: int = 2000):
-    worst = 0.0
     for w in W_GRID:
-        for z in Z_GRID:
-            kernel = genfun.WeightKernel(w=w, z=z)
-            worst = max(worst, genfun.convolution_max_deviation(n_max, kernel))
-    ok = worst < 1e-10
-    return ok, f"max |g*tau - 2^om z^om_w| = {worst:.2e} over n <= {n_max}"
-
-
-def _phi_direct(p: int, e: int, kernel) -> complex:
-    total = 0.0 + 0.0j
-    for a in range(e // 2 + 1):
-        # d = p^a, q = p^(e-2a); phi(dq) = phi(p^(e-a))
-        q_exp = e - 2 * a
-        g = 1.0 + 0.0j if q_exp == 0 else genfun.kernel_value(p, q_exp, kernel)
-        phi = p ** (e - a) - p ** (e - a - 1)
-        total += g / phi
-    return total
+        if n := genfun.convolution_mismatch(n_max, w):
+            return False, f"g*tau != 2^om z^om_w at n={n}, w={w}"
+    return True, f"g*tau = 2^om z^om_w in Z[z] for all n <= {n_max}, w in {W_GRID}"
 
 
 def _check_phi_kernel_closed_forms():
-    worst = 0.0
+    """Each phi(p^e) f(p^e) against its divisor sum sum_{b <= e/2} p^b g(p^(e-2b)):
+    d = p^b, q = p^(e-2b) and phi(p^e) / phi(dq) = p^b."""
     for w in W_GRID:
-        for z in Z_GRID:
-            kernel = genfun.WeightKernel(w=w, z=z)
-            for p in (2, 3, 5, 7, 11, 13, 29):
-                for e in range(1, 7):
-                    dev = abs(
-                        genfun.phi_prime_power(p, e, kernel)
-                        - _phi_direct(p, e, kernel)
-                    )
-                    worst = max(worst, dev)
-    return worst < 1e-12, f"max closed-form deviation {worst:.2e}"
+        for p in (2, 3, 5, 7, 11, 13, 29):
+            for e in range(1, 7):
+                want = [0, 0]
+                for b in range(e // 2 + 1):
+                    g = genfun.kernel_value(p, e - 2 * b, w) if e > 2 * b else (1,)
+                    for u, c in enumerate(g):
+                        want[u] += p**b * c
+                if genfun.phi_prime_power(p, e, w) != tuple(want):
+                    return False, f"closed form differs at p={p}, e={e}, w={w}"
+    return True, (f"phi(p^e) f(p^e) = sum_b p^b g(p^(e-2b)) in Z[z], p <= 29, e <= 6, "
+                  f"w in {W_GRID}")
 
 
 def _check_phi_kernel_multiplicative():
-    kernel = genfun.WeightKernel(w=10, z=1.7 + 0.3j)
-    worst = 0.0
-    f = {a: genfun.phi_weighted_kernel(a, kernel) for a in range(2, 80)}
-    pairs = [(a, b) for a in f for b in f if math.gcd(a, b) == 1]
-    for a, b in pairs:
-        worst = max(worst, abs(genfun.phi_weighted_kernel(a * b, kernel) - f[a] * f[b]))
-    return worst < 1e-12, f"max |f(ab) - f(a)f(b)| = {worst:.2e} ({len(pairs)} pairs)"
+    """phi_weighted_kernel, a product over l's prime powers, against phi(l) f(l)
+    from its definition, sum_{d^2 q = l} g(q) phi(l) / phi(dq), for l < 6400
+    at w = 10; phi(dq) divides phi(l) as dq divides l.  g, phi and the
+    factorizations come from primes.factor_table, g(q) = g(m) g(p^a) in
+    ascending q."""
+    ell_max, w = 6400, 10
+    spf, alpha, cofactor, omega = factor_table(ell_max - 1)
+    g, phi = [(), (1,)], [0, 1]
+    for q in range(2, ell_max):
+        m = cofactor[q]
+        pa = q // m
+        phi.append(phi[m] * (pa - pa // spf[q]))
+        if m == 1:  # q = p^a
+            g.append(genfun.kernel_value(spf[q], alpha[q], w))
+        else:
+            g.append(genfun._poly_mul(g[m], g[pa]) if g[m] else ())
+    want = [[0] * (omega[ell] + 1) for ell in range(ell_max)]
+    for d in range(1, math.isqrt(ell_max - 1) + 1):
+        for q in range(1, (ell_max - 1) // (d * d) + 1):
+            if g[q]:
+                ell = d * d * q
+                ratio = phi[ell] // phi[d * q]
+                for u, c in enumerate(g[q]):
+                    want[ell][u] += ratio * c
+    for ell in range(1, ell_max):
+        if genfun.phi_weighted_kernel(ell, w) != tuple(want[ell]):
+            return False, f"product form differs from the definition at l={ell}"
+    return True, (f"phi(l) f(l) as a product over p^e || l = its definition in Z[z] "
+                  f"for l < {ell_max} (w={w})")
 
 
 def _frozen_sums_off() -> list[str]:

@@ -1,10 +1,11 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Nothing here imports the package under test.  The arithmetic oracles use
-plain trial division and Python integers; the convolution oracle sums
-g(q) tau(n/q) over the divisors q of one trial-divided n, for a kernel g
-that a test may pass in; the factor-table oracle is the library's former
-numpy trial division of a whole range; the segment oracle sieves one
+plain trial division and Python integers; the kernel oracles compute g
+and phi f in ints and z alone, so an int or Fraction z keeps them exact,
+and the convolution oracle sums g(q) tau(n/q) over the divisors q of one
+trial-divided n, for a kernel g that a test may pass in; the factor-table
+oracle is the library's former numpy trial division of a whole range; the segment oracle sieves one
 segment with a numpy strided add per prime power over the whole segment,
 in no chunks and from no pattern; the histogram oracle counts a table's (k, v, u) triples with
 numpy bincount; the generating-function oracle gathers a table's level set
@@ -360,79 +361,63 @@ def coprimality_density_mp(ell: int, y, **kw):
 # --------------------------------------------------------- kernel enumeration
 
 
-def kernel_g(p: int, alpha: int, w: int, z) -> complex:
+def kernel_g(p: int, alpha: int, w: int, z):
+    """g(p^alpha) at z, in ints and z alone: exact at an int or Fraction z."""
     if alpha == 1:
-        return 2 * (z - 1) if p <= w else 0.0
+        return 2 * (z - 1) if p <= w else 0
     if alpha == 2:
-        return 1 - 2 * z if p <= w else -1.0
-    return 0.0
+        return 1 - 2 * z if p <= w else -1
+    return 0
 
 
-def convolution_sides(n: int, w: int, z, g=kernel_g) -> tuple[complex, complex]:
+def convolution_sides(n: int, w: int, z, g=kernel_g):
     """(sum over q | n of g(q) tau(n/q), 2^omega(n) z^omega(n, w)) for one n,
     with g(p, alpha, w, z) the kernel on prime powers, extended multiplicatively."""
     fac = factorize(n)
-    lhs = 0.0 + 0.0j
+    lhs = 0
     for exps in itertools.product(*(range(e + 1) for _, e in fac)):
-        term = 1.0 + 0.0j
+        term = 1
         for (p, e), a in zip(fac, exps):
             if a:
                 term *= g(p, a, w, z)
             term *= e - a + 1  # tau(n/q) is multiplicative too
         lhs += term
     om, om_small = omega_pair(n, w)
-    return lhs, 2.0**om * complex(z) ** om_small
+    return lhs, 2**om * z**om_small
 
 
-def convolution_deviation_loops(n_max: int, kernel, kernel_value) -> float:
-    """max |g * tau - 2^omega z^omega_small| over n <= n_max by scalar loops:
-    g(q) = g(m) g(p^a) one q at a time, for p the smallest prime of q, and
-    lhs[q::q] += g(q) tau(1..) for ascending q.  The same operations in the
-    same order as genfun.convolution_max_deviation, so its value to the bit."""
-    tau = np.zeros(n_max + 1, dtype=np.int64)
-    for d in range(1, n_max + 1):
-        tau[d::d] += 1
-    g = np.zeros(n_max + 1, dtype=np.complex128)
-    g[1] = 1.0
-    for q in range(2, n_max + 1):
-        (p, a), *_ = factorize(q)
-        gm = g[q // p**a]
-        g[q] = gm * kernel_value(p, a, kernel) if gm != 0 else 0.0
-    lhs = tau.astype(np.complex128)
-    for q in range(2, n_max + 1):
-        if g[q] != 0:
-            lhs[q::q] += g[q] * tau[1 : n_max // q + 1]
-    om, osm = np.array([omega_pair(n, kernel.w) for n in range(1, n_max + 1)]).T
-    zpow = np.ones(osm.max() + 1, dtype=np.complex128)
-    for j in range(1, zpow.size):
-        zpow[j] = zpow[j - 1] * complex(kernel.z)
-    rhs = np.ldexp(1.0, om.astype(np.int32)) * zpow[osm]
-    # Python's abs of a complex is libm's hypot, as in the library; np.abs
-    # takes numpy's own SIMD modulus, which rounds some values apart from it.
-    return max(abs(complex(d)) for d in lhs[1:] - rhs)
-
-
-def kernel_g_general(q: int, w: int, z) -> complex:
-    out = 1.0 + 0.0j
+def kernel_g_general(q: int, w: int, z):
+    out = 1
     for p, e in factorize(q):
         out *= kernel_g(p, e, w, z)
     return out
 
 
-def phi_via_enumeration(ell: int, w: int, z) -> complex:
-    """sum over d^2 * q = ell of g(q) / phi(d*q), straight from the definition,
-    in ascending d; the d with d^2 | ell are built from ell's factorization."""
+def totient(n: int) -> int:
+    out = 1
+    for p, e in factorize(n):
+        out *= (p - 1) * p ** (e - 1)
+    return out
+
+
+def phi_via_enumeration(ell: int, w: int, z):
+    """phi(ell) f(ell) = sum over d^2 * q = ell of g(q) phi(ell) / phi(d*q),
+    straight from the definition, in ascending d; the d with d^2 | ell are
+    built from ell's factorization, and phi(d*q) divides phi(ell) as d*q
+    divides ell."""
     ds = [1]
     for p, e in factorize(ell):
         ds = [d * p**f for d in ds for f in range(e // 2 + 1)]
-    total = 0.0 + 0.0j
+    total = 0
     for d in sorted(ds):
         q = ell // (d * d)
-        phi = 1
-        for p, e in factorize(d * q):
-            phi *= (p - 1) * p ** (e - 1)
-        total += kernel_g_general(q, w, z) / phi
+        total += kernel_g_general(q, w, z) * (totient(ell) // totient(d * q))
     return total
+
+
+def polynomial_at(coeffs, z):
+    """sum_u coeffs[u] z^u: a library polynomial, constant term first, at z."""
+    return sum(c * z**u for u, c in enumerate(coeffs))
 
 
 if __name__ == "__main__":

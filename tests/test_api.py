@@ -12,7 +12,7 @@ import omegashift
 from omegashift.base import SieveConfig
 from omegashift.constants import EulerProductResult
 from omegashift.experiment import ExperimentConfig, ExperimentResult, PredictionReport
-from omegashift.genfun import GenFunValue, ProfilePoint, WeightKernel
+from omegashift.genfun import GenFunValue, ProfilePoint
 from omegashift.sieve import OmegaTable
 from omegashift.stats import ThresholdSpec
 from omegashift.verify import TREND_GATES, CheckResult, TrendGate, VerifySummary
@@ -25,8 +25,10 @@ from omegashift.verify import TREND_GATES, CheckResult, TrendGate, VerifySummary
 # deleted numpy cofactor route (now LOG_TEST_MIN_X), the numpy prime
 # sieves that base.primes_up_to and a C prime-sums sieve replaced, and that
 # sieve, its binding, its memo, its cache and the truncation knob, which
-# frozen prime sums at one truncation replaced; and, from stats only, the
-# run cache, atomic writer and report row, which moved to experiment.
+# frozen prime sums at one truncation replaced; the complex kernel record,
+# the float convolution check, its z grid and its two memos, which the
+# exact checks in Z[z] replaced; and, from stats only, the run cache,
+# atomic writer and report row, which moved to experiment.
 # A half-finished removal or move leaves one behind.  "module.name" is removed from
 # that module only.
 REMOVED = (
@@ -104,6 +106,12 @@ REMOVED = (
     "_cache_prime_sums",
     "_prime_sums_off_fsum",
     "_power_term",
+    "WeightKernel",
+    "convolution_max_deviation",
+    "verify.Z_GRID",
+    "genfun._target",
+    "genfun._divisor_structure",
+    "genfun._powers",
 )
 
 
@@ -189,7 +197,6 @@ RECORDS = {
     "EulerProductResult": lambda: EulerProductResult(
         value=0.5 + 0.25j, truncation_prime=10**7, tail_bound=1e-9, primes_used=664_579),
     "ThresholdSpec": lambda: ThresholdSpec(center=1.5, scale=2.0),
-    "WeightKernel": lambda: WeightKernel(w=10, z=0.5 + 0.5j),
     "GenFunValue": lambda: GenFunValue(z=1j, value=2 + 1j, weight_total=7, terms=3),
     "ProfilePoint": lambda: ProfilePoint(t=0.5, psi=0.75 + 0.125j, gaussian_gap=0.0625),
     "OmegaTable": lambda: OmegaTable(x_max=10, w=3, omega=memoryview(bytearray(b"\0\0\1\1\1")),
@@ -237,7 +244,5 @@ def test_replace_checks_a_record_as_a_new_one_is():
         SieveConfig(1000, 10)._replace(threads=0)
     with pytest.raises(ValueError, match="scale <= 0"):
         ThresholdSpec(0.0, 1.0)._replace(scale=0.0)
-    with pytest.raises(ValueError, match="w < 2"):
-        WeightKernel(10, 1.0)._replace(w=1)
     with pytest.raises(ValueError, match="x_list is empty"):
         ExperimentConfig((10_000,), (2,))._replace(x_list=())

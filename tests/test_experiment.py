@@ -499,15 +499,16 @@ print(all(kernel.sha256(b).digest() == hashlib.sha256(b).digest() for b in paylo
 def test_no_command_loads_numpy_dataclasses_or_inspect(tmp_path):
     """`omegashift constants` at a real and at a complex z, a cold and then
     a warm `python -m omegashift.cli run`, `verify --level fast` and `sieve`,
-    each in a child process: at the exit of each, neither numpy nor
-    dataclasses nor inspect is loaded (the records are namedtuples); the
+    each in a child process: at the exit of each, none of numpy,
+    dataclasses and inspect is loaded (the records are namedtuples), nor
+    decimal or fractions (the kernel algebra is in plain ints); the
     warm run has run none of the sieve, kernel, prime, genfun or verify
     modules (the package binds each lazily, and a lazy module that never ran
     is not a plain ModuleType), the cold run only the sieve and the kernel,
     constants none of them, at either z, and sieve only the sieve and the
     kernel; the warm run's report equals the cold
     one's but for runtime_ms.  Importing the package and its command line
-    loads none of the three either, and every name of __all__ still
+    loads none of the five either, and every name of __all__ still
     resolves."""
     config = (
         "x_list = 10000 100000\nk_list = 1 2 3\nw_rule = loglog_sq\nell_max = 4\n"
@@ -516,7 +517,7 @@ def test_no_command_loads_numpy_dataclasses_or_inspect(tmp_path):
     )
     heavy = ("omegashift.sieve", "omegashift.kernel", "omegashift.primes",
              "omegashift.genfun", "omegashift.verify")
-    unwanted = ("numpy", "dataclasses", "inspect")
+    unwanted = ("numpy", "dataclasses", "inspect", "decimal", "fractions")
     probe = f"""
 import atexit, runpy, sys, types
 def loaded():
@@ -844,10 +845,10 @@ def test_verify_full_check_names_match_benchmark_reference():
 def test_verify_detects_injected_kernel_fault(monkeypatch):
     real = genfun.kernel_value
 
-    def flipped(p, alpha, kernel):
-        val = real(p, alpha, kernel)
-        if p > kernel.w and alpha == 2:
-            return -val
+    def flipped(p, alpha, w):
+        val = real(p, alpha, w)
+        if p > w and alpha == 2:
+            return tuple(-c for c in val)
         return val
 
     monkeypatch.setattr(genfun, "kernel_value", flipped)
@@ -966,9 +967,9 @@ def test_verify_rejects_unknown_level():
 def test_cli_verify_exit_code(monkeypatch, capsys):
     real = genfun.kernel_value
 
-    def broken(p, alpha, kernel):
-        val = real(p, alpha, kernel)
-        return -val if (p > kernel.w and alpha == 2) else val
+    def broken(p, alpha, w):
+        val = real(p, alpha, w)
+        return tuple(-c for c in val) if (p > w and alpha == 2) else val
 
     monkeypatch.setattr(genfun, "kernel_value", broken)
     assert main(["verify", "--level", "fast"]) == 1
@@ -980,7 +981,7 @@ def test_cli_verify_json_matches_printed_battery(tmp_path, monkeypatch, capsys):
     real = genfun.kernel_value
     monkeypatch.setattr(  # one failing check, so statuses differ
         genfun, "kernel_value",
-        lambda p, alpha, kernel: -real(p, alpha, kernel) if alpha == 2 else real(p, alpha, kernel),
+        lambda p, alpha, w: tuple(-c for c in real(p, alpha, w)) if alpha == 2 else real(p, alpha, w),
     )
     assert main(["verify", "--level", "fast"]) == 1
     plain = capsys.readouterr().out
@@ -1011,6 +1012,26 @@ def test_cli_verify_json_is_written_atomically(tmp_path, capsys):
     report = json.loads(path.read_text())
     assert path.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
     assert os.listdir(path.parent) == ["verify.json"]  # no temporary file left
+
+
+def test_verify_output_bits_are_frozen(tmp_path, capsys):
+    """verify's stdout at both levels, and its --json with each check's
+    seconds removed, hold the SHA-256 digests frozen from their output."""
+    digests = {}
+    for level, code in (("fast", 0), ("full", 1)):
+        path = tmp_path / f"{level}.json"
+        assert main(["verify", "--level", level, "--json", str(path)]) == code
+        digests[level, "stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        report = json.loads(path.read_text())
+        for check in report["checks"]:
+            del check["seconds"]
+        digests[level, "json"] = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digests == {
+        ("fast", "stdout"): "fff3d4e12320131cc9384d1cc8484934a23b4ecf7ac70e736cc9a3e35a23a5a5",
+        ("fast", "json"): "9f7a12e49e26df847a17eded0fafeaf9a7cab59ac1e645cc1dedc2077b020167",
+        ("full", "stdout"): "5c19ff46d0d13bd0b2b988caa11b43274ebdb2fa6f8934ece31b0b65be8cea66",
+        ("full", "json"): "5c5382b52a198d4993760fab403d7a510b9e8d96db92e7901947603fb4905446",
+    }
 
 
 def test_cli_verify_rejects_a_small_x_top_before_any_check(capsys):

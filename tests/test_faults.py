@@ -2,9 +2,10 @@
 
 Each fault is one line of kernel.c changed (built by the kernel_copy
 fixture and loaded in place of the package's kernel) or one monkeypatch of
-the sieve or of the frozen prime sums.  A battery that still passes on a fault would let it through
-(mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
-selection", IEEE Computer 11(4), 1978).
+the sieve, of the frozen prime sums or of the kernel algebra.  A battery
+that still passes on a fault would let it through (mutation analysis:
+DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
+Computer 11(4), 1978).
 """
 
 import pytest
@@ -25,14 +26,6 @@ KERNEL_FAULTS = {
     "pattern_misses_each_power_at_zero": (
         r"for \(int64_t j = 0; j < period;", "for (int64_t j = pw[k].q; j < period;"),
 }
-
-
-@pytest.fixture(autouse=True)
-def _no_faulty_memo():
-    """Keep what a fault computes out of genfun's memo of its sieve table."""
-    genfun._target.cache_clear()
-    yield
-    genfun._target.cache_clear()
 
 
 def _assert_fast_battery_fails():
@@ -62,4 +55,18 @@ def test_verify_fails_frozen_prime_sums_with_s3_doubled(monkeypatch):
     count, inv_sq, powers = constants._PRIME_SUMS
     monkeypatch.setattr(constants, "_PRIME_SUMS",
                         (count, inv_sq, (powers[0], 2 * powers[1], *powers[2:])))
+    _assert_fast_battery_fails()
+
+
+def test_verify_fails_phi_with_the_even_power_above_w_summed(monkeypatch):
+    # phi(p^e) f(p^e) at e = 2a+2, p > w, as p^(a+1) + p^a in place of p^(a+1) - p^a
+    real = genfun.phi_prime_power
+
+    def summed(p, e, w):
+        if e % 2 == 0 and p > w:
+            a = (e - 2) // 2
+            return (p ** (a + 1) + p**a, 0)
+        return real(p, e, w)
+
+    monkeypatch.setattr(genfun, "phi_prime_power", summed)
     _assert_fast_battery_fails()

@@ -1,17 +1,22 @@
-"""Generating-function layer: kernel, convolution identity, coefficients."""
+"""Generating-function layer: kernel, convolution identity, coefficients.
+
+The kernel g and phi f are polynomials in Z[z], tuples of ints; each is
+compared with the oracles' values at deg + 1 rational points, exactly,
+which fixes a polynomial of that degree.
+"""
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
 import oracles
-from omegashift import genfun, verify
+from omegashift import genfun
 from omegashift.constants import tilt_product
 from omegashift.genfun import (
-    WeightKernel,
     characteristic_profile,
-    convolution_max_deviation,
+    convolution_mismatch,
     eval_genfun,
     extract_coefficients,
     kernel_value,
@@ -20,18 +25,23 @@ from omegashift.genfun import (
 )
 from omegashift.sieve import grid_histograms
 
-Z_SET = (0.0, 1.0, -1.0, 1.0j, 1.7 + 0.3j)
+
+def _points(count: int) -> list[Fraction]:
+    """count distinct rational z, as many as fix a polynomial of degree count - 1."""
+    return [Fraction(3 * j - 4, 7) for j in range(count)]
 
 
 def test_kernel_values_match_oracle():
     for w in (2, 10, 97):
-        for z in Z_SET:
-            kern = WeightKernel(w=w, z=z)
-            for p in (2, 3, 5, 11, 97, 101):
-                for alpha in (1, 2, 3, 4):
-                    got = kernel_value(p, alpha, kern)
-                    want = oracles.kernel_g(p, alpha, w, z)
-                    assert got == want, (p, alpha, w, z)
+        for p in (2, 3, 5, 11, 97, 101):
+            for alpha in (1, 2, 3, 4):
+                got = kernel_value(p, alpha, w)
+                assert all(type(c) is int for c in got) and got[-1:] != (0,)
+                for z in _points(2):
+                    assert oracles.polynomial_at(got, z) == oracles.kernel_g(p, alpha, w, z), (
+                        p, alpha, w, z)
+    assert [kernel_value(3, alpha, 3) for alpha in (1, 2, 3)] == [(-2, 2), (1, -2), ()]
+    assert [kernel_value(5, alpha, 3) for alpha in (1, 2, 3)] == [(), (-1,), ()]
 
 
 def _planes(x, w):
@@ -39,24 +49,23 @@ def _planes(x, w):
 
 
 def test_kernel_input_validation():
-    kern = WeightKernel(w=10, z=1.0)
     for not_prime in (4, 1, 0, -3, 91, 3 * 2**40):
         with pytest.raises(ValueError, match="not prime"):
-            kernel_value(not_prime, 1, kern)
+            kernel_value(not_prime, 1, 10)
     with pytest.raises(ValueError):
-        kernel_value(2, 0, kern)
-    with pytest.raises(ValueError):
-        WeightKernel(w=1, z=1.0)
-    with pytest.raises(ValueError):
-        WeightKernel(w=10, z=5.0)  # outside the configured disc
-    with pytest.raises(ValueError):
-        WeightKernel(w=10, z=complex("nan"))
+        kernel_value(2, 0, 10)
+    calls = (lambda w: kernel_value(2, 1, w), lambda w: convolution_mismatch(10, w),
+             lambda w: phi_prime_power(2, 1, w), lambda w: phi_weighted_kernel(1, w))
+    for call in calls:
+        with pytest.raises(ValueError, match="w < 2"):
+            call(1)
+    with pytest.raises(ValueError, match="n_max < 2"):
+        convolution_mismatch(1, 10)
 
 
 def test_one_disc_check_for_kernel_genfun_and_tilt_product():
     J = grid_histograms([(1000, 10)])[1000, 10][2]
-    calls = [lambda z: WeightKernel(w=10, z=z), lambda z: eval_genfun(J, z),
-             lambda z: tilt_product(0.5, z)]
+    calls = [lambda z: eval_genfun(J, z), lambda z: tilt_product(0.5, z)]
     for call in calls:
         for z, shown in ((4 + 1e-6, "4.000"), (complex(0, -4 - 1e-6), "4.000"),
                          (math.nan, "nan"), (complex(math.nan, 0), "nan")):
@@ -68,129 +77,80 @@ def test_one_disc_check_for_kernel_genfun_and_tilt_product():
 
 
 def test_convolution_identity_single_values():
-    # the oracle's divisor sum over the library's kernel values
+    # the oracle's divisor sum over the library's kernel values, at
+    # omega(n, w) + 1 rational points
     def g(p, alpha, w, z):
-        return kernel_value(p, alpha, WeightKernel(w=w, z=z))
+        return oracles.polynomial_at(kernel_value(p, alpha, w), z)
 
     for n in (1, 2, 12, 36, 97, 1024, 30030):
-        lhs, rhs = oracles.convolution_sides(n, 10, 1.7 + 0.3j, g=g)
-        assert abs(lhs - rhs) < 1e-10, n
+        for z in _points(oracles.omega_pair(n, 10)[1] + 1):
+            lhs, rhs = oracles.convolution_sides(n, 10, z, g=g)
+            assert lhs == rhs, (n, z)
 
 
 def test_convolution_identity_bulk():
-    for w in (2, 10):
-        for z in Z_SET:
-            dev = convolution_max_deviation(3000, WeightKernel(w=w, z=z))
-            assert dev < 1e-10, (w, z)
-
-
-def test_convolution_max_deviation_equals_the_scalar_loops():
-    for n_max in (2, 17, 2000):
-        for w in (2, 10, 97, 3000):
-            for z in (*Z_SET, 0.83 + 0.41j):
-                kern = WeightKernel(w=w, z=z)
-                got = convolution_max_deviation(n_max, kern)
-                assert got == oracles.convolution_deviation_loops(n_max, kern, kernel_value)
-
-
-def _clear_convolution_caches():
-    genfun._divisor_structure.cache_clear()
-    genfun._target.cache_clear()
-
-
-def test_convolution_calls_on_a_shared_structure_match_cold_calls():
-    kernels = [WeightKernel(w=w, z=z) for w in (2, 97) for z in (1.7 + 0.3j, -1.0, 1.0j)]
-    sizes = (2000, 3000, 2000, 17)
-    cold = []
-    for n_max in sizes:
-        for kern in kernels:
-            _clear_convolution_caches()
-            cold.append(convolution_max_deviation(n_max, kern))
-    _clear_convolution_caches()
-    warm = [convolution_max_deviation(n_max, kern) for n_max in sizes for kern in kernels]
-    assert warm == cold
-
-
-def test_the_battery_builds_each_target_table_once(monkeypatch):
-    # The battery's 15 calls at n_max = 2000 loop over z inside w, so the
-    # one cached table serves each w's five calls.
-    built = []
-    real = genfun.build_omega_table
-
-    def counted(config):
-        built.append((config.x_max, config.w))
-        return real(config)
-
-    monkeypatch.setattr(genfun, "build_omega_table", counted)
-    _clear_convolution_caches()
-    ok, _ = verify._check_convolution_identity()
-    assert ok
-    assert built == [(2000, w) for w in verify.W_GRID]
-
-
-def test_a_call_after_another_target_matches_a_cold_call():
-    kern = WeightKernel(w=10, z=1.7 + 0.3j)
-    _clear_convolution_caches()
-    cold = convolution_max_deviation(500, kern)
-    for n_max, w in ((500, 97), (600, 10), (500, 10)):
-        convolution_max_deviation(n_max, WeightKernel(w=w, z=-1.0))
-        assert convolution_max_deviation(500, kern) == cold, (n_max, w)
-
-
-def test_divisor_structure_is_read_only():
-    # The cached tau, p, a and m are tuples, which no caller can change.
-    for seq in genfun._divisor_structure(100):
-        assert type(seq) is tuple and len(seq) == 101
-        with pytest.raises(TypeError, match="does not support item assignment"):
-            seq[-1] = 0
-
-
-def test_cached_target_is_read_only():
-    for seq in genfun._target(100, 10):
-        assert type(seq) is tuple and len(seq) == 100
-        with pytest.raises(TypeError, match="does not support item assignment"):
-            seq[-1] = 0
+    for w in (2, 10, 97, 3000):
+        assert convolution_mismatch(3000, w) == 0, w
 
 
 def test_convolution_identity_at_the_smallest_n_max(monkeypatch):
     for n_max in (2, 3):
         for w in (2, 3):
-            for z in Z_SET:
-                assert convolution_max_deviation(n_max, WeightKernel(w=w, z=z)) < 1e-12
+            assert convolution_mismatch(n_max, w) == 0
     real = genfun.kernel_value
-    monkeypatch.setattr(genfun, "kernel_value", lambda p, a, kern: -real(p, a, kern))
-    assert convolution_max_deviation(2, WeightKernel(w=2, z=1.7 + 0.3j)) > 1.0  # n = 2
+    monkeypatch.setattr(genfun, "kernel_value",
+                        lambda p, a, w: tuple(-c for c in real(p, a, w)))
+    assert convolution_mismatch(2, 2) == 2
+
+
+def test_convolution_mismatch_is_the_first_failing_n(monkeypatch):
+    real = genfun.kernel_value
+
+    def wrong_square(p, alpha, w):  # g(p^2) = +1 above w
+        return (1,) if p > w and alpha == 2 else real(p, alpha, w)
+
+    monkeypatch.setattr(genfun, "kernel_value", wrong_square)
+    assert [convolution_mismatch(1000, w) for w in (2, 3, 10)] == [9, 25, 121]
+
+    def tilted(p, alpha, w):  # the z coefficient of g(p) one too large
+        return (-2, 3) if alpha == 1 and p <= w else real(p, alpha, w)
+
+    monkeypatch.setattr(genfun, "kernel_value", tilted)
+    assert convolution_mismatch(1000, 10) == 2
 
 
 def test_phi_prime_power_closed_forms():
     for w in (2, 10, 97):
-        for z in Z_SET:
-            kern = WeightKernel(w=w, z=z)
-            for p in (2, 3, 5, 7, 11, 53, 97):
-                for e in range(1, 7):
-                    got = phi_prime_power(p, e, kern)
+        for p in (2, 3, 5, 7, 11, 53, 97):
+            for e in range(1, 7):
+                got = phi_prime_power(p, e, w)
+                assert len(got) == 2 and all(type(c) is int for c in got)
+                for z in _points(2):
                     want = oracles.phi_via_enumeration(p**e, w, z)
-                    assert abs(got - want) < 1e-12, (p, e, w, z)
+                    assert oracles.polynomial_at(got, z) == want, (p, e, w, z)
 
 
 def test_phi_multiplicative_and_at_one():
-    kern = WeightKernel(w=10, z=1.7 + 0.3j)
-    assert phi_weighted_kernel(1, kern) == 1.0
-    for a, b in ((4, 9), (8, 15), (25, 77), (16, 81), (5, 5042)):
-        assert math.gcd(a, b) == 1
-        fab = phi_weighted_kernel(a * b, kern)
-        fa = phi_weighted_kernel(a, kern)
-        fb = phi_weighted_kernel(b, kern)
-        assert abs(fab - fa * fb) < 1e-12
+    # the product over prime powers against the oracle's divisor sum, at
+    # omega(l) + 1 rational points
+    assert phi_weighted_kernel(1, 10) == (1,)
+    ells = [*range(1, 400), *(a * b for a, b in ((4, 9), (8, 15), (25, 77), (16, 81), (5, 5042)))]
+    for ell in ells:
+        got = phi_weighted_kernel(ell, 10)
+        assert len(got) == len(oracles.factorize(ell)) + 1
+        for z in _points(len(got)):
+            want = oracles.phi_via_enumeration(ell, 10, z)
+            assert oracles.polynomial_at(got, z) == want, (ell, z)
 
 
 def test_phi_rejects_bad_input():
-    kern = WeightKernel(w=10, z=1.0)
     with pytest.raises(ValueError):
-        phi_weighted_kernel(0, kern)
+        phi_weighted_kernel(0, 10)
+    with pytest.raises(ValueError):
+        phi_prime_power(2, 0, 10)
     for not_prime in (6, 1, 0, 49):
         with pytest.raises(ValueError, match="not prime"):
-            phi_prime_power(not_prime, 2, kern)
+            phi_prime_power(not_prime, 2, 10)
 
 
 def _direct_genfun(triples, k, z, w_is_table=True):
